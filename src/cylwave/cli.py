@@ -7,8 +7,8 @@ configurations for the package's demonstration scenarios live under
 ``presets/``. Output is deterministic: the same configuration produces
 byte-identical files (17-significant-digit floats, no timestamps), and
 every data file names the SHA-256 of the configuration it came from.
-``validate`` runs the package's cross-checking invariant suites and exits
-nonzero if any of them fails.
+``validate`` runs the acceptance criteria of :mod:`cylwave.acceptance` and
+exits nonzero if any of them fails.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import continuous, diagnostics, discrete, fields, specfun
+from . import acceptance, diagnostics, discrete, fields
 from .exact import Medium, exact_field
 from .geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
@@ -453,17 +453,10 @@ def cmd_sweep(config, out_dir):
     reference = config.output["reference"]
     if reference is None:
         reference = "exact" if config.curve.kind == "circle" else "residual"
-    scan = diagnostics.oscillation_scan(
-        config.method, config.geometry(), config.excitation, config.media, config.n_list
-    )
+    problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
+    scan = diagnostics.oscillation_scan(*problem)
     sweep = diagnostics.convergence_sweep(
-        config.method,
-        config.geometry(),
-        config.excitation,
-        config.media,
-        config.n_list,
-        reference,
-        rings=config.output["rings"],
+        *problem, reference, rings=config.output["rings"], scan=scan
     )
     errors = sweep.errors()
     predicted = {}
@@ -488,8 +481,7 @@ def cmd_sweep(config, out_dir):
         "note",
     ]
     rows = []
-    failures = dict(scan.failures)
-    failures.update(sweep.failures)
+    failures = scan.failures
     sizes = sorted(set(scan.n_points) | set(failures))
     first_seen = set()
     for size in sizes:
@@ -521,152 +513,24 @@ def cmd_sweep(config, out_dir):
 # -- validate ----------------------------------------------------------------
 
 
-def _check_specfun():
-    orders = range(0, 61, 4)
-    grid = np.linspace(0.2, 30.0, 16)
-    worst = max(
-        float(np.max(np.abs(specfun.wronskian_residual(n, grid)) * (np.pi * grid / 2.0)))
-        for n in orders
-    )
-    yield "wronskian", worst < 1e-12, "max relative residual %.3g (tol 1e-12)" % worst
-
-    worst = 0.0
-    for x1 in np.linspace(1.0, 3.0, 5):
-        for ratio in np.linspace(1.2, 10.0, 5):
-            for theta in np.linspace(0.0, np.pi, 8):
-                x2 = x1 * ratio
-                dist = math.sqrt(x1**2 + x2**2 - 2.0 * x1 * x2 * math.cos(theta))
-                got = specfun.addition_series_h0(x1, x2, theta, n_max=220)
-                worst = max(worst, abs(got - specfun.hankel2(0, dist)))
-    yield "addition_closure", worst < 1e-10, "max closure error %.3g on 200 points (tol 1e-10)" % worst
-
-
-def _check_exact():
-    media = (Medium(), Medium(4.2, 1.0))
-    for name, excitation in (
-        ("external", Excitation("external", 4.0)),
-        ("internal", Excitation("internal", 1.0)),
-    ):
-        worst = 0.0
-        for rho, region in ((10.0, 1), (1.3, 2)):
-            for phi in _TWO_PI * (np.arange(32) + 0.5) / 32.0:
-                want = exact_field(excitation, region, rho, phi, 2.0, *media).value
-                got = continuous.reconstruct_fields_from_densities(
-                    excitation, rho, phi, 2.0, *media
-                )
-                worst = max(worst, abs(got - want) / abs(want))
-        yield (
-            "reconstruction_%s" % name,
-            worst < 1e-9,
-            "max relative deviation %.3g at 64 points (tol 1e-9)" % worst,
-        )
-
-
-def _check_discrete():
-    media = (Medium(), Medium(4.2, 1.0))
-    curve = BoundaryCurve.circle(2.0)
-    inner = AuxiliarySurface.from_radius(curve, 1.5)
-    outer = AuxiliarySurface.from_radius(curve, 2.5)
-    excitation = Excitation("external", 4.0)
-
-    worst = 0.0
-    for n in (5, 11, 40):
-        system = discrete.assemble_nfm(curve, inner, outer, excitation, *media, n_points=n)
-        fast = discrete.solve(system, path="dft")
-        dense = discrete.solve(system, path="dense")
-        scale = max(np.max(np.abs(dense.electric)), np.max(np.abs(dense.magnetic)))
-        diff = max(
-            np.max(np.abs(fast.electric - dense.electric)),
-            np.max(np.abs(fast.magnetic - dense.magnetic)),
-        )
-        worst = max(worst, float(diff / scale))
-    yield "dft_vs_dense", worst < 1e-9, "max relative gap %.3g over N in {5,11,40} (tol 1e-9)" % worst
-
-    system = discrete.assemble_nfm(curve, inner, outer, excitation, *media, n_points=11)
-    worst = 0.0
-    z1, z2 = media[0].Z, media[1].Z
-    for m in range(11):
-        sums = discrete.q_sum_coefficients(m, 11, curve, inner, outer, excitation, *media)
-        dft = (
-            np.fft.fft(system.rhs[:11])[m] / (11 * excitation.amplitude * z1),
-            np.fft.fft(system.z11[:, 0])[m] / (11 * z1),
-            np.fft.fft(system.z12[:, 0])[m] / (11 * 1j),
-            np.fft.fft(system.z21[:, 0])[m] / (11 * z2),
-            np.fft.fft(system.z22[:, 0])[m] / (11 * 1j),
-        )
-        for got, want in zip((sums.d, sums.b1, sums.b2, sums.b3, sums.b4), dft):
-            worst = max(worst, abs(got - want) / abs(want))
-    yield "qsums_vs_dft", worst < 1e-9, "max relative gap %.3g at N=11 (tol 1e-9)" % worst
-
-    solution = discrete.solve(
-        discrete.assemble_nfm(curve, inner, outer, excitation, *media, n_points=40)
-    )
-    dens_e, dens_m = discrete.normalized_currents(solution)
-    phis = _TWO_PI * np.arange(40) / 40.0
-    want = np.array([continuous.density_series(excitation, phi, 2.0, *media) for phi in phis])
-    diff = max(
-        float(np.max(np.abs(dens_e - want[:, 0])) / np.max(np.abs(want[:, 0]))),
-        float(np.max(np.abs(dens_m - want[:, 1])) / np.max(np.abs(want[:, 1]))),
-    )
-    yield "currents_vs_densities", diff < 1e-3, "max relative gap %.3g at N=40 (tol 1e-3)" % diff
-
-
-def _check_concordance():
-    media = (Medium(), Medium(4.2, 1.0))
-    curve = BoundaryCurve.circle(2.0)
-    hits, total, nfm_flags = 0, 0, 0
-    for excitation in (Excitation("external", 4.0), Excitation("internal", 1.0)):
-        for rho_inner in (0.5, 1.35, 1.8):
-            for rho_outer in (2.5, 3.2, 7.0):
-                geometry = (
-                    curve,
-                    AuxiliarySurface.from_radius(curve, rho_inner),
-                    AuxiliarySurface.from_radius(curve, rho_outer),
-                )
-                predicted = diagnostics.predict_mas_divergence(
-                    excitation.region, rho_inner, rho_outer, 2.0, excitation.rho
-                )
-                scan = diagnostics.oscillation_scan(
-                    "mas", geometry, excitation, media, [40, 46]
-                )
-                flagged = scan.flagged_surfaces()
-                for verdict in predicted:
-                    total += 1
-                    if (verdict.surface in flagged) == (verdict.predicted == "diverges"):
-                        hits += 1
-                nfm = diagnostics.oscillation_scan(
-                    "nfm", geometry, excitation, media, [40, 46]
-                )
-                nfm_flags += len(nfm.flagged_surfaces())
-    yield "mas_flags_match_predictions", hits == total, "%d/%d surfaces concordant" % (hits, total)
-    yield "nfm_never_flags", nfm_flags == 0, "%d flagged NFM scans on the grid" % nfm_flags
-
-
-_VALIDATE_GROUPS = {
-    "specfun": _check_specfun,
-    "exact": _check_exact,
-    "discrete": _check_discrete,
-    "concordance": _check_concordance,
-}
-
-
 def cmd_validate(only, out_dir):
-    """Run the cross-checking invariant suites; exit 0 iff all pass."""
-    if only is not None and only not in _VALIDATE_GROUPS:
+    """Run the acceptance criteria group by group; exit 0 iff all pass."""
+    if only is not None and only not in acceptance.GROUPS:
         raise ConfigError(
             "--only: unknown group %r (choose from %s)"
-            % (only, "/".join(sorted(_VALIDATE_GROUPS)))
+            % (only, "/".join(sorted(acceptance.GROUPS)))
         )
-    names = [only] if only else list(_VALIDATE_GROUPS)
+    names = [only] if only else list(acceptance.GROUPS)
     report = {"schema": _SCHEMA, "groups": {}, "passed": True}
     passed = failed = 0
     for name in names:
         entries = []
-        for check, ok, detail in _VALIDATE_GROUPS[name]():
-            entries.append({"check": check, "passed": bool(ok), "detail": detail})
-            print("%s %s.%s: %s" % ("PASS" if ok else "FAIL", name, check, detail))
-            passed += bool(ok)
-            failed += not ok
+        for criterion in acceptance.GROUPS[name]:
+            for check, ok, detail in criterion():
+                entries.append({"check": check, "passed": bool(ok), "detail": detail})
+                print("%s %s.%s: %s" % ("PASS" if ok else "FAIL", name, check, detail))
+                passed += bool(ok)
+                failed += not ok
         report["groups"][name] = entries
     report["passed"] = failed == 0
     print("%d checks passed, %d failed" % (passed, failed))
@@ -692,8 +556,8 @@ def _build_parser():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a JSON run configuration")
         cmd.add_argument("--out", help="output directory (overrides output.directory)")
-    check = sub.add_parser("validate", help="run the invariant suites and report pass/fail")
-    check.add_argument("--only", help="run a single group: %s" % "/".join(sorted(_VALIDATE_GROUPS)))
+    check = sub.add_parser("validate", help="run the acceptance criteria and report pass/fail")
+    check.add_argument("--only", help="run a single group: %s" % "/".join(sorted(acceptance.GROUPS)))
     check.add_argument("--out", help="directory for validate.json")
     return parser
 

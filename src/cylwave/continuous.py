@@ -13,6 +13,7 @@ radiated by the densities so they can be compared with the direct series of
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +57,6 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
     outside; both auxiliary radii cancel identically, leaving a system on
     the boundary alone. Source rotation enters as exp(-i n phi_fil).
     """
-    if excitation.polarization != "TM":
-        raise ValueError("densities are implemented for TM excitation only")
     n = int(n)
     m = abs(n)
     a11, a12, a21, a22 = _matching_matrix(m, rho_cyl, medium1, medium2)
@@ -90,14 +89,13 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     cap = n_max if n_max is not None else _default_cap(excitation, rho_cyl, medium1, medium2)
     psi = phi - excitation.phi
 
-    def electric_term(n):
-        return mode_solve(n, base, rho_cyl, medium1, medium2).electric
+    # both series read the same per-mode solve; each still stops on its own
+    @lru_cache(maxsize=None)
+    def coefficients(n):
+        return mode_solve(n, base, rho_cyl, medium1, medium2)
 
-    def magnetic_term(n):
-        return mode_solve(n, base, rho_cyl, medium1, medium2).magnetic
-
-    j_z, _, _, ok_j, _ = _sum_adaptive(electric_term, psi, cap)
-    m_phi, _, _, ok_m, _ = _sum_adaptive(magnetic_term, psi, cap)
+    j_z, _, _, ok_j, _ = _sum_adaptive(lambda n: coefficients(n).electric, psi, cap)
+    m_phi, _, _, ok_m, _ = _sum_adaptive(lambda n: coefficients(n).magnetic, psi, cap)
     if not (ok_j and ok_m):
         raise ArithmeticError(
             "density series not converged within n_max=%d "
@@ -152,8 +150,6 @@ def reconstruct_fields_from_densities(
     reconstruction here is exact up to truncation and provides an
     independent route to the same fields as :func:`cylwave.exact.exact_field`.
     """
-    if excitation.polarization != "TM":
-        raise ValueError("densities are implemented for TM excitation only")
     if rho_obs <= 0.0:
         raise ValueError("observation radius must be positive")
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:

@@ -13,7 +13,7 @@ track amplitude growth or field error.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import discrete, fields
 from .exact import critical_radius, exact_field
 
 _TWO_PI = 2.0 * np.pi
+_RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,15 @@ class OscillationScan:
 
     n_points lists the successfully solved sizes in ascending order;
     reports maps each surface label to one OscillationReport per solved N;
-    failures maps every N whose solve raised to the error message.
+    failures maps every N whose solve raised to the error message;
+    solutions maps every solved N to its DiscreteSolution.
     """
 
     method: str
     n_points: tuple
     reports: dict
     failures: dict
+    solutions: dict = field(compare=False, repr=False)
 
     def flagged_surfaces(self):
         """Labels of surfaces flagged at any N of the sweep."""
@@ -204,10 +207,13 @@ def oscillation_scan(
         n_points=tuple(n for n in sizes if n in solutions),
         reports={label: tuple(entries) for label, entries in reports.items()},
         failures=failures,
+        solutions=solutions,
     )
 
 
-def convergence_sweep(method, geometry, excitation, media, n_list, reference, rings=None):
+def convergence_sweep(
+    method, geometry, excitation, media, n_list, reference, rings=None, scan=None
+):
     """Field or residual error of one method at every N in a sweep.
 
     reference 'exact' (circular boundaries only) compares total fields
@@ -218,7 +224,8 @@ def convergence_sweep(method, geometry, excitation, media, n_list, reference, ri
     relative deviation over both rings. Pass rings as (radius, region)
     pairs to override. reference 'residual' reports the tangential-E
     defect of fields.boundary_residuals instead, which needs no separable
-    solution. Failed solves are recorded as in oscillation_scan.
+    solution. Failed solves are recorded as in oscillation_scan; pass the
+    oscillation_scan of the same inputs as scan to reuse its solves.
     """
     _surface_labels(method)
     if reference not in ("exact", "residual"):
@@ -230,14 +237,20 @@ def convergence_sweep(method, geometry, excitation, media, n_list, reference, ri
         if rings is None:
             radius = curve.params["radius"]
             rings = ((5.0 * radius, 1), (0.5 * radius, 2))
-    sizes, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
+    if scan is None:
+        _, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
+    else:
+        solutions, failures = scan.solutions, scan.failures
+    if reference == "exact" and solutions:
+        references = [
+            (rho, region, _ring_reference(excitation, media, curve, rho, region))
+            for rho, region in rings
+        ]
     points = []
-    for n in sizes:
-        if n not in solutions:
-            continue
+    for n in sorted(solutions):
         solution = solutions[n]
         if reference == "exact":
-            error = _ring_error(solution, excitation, media, curve, rings)
+            error = _ring_error(solution, references)
         else:
             error = fields.boundary_residuals(solution, n_test=n)[0]
         points.append(SweepPoint(n_points=n, error=error))
@@ -302,19 +315,24 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
     return sizes, solutions, failures
 
 
-def _ring_error(solution, excitation, media, curve, rings):
+def _ring_reference(excitation, media, curve, rho, region):
     radius = curve.params["radius"]
-    angles = _TWO_PI * (np.arange(36) + 0.5) / 36.0
+    return np.array(
+        [
+            exact_field(excitation, region, rho, phi, radius, media[0], media[1]).value
+            for phi in _RING_ANGLES
+        ]
+    )
+
+
+def _ring_error(solution, references):
     worst = 0.0
-    for rho, region in rings:
-        reference = np.array(
-            [
-                exact_field(excitation, region, rho, phi, radius, media[0], media[1]).value
-                for phi in angles
-            ]
-        )
+    for rho, region, reference in references:
         observed = np.array(
-            [fields.field_from_discrete(solution, rho, phi, region=region).e_z for phi in angles]
+            [
+                fields.field_from_discrete(solution, rho, phi, region=region).e_z
+                for phi in _RING_ANGLES
+            ]
         )
         scale = float(np.max(np.abs(reference)))
         worst = max(worst, float(np.max(np.abs(observed - reference))) / (scale or 1.0))

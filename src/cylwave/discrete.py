@@ -138,11 +138,6 @@ def _point_distances(points, xy):
 
 
 def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
-    if excitation.polarization != "TM":
-        raise ValueError(
-            "systems are assembled for TM excitation only; map TE sources "
-            "through geometry.duality_map first"
-        )
     if aux_inner.side != "inner" or aux_outer.side != "outer":
         raise ValueError("pass the inner surface first and the outer surface second")
     aux_inner.validate_against(curve)
@@ -387,19 +382,20 @@ def mode_amplitudes(solution):
 
 
 def normalized_currents(solution):
-    """Current densities sampled at the collocation angles.
+    """Current densities per unit length sampled at the collocation angles.
 
-    Multiplying the amplitudes by N / perimeter turns line-source strengths
-    into surface densities; circles use 2 pi rho exactly. Meaningful for
-    boundary-current ('nfm') solutions; for source solutions the same
-    scaling is applied to whatever the amplitudes are.
+    Collocation is uniform in the polar angle, so each amplitude is the
+    trapezoidal weight 2 pi / N times a density per unit angle; dividing by
+    the speed |c'(phi_l)| = hypot(r, r') gives the density per unit length
+    (N / (2 pi rho) on a circle). Meaningful for boundary-current ('nfm')
+    solutions; for source solutions the same scaling is applied to whatever
+    the amplitudes are.
     """
     curve = solution.system.curve
-    if curve.kind == "circle":
-        perimeter = _TWO_PI * curve.params["radius"]
-    else:
-        perimeter = curve.perimeter()
-    scale = solution.n_points / perimeter
+    n = solution.n_points
+    phis = _TWO_PI * np.arange(n) / n
+    speed = np.hypot(curve.radius(phis), curve.radius_deriv(phis))
+    scale = n / (_TWO_PI * speed)
     return scale * solution.electric, scale * solution.magnetic
 
 
@@ -518,8 +514,6 @@ def large_n_limit_coefficients(m, excitation, rho_cyl, medium1=Medium(), medium2
     function never sees them; dividing by 2 pi rho_cyl recovers the
     continuous density coefficients.
     """
-    if excitation.polarization != "TM":
-        raise ValueError("limits are implemented for TM excitation only")
     m = int(m)
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .geometry import Excitation
 
 SERIES_IDS = ("ext_R1", "ext_R2", "int_R1", "int_R2")
 
@@ -95,12 +94,9 @@ def convergence_region(series_id, rho_obs, rho_cyl, rho_fil):
 def incident_prefactor(excitation, medium):
     """Prefactor multiplying amplitude * H^(2)_0(k D) in the incident field.
 
-    -k Z / 4 for a TM electric line source; the TE dual swaps the impedance
-    role, -k / (4 Z).
+    -k Z / 4 for an electric line source.
     """
-    if excitation.polarization == "TM":
-        return -medium.k * medium.Z / 4.0
-    return -medium.k / (4.0 * medium.Z)
+    return -medium.k * medium.Z / 4.0
 
 
 def incident_field(excitation, medium, rho_obs, phi_obs):
@@ -273,8 +269,6 @@ def exact_field(
     region beyond the physical one; outside that a divergence warning is
     attached to the result and the partial sum is returned as is.
     """
-    if excitation.polarization != "TM":
-        raise ValueError("exact series are implemented for TM excitation only")
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
     if rho_obs <= 0.0:
@@ -330,8 +324,6 @@ def exact_field_radial_deriv(
     Needed for tangential-H continuity checks, where H_tan in region j is
     proportional to (1 / (i k_j Z_j)) dE/d rho on the circle.
     """
-    if excitation.polarization != "TM":
-        raise ValueError("exact series are implemented for TM excitation only")
     series_id = ("ext" if excitation.region == "external" else "int") + "_R%d" % region
 
     if excitation.amplitude == 0:

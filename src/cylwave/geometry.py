@@ -7,7 +7,7 @@ boundary about its center, which keeps them star shaped with radius
 sigma * r(phi).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,7 +167,7 @@ class AuxiliarySurface:
 
 @dataclass(frozen=True)
 class Excitation:
-    """An electric (TM) or, via duality, magnetic (TE) line source.
+    """An electric line source parallel to the cylinder axis.
 
     region says which side of the boundary the filament sits on; rho/phi are
     its polar coordinates; amplitude is the complex line-current strength.
@@ -177,13 +177,10 @@ class Excitation:
     rho: float
     phi: float = 0.0
     amplitude: complex = 1.0 + 0.0j
-    polarization: str = "TM"
 
     def __post_init__(self):
         if self.region not in ("external", "internal"):
             raise ValueError("region must be 'external' or 'internal'")
-        if self.polarization not in ("TM", "TE"):
-            raise ValueError("polarization must be 'TM' or 'TE'")
         if self.rho <= 0.0:
             raise ValueError("source radius must be positive")
 
@@ -196,18 +193,6 @@ class Excitation:
             raise ValueError("external excitation must lie outside the boundary")
         if self.region == "internal" and not inside:
             raise ValueError("internal excitation must lie inside the boundary")
-
-
-def duality_map(excitation):
-    """Swap a TM electric line source for its TE magnetic dual (and back).
-
-    This is a pure data transformation: the dual problem reuses the same
-    geometry with the roles of the impedances exchanged, so the incident
-    field prefactor changes from -k Z I / 4 to -k K / (4 Z). No TE solver
-    exists; see exact.incident_field for how the prefactor is consumed.
-    """
-    new_pol = "TE" if excitation.polarization == "TM" else "TM"
-    return replace(excitation, polarization=new_pol)
 
 
 def collocation_points(curve, N):

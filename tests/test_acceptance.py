@@ -5,24 +5,28 @@ the measured numbers and its runtime before asserting, so a red run
 still reports what was actually observed; run pytest with -s to see the
 green lines too. The tolerances and runtime budgets are part of each
 verdict, which makes this module the regression gate for accuracy and
-speed at once. Unit-level coverage lives in the per-module test files;
-nothing here should be the first place a plain bug shows up.
+speed at once. Criteria 01-04 and 06 are defined in cylwave.acceptance,
+which ``cylwave validate`` runs too; the tests here add the runtime
+budgets. Unit-level coverage lives in the per-module test files; nothing
+here should be the first place a plain bug shows up.
 """
 
 import time
 
 import numpy as np
 
-from cylwave import continuous, diagnostics, discrete, fields, specfun
-from cylwave.exact import Medium, exact_field
-from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
+from cylwave import acceptance, continuous, diagnostics, discrete, fields
+from cylwave.acceptance import EXT, INT, M1, M2, NARROW, WIDE
+from cylwave.acceptance import relative_gap as _rel
+from cylwave.exact import exact_field
+from cylwave.geometry import AuxiliarySurface, BoundaryCurve
 
-M1 = Medium()
-M2 = Medium(4.2, 1.0)
-CIRCLE = BoundaryCurve.circle(2.0)
 ELLIPSE = BoundaryCurve.ellipse(2.0, 1.6)
-EXT = Excitation("external", 4.0)
-INT = Excitation("internal", 1.0)
+ELL_AUX = (
+    ELLIPSE,
+    AuxiliarySurface.from_scale(ELLIPSE, 0.33),
+    AuxiliarySurface.from_scale(ELLIPSE, 5.0),
+)
 
 
 def _criterion(number, passed, detail):
@@ -31,19 +35,17 @@ def _criterion(number, passed, detail):
     assert passed, line
 
 
-def _aux(curve, inner, outer, by="radius"):
-    place = AuxiliarySurface.from_radius if by == "radius" else AuxiliarySurface.from_scale
-    return curve, place(curve, inner), place(curve, outer)
-
-
-NARROW = _aux(CIRCLE, 1.5, 2.5)
-WIDE = _aux(CIRCLE, 0.5, 10.0)
-ELL_AUX = _aux(ELLIPSE, 0.33, 5.0, by="scale")
-
-
-def _rel(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+def _gate(number, criterion, budget):
+    """Time one criterion of cylwave.acceptance and hold it to its budget."""
+    start = time.perf_counter()
+    checks = criterion()
+    elapsed = time.perf_counter() - start
+    _criterion(
+        number,
+        all(ok for _, ok, _ in checks) and elapsed < budget,
+        "%s; %.1fs (< %gs)"
+        % ("; ".join("%s %s" % (name, detail) for name, _, detail in checks), elapsed, budget),
+    )
 
 
 def _field_error(solution, excitation, rho, region, offset=0.0):
@@ -58,108 +60,19 @@ def _field_error(solution, excitation, rho, region, offset=0.0):
 
 
 def test_criterion_01_special_function_identities():
-    start = time.perf_counter()
-    worst_w = 0.0
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 40.0):
-        scale = 2.0 / (np.pi * x)
-        for n in range(61):
-            worst_w = max(worst_w, abs(specfun.wronskian_residual(n, x)) / scale)
-    worst_a = 0.0
-    for x1 in np.linspace(1.0, 3.0, 5):
-        for ratio in np.linspace(1.2, 10.0, 5):
-            x2 = x1 * ratio
-            for theta in np.linspace(0.0, np.pi, 8):
-                d = np.sqrt(x1**2 + x2**2 - 2.0 * x1 * x2 * np.cos(theta))
-                got = specfun.addition_series_h0(x1, x2, theta, n_max=220)
-                worst_a = max(worst_a, abs(got - specfun.hankel2(0, d)))
-    elapsed = time.perf_counter() - start
-    _criterion(
-        1,
-        worst_w < 1e-12 and worst_a < 1e-10 and elapsed < 5.0,
-        "wronskian residual %.2e relative (< 1e-12) over n <= 60 on 7 radii, "
-        "addition closure %.2e (< 1e-10) on 200 points, %.1fs (< 5s)"
-        % (worst_w, worst_a, elapsed),
-    )
+    _gate(1, acceptance.special_function_identities, 5.0)
 
 
 def test_criterion_02_density_reconstruction_matches_series():
-    start = time.perf_counter()
-    angles = 2.0 * np.pi * (np.arange(32) + 0.5) / 32.0
-    worst = 0.0
-    for exc in (EXT, INT):
-        for rho, region in ((10.0, 1), (1.3, 2)):
-            for phi in angles:
-                want = exact_field(exc, region, rho, phi, 2.0, M1, M2).value
-                got = continuous.reconstruct_fields_from_densities(
-                    exc, rho, phi, 2.0, M1, M2
-                )
-                worst = max(worst, abs(got - want) / abs(want))
-    elapsed = time.perf_counter() - start
-    _criterion(
-        2,
-        worst < 1e-9 and elapsed < 10.0,
-        "density reconstruction vs direct series %.2e relative (< 1e-9) at "
-        "64 points per excitation, %.1fs (< 10s)" % (worst, elapsed),
-    )
+    _gate(2, acceptance.density_reconstruction, 10.0)
 
 
 def test_criterion_03_dft_solver_matches_dense():
-    start = time.perf_counter()
-    worst_v = 0.0
-    for n in (5, 11, 40, 81):
-        system = discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=n)
-        dense = discrete.solve_dense(system)
-        fast = discrete.solve_circulant_dft(system)
-        worst_v = max(worst_v, _rel(fast.vector, dense.vector))
-    system = discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=11)
-    z1, z2 = system.medium1.Z, system.medium2.Z
-    worst_q = 0.0
-    for m in range(11):
-        sums = discrete.q_sum_coefficients(m, 11, *NARROW, EXT, M1, M2)
-        dft = (
-            np.fft.fft(system.rhs[:11])[m] / (11 * system.excitation.amplitude * z1),
-            np.fft.fft(system.z11[:, 0])[m] / (11 * z1),
-            np.fft.fft(system.z12[:, 0])[m] / (11 * 1j),
-            np.fft.fft(system.z21[:, 0])[m] / (11 * z2),
-            np.fft.fft(system.z22[:, 0])[m] / (11 * 1j),
-        )
-        for got, want in zip((sums.d, sums.b1, sums.b2, sums.b3, sums.b4), dft):
-            worst_q = max(worst_q, abs(got - want) / abs(want))
-    elapsed = time.perf_counter() - start
-    _criterion(
-        3,
-        worst_v < 1e-9 and worst_q < 1e-9 and elapsed < 30.0,
-        "DFT vs dense %.2e relative l-inf (< 1e-9) over N in {5, 11, 40, 81}, "
-        "q-sums vs DFT coefficients %.2e (< 1e-9) at N = 11, %.1fs (< 30s)"
-        % (worst_v, worst_q, elapsed),
-    )
+    _gate(3, acceptance.dft_solver, 30.0)
 
 
 def test_criterion_04_nfm_currents_track_densities():
-    start = time.perf_counter()
-    phis = 2.0 * np.pi * np.arange(40) / 40.0
-    worst_fit = 0.0
-    worst_cross = 0.0
-    for exc in (EXT, INT):
-        pairs = [continuous.density_series(exc, p, 2.0, M1, M2) for p in phis]
-        want_e = np.array([p[0] for p in pairs])
-        want_k = np.array([p[1] for p in pairs])
-        per_aux = []
-        for geo in (NARROW, WIDE):
-            sol = discrete.solve(discrete.assemble_nfm(*geo, exc, M1, M2, n_points=40))
-            got_e, got_k = discrete.normalized_currents(sol)
-            worst_fit = max(worst_fit, _rel(got_e, want_e), _rel(got_k, want_k))
-            per_aux.append((got_e, got_k))
-        (snug_e, snug_k), (wide_e, wide_k) = per_aux
-        worst_cross = max(worst_cross, _rel(snug_e, wide_e), _rel(snug_k, wide_k))
-    elapsed = time.perf_counter() - start
-    _criterion(
-        4,
-        worst_fit < 1e-3 and worst_cross < 1e-3 and elapsed < 20.0,
-        "normalized currents vs densities %.2e relative l-inf (< 1e-3) at "
-        "N = 40 for snug and wide placements, both excitations; placements "
-        "agree to %.2e (< 1e-3); %.1fs (< 20s)" % (worst_fit, worst_cross, elapsed),
-    )
+    _gate(4, acceptance.currents_track_densities, 20.0)
 
 
 def test_criterion_05_nfm_fields_match_series():
@@ -180,37 +93,7 @@ def test_criterion_05_nfm_fields_match_series():
 
 
 def test_criterion_06_mas_flags_follow_placement_grid():
-    start = time.perf_counter()
-    matches = 0
-    total = 0
-    nfm_flags = 0
-    for exc in (EXT, INT):
-        for inner in (0.5, 1.35, 1.8):
-            for outer in (2.5, 3.2, 7.0):
-                geo = _aux(CIRCLE, inner, outer)
-                predicted = diagnostics.predict_mas_divergence(
-                    exc.region, inner, outer, 2.0, exc.rho
-                )
-                flagged = diagnostics.oscillation_scan(
-                    "mas", geo, exc, (M1, M2), (40, 46)
-                ).flagged_surfaces()
-                for pred in predicted:
-                    total += 1
-                    matches += (pred.surface in flagged) == (pred.predicted == "diverges")
-                nfm_flags += len(
-                    diagnostics.oscillation_scan(
-                        "nfm", geo, exc, (M1, M2), (40, 46)
-                    ).flagged_surfaces()
-                )
-    elapsed = time.perf_counter() - start
-    _criterion(
-        6,
-        matches == total == 36 and nfm_flags == 0 and elapsed < 120.0,
-        "flags match divergence predictions on %d/%d surfaces of the 3x3 "
-        "placement grid per excitation at N in {40, 46}; direct-route flags "
-        "on the same grid: %d (need 0); %.0fs (< 120s)"
-        % (matches, total, nfm_flags, elapsed),
-    )
+    _gate(6, acceptance.mas_flags_follow_placement, 120.0)
 
 
 def test_criterion_07_mas_breakdown_ordering():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwave import cli
+from cylwave import cli, diagnostics, discrete
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -206,6 +206,27 @@ def test_divergence_sweep_table_tells_the_whole_story(tmp_path):
     assert last["flagged"] == "true"
     # the currents blow up while the radiated field stays accurate
     assert all(float(r["error"]) < 1e-6 for r in rows)
+
+
+def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeypatch):
+    solved, series = [], []
+    solve, exact_field = discrete.solve, diagnostics.exact_field
+
+    def counting_solve(system, path="auto"):
+        solved.append(system.n_points)
+        return solve(system, path)
+
+    def counting_series(*args, **kwargs):
+        series.append(args)
+        return exact_field(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "solve", counting_solve)
+    monkeypatch.setattr(diagnostics, "exact_field", counting_series)
+    preset = str(PRESETS / "nfm-stability.json")
+    assert cli.main(["sweep", "--config", preset, "--out", str(tmp_path)]) == 0
+    assert sorted(solved) == [40, 46, 81]
+    # two rings of 36 angles
+    assert len(series) == 72
 
 
 def test_single_n_sweep_omits_growth(tmp_path):

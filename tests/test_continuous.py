@@ -12,7 +12,7 @@ from cylwave.continuous import (
     reconstruct_fields_from_densities,
 )
 from cylwave.exact import Medium
-from cylwave.geometry import Excitation, duality_map
+from cylwave.geometry import Excitation
 
 M1 = Medium()
 M2 = Medium(4.2, 1.0)
@@ -73,9 +73,17 @@ def test_mode_solve_linear_in_amplitude():
     assert abs(got.electric - 2.0 * base.electric) < 1e-15
 
 
-def test_mode_solve_rejects_te():
-    with pytest.raises(ValueError):
-        mode_solve(3, duality_map(EXT), RHO_CYL, M1, M2)
+def test_density_series_solves_each_mode_once(monkeypatch):
+    orders = []
+    solve = continuous.mode_solve
+
+    def counting(n, *args):
+        orders.append(n)
+        return solve(n, *args)
+
+    monkeypatch.setattr(continuous, "mode_solve", counting)
+    density_series(EXT, 0.7, RHO_CYL, M1, M2)
+    assert sorted(orders) == list(range(len(orders)))
 
 
 def test_densities_even_about_source_angle():
@@ -166,8 +174,6 @@ def test_reconstruction_zero_amplitude():
 def test_reconstruction_rejects_boundary_and_te():
     with pytest.raises(ValueError):
         reconstruct_fields_from_densities(EXT, RHO_CYL, 0.0, RHO_CYL, M1, M2)
-    with pytest.raises(ValueError):
-        reconstruct_fields_from_densities(duality_map(EXT), 5.0, 0.0, RHO_CYL, M1, M2)
     with pytest.raises(ValueError):
         reconstruct_fields_from_densities(EXT, -1.0, 0.0, RHO_CYL, M1, M2)
 

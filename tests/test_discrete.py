@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwave import continuous, discrete, geometry, specfun
+from cylwave import continuous, discrete, fields, geometry, specfun
 from cylwave.exact import Medium
 
 from oracles import gauss_solve
@@ -100,8 +100,6 @@ def test_dipole_kernel_agrees_with_the_addition_series():
 
 
 def test_assembly_validation():
-    with pytest.raises(ValueError, match="TM"):
-        _nfm(geometry.duality_map(EXT), 8)
     with pytest.raises(ValueError, match="inner surface first"):
         discrete.assemble_nfm(CIRCLE, AUX_OUT, AUX_IN, EXT, M1, M2, n_points=8)
     with pytest.raises(ValueError, match="at least 4"):
@@ -355,6 +353,27 @@ def test_normalized_currents_track_the_densities(aux, exc):
     j_want, m_want = _density_samples(exc, 40)
     assert np.max(np.abs(j_got - j_want)) < 1e-3 * np.max(np.abs(j_want))
     assert np.max(np.abs(m_got - m_want)) < 1e-3 * np.max(np.abs(m_want))
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+def test_normalized_currents_match_the_tangential_fields(curve):
+    # J = n x H and M = E x n on C, so their magnitudes are the fields' traces
+    solution = discrete.solve(
+        discrete.assemble_nfm(
+            curve,
+            geometry.AuxiliarySurface.from_scale(curve, 0.7),
+            geometry.AuxiliarySurface.from_scale(curve, 1.6),
+            EXT,
+            M1,
+            M2,
+            n_points=40,
+        )
+    )
+    j, m = discrete.normalized_currents(solution)
+    traces = fields.boundary_traces(solution, n_test=20)
+    # the 20 staggered trace angles are the odd collocation angles
+    assert np.max(np.abs(np.abs(j[1::2] / traces.h_1) - 1.0)) < 1e-3
+    assert np.max(np.abs(np.abs(m[1::2] / traces.e_1) - 1.0)) < 1e-3
 
 
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])

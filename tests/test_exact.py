@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cylwave import exact
 from cylwave.exact import Medium, critical_radius, exact_field
-from cylwave.geometry import Excitation, duality_map
+from cylwave.geometry import Excitation
 
 M1 = Medium()
 M2 = Medium(4.2, 1.0)  # reference dielectric: k2/k1 ~ 2.049, Z2/Z1 ~ 0.488
@@ -239,13 +239,6 @@ def test_incident_field_frozen_value():
     assert abs(got - want) < 1e-15
 
 
-def test_incident_prefactor_duality_ratio():
-    exc = Excitation("external", 4.0)
-    tm = exact.incident_prefactor(exc, M2)
-    te = exact.incident_prefactor(duality_map(exc), M2)
-    assert te / tm == pytest.approx(1.0 / M2.Z**2)
-
-
 def test_incident_field_singularity_and_zero_amplitude():
     exc = Excitation("external", 4.0, phi=0.5)
     with pytest.raises(ValueError):
@@ -281,8 +274,6 @@ def test_truncation_cap_respected():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        exact_field(duality_map(EXT), 1, 5.0, 0.0, RHO_CYL, M1, M2)
     with pytest.raises(ValueError):
         exact_field(EXT, 3, 5.0, 0.0, RHO_CYL, M1, M2)
     with pytest.raises(ValueError):

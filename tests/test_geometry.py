@@ -11,7 +11,6 @@ from cylwave.geometry import (
     BoundaryCurve,
     Excitation,
     collocation_points,
-    duality_map,
     pairwise_distances,
 )
 
@@ -156,26 +155,11 @@ def test_excitation_validation():
         Excitation("sideways", 4.0)
     with pytest.raises(ValueError):
         Excitation("external", -4.0)
-    with pytest.raises(ValueError):
-        Excitation("external", 4.0, polarization="TEM")
 
 
 def test_excitation_position():
     exc = Excitation("external", 4.0, phi=np.pi / 2)
     assert np.allclose(exc.position_xy(), [0.0, 4.0], atol=1e-15)
-
-
-def test_duality_map_is_an_involution():
-    exc = Excitation("external", 4.0, phi=0.3, amplitude=2.0 - 1.0j)
-    dual = duality_map(exc)
-    assert dual.polarization == "TE"
-    assert (dual.region, dual.rho, dual.phi, dual.amplitude) == (
-        exc.region,
-        exc.rho,
-        exc.phi,
-        exc.amplitude,
-    )
-    assert duality_map(dual) == exc
 
 
 def test_pairwise_distances_concentric():
