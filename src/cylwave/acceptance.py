@@ -97,10 +97,10 @@ def dft_solver():
         sums = discrete.q_sum_coefficients(m, 11, *NARROW, EXT, M1, M2)
         dft = (
             np.fft.fft(system.rhs[:11])[m] / (11 * system.excitation.amplitude * z1),
-            np.fft.fft(system.z11[:, 0])[m] / (11 * z1),
-            np.fft.fft(system.z12[:, 0])[m] / (11 * 1j),
-            np.fft.fft(system.z21[:, 0])[m] / (11 * z2),
-            np.fft.fft(system.z22[:, 0])[m] / (11 * 1j),
+            np.fft.fft(system.z11)[m] / (11 * z1),
+            np.fft.fft(system.z12)[m] / (11 * 1j),
+            np.fft.fft(system.z21)[m] / (11 * z2),
+            np.fft.fft(system.z22)[m] / (11 * 1j),
         )
         for got, want in zip((sums.d, sums.b1, sums.b2, sums.b3, sums.b4), dft):
             worst_q = max(worst_q, abs(got - want) / abs(want))

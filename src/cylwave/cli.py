@@ -32,6 +32,8 @@ _TWO_PI = 2.0 * np.pi
 _SCHEMA = 1
 _SOLVE_PATHS = {"auto": "auto", "dense": "dense", "fast": "dft"}
 _MISSING = object()
+# warn when the condition estimate leaves fewer than three significant digits
+_ROUNDOFF_WARNING = 1e-3
 
 
 class ConfigError(ValueError):
@@ -338,7 +340,17 @@ def _solve_single(config, method, n):
         config.media[1],
         n_points=n,
     )
-    return discrete.solve(system, path=config.solve_path)
+    solution = discrete.solve(system, path=config.solve_path)
+    loss = solution.cond_estimate * np.finfo(float).eps
+    if loss > _ROUNDOFF_WARNING:
+        digits = max(0, int(-math.log10(loss))) if math.isfinite(loss) else 0
+        print(
+            "cylwave: warning: %s amplitudes at N = %d: condition estimate %.2g "
+            "leaves about %d significant digit%s"
+            % (method, n, solution.cond_estimate, digits, "" if digits == 1 else "s"),
+            file=sys.stderr,
+        )
+    return solution
 
 
 # -- commands ----------------------------------------------------------------
@@ -454,7 +466,7 @@ def cmd_sweep(config, out_dir):
     if reference is None:
         reference = "exact" if config.curve.kind == "circle" else "residual"
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
-    scan = diagnostics.oscillation_scan(*problem)
+    scan = diagnostics.oscillation_scan(*problem, path=config.solve_path)
     sweep = diagnostics.convergence_sweep(
         *problem, reference, rings=config.output["rings"], scan=scan
     )

@@ -163,6 +163,7 @@ def oscillation_scan(
     n_list,
     growth_threshold=3.0,
     index_threshold=0.5,
+    path="auto",
 ):
     """Track oscillation and amplitude growth of solved currents over N.
 
@@ -177,10 +178,13 @@ def oscillation_scan(
     geometry is a (boundary, inner auxiliary surface, outer auxiliary
     surface) triple and media a (region-1 medium, region-2 medium) pair.
     Surface labels are 'aux1'/'aux2' for method 'mas' and
-    'electric'/'magnetic' for method 'nfm'.
+    'electric'/'magnetic' for method 'nfm'. path is handed to
+    discrete.solve for every N.
     """
     labels = _surface_labels(method)
-    sizes, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
+    sizes, solutions, failures = _solve_sizes(
+        method, geometry, excitation, media, n_list, path
+    )
     reports = {label: [] for label in labels}
     previous = {label: None for label in labels}
     for n in sizes:
@@ -289,7 +293,7 @@ def _worker_count(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def _solve_sizes(method, geometry, excitation, media, n_list):
+def _solve_sizes(method, geometry, excitation, media, n_list, path="auto"):
     """Solve every N concurrently; results keyed by N, ascending sizes."""
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
@@ -302,7 +306,7 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
         system = assemble(
             curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
         )
-        return discrete.solve(system)
+        return discrete.solve(system, path)
 
     solutions, failures = {}, {}
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:

@@ -38,8 +38,11 @@ class BlockSystem:
     amplitudes on the boundary and the rows cancel the field on the two
     displaced surfaces; for method 'mas' the unknowns are source amplitudes
     on the displaced surfaces and the rows enforce the two transmission
-    conditions on the boundary. Instances are treated as immutable and can
-    be shared between threads; the arrays are not defensively copied.
+    conditions on the boundary. On concentric circles every block is
+    circulant and z11..z22 hold only their first columns, shape (N,);
+    otherwise they hold the full (N, N) blocks. matrix and named_blocks()
+    always give full blocks. Instances are treated as immutable and can be
+    shared between threads; the arrays are not defensively copied.
     """
 
     z11: np.ndarray
@@ -60,14 +63,20 @@ class BlockSystem:
         return self.z11.shape[0]
 
     @property
+    def circulant(self):
+        """True when the blocks are carried as circulant first columns."""
+        return self.z11.ndim == 1
+
+    @property
     def matrix(self):
-        return np.block([[self.z11, self.z12], [self.z21, self.z22]])
+        (_, z11), (_, z12), (_, z21), (_, z22) = self.named_blocks()
+        return np.block([[z11, z12], [z21, z22]])
 
     def named_blocks(self):
-        return (("z11", self.z11), ("z12", self.z12), ("z21", self.z21), ("z22", self.z22))
-
-    def is_circulant(self, rtol=1e-13):
-        return all(geometry.is_circulant(b, rtol) for _, b in self.named_blocks())
+        blocks = (self.z11, self.z12, self.z21, self.z22)
+        if self.circulant:
+            blocks = tuple(linalg.circulant(c) for c in blocks)
+        return tuple(zip(("z11", "z12", "z21", "z22"), blocks))
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,16 @@ def _point_distances(points, xy):
     return geometry.pairwise_distances(points, np.asarray(xy, dtype=float)[None, :])[:, 0]
 
 
+def _concentric_circles(curve, aux_inner, aux_outer):
+    """Uniform collocation on concentric circles makes every block circulant."""
+    return all(c.kind == "circle" for c in (curve, aux_inner.curve, aux_outer.curve))
+
+
+def _transpose(block):
+    """Transpose of a full block, or of a circulant one given by its first column."""
+    return np.roll(block[::-1], 1) if block.ndim == 1 else block.T
+
+
 def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
     if aux_inner.side != "inner" or aux_outer.side != "outer":
         raise ValueError("pass the inner surface first and the outer surface second")
@@ -165,7 +184,9 @@ def assemble_nfm(
     row block 2 cancels the region-2 representation on the outer surface;
     both rows are scaled so the electric-current kernel is Z_j H^(2)_0.
     The incident term lands on the inner rows for an external source and on
-    the outer rows for an internal one.
+    the outer rows for an internal one. On concentric circles only column 0
+    of each block is evaluated: every matching point against boundary
+    point 0.
     """
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     n_points = int(n_points)
@@ -176,12 +197,18 @@ def assemble_nfm(
     a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
     a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
 
-    d1 = geometry.pairwise_distances(a1_pts, c_pts)
-    d2 = geometry.pairwise_distances(a2_pts, c_pts)
-    z11 = z1 * monopole_matrix(k1, d1, label="block z11")
-    z12 = 1j * dipole_matrix(k1, a1_pts, c_pts, c_nrm, dist=d1, label="block z12")
-    z21 = z2 * monopole_matrix(k2, d2, label="block z21")
-    z22 = 1j * dipole_matrix(k2, a2_pts, c_pts, c_nrm, dist=d2, label="block z22")
+    circulant = _concentric_circles(curve, aux_inner, aux_outer)
+    src = slice(0, 1) if circulant else slice(None)
+    d1 = geometry.pairwise_distances(a1_pts, c_pts[src])
+    d2 = geometry.pairwise_distances(a2_pts, c_pts[src])
+    blocks = (
+        z1 * monopole_matrix(k1, d1, label="block z11"),
+        1j * dipole_matrix(k1, a1_pts, c_pts[src], c_nrm[src], dist=d1, label="block z12"),
+        z2 * monopole_matrix(k2, d2, label="block z21"),
+        1j * dipole_matrix(k2, a2_pts, c_pts[src], c_nrm[src], dist=d2, label="block z22"),
+    )
+    if circulant:
+        blocks = tuple(b[:, 0] for b in blocks)
 
     amp = complex(excitation.amplitude)
     rhs = np.zeros(2 * n_points, dtype=complex)
@@ -194,7 +221,7 @@ def assemble_nfm(
         rhs[n_points:] = amp * z2 * monopole_matrix(k2, d_fil, label="rhs")
 
     return BlockSystem(
-        z11, z12, z21, z22, rhs, "nfm",
+        *blocks, rhs, "nfm",
         curve, aux_inner, aux_outer, excitation, medium1, medium2,
     )
 
@@ -237,7 +264,9 @@ def assemble_mas(
     Inner sources radiate the region-1 field with (k1, Z1), outer sources
     the region-2 field with (k2, Z2). Row block 1 is continuity of the
     electric field, row block 2 continuity of the tangential magnetic
-    field scaled by -i, with the normal taken at the boundary point.
+    field scaled by -i, with the normal taken at the boundary point. On
+    concentric circles only column 0 of each block is evaluated: every
+    boundary point against source point 0.
     """
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     n_points = int(n_points)
@@ -248,19 +277,27 @@ def assemble_mas(
     a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
     a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
 
-    d1 = geometry.pairwise_distances(c_pts, a1_pts)
-    d2 = geometry.pairwise_distances(c_pts, a2_pts)
-    z11 = -(k1 * z1 / 4.0) * monopole_matrix(k1, d1, label="block z11")
-    z12 = +(k2 * z2 / 4.0) * monopole_matrix(k2, d2, label="block z12")
+    circulant = _concentric_circles(curve, aux_inner, aux_outer)
+    src = slice(0, 1) if circulant else slice(None)
+    d1 = geometry.pairwise_distances(c_pts, a1_pts[src])
+    d2 = geometry.pairwise_distances(c_pts, a2_pts[src])
     # dipole_matrix puts the normal at its source argument; transposing the
     # (aux obs, boundary src) kernel gives the boundary-normal derivative of
     # the aux-source fields that the magnetic matching row needs.
-    z21 = -(1j * k1 / 4.0) * dipole_matrix(k1, a1_pts, c_pts, c_nrm, dist=d1.T, label="block z21").T
-    z22 = +(1j * k2 / 4.0) * dipole_matrix(k2, a2_pts, c_pts, c_nrm, dist=d2.T, label="block z22").T
+    blocks = (
+        -(k1 * z1 / 4.0) * monopole_matrix(k1, d1, label="block z11"),
+        +(k2 * z2 / 4.0) * monopole_matrix(k2, d2, label="block z12"),
+        -(1j * k1 / 4.0)
+        * dipole_matrix(k1, a1_pts[src], c_pts, c_nrm, dist=d1.T, label="block z21").T,
+        +(1j * k2 / 4.0)
+        * dipole_matrix(k2, a2_pts[src], c_pts, c_nrm, dist=d2.T, label="block z22").T,
+    )
+    if circulant:
+        blocks = tuple(b[:, 0] for b in blocks)
 
     rhs = _mas_rhs(curve, excitation, medium1, medium2, n_points)
     return BlockSystem(
-        z11, z12, z21, z22, rhs, "mas",
+        *blocks, rhs, "mas",
         curve, aux_inner, aux_outer, excitation, medium1, medium2,
     )
 
@@ -276,10 +313,10 @@ def mas_from_nfm(system):
         raise ValueError("expected a direct ('nfm') system")
     s_top = -system.medium1.k / 4.0
     s_bot = +system.medium2.k / 4.0
-    z11 = (s_top * system.z11).T
-    z12 = (s_bot * system.z21).T
-    z21 = (s_top * system.z12).T
-    z22 = (s_bot * system.z22).T
+    z11 = _transpose(s_top * system.z11)
+    z12 = _transpose(s_bot * system.z21)
+    z21 = _transpose(s_top * system.z12)
+    z22 = _transpose(s_bot * system.z22)
     rhs = _mas_rhs(
         system.curve, system.excitation, system.medium1, system.medium2, system.n_points
     )
@@ -293,9 +330,9 @@ def mas_from_nfm(system):
 # -- solvers ----------------------------------------------------------------
 
 
-def _relative_residual(matrix, x, rhs):
+def _relative_residual(applied, rhs):
     scale = float(np.max(np.abs(rhs)))
-    err = float(np.max(np.abs(matrix @ x - rhs)))
+    err = float(np.max(np.abs(applied - rhs)))
     return err / scale if scale > 0.0 else err
 
 
@@ -316,7 +353,7 @@ def solve_dense(system):
     rcond, info = gecon(lu, np.linalg.norm(a, np.inf), norm="I")
     cond = float(1.0 / rcond) if info == 0 and rcond > 0.0 else np.inf
 
-    residual = _relative_residual(a, x, b)
+    residual = _relative_residual(a @ x, b)
     return DiscreteSolution(system, x[:n], x[n:], "dense", residual, cond)
 
 
@@ -327,22 +364,22 @@ def _mode_singular_values(l11, l12, l21, l22, det):
     return s_max, np.abs(det) / s_max
 
 
-def solve_circulant_dft(system, rtol=1e-13):
+def solve_circulant_dft(system):
     """Closed-form solve through per-mode 2x2 systems; circles only.
 
     Every block of a concentric-circle system is circulant, so the DFT of
     the first columns gives its eigenvalues and each Fourier mode of the
     unknowns satisfies an independent 2x2 system. Works for any N, odd or
-    even, and for both methods; raises when a block is not circulant.
+    even, and for both methods; raises when the system is not circulant.
+    The residual applies the blocks to the solution through the same DFT.
     """
-    for name, block in system.named_blocks():
-        if not geometry.is_circulant(block, rtol):
-            raise ValueError("block %s is not circulant; use the dense path" % name)
+    if not system.circulant:
+        raise ValueError("system is not circulant; use the dense path")
     n = system.n_points
-    l11 = np.fft.fft(system.z11[:, 0])
-    l12 = np.fft.fft(system.z12[:, 0])
-    l21 = np.fft.fft(system.z21[:, 0])
-    l22 = np.fft.fft(system.z22[:, 0])
+    l11 = np.fft.fft(system.z11)
+    l12 = np.fft.fft(system.z12)
+    l21 = np.fft.fft(system.z21)
+    l22 = np.fft.fft(system.z22)
     b1 = np.fft.fft(system.rhs[:n])
     b2 = np.fft.fft(system.rhs[n:])
 
@@ -359,15 +396,16 @@ def solve_circulant_dft(system, rtol=1e-13):
 
     s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
     cond = float(np.max(s_max) / np.min(s_min))
-    x = np.concatenate([electric, magnetic])
-    residual = _relative_residual(system.matrix, x, system.rhs)
+    f_e, f_m = np.fft.fft(electric), np.fft.fft(magnetic)
+    applied = np.fft.ifft([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m]).ravel()
+    residual = _relative_residual(applied, system.rhs)
     return DiscreteSolution(system, electric, magnetic, "dft", residual, cond)
 
 
 def solve(system, path="auto"):
     """Dispatch to the DFT path for circulant systems, dense otherwise."""
     if path == "auto":
-        path = "dft" if system.is_circulant() else "dense"
+        path = "dft" if system.circulant else "dense"
     if path == "dft":
         return solve_circulant_dft(system)
     if path == "dense":

@@ -229,6 +229,47 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
     assert len(series) == 72
 
 
+@pytest.mark.parametrize("path, solved_on", [("auto", "dft"), ("dense", "dense")])
+def test_sweep_honours_the_solver_path(tmp_path, monkeypatch, path, solved_on):
+    paths = []
+    solve = discrete.solve
+
+    def recording_solve(system, path="auto"):
+        solution = solve(system, path)
+        paths.append((system.n_points, solution.path))
+        return solution
+
+    monkeypatch.setattr(discrete, "solve", recording_solve)
+    preset = PRESETS / "mas-divergence.json"
+    doc = json.loads(preset.read_text())
+    doc["solver"]["path"] = path
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    assert sorted(paths) == [(40, solved_on), (46, solved_on)]
+    if path == "auto":
+        assert cli.main(["sweep", "--config", str(preset), "--out", str(tmp_path / "p")]) == 0
+        ours = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        preset_rows = (tmp_path / "p" / "sweep.csv").read_text().splitlines()
+        # the config hash on line 2 differs; every other line is the same
+        assert ours[2:] == preset_rows[2:]
+
+
+def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):
+    for name, warns in (("ellipse-external-currents", True), ("circle-external-currents", False)):
+        preset = str(PRESETS / (name + ".json"))
+        assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / name)]) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err.count("\n") == 1
+            assert "condition estimate 1.4e+14 leaves about 1 significant digit" in err
+        else:
+            assert err == ""
+    preset = str(PRESETS / "ellipse-external-fields.json")
+    assert cli.main(["fields", "--config", preset, "--out", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().err.count("cylwave: warning: nfm amplitudes at N = 40") == 1
+
+
 def test_single_n_sweep_omits_growth(tmp_path):
     def mutate(doc):
         doc["solver"] = {"method": "mas", "n_list": [24]}

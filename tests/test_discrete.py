@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwave import continuous, discrete, fields, geometry, specfun
-from cylwave.exact import Medium
+from cylwave.exact import Medium, exact_field
 
 from oracles import gauss_solve
 
@@ -24,6 +24,7 @@ AUX_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 1.5)
 AUX_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 2.5)
 WIDE_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 0.5)
 WIDE_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 10.0)
+NEAR = tuple(geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.99, 2.01))
 EXT = geometry.Excitation("external", 4.0)
 INT = geometry.Excitation("internal", 1.0)
 
@@ -41,20 +42,71 @@ def _mas(exc, n_points, aux=(AUX_IN, AUX_OUT)):
     return discrete.assemble_mas(CIRCLE, aux[0], aux[1], exc, M1, M2, n_points=n_points)
 
 
+_ASSEMBLE = {"nfm": _nfm, "mas": _mas}
+
+
+def _kernel_blocks(route, n_points):
+    """The four blocks of the snug circle system, every point pair evaluated."""
+    c_pts, c_nrm, _ = geometry.collocation_points(CIRCLE, n_points)
+    a1_pts, _, _ = geometry.collocation_points(AUX_IN.curve, n_points)
+    a2_pts, _, _ = geometry.collocation_points(AUX_OUT.curve, n_points)
+    (k1, z1), (k2, z2) = (M1.k, M1.Z), (M2.k, M2.Z)
+    if route == "nfm":
+        return (
+            z1 * discrete.monopole_matrix(k1, geometry.pairwise_distances(a1_pts, c_pts)),
+            1j * discrete.dipole_matrix(k1, a1_pts, c_pts, c_nrm),
+            z2 * discrete.monopole_matrix(k2, geometry.pairwise_distances(a2_pts, c_pts)),
+            1j * discrete.dipole_matrix(k2, a2_pts, c_pts, c_nrm),
+        )
+    return (
+        -(k1 * z1 / 4.0) * discrete.monopole_matrix(k1, geometry.pairwise_distances(c_pts, a1_pts)),
+        +(k2 * z2 / 4.0) * discrete.monopole_matrix(k2, geometry.pairwise_distances(c_pts, a2_pts)),
+        -(1j * k1 / 4.0) * discrete.dipole_matrix(k1, a1_pts, c_pts, c_nrm).T,
+        +(1j * k2 / 4.0) * discrete.dipole_matrix(k2, a2_pts, c_pts, c_nrm).T,
+    )
+
+
 # -- structure ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_points", [7, 8, 81])
+@pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+def test_carried_columns_are_column_zero_of_the_kernel_blocks(route, exc, n_points):
+    system = _ASSEMBLE[route](exc, n_points)
+    assert system.circulant
+    carried = (system.z11, system.z12, system.z21, system.z22)
+    for column, block in zip(carried, _kernel_blocks(route, n_points)):
+        assert geometry.is_circulant(block)
+        assert np.array_equal(column, block[:, 0])
+
+
 def test_circle_blocks_are_circulant():
-    system = _nfm(EXT, 40)
-    assert system.is_circulant()
-    for _, block in system.named_blocks():
-        dev = geometry.circulant_deviation(block)
-        assert dev <= 1e-13 * np.max(np.abs(block))
+    # the same aux circles passed as generic star curves get full blocks,
+    # evaluated over every point pair: they are circulant, and the expanded
+    # first columns of the circle system reproduce them
+    def ring(radius, side):
+        curve = geometry.BoundaryCurve.star(
+            lambda phi: np.full_like(np.asarray(phi, dtype=float), radius),
+            lambda phi: np.zeros_like(np.asarray(phi, dtype=float)),
+        )
+        return geometry.AuxiliarySurface(curve, side)
+
+    aux = (ring(1.5, "inner"), ring(2.5, "outer"))
+    for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
+        carried = assemble(CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2, n_points=12)
+        full = assemble(CIRCLE, *aux, EXT, M1, M2, n_points=12)
+        assert carried.circulant and carried.z11.shape == (12,)
+        assert not full.circulant and full.z11.shape == (12, 12)
+        assert all(geometry.is_circulant(block) for _, block in full.named_blocks())
+        scale = np.max(np.abs(full.matrix))
+        assert np.max(np.abs(carried.matrix - full.matrix)) < 1e-13 * scale
+        assert discrete.solve(full).path == "dense"
 
 
 def test_ellipse_blocks_are_not_circulant():
     system = discrete.assemble_nfm(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=40)
-    assert not system.is_circulant()
+    assert not system.circulant
     with pytest.raises(ValueError, match="not circulant"):
         discrete.solve_circulant_dft(system)
 
@@ -117,7 +169,7 @@ def test_assembles_and_solves_on_a_star_curve():
     aux_out = geometry.AuxiliarySurface.from_scale(star, 1.4)
     system = discrete.assemble_nfm(star, aux_in, aux_out,
                                    geometry.Excitation("external", 5.0), M1, M2, n_points=24)
-    assert not system.is_circulant()
+    assert not system.circulant
     solution = discrete.solve(system)
     assert solution.path == "dense"
     assert solution.residual < 1e-12
@@ -133,14 +185,17 @@ def test_assembles_and_solves_on_a_star_curve():
 )
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_transform_matches_direct_source_assembly(curve, aux_in, aux_out, exc):
-    direct = discrete.assemble_nfm(curve, aux_in, aux_out, exc, M1, M2, n_points=8)
-    transformed = discrete.mas_from_nfm(direct)
-    reference = discrete.assemble_mas(curve, aux_in, aux_out, exc, M1, M2, n_points=8)
-    for (name, a), (_, b) in zip(transformed.named_blocks(), reference.named_blocks()):
-        scale = np.max(np.abs(b))
-        assert np.max(np.abs(a - b)) < 1e-14 * scale, name
-    assert np.array_equal(transformed.rhs, reference.rhs)
-    assert transformed.method == "mas"
+    # odd N catches an off-by-one in reversing a circulant first column
+    for n_points in (7, 8):
+        direct = discrete.assemble_nfm(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
+        transformed = discrete.mas_from_nfm(direct)
+        reference = discrete.assemble_mas(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
+        assert transformed.circulant == reference.circulant == (curve is CIRCLE)
+        for (name, a), (_, b) in zip(transformed.named_blocks(), reference.named_blocks()):
+            scale = np.max(np.abs(b))
+            assert np.max(np.abs(a - b)) < 1e-14 * scale, (name, n_points)
+        assert np.array_equal(transformed.rhs, reference.rhs)
+        assert transformed.method == "mas"
 
 
 def test_transform_requires_a_direct_system():
@@ -221,6 +276,19 @@ def test_auto_path_selects_by_structure():
         discrete.solve(_nfm(EXT, 8), path="cholesky")
 
 
+@pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+def test_fft_residual_matches_the_dense_product(route, exc):
+    # on the wide placement the source amplitudes diverge and both numbers
+    # are roundoff of |A| |x|, so they agree only to about 1e-9 there
+    for aux in ((AUX_IN, AUX_OUT), NEAR):
+        for n_points in (40, 81):
+            system = _ASSEMBLE[route](exc, n_points, aux=aux)
+            solution = discrete.solve_circulant_dft(system)
+            dense = discrete._relative_residual(system.matrix @ solution.vector, system.rhs)
+            assert abs(solution.residual - dense) < 1e-13
+
+
 def test_solves_report_residual_and_conditioning():
     for solution in (discrete.solve_dense(_nfm(EXT, 40)), discrete.solve_circulant_dft(_nfm(EXT, 40))):
         assert solution.residual < 1e-12
@@ -241,10 +309,10 @@ def test_zero_amplitude_source_gives_zero_currents():
 def _dft_coefficients(system, m):
     n = system.n_points
     z1, z2 = system.medium1.Z, system.medium2.Z
-    b1 = np.fft.fft(system.z11[:, 0])[m] / (n * z1)
-    b2 = np.fft.fft(system.z12[:, 0])[m] / (n * 1j)
-    b3 = np.fft.fft(system.z21[:, 0])[m] / (n * z2)
-    b4 = np.fft.fft(system.z22[:, 0])[m] / (n * 1j)
+    b1 = np.fft.fft(system.z11)[m] / (n * z1)
+    b2 = np.fft.fft(system.z12)[m] / (n * 1j)
+    b3 = np.fft.fft(system.z21)[m] / (n * z2)
+    b4 = np.fft.fft(system.z22)[m] / (n * 1j)
     if system.excitation.region == "external":
         d = np.fft.fft(system.rhs[:n])[m] / (n * system.excitation.amplitude * z1)
     else:
@@ -334,6 +402,32 @@ def test_solved_modes_approach_the_limits(exc):
         got_k = 201 * k_modes[m] / exc.amplitude
         assert abs(got_e - electric) < 1e-6 * abs(electric)
         assert abs(got_k - magnetic) < 1e-6 * abs(magnetic)
+
+
+# -- large N ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+def test_circle_solve_at_one_hundred_thousand_points(route):
+    exc = geometry.Excitation("external", 4.0, 0.3)
+    solution = discrete.solve(_ASSEMBLE[route](exc, 100_000, aux=NEAR))
+    assert solution.path == "dft"
+    got = fields.field_from_discrete(solution, 10.0, 0.7).e_z
+    want = exact_field(exc, 1, 10.0, 0.7, 2.0, M1, M2).value
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="degenerate mode m=514: the high-mode eigenvalues are roundoff and "
+    "some products cancel to exactly zero in the 2x2 determinant",
+)
+def test_nfm_solves_the_snug_placement_at_n_1024():
+    solution = discrete.solve(_nfm(EXT, 1024))
+    got = fields.field_from_discrete(solution, 10.0, 0.7).e_z
+    want = exact_field(EXT, 1, 10.0, 0.7, 2.0, M1, M2).value
+    assert abs(got - want) < 1e-9 * abs(want)
 
 
 # -- currents against the continuous densities --------------------------------
