@@ -34,9 +34,7 @@ def placed(inner, outer):
 # -- currents at two placements -------------------------------------------------
 
 phis = 2.0 * np.pi * np.arange(N) / N
-pairs = [density_series(EXT, p, 2.0, M1, M2) for p in phis]
-want_e = np.array([p[0] for p in pairs])
-want_k = np.array([p[1] for p in pairs])
+want_e, want_k = density_series(EXT, phis, 2.0, M1, M2)
 
 solved = {}
 for inner, outer in ((1.5, 2.5), (0.5, 10.0)):

@@ -16,7 +16,7 @@ is no cleaner than the source route's, since both sit at roundoff.
 import numpy as np
 
 from cylwave import continuous, diagnostics, discrete, fields
-from cylwave.exact import Medium, exact_field
+from cylwave.exact import Medium, exact_ring
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 M1 = Medium()
@@ -70,7 +70,7 @@ print("float64 roundoff here, and neither is cleaner on both rings:")
 
 def ring_error(solution, rho, region):
     angles = 2.0 * np.pi * np.arange(36) / 36.0
-    want = np.array([exact_field(EXT, region, rho, p, 2.0, M1, M2).value for p in angles])
+    want = np.array([r.value for r in exact_ring(EXT, region, rho, angles, 2.0, M1, M2)])
     got = np.array(
         [fields.field_from_discrete(solution, rho, p, region=region).e_z for p in angles]
     )
@@ -92,8 +92,7 @@ print()
 print("the contrast lies in the currents, normalized to surface densities at")
 print("N = 40 and compared with the closed-form densities:")
 angles = 2.0 * np.pi * np.arange(40) / 40.0
-pairs = [continuous.density_series(EXT, p, 2.0, M1, M2) for p in angles]
-densities = (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+densities = continuous.density_series(EXT, angles, 2.0, M1, M2)
 peak = max(np.max(np.abs(d)) for d in densities)
 deviation = max(
     np.max(np.abs(got - want)) / np.max(np.abs(want))

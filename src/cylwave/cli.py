@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acceptance, diagnostics, discrete, fields
-from .exact import Medium, exact_field
+from .exact import Medium, exact_ring
 from .geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 _TWO_PI = 2.0 * np.pi
@@ -320,13 +320,36 @@ def _json_text(payload):
 
 
 def _default_rings(config):
+    """output.rings, else rings at five and at half the smallest boundary radius.
+
+    A default ring at the filament's own radius is moved out by half its
+    radius, so that no sample point can land on the source.
+    """
     if config.output["rings"] is not None:
         return config.output["rings"]
     if config.curve.kind == "circle":
         radius = config.curve.params["radius"]
     else:
         radius = min(config.curve.radius(_TWO_PI * np.arange(64) / 64))
-    return ((5.0 * radius, 1), (0.5 * radius, 2))
+    rings = []
+    for rho, region in ((5.0 * radius, 1), (0.5 * radius, 2)):
+        if math.isclose(rho, config.excitation.rho):
+            rho *= 1.5
+        rings.append((rho, region))
+    return tuple(rings)
+
+
+def _report_series_trust(rho, region, results):
+    """One stderr line for a ring whose exact reference did not converge everywhere."""
+    loose = [result for result in results if not result.converged]
+    if loose:
+        print(
+            "cylwave: warning: exact series on ring rho = %g (region %d): %d of %d points "
+            "not converged, worst tail estimate %.2g"
+            % (rho, region, len(loose), len(results),
+               max(result.tail_estimate for result in loose)),
+            file=sys.stderr,
+        )
 
 
 def _solve_single(config, method, n):
@@ -436,18 +459,21 @@ def cmd_fields(config, out_dir):
         header += ["re_%s" % method, "im_%s" % method]
     rows = []
     for rho, region in rings:
-        for phi in angles:
+        if with_exact:
+            reference = exact_ring(
+                config.excitation,
+                region,
+                rho,
+                angles,
+                config.curve.params["radius"],
+                config.media[0],
+                config.media[1],
+            )
+            _report_series_trust(rho, region, reference)
+        for i, phi in enumerate(angles):
             row = [_fmt(rho), region, _fmt(phi)]
             if with_exact:
-                value = exact_field(
-                    config.excitation,
-                    region,
-                    rho,
-                    phi,
-                    config.curve.params["radius"],
-                    config.media[0],
-                    config.media[1],
-                ).value
+                value = reference[i].value
                 row += [_fmt(value.real), _fmt(value.imag)]
             for method in methods:
                 sample = fields.field_from_discrete(solutions[method], rho, phi, region=region)
@@ -470,6 +496,8 @@ def cmd_sweep(config, out_dir):
     sweep = diagnostics.convergence_sweep(
         *problem, reference, rings=config.output["rings"], scan=scan
     )
+    for rho, region, results in sweep.references:
+        _report_series_trust(rho, region, results)
     errors = sweep.errors()
     predicted = {}
     if config.method == "mas" and config.curve.kind == "circle":

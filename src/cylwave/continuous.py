@@ -81,13 +81,14 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
 def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(), n_max=None):
     """Both boundary densities at angle phi: the pair (J_z, M_phi).
 
+    phi is one angle or an array of angles; an array gives a pair of arrays.
     The coefficients decay geometrically like (rho_fil / rho_cyl)^(-|n|)
     (or its reciprocal for an interior source), so the series converges for
     every source position strictly off the boundary.
     """
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else _default_cap(excitation, rho_cyl, medium1, medium2)
-    psi = phi - excitation.phi
+    psi = np.atleast_1d(np.asarray(phi, dtype=float) - excitation.phi)
 
     # both series read the same per-mode solve; each still stops on its own
     @lru_cache(maxsize=None)
@@ -96,12 +97,13 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
 
     j_z, _, _, ok_j, _ = _sum_adaptive(lambda n: coefficients(n).electric, psi, cap)
     m_phi, _, _, ok_m, _ = _sum_adaptive(lambda n: coefficients(n).magnetic, psi, cap)
-    if not (ok_j and ok_m):
+    if not (ok_j.all() and ok_m.all()):
         raise ArithmeticError(
             "density series not converged within n_max=%d "
             "(source too close to the boundary?)" % cap
         )
-    return j_z, m_phi
+    shape = np.shape(phi)
+    return j_z.reshape(shape)[()], m_phi.reshape(shape)[()]
 
 
 def density_term_asymptotics(which, n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
@@ -142,6 +144,9 @@ def reconstruct_fields_from_densities(
 ):
     """Field radiated by the boundary densities, plus the incident part.
 
+    phi_obs is one angle or an array of angles on the circle rho_obs; an
+    array gives an array, with each mode solved once for all of them.
+
     Outside the boundary the densities radiate with the exterior wavenumber,
     inside with the interior one (with reversed sign of both densities); the
     incident field is added on the side that physically contains the source.
@@ -154,14 +159,15 @@ def reconstruct_fields_from_densities(
         raise ValueError("observation radius must be positive")
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
+    shape = np.shape(phi_obs)
     if excitation.amplitude == 0:
-        return 0.0 + 0.0j
+        return np.zeros(shape, dtype=complex)[()]
 
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else _default_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
-    psi = phi_obs - excitation.phi
+    phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     outside = rho_obs > rho_cyl
@@ -180,19 +186,20 @@ def reconstruct_fields_from_densities(
             + (k2 / 4j) * coeff.magnetic * specfun.hankel2_prime(n, k2 * rho_cyl)
         ) * radial
 
-    value, _, _, converged, warning = _sum_adaptive(term, psi, cap)
-    if not converged:
+    value, _, _, converged, warning = _sum_adaptive(term, phis - excitation.phi, cap)
+    if not converged.all():
+        first = warning[int(np.argmin(converged))]
         raise ArithmeticError(
             "field reconstruction not converged within n_max=%d%s"
-            % (cap, (": " + warning) if warning else "")
+            % (cap, (": " + first) if first else "")
         )
     value = _TWO_PI * rho_cyl * value
 
     if outside and excitation.region == "external":
-        value = value + incident_field(excitation, medium1, rho_obs, phi_obs)
+        value = value + incident_field(excitation, medium1, rho_obs, phis)
     elif not outside and excitation.region == "internal":
-        value = value + incident_field(excitation, medium2, rho_obs, phi_obs)
-    return value
+        value = value + incident_field(excitation, medium2, rho_obs, phis)
+    return value.reshape(shape)[()]
 
 
 def _default_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):

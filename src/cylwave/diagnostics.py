@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrete, fields
-from .exact import critical_radius, exact_field
+from .exact import critical_radius, exact_ring
 
 _TWO_PI = 2.0 * np.pi
 _RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
@@ -88,12 +88,18 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class ConvergenceSweep:
-    """Error-vs-N table for one method against a fixed reference."""
+    """Error-vs-N table for one method against a fixed reference.
+
+    For the 'exact' reference, references holds one (radius, region,
+    SeriesResult per angle) entry per observation ring, so callers can see
+    how far the series behind the errors converged.
+    """
 
     method: str
     reference: str
     points: tuple
     failures: dict
+    references: tuple = field(default=(), compare=False, repr=False)
 
     def errors(self):
         """Mapping of solved N to the observed error."""
@@ -245,11 +251,15 @@ def convergence_sweep(
         _, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     else:
         solutions, failures = scan.solutions, scan.failures
+    references = ()
     if reference == "exact" and solutions:
-        references = [
-            (rho, region, _ring_reference(excitation, media, curve, rho, region))
+        radius = curve.params["radius"]
+        references = tuple(
+            (rho, region, exact_ring(
+                excitation, region, rho, _RING_ANGLES, radius, media[0], media[1]
+            ))
             for rho, region in rings
-        ]
+        )
     points = []
     for n in sorted(solutions):
         solution = solutions[n]
@@ -259,7 +269,11 @@ def convergence_sweep(
             error = fields.boundary_residuals(solution, n_test=n)[0]
         points.append(SweepPoint(n_points=n, error=error))
     return ConvergenceSweep(
-        method=method, reference=reference, points=tuple(points), failures=failures
+        method=method,
+        reference=reference,
+        points=tuple(points),
+        failures=failures,
+        references=references,
     )
 
 
@@ -319,19 +333,10 @@ def _solve_sizes(method, geometry, excitation, media, n_list, path="auto"):
     return sizes, solutions, failures
 
 
-def _ring_reference(excitation, media, curve, rho, region):
-    radius = curve.params["radius"]
-    return np.array(
-        [
-            exact_field(excitation, region, rho, phi, radius, media[0], media[1]).value
-            for phi in _RING_ANGLES
-        ]
-    )
-
-
 def _ring_error(solution, references):
     worst = 0.0
-    for rho, region, reference in references:
+    for rho, region, results in references:
+        reference = np.array([result.value for result in results])
         observed = np.array(
             [
                 fields.field_from_discrete(solution, rho, phi, region=region).e_z

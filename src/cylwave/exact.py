@@ -100,14 +100,30 @@ def incident_prefactor(excitation, medium):
 
 
 def incident_field(excitation, medium, rho_obs, phi_obs):
-    """Field of the bare line source at a polar observation point."""
+    """Field of the bare line source at polar observation points.
+
+    phi_obs is one angle or an array of angles on the circle rho_obs; an
+    array gives an array, with H0 evaluated in one call.
+    """
     d = _source_distance(excitation, rho_obs, phi_obs)
-    if d < 1e-12 * max(excitation.rho, rho_obs, 1.0):
+    if np.any(d < 1e-12 * max(excitation.rho, rho_obs, 1.0)):
         raise ValueError("observation point coincides with the source filament")
     if excitation.amplitude == 0:
-        return 0.0 + 0.0j
+        return np.zeros(np.shape(d), dtype=complex)[()]
     pref = incident_prefactor(excitation, medium)
-    return pref * excitation.amplitude * specfun.hankel2(0, medium.k * d)
+    return _times(pref * excitation.amplitude, specfun.hankel2(0, medium.k * d))
+
+
+def _times(factor, values):
+    """factor * values with scalar complex products, one value at a time.
+
+    numpy's vectorised complex product may fuse multiply-adds and round
+    differently from the scalar one; keeping the scalar product keeps ring
+    and one-point results equal to the last bit.
+    """
+    if np.ndim(values) == 0:
+        return factor * values
+    return np.array([factor * complex(v) for v in values])
 
 
 def _source_distance(excitation, rho_obs, phi_obs):
@@ -124,7 +140,8 @@ def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     dd_drho = (rho_obs - excitation.rho * np.cos(psi)) / d
     pref = incident_prefactor(excitation, medium)
     k = medium.k
-    return pref * excitation.amplitude * (-k * specfun.hankel2(1, k * d)) * dd_drho
+    h1 = -k * specfun.hankel2(1, k * d)
+    return _times(pref * excitation.amplitude, h1) * dd_drho
 
 
 def mode_denominator(n, rho_cyl, medium1, medium2):
@@ -212,44 +229,92 @@ def default_n_cap(k_max, rho_max):
 def _sum_adaptive(term_fn, psi, n_cap, rel_tol=1e-13):
     """Symmetric-in-n sum with the three-small-terms stopping rule.
 
-    Returns (value, n_used, tail_estimate, converged, warning).
+    psi is a 1-D array of angles, all summed at once: term_fn(n) is
+    evaluated once per order and added with the weight 2 cos(n psi) to
+    every angle still running. Each angle stops on its own rule and keeps
+    its total from then on; an order that overflows or leaves the floating
+    range stops every angle still running. Returns (value, n_used,
+    tail_estimate, converged, warning): arrays over the angles, and a list
+    holding each angle's warning or None.
     """
-    total = term_fn(0)
-    prev_mag = abs(total)
-    small_streak = 0
-    warning = None
-    tail = float("inf")
+    psi = np.asarray(psi, dtype=float)
+    first = term_fn(0)
+    value = np.full(psi.shape, first, dtype=complex)
+    n_used = np.zeros(psi.shape, dtype=int)
+    tail = np.zeros(psi.shape)
+    converged = np.zeros(psi.shape, dtype=bool)
+    warning = [None] * psi.size
+    # the angles still running: their indices, partial sums and streaks
+    running, angles, total = np.arange(psi.size), psi, value.copy()
+    streak = np.zeros(psi.shape, dtype=int)
+    prev_mag = abs(first)
+    last_tail = float("inf")
+
+    def stop(which, order, done=False, message=None):
+        index = running[which]
+        value[index] = total[which]
+        n_used[index] = order
+        tail[index] = last_tail
+        converged[index] = done
+        for i in index:
+            warning[i] = message
+
     n = 0
     for n in range(1, n_cap + 1):
         try:
             t = term_fn(n)
         except ArithmeticError:
             # order overflow or a numerically indeterminate mode denominator
-            warning = "series truncated at n=%d by order overflow" % n
-            n -= 1
+            stop(slice(None), n - 1, message="series truncated at n=%d by order overflow" % n)
             break
         if not np.isfinite(t):
             # overflow inside a term product (inf or inf * 0); by this order
             # the terms are either negligible or the series was flagged
-            warning = "series truncated at n=%d by floating-point range" % n
-            n -= 1
+            stop(slice(None), n - 1, message="series truncated at n=%d by floating-point range" % n)
             break
-        total = total + 2.0 * t * np.cos(n * psi)
+        total = total + 2.0 * t * np.cos(n * angles)
         mag = 2.0 * abs(t)
-        scale = max(abs(total), 1e-300)
-        if mag < rel_tol * scale:
-            small_streak += 1
-        else:
-            small_streak = 0
+        # np.hypot rounds as abs() of a complex scalar does; np.abs may not
+        scale = np.maximum(np.hypot(total.real, total.imag), 1e-300)
+        streak = np.where(mag < rel_tol * scale, streak + 1, 0)
         ratio = min(mag / prev_mag if prev_mag > 0 else 1.0, 0.99)
-        tail = mag * ratio / (1.0 - ratio)
+        last_tail = mag * ratio / (1.0 - ratio)
         prev_mag = max(mag, 1e-300)
-        if small_streak >= 3:
-            return total, n, tail, True, warning
-        if mag > 1e120 * scale:
-            warning = "series terms growing without bound"
+        done = streak >= 3
+        stopped = done | (mag > 1e120 * scale)
+        if stopped.any():
+            stop(done, n, done=True)
+            stop(stopped & ~done, n, message="series terms growing without bound")
+            keep = ~stopped
+            running, angles, total, streak = running[keep], angles[keep], total[keep], streak[keep]
+        if not running.size:
             break
-    return total, n, tail, False, warning
+    else:
+        stop(slice(None), n)
+    return value, n_used, tail, converged, warning
+
+
+def exact_ring(
+    excitation,
+    region,
+    rho_obs,
+    phis,
+    rho_cyl,
+    medium1=Medium(),
+    medium2=Medium(),
+    n_max=None,
+    deriv=False,
+):
+    """exact_field at every angle of phis on the circle rho_obs.
+
+    Returns one SeriesResult per angle. The radial part of each order is
+    evaluated once for the whole ring and every angle stops on its own
+    rule, so each result equals the one-angle call to the last bit. With
+    deriv=True the results are those of exact_field_radial_deriv.
+    """
+    return _series_ring(
+        excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n_max, deriv
+    )
 
 
 def exact_field(
@@ -269,44 +334,9 @@ def exact_field(
     region beyond the physical one; outside that a divergence warning is
     attached to the result and the partial sum is returned as is.
     """
-    if region not in (1, 2):
-        raise ValueError("region must be 1 or 2")
-    if rho_obs <= 0.0:
-        raise ValueError("observation radius must be positive")
-    series_id = ("ext" if excitation.region == "external" else "int") + "_R%d" % region
-
-    warning = None
-    if convergence_region(series_id, rho_obs, rho_cyl, excitation.rho) == "diverges":
-        warning = "observation radius outside the convergence region of " + series_id
-
-    if excitation.amplitude == 0:
-        return SeriesResult(0.0 + 0.0j, 0, 0.0, True, warning)
-
-    k_max = max(medium1.k, medium2.k)
-    rho_max = max(rho_obs, rho_cyl, excitation.rho)
-    cap = n_max if n_max is not None else default_n_cap(k_max, rho_max)
-
-    psi = phi_obs - excitation.phi
-    pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
-
-    def term(n):
-        return _series_term(
-            series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2
-        )
-
-    value, n_used, tail, converged, sum_warning = _sum_adaptive(term, psi, cap)
-    value = pref * value
-    tail = abs(pref) * tail
-
-    incident = 0.0 + 0.0j
-    if series_id == "ext_R1":
-        incident = incident_field(excitation, medium1, rho_obs, phi_obs)
-    elif series_id == "int_R2":
-        incident = incident_field(excitation, medium2, rho_obs, phi_obs)
-
-    return SeriesResult(
-        incident + value, n_used, tail, converged, warning or sum_warning
-    )
+    return _series_ring(
+        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max, False
+    )[0]
 
 
 def exact_field_radial_deriv(
@@ -324,40 +354,54 @@ def exact_field_radial_deriv(
     Needed for tangential-H continuity checks, where H_tan in region j is
     proportional to (1 / (i k_j Z_j)) dE/d rho on the circle.
     """
-    series_id = ("ext" if excitation.region == "external" else "int") + "_R%d" % region
+    return _series_ring(
+        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max, True
+    )[0]
+
+
+def _series_ring(excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n_max, deriv):
+    series_id = series_id_for(excitation, region)
+    if rho_obs <= 0.0:
+        raise ValueError("observation radius must be positive")
+    phis = np.asarray(phis, dtype=float)
+
+    warning = None
+    if convergence_region(series_id, rho_obs, rho_cyl, excitation.rho) == "diverges":
+        warning = "observation radius outside the convergence region of " + series_id
 
     if excitation.amplitude == 0:
-        return SeriesResult(0.0 + 0.0j, 0, 0.0, True, None)
+        return [SeriesResult(0.0 + 0.0j, 0, 0.0, True, warning) for _ in phis]
 
     k_max = max(medium1.k, medium2.k)
     rho_max = max(rho_obs, rho_cyl, excitation.rho)
     cap = n_max if n_max is not None else default_n_cap(k_max, rho_max)
-    psi = phi_obs - excitation.phi
     pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
 
     def term(n):
         return _series_term(
-            series_id,
-            n,
-            rho_obs,
-            rho_cyl,
-            excitation.rho,
-            medium1,
-            medium2,
-            deriv=True,
+            series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv
         )
 
-    value, n_used, tail, converged, warning = _sum_adaptive(term, psi, cap)
-    value = pref * value
-    tail = abs(pref) * tail
+    value, n_used, tail, converged, sum_warning = _sum_adaptive(
+        term, phis - excitation.phi, cap
+    )
 
-    incident = 0.0 + 0.0j
-    if series_id == "ext_R1":
-        incident = _incident_radial_deriv(excitation, medium1, rho_obs, phi_obs)
-    elif series_id == "int_R2":
-        incident = _incident_radial_deriv(excitation, medium2, rho_obs, phi_obs)
+    incident = np.zeros(phis.shape, dtype=complex)
+    if series_id in ("ext_R1", "int_R2"):
+        source = _incident_radial_deriv if deriv else incident_field
+        medium = medium1 if series_id == "ext_R1" else medium2
+        incident = source(excitation, medium, rho_obs, phis)
 
-    return SeriesResult(incident + value, n_used, tail, converged, warning)
+    return [
+        SeriesResult(
+            incident[i] + pref * complex(value[i]),
+            int(n_used[i]),
+            abs(pref) * float(tail[i]),
+            bool(converged[i]),
+            warning or sum_warning[i],
+        )
+        for i in range(phis.size)
+    ]
 
 
 def predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil):

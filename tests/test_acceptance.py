@@ -18,7 +18,7 @@ import numpy as np
 from cylwave import acceptance, continuous, diagnostics, discrete, fields
 from cylwave.acceptance import EXT, INT, M1, M2, NARROW, WIDE
 from cylwave.acceptance import relative_gap as _rel
-from cylwave.exact import exact_field
+from cylwave.exact import exact_ring
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve
 
 ELLIPSE = BoundaryCurve.ellipse(2.0, 1.6)
@@ -51,7 +51,7 @@ def _gate(number, criterion, budget):
 def _field_error(solution, excitation, rho, region, offset=0.0):
     angles = 2.0 * np.pi * (np.arange(36) + offset) / 36.0
     want = np.array(
-        [exact_field(excitation, region, rho, p, 2.0, M1, M2).value for p in angles]
+        [r.value for r in exact_ring(excitation, region, rho, angles, 2.0, M1, M2)]
     )
     got = np.array(
         [fields.field_from_discrete(solution, rho, p, region=region).e_z for p in angles]
@@ -110,8 +110,7 @@ def test_criterion_07_mas_breakdown_ordering():
         amp46 = float(np.max(np.abs(getattr(mas46, block))))
         growth = max(growth, amp46 / amp40)
     phis = 2.0 * np.pi * np.arange(40) / 40.0
-    pairs = [continuous.density_series(EXT, p, 2.0, M1, M2) for p in phis]
-    densities = (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    densities = continuous.density_series(EXT, phis, 2.0, M1, M2)
     fit = max(_rel(got, want) for got, want in zip(discrete.normalized_currents(nfm40), densities))
     peak = max(float(np.max(np.abs(d))) for d in densities)
     mas_peak = max(float(np.max(np.abs(c))) for c in discrete.normalized_currents(mas40))

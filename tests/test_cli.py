@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwave import cli, diagnostics, discrete
+from cylwave import cli, diagnostics, discrete, exact
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -191,6 +191,65 @@ def test_ring_through_the_filament_is_a_clean_error(tmp_path, capsys):
     assert "filament" in capsys.readouterr().err
 
 
+def test_default_rings_avoid_the_filament(tmp_path):
+    # the internal filament sits at half the boundary radius, on the default
+    # inner ring's radius, and at one of its sample angles
+    out = tmp_path / "f"
+    preset = str(PRESETS / "circle-internal-currents.json")
+    assert cli.main(["fields", "--config", preset, "--out", str(out)]) == 0
+    rows = _read_table(out / "fields.csv")
+    assert {(r["ring_radius"], r["region"]) for r in rows} == {("10", "1"), ("1.5", "2")}
+    exact_values = np.array([complex(float(r["re_exact"]), float(r["im_exact"])) for r in rows])
+    nfm = np.array([complex(float(r["re_nfm"]), float(r["im_nfm"])) for r in rows])
+    assert np.max(np.abs(nfm - exact_values)) / np.max(np.abs(exact_values)) < 1e-3
+
+
+def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
+    terms = []
+    series_term = exact._series_term
+
+    def counting(*args, **kwargs):
+        terms.append(args[1])
+        return series_term(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_series_term", counting)
+    cap = exact.default_n_cap(np.sqrt(4.2), 10.0)
+    for angles in (4, 144):
+        def mutate(doc):
+            doc["output"].update(rings=[[10.0, 1]], angles=angles)
+
+        terms.clear()
+        assert cli.main(["fields", "--config", str(_write_config(tmp_path, mutate))]) == 0
+        assert len(terms) <= cap + 1
+        assert sorted(terms) == list(range(len(terms)))
+
+
+def test_unconverged_references_are_reported_on_stderr(tmp_path, capsys):
+    # with the filament just outside the boundary the transmitted-field
+    # series decays like (1.9 / 2.2)^n on the inner ring and is still
+    # running at the cap; the outer ring converges and stays silent
+    def rings(doc):
+        doc["geometry"]["aux"]["outer_radius"] = 2.1
+        doc["excitation"]["radius"] = 2.2
+        doc["output"]["rings"] = [[10.0, 1], [1.9, 2]]
+
+    def sweep(doc):
+        rings(doc)
+        doc["solver"] = {"method": "nfm", "n_list": [12, 16]}
+
+    line = (
+        "cylwave: warning: exact series on ring rho = 1.9 (region 2): "
+        "36 of 36 points not converged, worst tail estimate "
+    )
+    for command, mutate in (("fields", rings), ("sweep", sweep)):
+        config = _write_config(tmp_path, mutate, name=command + ".json")
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", str(config), "--out", out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(line)
+        assert 0.0 < float(err[0][len(line):]) < 1e-3
+
+
 def test_divergence_sweep_table_tells_the_whole_story(tmp_path):
     out = tmp_path / "s"
     code = cli.main(
@@ -209,24 +268,24 @@ def test_divergence_sweep_table_tells_the_whole_story(tmp_path):
 
 
 def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeypatch):
-    solved, series = [], []
-    solve, exact_field = discrete.solve, diagnostics.exact_field
+    solved, rings = [], []
+    solve, exact_ring = discrete.solve, diagnostics.exact_ring
 
     def counting_solve(system, path="auto"):
         solved.append(system.n_points)
         return solve(system, path)
 
-    def counting_series(*args, **kwargs):
-        series.append(args)
-        return exact_field(*args, **kwargs)
+    def counting_rings(*args, **kwargs):
+        rings.append(args)
+        return exact_ring(*args, **kwargs)
 
     monkeypatch.setattr(discrete, "solve", counting_solve)
-    monkeypatch.setattr(diagnostics, "exact_field", counting_series)
+    monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
     preset = str(PRESETS / "nfm-stability.json")
     assert cli.main(["sweep", "--config", preset, "--out", str(tmp_path)]) == 0
     assert sorted(solved) == [40, 46, 81]
-    # two rings of 36 angles
-    assert len(series) == 72
+    # one series pass per ring over its 36 angles
+    assert [(args[1], len(args[3])) for args in rings] == [(1, 36), (2, 36)]
 
 
 @pytest.mark.parametrize("path, solved_on", [("auto", "dft"), ("dense", "dense")])

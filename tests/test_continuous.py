@@ -86,6 +86,35 @@ def test_density_series_solves_each_mode_once(monkeypatch):
     assert sorted(orders) == list(range(len(orders)))
 
 
+def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):
+    phis = 2.0 * np.pi * (np.arange(40) + 0.5) / 40.0
+    orders = []
+    solve = continuous.mode_solve
+
+    def counting(n, *args):
+        orders.append(n)
+        return solve(n, *args)
+
+    for exc in (EXT, INT, Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)):
+        monkeypatch.setattr(continuous, "mode_solve", counting)
+        orders.clear()
+        j_z, m_phi = density_series(exc, phis, RHO_CYL, M1, M2)
+        # one solve per mode for every angle of the call
+        assert sorted(orders) == list(range(len(orders)))
+        monkeypatch.setattr(continuous, "mode_solve", solve)
+        assert j_z.shape == m_phi.shape == phis.shape
+        pairs = [density_series(exc, phi, RHO_CYL, M1, M2) for phi in phis]
+        assert np.array_equal(j_z, [pair[0] for pair in pairs])
+        assert np.array_equal(m_phi, [pair[1] for pair in pairs])
+        for rho_obs in (10.0, 1.3):
+            ring = reconstruct_fields_from_densities(exc, rho_obs, phis, RHO_CYL, M1, M2)
+            points = [
+                reconstruct_fields_from_densities(exc, rho_obs, phi, RHO_CYL, M1, M2)
+                for phi in phis
+            ]
+            assert np.array_equal(ring, points)
+
+
 def test_densities_even_about_source_angle():
     j_plus, m_plus = density_series(EXT, 0.7, RHO_CYL, M1, M2)
     j_minus, m_minus = density_series(EXT, -0.7, RHO_CYL, M1, M2)

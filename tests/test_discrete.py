@@ -435,8 +435,7 @@ def test_nfm_solves_the_snug_placement_at_n_1024():
 
 def _density_samples(exc, n_points):
     phis = 2.0 * np.pi * np.arange(n_points) / n_points
-    pairs = [continuous.density_series(exc, p, 2.0, M1, M2) for p in phis]
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    return continuous.density_series(exc, phis, 2.0, M1, M2)
 
 
 @pytest.mark.parametrize("aux", [(AUX_IN, AUX_OUT), (WIDE_IN, WIDE_OUT)], ids=["snug", "wide"])

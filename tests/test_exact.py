@@ -260,6 +260,10 @@ def test_divergent_observation_is_flagged():
     res = exact_field(EXT, 2, 4.5, 0.0, RHO_CYL, M1, M2)
     assert not res.converged
     assert res.warning is not None
+    # the derivative series carries the same warning inside the image radius
+    res = exact.exact_field_radial_deriv(EXT_ON_AXIS, 1, 0.9, 0.0, RHO_CYL, M1, M2)
+    assert not res.converged
+    assert res.warning == "observation radius outside the convergence region of ext_R1"
 
 
 def test_zero_amplitude_source():
@@ -274,10 +278,11 @@ def test_truncation_cap_respected():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        exact_field(EXT, 3, 5.0, 0.0, RHO_CYL, M1, M2)
-    with pytest.raises(ValueError):
-        exact_field(EXT, 1, -1.0, 0.0, RHO_CYL, M1, M2)
+    for series in (exact_field, exact.exact_field_radial_deriv):
+        with pytest.raises(ValueError, match="region must be 1 or 2"):
+            series(EXT, 3, 5.0, 0.0, RHO_CYL, M1, M2)
+        with pytest.raises(ValueError, match="observation radius must be positive"):
+            series(EXT, 1, -1.0, 0.0, RHO_CYL, M1, M2)
 
 
 def test_field_regression_anchors():
@@ -289,6 +294,41 @@ def test_field_regression_anchors():
 
 EXT_ON_AXIS = Excitation("external", 4.0)
 INT_ON_AXIS = Excitation("internal", 1.0)
+RING = 2.0 * np.pi * (np.arange(36) + 0.5) / 36.0
+# rings on which some angles stop on the small-terms rule and the others
+# run to the cap: (source, region, radius, deriv)
+PARTLY_CONVERGED = [(EXT, 2, 2.6, False), (EXT, 1, 1.45, True)]
+
+
+@pytest.mark.parametrize(
+    "exc, region, rho_obs, deriv",
+    [
+        (exc, region, rho_obs, deriv)
+        for exc, region, rho_obs in [(EXT, 1, 10.0), (EXT, 2, 1.0), (INT, 1, 10.0), (INT, 2, 0.5)]
+        for deriv in (False, True)
+    ]
+    + PARTLY_CONVERGED
+    + [(EXT, 2, 4.5, False)],
+    ids=[
+        series + kind
+        for series in ("ext_R1", "ext_R2", "int_R1", "int_R2")
+        for kind in ("", "-deriv")
+    ]
+    + ["ext_R2-partly-converged", "ext_R1-deriv-partly-converged", "ext_R2-outside"],
+)
+def test_ring_equals_point_calls_bit_for_bit(exc, region, rho_obs, deriv):
+    point = exact.exact_field_radial_deriv if deriv else exact_field
+    ring = exact.exact_ring(exc, region, rho_obs, RING, RHO_CYL, M1, M2, deriv=deriv)
+    assert len(ring) == RING.size
+    for phi, got in zip(RING, ring):
+        want = point(exc, region, rho_obs, phi, RHO_CYL, M1, M2)
+        assert np.array_equal(got.value, want.value)
+        assert got.n_used == want.n_used
+        assert got.tail_estimate == want.tail_estimate
+        assert got.converged == want.converged
+        assert got.warning == want.warning
+    if (exc, region, rho_obs, deriv) in PARTLY_CONVERGED:
+        assert 0 < sum(result.converged for result in ring) < RING.size
 
 
 @settings(deadline=None, max_examples=25)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cylwave import continuous, discrete, fields
-from cylwave.exact import Medium, exact_field, exact_field_radial_deriv, incident_field
+from cylwave.exact import Medium, exact_ring, incident_field
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 M1 = Medium()
@@ -38,7 +38,7 @@ def _ring(solution, rho, phis):
 
 
 def _exact_ring(exc, region, rho, phis):
-    return np.array([exact_field(exc, region, rho, p, 2.0, M1, M2).value for p in phis])
+    return np.array([r.value for r in exact_ring(exc, region, rho, phis, 2.0, M1, M2)])
 
 
 def _ring_error(solution, exc, rho, region, phis):
@@ -207,9 +207,9 @@ def test_boundary_traces_match_the_series_on_the_circle(solver, exc):
     traces = fields.boundary_traces(solver(exc, 80), n_test=12)
     for region, e_got, h_got in ((1, traces.e_1, traces.h_1), (2, traces.e_2, traces.h_2)):
         medium = M1 if region == 1 else M2
-        args = [(exc, region, 2.0, p, 2.0, M1, M2) for p in traces.phi]
-        e_want = np.array([exact_field(*a).value for a in args])
-        h_want = np.array([exact_field_radial_deriv(*a).value for a in args])
+        args = (exc, region, 2.0, traces.phi, 2.0, M1, M2)
+        e_want = np.array([r.value for r in exact_ring(*args)])
+        h_want = np.array([r.value for r in exact_ring(*args, deriv=True)])
         h_want /= medium.k * medium.Z
         assert np.max(np.abs(e_got - e_want)) < 1e-6 * np.max(np.abs(e_want))
         assert np.max(np.abs(h_got - h_want)) < 1e-6 * np.max(np.abs(h_want))
