@@ -319,26 +319,6 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _default_rings(config):
-    """output.rings, else rings at five and at half the smallest boundary radius.
-
-    A default ring at the filament's own radius is moved out by half its
-    radius, so that no sample point can land on the source.
-    """
-    if config.output["rings"] is not None:
-        return config.output["rings"]
-    if config.curve.kind == "circle":
-        radius = config.curve.params["radius"]
-    else:
-        radius = min(config.curve.radius(_TWO_PI * np.arange(64) / 64))
-    rings = []
-    for rho, region in ((5.0 * radius, 1), (0.5 * radius, 2)):
-        if math.isclose(rho, config.excitation.rho):
-            rho *= 1.5
-        rings.append((rho, region))
-    return tuple(rings)
-
-
 def _report_series_trust(rho, region, results):
     """One stderr line for a ring whose exact reference did not converge everywhere."""
     loose = [result for result in results if not result.converged]
@@ -367,10 +347,13 @@ def _solve_single(config, method, n):
     loss = solution.cond_estimate * np.finfo(float).eps
     if loss > _ROUNDOFF_WARNING:
         digits = max(0, int(-math.log10(loss))) if math.isfinite(loss) else 0
+        note = ""
+        if solution.dropped:
+            note = "; %d of %d singular values dropped as roundoff" % (solution.dropped, 2 * n)
         print(
             "cylwave: warning: %s amplitudes at N = %d: condition estimate %.2g "
-            "leaves about %d significant digit%s"
-            % (method, n, solution.cond_estimate, digits, "" if digits == 1 else "s"),
+            "leaves about %d significant digit%s%s"
+            % (method, n, solution.cond_estimate, digits, "" if digits == 1 else "s", note),
             file=sys.stderr,
         )
     return solution
@@ -448,7 +431,9 @@ def cmd_fields(config, out_dir):
     n = config.single_n("fields")
     methods = ("nfm", "mas") if config.method == "both" else (config.method,)
     solutions = {method: _solve_single(config, method, n) for method in methods}
-    rings = _default_rings(config)
+    rings = config.output["rings"]
+    if rings is None:
+        rings = diagnostics.default_rings(config.curve, config.excitation)
     count = config.output["angles"]
     angles = _TWO_PI * (np.arange(count) + config.output["angle_offset"]) / count
     with_exact = config.curve.kind == "circle"

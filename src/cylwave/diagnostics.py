@@ -11,6 +11,7 @@ vectors, an a-priori verdict per auxiliary surface, and sweeps over N that
 track amplitude growth or field error.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -221,6 +222,25 @@ def oscillation_scan(
     )
 
 
+def default_rings(curve, excitation):
+    """Observation rings at five and at half the smallest boundary radius.
+
+    Returns (radius, region) pairs. A ring at the filament's own radius is
+    moved out by half its radius, so that no sample angle can land on the
+    source, wherever the source sits.
+    """
+    if curve.kind == "circle":
+        radius = curve.params["radius"]
+    else:
+        radius = min(curve.radius(_TWO_PI * np.arange(64) / 64))
+    rings = []
+    for rho, region in ((5.0 * radius, 1), (0.5 * radius, 2)):
+        if math.isclose(rho, excitation.rho):
+            rho *= 1.5
+        rings.append((rho, region))
+    return tuple(rings)
+
+
 def convergence_sweep(
     method, geometry, excitation, media, n_list, reference, rings=None, scan=None
 ):
@@ -228,11 +248,10 @@ def convergence_sweep(
 
     reference 'exact' (circular boundaries only) compares total fields
     against the separable series on one observation ring per region, by
-    default at five boundary radii outside and half a boundary radius
-    inside, over 36 angles offset from the collocation grid so a filament
-    sitting on a ring radius is never sampled; the error is the worst
-    relative deviation over both rings. Pass rings as (radius, region)
-    pairs to override. reference 'residual' reports the tangential-E
+    default those of default_rings, over 36 angles offset from the
+    collocation grid; the error is the worst relative deviation over both
+    rings. Pass rings as (radius, region) pairs to override. reference
+    'residual' reports the tangential-E
     defect of fields.boundary_residuals instead, which needs no separable
     solution. Failed solves are recorded as in oscillation_scan; pass the
     oscillation_scan of the same inputs as scan to reuse its solves.
@@ -245,8 +264,7 @@ def convergence_sweep(
         if curve.kind != "circle":
             raise ValueError("the exact-series reference needs a circular boundary")
         if rings is None:
-            radius = curve.params["radius"]
-            rings = ((5.0 * radius, 1), (0.5 * radius, 2))
+            rings = default_rings(curve, excitation)
     if scan is None:
         _, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     else:

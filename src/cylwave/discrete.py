@@ -13,17 +13,13 @@ large-N limit, closed coefficient formulas free of the displaced radii.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import fft, linalg
 from scipy.linalg import get_lapack_funcs
 
 from . import geometry, specfun
 from .exact import Medium, mode_denominator
 
 _TWO_PI = 2.0 * np.pi
-
-# Per-mode 2x2 determinants below this magnitude make the circulant solve
-# meaningless in float64; the dense path fails the same way via its pivots.
-_MODE_DET_FLOOR = 1e-300
 
 
 class AssemblyError(ArithmeticError):
@@ -89,6 +85,8 @@ class DiscreteSolution:
     residual is ||A x - b||_inf relative to ||b||_inf; cond_estimate is an
     infinity-norm estimate on the dense path and the exact 2-norm condition
     number (assembled from the per-mode singular values) on the DFT path.
+    dropped counts the singular values the DFT path's pseudo-inverse set
+    aside as roundoff, out of 2N; the dense path drops none.
     """
 
     system: BlockSystem
@@ -97,6 +95,7 @@ class DiscreteSolution:
     path: str
     residual: float
     cond_estimate: float
+    dropped: int = 0
 
     @property
     def n_points(self):
@@ -359,47 +358,85 @@ def solve_dense(system):
 
 def _mode_singular_values(l11, l12, l21, l22, det):
     fro2 = np.abs(l11) ** 2 + np.abs(l12) ** 2 + np.abs(l21) ** 2 + np.abs(l22) ** 2
-    disc = np.sqrt(np.maximum(fro2**2 - 4.0 * np.abs(det) ** 2, 0.0))
+    det_abs = np.abs(det)
+    disc = np.sqrt(np.maximum(fro2**2 - 4.0 * det_abs**2, 0.0))
     s_max = np.sqrt((fro2 + disc) / 2.0)
-    return s_max, np.abs(det) / s_max
+    s_min = np.divide(det_abs, s_max, out=np.zeros_like(s_max), where=s_max > 0.0)
+    return s_max, s_min
+
+
+def _rank_one_solve(l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min):
+    """Minimum-norm least-squares solution of 2x2 systems kept at rank one.
+
+    x = v v^H A^H b / s1^2 with v the top eigenvector of A^H A, whose
+    projector is v v^H = (A^H A - s2^2) / (s1^2 - s2^2). For 2x2 matrices
+    A^H A A^H = |A|_F^2 A^H - conj(det) adj(A), so with adj(A) b, the Cramer
+    numerators, x = (s1^2 A^H b - conj(det) adj(A) b) / (s1^2 (s1^2 - s2^2)).
+    """
+    lam1 = s_max * s_max
+    lam2 = s_min * s_min
+    scale = lam1 * (lam1 - lam2)
+    det = det.conj()
+    x1 = (lam1 * (l11.conj() * b1 + l21.conj() * b2) - det * adj_b1) / scale
+    x2 = (lam1 * (l12.conj() * b1 + l22.conj() * b2) - det * adj_b2) / scale
+    return x1, x2
 
 
 def solve_circulant_dft(system):
-    """Closed-form solve through per-mode 2x2 systems; circles only.
+    """Per-mode 2x2 pseudo-inverse solve through the DFT; circles only.
 
     Every block of a concentric-circle system is circulant, so the DFT of
     the first columns gives its eigenvalues and each Fourier mode of the
     unknowns satisfies an independent 2x2 system. Works for any N, odd or
     even, and for both methods; raises when the system is not circulant.
-    The residual applies the blocks to the solution through the same DFT.
+    A mode singular value below machine epsilon times the largest over all
+    modes is roundoff of the column sums, not the mode's true eigenvalue,
+    so it is dropped: such a mode is solved at rank one in least squares,
+    or set to zero when both its singular values go. Every other mode
+    keeps the Cramer solve. The residual applies the blocks to the solution
+    through the same DFT.
     """
     if not system.circulant:
         raise ValueError("system is not circulant; use the dense path")
     n = system.n_points
-    l11 = np.fft.fft(system.z11)
-    l12 = np.fft.fft(system.z12)
-    l21 = np.fft.fft(system.z21)
-    l22 = np.fft.fft(system.z22)
-    b1 = np.fft.fft(system.rhs[:n])
-    b2 = np.fft.fft(system.rhs[n:])
+    l11 = fft.fft(system.z11)
+    l12 = fft.fft(system.z12)
+    l21 = fft.fft(system.z21)
+    l22 = fft.fft(system.z22)
+    b1 = fft.fft(system.rhs[:n])
+    b2 = fft.fft(system.rhs[n:])
 
     det = l11 * l22 - l12 * l21
-    small = np.abs(det) < _MODE_DET_FLOOR
-    if np.any(small):
-        raise ArithmeticError(
-            "degenerate mode m=%d in the circulant solve" % int(np.argmax(small))
-        )
-    u = (b1 * l22 - l12 * b2) / det
-    v = (l11 * b2 - l21 * b1) / det
-    electric = np.fft.ifft(u)
-    magnetic = np.fft.ifft(v)
-
     s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
-    cond = float(np.max(s_max) / np.min(s_min))
-    f_e, f_m = np.fft.fft(electric), np.fft.fft(magnetic)
-    applied = np.fft.ifft([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m]).ravel()
+    s_top = float(np.max(s_max))
+    floor = np.finfo(float).eps * s_top
+    keep = s_min > floor
+    adj_b1 = b1 * l22 - l12 * b2
+    adj_b2 = l11 * b2 - l21 * b1
+    u = np.divide(adj_b1, det, out=np.zeros_like(det), where=keep)
+    v = np.divide(adj_b2, det, out=np.zeros_like(det), where=keep)
+    dropped = 2 * n - int(np.count_nonzero(keep)) - int(np.count_nonzero(s_max > floor))
+    if dropped:
+        # the dropped modes form one band around N/2, so solving the band's
+        # span as slices avoids gathering them; kept modes inside the span
+        # keep their Cramer values and rank-zero modes stay zero
+        lost = np.flatnonzero(~keep)
+        band = slice(lost[0], lost[-1] + 1)
+        parts = (l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1, x2 = _rank_one_solve(*(part[band] for part in parts))
+        rank_one = ~keep[band] & (s_max[band] > floor)
+        np.copyto(u[band], x1, where=rank_one)
+        np.copyto(v[band], x2, where=rank_one)
+    electric = fft.ifft(u)
+    magnetic = fft.ifft(v)
+
+    s_low = float(np.min(s_min))
+    cond = s_top / s_low if s_low > 0.0 else np.inf
+    f_e, f_m = fft.fft(electric), fft.fft(magnetic)
+    applied = fft.ifft([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m]).ravel()
     residual = _relative_residual(applied, system.rhs)
-    return DiscreteSolution(system, electric, magnetic, "dft", residual, cond)
+    return DiscreteSolution(system, electric, magnetic, "dft", residual, cond, dropped)
 
 
 def solve(system, path="auto"):

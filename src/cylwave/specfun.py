@@ -11,8 +11,10 @@ positive argument, together with three classical facts:
 
 Evaluation is delegated to scipy.special; this module adds the argument
 checking, parity folding for negative orders, and overflow tagging that the
-rest of the package relies on. All functions accept scalars or numpy arrays
-for the argument and are safe to call concurrently.
+rest of the package relies on. Orders 0 and 1, which fill every kernel
+matrix, come from the real functions j0, y0, j1 and y1 (Cephes); higher
+orders from jv and hankel2 (AMOS). All functions accept scalars or numpy
+arrays for the argument and are safe to call concurrently.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
@@ -43,6 +45,11 @@ def _parity(n):
     return -1.0 if (n % 2) else 1.0
 
 
+# Real J_n and Y_n for the two orders every kernel matrix needs; several times
+# cheaper than the complex hankel2/jv, which stay in use for |n| >= 2.
+_LOW_ORDER = {0: (special.j0, special.y0), 1: (special.j1, special.y1)}
+
+
 def bessel_j(n, x):
     """Bessel function J_n(x) for integer n (any sign) and real x > 0.
 
@@ -63,7 +70,7 @@ def bessel_j(n, x):
     if n < 0:
         sign = _parity(n)
         n = -n
-    out = sign * special.jv(n, x)
+    out = sign * (_LOW_ORDER[n][0](x) if n <= 1 else special.jv(n, x))
     return out if out.ndim else float(out)
 
 
@@ -102,8 +109,17 @@ def hankel2(n, x):
     if n < 0:
         sign = _parity(n)
         n = -n
-    out = sign * special.hankel2(n, x)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if n <= 1:
+        j, y = _LOW_ORDER[n]
+        out = np.empty(x.shape, dtype=complex)
+        j(x, out=out.real)
+        y(x, out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        if sign < 0.0:
+            np.negative(out, out=out)
+    else:
+        out = sign * special.hankel2(n, x)
+    if not np.all(np.isfinite(out)):
         xmin = float(np.min(x))
         raise BesselOverflowError(
             "H2_%d overflows near x=%g; order too large for this argument" % (n, xmin)

@@ -204,6 +204,23 @@ def test_default_rings_avoid_the_filament(tmp_path):
     assert np.max(np.abs(nfm - exact_values)) / np.max(np.abs(exact_values)) < 1e-3
 
 
+def test_sweep_default_rings_avoid_the_filament(tmp_path):
+    # the sweep samples its rings at (k + 0.5) * 10 degrees, so a filament on
+    # the default inner ring at 5 degrees sat on a sample point
+    def mutate(doc):
+        doc["geometry"]["aux"] = {"inner_radius": 0.5, "outer_radius": 2.5}
+        doc["excitation"] = {"region": "internal", "radius": 1.0, "angle": np.pi / 36}
+        doc["solver"] = {"method": "nfm", "n_list": [12, 16]}
+        doc["output"]["reference"] = "exact"
+
+    out = tmp_path / "s"
+    config = str(_write_config(tmp_path, mutate))
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    rows = _read_table(out / "sweep.csv")
+    assert {r["n_points"] for r in rows} == {"12", "16"}
+    assert all(r["error"] not in ("", "nan") for r in rows)
+
+
 def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
     terms = []
     series_term = exact._series_term
@@ -327,6 +344,16 @@ def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):
     preset = str(PRESETS / "ellipse-external-fields.json")
     assert cli.main(["fields", "--config", preset, "--out", str(tmp_path / "f")]) == 0
     assert capsys.readouterr().err.count("cylwave: warning: nfm amplitudes at N = 40") == 1
+
+    # the DFT pseudo-inverse names the singular values it dropped
+    def mutate(doc):
+        doc["solver"]["n_points"] = 1024
+
+    config = str(_write_config(tmp_path, mutate))
+    assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "big")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "; 1519 of 2048 singular values dropped as roundoff" in err
 
 
 def test_single_n_sweep_omits_growth(tmp_path):

@@ -417,17 +417,53 @@ def test_circle_solve_at_one_hundred_thousand_points(route):
     assert abs(got - want) < 1e-12 * abs(want)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ArithmeticError,
-    reason="degenerate mode m=514: the high-mode eigenvalues are roundoff and "
-    "some products cancel to exactly zero in the 2x2 determinant",
-)
 def test_nfm_solves_the_snug_placement_at_n_1024():
+    # modes near N/2 have eigenvalues far below roundoff of the column sums;
+    # some 2x2 determinants cancel to exactly zero there
     solution = discrete.solve(_nfm(EXT, 1024))
+    assert solution.dropped > 0
     got = fields.field_from_discrete(solution, 10.0, 0.7).e_z
     want = exact_field(EXT, 1, 10.0, 0.7, 2.0, M1, M2).value
-    assert abs(got - want) < 1e-9 * abs(want)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+@pytest.mark.parametrize("radii", [(1.5, 2.5), (1.9, 2.1)], ids=["snug", "close"])
+def test_dft_solves_at_n_4096_through_roundoff_modes(radii, route):
+    aux = tuple(geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in radii)
+    solution = discrete.solve(_ASSEMBLE[route](EXT, 4096, aux=aux))
+    assert solution.path == "dft" and solution.dropped > 0
+    got = fields.field_from_discrete(solution, 10.0, 0.7).e_z
+    want = exact_field(EXT, 1, 10.0, 0.7, 2.0, M1, M2).value
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_pseudo_inverse_keeps_the_source_route_blow_up():
+    # the paper's divergence lives in modes above roundoff; dropping any of
+    # them would shrink the amplitudes that show it
+    solutions = [
+        discrete.solve(_mas(EXT, n_points, aux=(WIDE_IN, WIDE_OUT))) for n_points in (40, 46)
+    ]
+    assert [(s.path, s.dropped) for s in solutions] == [("dft", 0), ("dft", 0)]
+    growth_outer = np.max(np.abs(solutions[1].magnetic)) / np.max(np.abs(solutions[0].magnetic))
+    assert growth_outer > 10.0
+
+
+def test_rank_deficient_modes_get_the_pseudo_inverse():
+    # mode 1 has rank one, mode 3 is zero; the others are regular
+    rng = np.random.default_rng(3)
+    modes = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    modes[1] = np.outer([1.0, 2.0 - 1j], [0.5j, 3.0])
+    modes[3] = 0.0
+    rhs_modes = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    columns = [np.fft.ifft(modes[:, i, j]) for i in (0, 1) for j in (0, 1)]
+    rhs = np.concatenate([np.fft.ifft(rhs_modes[:, 0]), np.fft.ifft(rhs_modes[:, 1])])
+    solution = discrete.solve_circulant_dft(_toy_system(*columns, rhs))
+    assert solution.dropped == 3
+    assert solution.cond_estimate == np.inf
+    want = np.array([np.linalg.pinv(modes[m]) @ rhs_modes[m] for m in range(4)])
+    got = np.stack(discrete.mode_amplitudes(solution), axis=1) * 4
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 # -- currents against the continuous densities --------------------------------

@@ -81,6 +81,41 @@ def test_against_oracle_spot_grid():
             )
 
 
+# first zeros of J0, Y0, J1 and Y1
+FIRST_ZEROS = (2.404825557695773, 0.8935769662791675, 3.831705970207512, 2.197141326031017)
+NEAR_ZEROS = [z + d for z in FIRST_ZEROS for d in (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)]
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_low_orders_against_oracle_from_tiny_to_large_arguments(n):
+    # near a zero the relative error of any float64 evaluation is unbounded;
+    # there the gate is absolute, on the large-argument envelope sqrt(2/(pi x))
+    for x in [*np.geomspace(1e-3, 1e3, 61), *NEAR_ZEROS]:
+        near_zero = min(abs(x - z) for z in FIRST_ZEROS) <= 1e-3
+        floor = 1e-14 * np.sqrt(2.0 / (np.pi * x)) if near_zero else 0.0
+        j_want, y_want = oracles.bessel_j_mp(n, x), oracles.bessel_y_mp(n, x)
+        h = specfun.hankel2(n, x)
+        for got, want in ((specfun.bessel_j(n, x), j_want), (h.real, j_want), (-h.imag, y_want)):
+            assert abs(got - want) <= max(1e-12 * abs(want), floor), (n, x)
+
+
+def test_low_orders_keep_the_checks_and_shapes():
+    x = np.array([[0.5, 1.0], [2.0, 40.0]])
+    for n in (-1, 0, 1):
+        assert specfun.hankel2(n, x).shape == (2, 2)
+        assert specfun.bessel_j(n, x).shape == (2, 2)
+        assert isinstance(specfun.hankel2(n, 2.0), complex)
+        assert isinstance(specfun.bessel_j(n, 2.0), float)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                specfun.hankel2(n, bad)
+            with pytest.raises(ValueError):
+                specfun.bessel_j(n, bad)
+    assert np.array_equal(specfun.hankel2(-1, x), -specfun.hankel2(1, x))
+    with pytest.raises(specfun.BesselOverflowError):
+        specfun.hankel2(1, 1e-310)
+
+
 def test_negative_order_parity():
     for n in (1, 2, 5, 8):
         sign = (-1.0) ** n
