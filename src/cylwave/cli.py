@@ -455,14 +455,17 @@ def cmd_fields(config, out_dir):
                 config.media[1],
             )
             _report_series_trust(rho, region, reference)
+        samples = [
+            fields.field_from_discrete(solutions[method], rho, angles, region=region).e_z
+            for method in methods
+        ]
         for i, phi in enumerate(angles):
             row = [_fmt(rho), region, _fmt(phi)]
             if with_exact:
                 value = reference[i].value
                 row += [_fmt(value.real), _fmt(value.imag)]
-            for method in methods:
-                sample = fields.field_from_discrete(solutions[method], rho, phi, region=region)
-                row += [_fmt(sample.e_z.real), _fmt(sample.e_z.imag)]
+            for e_z in samples:
+                row += [_fmt(e_z[i].real), _fmt(e_z[i].imag)]
             rows.append(row)
     target = _write_atomic(out_dir, "fields.csv", _csv_text(config.sha256, header, rows))
     print("wrote %s" % (target,))

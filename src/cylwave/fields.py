@@ -22,11 +22,11 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Total electric field at one polar observation point.
+    """Total electric field at one polar observation point, or on a ring.
 
-    region 1 is the exterior of the boundary, region 2 the interior;
-    provenance names what produced the value ('nfm', 'mas', 'exact' or
-    'continuous').
+    For a ring, phi and e_z are arrays over its angles. region 1 is the
+    exterior of the boundary, region 2 the interior; provenance names what
+    produced the value ('nfm', 'mas', 'exact' or 'continuous').
     """
 
     rho: float
@@ -37,7 +37,7 @@ class FieldSample:
 
 
 def _source_stacks(solution, region):
-    """Radiating points, their amplitudes and medium for one region."""
+    """Radiating points, their normals (direct route only) and medium for one region."""
     system = solution.system
     medium = system.medium1 if region == 1 else system.medium2
     n = solution.n_points
@@ -45,164 +45,79 @@ def _source_stacks(solution, region):
         pts, nrm, _ = geometry.collocation_points(system.curve, n)
         return medium, pts, nrm
     aux = system.aux_inner if region == 1 else system.aux_outer
-    pts, _, _ = geometry.collocation_points(aux.curve, n)
-    return medium, pts, None
+    return medium, aux.curve.point(_TWO_PI * np.arange(n) / n), None
 
 
 def _scattered_field(solution, xy, region):
+    """Field radiated into one region at the observation points xy, shape (P, 2)."""
     medium, pts, nrm = _source_stacks(solution, region)
     k, z = medium.k, medium.Z
-    dist = geometry.pairwise_distances(np.asarray(xy, dtype=float)[None, :], pts)
-    mono = monopole_matrix(k, dist, label="field kernel")[0]
+    dist = geometry.pairwise_distances(xy, pts)
+    mono = monopole_matrix(k, dist, label="field kernel")
+    # row by row, not kernel @ amps: each point then sums in the same order
+    # as a one-point call, so a ring equals its points to the last bit
     if solution.system.method == "mas":
         amps = solution.electric if region == 1 else solution.magnetic
-        return -(k * z / 4.0) * (mono @ amps)
-    dip = dipole_matrix(k, np.asarray(xy, dtype=float)[None, :], pts, nrm,
-                        dist=dist, label="field kernel")[0]
-    electric_part = mono @ solution.electric
-    magnetic_part = dip @ solution.magnetic
+        return -(k * z / 4.0) * np.array([row @ amps for row in mono])
+    dip = dipole_matrix(k, xy, pts, nrm, dist=dist, label="field kernel")
+    electric_part = np.array([row @ solution.electric for row in mono])
+    magnetic_part = np.array([row @ solution.magnetic for row in dip])
     if region == 1:
         return -(k * z / 4.0) * electric_part + (k / 4j) * magnetic_part
     return +(k * z / 4.0) * electric_part - (k / 4j) * magnetic_part
-
-
-def _scattered_gradient(solution, xy, region):
-    medium, pts, nrm = _source_stacks(solution, region)
-    k, z = medium.k, medium.Z
-    xy = np.asarray(xy, dtype=float)
-    grad_mono = _monopole_gradient(k, xy, pts)
-    if solution.system.method == "mas":
-        amps = solution.electric if region == 1 else solution.magnetic
-        return -(k * z / 4.0) * (amps @ grad_mono)
-    grad_dip = _dipole_gradient(k, xy, pts, nrm)
-    electric_part = solution.electric @ grad_mono
-    magnetic_part = solution.magnetic @ grad_dip
-    if region == 1:
-        return -(k * z / 4.0) * electric_part + (k / 4j) * magnetic_part
-    return +(k * z / 4.0) * electric_part - (k / 4j) * magnetic_part
-
-
-def _monopole_gradient(k, xy, pts):
-    """Rows grad_x H^(2)_0(k |x - s_l|) for a single observation point."""
-    u = xy[None, :] - np.asarray(pts, dtype=float)
-    dist = np.hypot(u[:, 0], u[:, 1])
-    _guard_distance(dist, pts)
-    h1 = specfun.hankel2(1, k * dist)
-    return (-k * h1 / dist)[:, None] * u
-
-
-def _dipole_gradient(k, xy, pts, normals):
-    """Rows grad_x of [n_s . (s - x)/d] H^(2)_1(k d), normal at the source.
-
-    The cosine factor differentiates to -n/d + c u / d^2 with u = s - x and
-    c the factor itself; H^(2)_1 differentiates through H2_1'(w) = H2_0(w)
-    - H2_1(w)/w with d/dx (k d) = -k u / d.
-    """
-    u = np.asarray(pts, dtype=float) - xy[None, :]
-    dist = np.hypot(u[:, 0], u[:, 1])
-    _guard_distance(dist, pts)
-    cos_factor = (u[:, 0] * normals[:, 0] + u[:, 1] * normals[:, 1]) / dist
-    h1 = specfun.hankel2(1, k * dist)
-    h1_deriv = specfun.hankel2(0, k * dist) - h1 / (k * dist)
-    grad_cos = -normals / dist[:, None] + (cos_factor / dist**2)[:, None] * u
-    return grad_cos * h1[:, None] + (cos_factor * (-k) * h1_deriv / dist)[:, None] * u
-
-
-def _guard_distance(dist, pts):
-    scale = max(float(np.max(np.abs(pts))), 1.0)
-    if np.any(dist < 1e-12 * scale):
-        raise ValueError("observation point coincides with a source point")
 
 
 def _incident_here(excitation, region):
     return (excitation.region == "external") == (region == 1)
 
 
-def field_from_discrete(solution, rho_obs, phi_obs, region=None):
-    """Total field of a solved system at a polar observation point.
+def _ring_region(curve, rho_obs, phis, region):
+    """The one region every point of the ring lies in; region is checked if given."""
+    deduced = np.where(curve.contains(rho_obs, phis), 2, 1)
+    if region is None and np.any(deduced != deduced[0]):
+        raise ValueError(
+            "observation ring at radius %g crosses the boundary: give each region's "
+            "angles separately" % rho_obs
+        )
+    region = int(deduced[0] if region is None else region)
+    mismatch = deduced != region
+    if np.any(mismatch):
+        raise ValueError(
+            "region %d does not match the observation point (it lies in region %d)"
+            % (region, deduced[np.argmax(mismatch)])
+        )
+    return region
 
-    The region is deduced from the curve when not given; passing one that
-    contradicts the observation point raises instead of silently using the
-    wrong representation. Points exactly on the boundary count as region 1.
+
+def field_from_discrete(solution, rho_obs, phi_obs, region=None):
+    """Total field of a solved system at polar observation points.
+
+    phi_obs is one angle or a 1-D array of angles on the circle rho_obs;
+    one angle gives a FieldSample of scalars, an array a FieldSample whose
+    phi and e_z are arrays, summed in one pass with the same bits as
+    one-angle calls. The region is deduced from the curve when not given;
+    passing one that contradicts any observation point, or leaving it out
+    on a ring that crosses the boundary, raises instead of silently using
+    the wrong representation. Points exactly on the boundary count as
+    region 1.
     """
     system = solution.system
     rho_obs = float(rho_obs)
-    phi_obs = float(phi_obs)
+    scalar = np.ndim(phi_obs) == 0
+    phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
+    if phis.ndim != 1:
+        raise ValueError("phi_obs must be one angle or a 1-D array of angles")
     if rho_obs < 0.0:
         raise ValueError("observation radius must be nonnegative")
-    deduced = 2 if system.curve.contains(rho_obs, phi_obs) else 1
-    if region is None:
-        region = deduced
-    elif int(region) != deduced:
-        raise ValueError(
-            "region %d does not match the observation point (it lies in region %d)"
-            % (int(region), deduced)
-        )
-    xy = np.array([rho_obs * np.cos(phi_obs), rho_obs * np.sin(phi_obs)])
+    region = _ring_region(system.curve, rho_obs, phis, region)
+    xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
     value = _scattered_field(solution, xy, region)
     if _incident_here(system.excitation, region):
         medium = system.medium1 if region == 1 else system.medium2
-        value = value + incident_field(system.excitation, medium, rho_obs, phi_obs)
-    return FieldSample(rho_obs, phi_obs, region, complex(value), system.method)
-
-
-def _total_field_and_normal_deriv(solution, xy, region, normal):
-    """Field value and 1/(kZ)-scaled normal derivative on one side of C."""
-    system = solution.system
-    medium = system.medium1 if region == 1 else system.medium2
-    value = _scattered_field(solution, xy, region)
-    grad = _scattered_gradient(solution, xy, region)
-    if _incident_here(system.excitation, region):
-        exc = system.excitation
-        rho = float(np.hypot(xy[0], xy[1]))
-        phi = float(np.arctan2(xy[1], xy[0]))
-        value = value + incident_field(exc, medium, rho, phi)
-        fil = exc.position_xy()
-        grad = grad + (
-            incident_prefactor(exc, medium)
-            * exc.amplitude
-            * _monopole_gradient(medium.k, xy, fil[None, :])[0]
-        )
-    h_tan = (normal @ grad) / (medium.k * medium.Z)
-    return value, h_tan
-
-
-def offset_jump_residuals(solution, n_test=72, offset_scale=1e-4):
-    """Jumps of tangential E and H between two points straddling the boundary.
-
-    Samples n_test angles staggered between the collocation angles, steps
-    offset_scale of the local radius to either side along the normal, sums
-    the discrete sources there, and returns (max |E jump|, max |H jump|),
-    each normalized by the largest magnitude of the corresponding field.
-    The two points sit two offsets apart, which puts a floor of order
-    2 * offset * k under any solution; and the direct route's point
-    currents lie one spacing from each sample, so for that route the
-    numbers read the smearing of point supports rather than the solution.
-    boundary_residuals measures the transmission defects on C itself.
-    """
-    system = solution.system
-    phis = _test_angles(n_test)
-    radii = np.asarray(system.curve.radius(phis))
-    pts = system.curve.point(phis)
-    nrm = system.curve.normal(phis)
-    delta = offset_scale * radii
-
-    e_jump = np.empty(n_test, dtype=complex)
-    h_jump = np.empty(n_test, dtype=complex)
-    e_scale = 0.0
-    h_scale = 0.0
-    for t in range(n_test):
-        outside = pts[t] + delta[t] * nrm[t]
-        inside = pts[t] - delta[t] * nrm[t]
-        e_1, h_1 = _total_field_and_normal_deriv(solution, outside, 1, nrm[t])
-        e_2, h_2 = _total_field_and_normal_deriv(solution, inside, 2, nrm[t])
-        e_jump[t] = e_1 - e_2
-        h_jump[t] = h_1 - h_2
-        e_scale = max(e_scale, abs(e_1), abs(e_2))
-        h_scale = max(h_scale, abs(h_1), abs(h_2))
-    e_resid = float(np.max(np.abs(e_jump))) / max(e_scale, 1e-300)
-    h_resid = float(np.max(np.abs(h_jump))) / max(h_scale, 1e-300)
-    return e_resid, h_resid
+        value = value + incident_field(system.excitation, medium, rho_obs, phis)
+    if scalar:
+        return FieldSample(rho_obs, float(phis[0]), region, complex(value[0]), system.method)
+    return FieldSample(rho_obs, phis, region, value, system.method)
 
 
 def _test_angles(n_test):

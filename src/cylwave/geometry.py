@@ -125,8 +125,11 @@ class BoundaryCurve:
         return float(speed.mean() * _TWO_PI)
 
     def contains(self, rho, phi):
-        """True when the polar point lies strictly inside the curve."""
-        return float(rho) < float(self.radius(phi))
+        """True where the polar point lies strictly inside the curve.
+
+        phi is one angle or an array of angles; an array gives an array.
+        """
+        return float(rho) < np.asarray(self.radius(phi))
 
 
 @dataclass(frozen=True)
@@ -217,26 +220,3 @@ def pairwise_distances(points_a, points_b):
     if np.any(dist < 1e-14 * scale):
         raise ValueError("coincident points between the two surfaces")
     return dist
-
-
-def circulant_deviation(matrix):
-    """Max deviation of matrix[p, l] from matrix[(p - l) mod N, 0].
-
-    Zero (to rounding) for any kernel matrix built from uniform collocation
-    on concentric circles; decidedly nonzero for ellipses.
-    """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("square matrix expected")
-    p, l = np.indices((n, n))
-    ref = matrix[(p - l) % n, 0]
-    return float(np.max(np.abs(matrix - ref)))
-
-
-def is_circulant(matrix, rtol=1e-13):
-    matrix = np.asarray(matrix)
-    scale = float(np.max(np.abs(matrix)))
-    if scale == 0.0:
-        return True
-    return circulant_deviation(matrix) <= rtol * scale

@@ -80,23 +80,6 @@ def bessel_j_prime(n, x):
     return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
 
 
-def _bessel_y(n, x):
-    """Y_n(x), internal only (the public complex surface is hankel2)."""
-    n = int(n)
-    x = _check_argument(x)
-    sign = 1.0
-    if n < 0:
-        sign = _parity(n)
-        n = -n
-    out = sign * special.yv(n, x)
-    if not np.all(np.isfinite(out)):
-        xmin = float(np.min(x))
-        raise BesselOverflowError(
-            "Y_%d overflows near x=%g; order too large for this argument" % (n, xmin)
-        )
-    return out if out.ndim else float(out)
-
-
 def hankel2(n, x):
     """Outgoing Hankel function H^(2)_n(x) = J_n(x) - i Y_n(x).
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwave import cli, diagnostics, discrete, exact
+from cylwave import cli, diagnostics, discrete, exact, fields
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -239,6 +239,21 @@ def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
         assert cli.main(["fields", "--config", str(_write_config(tmp_path, mutate))]) == 0
         assert len(terms) <= cap + 1
         assert sorted(terms) == list(range(len(terms)))
+
+
+def test_fields_evaluate_each_ring_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    evaluate = fields.field_from_discrete
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "field_from_discrete", counting)
+    config = str(PRESETS / "coarse-n-comparison.json")
+    assert cli.main(["fields", "--config", config, "--out", str(tmp_path)]) == 0
+    # two rings of 36 angles, both routes: one call per ring and route
+    assert len(calls) == 4
 
 
 def test_unconverged_references_are_reported_on_stderr(tmp_path, capsys):

@@ -10,6 +10,7 @@ from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 M1 = Medium()
 M2 = Medium(4.2, 1.0)
 CIRCLE = BoundaryCurve.circle(2.0)
+ELLIPSE = BoundaryCurve.ellipse(2.0, 1.6)
 AUX_IN = AuxiliarySurface.from_radius(CIRCLE, 1.5)
 AUX_OUT = AuxiliarySurface.from_radius(CIRCLE, 2.5)
 WIDE_IN = AuxiliarySurface.from_radius(CIRCLE, 0.5)
@@ -34,7 +35,7 @@ def _mas(exc, n_points, aux=(AUX_IN, AUX_OUT)):
 
 
 def _ring(solution, rho, phis):
-    return np.array([fields.field_from_discrete(solution, rho, p).e_z for p in phis])
+    return fields.field_from_discrete(solution, rho, phis).e_z
 
 
 def _exact_ring(exc, region, rho, phis):
@@ -73,6 +74,40 @@ def test_region_mismatch_raises():
         fields.field_from_discrete(solution, 10.0, 0.3, region=2)
     with pytest.raises(ValueError, match="region"):
         fields.field_from_discrete(solution, 1.0, 0.3, region=1)
+    with pytest.raises(ValueError, match="region"):
+        fields.field_from_discrete(solution, 10.0, ALIGNED, region=2)
+    # the 2.0/1.6 ellipse puts rho = 1.8 outside near the minor axis and
+    # inside near the major one
+    ellipse = discrete.solve(
+        discrete.assemble_nfm(
+            ELLIPSE,
+            AuxiliarySurface.from_scale(ELLIPSE, 0.75),
+            AuxiliarySurface.from_scale(ELLIPSE, 1.25),
+            EXT,
+            M1,
+            M2,
+            n_points=16,
+        )
+    )
+    with pytest.raises(ValueError, match="region"):
+        fields.field_from_discrete(ellipse, 1.8, ALIGNED)
+
+
+@pytest.mark.parametrize("n_points", [10, 41, 512])
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_ring_equals_point_calls_bit_for_bit(method, exc, curve, n_points):
+    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    aux = (AuxiliarySurface.from_scale(curve, 0.75), AuxiliarySurface.from_scale(curve, 1.25))
+    solution = discrete.solve(assemble(curve, *aux, exc, M1, M2, n_points=n_points))
+    for rho, region in ((10.0, 1), (1.0, 2)):
+        ring = fields.field_from_discrete(solution, rho, STAGGERED)
+        points = [fields.field_from_discrete(solution, rho, p) for p in STAGGERED]
+        assert (ring.region, ring.provenance) == (region, method)
+        assert all(p.region == region for p in points)
+        assert np.array_equal(ring.phi, [p.phi for p in points])
+        assert np.array_equal(ring.e_z, [p.e_z for p in points])
 
 
 def test_negative_radius_raises():
@@ -148,56 +183,9 @@ def test_transparent_cylinder_fields_follow_incident():
         assert np.max(np.abs(vals - ref)) < 2e-4 * np.max(np.abs(ref))
 
 
-def test_mas_residuals_reach_the_offset_floor():
-    # Test points sit 2*delta apart across the boundary, so even the exact
-    # solution would show a jump of order 2*delta*k; converged MAS solutions
-    # land on that floor.
-    solution = _mas(EXT, 40)
-    e_resid, h_resid = fields.offset_jump_residuals(solution, n_test=40)
-    assert e_resid < 2e-3
-    assert h_resid < 3e-3
-
-
-def test_mas_residuals_improve_with_refinement_until_floor():
-    coarse = fields.offset_jump_residuals(_mas(EXT, 20), n_test=20)
-    fine = fields.offset_jump_residuals(_mas(EXT, 40), n_test=40)
-    assert fine[0] < coarse[0]
-    assert fine[1] < coarse[1]
-
-
-def test_nfm_residuals_read_near_boundary_smearing():
-    # Sources on the boundary cannot reproduce the field jump within one
-    # spacing of the curve, so this metric reads the smearing level for the
-    # direct method, shrinking slowly as the spacing does; the far fields of
-    # the same solutions are three orders more accurate.
-    mid = fields.offset_jump_residuals(_nfm(EXT, 40), n_test=40)
-    coarse = fields.offset_jump_residuals(_nfm(EXT, 20), n_test=20)
-    assert 0.05 < mid[0] < 0.5
-    assert mid[0] < coarse[0]
-    assert mid[1] < 2.5
-
-
-def test_residuals_separate_source_placement_on_ellipse():
-    ellipse = BoundaryCurve.ellipse(2.0, 1.6)
-    aux_in = AuxiliarySurface.from_scale(ellipse, 0.33)
-    aux_out = AuxiliarySurface.from_scale(ellipse, 5.0)
-    nfm = discrete.solve(
-        discrete.assemble_nfm(ellipse, aux_in, aux_out, EXT, M1, M2, n_points=40)
-    )
-    mas = discrete.solve(
-        discrete.assemble_mas(ellipse, aux_in, aux_out, EXT, M1, M2, n_points=44)
-    )
-    e_nfm, h_nfm = fields.offset_jump_residuals(nfm, n_test=40)
-    e_mas, h_mas = fields.offset_jump_residuals(mas, n_test=44)
-    assert e_mas < e_nfm / 10.0
-    assert h_mas < h_nfm / 10.0
-
-
 def test_boundary_residuals_needs_enough_angles():
     with pytest.raises(ValueError, match="test angles"):
         fields.boundary_residuals(_nfm(EXT, 16), n_test=3)
-    with pytest.raises(ValueError, match="test angles"):
-        fields.offset_jump_residuals(_nfm(EXT, 16), n_test=3)
 
 
 @pytest.mark.parametrize("solver", [_nfm, _mas])
@@ -235,4 +223,3 @@ def test_nfm_boundary_residuals_track_the_series_error():
 def test_mas_boundary_residuals_fall_below_the_offset_floor():
     solution = _mas(EXT, 80)
     assert max(fields.boundary_residuals(solution, n_test=80)) < 1e-6
-    assert max(fields.offset_jump_residuals(solution, n_test=80)) > 4e-4

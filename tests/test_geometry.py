@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe, hankel2
 
-from cylwave import geometry
 from cylwave.geometry import (
     AuxiliarySurface,
     BoundaryCurve,
@@ -13,6 +12,8 @@ from cylwave.geometry import (
     collocation_points,
     pairwise_distances,
 )
+
+from circulant import circulant_deviation, is_circulant
 
 
 def test_circle_collocation_n4():
@@ -188,8 +189,8 @@ def test_concentric_circle_kernel_is_circulant():
     obs, _, _ = collocation_points(BoundaryCurve.circle(2.5), 16)
     src, _, _ = collocation_points(BoundaryCurve.circle(1.5), 16)
     kernel = hankel2(0, pairwise_distances(obs, src))
-    assert geometry.is_circulant(kernel)
-    assert geometry.circulant_deviation(kernel) < 1e-14
+    assert is_circulant(kernel)
+    assert circulant_deviation(kernel) < 1e-14
 
 
 def test_ellipse_kernel_is_not_circulant():
@@ -197,13 +198,13 @@ def test_ellipse_kernel_is_not_circulant():
     obs, _, _ = collocation_points(base, 16)
     src, _, _ = collocation_points(base.scaled(0.75), 16)
     kernel = hankel2(0, pairwise_distances(obs, src))
-    assert not geometry.is_circulant(kernel)
-    assert geometry.circulant_deviation(kernel) > 1e-3
+    assert not is_circulant(kernel)
+    assert circulant_deviation(kernel) > 1e-3
 
 
 def test_circulant_deviation_rejects_nonsquare():
     with pytest.raises(ValueError):
-        geometry.circulant_deviation(np.ones((3, 4)))
+        circulant_deviation(np.ones((3, 4)))
 
 
 @settings(deadline=None, max_examples=40)
