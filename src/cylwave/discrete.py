@@ -7,7 +7,9 @@ points of each displaced surface; the source formulation places radiating
 line sources on the displaced surfaces and matches the transmission
 conditions at N boundary points. On concentric circles every block is
 circulant, which yields a per-mode 2x2 system through the DFT and, in the
-large-N limit, closed coefficient formulas free of the displaced radii.
+large-N limit, closed coefficient formulas free of the displaced radii. On
+centred ellipses at even N the half-turn symmetry splits the dense solve
+into two independent N x N systems.
 """
 
 from dataclasses import dataclass
@@ -34,11 +36,18 @@ class BlockSystem:
     amplitudes on the boundary and the rows cancel the field on the two
     displaced surfaces; for method 'mas' the unknowns are source amplitudes
     on the displaced surfaces and the rows enforce the two transmission
-    conditions on the boundary. On concentric circles every block is
-    circulant and z11..z22 hold only their first columns, shape (N,);
-    otherwise they hold the full (N, N) blocks. matrix and named_blocks()
-    always give full blocks. Instances are treated as immutable and can be
-    shared between threads; the arrays are not defensively copied.
+    conditions on the boundary. z11..z22 carry the first N/P columns of
+    each block, where P is the rotation order of the collocation:
+    - concentric circles (P = N): every block is circulant and only its
+      first column is carried, shape (N,);
+    - three ellipses at even N (P = 2): the half-turn phi -> phi + pi maps
+      every point set onto itself with a shift of N/2, so each block is
+      [[A, B], [B, A]] and the first N/2 columns [A; B] are carried,
+      shape (N, N/2);
+    - otherwise (P = 1): the full block, shape (N, N).
+    matrix and named_blocks() always give full blocks. Instances are
+    treated as immutable and can be shared between threads; the arrays are
+    not defensively copied.
     """
 
     z11: np.ndarray
@@ -64,15 +73,18 @@ class BlockSystem:
         return self.z11.ndim == 1
 
     @property
+    def half_turn(self):
+        """True when the blocks are carried as their first N/2 columns."""
+        return self.z11.ndim == 2 and self.z11.shape[1] < self.z11.shape[0]
+
+    @property
     def matrix(self):
         (_, z11), (_, z12), (_, z21), (_, z22) = self.named_blocks()
         return np.block([[z11, z12], [z21, z22]])
 
     def named_blocks(self):
         blocks = (self.z11, self.z12, self.z21, self.z22)
-        if self.circulant:
-            blocks = tuple(linalg.circulant(c) for c in blocks)
-        return tuple(zip(("z11", "z12", "z21", "z22"), blocks))
+        return tuple(zip(("z11", "z12", "z21", "z22"), map(_expand, blocks)))
 
 
 @dataclass(frozen=True)
@@ -82,9 +94,12 @@ class DiscreteSolution:
     electric/magnetic hold the two N-vectors of unknowns in row order: for
     an 'nfm' system the electric and magnetic boundary currents, for a
     'mas' system the inner-surface and outer-surface source amplitudes.
-    residual is ||A x - b||_inf relative to ||b||_inf; cond_estimate is an
-    infinity-norm estimate on the dense path and the exact 2-norm condition
-    number (assembled from the per-mode singular values) on the DFT path.
+    residual is ||A x - b||_inf relative to ||b||_inf. cond_estimate is
+    the exact 2-norm condition number (assembled from the per-mode singular
+    values) on the DFT path and an infinity-norm estimate on the dense
+    path: ||A|| ||A^-1|| for a full LU, and max ||M+-|| * max ||M+-^-1||
+    over the two half-size systems M+- = A +- B of a half-turn system,
+    which lies within a factor of 4 of the full matrix's number either way.
     dropped counts the singular values the DFT path's pseudo-inverse set
     aside as roundoff, out of 2N; the dense path drops none.
     """
@@ -145,14 +160,40 @@ def _point_distances(points, xy):
     return geometry.pairwise_distances(points, np.asarray(xy, dtype=float)[None, :])[:, 0]
 
 
-def _concentric_circles(curve, aux_inner, aux_outer):
-    """Uniform collocation on concentric circles makes every block circulant."""
-    return all(c.kind == "circle" for c in (curve, aux_inner.curve, aux_outer.curve))
+def _carried_columns(curve, aux_inner, aux_outer, n_points):
+    """How many leading columns of each block the geometry's symmetry needs.
+
+    Uniform collocation on concentric circles makes every block circulant
+    (one column); on three centred ellipses at even N the half-turn makes
+    every block [[A, B], [B, A]] (N/2 columns); anything else needs all N.
+    """
+    kinds = {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)}
+    if kinds == {"circle"}:
+        return 1
+    if kinds == {"ellipse"} and n_points % 2 == 0:
+        return n_points // 2
+    return n_points
+
+
+def _expand(block):
+    """Full block from its carried columns: a circulant first column, the
+    half-turn columns [A; B] of [[A, B], [B, A]], or the full block itself."""
+    if block.ndim == 1:
+        return linalg.circulant(block)
+    n, m = block.shape
+    if m == n:
+        return block
+    return np.hstack([block, np.roll(block, m, axis=0)])
 
 
 def _transpose(block):
-    """Transpose of a full block, or of a circulant one given by its first column."""
-    return np.roll(block[::-1], 1) if block.ndim == 1 else block.T
+    """Transpose of a block, carried in the same form as the block itself."""
+    if block.ndim == 1:
+        return np.roll(block[::-1], 1)
+    n, m = block.shape
+    if m == n:
+        return block.T
+    return np.vstack([block[:m].T, block[m:].T])
 
 
 def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
@@ -183,9 +224,10 @@ def assemble_nfm(
     row block 2 cancels the region-2 representation on the outer surface;
     both rows are scaled so the electric-current kernel is Z_j H^(2)_0.
     The incident term lands on the inner rows for an external source and on
-    the outer rows for an internal one. On concentric circles only column 0
-    of each block is evaluated: every matching point against boundary
-    point 0.
+    the outer rows for an internal one. Only the carried columns of each
+    block are evaluated (see BlockSystem): every matching point against
+    boundary point 0 on concentric circles, against the first N/2 boundary
+    points on ellipses at even N.
     """
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     n_points = int(n_points)
@@ -196,8 +238,8 @@ def assemble_nfm(
     a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
     a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
 
-    circulant = _concentric_circles(curve, aux_inner, aux_outer)
-    src = slice(0, 1) if circulant else slice(None)
+    columns = _carried_columns(curve, aux_inner, aux_outer, n_points)
+    src = slice(0, columns)
     d1 = geometry.pairwise_distances(a1_pts, c_pts[src])
     d2 = geometry.pairwise_distances(a2_pts, c_pts[src])
     blocks = (
@@ -206,7 +248,7 @@ def assemble_nfm(
         z2 * monopole_matrix(k2, d2, label="block z21"),
         1j * dipole_matrix(k2, a2_pts, c_pts[src], c_nrm[src], dist=d2, label="block z22"),
     )
-    if circulant:
+    if columns == 1:
         blocks = tuple(b[:, 0] for b in blocks)
 
     amp = complex(excitation.amplitude)
@@ -263,9 +305,10 @@ def assemble_mas(
     Inner sources radiate the region-1 field with (k1, Z1), outer sources
     the region-2 field with (k2, Z2). Row block 1 is continuity of the
     electric field, row block 2 continuity of the tangential magnetic
-    field scaled by -i, with the normal taken at the boundary point. On
-    concentric circles only column 0 of each block is evaluated: every
-    boundary point against source point 0.
+    field scaled by -i, with the normal taken at the boundary point. Only
+    the carried columns of each block are evaluated (see BlockSystem):
+    every boundary point against source point 0 on concentric circles,
+    against the first N/2 source points on ellipses at even N.
     """
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     n_points = int(n_points)
@@ -276,8 +319,8 @@ def assemble_mas(
     a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
     a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
 
-    circulant = _concentric_circles(curve, aux_inner, aux_outer)
-    src = slice(0, 1) if circulant else slice(None)
+    columns = _carried_columns(curve, aux_inner, aux_outer, n_points)
+    src = slice(0, columns)
     d1 = geometry.pairwise_distances(c_pts, a1_pts[src])
     d2 = geometry.pairwise_distances(c_pts, a2_pts[src])
     # dipole_matrix puts the normal at its source argument; transposing the
@@ -291,7 +334,7 @@ def assemble_mas(
         +(1j * k2 / 4.0)
         * dipole_matrix(k2, a2_pts[src], c_pts, c_nrm, dist=d2.T, label="block z22").T,
     )
-    if circulant:
+    if columns == 1:
         blocks = tuple(b[:, 0] for b in blocks)
 
     rhs = _mas_rhs(curve, excitation, medium1, medium2, n_points)
@@ -335,24 +378,73 @@ def _relative_residual(applied, rhs):
     return err / scale if scale > 0.0 else err
 
 
-def solve_dense(system):
-    """LU solve with one iterative-refinement step and a condition estimate."""
-    a = system.matrix
-    b = system.rhs
-    n = system.n_points
+def _lu_solve(a, b):
+    """LU solve of a x = b with an infinity-norm condition estimate.
+
+    Returns (x, ||a||_inf, rcond). One fixed-precision refinement step is
+    taken only when rcond > eps, i.e. cond * u < 1 (Higham, IMA J. Numer.
+    Anal. 17 (1997) 495-509): beyond that the step adds a^-1 (roundoff),
+    which inflates ||x|| instead of shrinking the error.
+    """
     lu, piv = linalg.lu_factor(a)
     if not np.all(np.isfinite(lu)) or np.any(np.diagonal(lu) == 0.0):
         raise ArithmeticError("system is singular to working precision")
     x = linalg.lu_solve((lu, piv), b)
-    x += linalg.lu_solve((lu, piv), b - a @ x)
+    gecon = get_lapack_funcs(("gecon",), (a,))[0]
+    a_norm = np.linalg.norm(a, np.inf)
+    rcond, info = gecon(lu, a_norm, norm="I")
+    rcond = float(rcond) if info == 0 else 0.0
+    if rcond > np.finfo(float).eps:
+        x += linalg.lu_solve((lu, piv), b - a @ x)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("system is singular to working precision")
+    return x, a_norm, rcond
 
-    gecon = get_lapack_funcs(("gecon",), (a,))[0]
-    rcond, info = gecon(lu, np.linalg.norm(a, np.inf), norm="I")
-    cond = float(1.0 / rcond) if info == 0 and rcond > 0.0 else np.inf
 
-    residual = _relative_residual(a @ x, b)
+def _fold(v, half):
+    """(top + bottom, top - bottom) halves of each N-block of a 2N vector."""
+    v = v.reshape(2, 2, half)
+    return (v[:, 0] + v[:, 1]).ravel(), (v[:, 0] - v[:, 1]).ravel()
+
+
+def _unfold(s, d, half):
+    """Inverse of _fold: top = (s + d) / 2, bottom = (s - d) / 2 per block."""
+    s, d = s.reshape(2, half), d.reshape(2, half)
+    return np.stack([(s + d) / 2.0, (s - d) / 2.0], axis=1).ravel()
+
+
+def solve_dense(system):
+    """LU solve with a condition estimate, refined when that can help.
+
+    A half-turn system (see BlockSystem) splits into two independent N x N
+    systems: with every block [[A, B], [B, A]], the sums and differences of
+    the two halves of each unknown vector solve M+- = A +- B against the
+    sums and differences of the right side's halves. Both are factored and
+    the residual is recombined from theirs, so no 2N x 2N array is formed.
+    Every other system, circulant ones included, takes one full LU.
+    """
+    b = system.rhs
+    n = system.n_points
+    if system.half_turn:
+        half = n // 2
+        rows = ((system.z11, system.z12), (system.z21, system.z22))
+        parts, applied, norms, inv_norms = [], [], [], []
+        for sign, b_part in zip((1.0, -1.0), _fold(b, half)):
+            m = np.block([[z[:half] + sign * z[half:] for z in row] for row in rows])
+            x_part, m_norm, rcond = _lu_solve(m, b_part)
+            parts.append(x_part)
+            applied.append(m @ x_part)
+            norms.append(m_norm)
+            inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
+        x = _unfold(*parts, half)
+        applied = _unfold(*applied, half)
+        cond = float(max(norms) * max(inv_norms))
+    else:
+        a = system.matrix
+        x, _, rcond = _lu_solve(a, b)
+        cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
+        applied = a @ x
+    residual = _relative_residual(applied, b)
     return DiscreteSolution(system, x[:n], x[n:], "dense", residual, cond)
 
 

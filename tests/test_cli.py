@@ -353,7 +353,7 @@ def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):
         err = capsys.readouterr().err
         if warns:
             assert err.count("\n") == 1
-            assert "condition estimate 1.4e+14 leaves about 1 significant digit" in err
+            assert "condition estimate 1.3e+14 leaves about 1 significant digit" in err
         else:
             assert err == ""
     preset = str(PRESETS / "ellipse-external-fields.json")

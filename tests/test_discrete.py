@@ -7,6 +7,11 @@ the bilateral q-sums against the DFT eigenvalues, and the aux-free limits
 against the continuous density coefficients.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,10 @@ ELLIPSE = geometry.BoundaryCurve.ellipse(2.0, 1.6)
 ELL_IN = geometry.AuxiliarySurface.from_scale(ELLIPSE, 0.33)
 ELL_OUT = geometry.AuxiliarySurface.from_scale(ELLIPSE, 5.0)
 ELL_EXT = geometry.Excitation("external", 4.0)
+ELL_MILD = tuple(geometry.AuxiliarySurface.from_scale(ELLIPSE, s) for s in (0.8, 1.25))
+# far-field sample points of an ellipse solve: two rings of four angles
+ELL_RINGS = [(rho, region, (k + 0.5) * np.pi / 2.0) for rho, region in ((8.0, 1), (1.0, 2))
+             for k in range(4)]
 
 
 def _nfm(exc, n_points, aux=(AUX_IN, AUX_OUT)):
@@ -110,6 +119,48 @@ def test_ellipse_blocks_are_not_circulant():
     assert not system.circulant
     with pytest.raises(ValueError, match="not circulant"):
         discrete.solve_circulant_dft(system)
+
+
+def _star_twin(curve):
+    """The same curve passed as a generic star curve, so it gets full blocks."""
+    return geometry.BoundaryCurve.star(curve.radius, curve.radius_deriv)
+
+
+def _ellipse_and_twin(assemble, aux, exc, n_points):
+    carried = assemble(ELLIPSE, *aux, exc, M1, M2, n_points=n_points)
+    twin_aux = [geometry.AuxiliarySurface(_star_twin(a.curve), a.side) for a in aux]
+    full = assemble(_star_twin(ELLIPSE), *twin_aux, exc, M1, M2, n_points=n_points)
+    return carried, full
+
+
+@pytest.mark.parametrize("n_points", [8, 12, 40])
+@pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
+                         ids=["nfm", "mas"])
+def test_ellipse_blocks_carry_half_their_columns(assemble, n_points):
+    # the half-turn maps each ellipse's collocation points onto themselves
+    # shifted by N/2, so every block is [[A, B], [B, A]] and [A; B] is all
+    # the system carries; the star twin evaluates every point pair
+    for aux in ((ELL_IN, ELL_OUT), ELL_MILD):
+        carried, full = _ellipse_and_twin(assemble, aux, ELL_EXT, n_points)
+        assert carried.half_turn and not carried.circulant
+        assert not full.half_turn and full.z11.shape == (n_points, n_points)
+        half = n_points // 2
+        columns = (carried.z11, carried.z12, carried.z21, carried.z22)
+        for column, (name, block) in zip(columns, full.named_blocks()):
+            assert column.shape == (n_points, half)
+            assert np.array_equal(column, block[:, :half]), name
+        scale = np.max(np.abs(full.matrix))
+        assert np.max(np.abs(carried.matrix - full.matrix)) < 1e-13 * scale
+        assert np.array_equal(carried.rhs, full.rhs)
+
+
+@pytest.mark.parametrize("n_points", [7, 41])
+def test_odd_ellipse_systems_keep_full_blocks(n_points):
+    for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
+        system = assemble(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=n_points)
+        assert not system.half_turn and not system.circulant
+        carried = (system.z11, system.z12, system.z21, system.z22)
+        assert all(block.shape == (n_points, n_points) for block in carried)
 
 
 def test_rhs_lands_on_the_matching_rows():
@@ -267,6 +318,83 @@ def test_dft_path_matches_dense_path_internal_and_source_method():
         fast = discrete.solve_circulant_dft(system)
         scale = np.max(np.abs(dense.vector))
         assert np.max(np.abs(dense.vector - fast.vector)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("exc", [ELL_EXT, geometry.Excitation("internal", 0.4, 0.9)],
+                         ids=["external", "internal"])
+@pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
+                         ids=["nfm", "mas"])
+def test_half_turn_split_matches_the_full_lu(assemble, exc):
+    carried, full = _ellipse_and_twin(assemble, ELL_MILD, exc, 40)
+    split = discrete.solve_dense(carried)
+    reference = discrete.solve_dense(full)
+    assert split.path == reference.path == "dense"
+    scale = np.max(np.abs(reference.vector))
+    assert np.max(np.abs(split.vector - reference.vector)) < 1e-12 * scale
+    assert split.residual < 1e-13
+    # max |M+-| max |M+-^-1| lies within a factor of 4 of |A| |A^-1|
+    assert reference.cond_estimate / 4.0 <= split.cond_estimate <= 4.0 * reference.cond_estimate
+
+
+def _ring_fields(solution):
+    return np.array([fields.field_from_discrete(solution, rho, phi, region=region).e_z
+                     for rho, region, phi in ELL_RINGS])
+
+
+@pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
+                         ids=["nfm", "mas"])
+def test_half_turn_split_far_fields_match_the_full_lu_at_n_512(assemble):
+    # cond is about 1e20 here, so the currents are roundoff; the fields they
+    # radiate are backward-stable and agree
+    exc = geometry.Excitation("external", 4.0, 0.3)
+    carried, full = _ellipse_and_twin(assemble, (ELL_IN, ELL_OUT), exc, 512)
+    split = _ring_fields(discrete.solve_dense(carried))
+    reference = _ring_fields(discrete.solve_dense(full))
+    assert np.max(np.abs(split - reference)) < 1e-6 * np.max(np.abs(reference))
+
+
+# Source-route inputs of the 0.33/5.0 placement at N = 512 whose far fields
+# read 1.8e-5 off the mild N = 160 reference at one BLAS thread when every
+# solve took a refinement step: at cond * eps >= 1 the step adds A^-1
+# (roundoff) and inflates the amplitudes from about 3e7 to 6e9.
+_ONE_THREAD_CHILD = """
+import sys
+import numpy as np
+from cylwave import discrete, fields, geometry
+from cylwave.exact import Medium
+ellipse = geometry.BoundaryCurve.ellipse(2.0, 1.6)
+rings = [(rho, region, (k + 0.5) * np.pi / 2.0) for rho, region in ((8.0, 1), (1.0, 2))
+         for k in range(4)]
+def sample(scales, exc, n_points):
+    aux = [geometry.AuxiliarySurface.from_scale(ellipse, s) for s in scales]
+    system = discrete.assemble_mas(ellipse, *aux, exc, Medium(), Medium(4.2, 1.0),
+                                   n_points=n_points)
+    solution = discrete.solve(system)
+    return np.array([fields.field_from_discrete(solution, rho, phi, region=region).e_z
+                     for rho, region, phi in rings])
+for phi in map(float, sys.argv[1:]):
+    exc = geometry.Excitation("external", 4.0, phi)
+    want = sample((0.8, 1.25), exc, 160)
+    got = sample((0.33, 5.0), exc, 512)
+    print(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+"""
+
+
+def test_ill_conditioned_ellipse_fields_hold_at_one_blas_thread():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    angles = ("3.1218156431565354", "0.049022525280482655")
+    done = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_CHILD, *angles],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    errors = [float(line) for line in done.stdout.split()]
+    assert len(errors) == len(angles)
+    assert max(errors) <= 5e-6, errors
 
 
 def test_auto_path_selects_by_structure():

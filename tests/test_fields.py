@@ -162,7 +162,8 @@ def test_mas_fields_survive_current_growth():
     # The wide aux pair drives the outer MAS currents into rapid growth
     # between N=40 and N=46, yet the grown modes radiate evanescently into
     # the physical regions, so the fields remain accurate. Corrupted fields
-    # require a far noisier solve path than LU with refinement in float64.
+    # require a far noisier solve path than the per-mode DFT solve that
+    # this circle takes in float64.
     grown = _mas(EXT, 46, aux=(WIDE_IN, WIDE_OUT))
     base = _mas(EXT, 40, aux=(WIDE_IN, WIDE_OUT))
     growth = np.max(np.abs(grown.magnetic)) / np.max(np.abs(base.magnetic))
