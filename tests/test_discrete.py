@@ -133,22 +133,23 @@ def _ellipse_and_twin(assemble, aux, exc, n_points):
     return carried, full
 
 
-@pytest.mark.parametrize("n_points", [8, 12, 40])
+@pytest.mark.parametrize("n_points", [4, 6, 8, 12, 40, 42])
 @pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
                          ids=["nfm", "mas"])
 def test_ellipse_blocks_carry_half_their_columns(assemble, n_points):
-    # the half-turn maps each ellipse's collocation points onto themselves
-    # shifted by N/2, so every block is [[A, B], [B, A]] and [A; B] is all
-    # the system carries; the star twin evaluates every point pair
+    # the half-turn (l -> l + N/2) and the mirror (l -> -l) map each
+    # ellipse's collocation points onto themselves, so every block is fixed
+    # by D2 and columns 0..N//4, one per orbit, are all the system carries
+    # (N mod 4 = 2 at 6 and 42); the star twin evaluates every point pair
     for aux in ((ELL_IN, ELL_OUT), ELL_MILD):
         carried, full = _ellipse_and_twin(assemble, aux, ELL_EXT, n_points)
-        assert carried.half_turn and not carried.circulant
-        assert not full.half_turn and full.z11.shape == (n_points, n_points)
-        half = n_points // 2
+        assert carried.d2 and not carried.circulant
+        assert not full.d2 and full.z11.shape == (n_points, n_points)
+        m = n_points // 4 + 1
         columns = (carried.z11, carried.z12, carried.z21, carried.z22)
         for column, (name, block) in zip(columns, full.named_blocks()):
-            assert column.shape == (n_points, half)
-            assert np.array_equal(column, block[:, :half]), name
+            assert column.shape == (n_points, m)
+            assert np.array_equal(column, block[:, :m]), name
         scale = np.max(np.abs(full.matrix))
         assert np.max(np.abs(carried.matrix - full.matrix)) < 1e-13 * scale
         assert np.array_equal(carried.rhs, full.rhs)
@@ -158,7 +159,7 @@ def test_ellipse_blocks_carry_half_their_columns(assemble, n_points):
 def test_odd_ellipse_systems_keep_full_blocks(n_points):
     for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
         system = assemble(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=n_points)
-        assert not system.half_turn and not system.circulant
+        assert not system.d2 and not system.circulant
         carried = (system.z11, system.z12, system.z21, system.z22)
         assert all(block.shape == (n_points, n_points) for block in carried)
 
@@ -237,8 +238,9 @@ def test_assembles_and_solves_on_a_star_curve():
 )
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_transform_matches_direct_source_assembly(curve, aux_in, aux_out, exc):
-    # odd N catches an off-by-one in reversing a circulant first column
-    for n_points in (7, 8):
+    # odd N catches an off-by-one in reversing a circulant first column;
+    # 42 (N mod 4 = 2) transposes the ellipse's D2 orbit columns
+    for n_points in (7, 8, 42):
         direct = discrete.assemble_nfm(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
         transformed = discrete.mas_from_nfm(direct)
         reference = discrete.assemble_mas(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
@@ -324,16 +326,23 @@ def test_dft_path_matches_dense_path_internal_and_source_method():
                          ids=["external", "internal"])
 @pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
                          ids=["nfm", "mas"])
-def test_half_turn_split_matches_the_full_lu(assemble, exc):
-    carried, full = _ellipse_and_twin(assemble, ELL_MILD, exc, 40)
-    split = discrete.solve_dense(carried)
-    reference = discrete.solve_dense(full)
-    assert split.path == reference.path == "dense"
-    scale = np.max(np.abs(reference.vector))
-    assert np.max(np.abs(split.vector - reference.vector)) < 1e-12 * scale
-    assert split.residual < 1e-13
-    # max |M+-| max |M+-^-1| lies within a factor of 4 of |A| |A^-1|
-    assert reference.cond_estimate / 4.0 <= split.cond_estimate <= 4.0 * reference.cond_estimate
+def test_half_turn_split_matches_the_full_lu(assemble, exc, capfd):
+    # the D2 split into one system per character; at N = 4 the character
+    # (R +1, S -1) admits no orbit and must be skipped, not handed to LAPACK
+    # as a 0 x 0 matrix, and N = 6 has N mod 4 = 2
+    for n_points in (4, 6, 40):
+        carried, full = _ellipse_and_twin(assemble, ELL_MILD, exc, n_points)
+        split = discrete.solve_dense(carried)
+        reference = discrete.solve_dense(full)
+        assert split.path == reference.path == "dense"
+        scale = np.max(np.abs(reference.vector))
+        assert np.max(np.abs(split.vector - reference.vector)) < 1e-12 * scale, n_points
+        assert split.residual < 1e-13
+        # max |M_chi| max |M_chi^-1| lies in [|A| |A^-1| / 16, |A| |A^-1|]
+        # (DiscreteSolution); here it stays within a factor of 4
+        assert np.isfinite(split.cond_estimate)
+        assert reference.cond_estimate / 4.0 <= split.cond_estimate <= 4.0 * reference.cond_estimate
+    assert capfd.readouterr() == ("", "")
 
 
 def _ring_fields(solution):
