@@ -16,8 +16,19 @@ matrix, come from the real functions j0, y0, j1 and y1 (Cephes); higher
 orders from jv and hankel2 (AMOS). All functions accept scalars or numpy
 arrays for the argument and are safe to call concurrently.
 
+Both kinds of argument are real traffic: kernel matrices pass arrays, and the
+order series (exact field, density coefficients, q-sums) pass one float per
+call, thousands of times. A float scalar is therefore checked with math
+rather than numpy reductions, which would cost several times scipy's own
+evaluation. The addition series do not go through the scalar functions at
+all: they evaluate their radial factors over blocks of orders and sum each
+block in one pass, with the same bits as the order-by-order sum.
+
 Only real arguments are supported (every wavenumber in the package is real).
 """
+
+import cmath
+import math
 
 import numpy as np
 from scipy import special
@@ -32,6 +43,15 @@ class BesselOverflowError(ArithmeticError):
 
 
 def _check_argument(x):
+    # float scalars skip numpy's reductions; arrays, ints and 0-d arrays take
+    # the numpy path. A scalar comes back as np.float64, so callers keep
+    # numpy's scalar arithmetic (inf, not OverflowError, from base ** n).
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError("argument must be finite")
+        if not x > 0.0:
+            raise ValueError("argument must be positive")
+        return np.float64(x)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
@@ -94,7 +114,7 @@ def hankel2(n, x):
         n = -n
     if n <= 1:
         j, y = _LOW_ORDER[n]
-        out = np.empty(x.shape, dtype=complex)
+        out = np.empty(np.shape(x), dtype=complex)
         j(x, out=out.real)
         y(x, out=out.imag)
         np.negative(out.imag, out=out.imag)
@@ -102,7 +122,7 @@ def hankel2(n, x):
             np.negative(out, out=out)
     else:
         out = sign * special.hankel2(n, x)
-    if not np.all(np.isfinite(out)):
+    if not (cmath.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
         xmin = float(np.min(x))
         raise BesselOverflowError(
             "H2_%d overflows near x=%g; order too large for this argument" % (n, xmin)
@@ -150,30 +170,81 @@ def asymptotic_large_order(kind, n, x):
     raise ValueError("kind must be 'J', 'H2', 'Jp' or 'H2p'")
 
 
-def _addition_sum(x1, x2, theta, n_max, term):
-    """Common loop for the three addition-theorem partial sums.
+def _orders(hankel, n, x):
+    """J_n(x), or H2_n(x) if hankel, over an integer order array n at one x > 0.
 
-    term(n) must return the product of radial factors for order n >= 0; the
-    angular factor and the +/-n symmetry (all three kernels are even in n)
-    are handled here. Stops early once three consecutive terms fall below
-    roundoff relative to the running sum, or when higher orders overflow.
+    The same values, bit for bit, as bessel_j and hankel2 order by order:
+    |n| <= 1 from _LOW_ORDER, other orders from jv or hankel2, negative orders
+    folded by parity. Nothing is checked: a non-finite value (an order where
+    Y_n overflows) is left in place for the caller.
     """
-    total = term(0)
-    last = abs(total)
-    small_streak = 0
-    for n in range(1, n_max + 1):
-        try:
+    fn = special.hankel2 if hankel else special.jv
+    m = np.abs(n)
+    high = m > 1
+    out = np.empty(n.shape, dtype=complex if hankel else float)
+    out[high] = fn(m[high], x)
+    for i in np.flatnonzero(~high).tolist():
+        j, y = _LOW_ORDER[int(m[i])]
+        out[i] = complex(j(x), -y(x)) if hankel else j(x)
+    folded = (n < 0) & (m % 2 == 1)
+    out[folded] = -out[folded]
+    return out
+
+
+# Orders per block of an addition series. AMOS spends about a microsecond on
+# each order above the argument, and a point of the criterion-01 grid uses
+# about 49 of its 221 orders, so evaluating all of them at once costs 0.068 s
+# on that grid against 0.025 s in blocks of 32 (16: 0.036 s, 64: 0.030 s;
+# one order at a time: 0.23 s) on a 2-core Xeon.
+_BLOCK = 32
+
+
+def _addition_sum(theta, n_max, term):
+    """Common summation for the three addition-theorem partial sums.
+
+    term(n) must return the products of radial factors for an array n of
+    consecutive orders >= 0, non-finite where an order overflows; the angular
+    factor and the +/-n symmetry (all three kernels are even in n) are handled
+    here. Orders go in blocks of _BLOCK. Within a block the running sum is a
+    sequential np.add.accumulate of 2 t cos(n theta), so every partial sum has
+    the bits of adding the terms one by one. Stops once three consecutive
+    terms fall below roundoff relative to the running sum (the streak carries
+    across blocks), or before the first non-finite term. Returns the sum and
+    the magnitude of the last term added.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    streak = 0
+    for start in range(0, n_max + 1, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK, n_max + 1))
+        # overflowing orders may meet 0 * inf; they are cut off below
+        with np.errstate(invalid="ignore", over="ignore"):
             t = term(n)
-        except BesselOverflowError:
+        if start == 0:
+            if not cmath.isfinite(t[0]):
+                raise BesselOverflowError("addition series overflows at order 0")
+            total = complex(t[0])
+            last = abs(total)
+            n, t = n[1:], t[1:]
+        finite = np.isfinite(t)
+        stop = t.size if finite.all() else int(finite.argmin())
+        if stop == 0:
             break
-        total = total + 2.0 * t * np.cos(n * theta)
-        last = abs(t)
-        if 2.0 * last < 1e-14 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
+        n, t = n[:stop], t[:stop]
+        part = 2.0 * t * np.cos(n * theta)
+        part[0] += total
+        running = np.add.accumulate(part)
+        mag = np.hypot(t.real, t.imag)
+        small = 2.0 * mag < 1e-14 * np.maximum(np.hypot(running.real, running.imag), 1e-300)
+        end = stop
+        for i, is_small in enumerate(small.tolist()):
+            streak = streak + 1 if is_small else 0
+            if streak >= 3:
+                end = i + 1
                 break
-        else:
-            small_streak = 0
+        total, last = complex(running[end - 1]), float(mag[end - 1])
+        if streak >= 3 or stop < finite.size:
+            break
     return total, last
 
 
@@ -189,10 +260,15 @@ def addition_series_h0(x1, x2, theta, n_max=60):
         raise ValueError("radii must differ (distance may vanish)")
     lo, hi = min(x1, x2), max(x1, x2)
     total, last = _addition_sum(
-        x1, x2, theta, n_max, lambda n: bessel_j(n, lo) * hankel2(n, hi)
+        theta, n_max, lambda n: _orders(False, n, lo) * _orders(True, n, hi)
     )
     _warn_if_unconverged(last, total, lo / hi)
     return total
+
+
+def _around(n):
+    """Orders n[0] - 1 .. n[-1] + 1, for the recurrence (f_{n-1} - f_{n+1}) / 2."""
+    return np.arange(n[0] - 1, n[-1] + 2)
 
 
 def addition_series_h0_d1(x1, x2, theta, n_max=60):
@@ -203,9 +279,12 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
     """
     if not x2 > x1 > 0:
         raise ValueError("need x2 > x1 > 0")
-    total, last = _addition_sum(
-        x1, x2, theta, n_max, lambda n: -bessel_j_prime(n, x1) * hankel2(n, x2)
-    )
+
+    def term(n):
+        j = _orders(False, _around(n), x1)
+        return -(0.5 * (j[:-2] - j[2:])) * _orders(True, n, x2)
+
+    total, last = _addition_sum(theta, n_max, term)
     _warn_if_unconverged(last, total, x1 / x2)
     return total
 
@@ -217,9 +296,12 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
     """
     if not x2 > x1 > 0:
         raise ValueError("need x2 > x1 > 0")
-    total, last = _addition_sum(
-        x1, x2, theta, n_max, lambda n: -bessel_j(n, x1) * hankel2_prime(n, x2)
-    )
+
+    def term(n):
+        h = _orders(True, _around(n), x2)
+        return -_orders(False, n, x1) * (0.5 * (h[:-2] - h[2:]))
+
+    total, last = _addition_sum(theta, n_max, term)
     _warn_if_unconverged(last, total, x1 / x2)
     return total
 

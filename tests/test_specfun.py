@@ -1,10 +1,13 @@
 """Special-function layer against the extended-precision oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import series_loop
 from cylwave import specfun
 
 # Values frozen from the mpmath oracle (tests/oracles.py, 50 digits).
@@ -117,17 +120,29 @@ def test_recurrence_consistency():
 
 
 def test_domain_errors():
+    finite, positive = "argument must be finite", "argument must be positive"
+    cases = [
+        (0.0, positive), (-1.0, positive), (np.nan, finite), (np.inf, finite),
+        (-np.inf, finite), (-0.0, positive),
+        (np.float64(0.0), positive), (np.float64(-1.0), positive),
+        (np.float64(np.nan), finite), (np.float64(-np.inf), finite),
+        (np.array(-1.0), positive), (np.array(np.nan), finite),
+        (np.array([1.0, 2.0, -0.5]), positive), (np.array([1.0, np.inf, 2.0]), finite),
+        (np.array([-1.0, np.nan]), finite),
+    ]
     for n in (0, 1, 2):
-        for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
                 specfun.bessel_j(n, bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 specfun.hankel2(n, bad)
 
 
 def test_overflow_is_tagged_not_silent():
     with pytest.raises(specfun.BesselOverflowError):
         specfun.hankel2(500, 0.1)
+    with pytest.raises(specfun.BesselOverflowError):
+        specfun.hankel2(500, np.float64(0.1))
     with pytest.raises(specfun.BesselOverflowError):
         specfun.hankel2_prime(400, 0.2)
     with pytest.raises(specfun.BesselOverflowError):
@@ -247,6 +262,46 @@ def test_addition_series_argument_validation():
         specfun.addition_series_h0(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         specfun.addition_series_h0_d1(2.0, 1.0, 0.5)
+    for series in (
+        specfun.addition_series_h0,
+        specfun.addition_series_h0_d1,
+        specfun.addition_series_h0_d2,
+    ):
+        with pytest.raises(ValueError, match="n_max"):
+            series(1.0, 3.0, 0.7, n_max=-1)
+
+
+def _series_and_warnings(series, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = series(*args)
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("kind", ["h0", "h0_d1", "h0_d2"])
+def test_addition_series_match_the_per_order_loop_bit_for_bit(kind):
+    # Blocks of 32 orders must leave every bit of the one-order-at-a-time sum:
+    # the criterion-01 grid, n_max on both sides of each block seam, and
+    # inner radii small enough that the series is cut short by overflow.
+    series = getattr(specfun, "addition_series_" + kind)
+    cases = [
+        (x1, x1 * r, th, 220)
+        for x1 in np.linspace(1.0, 3.0, 5)
+        for r in np.linspace(1.2, 10.0, 5)
+        for th in np.linspace(0.0, np.pi, 8)
+    ]
+    for n_max in (0, 4, 31, 32, 33, 64, 65, 220):
+        cases += [(1.0, 3.0, 0.7, n_max), (2.0, 2.2, 0.3, n_max), (0.2, 0.26, 2.0, n_max)]
+    cases += [(0.2, 0.26, th, 400) for th in (0.0, 1.1, np.pi)]
+    cases += [(0.05, 0.0505, 0.4, 400), (0.5, 0.65, -2.5, 300)]
+    warned = 0
+    for case in cases:
+        got, got_warnings = _series_and_warnings(series, *case)
+        want, want_warnings = _series_and_warnings(series_loop.addition_series, kind, *case)
+        assert got == want, case
+        assert got_warnings == want_warnings, case
+        warned += bool(want_warnings)
+    assert warned > 0
 
 
 @settings(deadline=None, max_examples=60)
