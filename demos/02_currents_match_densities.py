@@ -12,7 +12,7 @@ the per-mode amplitudes settle onto their placement-free limits.
 import numpy as np
 
 from cylwave import discrete
-from cylwave.continuous import density_series
+from cylwave.continuous import density_series, mode_solve
 from cylwave.exact import Medium
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
@@ -71,10 +71,11 @@ for n_points in (41, 81, 201):
     i_modes, k_modes = discrete.mode_amplitudes(discrete.solve_circulant_dft(system))
     worst = 0.0
     for m in range(16):
-        electric, magnetic = discrete.large_n_limit_coefficients(m, EXT, 2.0, M1, M2)
+        modes = mode_solve(m, EXT, 2.0, M1, M2)
+        electric, magnetic = 4.0 * np.pi * modes.electric, 4.0 * np.pi * modes.magnetic
         worst = max(
             worst,
-            abs(n_points * i_modes[m] / EXT.amplitude - electric) / abs(electric),
-            abs(n_points * k_modes[m] / EXT.amplitude - magnetic) / abs(magnetic),
+            abs(n_points * i_modes[m] - electric) / abs(electric),
+            abs(n_points * k_modes[m] - magnetic) / abs(magnetic),
         )
     print("  N = %3d  worst relative gap over m <= 15: %.2e" % (n_points, worst))

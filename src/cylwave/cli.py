@@ -30,7 +30,6 @@ from .geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 _TWO_PI = 2.0 * np.pi
 _SCHEMA = 1
-_SOLVE_PATHS = {"auto": "auto", "dense": "dense", "fast": "dft"}
 _MISSING = object()
 # warn when the condition estimate leaves fewer than three significant digits
 _ROUNDOFF_WARNING = 1e-3
@@ -50,7 +49,6 @@ class RunConfig:
     media: tuple
     excitation: Excitation
     method: str
-    solve_path: str
     n_list: tuple
     output: dict
     sha256: str
@@ -79,11 +77,25 @@ def _entry(block, path, default=_MISSING):
     return default
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, path):
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError("%s: must be finite" % (path,))
+    return value
+
+
 def _number(block, path, default=_MISSING, positive=False):
     value = _entry(block, path, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError("%s: expected a number" % (path,))
-    value = float(value)
+    value = _finite(value, path)
     if positive and value <= 0.0:
         raise ConfigError("%s: must be positive" % (path,))
     return value
@@ -115,16 +127,23 @@ def _block(container, path):
 
 
 def _amplitude(block):
+    path = "excitation.amplitude"
     value = block.get("amplitude", 1.0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError("excitation.amplitude: expected a number or an [re, im] pair")
+    if _is_number(value):
+        return complex(_finite(value, path))
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
+        return complex(_finite(value[0], path), _finite(value[1], path))
+    raise ConfigError("%s: expected a number or an [re, im] pair" % (path,))
+
+
+def _retired(block, path, implied):
+    """Accept a retired field only when it repeats the value the geometry implies."""
+    key = path.rsplit(".", 1)[-1]
+    if key in block and block[key] != implied:
+        raise ConfigError(
+            "%s: retired, the geometry now decides it; drop the field (%s still loads)"
+            % (path, json.dumps(implied))
+        )
 
 
 def _parse_geometry(doc):
@@ -190,7 +209,7 @@ def _parse_excitation(doc):
 def _parse_solver(doc):
     solver = _block(doc, "solver")
     method = _string(solver, "solver.method", choices=("nfm", "mas", "both"))
-    path = _string(solver, "solver.path", choices=tuple(_SOLVE_PATHS), default="auto")
+    _retired(solver, "solver.path", "auto")
     if "n_list" in solver:
         raw = solver["n_list"]
         if not isinstance(raw, list):
@@ -207,10 +226,10 @@ def _parse_solver(doc):
         n_list = tuple(n_list)
     else:
         n_list = (_integer(solver, "solver.n_points", minimum=4),)
-    return method, _SOLVE_PATHS[path], n_list
+    return method, n_list
 
 
-def _parse_output(doc):
+def _parse_output(doc, curve):
     block = doc.get("output", {})
     if not isinstance(block, dict):
         raise ConfigError("output: expected an object block")
@@ -221,31 +240,27 @@ def _parse_output(doc):
             raise ConfigError("output.rings: expected a non-empty list of [radius, region] pairs")
         rings = []
         for i, pair in enumerate(raw):
+            where = "output.rings[%d]" % (i,)
             ok = (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and isinstance(pair[0], (int, float))
-                and not isinstance(pair[0], bool)
-                and pair[0] > 0
+                and _is_number(pair[0])
+                and _finite(pair[0], where) > 0
                 and pair[1] in (1, 2)
             )
             if not ok:
                 raise ConfigError(
-                    "output.rings[%d]: expected [radius, region] with positive "
-                    "radius and region 1 or 2" % (i,)
+                    "%s: expected [radius, region] with positive radius and region 1 or 2"
+                    % (where,)
                 )
             rings.append((float(pair[0]), int(pair[1])))
         rings = tuple(rings)
+    _retired(block, "output.reference", diagnostics.sweep_reference(curve))
     return {
         "directory": _string(block, "output.directory", default="out"),
         "rings": rings,
         "angles": _integer(block, "output.angles", default=36, minimum=4),
         "angle_offset": _number(block, "output.angle_offset", default=0.0),
-        "reference": _string(
-            block, "output.reference", choices=("exact", "residual"), default=None
-        )
-        if "reference" in block
-        else None,
     }
 
 
@@ -263,7 +278,7 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object at the top level")
     curve, inner, outer = _parse_geometry(doc)
-    method, solve_path, n_list = _parse_solver(doc)
+    method, n_list = _parse_solver(doc)
     return RunConfig(
         curve=curve,
         aux_inner=inner,
@@ -271,9 +286,8 @@ def load_config(path):
         media=_parse_media(doc),
         excitation=_parse_excitation(doc),
         method=method,
-        solve_path=solve_path,
         n_list=n_list,
-        output=_parse_output(doc),
+        output=_parse_output(doc, curve),
         sha256=hashlib.sha256(raw).hexdigest(),
     )
 
@@ -343,7 +357,7 @@ def _solve_single(config, method, n):
         config.media[1],
         n_points=n,
     )
-    solution = discrete.solve(system, path=config.solve_path)
+    solution = discrete.solve(system)
     loss = solution.cond_estimate * np.finfo(float).eps
     if loss > _ROUNDOFF_WARNING:
         digits = max(0, int(-math.log10(loss))) if math.isfinite(loss) else 0
@@ -476,14 +490,9 @@ def cmd_sweep(config, out_dir):
     """Scan oscillation and error over N; write sweep.csv."""
     if config.method == "both":
         raise ConfigError("solver.method: the sweep command needs 'nfm' or 'mas'")
-    reference = config.output["reference"]
-    if reference is None:
-        reference = "exact" if config.curve.kind == "circle" else "residual"
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
-    scan = diagnostics.oscillation_scan(*problem, path=config.solve_path)
-    sweep = diagnostics.convergence_sweep(
-        *problem, reference, rings=config.output["rings"], scan=scan
-    )
+    scan = diagnostics.oscillation_scan(*problem)
+    sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"], scan=scan)
     for rho, region, results in sweep.references:
         _report_series_trust(rho, region, results)
     errors = sweep.errors()

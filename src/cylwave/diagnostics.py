@@ -23,6 +23,9 @@ from .exact import critical_radius, exact_ring
 
 _TWO_PI = 2.0 * np.pi
 _RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
+# oscillation_scan flags a surface where both are exceeded at the same N
+GROWTH_THRESHOLD = 3.0
+INDEX_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,8 @@ class OscillationReport:
     vector, 1 for a sawtooth). max_amplitude is the largest entry magnitude
     and growth_factor compares it against the previous solved N of the same
     sweep (1.0 for the first). flagged marks growth_factor and
-    oscillation_index jointly above the sweep's thresholds at this N.
+    oscillation_index jointly above GROWTH_THRESHOLD and INDEX_THRESHOLD
+    at this N.
     """
 
     surface: str
@@ -91,9 +95,11 @@ class SweepPoint:
 class ConvergenceSweep:
     """Error-vs-N table for one method against a fixed reference.
 
-    For the 'exact' reference, references holds one (radius, region,
-    SeriesResult per angle) entry per observation ring, so callers can see
-    how far the series behind the errors converged.
+    reference is 'exact' on a circular boundary and 'residual' on any
+    other (see convergence_sweep). For the 'exact' reference, references
+    holds one (radius, region, SeriesResult per angle) entry per
+    observation ring, so callers can see how far the series behind the
+    errors converged.
     """
 
     method: str
@@ -162,36 +168,24 @@ def oscillation_index(values):
     return float(power[top_third].sum() / total)
 
 
-def oscillation_scan(
-    method,
-    geometry,
-    excitation,
-    media,
-    n_list,
-    growth_threshold=3.0,
-    index_threshold=0.5,
-    path="auto",
-):
+def oscillation_scan(method, geometry, excitation, media, n_list):
     """Track oscillation and amplitude growth of solved currents over N.
 
     Solves the system for every size in n_list and reports, per surface and
     per solved N in ascending order, the oscillation index, the peak
     amplitude, and its growth relative to the previous solved N. A report
-    is flagged when growth_factor > growth_threshold and
-    oscillation_index > index_threshold at the same N. A failed solve is
+    is flagged when growth_factor > GROWTH_THRESHOLD and
+    oscillation_index > INDEX_THRESHOLD at the same N. A failed solve is
     recorded under its N and the scan continues; growth then compares
     against the last N that did solve.
 
     geometry is a (boundary, inner auxiliary surface, outer auxiliary
     surface) triple and media a (region-1 medium, region-2 medium) pair.
     Surface labels are 'aux1'/'aux2' for method 'mas' and
-    'electric'/'magnetic' for method 'nfm'. path is handed to
-    discrete.solve for every N.
+    'electric'/'magnetic' for method 'nfm'.
     """
     labels = _surface_labels(method)
-    sizes, solutions, failures = _solve_sizes(
-        method, geometry, excitation, media, n_list, path
-    )
+    sizes, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     reports = {label: [] for label in labels}
     previous = {label: None for label in labels}
     for n in sizes:
@@ -209,7 +203,7 @@ def oscillation_scan(
                     oscillation_index=index,
                     max_amplitude=amplitude,
                     growth_factor=growth,
-                    flagged=bool(growth > growth_threshold and index > index_threshold),
+                    flagged=bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD),
                 )
             )
             previous[label] = amplitude
@@ -241,30 +235,30 @@ def default_rings(curve, excitation):
     return tuple(rings)
 
 
-def convergence_sweep(
-    method, geometry, excitation, media, n_list, reference, rings=None, scan=None
-):
+def sweep_reference(curve):
+    """'exact' on a circular boundary, where the separable series exists; 'residual' otherwise."""
+    return "exact" if curve.kind == "circle" else "residual"
+
+
+def convergence_sweep(method, geometry, excitation, media, n_list, rings=None, scan=None):
     """Field or residual error of one method at every N in a sweep.
 
-    reference 'exact' (circular boundaries only) compares total fields
-    against the separable series on one observation ring per region, by
-    default those of default_rings, over 36 angles offset from the
-    collocation grid; the error is the worst relative deviation over both
-    rings. Pass rings as (radius, region) pairs to override. reference
-    'residual' reports the tangential-E
-    defect of fields.boundary_residuals instead, which needs no separable
-    solution. Failed solves are recorded as in oscillation_scan; pass the
-    oscillation_scan of the same inputs as scan to reuse its solves.
+    The boundary picks the reference (sweep_reference). On a circle it is
+    'exact': total fields are compared against the separable series on one
+    observation ring per region, by default those of default_rings, over
+    36 angles offset from the collocation grid, and the error is the worst
+    relative deviation over both rings; pass rings as (radius, region)
+    pairs to override. On any other boundary it is 'residual': the
+    tangential-E defect of fields.boundary_residuals, which needs no
+    separable solution. Failed solves are recorded as in oscillation_scan;
+    pass the oscillation_scan of the same inputs as scan to reuse its
+    solves.
     """
     _surface_labels(method)
-    if reference not in ("exact", "residual"):
-        raise ValueError("reference must be 'exact' or 'residual'")
     curve = geometry[0]
-    if reference == "exact":
-        if curve.kind != "circle":
-            raise ValueError("the exact-series reference needs a circular boundary")
-        if rings is None:
-            rings = default_rings(curve, excitation)
+    reference = sweep_reference(curve)
+    if reference == "exact" and rings is None:
+        rings = default_rings(curve, excitation)
     if scan is None:
         _, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     else:
@@ -325,7 +319,7 @@ def _worker_count(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def _solve_sizes(method, geometry, excitation, media, n_list, path="auto"):
+def _solve_sizes(method, geometry, excitation, media, n_list):
     """Solve every N concurrently; results keyed by N, ascending sizes."""
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
@@ -338,7 +332,7 @@ def _solve_sizes(method, geometry, excitation, media, n_list, path="auto"):
         system = assemble(
             curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
         )
-        return discrete.solve(system, path)
+        return discrete.solve(system)
 
     solutions, failures = {}, {}
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:

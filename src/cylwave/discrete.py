@@ -6,8 +6,9 @@ line currents at N points of the boundary and cancels the total field at N
 points of each displaced surface; the source formulation places radiating
 line sources on the displaced surfaces and matches the transmission
 conditions at N boundary points. On concentric circles every block is
-circulant, which yields a per-mode 2x2 system through the DFT and, in the
-large-N limit, closed coefficient formulas free of the displaced radii. On
+circulant, which yields a per-mode 2x2 system through the DFT; as N grows
+the DFT of each amplitude vector approaches 2 pi rho_cyl times the density
+coefficients of continuous.mode_solve, free of the displaced radii. On
 centred ellipses at even N the half-turn and the mirror phi -> -phi form
 the group D2, which splits the dense solve into four independent systems
 of about N/2 each.
@@ -20,7 +21,7 @@ from scipy import fft, linalg
 from scipy.linalg import get_lapack_funcs
 
 from . import geometry, specfun
-from .exact import Medium, mode_denominator
+from .exact import Medium
 
 _TWO_PI = 2.0 * np.pi
 
@@ -578,15 +579,11 @@ def solve_circulant_dft(system):
     return DiscreteSolution(system, electric, magnetic, "dft", residual, cond, dropped)
 
 
-def solve(system, path="auto"):
-    """Dispatch to the DFT path for circulant systems, dense otherwise."""
-    if path == "auto":
-        path = "dft" if system.circulant else "dense"
-    if path == "dft":
+def solve(system):
+    """Solve on the DFT path if the system is circulant, on the dense path otherwise."""
+    if system.circulant:
         return solve_circulant_dft(system)
-    if path == "dense":
-        return solve_dense(system)
-    raise ValueError("unknown path %r" % (path,))
+    return solve_dense(system)
 
 
 def mode_amplitudes(solution):
@@ -717,28 +714,3 @@ def q_sum_coefficients(
     else:
         d = _sum(jj, hh, k2 * r_fil, k2 * r_out, +1.0, excitation.phi)
     return QSumCoefficients(m, n_points, d, b1, b2, b3, b4)
-
-
-def large_n_limit_coefficients(m, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
-    """Aux-free limits of the per-mode amplitudes, per unit source current.
-
-    As N grows, mode m of the direct circular solution approaches these
-    values: fft(electric)[m] -> amplitude * first entry, and likewise for
-    the magnetic vector. Both displaced radii cancel identically, so the
-    function never sees them; dividing by 2 pi rho_cyl recovers the
-    continuous density coefficients.
-    """
-    m = int(m)
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
-    delta = mode_denominator(m, rho_cyl, medium1, medium2)
-    if excitation.region == "external":
-        source_radial = specfun.hankel2(m, k1 * excitation.rho)
-        electric = -z1 * source_radial * specfun.bessel_j_prime(m, k2 * rho_cyl) / delta
-        magnetic = 1j * z1 * z2 * source_radial * specfun.bessel_j(m, k2 * rho_cyl) / delta
-    else:
-        source_radial = specfun.bessel_j(m, k2 * excitation.rho)
-        electric = -z2 * source_radial * specfun.hankel2_prime(m, k1 * rho_cyl) / delta
-        magnetic = 1j * z1 * z2 * source_radial * specfun.hankel2(m, k1 * rho_cyl) / delta
-    rot = np.exp(-1j * m * excitation.phi)
-    return electric * rot, magnetic * rot

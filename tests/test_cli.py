@@ -26,7 +26,7 @@ def _write_config(tmp_path, mutate=None, name="config.json"):
             "region2": {"eps_r": 4.2, "mu_r": 1.0},
         },
         "excitation": {"region": "external", "radius": 4.0, "amplitude": 1.0},
-        "solver": {"method": "nfm", "n_points": 12, "path": "auto"},
+        "solver": {"method": "nfm", "n_points": 12},
         "output": {"directory": str(tmp_path / "out")},
     }
     if mutate is not None:
@@ -60,6 +60,36 @@ def test_solve_writes_currents_and_summary(tmp_path):
     assert summary["residual"] < 1e-9
     assert set(summary["oscillation"]) == {"electric", "magnetic"}
     assert not summary["oscillation"]["electric"]["flagged"]
+
+
+_WRITES = {
+    "solve": {"currents.csv", "summary.json"},
+    "fields": {"fields.csv"},
+    "sweep": {"sweep.csv"},
+}
+
+
+def _preset_runs():
+    runs = []
+    for preset in sorted(PRESETS.glob("*.json")):
+        solver = json.loads(preset.read_text())["solver"]
+        single = "n_points" in solver
+        one_method = solver["method"] != "both"
+        for command, supported in (
+            ("solve", single and one_method),
+            ("fields", single),
+            ("sweep", one_method),
+        ):
+            if supported:
+                runs.append(pytest.param(preset, command, id="%s-%s" % (preset.stem, command)))
+    return runs
+
+
+@pytest.mark.parametrize("preset, command", _preset_runs())
+def test_every_preset_runs_each_command_it_supports(tmp_path, preset, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(preset), "--out", str(out)]) == 0
+    assert {path.name for path in out.iterdir()} == _WRITES[command]
 
 
 def test_solve_output_is_byte_identical_across_reruns(tmp_path):
@@ -109,11 +139,63 @@ def test_aux_keys_must_match_the_geometry_kind(tmp_path, capsys):
 
 
 def test_unknown_solver_path_is_rejected(tmp_path, capsys):
-    def mutate(doc):
-        doc["solver"]["path"] = "lu"
+    # the geometry picks the solve path and the sweep reference; a retired
+    # field loads only when it repeats that choice
+    for block, key, value in (
+        ("solver", "path", "lu"),
+        ("solver", "path", "dense"),
+        ("solver", "path", "fast"),
+        ("output", "reference", "residual"),
+    ):
+        def mutate(doc):
+            doc[block][key] = value
 
-    assert cli.main(["solve", "--config", str(_write_config(tmp_path, mutate))]) == 2
-    assert "solver.path" in capsys.readouterr().err
+        assert cli.main(["solve", "--config", str(_write_config(tmp_path, mutate))]) == 2
+        err = capsys.readouterr().err
+        assert "%s.%s: retired, the geometry now decides it" % (block, key) in err
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("excitation.amplitude", lambda doc: doc["excitation"].update(amplitude=float("nan"))),
+        (
+            "excitation.amplitude",
+            lambda doc: doc["excitation"].update(amplitude=[1.0, float("inf")]),
+        ),
+        ("excitation.radius", lambda doc: doc["excitation"].update(radius=float("inf"))),
+        ("excitation.angle", lambda doc: doc["excitation"].update(angle=float("inf"))),
+        ("media.region2.eps_r", lambda doc: doc["media"]["region2"].update(eps_r=float("nan"))),
+        ("geometry.radius", lambda doc: doc["geometry"].update(radius=float("inf"))),
+        (
+            "geometry.aux.outer_radius",
+            lambda doc: doc["geometry"]["aux"].update(outer_radius=10**400),
+        ),
+        (
+            "output.rings[1]",
+            lambda doc: doc["output"].update(rings=[[10.0, 1], [float("nan"), 2]]),
+        ),
+        ("output.angle_offset", lambda doc: doc["output"].update(angle_offset=float("-inf"))),
+    ],
+    ids=[
+        "amplitude",
+        "amplitude-pair",
+        "radius",
+        "angle",
+        "eps_r",
+        "geometry-radius",
+        "integer-overflow",
+        "ring-radius",
+        "angle-offset",
+    ],
+)
+def test_non_finite_numbers_are_rejected_with_a_field_path(tmp_path, capsys, field, mutate):
+    # json reads NaN and Infinity; none of them may reach the solver
+    config = _write_config(tmp_path, mutate)
+    for command in ("solve", "fields"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "cylwave: error: %s: must be finite\n" % (field,)
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_and_sweep_refuse_method_both(tmp_path, capsys):
@@ -211,7 +293,6 @@ def test_sweep_default_rings_avoid_the_filament(tmp_path):
         doc["geometry"]["aux"] = {"inner_radius": 0.5, "outer_radius": 2.5}
         doc["excitation"] = {"region": "internal", "radius": 1.0, "angle": np.pi / 36}
         doc["solver"] = {"method": "nfm", "n_list": [12, 16]}
-        doc["output"]["reference"] = "exact"
 
     out = tmp_path / "s"
     config = str(_write_config(tmp_path, mutate))
@@ -303,9 +384,9 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
     solved, rings = [], []
     solve, exact_ring = discrete.solve, diagnostics.exact_ring
 
-    def counting_solve(system, path="auto"):
+    def counting_solve(system):
         solved.append(system.n_points)
-        return solve(system, path)
+        return solve(system)
 
     def counting_rings(*args, **kwargs):
         rings.append(args)
@@ -320,30 +401,29 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
     assert [(args[1], len(args[3])) for args in rings] == [(1, 36), (2, 36)]
 
 
-@pytest.mark.parametrize("path, solved_on", [("auto", "dft"), ("dense", "dense")])
-def test_sweep_honours_the_solver_path(tmp_path, monkeypatch, path, solved_on):
+def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch):
     paths = []
     solve = discrete.solve
 
-    def recording_solve(system, path="auto"):
-        solution = solve(system, path)
+    def recording_solve(system):
+        solution = solve(system)
         paths.append((system.n_points, solution.path))
         return solution
 
     monkeypatch.setattr(discrete, "solve", recording_solve)
     preset = PRESETS / "mas-divergence.json"
     doc = json.loads(preset.read_text())
-    doc["solver"]["path"] = path
+    doc["solver"]["path"] = "auto"
+    doc["output"]["reference"] = "exact"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
-    assert sorted(paths) == [(40, solved_on), (46, solved_on)]
-    if path == "auto":
-        assert cli.main(["sweep", "--config", str(preset), "--out", str(tmp_path / "p")]) == 0
-        ours = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
-        preset_rows = (tmp_path / "p" / "sweep.csv").read_text().splitlines()
-        # the config hash on line 2 differs; every other line is the same
-        assert ours[2:] == preset_rows[2:]
+    assert sorted(paths) == [(40, "dft"), (46, "dft")]
+    assert cli.main(["sweep", "--config", str(preset), "--out", str(tmp_path / "p")]) == 0
+    ours = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    preset_rows = (tmp_path / "p" / "sweep.csv").read_text().splitlines()
+    # the config hash on line 2 differs; every other line is the same
+    assert ours[2:] == preset_rows[2:]
 
 
 def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):

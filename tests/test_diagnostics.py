@@ -190,13 +190,6 @@ def test_sizes_are_deduplicated_and_sorted():
     assert scan.n_points == (40, 46)
 
 
-def test_thresholds_are_configurable():
-    scan = diagnostics.oscillation_scan(
-        "mas", WIDE, EXT, (M1, M2), [40, 46], growth_threshold=1e9
-    )
-    assert scan.flagged_surfaces() == ()
-
-
 def test_unknown_method_and_empty_sweep_are_rejected():
     with pytest.raises(ValueError, match="method"):
         diagnostics.oscillation_scan("fem", NARROW, EXT, (M1, M2), [40])
@@ -218,9 +211,8 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 def test_coarse_grids_of_both_methods_converge_on_the_exact_series():
     geometry = _geometry(CIRCLE, 1.0, 4.0)
     for method in ("nfm", "mas"):
-        sweep = diagnostics.convergence_sweep(
-            method, geometry, EXT, (M1, M2), [10, 20], reference="exact"
-        )
+        sweep = diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), [10, 20])
+        assert sweep.reference == "exact"
         errors = sweep.errors()
         assert errors[20] < errors[10] < 0.2
         assert errors[20] < 1e-3
@@ -229,9 +221,7 @@ def test_coarse_grids_of_both_methods_converge_on_the_exact_series():
 def test_transparent_cylinder_error_decays_to_quadrature_level():
     # equal media: the series reduces to the bare incident field and the
     # solved currents must cancel their own scattered contribution
-    sweep = diagnostics.convergence_sweep(
-        "nfm", NARROW, EXT, (M1, M1), [20, 40], reference="exact"
-    )
+    sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M1), [20, 40])
     errors = sweep.errors()
     assert errors[40] < errors[20] < 2e-2
     assert errors[40] < 1e-3
@@ -240,9 +230,8 @@ def test_transparent_cylinder_error_decays_to_quadrature_level():
 def test_ellipse_residual_reference_decreases_for_nfm():
     ellipse = BoundaryCurve.ellipse(2.0, 1.6)
     geometry = _geometry(ellipse, 0.7, 1.6, by="scale")
-    sweep = diagnostics.convergence_sweep(
-        "nfm", geometry, EXT, (M1, M2), [20, 40, 60], reference="residual"
-    )
+    sweep = diagnostics.convergence_sweep("nfm", geometry, EXT, (M1, M2), [20, 40, 60])
+    assert sweep.reference == "residual"
     errors = [point.error for point in sweep.points]
     assert [point.n_points for point in sweep.points] == [20, 40, 60]
     assert errors[0] > errors[1] > errors[2]
@@ -251,9 +240,7 @@ def test_ellipse_residual_reference_decreases_for_nfm():
 def test_ellipse_mas_residual_reaches_the_metric_floor():
     ellipse = BoundaryCurve.ellipse(2.0, 1.6)
     geometry = _geometry(ellipse, 0.7, 1.6, by="scale")
-    sweep = diagnostics.convergence_sweep(
-        "mas", geometry, EXT, (M1, M2), [20, 40, 60], reference="residual"
-    )
+    sweep = diagnostics.convergence_sweep("mas", geometry, EXT, (M1, M2), [20, 40, 60])
     errors = sweep.errors()
     assert errors[40] < errors[20]
     # the residual is taken on the boundary itself, so it has no floor of its
@@ -262,29 +249,13 @@ def test_ellipse_mas_residual_reaches_the_metric_floor():
     assert errors[60] < 1e-3
 
 
-def test_exact_reference_needs_a_circle():
-    ellipse = BoundaryCurve.ellipse(2.0, 1.6)
-    geometry = _geometry(ellipse, 0.7, 1.6, by="scale")
-    with pytest.raises(ValueError, match="circular"):
-        diagnostics.convergence_sweep("nfm", geometry, EXT, (M1, M2), [20], reference="exact")
-
-
-def test_unknown_reference_is_rejected():
-    with pytest.raises(ValueError, match="reference"):
-        diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [20], reference="fem")
-
-
 def test_observation_rings_can_be_overridden():
-    sweep = diagnostics.convergence_sweep(
-        "nfm", NARROW, EXT, (M1, M2), [40], reference="exact", rings=((6.0, 1),)
-    )
+    sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [40], rings=((6.0, 1),))
     (point,) = sweep.points
     assert point.error < 1e-3
 
 
 def test_sweep_records_failures_like_the_scan():
-    sweep = diagnostics.convergence_sweep(
-        "nfm", NARROW, EXT, (M1, M2), [3, 20], reference="exact"
-    )
+    sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [3, 20])
     assert list(sweep.failures) == [3]
     assert [point.n_points for point in sweep.points] == [20]
