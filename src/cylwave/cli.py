@@ -157,26 +157,23 @@ def _parse_geometry(doc):
                 _number(geom, "geometry.semi_major", positive=True),
                 _number(geom, "geometry.semi_minor", positive=True),
             )
-        aux = _block(geom, "geometry.aux")
-        if kind == "circle":
-            inner = AuxiliarySurface.from_radius(
-                curve, _number(aux, "geometry.aux.inner_radius", positive=True)
-            )
-            outer = AuxiliarySurface.from_radius(
-                curve, _number(aux, "geometry.aux.outer_radius", positive=True)
-            )
-        else:
-            inner = AuxiliarySurface.from_scale(
-                curve, _number(aux, "geometry.aux.inner_scale", positive=True)
-            )
-            outer = AuxiliarySurface.from_scale(
-                curve, _number(aux, "geometry.aux.outer_scale", positive=True)
-            )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError("geometry: %s" % (exc,))
-    return curve, inner, outer
+    aux = _block(geom, "geometry.aux")
+    circle = kind == "circle"
+    place = AuxiliarySurface.from_radius if circle else AuxiliarySurface.from_scale
+    unit = "radius" if circle else "scale"
+    surfaces = []
+    for side in ("inner", "outer"):
+        path = "geometry.aux.%s_%s" % (side, unit)
+        value = _number(aux, path, positive=True)
+        try:
+            surfaces.append(place(curve, value, side))
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (path, exc))
+    return (curve, *surfaces)
 
 
 def _parse_media(doc):
@@ -198,12 +195,17 @@ def _parse_media(doc):
     return tuple(out)
 
 
-def _parse_excitation(doc):
+def _parse_excitation(doc, curve):
     block = _block(doc, "excitation")
     region = _string(block, "excitation.region", choices=("external", "internal"))
     radius = _number(block, "excitation.radius", positive=True)
     angle = _number(block, "excitation.angle", default=0.0)
-    return Excitation(region, radius, angle, _amplitude(block))
+    excitation = Excitation(region, radius, angle, _amplitude(block))
+    try:
+        excitation.validate_against(curve)
+    except ValueError as exc:
+        raise ConfigError("excitation.radius: %s" % (exc,))
+    return excitation
 
 
 def _parse_solver(doc):
@@ -246,6 +248,8 @@ def _parse_output(doc, curve):
                 and len(pair) == 2
                 and _is_number(pair[0])
                 and _finite(pair[0], where) > 0
+                and isinstance(pair[1], int)
+                and not isinstance(pair[1], bool)
                 and pair[1] in (1, 2)
             )
             if not ok:
@@ -253,7 +257,7 @@ def _parse_output(doc, curve):
                     "%s: expected [radius, region] with positive radius and region 1 or 2"
                     % (where,)
                 )
-            rings.append((float(pair[0]), int(pair[1])))
+            rings.append((float(pair[0]), pair[1]))
         rings = tuple(rings)
     _retired(block, "output.reference", diagnostics.sweep_reference(curve))
     return {
@@ -284,7 +288,7 @@ def load_config(path):
         aux_inner=inner,
         aux_outer=outer,
         media=_parse_media(doc),
-        excitation=_parse_excitation(doc),
+        excitation=_parse_excitation(doc, curve),
         method=method,
         n_list=n_list,
         output=_parse_output(doc, curve),
@@ -414,11 +418,12 @@ def cmd_solve(config, out_dir):
     oscillation = {}
     labels = ("aux1", "aux2") if config.method == "mas" else ("electric", "magnetic")
     for label, vec in zip(labels, (solution.electric, solution.magnetic)):
+        report = diagnostics.oscillation_report(label, n, vec)
         oscillation[label] = {
-            "oscillation_index": diagnostics.oscillation_index(vec),
-            "max_amplitude": float(np.max(np.abs(vec))),
-            "growth_factor": 1.0,
-            "flagged": False,
+            "oscillation_index": report.oscillation_index,
+            "max_amplitude": report.max_amplitude,
+            "growth_factor": report.growth_factor,
+            "flagged": report.flagged,
         }
     summary = {
         "schema": _SCHEMA,
@@ -491,8 +496,8 @@ def cmd_sweep(config, out_dir):
     if config.method == "both":
         raise ConfigError("solver.method: the sweep command needs 'nfm' or 'mas'")
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
-    scan = diagnostics.oscillation_scan(*problem)
-    sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"], scan=scan)
+    sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"])
+    scan = sweep.scan
     for rho, region, results in sweep.references:
         _report_series_trust(rho, region, results)
     errors = sweep.errors()

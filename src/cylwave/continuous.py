@@ -87,7 +87,7 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     every source position strictly off the boundary.
     """
     base = replace(excitation, phi=0.0)
-    cap = n_max if n_max is not None else _default_cap(excitation, rho_cyl, medium1, medium2)
+    cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
     psi = np.atleast_1d(np.asarray(phi, dtype=float) - excitation.phi)
 
     # both series read the same per-mode solve; each still stops on its own
@@ -164,7 +164,7 @@ def reconstruct_fields_from_densities(
         return np.zeros(shape, dtype=complex)[()]
 
     base = replace(excitation, phi=0.0)
-    cap = n_max if n_max is not None else _default_cap(
+    cap = n_max if n_max is not None else default_n_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
     phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
@@ -200,9 +200,3 @@ def reconstruct_fields_from_densities(
     elif not outside and excitation.region == "internal":
         value = value + incident_field(excitation, medium2, rho_obs, phis)
     return value.reshape(shape)[()]
-
-
-def _default_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
-    k_max = max(medium1.k, medium2.k)
-    rho_max = max(rho_cyl, excitation.rho, rho_obs or 0.0)
-    return default_n_cap(k_max, rho_max)

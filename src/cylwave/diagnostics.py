@@ -99,13 +99,15 @@ class ConvergenceSweep:
     other (see convergence_sweep). For the 'exact' reference, references
     holds one (radius, region, SeriesResult per angle) entry per
     observation ring, so callers can see how far the series behind the
-    errors converged.
+    errors converged. scan is the OscillationScan whose solutions the
+    errors were measured on.
     """
 
     method: str
     reference: str
     points: tuple
     failures: dict
+    scan: OscillationScan = field(compare=False, repr=False)
     references: tuple = field(default=(), compare=False, repr=False)
 
     def errors(self):
@@ -168,6 +170,27 @@ def oscillation_index(values):
     return float(power[top_third].sum() / total)
 
 
+def oscillation_report(surface, n_points, values, previous_amplitude=None):
+    """OscillationReport of one solved current vector.
+
+    previous_amplitude is the max_amplitude of the same surface at the
+    previous solved N of a sweep, or None for the first; growth_factor is
+    1.0 then. The report is flagged when growth_factor > GROWTH_THRESHOLD
+    and oscillation_index > INDEX_THRESHOLD.
+    """
+    amplitude = float(np.max(np.abs(values)))
+    growth = _growth(previous_amplitude, amplitude)
+    index = oscillation_index(values)
+    return OscillationReport(
+        surface=surface,
+        n_points=n_points,
+        oscillation_index=index,
+        max_amplitude=amplitude,
+        growth_factor=growth,
+        flagged=bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD),
+    )
+
+
 def oscillation_scan(method, geometry, excitation, media, n_list):
     """Track oscillation and amplitude growth of solved currents over N.
 
@@ -185,31 +208,17 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     'electric'/'magnetic' for method 'nfm'.
     """
     labels = _surface_labels(method)
-    sizes, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
+    solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     reports = {label: [] for label in labels}
     previous = {label: None for label in labels}
-    for n in sizes:
-        if n not in solutions:
-            continue
-        solution = solutions[n]
+    for n, solution in solutions.items():
         for label, vec in zip(labels, (solution.electric, solution.magnetic)):
-            amplitude = float(np.max(np.abs(vec)))
-            growth = _growth(previous[label], amplitude)
-            index = oscillation_index(vec)
-            reports[label].append(
-                OscillationReport(
-                    surface=label,
-                    n_points=n,
-                    oscillation_index=index,
-                    max_amplitude=amplitude,
-                    growth_factor=growth,
-                    flagged=bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD),
-                )
-            )
-            previous[label] = amplitude
+            report = oscillation_report(label, n, vec, previous[label])
+            reports[label].append(report)
+            previous[label] = report.max_amplitude
     return OscillationScan(
         method=method,
-        n_points=tuple(n for n in sizes if n in solutions),
+        n_points=tuple(solutions),
         reports={label: tuple(entries) for label, entries in reports.items()},
         failures=failures,
         solutions=solutions,
@@ -240,29 +249,26 @@ def sweep_reference(curve):
     return "exact" if curve.kind == "circle" else "residual"
 
 
-def convergence_sweep(method, geometry, excitation, media, n_list, rings=None, scan=None):
-    """Field or residual error of one method at every N in a sweep.
+def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
+    """Oscillation scan and field or residual error of one method over N.
 
-    The boundary picks the reference (sweep_reference). On a circle it is
-    'exact': total fields are compared against the separable series on one
-    observation ring per region, by default those of default_rings, over
-    36 angles offset from the collocation grid, and the error is the worst
-    relative deviation over both rings; pass rings as (radius, region)
-    pairs to override. On any other boundary it is 'residual': the
-    tangential-E defect of fields.boundary_residuals, which needs no
-    separable solution. Failed solves are recorded as in oscillation_scan;
-    pass the oscillation_scan of the same inputs as scan to reuse its
-    solves.
+    Runs oscillation_scan on the inputs, keeps it as the sweep's scan, and
+    measures the error of each of its solutions. The boundary picks the
+    reference (sweep_reference). On a circle it is 'exact': total fields
+    are compared against the separable series on one observation ring per
+    region, by default those of default_rings, over 36 angles offset from
+    the collocation grid, and the error is the worst relative deviation
+    over both rings; pass rings as (radius, region) pairs to override. On
+    any other boundary it is 'residual': the tangential-E defect of
+    fields.boundary_residuals, which needs no separable solution. Failed
+    solves are recorded as in oscillation_scan.
     """
-    _surface_labels(method)
     curve = geometry[0]
     reference = sweep_reference(curve)
     if reference == "exact" and rings is None:
         rings = default_rings(curve, excitation)
-    if scan is None:
-        _, solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
-    else:
-        solutions, failures = scan.solutions, scan.failures
+    scan = oscillation_scan(method, geometry, excitation, media, n_list)
+    solutions = scan.solutions
     references = ()
     if reference == "exact" and solutions:
         radius = curve.params["radius"]
@@ -273,8 +279,7 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None, s
             for rho, region in rings
         )
     points = []
-    for n in sorted(solutions):
-        solution = solutions[n]
+    for n, solution in solutions.items():
         if reference == "exact":
             error = _ring_error(solution, references)
         else:
@@ -284,7 +289,8 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None, s
         method=method,
         reference=reference,
         points=tuple(points),
-        failures=failures,
+        failures=scan.failures,
+        scan=scan,
         references=references,
     )
 
@@ -320,7 +326,7 @@ def _worker_count(n_jobs):
 
 
 def _solve_sizes(method, geometry, excitation, media, n_list):
-    """Solve every N concurrently; results keyed by N, ascending sizes."""
+    """Solve every N concurrently: (solutions, failures), each keyed by N ascending."""
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
@@ -342,7 +348,7 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
             solutions[n] = futures[n].result()
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             failures[n] = str(exc)
-    return sizes, solutions, failures
+    return solutions, failures
 
 
 def _ring_error(solution, references):

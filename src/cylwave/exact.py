@@ -91,7 +91,7 @@ def convergence_region(series_id, rho_obs, rho_cyl, rho_fil):
     return "converges" if rules[series_id] else "diverges"
 
 
-def incident_prefactor(excitation, medium):
+def incident_prefactor(medium):
     """Prefactor multiplying amplitude * H^(2)_0(k D) in the incident field.
 
     -k Z / 4 for an electric line source.
@@ -110,7 +110,7 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
         raise ValueError("observation point coincides with the source filament")
     if excitation.amplitude == 0:
         return np.zeros(np.shape(d), dtype=complex)[()]
-    pref = incident_prefactor(excitation, medium)
+    pref = incident_prefactor(medium)
     return _times(pref * excitation.amplitude, specfun.hankel2(0, medium.k * d))
 
 
@@ -138,7 +138,7 @@ def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     d = _source_distance(excitation, rho_obs, phi_obs)
     psi = phi_obs - excitation.phi
     dd_drho = (rho_obs - excitation.rho * np.cos(psi)) / d
-    pref = incident_prefactor(excitation, medium)
+    pref = incident_prefactor(medium)
     k = medium.k
     h1 = -k * specfun.hankel2(1, k * d)
     return _times(pref * excitation.amplitude, h1) * dd_drho
@@ -221,8 +221,15 @@ def _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl):
     return -amp / (2.0 * np.pi * rho_cyl)
 
 
-def default_n_cap(k_max, rho_max):
-    """Truncation cap used when the adaptive rule has not kicked in yet."""
+def default_n_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
+    """Order cap of the series of one problem: 40 + ceil(3 k_max rho_max).
+
+    k_max is the larger wavenumber and rho_max the largest of the boundary,
+    filament and (if given) observation radii. The adaptive stopping rule
+    ends a converging series well before it.
+    """
+    k_max = max(medium1.k, medium2.k)
+    rho_max = max(rho_cyl, excitation.rho, rho_obs or 0.0)
     return 40 + int(np.ceil(3.0 * k_max * rho_max))
 
 
@@ -305,61 +312,22 @@ def exact_ring(
     n_max=None,
     deriv=False,
 ):
-    """exact_field at every angle of phis on the circle rho_obs.
+    """Total field of the circular problem at every angle of phis on the circle rho_obs.
+
+    region is 1 (outside the cylinder) or 2 (inside). The ring may lie
+    anywhere the requested series converges, including the extended region
+    beyond the physical one; outside that a divergence warning is attached
+    to every result and the partial sums are returned as they are.
 
     Returns one SeriesResult per angle. The radial part of each order is
     evaluated once for the whole ring and every angle stops on its own
-    rule, so each result equals the one-angle call to the last bit. With
-    deriv=True the results are those of exact_field_radial_deriv.
+    rule, so each result equals exact_field at its angle to the last bit.
+
+    With deriv=True the results are d/d rho_obs of the field, summed term
+    by term (no numerical differencing). Tangential-H continuity checks need
+    it: H_tan in region j is proportional to (1 / (i k_j Z_j)) dE/d rho on
+    the circle.
     """
-    return _series_ring(
-        excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n_max, deriv
-    )
-
-
-def exact_field(
-    excitation,
-    region,
-    rho_obs,
-    phi_obs,
-    rho_cyl,
-    medium1=Medium(),
-    medium2=Medium(),
-    n_max=None,
-):
-    """Total field of the circular problem by direct series summation.
-
-    region is 1 (outside the cylinder) or 2 (inside). The observation point
-    may lie anywhere the requested series converges, including the extended
-    region beyond the physical one; outside that a divergence warning is
-    attached to the result and the partial sum is returned as is.
-    """
-    return _series_ring(
-        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max, False
-    )[0]
-
-
-def exact_field_radial_deriv(
-    excitation,
-    region,
-    rho_obs,
-    phi_obs,
-    rho_cyl,
-    medium1=Medium(),
-    medium2=Medium(),
-    n_max=None,
-):
-    """d/d rho_obs of exact_field, term by term (no numerical differencing).
-
-    Needed for tangential-H continuity checks, where H_tan in region j is
-    proportional to (1 / (i k_j Z_j)) dE/d rho on the circle.
-    """
-    return _series_ring(
-        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max, True
-    )[0]
-
-
-def _series_ring(excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n_max, deriv):
     series_id = series_id_for(excitation, region)
     if rho_obs <= 0.0:
         raise ValueError("observation radius must be positive")
@@ -372,9 +340,9 @@ def _series_ring(excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n
     if excitation.amplitude == 0:
         return [SeriesResult(0.0 + 0.0j, 0, 0.0, True, warning) for _ in phis]
 
-    k_max = max(medium1.k, medium2.k)
-    rho_max = max(rho_obs, rho_cyl, excitation.rho)
-    cap = n_max if n_max is not None else default_n_cap(k_max, rho_max)
+    cap = n_max if n_max is not None else default_n_cap(
+        excitation, rho_cyl, medium1, medium2, rho_obs
+    )
     pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
 
     def term(n):
@@ -402,6 +370,22 @@ def _series_ring(excitation, region, rho_obs, phis, rho_cyl, medium1, medium2, n
         )
         for i in range(phis.size)
     ]
+
+
+def exact_field(
+    excitation,
+    region,
+    rho_obs,
+    phi_obs,
+    rho_cyl,
+    medium1=Medium(),
+    medium2=Medium(),
+    n_max=None,
+):
+    """exact_ring at the one angle phi_obs: a single SeriesResult."""
+    return exact_ring(
+        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max
+    )[0]
 
 
 def predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil):

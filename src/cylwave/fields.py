@@ -25,8 +25,8 @@ class FieldSample:
     """Total electric field at one polar observation point, or on a ring.
 
     For a ring, phi and e_z are arrays over its angles. region 1 is the
-    exterior of the boundary, region 2 the interior; provenance names what
-    produced the value ('nfm', 'mas', 'exact' or 'continuous').
+    exterior of the boundary, region 2 the interior; provenance names the
+    route whose solution produced the value ('nfm' or 'mas').
     """
 
     rho: float
@@ -176,7 +176,7 @@ def boundary_traces(solution, n_test=72):
         if _incident_here(system.excitation, region):
             exc = system.excitation
             h0, dn = _monopole_traces(medium.k, pts, nrm, exc.position_xy()[None, :])
-            weight = incident_prefactor(exc, medium) * exc.amplitude
+            weight = incident_prefactor(medium) * exc.amplitude
             value = value + weight * h0[:, 0]
             slope = slope + weight * dn[:, 0]
         scaled += [value, slope / (medium.k * medium.Z)]

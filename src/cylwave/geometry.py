@@ -22,7 +22,7 @@ class BoundaryCurve:
     shared freely between threads.
     """
 
-    def __init__(self, kind, radius_fn, radius_deriv_fn=None, params=None):
+    def __init__(self, kind, radius_fn, radius_deriv_fn, params=None):
         self.kind = kind
         self._radius_fn = radius_fn
         self._radius_deriv_fn = radius_deriv_fn
@@ -61,8 +61,8 @@ class BoundaryCurve:
         return cls("ellipse", r, dr, {"semi_major": a, "semi_minor": b})
 
     @classmethod
-    def star(cls, radius_fn, radius_deriv_fn=None):
-        """Generic star-shaped curve from a closed-form r(phi) callable."""
+    def star(cls, radius_fn, radius_deriv_fn):
+        """Generic star-shaped curve from closed-form r(phi) and dr/dphi callables."""
         return cls("star", radius_fn, radius_deriv_fn, {})
 
     # -- geometry queries ---------------------------------------------------
@@ -72,15 +72,7 @@ class BoundaryCurve:
         return out if out.ndim else float(out)
 
     def radius_deriv(self, phi):
-        if self._radius_deriv_fn is not None:
-            out = np.asarray(self._radius_deriv_fn(np.asarray(phi, dtype=float)))
-            return out if out.ndim else float(out)
-        # central difference fallback for user-supplied star shapes
-        h = 1e-6
-        out = (
-            np.asarray(self._radius_fn(np.asarray(phi) + h))
-            - np.asarray(self._radius_fn(np.asarray(phi) - h))
-        ) / (2.0 * h)
+        out = np.asarray(self._radius_deriv_fn(np.asarray(phi, dtype=float)))
         return out if out.ndim else float(out)
 
     def point(self, phi):
@@ -114,15 +106,9 @@ class BoundaryCurve:
                 factor * self.params["semi_major"], factor * self.params["semi_minor"]
             )
         base_r, base_dr = self._radius_fn, self._radius_deriv_fn
-        dr = None if base_dr is None else (lambda phi: factor * base_dr(phi))
-        return BoundaryCurve("star", lambda phi: factor * base_r(phi), dr, {})
-
-    def perimeter(self, samples=4096):
-        phi = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-        r = np.asarray(self.radius(phi))
-        dr = np.asarray(self.radius_deriv(phi))
-        speed = np.sqrt(r**2 + dr**2)
-        return float(speed.mean() * _TWO_PI)
+        return BoundaryCurve.star(
+            lambda phi: factor * base_r(phi), lambda phi: factor * base_dr(phi)
+        )
 
     def contains(self, rho, phi):
         """True where the polar point lies strictly inside the curve.
@@ -191,10 +177,11 @@ class Excitation:
         return np.array([self.rho * np.cos(self.phi), self.rho * np.sin(self.phi)])
 
     def validate_against(self, curve):
-        inside = curve.contains(self.rho, self.phi)
-        if self.region == "external" and inside:
+        """Raise ValueError unless the filament lies strictly on its side of curve."""
+        r = curve.radius(self.phi)
+        if self.region == "external" and not self.rho > r:
             raise ValueError("external excitation must lie outside the boundary")
-        if self.region == "internal" and not inside:
+        if self.region == "internal" and not self.rho < r:
             raise ValueError("internal excitation must lie inside the boundary")
 
 

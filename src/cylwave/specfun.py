@@ -2,12 +2,11 @@
 
 Everything downstream (series oracle, mode systems, kernel matrices) reduces
 to J_n, Y_n and the outgoing Hankel function H^(2)_n = J_n - i Y_n of real
-positive argument, together with three classical facts:
+positive argument, together with two classical facts:
 
 * the Wronskian  J_n(x) H2'_n(x) - J'_n(x) H2_n(x) = 2/(i pi x),
 * Graf's addition theorem for H^(2)_0 of a distance between two points given
-  in polar form, plus its two first-derivative variants,
-* the large-order (Debye) leading forms, used only for diagnostics.
+  in polar form, plus its two first-derivative variants.
 
 Evaluation is delegated to scipy.special; this module adds the argument
 checking, parity folding for negative orders, and overflow tagging that the
@@ -146,28 +145,6 @@ def wronskian_residual(n, x):
     exact = 2.0 / (1j * np.pi * x)
     val = bessel_j(n, x) * hankel2_prime(n, x) - bessel_j_prime(n, x) * hankel2(n, x)
     return val - exact
-
-
-def asymptotic_large_order(kind, n, x):
-    """Leading large-order form of J, H2 or their derivatives.
-
-    kind is one of 'J', 'H2', 'Jp', 'H2p'. Validation and convergence-rate
-    analysis only; the solvers never call this.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("large-order form needs n >= 1")
-    x = _check_argument(x)
-    base = np.e * x / (2.0 * n)
-    if kind == "J":
-        return base ** n / np.sqrt(2.0 * np.pi * n)
-    if kind == "H2":
-        return 1j * np.sqrt(2.0 / (np.pi * n)) * base ** (-n)
-    if kind == "Jp":
-        return np.sqrt(n / (2.0 * np.pi)) * base ** n / x
-    if kind == "H2p":
-        return -1j * np.sqrt(2.0 * n / np.pi) * base ** (-n) / x
-    raise ValueError("kind must be 'J', 'H2', 'Jp' or 'H2p'")
 
 
 def _orders(hankel, n, x):

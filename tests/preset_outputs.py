@@ -1,0 +1,71 @@
+"""Record everything the CLI produces on the presets, for byte comparison.
+
+Usage::
+
+    OPENBLAS_NUM_THREADS=1 python tests/preset_outputs.py OUTDIR
+
+Runs every preset under ``presets/`` through ``solve``, ``fields`` and
+``sweep`` (a command that a preset does not support is recorded too, with
+its error and exit code), then ``validate --only GROUP --out`` for each
+acceptance group. Each run gets a fresh interpreter that imports cylwave
+from this checkout's ``src`` and its own directory under OUTDIR, holding:
+
+- ``out/``: the files the command wrote;
+- ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
+  by ``OUT`` so that two OUTDIRs can be compared.
+
+Run it in two checkouts at the same ``OPENBLAS_NUM_THREADS`` (dense-path
+outputs depend on the BLAS thread count), then ``diff -r A B``. This file is
+a tool, not a test; pytest does not collect it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("solve", "fields", "sweep")
+GROUPS = ("specfun", "exact", "discrete", "concordance")
+
+
+def record(run_dir, argv):
+    """Run the CLI with argv, writing into run_dir/out, and store what it printed."""
+    run_dir.mkdir(parents=True)
+    out = run_dir / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cylwave.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=run_dir,
+    )
+    for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        (run_dir / name).write_text(text.replace(str(out), "OUT"))
+    (run_dir / "exit_code").write_text("%d\n" % proc.returncode)
+    return proc.returncode
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    runs = [
+        ("%s-%s" % (preset.stem, command), [command, "--config", str(preset)])
+        for preset in sorted((ROOT / "presets").glob("*.json"))
+        for command in COMMANDS
+    ]
+    runs += [("validate-%s" % group, ["validate", "--only", group]) for group in GROUPS]
+    for name, args in runs:
+        code = record(outdir / name, args)
+        print("%-40s exit %d" % (name, code))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

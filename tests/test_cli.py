@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from cylwave import cli, diagnostics, discrete, exact, fields
+from cylwave.exact import Medium
+from cylwave.geometry import Excitation
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -198,6 +200,100 @@ def test_non_finite_numbers_are_rejected_with_a_field_path(tmp_path, capsys, fie
     assert not (tmp_path / "o").exists()
 
 
+def _ellipse(**aux):
+    def mutate(doc):
+        doc["geometry"] = {
+            "kind": "ellipse",
+            "semi_major": 2.0,
+            "semi_minor": 1.6,
+            "aux": dict({"inner_scale": 0.75, "outer_scale": 1.25}, **aux),
+        }
+
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["solve", "fields", "sweep"])
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        (
+            "geometry.aux.inner_radius",
+            lambda doc: doc["geometry"]["aux"].update(inner_radius=2.6, outer_radius=3.0),
+        ),
+        (
+            "geometry.aux.inner_radius",
+            lambda doc: doc["geometry"]["aux"].update(inner_radius=2.5, outer_radius=1.5),
+        ),
+        (
+            "geometry.aux.outer_radius",
+            lambda doc: doc["geometry"]["aux"].update(outer_radius=1.8),
+        ),
+        ("geometry.aux.inner_scale", _ellipse(inner_scale=1.2)),
+        ("geometry.aux.outer_scale", _ellipse(outer_scale=0.9)),
+        ("excitation.radius", lambda doc: doc["excitation"].update(radius=1.0)),
+        ("excitation.radius", lambda doc: doc["excitation"].update(radius=2.0)),
+        (
+            "excitation.radius",
+            lambda doc: doc["excitation"].update(region="internal", radius=3.0),
+        ),
+        ("output.rings[1]", lambda doc: doc["output"].update(rings=[[10.0, 1], [1.0, True]])),
+        ("output.rings[0]", lambda doc: doc["output"].update(rings=[[10.0, 1.0]])),
+    ],
+    ids=[
+        "inner-outside",
+        "radii-swapped",
+        "outer-inside",
+        "ellipse-inner-outside",
+        "ellipse-outer-inside",
+        "external-source-inside",
+        "external-source-on-boundary",
+        "internal-source-outside",
+        "ring-region-bool",
+        "ring-region-float",
+    ],
+)
+def test_misplaced_inputs_are_rejected_at_load_with_their_field(
+    tmp_path, capsys, command, field, mutate
+):
+    # before any solve, for both routes: a sweep used to record one failure
+    # row per N and exit 0, and the source route's divergence prediction
+    # failed on an external source inside or on the boundary
+    for method in ("nfm", "mas"):
+        def placed(doc):
+            mutate(doc)
+            doc["solver"]["method"] = method
+
+        config = _write_config(tmp_path, placed)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cylwave: error: %s: " % (field,))
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_solve_summary_reports_the_oscillation_of_a_one_size_scan(tmp_path, method):
+    path = _write_config(tmp_path, lambda doc: doc["solver"].update(method=method))
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    config = cli.load_config(path)
+    scan = diagnostics.oscillation_scan(
+        method, config.geometry(), config.excitation, config.media, config.n_list
+    )
+    want = {
+        label: {
+            "oscillation_index": report.oscillation_index,
+            "max_amplitude": report.max_amplitude,
+            "growth_factor": report.growth_factor,
+            "flagged": report.flagged,
+        }
+        for label, (report,) in scan.reports.items()
+    }
+    assert summary["oscillation"] == want
+
+
 def test_solve_and_sweep_refuse_method_both(tmp_path, capsys):
     def mutate(doc):
         doc["solver"]["method"] = "both"
@@ -311,7 +407,7 @@ def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
         return series_term(*args, **kwargs)
 
     monkeypatch.setattr(exact, "_series_term", counting)
-    cap = exact.default_n_cap(np.sqrt(4.2), 10.0)
+    cap = exact.default_n_cap(Excitation("external", 4.0), 2.0, Medium(), Medium(4.2), 10.0)
     for angles in (4, 144):
         def mutate(doc):
             doc["output"].update(rings=[[10.0, 1]], angles=angles)

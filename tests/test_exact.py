@@ -64,8 +64,8 @@ def test_tangential_h_continuous_across_boundary(exc):
     # H_tan in region j is (1 / (i k_j Z_j)) dE/d rho; the common 1/i drops out
     gaps, scale = [], 0.0
     for phi in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-        d1 = exact.exact_field_radial_deriv(exc, 1, RHO_CYL, phi, RHO_CYL, M1, M2).value
-        d2 = exact.exact_field_radial_deriv(exc, 2, RHO_CYL, phi, RHO_CYL, M1, M2).value
+        d1 = exact.exact_ring(exc, 1, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True)[0].value
+        d2 = exact.exact_ring(exc, 2, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True)[0].value
         h1, h2 = d1 / (M1.k * M1.Z), d2 / (M2.k * M2.Z)
         gaps.append(abs(h1 - h2))
         scale = max(scale, abs(h1))
@@ -128,8 +128,8 @@ def test_exterior_series_continues_smoothly_inside():
     eps = 1e-5
     f_in = exact_field(EXT, 1, RHO_CYL - eps, 0.9, RHO_CYL, M1, M2).value
     f_out = exact_field(EXT, 1, RHO_CYL + eps, 0.9, RHO_CYL, M1, M2).value
-    d_in = exact.exact_field_radial_deriv(EXT, 1, RHO_CYL - eps, 0.9, RHO_CYL, M1, M2).value
-    d_mid = exact.exact_field_radial_deriv(EXT, 1, RHO_CYL, 0.9, RHO_CYL, M1, M2).value
+    d_in = exact.exact_ring(EXT, 1, RHO_CYL - eps, [0.9], RHO_CYL, M1, M2, deriv=True)[0].value
+    d_mid = exact.exact_ring(EXT, 1, RHO_CYL, [0.9], RHO_CYL, M1, M2, deriv=True)[0].value
     assert abs(f_out - (f_in + 2.0 * eps * d_in)) < 1e-8 * abs(f_out)
     assert abs((f_out - f_in) / (2.0 * eps) - d_mid) < 1e-8 * abs(d_mid)
 
@@ -261,7 +261,7 @@ def test_divergent_observation_is_flagged():
     assert not res.converged
     assert res.warning is not None
     # the derivative series carries the same warning inside the image radius
-    res = exact.exact_field_radial_deriv(EXT_ON_AXIS, 1, 0.9, 0.0, RHO_CYL, M1, M2)
+    (res,) = exact.exact_ring(EXT_ON_AXIS, 1, 0.9, [0.0], RHO_CYL, M1, M2, deriv=True)
     assert not res.converged
     assert res.warning == "observation radius outside the convergence region of ext_R1"
 
@@ -278,11 +278,11 @@ def test_truncation_cap_respected():
 
 
 def test_invalid_inputs_rejected():
-    for series in (exact_field, exact.exact_field_radial_deriv):
+    for deriv in (False, True):
         with pytest.raises(ValueError, match="region must be 1 or 2"):
-            series(EXT, 3, 5.0, 0.0, RHO_CYL, M1, M2)
+            exact.exact_ring(EXT, 3, 5.0, [0.0], RHO_CYL, M1, M2, deriv=deriv)
         with pytest.raises(ValueError, match="observation radius must be positive"):
-            series(EXT, 1, -1.0, 0.0, RHO_CYL, M1, M2)
+            exact.exact_ring(EXT, 1, -1.0, [0.0], RHO_CYL, M1, M2, deriv=deriv)
 
 
 def test_field_regression_anchors():
@@ -317,11 +317,10 @@ PARTLY_CONVERGED = [(EXT, 2, 2.6, False), (EXT, 1, 1.45, True)]
     + ["ext_R2-partly-converged", "ext_R1-deriv-partly-converged", "ext_R2-outside"],
 )
 def test_ring_equals_point_calls_bit_for_bit(exc, region, rho_obs, deriv):
-    point = exact.exact_field_radial_deriv if deriv else exact_field
     ring = exact.exact_ring(exc, region, rho_obs, RING, RHO_CYL, M1, M2, deriv=deriv)
     assert len(ring) == RING.size
     for phi, got in zip(RING, ring):
-        want = point(exc, region, rho_obs, phi, RHO_CYL, M1, M2)
+        (want,) = exact.exact_ring(exc, region, rho_obs, [phi], RHO_CYL, M1, M2, deriv=deriv)
         assert np.array_equal(got.value, want.value)
         assert got.n_used == want.n_used
         assert got.tail_estimate == want.tail_estimate

@@ -162,47 +162,6 @@ def test_array_arguments():
     assert np.array_equal(specfun.hankel2(-1, grid), -specfun.hankel2(1, grid))
 
 
-def test_asymptotic_agreement_at_moderate_order():
-    # the first neglected correction is x^2/4/(n+1), about 2.5% here, so 5%
-    # is the honest gate for the pure leading-order forms
-    for kind, direct in (
-        ("J", specfun.bessel_j),
-        ("H2", specfun.hankel2),
-        ("Jp", specfun.bessel_j_prime),
-        ("H2p", specfun.hankel2_prime),
-    ):
-        approx = specfun.asymptotic_large_order(kind, 40, 2.0)
-        assert abs(approx - direct(40, 2.0)) < 0.05 * abs(direct(40, 2.0))
-
-
-def test_asymptotic_error_decreases_with_order():
-    # grid limited to x <= 2: the leading form's first neglected correction
-    # is (x/2)^2/n, so the 5% entry gate at n = 2 ceil(x) + 20 needs small x
-    for x in (0.5, 1.0, 2.0):
-        n0 = 2 * int(np.ceil(x)) + 20
-        errs = []
-        for n in (n0, n0 + 10, n0 + 20, n0 + 30):
-            approx = specfun.asymptotic_large_order("J", n, x)
-            exact = specfun.bessel_j(n, x)
-            errs.append(abs(approx - exact) / abs(exact))
-        assert errs[0] < 0.05
-        assert all(a > b for a, b in zip(errs, errs[1:]))
-
-
-def test_asymptotic_product_form():
-    # J ~ and H2 ~ leading forms multiply to -? 2i/(pi n)... sign check:
-    # (1/sqrt(2 pi n)) * i sqrt(2/(pi n)) = i/(pi n), independent of x.
-    for n in (10, 25, 60):
-        prod = specfun.asymptotic_large_order(
-            "J", n, 2.0
-        ) * specfun.asymptotic_large_order("H2", n, 2.0)
-        assert prod == pytest.approx(1j / (np.pi * n), rel=1e-12)
-        prod5 = specfun.asymptotic_large_order(
-            "J", n, 5.0
-        ) * specfun.asymptotic_large_order("H2", n, 5.0)
-        assert prod5 == pytest.approx(prod, rel=1e-12)
-
-
 def _distance(x1, x2, theta):
     return np.sqrt(x1**2 + x2**2 - 2 * x1 * x2 * np.cos(theta))
 
