@@ -350,18 +350,9 @@ def _report_series_trust(rho, region, results):
         )
 
 
-def _solve_single(config, method, n):
-    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
-    system = assemble(
-        config.curve,
-        config.aux_inner,
-        config.aux_outer,
-        config.excitation,
-        config.media[0],
-        config.media[1],
-        n_points=n,
-    )
-    solution = discrete.solve(system)
+def _report_roundoff(method, solution):
+    """One stderr line for a solution whose condition estimate leaves few digits."""
+    n = solution.n_points
     loss = solution.cond_estimate * np.finfo(float).eps
     if loss > _ROUNDOFF_WARNING:
         digits = max(0, int(-math.log10(loss))) if math.isfinite(loss) else 0
@@ -374,6 +365,21 @@ def _solve_single(config, method, n):
             % (method, n, solution.cond_estimate, digits, "" if digits == 1 else "s", note),
             file=sys.stderr,
         )
+
+
+def _solve_single(config, method, n):
+    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    system = assemble(
+        config.curve,
+        config.aux_inner,
+        config.aux_outer,
+        config.excitation,
+        config.media[0],
+        config.media[1],
+        n_points=n,
+    )
+    solution = discrete.solve(system)
+    _report_roundoff(method, solution)
     return solution
 
 
@@ -416,7 +422,7 @@ def cmd_solve(config, out_dir):
         "im_magnetic_density",
     ]
     oscillation = {}
-    labels = ("aux1", "aux2") if config.method == "mas" else ("electric", "magnetic")
+    labels = diagnostics.surface_labels(config.method)
     for label, vec in zip(labels, (solution.electric, solution.magnetic)):
         report = diagnostics.oscillation_report(label, n, vec)
         oscillation[label] = {
@@ -498,6 +504,8 @@ def cmd_sweep(config, out_dir):
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
     sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"])
     scan = sweep.scan
+    for solution in scan.solutions.values():
+        _report_roundoff(config.method, solution)
     for rho, region, results in sweep.references:
         _report_series_trust(rho, region, results)
     errors = sweep.errors()

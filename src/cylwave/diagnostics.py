@@ -205,9 +205,9 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     geometry is a (boundary, inner auxiliary surface, outer auxiliary
     surface) triple and media a (region-1 medium, region-2 medium) pair.
     Surface labels are 'aux1'/'aux2' for method 'mas' and
-    'electric'/'magnetic' for method 'nfm'.
+    'electric'/'magnetic' for method 'nfm' (surface_labels).
     """
-    labels = _surface_labels(method)
+    labels = surface_labels(method)
     solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
     reports = {label: [] for label in labels}
     previous = {label: None for label in labels}
@@ -295,7 +295,8 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     )
 
 
-def _surface_labels(method):
+def surface_labels(method):
+    """Names of a method's two amplitude vectors, in the order of its unknowns."""
     if method == "mas":
         return ("aux1", "aux2")
     if method == "nfm":

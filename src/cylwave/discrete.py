@@ -137,13 +137,18 @@ class DiscreteSolution:
 # -- kernels ----------------------------------------------------------------
 
 
-def monopole_matrix(k, dist, label="kernel"):
-    """H^(2)_0(k d) for a matrix of source/observation distances."""
+def _hankel2_matrix(order, k, dist, label):
+    """H^(2)_order(k d) entrywise; an overflow names the entry of least distance."""
     try:
-        return specfun.hankel2(0, k * np.asarray(dist, dtype=float))
+        return specfun.hankel2(order, k * dist)
     except specfun.BesselOverflowError as err:
         loc = np.unravel_index(int(np.argmin(dist)), np.shape(dist))
         raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
+
+
+def monopole_matrix(k, dist, label="kernel"):
+    """H^(2)_0(k d) for a matrix of source/observation distances."""
+    return _hankel2_matrix(0, k, np.asarray(dist, dtype=float), label)
 
 
 def dipole_matrix(k, obs_points, src_points, src_normals, dist=None, label="kernel"):
@@ -161,12 +166,7 @@ def dipole_matrix(k, obs_points, src_points, src_normals, dist=None, label="kern
         dist = geometry.pairwise_distances(obs, src)
     diff = src[None, :, :] - obs[:, None, :]
     cos_factor = (diff[..., 0] * nrm[None, :, 0] + diff[..., 1] * nrm[None, :, 1]) / dist
-    try:
-        h1 = specfun.hankel2(1, k * dist)
-    except specfun.BesselOverflowError as err:
-        loc = np.unravel_index(int(np.argmin(dist)), np.shape(dist))
-        raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
-    return cos_factor * h1
+    return cos_factor * _hankel2_matrix(1, k, dist, label)
 
 
 def _point_distances(points, xy):
@@ -243,6 +243,28 @@ def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
         raise ValueError("need at least 4 collocation points")
 
 
+def _collocation(curve, aux_inner, aux_outer, excitation, n_points):
+    """Checked set-up of both assemblers.
+
+    Returns (N, boundary points, boundary normals, inner-surface points,
+    outer-surface points, slice of the carried columns of each block).
+    """
+    _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
+    n_points = int(n_points)
+    c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
+    a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
+    a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
+    src = slice(0, _carried_columns(curve, aux_inner, aux_outer, n_points))
+    return n_points, c_pts, c_nrm, a1_pts, a2_pts, src
+
+
+def _carried(blocks):
+    """Evaluated (N, columns) blocks in their carried form: circulant ones as vectors."""
+    if blocks[0].shape[1] == 1:
+        return tuple(b[:, 0] for b in blocks)
+    return blocks
+
+
 # -- assembly ---------------------------------------------------------------
 
 
@@ -266,17 +288,11 @@ def assemble_nfm(
     boundary point 0 on concentric circles, against boundary points
     0..N//4 on ellipses at even N.
     """
-    _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
-    n_points = int(n_points)
+    n_points, c_pts, c_nrm, a1_pts, a2_pts, src = _collocation(
+        curve, aux_inner, aux_outer, excitation, n_points
+    )
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-
-    c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
-    a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
-    a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
-
-    columns = _carried_columns(curve, aux_inner, aux_outer, n_points)
-    src = slice(0, columns)
     d1 = geometry.pairwise_distances(a1_pts, c_pts[src])
     d2 = geometry.pairwise_distances(a2_pts, c_pts[src])
     blocks = (
@@ -285,8 +301,6 @@ def assemble_nfm(
         z2 * monopole_matrix(k2, d2, label="block z21"),
         1j * dipole_matrix(k2, a2_pts, c_pts[src], c_nrm[src], dist=d2, label="block z22"),
     )
-    if columns == 1:
-        blocks = tuple(b[:, 0] for b in blocks)
 
     amp = complex(excitation.amplitude)
     rhs = np.zeros(2 * n_points, dtype=complex)
@@ -299,7 +313,7 @@ def assemble_nfm(
         rhs[n_points:] = amp * z2 * monopole_matrix(k2, d_fil, label="rhs")
 
     return BlockSystem(
-        *blocks, rhs, "nfm",
+        *_carried(blocks), rhs, "nfm",
         curve, aux_inner, aux_outer, excitation, medium1, medium2,
     )
 
@@ -323,7 +337,7 @@ def _mas_rhs(curve, excitation, medium1, medium2, n_points):
         k, z = medium2.k, medium2.Z
         sign = -1.0
     slope = dipole_matrix(k, fil[None, :], c_pts, c_nrm, dist=d_fil[None, :], label="rhs")[0]
-    rhs[:n_points] = sign * (k * z / 4.0) * amp * specfun.hankel2(0, k * d_fil)
+    rhs[:n_points] = sign * (k * z / 4.0) * amp * monopole_matrix(k, d_fil, label="rhs")
     rhs[n_points:] = sign * (1j * k / 4.0) * amp * slope
     return rhs
 
@@ -347,17 +361,11 @@ def assemble_mas(
     every boundary point against source point 0 on concentric circles,
     against source points 0..N//4 on ellipses at even N.
     """
-    _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
-    n_points = int(n_points)
+    n_points, c_pts, c_nrm, a1_pts, a2_pts, src = _collocation(
+        curve, aux_inner, aux_outer, excitation, n_points
+    )
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-
-    c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
-    a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
-    a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
-
-    columns = _carried_columns(curve, aux_inner, aux_outer, n_points)
-    src = slice(0, columns)
     d1 = geometry.pairwise_distances(c_pts, a1_pts[src])
     d2 = geometry.pairwise_distances(c_pts, a2_pts[src])
     # dipole_matrix puts the normal at its source argument; transposing the
@@ -371,12 +379,10 @@ def assemble_mas(
         +(1j * k2 / 4.0)
         * dipole_matrix(k2, a2_pts[src], c_pts, c_nrm, dist=d2.T, label="block z22").T,
     )
-    if columns == 1:
-        blocks = tuple(b[:, 0] for b in blocks)
 
     rhs = _mas_rhs(curve, excitation, medium1, medium2, n_points)
     return BlockSystem(
-        *blocks, rhs, "mas",
+        *_carried(blocks), rhs, "mas",
         curve, aux_inner, aux_outer, excitation, medium1, medium2,
     )
 

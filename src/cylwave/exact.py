@@ -168,48 +168,30 @@ def _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deri
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     delta = mode_denominator(n, rho_cyl, medium1, medium2)
+    jj, jp = specfun.bessel_j, specfun.bessel_j_prime
+    hh, hp = specfun.hankel2, specfun.hankel2_prime
+    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
 
+    # only the ratio depends on the series; p and q are boundary mismatches
     if series_id == "ext_R1":
-        p = z1 * specfun.bessel_j_prime(n, k2 * rho_cyl) * specfun.bessel_j(
-            n, k1 * rho_cyl
-        ) - z2 * specfun.bessel_j(n, k2 * rho_cyl) * specfun.bessel_j_prime(
-            n, k1 * rho_cyl
-        )
-        obs = (
-            k1 * specfun.hankel2_prime(n, k1 * rho_obs)
-            if deriv
-            else specfun.hankel2(n, k1 * rho_obs)
-        )
-        # apply the small ratio before the second growing Hankel factor, so
-        # the product stays in float range as long as the term itself does
-        return obs * (p / delta) * specfun.hankel2(n, k1 * rho_fil)
-    if series_id == "ext_R2":
-        obs = (
-            k2 * specfun.bessel_j_prime(n, k2 * rho_obs)
-            if deriv
-            else specfun.bessel_j(n, k2 * rho_obs)
-        )
-        return obs * (1j * z1 * z2 / delta) * specfun.hankel2(n, k1 * rho_fil)
-    if series_id == "int_R1":
-        obs = (
-            k1 * specfun.hankel2_prime(n, k1 * rho_obs)
-            if deriv
-            else specfun.hankel2(n, k1 * rho_obs)
-        )
-        return obs * (1j * z1 * z2 / delta) * specfun.bessel_j(n, k2 * rho_fil)
-    if series_id == "int_R2":
-        q = z1 * specfun.hankel2(n, k1 * rho_cyl) * specfun.hankel2_prime(
-            n, k2 * rho_cyl
-        ) - z2 * specfun.hankel2_prime(n, k1 * rho_cyl) * specfun.hankel2(
-            n, k2 * rho_cyl
-        )
-        obs = (
-            k2 * specfun.bessel_j_prime(n, k2 * rho_obs)
-            if deriv
-            else specfun.bessel_j(n, k2 * rho_obs)
-        )
-        return obs * (q / delta) * specfun.bessel_j(n, k2 * rho_fil)
-    raise ValueError("unknown series id %r" % (series_id,))
+        p = z1 * jp(n, x2) * jj(n, x1) - z2 * jj(n, x2) * jp(n, x1)
+        ratio = p / delta
+    elif series_id == "int_R2":
+        q = z1 * hh(n, x1) * hp(n, x2) - z2 * hp(n, x1) * hh(n, x2)
+        ratio = q / delta
+    elif series_id in SERIES_IDS:
+        ratio = 1j * z1 * z2 / delta
+    else:
+        raise ValueError("unknown series id %r" % (series_id,))
+    # the observation factor depends on the region, the source factor on the side
+    if series_id.endswith("R1"):
+        obs = k1 * hp(n, k1 * rho_obs) if deriv else hh(n, k1 * rho_obs)
+    else:
+        obs = k2 * jp(n, k2 * rho_obs) if deriv else jj(n, k2 * rho_obs)
+    source = hh(n, k1 * rho_fil) if series_id.startswith("ext") else jj(n, k2 * rho_fil)
+    # apply the small ratio before the second growing Hankel factor, so
+    # the product stays in float range as long as the term itself does
+    return obs * ratio * source
 
 
 def _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl):

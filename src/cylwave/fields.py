@@ -203,9 +203,9 @@ def boundary_residuals(solution, n_test=72):
 def _monopole_traces(k, targets, normals, sources):
     """H^(2)_0(k r) and its derivative along the target normal, r = |x - y|."""
     dist = geometry.pairwise_distances(targets, sources)
-    diff = targets[:, None, :] - sources[None, :, :]
-    cos_factor = (diff[..., 0] * normals[:, None, 0] + diff[..., 1] * normals[:, None, 1]) / dist
-    return specfun.hankel2(0, k * dist), -k * specfun.hankel2(1, k * dist) * cos_factor
+    # the transposed dipole kernel carries the normal at the target
+    slope = dipole_matrix(k, sources, targets, normals, dist=dist.T, label="trace kernel").T
+    return monopole_matrix(k, dist, label="trace kernel"), -k * slope
 
 
 def _spectral_derivative(samples, order=1):

@@ -7,10 +7,11 @@ Usage::
 Runs every preset under ``presets/`` through ``solve``, ``fields`` and
 ``sweep`` (a command that a preset does not support is recorded too, with
 its error and exit code), then ``validate --only GROUP --out`` for each
-acceptance group. Each run gets a fresh interpreter that imports cylwave
-from this checkout's ``src`` and its own directory under OUTDIR, holding:
+acceptance group, then every script under ``demos/``. Each run gets a fresh
+interpreter that imports cylwave from this checkout's ``src`` and its own
+directory under OUTDIR, holding:
 
-- ``out/``: the files the command wrote;
+- ``out/``: the files the command wrote (CLI runs only);
 - ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
   by ``OUT`` so that two OUTDIRs can be compared.
 
@@ -31,21 +32,26 @@ GROUPS = ("specfun", "exact", "discrete", "concordance")
 
 def record(run_dir, argv):
     """Run the CLI with argv, writing into run_dir/out, and store what it printed."""
-    run_dir.mkdir(parents=True)
     out = run_dir / "out"
+    return _run(run_dir, ["-m", "cylwave.cli", *argv, "--out", str(out)], out)
+
+
+def _run(run_dir, argv, out=None):
+    """Run the interpreter with argv in run_dir and store what it printed."""
+    run_dir.mkdir(parents=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "cylwave.cli", *argv, "--out", str(out)],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=run_dir,
     )
     for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-        (run_dir / name).write_text(text.replace(str(out), "OUT"))
+        (run_dir / name).write_text(text.replace(str(out), "OUT") if out else text)
     (run_dir / "exit_code").write_text("%d\n" % proc.returncode)
     return proc.returncode
 
@@ -63,6 +69,10 @@ def main(argv):
     runs += [("validate-%s" % group, ["validate", "--only", group]) for group in GROUPS]
     for name, args in runs:
         code = record(outdir / name, args)
+        print("%-40s exit %d" % (name, code))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        name = "demo-%s" % demo.stem
+        code = _run(outdir / name, [str(demo)])
         print("%-40s exit %d" % (name, code))
     return 0
 

@@ -522,7 +522,7 @@ def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch
     assert ours[2:] == preset_rows[2:]
 
 
-def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):
+def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys, monkeypatch):
     for name, warns in (("ellipse-external-currents", True), ("circle-external-currents", False)):
         preset = str(PRESETS / (name + ".json"))
         assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / name)]) == 0
@@ -545,6 +545,28 @@ def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "; 1519 of 2048 singular values dropped as roundoff" in err
+
+    # sweep warns once per solved N in ascending order, and the table is the
+    # one it writes with the warning switched off
+    line = "cylwave: warning: %s amplitudes at N = %d: condition estimate %s leaves about %s"
+    for name, expected in (
+        ("mas-divergence", [("mas", 40, "1.3e+13", "2 significant digits"),
+                            ("mas", 46, "1.1e+15", "0 significant digits")]),
+        ("nfm-stability", [("nfm", 40, "1.3e+13", "2 significant digits"),
+                           ("nfm", 46, "1.6e+15", "0 significant digits"),
+                           ("nfm", 81, "4.7e+17", "0 significant digits"
+                            "; 66 of 162 singular values dropped as roundoff")]),
+    ):
+        preset = str(PRESETS / (name + ".json"))
+        out = tmp_path / ("sweep-" + name)
+        assert cli.main(["sweep", "--config", preset, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [line % args for args in expected]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_report_roundoff", lambda method, solution: None)
+            quiet = tmp_path / ("quiet-" + name)
+            assert cli.main(["sweep", "--config", preset, "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "sweep.csv").read_bytes() == (quiet / "sweep.csv").read_bytes()
 
 
 def test_single_n_sweep_omits_growth(tmp_path):
