@@ -84,13 +84,13 @@ def density_reconstruction():
 
 def dft_solver():
     """Criterion 03: DFT vs dense solve, and q-sums vs DFT eigenvalues."""
+    systems = {n: discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=n) for n in (5, 11, 40, 81)}
     worst_v = 0.0
-    for n in (5, 11, 40, 81):
-        system = discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=n)
+    for system in systems.values():
         dense = discrete.solve_dense(system)
         fast = discrete.solve_circulant_dft(system)
         worst_v = max(worst_v, relative_gap(fast.vector, dense.vector))
-    system = discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=11)
+    system = systems[11]
     z1, z2 = system.medium1.Z, system.medium2.Z
     worst_q = 0.0
     for m in range(11):

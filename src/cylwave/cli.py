@@ -235,6 +235,9 @@ def _parse_output(doc, curve):
     block = doc.get("output", {})
     if not isinstance(block, dict):
         raise ConfigError("output: expected an object block")
+    count = _integer(block, "output.angles", default=36, minimum=4)
+    offset = _number(block, "output.angle_offset", default=0.0)
+    angles = _TWO_PI * (np.arange(count) + offset) / count
     rings = None
     if "rings" in block:
         raw = block["rings"]
@@ -257,14 +260,17 @@ def _parse_output(doc, curve):
                     "%s: expected [radius, region] with positive radius and region 1 or 2"
                     % (where,)
                 )
+            try:
+                fields._ring_region(curve, float(pair[0]), angles, pair[1])
+            except ValueError as exc:
+                raise ConfigError("%s: %s" % (where, exc))
             rings.append((float(pair[0]), pair[1]))
         rings = tuple(rings)
     _retired(block, "output.reference", diagnostics.sweep_reference(curve))
     return {
         "directory": _string(block, "output.directory", default="out"),
         "rings": rings,
-        "angles": _integer(block, "output.angles", default=36, minimum=4),
-        "angle_offset": _number(block, "output.angle_offset", default=0.0),
+        "angles": angles,
     }
 
 
@@ -392,7 +398,7 @@ def cmd_solve(config, out_dir):
         raise ConfigError("solver.method: the solve command needs 'nfm' or 'mas'")
     n = config.single_n("solve")
     solution = _solve_single(config, config.method, n)
-    phis = _TWO_PI * np.arange(n) / n
+    phis = solution.system.nodes.phis
     dens_e, dens_m = discrete.normalized_currents(solution)
     rows = [
         [
@@ -459,8 +465,7 @@ def cmd_fields(config, out_dir):
     rings = config.output["rings"]
     if rings is None:
         rings = diagnostics.default_rings(config.curve, config.excitation)
-    count = config.output["angles"]
-    angles = _TWO_PI * (np.arange(count) + config.output["angle_offset"]) / count
+    angles = config.output["angles"]
     with_exact = config.curve.kind == "circle"
     header = ["ring_radius", "region", "angle"]
     if with_exact:

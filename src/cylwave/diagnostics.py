@@ -226,18 +226,22 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
 
 
 def default_rings(curve, excitation):
-    """Observation rings at five and at half the smallest boundary radius.
+    """One observation ring outside the boundary and one inside it.
 
-    Returns (radius, region) pairs. A ring at the filament's own radius is
-    moved out by half its radius, so that no sample angle can land on the
-    source, wherever the source sits.
+    Returns (radius, region) pairs: region 1 at five times the smallest
+    boundary radius, or at twice the largest where that is farther (an
+    elongated boundary would otherwise cross the ring), and region 2 at
+    half the smallest. A ring at the filament's own radius is moved out by
+    half its radius, so that no sample angle can land on the source,
+    wherever the source sits.
     """
     if curve.kind == "circle":
-        radius = curve.params["radius"]
+        r_min = r_max = curve.params["radius"]
     else:
-        radius = min(curve.radius(_TWO_PI * np.arange(64) / 64))
+        radii = curve.radius(_TWO_PI * np.arange(64) / 64)
+        r_min, r_max = min(radii), max(radii)
     rings = []
-    for rho, region in ((5.0 * radius, 1), (0.5 * radius, 2)):
+    for rho, region in ((max(5.0 * r_min, 2.0 * r_max), 1), (0.5 * r_min, 2)):
         if math.isclose(rho, excitation.rho):
             rho *= 1.5
         rings.append((rho, region))

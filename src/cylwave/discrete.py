@@ -31,6 +31,19 @@ class AssemblyError(ArithmeticError):
 
 
 @dataclass(frozen=True)
+class Nodes:
+    """Collocation grid of a system: the N angles of geometry.collocation_points
+    and, at them, the boundary points and outward unit normals and the points
+    of the inner and outer auxiliary surfaces, each of shape (N, 2)."""
+
+    phis: np.ndarray
+    boundary: np.ndarray
+    normals: np.ndarray
+    inner: np.ndarray
+    outer: np.ndarray
+
+
+@dataclass(frozen=True)
 class BlockSystem:
     """The 2N x 2N collocation system in its natural 2x2 block layout.
 
@@ -48,9 +61,9 @@ class BlockSystem:
       orbit of D2 on the indices meets 0..N//4 once (see _orbit_table), and
       those N//4 + 1 columns are carried, shape (N, N//4 + 1);
     - otherwise (star curves, odd N): the full block, shape (N, N).
-    matrix and named_blocks() always give full blocks. Instances are
-    treated as immutable and can be shared between threads; the arrays are
-    not defensively copied.
+    matrix and named_blocks() always give full blocks, and nodes the grid
+    they were evaluated on. Instances are treated as immutable and can be
+    shared between threads; the arrays are not defensively copied.
     """
 
     z11: np.ndarray
@@ -60,8 +73,7 @@ class BlockSystem:
     rhs: np.ndarray
     method: str
     curve: geometry.BoundaryCurve
-    aux_inner: geometry.AuxiliarySurface
-    aux_outer: geometry.AuxiliarySurface
+    nodes: Nodes
     excitation: geometry.Excitation
     medium1: Medium
     medium2: Medium
@@ -244,18 +256,12 @@ def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
 
 
 def _collocation(curve, aux_inner, aux_outer, excitation, n_points):
-    """Checked set-up of both assemblers.
-
-    Returns (N, boundary points, boundary normals, inner-surface points,
-    outer-surface points, slice of the carried columns of each block).
-    """
+    """Checked set-up of both assemblers: (Nodes, slice of the carried columns of each block)."""
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
-    n_points = int(n_points)
-    c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
-    a1_pts, _, _ = geometry.collocation_points(aux_inner.curve, n_points)
-    a2_pts, _, _ = geometry.collocation_points(aux_outer.curve, n_points)
-    src = slice(0, _carried_columns(curve, aux_inner, aux_outer, n_points))
-    return n_points, c_pts, c_nrm, a1_pts, a2_pts, src
+    boundary, normals, phis = geometry.collocation_points(curve, n_points)
+    inner, outer = aux_inner.curve.point(phis), aux_outer.curve.point(phis)
+    src = slice(0, _carried_columns(curve, aux_inner, aux_outer, len(phis)))
+    return Nodes(phis, boundary, normals, inner, outer), src
 
 
 def _carried(blocks):
@@ -288,9 +294,9 @@ def assemble_nfm(
     boundary point 0 on concentric circles, against boundary points
     0..N//4 on ellipses at even N.
     """
-    n_points, c_pts, c_nrm, a1_pts, a2_pts, src = _collocation(
-        curve, aux_inner, aux_outer, excitation, n_points
-    )
+    nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
+    n_points = len(nodes.phis)
+    c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     d1 = geometry.pairwise_distances(a1_pts, c_pts[src])
@@ -313,19 +319,18 @@ def assemble_nfm(
         rhs[n_points:] = amp * z2 * monopole_matrix(k2, d_fil, label="rhs")
 
     return BlockSystem(
-        *_carried(blocks), rhs, "nfm",
-        curve, aux_inner, aux_outer, excitation, medium1, medium2,
+        *_carried(blocks), rhs, "nfm", curve, nodes, excitation, medium1, medium2
     )
 
 
-def _mas_rhs(curve, excitation, medium1, medium2, n_points):
+def _mas_rhs(nodes, excitation, medium1, medium2):
     """Transmission-condition data at the boundary collocation points.
 
     Top half: jump of the tangential electric field moved to the right side;
     bottom half: jump of the tangential magnetic field, scaled by -i to
     match the transformed direct system.
     """
-    c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
+    c_pts, c_nrm, n_points = nodes.boundary, nodes.normals, len(nodes.phis)
     amp = complex(excitation.amplitude)
     fil = excitation.position_xy()
     d_fil = _point_distances(c_pts, fil)
@@ -361,9 +366,8 @@ def assemble_mas(
     every boundary point against source point 0 on concentric circles,
     against source points 0..N//4 on ellipses at even N.
     """
-    n_points, c_pts, c_nrm, a1_pts, a2_pts, src = _collocation(
-        curve, aux_inner, aux_outer, excitation, n_points
-    )
+    nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
+    c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     d1 = geometry.pairwise_distances(c_pts, a1_pts[src])
@@ -380,10 +384,9 @@ def assemble_mas(
         * dipole_matrix(k2, a2_pts[src], c_pts, c_nrm, dist=d2.T, label="block z22").T,
     )
 
-    rhs = _mas_rhs(curve, excitation, medium1, medium2, n_points)
+    rhs = _mas_rhs(nodes, excitation, medium1, medium2)
     return BlockSystem(
-        *_carried(blocks), rhs, "mas",
-        curve, aux_inner, aux_outer, excitation, medium1, medium2,
+        *_carried(blocks), rhs, "mas", curve, nodes, excitation, medium1, medium2
     )
 
 
@@ -402,13 +405,10 @@ def mas_from_nfm(system):
     z12 = _transpose(s_bot * system.z21)
     z21 = _transpose(s_top * system.z12)
     z22 = _transpose(s_bot * system.z22)
-    rhs = _mas_rhs(
-        system.curve, system.excitation, system.medium1, system.medium2, system.n_points
-    )
+    rhs = _mas_rhs(system.nodes, system.excitation, system.medium1, system.medium2)
     return BlockSystem(
         z11, z12, z21, z22, rhs, "mas",
-        system.curve, system.aux_inner, system.aux_outer,
-        system.excitation, system.medium1, system.medium2,
+        system.curve, system.nodes, system.excitation, system.medium1, system.medium2,
     )
 
 
@@ -609,10 +609,9 @@ def normalized_currents(solution):
     the amplitudes are.
     """
     curve = solution.system.curve
-    n = solution.n_points
-    phis = _TWO_PI * np.arange(n) / n
+    phis = solution.system.nodes.phis
     speed = np.hypot(curve.radius(phis), curve.radius_deriv(phis))
-    scale = n / (_TWO_PI * speed)
+    scale = solution.n_points / (_TWO_PI * speed)
     return scale * solution.electric, scale * solution.magnetic
 
 

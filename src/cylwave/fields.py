@@ -40,12 +40,10 @@ def _source_stacks(solution, region):
     """Radiating points, their normals (direct route only) and medium for one region."""
     system = solution.system
     medium = system.medium1 if region == 1 else system.medium2
-    n = solution.n_points
+    nodes = system.nodes
     if system.method == "nfm":
-        pts, nrm, _ = geometry.collocation_points(system.curve, n)
-        return medium, pts, nrm
-    aux = system.aux_inner if region == 1 else system.aux_outer
-    return medium, aux.curve.point(_TWO_PI * np.arange(n) / n), None
+        return medium, nodes.boundary, nodes.normals
+    return medium, nodes.inner if region == 1 else nodes.outer, None
 
 
 def _scattered_field(solution, xy, region):

@@ -2,22 +2,24 @@
 
 Usage::
 
-    OPENBLAS_NUM_THREADS=1 python tests/preset_outputs.py OUTDIR
+    python tests/preset_outputs.py OUTDIR
 
 Runs every preset under ``presets/`` through ``solve``, ``fields`` and
 ``sweep`` (a command that a preset does not support is recorded too, with
 its error and exit code), then ``validate --only GROUP --out`` for each
-acceptance group, then every script under ``demos/``. Each run gets a fresh
-interpreter that imports cylwave from this checkout's ``src`` and its own
-directory under OUTDIR, holding:
+acceptance group, then every script under ``demos/``, once with
+``OPENBLAS_NUM_THREADS=1`` into ``OUTDIR/threads-1/`` and once with
+``OPENBLAS_NUM_THREADS=2`` into ``OUTDIR/threads-2/`` (dense-path outputs
+depend on the BLAS thread count). Each run gets a fresh interpreter that
+imports cylwave from this checkout's ``src`` and its own directory there,
+holding:
 
 - ``out/``: the files the command wrote (CLI runs only);
 - ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
   by ``OUT`` so that two OUTDIRs can be compared.
 
-Run it in two checkouts at the same ``OPENBLAS_NUM_THREADS`` (dense-path
-outputs depend on the BLAS thread count), then ``diff -r A B``. This file is
-a tool, not a test; pytest does not collect it.
+Run it in two checkouts, then ``diff -r A B``. This file is a tool, not a
+test; pytest does not collect it.
 """
 
 import os
@@ -30,16 +32,19 @@ COMMANDS = ("solve", "fields", "sweep")
 GROUPS = ("specfun", "exact", "discrete", "concordance")
 
 
-def record(run_dir, argv):
+THREADS = (1, 2)
+
+
+def record(run_dir, argv, threads):
     """Run the CLI with argv, writing into run_dir/out, and store what it printed."""
     out = run_dir / "out"
-    return _run(run_dir, ["-m", "cylwave.cli", *argv, "--out", str(out)], out)
+    return _run(run_dir, ["-m", "cylwave.cli", *argv, "--out", str(out)], threads, out)
 
 
-def _run(run_dir, argv, out=None):
-    """Run the interpreter with argv in run_dir and store what it printed."""
+def _run(run_dir, argv, threads, out=None):
+    """Run the interpreter with argv in run_dir on `threads` BLAS threads; store its output."""
     run_dir.mkdir(parents=True)
-    env = dict(os.environ)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
@@ -67,13 +72,15 @@ def main(argv):
         for command in COMMANDS
     ]
     runs += [("validate-%s" % group, ["validate", "--only", group]) for group in GROUPS]
-    for name, args in runs:
-        code = record(outdir / name, args)
-        print("%-40s exit %d" % (name, code))
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        name = "demo-%s" % demo.stem
-        code = _run(outdir / name, [str(demo)])
-        print("%-40s exit %d" % (name, code))
+    for threads in THREADS:
+        base = outdir / ("threads-%d" % threads)
+        for name, args in runs:
+            code = record(base / name, args, threads)
+            print("%-50s exit %d" % ("%s/%s" % (base.name, name), code))
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            name = "demo-%s" % demo.stem
+            code = _run(base / name, [str(demo)], threads)
+            print("%-50s exit %d" % ("%s/%s" % (base.name, name), code))
     return 0
 
 

@@ -212,6 +212,14 @@ def _ellipse(**aux):
     return mutate
 
 
+def _ellipse_ring(rho, region):
+    def mutate(doc):
+        _ellipse()(doc)
+        doc["output"]["rings"] = [[rho, region]]
+
+    return mutate
+
+
 @pytest.mark.parametrize("command", ["solve", "fields", "sweep"])
 @pytest.mark.parametrize(
     "field, mutate",
@@ -238,6 +246,10 @@ def _ellipse(**aux):
         ),
         ("output.rings[1]", lambda doc: doc["output"].update(rings=[[10.0, 1], [1.0, True]])),
         ("output.rings[0]", lambda doc: doc["output"].update(rings=[[10.0, 1.0]])),
+        ("output.rings[0]", lambda doc: doc["output"].update(rings=[[1.0, 1]])),
+        ("output.rings[1]", lambda doc: doc["output"].update(rings=[[10.0, 1], [3.0, 2]])),
+        # rho = 1.8 lies inside the 2.0/1.6 ellipse at angle 0, outside at pi/2
+        ("output.rings[0]", _ellipse_ring(1.8, 1)),
     ],
     ids=[
         "inner-outside",
@@ -250,6 +262,9 @@ def _ellipse(**aux):
         "internal-source-outside",
         "ring-region-bool",
         "ring-region-float",
+        "region-1-ring-inside",
+        "region-2-ring-outside",
+        "region-1-ring-crossing-ellipse",
     ],
 )
 def test_misplaced_inputs_are_rejected_at_load_with_their_field(
@@ -357,6 +372,23 @@ def test_ellipse_fields_carry_no_exact_columns(tmp_path):
     header = (out / "fields.csv").read_text().splitlines()[2]
     assert "exact" not in header
     assert "re_nfm" in header
+
+
+def test_default_rings_clear_an_elongated_ellipse(tmp_path):
+    # five times the semi-minor axis, 1.75, lies inside the 2.0/0.35 ellipse
+    # near its major axis
+    doc = json.loads((PRESETS / "ellipse-external-fields.json").read_text())
+    doc["geometry"]["semi_minor"] = 0.35
+    del doc["output"]["rings"]
+    config = tmp_path / "elongated.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    assert cli.main(["fields", "--config", str(config), "--out", str(out)]) == 0
+    rows = _read_table(out / "fields.csv")
+    # the outer ring, at twice the semi-major axis, meets the filament at 4
+    # and moves out by half
+    radii = {r["region"]: float(r["ring_radius"]) for r in rows}
+    assert radii == pytest.approx({"1": 6.0, "2": 0.175}, rel=1e-15)
 
 
 def test_ring_through_the_filament_is_a_clean_error(tmp_path, capsys):

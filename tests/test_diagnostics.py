@@ -249,6 +249,26 @@ def test_ellipse_mas_residual_reaches_the_metric_floor():
     assert errors[60] < 1e-3
 
 
+@pytest.mark.parametrize(
+    "curve, want",
+    [
+        (CIRCLE, (10.0, 1.0)),
+        (BoundaryCurve.ellipse(2.0, 1.6), (8.0, 0.8)),
+        (BoundaryCurve.ellipse(2.0, 0.35), (4.0, 0.175)),
+    ],
+    ids=["circle", "ellipse", "elongated-ellipse"],
+)
+def test_default_rings_lie_wholly_in_their_regions(curve, want):
+    # five times the smallest radius, 1.75, cut through the 2.0/0.35 ellipse
+    rings = diagnostics.default_rings(curve, Excitation("external", 30.0))
+    assert [region for _, region in rings] == [1, 2]
+    assert [rho for rho, _ in rings] == pytest.approx(want, rel=1e-15)
+    phis = 2.0 * np.pi * np.arange(720) / 720
+    (outer, _), (inner, _) = rings
+    assert not np.any(curve.contains(outer, phis))
+    assert np.all(curve.contains(inner, phis))
+
+
 def test_observation_rings_can_be_overridden():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [40], rings=((6.0, 1),))
     (point,) = sweep.points

@@ -274,7 +274,7 @@ def test_transform_preserves_conditioning_up_to_the_row_scalings():
 def _toy_system(z11, z12, z21, z22, rhs):
     return discrete.BlockSystem(
         z11, z12, z21, z22, np.asarray(rhs, dtype=complex), "nfm",
-        CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2,
+        CIRCLE, discrete._collocation(CIRCLE, AUX_IN, AUX_OUT, EXT, 4)[0], EXT, M1, M2,
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cylwave import continuous, discrete, fields
+from cylwave import continuous, discrete, fields, geometry
 from cylwave.exact import Medium, exact_ring, incident_field
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
@@ -108,6 +108,54 @@ def test_ring_equals_point_calls_bit_for_bit(method, exc, curve, n_points):
         assert all(p.region == region for p in points)
         assert np.array_equal(ring.phi, [p.phi for p in points])
         assert np.array_equal(ring.e_z, [p.e_z for p in points])
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+def test_solved_systems_read_their_grid_instead_of_collocating_again(curve, monkeypatch):
+    n = 12
+    aux = (AuxiliarySurface.from_scale(curve, 0.75), AuxiliarySurface.from_scale(curve, 1.25))
+    systems = {
+        "nfm": discrete.assemble_nfm(curve, *aux, EXT, M1, M2, n_points=n),
+        "mas": discrete.assemble_mas(curve, *aux, EXT, M1, M2, n_points=n),
+    }
+    boundary, normals, phis = geometry.collocation_points(curve, n)
+    grid = (phis, boundary, normals) + tuple(
+        geometry.collocation_points(surface.curve, n)[0] for surface in aux
+    )
+    for system in systems.values():
+        nodes = system.nodes
+        carried = (nodes.phis, nodes.boundary, nodes.normals, nodes.inner, nodes.outer)
+        for got, want in zip(carried, grid):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    solutions = {method: discrete.solve(system) for method, system in systems.items()}
+
+    def outputs():
+        out = [fields.field_from_discrete(s, 10.0, STAGGERED).e_z for s in solutions.values()]
+        for solution in solutions.values():
+            out += discrete.normalized_currents(solution)
+        traces = fields.boundary_traces(solutions["mas"])
+        out += [traces.e_1, traces.h_1, traces.e_2, traces.h_2]
+        out.append(discrete.mas_from_nfm(systems["nfm"]).rhs)
+        return out
+
+    want = outputs()
+
+    def collocation_points(*args):
+        raise AssertionError("collocation grid built again")
+
+    point = geometry.BoundaryCurve.point
+
+    def grid_point(self, phi):
+        # the staggered test angles of boundary_traces still go through here
+        if np.array_equal(phi, phis):
+            raise AssertionError("collocation grid built again")
+        return point(self, phi)
+
+    monkeypatch.setattr(geometry, "collocation_points", collocation_points)
+    monkeypatch.setattr(geometry.BoundaryCurve, "point", grid_point)
+    got = outputs()
+    assert len(got) == len(want) == 11
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_negative_radius_raises():
