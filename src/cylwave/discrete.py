@@ -176,8 +176,9 @@ def dipole_matrix(k, obs_points, src_points, src_normals, dist=None, label="kern
     nrm = np.asarray(src_normals, dtype=float)
     if dist is None:
         dist = geometry.pairwise_distances(obs, src)
-    diff = src[None, :, :] - obs[:, None, :]
-    cos_factor = (diff[..., 0] * nrm[None, :, 0] + diff[..., 1] * nrm[None, :, 1]) / dist
+    dx = src[None, :, 0] - obs[:, None, 0]
+    dy = src[None, :, 1] - obs[:, None, 1]
+    cos_factor = (dx * nrm[None, :, 0] + dy * nrm[None, :, 1]) / dist
     return cos_factor * _hankel2_matrix(1, k, dist, label)
 
 
@@ -444,6 +445,28 @@ def _lu_solve(a, b):
     return x, a_norm, rcond
 
 
+def _d2_rows(carried, m):
+    """Rows g.p of an (N, ...) array for g = id, R, S, RS and the representatives p < m.
+
+    id, R and RS read runs of rows (0 up, N/2 up and N/2 down), taken as
+    views; only S's rows 0, N-1, N-2, ... wrap round and are gathered.
+    """
+    n = carried.shape[0]
+    h = n // 2
+    return carried[:m], carried[h:h + m], carried[-np.arange(m) % n], carried[h:h - m:-1]
+
+
+_PLUS_MINUS = {1: np.add, -1: np.subtract}
+
+
+def _d2_sum(chi, rows, index, out):
+    """out = sum_g chi(g) rows[g][index], left to right: ((Z_id +- Z_R) +- Z_S) +- Z_RS."""
+    ident, r, s, rs = (z[index] for z in rows)
+    _PLUS_MINUS[chi[1]](ident, r, out=out)
+    _PLUS_MINUS[chi[2]](out, s, out=out)
+    _PLUS_MINUS[chi[3]](out, rs, out=out)
+
+
 def _d2_solve(system):
     """Split solve of a D2 system; returns (x, applied, cond).
 
@@ -453,27 +476,43 @@ def _d2_solve(system):
     character that admits no representative ((chi(R), chi(S)) = (+, -) at
     N = 4) has no system and is skipped. The solution is x[g.l] = sum_chi chi(g)
     x_chi[l], and A x is recombined from the M_chi x_chi the same way.
+
+    Bit-identity contract: each sum runs over g = id, R, S, RS from left
+    to right, ((Z_id +- Z_R) +- Z_S) +- Z_RS, before any division. Then
+    only the columns with |Stab l| = 2 (l = 0 and l = N/4) are halved, as
+    a division by 1 changes no nonzero bit, and b_chi is divided by 4.
+    OpenBLAS's zgemm accumulates a product with the character table in the
+    same order, so every M_chi and b_chi, and so every bit of the
+    solution, equals that of the gather-and-tensordot reduction kept in
+    tests/d2_reference.py. The sums are elementwise: forming the systems
+    makes no BLAS call.
     """
     n = system.n_points
     act, rep, elem = _orbit_table(n)
     m = system.z11.shape[1]
-    orbits = act[:, :m]  # orbits[g, p] = g.p for the representatives p
-    fixed = orbits == np.arange(m)
+    fixed = act[:, :m] == np.arange(m)
     stab = fixed.sum(axis=0)
-    blocks = np.stack([system.z11, system.z12, system.z21, system.z22])[:, orbits]
-    # reduced[chi, block, p, l] and rhs[chi, row block, p] over all representatives
-    reduced = np.tensordot(_D2_CHARACTERS, blocks, axes=([1], [1])) / stab
-    rhs = np.tensordot(_D2_CHARACTERS, system.rhs.reshape(2, n)[:, orbits], axes=([1], [1])) / 4.0
+    blocks = [_d2_rows(z, m) for z in (system.z11, system.z12, system.z21, system.z22)]
+    rhs = _d2_rows(system.rhs.reshape(2, n).T, m)
     parts = np.zeros((4, 2, 2, m), dtype=complex)  # (chi, x or A x, row block, rep)
     norms, inv_norms = [], []
-    for chi, z, b, part in zip(_D2_CHARACTERS, reduced, rhs, parts):
+    for chi, part in zip(_D2_CHARACTERS, parts):
         keep = np.flatnonzero(chi @ fixed == stab)
         if keep.size == 0:
             continue
-        pairs = np.ix_(keep, keep)
-        mat = np.block([[z[0][pairs], z[1][pairs]], [z[2][pairs], z[3][pairs]]])
-        x_chi, m_norm, rcond = _lu_solve(mat, b[:, keep].ravel())
-        part[:, :, keep] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, keep.size)
+        # only 0 and N/4 have a stabiliser beyond id, so keep is a run
+        run, k = slice(keep[0], keep[-1] + 1), keep.size
+        mat = np.empty((2, k, 2, k), dtype=complex)  # (row block, p, column block, l)
+        for i, rows in enumerate(blocks):
+            _d2_sum(chi, rows, (run, run), mat[i // 2, :, i % 2])
+        stabilised = stab[run] > 1
+        mat[..., stabilised] /= stab[run][stabilised]
+        b = np.empty((2, k), dtype=complex)
+        _d2_sum(chi, rhs, run, b.T)
+        b /= 4.0
+        mat = mat.reshape(2 * k, 2 * k)
+        x_chi, m_norm, rcond = _lu_solve(mat, b.ravel())
+        part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
         norms.append(m_norm)
         inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
     x, applied = np.sum(_D2_CHARACTERS[:, None, None, elem] * parts[..., rep], axis=0)

@@ -263,7 +263,8 @@ def _quadrature_grid(curve, n_points, n_test):
     off = lag != 0
     log_sin = np.zeros((m, m))
     log_sin[off] = np.log(4.0 * np.sin(np.pi * lag[off] / m) ** 2)
-    diff = pts[:, None, :] - pts[None, :, :]
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
     return {
         "m": m,
         "rows": (2 * np.arange(n_test) + 1) * (m // (2 * n_test)),
@@ -271,10 +272,11 @@ def _quadrature_grid(curve, n_points, n_test):
         "speed": speed,
         # n . c'' / |c'|^2: the diagonal limit of n.(x - y)/r^2 is minus half of it
         "bend": np.sum(nrm * d2, axis=1) / speed**2,
-        "diff": diff,
+        "dx": dx,
+        "dy": dy,
         # 1 on the diagonal keeps the kernels finite; the product rule
         # replaces those entries by their limits
-        "dist": np.where(off, np.hypot(diff[..., 0], diff[..., 1]), 1.0),
+        "dist": np.where(off, np.hypot(dx, dy), 1.0),
         "log_sin": log_sin,
         "log_weights": _log_weights(m)[lag],
     }
@@ -303,7 +305,7 @@ def _layer_operators(grid, k, rows):
     jump across C, and the caller adds each side's jump.
     """
     dist, nrm, speed = grid["dist"], grid["nrm"], grid["speed"]
-    rdist, rdiff, rnrm = dist[rows], grid["diff"][rows], nrm[rows]
+    rdist, rdx, rdy, rnrm = dist[rows], grid["dx"][rows], grid["dy"][rows], nrm[rows]
     log_h0 = (-1j / np.pi) * specfun.bessel_j(0, k * dist)
     np.fill_diagonal(log_h0, -1j / np.pi)
     h0_diag = 1.0 - (2j / np.pi) * (np.euler_gamma + np.log(0.5 * k * speed))
@@ -311,8 +313,8 @@ def _layer_operators(grid, k, rows):
     single = _product_rule(grid, h0, log_h0, h0_diag)
     h1 = specfun.hankel2(1, k * rdist)
     log_h1 = (-1j / np.pi) * specfun.bessel_j(1, k * rdist)
-    cos_src = -(rdiff[..., 0] * nrm[None, :, 0] + rdiff[..., 1] * nrm[None, :, 1]) / rdist
-    cos_tgt = (rdiff[..., 0] * rnrm[:, None, 0] + rdiff[..., 1] * rnrm[:, None, 1]) / rdist
+    cos_src = -(rdx * nrm[None, :, 0] + rdy * nrm[None, :, 1]) / rdist
+    cos_tgt = (rdx * rnrm[:, None, 0] + rdy * rnrm[:, None, 1]) / rdist
     # both cosines tend to -bend/2 times r, and H1(k r) to 2i/(pi k r)
     bend_diag = -1j * grid["bend"][rows] / (np.pi * k)
     double = _product_rule(grid, cos_src * h1, cos_src * log_h1, bend_diag, rows)

@@ -10,6 +10,7 @@ against the continuous density coefficients.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from cylwave import continuous, discrete, fields, geometry, specfun
 from cylwave.exact import Medium, exact_field
 
+import d2_reference
 from circulant import is_circulant
 from oracles import gauss_solve
 
@@ -343,6 +345,38 @@ def test_half_turn_split_matches_the_full_lu(assemble, exc, capfd):
         assert np.isfinite(split.cond_estimate)
         assert reference.cond_estimate / 4.0 <= split.cond_estimate <= 4.0 * reference.cond_estimate
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("aux", [(ELL_IN, ELL_OUT), ELL_MILD], ids=["0.33-5.0", "0.8-1.25"])
+@pytest.mark.parametrize("exc", [ELL_EXT, geometry.Excitation("internal", 0.4, 0.9)],
+                         ids=["external", "internal"])
+@pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
+                         ids=["nfm", "mas"])
+def test_d2_split_gives_the_bits_of_the_tensordot_reduction(assemble, exc, aux):
+    # the in-place sums of each character system follow the accumulation
+    # order of the character-table product, so nothing moves, not even
+    # roundoff; N = 4 skips a character and N = 6 and 42 have N mod 4 = 2
+    for n_points in (4, 6, 8, 40, 42, 512):
+        system = assemble(ELLIPSE, *aux, exc, M1, M2, n_points=n_points)
+        assert system.d2
+        x, residual, cond = d2_reference.d2_solve(system)
+        split = discrete.solve_dense(system)
+        assert split.vector.tobytes() == x.tobytes(), n_points
+        assert (split.residual, split.cond_estimate) == (residual, cond), n_points
+
+
+def test_d2_split_stays_within_its_memory_at_n_512():
+    # one character system of about 258 unknowns (1 MiB) and its LU are
+    # alive at a time; the gather and the tensordot that formed all four at
+    # once took two (4, 4, 129, 129) arrays of 4 MiB each (12.3 MiB peak)
+    system = discrete.assemble_nfm(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=512)
+    tracemalloc.start()
+    try:
+        discrete.solve_dense(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def _ring_fields(solution):
