@@ -479,8 +479,9 @@ def _d2_solve(system):
 
     Bit-identity contract: each sum runs over g = id, R, S, RS from left
     to right, ((Z_id +- Z_R) +- Z_S) +- Z_RS, before any division. Then
-    only the columns with |Stab l| = 2 (l = 0 and l = N/4) are halved, as
-    a division by 1 changes no nonzero bit, and b_chi is divided by 4.
+    only the columns with |Stab l| = 2 (l = 0, and l = N/4 when 4 divides
+    N) are halved, as a division by 1 changes no nonzero bit, and b_chi is
+    divided by 4.
     OpenBLAS's zgemm accumulates a product with the character table in the
     same order, so every M_chi and b_chi, and so every bit of the
     solution, equals that of the gather-and-tensordot reduction kept in
