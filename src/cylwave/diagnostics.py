@@ -11,6 +11,7 @@ vectors, an a-priori verdict per auxiliary surface, and sweeps over N that
 track amplitude growth or field error.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -319,19 +320,31 @@ def _growth(previous_amplitude, amplitude):
 def _worker_count(n_jobs):
     """Worker count for sweeps; the CYLWAVE_THREADS variable caps it.
 
-    Unset, non-integer, or nonpositive values fall back to the CPU count.
+    Unset, non-integer, or nonpositive values fall back to the CPUs this
+    process may run on (its affinity mask, where the platform has one).
     """
     try:
         cap = int(os.environ.get("CYLWAVE_THREADS", ""))
     except ValueError:
         cap = 0
     if cap <= 0:
-        cap = os.cpu_count() or 1
+        try:
+            cap = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cap = os.cpu_count() or 1
     return max(1, min(n_jobs, cap))
 
 
 def _solve_sizes(method, geometry, excitation, media, n_list):
-    """Solve every N concurrently: (solutions, failures), each keyed by N ascending."""
+    """Solve every N: (solutions, failures), each keyed by N ascending.
+
+    Circulant systems (discrete.circulant_geometry) are solved in order on
+    the calling thread: at the sizes sweeps use, their DFT solves run
+    mostly in Python under the interpreter lock, so a second thread only
+    adds contention and CPU time. Every other geometry solves its sizes
+    concurrently on up to _worker_count threads, where the dense LUs
+    release the lock.
+    """
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
@@ -345,12 +358,15 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
         )
         return discrete.solve(system)
 
+    if discrete.circulant_geometry(curve, aux_inner, aux_outer):
+        results = {n: functools.partial(run, n) for n in sizes}
+    else:
+        with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
+            results = {n: pool.submit(run, n).result for n in sizes}
     solutions, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        futures = {n: pool.submit(run, n) for n in sizes}
     for n in sizes:
         try:
-            solutions[n] = futures[n].result()
+            solutions[n] = results[n]()
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             failures[n] = str(exc)
     return solutions, failures

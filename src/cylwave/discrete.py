@@ -186,16 +186,24 @@ def _point_distances(points, xy):
     return geometry.pairwise_distances(points, np.asarray(xy, dtype=float)[None, :])[:, 0]
 
 
+def circulant_geometry(curve, aux_inner, aux_outer):
+    """True when uniform collocation makes every block circulant, at any N.
+
+    That holds on three concentric circles; solve then takes the DFT path.
+    """
+    return {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)} == {"circle"}
+
+
 def _carried_columns(curve, aux_inner, aux_outer, n_points):
     """How many leading columns of each block the geometry's symmetry needs.
 
-    Uniform collocation on concentric circles makes every block circulant
-    (one column); on three centred ellipses at even N the group D2 leaves
-    one column per orbit (N//4 + 1); anything else needs all N.
+    A circulant geometry (circulant_geometry) needs one column; on three
+    centred ellipses at even N the group D2 leaves one column per orbit
+    (N//4 + 1); anything else needs all N.
     """
-    kinds = {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)}
-    if kinds == {"circle"}:
+    if circulant_geometry(curve, aux_inner, aux_outer):
         return 1
+    kinds = {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)}
     if kinds == {"ellipse"} and n_points % 2 == 0:
         return n_points // 4 + 1
     return n_points

@@ -20,8 +20,9 @@ order series (exact field, density coefficients, q-sums) pass one float per
 call, thousands of times. A float scalar is therefore checked with math
 rather than numpy reductions, which would cost several times scipy's own
 evaluation. The addition series do not go through the scalar functions at
-all: they evaluate their radial factors over blocks of orders and sum each
-block in one pass, with the same bits as the order-by-order sum.
+all: they evaluate their radial factors over blocks of orders, once for every
+angle asked for, and sum each block in one pass, with the same bits as the
+order-by-order sum at each angle.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
@@ -169,29 +170,42 @@ def _orders(hankel, n, x):
 
 
 # Orders per block of an addition series. AMOS spends about a microsecond on
-# each order above the argument, and a point of the criterion-01 grid uses
-# about 49 of its 221 orders, so evaluating all of them at once costs 0.068 s
-# on that grid against 0.025 s in blocks of 32 (16: 0.036 s, 64: 0.030 s;
-# one order at a time: 0.23 s) on a 2-core Xeon.
+# each order above the argument, and a radius pair of the criterion-01 grid
+# (its 8 angles summed in one call) uses about 48 of its 221 orders, so
+# evaluating all of them at once costs 0.016 s on that grid against 0.007 s
+# in blocks of 32 (8: 0.015 s, 16: 0.010 s, 64: 0.008 s) on a 2-core Xeon,
+# CPU time at one BLAS thread. One call per angle, in blocks of 32, cost
+# 0.054 s.
 _BLOCK = 32
 
 
 def _addition_sum(theta, n_max, term):
     """Common summation for the three addition-theorem partial sums.
 
-    term(n) must return the products of radial factors for an array n of
-    consecutive orders >= 0, non-finite where an order overflows; the angular
-    factor and the +/-n symmetry (all three kernels are even in n) are handled
-    here. Orders go in blocks of _BLOCK. Within a block the running sum is a
-    sequential np.add.accumulate of 2 t cos(n theta), so every partial sum has
-    the bits of adding the terms one by one. Stops once three consecutive
-    terms fall below roundoff relative to the running sum (the streak carries
-    across blocks), or before the first non-finite term. Returns the sum and
-    the magnitude of the last term added.
+    theta is one angle or a 1-D array of angles; the radial factors are
+    evaluated once for all of them. term(n) must return the products of
+    radial factors for an array n of consecutive orders >= 0, non-finite
+    where an order overflows; the angular factor and the +/-n symmetry (all
+    three kernels are even in n) are handled here. Orders go in blocks of
+    _BLOCK. Within a block each angle's running sum is a sequential
+    np.add.accumulate of 2 t cos(n theta), so every partial sum has the bits
+    of adding the terms one by one at that angle alone. An angle stops once
+    three consecutive terms fall below roundoff relative to its running sum
+    (the streak carries across blocks); every angle stops before the first
+    non-finite term. Returns the sums and the magnitudes of the last terms
+    added, each shaped like theta (a complex and a float for one angle).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    streak = 0
+    angles = np.asarray(theta, dtype=float)
+    if angles.ndim > 1:
+        raise ValueError("theta must be one angle or a 1-D array of angles")
+    single = angles.ndim == 0
+    angles = angles.reshape(-1)
+    total = np.empty(angles.size, dtype=complex)
+    last = np.empty(angles.size)
+    streak = [0] * angles.size
+    active = np.arange(angles.size)
     for start in range(0, n_max + 1, _BLOCK):
         n = np.arange(start, min(start + _BLOCK, n_max + 1))
         # overflowing orders may meet 0 * inf; they are cut off below
@@ -200,28 +214,35 @@ def _addition_sum(theta, n_max, term):
         if start == 0:
             if not cmath.isfinite(t[0]):
                 raise BesselOverflowError("addition series overflows at order 0")
-            total = complex(t[0])
-            last = abs(total)
+            total[:] = t[0]
+            last[:] = abs(complex(t[0]))
             n, t = n[1:], t[1:]
         finite = np.isfinite(t)
         stop = t.size if finite.all() else int(finite.argmin())
         if stop == 0:
             break
         n, t = n[:stop], t[:stop]
-        part = 2.0 * t * np.cos(n * theta)
-        part[0] += total
-        running = np.add.accumulate(part)
+        part = 2.0 * t * np.cos(n * angles[active, None])
+        part[:, 0] += total[active]
+        running = np.add.accumulate(part, axis=1)
         mag = np.hypot(t.real, t.imag)
         small = 2.0 * mag < 1e-14 * np.maximum(np.hypot(running.real, running.imag), 1e-300)
-        end = stop
-        for i, is_small in enumerate(small.tolist()):
-            streak = streak + 1 if is_small else 0
-            if streak >= 3:
-                end = i + 1
-                break
-        total, last = complex(running[end - 1]), float(mag[end - 1])
-        if streak >= 3 or stop < finite.size:
+        going = []
+        for row, a in enumerate(active.tolist()):
+            end = stop
+            for i, is_small in enumerate(small[row].tolist()):
+                streak[a] = streak[a] + 1 if is_small else 0
+                if streak[a] >= 3:
+                    end = i + 1
+                    break
+            total[a], last[a] = running[row, end - 1], mag[end - 1]
+            if streak[a] < 3:
+                going.append(a)
+        active = np.array(going, dtype=int)
+        if not going or stop < finite.size:
             break
+    if single:
+        return complex(total[0]), float(last[0])
     return total, last
 
 
@@ -230,6 +251,9 @@ def addition_series_h0(x1, x2, theta, n_max=60):
 
     Sums J_n(min) H2_n(max) e^{i n theta} over |n| <= n_max, which converges
     to H^(2)_0(sqrt(x1^2 + x2^2 - 2 x1 x2 cos theta)) whenever x1 != x2.
+    theta is one angle (a complex comes back) or a 1-D array of angles (an
+    array comes back); each angle gets the bits and the warning of its own
+    one-angle call.
     """
     if x1 <= 0 or x2 <= 0:
         raise ValueError("radii must be positive")
@@ -252,7 +276,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
     """Partial sum of -sum_n J'_n(x1) H2_n(x2) e^{i n theta}, for x2 > x1.
 
     Equals the cosine-weighted H^(2)_1 kernel
-    ((x1 - x2 cos theta)/d) H^(2)_1(d), d the two-point distance.
+    ((x1 - x2 cos theta)/d) H^(2)_1(d), d the two-point distance. theta is
+    one angle or a 1-D array of them, as in addition_series_h0.
     """
     if not x2 > x1 > 0:
         raise ValueError("need x2 > x1 > 0")
@@ -269,7 +294,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
 def addition_series_h0_d2(x1, x2, theta, n_max=60):
     """Partial sum of -sum_n J_n(x1) H2'_n(x2) e^{i n theta}, for x2 > x1.
 
-    Equals ((x2 - x1 cos theta)/d) H^(2)_1(d).
+    Equals ((x2 - x1 cos theta)/d) H^(2)_1(d). theta is one angle or a 1-D
+    array of them, as in addition_series_h0.
     """
     if not x2 > x1 > 0:
         raise ValueError("need x2 > x1 > 0")
@@ -284,13 +310,18 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
 
 
 def _warn_if_unconverged(last_term, total, ratio):
+    """Warn once per angle whose sum's tail estimate is not below tolerance.
+
+    last_term and total are one angle's values or arrays over the angles.
+    """
     import warnings
 
-    # geometric tail bound from the radius ratio of the two points
-    bound = 2.0 * abs(last_term) * ratio / max(1e-300, 1.0 - ratio)
-    if bound > 1e-10 * max(abs(total), 1e-300):
-        warnings.warn(
-            "addition series tail estimate %.3g not below tolerance; "
-            "increase n_max" % bound,
-            stacklevel=3,
-        )
+    for last, value in zip(np.ravel(last_term).tolist(), np.ravel(total).tolist()):
+        # geometric tail bound from the radius ratio of the two points
+        bound = 2.0 * abs(last) * ratio / max(1e-300, 1.0 - ratio)
+        if bound > 1e-10 * max(abs(value), 1e-300):
+            warnings.warn(
+                "addition series tail estimate %.3g not below tolerance; "
+                "increase n_max" % bound,
+                stacklevel=3,
+            )

@@ -12,8 +12,10 @@ from cylwave import specfun
 
 
 def _loop_sum(theta, n_max, term):
+    """(sum, magnitude of the last term added, order of that term)."""
     total = term(0)
     last = abs(total)
+    order = 0
     small_streak = 0
     for n in range(1, n_max + 1):
         try:
@@ -22,13 +24,24 @@ def _loop_sum(theta, n_max, term):
             break
         total = total + 2.0 * t * np.cos(n * theta)
         last = abs(t)
+        order = n
         if 2.0 * last < 1e-14 * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
                 break
         else:
             small_streak = 0
-    return total, last
+    return total, last, order
+
+
+def _term(kind, x1, x2):
+    j, jp = specfun.bessel_j, specfun.bessel_j_prime
+    h, hp = specfun.hankel2, specfun.hankel2_prime
+    return {
+        "h0": lambda n: j(n, x1) * h(n, x2),
+        "h0_d1": lambda n: -jp(n, x1) * h(n, x2),
+        "h0_d2": lambda n: -j(n, x1) * hp(n, x2),
+    }[kind]
 
 
 def addition_series(kind, x1, x2, theta, n_max):
@@ -37,13 +50,11 @@ def addition_series(kind, x1, x2, theta, n_max):
     kind is 'h0', 'h0_d1' or 'h0_d2'. Warns as the package does when the
     tail estimate is not below tolerance.
     """
-    j, jp = specfun.bessel_j, specfun.bessel_j_prime
-    h, hp = specfun.hankel2, specfun.hankel2_prime
-    term = {
-        "h0": lambda n: j(n, x1) * h(n, x2),
-        "h0_d1": lambda n: -jp(n, x1) * h(n, x2),
-        "h0_d2": lambda n: -j(n, x1) * hp(n, x2),
-    }[kind]
-    total, last = _loop_sum(theta, n_max, term)
+    total, last, _ = _loop_sum(theta, n_max, _term(kind, x1, x2))
     specfun._warn_if_unconverged(last, total, x1 / x2)
     return total
+
+
+def last_order(kind, x1, x2, theta, n_max):
+    """The highest order addition_series adds before it stops."""
+    return _loop_sum(theta, n_max, _term(kind, x1, x2))[2]

@@ -1,5 +1,7 @@
 """Divergence prediction, oscillation scans, and convergence sweeps."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +30,7 @@ def _geometry(curve, inner, outer, by="radius"):
 
 WIDE = _geometry(CIRCLE, 0.5, 10.0)
 NARROW = _geometry(CIRCLE, 1.5, 2.5)
+ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 
 
 # -- predict_mas_divergence --------------------------------------------------
@@ -197,12 +200,64 @@ def test_unknown_method_and_empty_sweep_are_rejected():
         diagnostics.oscillation_scan("mas", NARROW, EXT, (M1, M2), [])
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
+@pytest.mark.parametrize(
+    "geometry, n_list",
+    [(WIDE, [40, 46]), (ELLIPSE, [16, 20, 24])],
+    ids=["circle", "ellipse"],
+)
+def test_thread_cap_does_not_change_results(monkeypatch, geometry, n_list):
     monkeypatch.setenv("CYLWAVE_THREADS", "1")
-    serial = diagnostics.oscillation_scan("mas", WIDE, EXT, (M1, M2), [40, 46])
+    serial = diagnostics.oscillation_scan("mas", geometry, EXT, (M1, M2), n_list)
     monkeypatch.setenv("CYLWAVE_THREADS", "not a number")
-    fallback = diagnostics.oscillation_scan("mas", WIDE, EXT, (M1, M2), [40, 46])
+    fallback = diagnostics.oscillation_scan("mas", geometry, EXT, (M1, M2), n_list)
     assert serial.reports == fallback.reports
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a circle sweep must not start a thread pool")
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_circle_scans_solve_on_the_calling_thread(monkeypatch, method):
+    want = diagnostics.oscillation_scan(method, WIDE, EXT, (M1, M2), [40, 46, 3])
+    monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", _NoPool)
+    got = diagnostics.oscillation_scan(method, WIDE, EXT, (M1, M2), [40, 46, 3])
+    assert got.reports == want.reports
+    assert got.failures == want.failures
+    sweep = diagnostics.convergence_sweep(method, WIDE, EXT, (M1, M2), [20, 24])
+    assert tuple(sweep.errors()) == (20, 24)
+
+
+def test_ellipse_scans_solve_their_sizes_on_the_pool(monkeypatch):
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", Pool)
+    monkeypatch.setenv("CYLWAVE_THREADS", "2")
+    scan = diagnostics.oscillation_scan("nfm", ELLIPSE, EXT, (M1, M2), [16, 20, 3])
+    assert started == [2]
+    assert scan.n_points == (16, 20)
+    assert list(scan.failures) == [3]
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("CYLWAVE_THREADS", raising=False)
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert diagnostics._worker_count(4) == 1
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert diagnostics._worker_count(4) == 3
+    assert diagnostics._worker_count(2) == 2
+    monkeypatch.setenv("CYLWAVE_THREADS", "2")
+    assert diagnostics._worker_count(4) == 2
+    monkeypatch.delenv("CYLWAVE_THREADS")
+    monkeypatch.delattr(diagnostics.os, "sched_getaffinity")
+    assert diagnostics._worker_count(16) == 8
 
 
 # -- convergence_sweep -------------------------------------------------------

@@ -228,6 +228,8 @@ def test_addition_series_argument_validation():
     ):
         with pytest.raises(ValueError, match="n_max"):
             series(1.0, 3.0, 0.7, n_max=-1)
+        with pytest.raises(ValueError, match="1-D"):
+            series(1.0, 3.0, np.zeros((2, 2)))
 
 
 def _series_and_warnings(series, *args):
@@ -261,6 +263,31 @@ def test_addition_series_match_the_per_order_loop_bit_for_bit(kind):
         assert got_warnings == want_warnings, case
         warned += bool(want_warnings)
     assert warned > 0
+    # Each radius pair's angles in one call (two more angles added to every
+    # pair) must give every angle the bits and the warning of its own call,
+    # also where the angles stop at different orders.
+    pairs = {}
+    for x1, x2, th, n_max in cases:
+        pairs.setdefault((x1, x2, n_max), [0.4, -1.7]).append(th)
+    warned = spread = 0
+    for (x1, x2, n_max), angles in pairs.items():
+        got, got_warnings = _series_and_warnings(series, x1, x2, np.array(angles), n_max)
+        want, want_warnings = [], []
+        for th in angles:
+            value, caught = _series_and_warnings(
+                series_loop.addition_series, kind, x1, x2, th, n_max
+            )
+            want.append(value)
+            want_warnings += caught
+        case = (x1, x2, angles, n_max)
+        assert got.shape == (len(angles),), case
+        assert got.tobytes() == np.array(want, dtype=complex).tobytes(), case
+        assert got_warnings == want_warnings, case
+        warned += bool(want_warnings)
+        orders = {series_loop.last_order(kind, x1, x2, th, n_max) for th in angles}
+        spread += len(orders) > 1
+    assert warned > 0
+    assert spread > 0
 
 
 @settings(deadline=None, max_examples=60)
