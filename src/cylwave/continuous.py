@@ -37,40 +37,54 @@ class DensityCoefficients:
     magnetic: complex  # coefficient of M_phi (magnetic surface current)
 
 
-def _matching_matrix(n, rho_cyl, medium1, medium2):
+def _density_orders(excitation, rho_cyl, medium1, medium2, j=(), h=()):
+    """An order table with every argument mode_solve reads, plus j and h."""
+    j, h = (medium2.k * rho_cyl,) + tuple(j), (medium1.k * rho_cyl,) + tuple(h)
+    if excitation.region == "external":
+        h += (medium1.k * excitation.rho,)
+    else:
+        j += (medium2.k * excitation.rho,)
+    return specfun.OrderTable(j=j, h=h)
+
+
+def _matching_matrix(n, rho_cyl, medium1, medium2, orders):
     """2x2 system matching E_z and H_phi of the two density radiations."""
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     return (
-        specfun.hankel2(n, k1 * rho_cyl),
-        specfun.hankel2_prime(n, k1 * rho_cyl) / (1j * z1),
-        specfun.bessel_j(n, k2 * rho_cyl),
-        specfun.bessel_j_prime(n, k2 * rho_cyl) / (1j * z2),
+        orders.hankel2(n, k1 * rho_cyl),
+        orders.hankel2_prime(n, k1 * rho_cyl) / (1j * z1),
+        orders.bessel_j(n, k2 * rho_cyl),
+        orders.bessel_j_prime(n, k2 * rho_cyl) / (1j * z2),
     )
 
 
-def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
+def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium(), orders=None):
     """Density coefficients of mode n for a line source on either side.
 
     The exterior radiation of J_z and M_phi matches the source's field on a
     circle inside the boundary, the interior radiation matches on a circle
     outside; both auxiliary radii cancel identically, leaving a system on
-    the boundary alone. Source rotation enters as exp(-i n phi_fil).
+    the boundary alone. Source rotation enters as exp(-i n phi_fil). orders
+    is the caller's table from _density_orders; without one the call
+    evaluates its own.
     """
     n = int(n)
     m = abs(n)
-    a11, a12, a21, a22 = _matching_matrix(m, rho_cyl, medium1, medium2)
+    if orders is None:
+        orders = _density_orders(excitation, rho_cyl, medium1, medium2)
+    a11, a12, a21, a22 = _matching_matrix(m, rho_cyl, medium1, medium2, orders)
     det = a11 * a22 - a12 * a21
     if abs(det) < DET_FLOOR:
         raise ArithmeticError("matching system singular at mode n=%d" % n)
 
     amp = excitation.amplitude
     if excitation.region == "external":
-        b1 = -amp * specfun.hankel2(m, medium1.k * excitation.rho) / (_TWO_PI * rho_cyl)
+        b1 = -amp * orders.hankel2(m, medium1.k * excitation.rho) / (_TWO_PI * rho_cyl)
         b2 = 0.0
     else:
         b1 = 0.0
-        b2 = amp * specfun.bessel_j(m, medium2.k * excitation.rho) / (_TWO_PI * rho_cyl)
+        b2 = amp * orders.bessel_j(m, medium2.k * excitation.rho) / (_TWO_PI * rho_cyl)
 
     electric = (b1 * a22 - a12 * b2) / det
     magnetic = (a11 * b2 - b1 * a21) / det
@@ -89,11 +103,12 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
     psi = np.atleast_1d(np.asarray(phi, dtype=float) - excitation.phi)
+    orders = _density_orders(base, rho_cyl, medium1, medium2)
 
     # both series read the same per-mode solve; each still stops on its own
     @lru_cache(maxsize=None)
     def coefficients(n):
-        return mode_solve(n, base, rho_cyl, medium1, medium2)
+        return mode_solve(n, base, rho_cyl, medium1, medium2, orders)
 
     j_z, _, _, ok_j, _ = _sum_adaptive(lambda n: coefficients(n).electric, psi, cap)
     m_phi, _, _, ok_m, _ = _sum_adaptive(lambda n: coefficients(n).magnetic, psi, cap)
@@ -171,19 +186,23 @@ def reconstruct_fields_from_densities(
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     outside = rho_obs > rho_cyl
+    if outside:
+        orders = _density_orders(base, rho_cyl, medium1, medium2, (k1 * rho_cyl,), (k1 * rho_obs,))
+    else:
+        orders = _density_orders(base, rho_cyl, medium1, medium2, (k2 * rho_obs,), (k2 * rho_cyl,))
 
     def term(n):
-        coeff = mode_solve(n, base, rho_cyl, medium1, medium2)
+        coeff = mode_solve(n, base, rho_cyl, medium1, medium2, orders)
         if outside:
-            radial = specfun.hankel2(n, k1 * rho_obs)
+            radial = orders.hankel2(n, k1 * rho_obs)
             return (
-                -(k1 * z1 / 4.0) * coeff.electric * specfun.bessel_j(n, k1 * rho_cyl)
-                - (k1 / 4j) * coeff.magnetic * specfun.bessel_j_prime(n, k1 * rho_cyl)
+                -(k1 * z1 / 4.0) * coeff.electric * orders.bessel_j(n, k1 * rho_cyl)
+                - (k1 / 4j) * coeff.magnetic * orders.bessel_j_prime(n, k1 * rho_cyl)
             ) * radial
-        radial = specfun.bessel_j(n, k2 * rho_obs)
+        radial = orders.bessel_j(n, k2 * rho_obs)
         return (
-            (k2 * z2 / 4.0) * coeff.electric * specfun.hankel2(n, k2 * rho_cyl)
-            + (k2 / 4j) * coeff.magnetic * specfun.hankel2_prime(n, k2 * rho_cyl)
+            (k2 * z2 / 4.0) * coeff.electric * orders.hankel2(n, k2 * rho_cyl)
+            + (k2 / 4j) * coeff.magnetic * orders.hankel2_prime(n, k2 * rho_cyl)
         ) * radial
 
     value, _, _, converged, warning = _sum_adaptive(term, phis - excitation.phi, cap)

@@ -668,7 +668,11 @@ def normalized_currents(solution):
 
 @dataclass(frozen=True)
 class QSumCoefficients:
-    """Per-mode eigendata of a circular direct system, via bilateral sums."""
+    """Per-mode eigendata of a circular direct system, via bilateral sums.
+
+    For an array of modes m, every other field but n_points is an array
+    over those modes.
+    """
 
     m: int
     n_points: int
@@ -686,8 +690,23 @@ def _bilateral_sum(term, ratio, x_floor, n_points, m, q_max, phi_fil=0.0):
     multiplies the order-nu term by exp(-i nu phi_fil) with nu signed. Rings
     are cut off once a (1/pi x) ratio^nu envelope falls below 1e-17 of the
     running scale; terms decay by ratio^N per ring so this settles fast.
+    An order whose Hankel factor overflows adds nothing, and the sum ends at
+    the first ring whose two orders both overflow. It raises only when its
+    lowest order, min(m, N - m) (m alone when q_max = 0), overflows.
     """
-    total = term(m) * np.exp(-1j * m * phi_fil)
+    lowest = m if q_max == 0 or 2 * m <= n_points else n_points - m
+
+    def rotated(nu, turn):
+        try:
+            return term(nu) * np.exp(turn * nu * phi_fil)
+        except specfun.BesselOverflowError:
+            if nu == lowest:
+                raise
+            return None
+
+    total = rotated(m, -1j)
+    if total is None:
+        total = 0j
     peak = max(abs(total), 1e-300)
     q = 1
     while q_max is None or q <= q_max:
@@ -699,11 +718,10 @@ def _bilateral_sum(term, ratio, x_floor, n_points, m, q_max, phi_fil=0.0):
                 break
         if q > 1000:
             raise ArithmeticError("bilateral sum failed to settle")
-        try:
-            ring = term(nu_hi) * np.exp(-1j * nu_hi * phi_fil)
-            ring += term(nu_lo) * np.exp(+1j * nu_lo * phi_fil)
-        except specfun.BesselOverflowError:
+        parts = [t for t in (rotated(nu_hi, -1j), rotated(nu_lo, +1j)) if t is not None]
+        if not parts:
             break
+        ring = parts[0] + parts[1] if len(parts) == 2 else parts[0]
         total += ring
         peak = max(peak, abs(ring))
         q += 1
@@ -730,12 +748,19 @@ def q_sum_coefficients(
     (inner rows for an external source, outer rows for an internal one).
     q_max=None keeps rings until they stop mattering; q_max=0 isolates the
     central term, which dominates for small m.
+
+    m is one mode index or a 1-D array of them. Every mode reads one order
+    table, and each gets the bits of its one-mode call. A mode raises
+    BesselOverflowError when the lowest order of its sum, min(m, N - m),
+    overflows (see _bilateral_sum).
     """
     if curve.kind != "circle":
         raise ValueError("q-sum coefficients are defined for circles only")
     n_points = int(n_points)
-    m = int(m)
-    if not 0 <= m < n_points:
+    modes = np.asarray(m)
+    if modes.ndim > 1:
+        raise ValueError("m must be one mode index or a 1-D array of them")
+    if not np.all((0 <= modes) & (modes < n_points)):
         raise ValueError("mode index must satisfy 0 <= m < n_points")
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
 
@@ -744,26 +769,35 @@ def q_sum_coefficients(
     r_out = aux_outer.curve.params["radius"]
     k1, k2 = medium1.k, medium2.k
     r_fil = excitation.rho
-
-    def _sum(fa, fb, x1, x2, sign, phi_fil=0.0):
-        return sign * _bilateral_sum(
-            lambda nu: fa(nu, x1) * fb(nu, x2),
-            x1 / x2,
-            min(x1, x2),
-            n_points,
-            m,
-            q_max,
-            phi_fil,
-        )
-
-    jj, jp = specfun.bessel_j, specfun.bessel_j_prime
-    hh, hp = specfun.hankel2, specfun.hankel2_prime
-    b1 = _sum(jj, hh, k1 * r_in, k1 * r_cyl, +1.0)
-    b2 = _sum(jj, hp, k1 * r_in, k1 * r_cyl, -1.0)
-    b3 = _sum(jj, hh, k2 * r_cyl, k2 * r_out, +1.0)
-    b4 = _sum(jp, hh, k2 * r_cyl, k2 * r_out, -1.0)
     if excitation.region == "external":
-        d = _sum(jj, hh, k1 * r_in, k1 * r_fil, -1.0, excitation.phi)
+        source = (k1 * r_in, k1 * r_fil, -1.0)
     else:
-        d = _sum(jj, hh, k2 * r_fil, k2 * r_out, +1.0, excitation.phi)
-    return QSumCoefficients(m, n_points, d, b1, b2, b3, b4)
+        source = (k2 * r_fil, k2 * r_out, +1.0)
+    orders = specfun.OrderTable(
+        j=(k1 * r_in, k2 * r_cyl, source[0]), h=(k1 * r_cyl, k2 * r_out, source[1])
+    )
+    jj, jp = orders.bessel_j, orders.bessel_j_prime
+    hh, hp = orders.hankel2, orders.hankel2_prime
+
+    def one_mode(m):
+        def _sum(fa, fb, x1, x2, sign, phi_fil=0.0):
+            return sign * _bilateral_sum(
+                lambda nu: fa(nu, x1) * fb(nu, x2),
+                x1 / x2,
+                min(x1, x2),
+                n_points,
+                m,
+                q_max,
+                phi_fil,
+            )
+
+        b1 = _sum(jj, hh, k1 * r_in, k1 * r_cyl, +1.0)
+        b2 = _sum(jj, hp, k1 * r_in, k1 * r_cyl, -1.0)
+        b3 = _sum(jj, hh, k2 * r_cyl, k2 * r_out, +1.0)
+        b4 = _sum(jp, hh, k2 * r_cyl, k2 * r_out, -1.0)
+        return _sum(jj, hh, *source, excitation.phi), b1, b2, b3, b4
+
+    if modes.ndim == 0:
+        return QSumCoefficients(int(modes), n_points, *one_mode(int(modes)))
+    sums = np.array([one_mode(mode) for mode in modes.tolist()], dtype=complex)
+    return QSumCoefficients(modes, n_points, *sums.reshape(-1, 5).T.copy())

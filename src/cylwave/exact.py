@@ -144,32 +144,63 @@ def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     return _times(pref * excitation.amplitude, h1) * dd_drho
 
 
-def mode_denominator(n, rho_cyl, medium1, medium2):
+def mode_denominator(n, rho_cyl, medium1, medium2, orders=None):
     """Z1 H2_n(k1 rc) J'_n(k2 rc) - Z2 J_n(k2 rc) H2'_n(k1 rc).
 
-    Common to all four series; provably nonvanishing for real media.
+    Common to all four series; provably nonvanishing for real media. orders
+    is the caller's specfun.OrderTable holding J at k2 rc and H2 at k1 rc;
+    without one the call evaluates its own.
     """
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    val = z1 * specfun.hankel2(n, k1 * rho_cyl) * specfun.bessel_j_prime(
-        n, k2 * rho_cyl
-    ) - z2 * specfun.bessel_j(n, k2 * rho_cyl) * specfun.hankel2_prime(n, k1 * rho_cyl)
+    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
+    if orders is None:
+        orders = specfun.OrderTable(j=(x2,), h=(x1,))
+    val = z1 * orders.hankel2(n, x1) * orders.bessel_j_prime(
+        n, x2
+    ) - z2 * orders.bessel_j(n, x2) * orders.hankel2_prime(n, x1)
     if abs(val) < 1e-300:
         raise ArithmeticError("mode denominator underflow at n=%d" % n)
     return val
 
 
-def _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
+def _series_orders(series_id, rho_obs, rho_cyl, rho_fil, medium1, medium2):
+    """The order table holding every factor the terms of one series read."""
+    k1, k2 = medium1.k, medium2.k
+    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
+    j, h = [x2], [x1]
+    if series_id == "ext_R1":
+        j.append(x1)
+    elif series_id == "int_R2":
+        h.append(x2)
+    if series_id.endswith("R1"):
+        h.append(k1 * rho_obs)
+    else:
+        j.append(k2 * rho_obs)
+    if series_id.startswith("ext"):
+        h.append(k1 * rho_fil)
+    else:
+        j.append(k2 * rho_fil)
+    return specfun.OrderTable(j=j, h=h)
+
+
+def _series_term(
+    series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False, orders=None
+):
     """Radial part of the n-th series term (angle factor handled by caller).
 
     With deriv=True the observation-dependent factor is replaced by its
-    radial derivative, so tangential-H checks stay term exact.
+    radial derivative, so tangential-H checks stay term exact. orders is the
+    series' table from _series_orders; without one the call evaluates its
+    own.
     """
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    delta = mode_denominator(n, rho_cyl, medium1, medium2)
-    jj, jp = specfun.bessel_j, specfun.bessel_j_prime
-    hh, hp = specfun.hankel2, specfun.hankel2_prime
+    if orders is None:
+        orders = _series_orders(series_id, rho_obs, rho_cyl, rho_fil, medium1, medium2)
+    delta = mode_denominator(n, rho_cyl, medium1, medium2, orders)
+    jj, jp = orders.bessel_j, orders.bessel_j_prime
+    hh, hp = orders.hankel2, orders.hankel2_prime
     x1, x2 = k1 * rho_cyl, k2 * rho_cyl
 
     # only the ratio depends on the series; p and q are boundary mismatches
@@ -215,6 +246,14 @@ def default_n_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
     return 40 + int(np.ceil(3.0 * k_max * rho_max))
 
 
+# Orders per block of _sum_adaptive. A block's terms are evaluated before
+# its angles are checked, so up to _SUM_BLOCK - 1 terms past the last stop
+# are computed for nothing, while numpy's per-call overhead is paid once a
+# block. `validate --only exact` took 0.0106, 0.0102 and 0.0120 s of CPU
+# (median of 25) in blocks of 8, 16 and 32 on a 2-core Xeon.
+_SUM_BLOCK = 16
+
+
 def _sum_adaptive(term_fn, psi, n_cap, rel_tol=1e-13):
     """Symmetric-in-n sum with the three-small-terms stopping rule.
 
@@ -225,6 +264,12 @@ def _sum_adaptive(term_fn, psi, n_cap, rel_tol=1e-13):
     range stops every angle still running. Returns (value, n_used,
     tail_estimate, converged, warning): arrays over the angles, and a list
     holding each angle's warning or None.
+
+    Orders go in blocks of _SUM_BLOCK. The terms, their magnitudes and the
+    tail estimates are scalar arithmetic, one order at a time; each angle's
+    partial sums are a sequential np.add.accumulate over the block, and its
+    streak of small terms carries across blocks. So every angle stops at
+    the order, and with the bits, of adding the terms one by one.
     """
     psi = np.asarray(psi, dtype=float)
     first = term_fn(0)
@@ -234,52 +279,74 @@ def _sum_adaptive(term_fn, psi, n_cap, rel_tol=1e-13):
     converged = np.zeros(psi.shape, dtype=bool)
     warning = [None] * psi.size
     # the angles still running: their indices, partial sums and streaks
-    running, angles, total = np.arange(psi.size), psi, value.copy()
+    running, total = np.arange(psi.size), value.copy()
     streak = np.zeros(psi.shape, dtype=int)
     prev_mag = abs(first)
     last_tail = float("inf")
+    last_order = max(n_cap, 0)
+    cut = None
 
-    def stop(which, order, done=False, message=None):
-        index = running[which]
-        value[index] = total[which]
-        n_used[index] = order
-        tail[index] = last_tail
+    def stop(rows, sums, orders, tails, done=False, message=None):
+        # orders and tails: one value for all rows or one per running angle
+        index = running[rows]
+        value[index] = sums[rows]
+        n_used[index] = np.broadcast_to(orders, running.shape)[rows]
+        tail[index] = np.broadcast_to(tails, running.shape)[rows]
         converged[index] = done
-        for i in index:
+        for i in index.tolist():
             warning[i] = message
 
-    n = 0
-    for n in range(1, n_cap + 1):
-        try:
-            t = term_fn(n)
-        except ArithmeticError:
-            # order overflow or a numerically indeterminate mode denominator
-            stop(slice(None), n - 1, message="series truncated at n=%d by order overflow" % n)
+    for start in range(1, n_cap + 1, _SUM_BLOCK):
+        terms, mags, tails = [], [], []
+        for n in range(start, min(start + _SUM_BLOCK, n_cap + 1)):
+            try:
+                t = term_fn(n)
+            except ArithmeticError:
+                # order overflow or a numerically indeterminate mode denominator
+                cut = "series truncated at n=%d by order overflow" % n
+                break
+            if not np.isfinite(t):
+                # overflow inside a term product (inf or inf * 0); by this order
+                # the terms are either negligible or the series was flagged
+                cut = "series truncated at n=%d by floating-point range" % n
+                break
+            mag = 2.0 * abs(t)
+            ratio = min(mag / prev_mag if prev_mag > 0 else 1.0, 0.99)
+            terms.append(t)
+            mags.append(mag)
+            tails.append(mag * ratio / (1.0 - ratio))
+            prev_mag = max(mag, 1e-300)
+        if terms:
+            orders = np.arange(start, start + len(terms))
+            mags, tails = np.array(mags), np.array(tails)
+            part = 2.0 * np.array(terms, dtype=complex) * np.cos(orders * psi[running, None])
+            part[:, 0] += total
+            sums = np.add.accumulate(part, axis=1)
+            # np.hypot rounds as abs() of a complex scalar does; np.abs may not
+            scale = np.maximum(np.hypot(sums.real, sums.imag), 1e-300)
+            # the streak carried in stands for the two columns before the block
+            small = np.concatenate((streak[:, None] >= [2, 1], mags < rel_tol * scale), axis=1)
+            done = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+            stopped = done | (mags > 1e120 * scale)
+            hit = stopped.any(axis=1)
+            if hit.any():
+                at = stopped.argmax(axis=1)
+                rows = np.arange(running.size)
+                ends, ok = sums[rows, at], done[rows, at]
+                stop(hit & ok, ends, orders[at], tails[at], done=True)
+                grew = "series terms growing without bound"
+                stop(hit & ~ok, ends, orders[at], tails[at], message=grew)
+                running, sums, small = running[~hit], sums[~hit], small[~hit]
+            total = sums[:, -1]
+            streak = np.where(small[:, -1], np.where(small[:, -2], 2, 1), 0)
+            last_tail = float(tails[-1])
+        if cut is not None:
+            last_order = start + len(terms) - 1
             break
-        if not np.isfinite(t):
-            # overflow inside a term product (inf or inf * 0); by this order
-            # the terms are either negligible or the series was flagged
-            stop(slice(None), n - 1, message="series truncated at n=%d by floating-point range" % n)
-            break
-        total = total + 2.0 * t * np.cos(n * angles)
-        mag = 2.0 * abs(t)
-        # np.hypot rounds as abs() of a complex scalar does; np.abs may not
-        scale = np.maximum(np.hypot(total.real, total.imag), 1e-300)
-        streak = np.where(mag < rel_tol * scale, streak + 1, 0)
-        ratio = min(mag / prev_mag if prev_mag > 0 else 1.0, 0.99)
-        last_tail = mag * ratio / (1.0 - ratio)
-        prev_mag = max(mag, 1e-300)
-        done = streak >= 3
-        stopped = done | (mag > 1e120 * scale)
-        if stopped.any():
-            stop(done, n, done=True)
-            stop(stopped & ~done, n, message="series terms growing without bound")
-            keep = ~stopped
-            running, angles, total, streak = running[keep], angles[keep], total[keep], streak[keep]
         if not running.size:
             break
-    else:
-        stop(slice(None), n)
+    if running.size:
+        stop(slice(None), total, last_order, last_tail, message=cut)
     return value, n_used, tail, converged, warning
 
 
@@ -326,10 +393,11 @@ def exact_ring(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
     pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
+    orders = _series_orders(series_id, rho_obs, rho_cyl, excitation.rho, medium1, medium2)
 
     def term(n):
         return _series_term(
-            series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv
+            series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv, orders
         )
 
     value, n_used, tail, converged, sum_warning = _sum_adaptive(

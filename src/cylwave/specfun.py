@@ -15,20 +15,20 @@ matrix, come from the real functions j0, y0, j1 and y1 (Cephes); higher
 orders from jv and hankel2 (AMOS). All functions accept scalars or numpy
 arrays for the argument and are safe to call concurrently.
 
-Both kinds of argument are real traffic: kernel matrices pass arrays, and the
-order series (exact field, density coefficients, q-sums) pass one float per
-call, thousands of times. A float scalar is therefore checked with math
-rather than numpy reductions, which would cost several times scipy's own
-evaluation. The addition series do not go through the scalar functions at
-all: they evaluate their radial factors over blocks of orders, once for every
-angle asked for, and sum each block in one pass, with the same bits as the
-order-by-order sum at each angle.
+Kernel matrices pass arrays of arguments. The order series need many orders
+at a few fixed arguments instead, and take them from bessel_orders over
+blocks of orders. The exact field, density coefficients and q-sums read them
+one order at a time from an OrderTable, which evaluates a block for all
+arguments of a kind the first time one of its orders is read; every read has
+the bits of the scalar functions at that order, so those series keep their
+per-order arithmetic. The addition series sum each block for every angle
+asked for in one pass, with the same bits as the order-by-order sum at each
+angle.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
 
 import cmath
-import math
 
 import numpy as np
 from scipy import special
@@ -43,15 +43,6 @@ class BesselOverflowError(ArithmeticError):
 
 
 def _check_argument(x):
-    # float scalars skip numpy's reductions; arrays, ints and 0-d arrays take
-    # the numpy path. A scalar comes back as np.float64, so callers keep
-    # numpy's scalar arithmetic (inf, not OverflowError, from base ** n).
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise ValueError("argument must be finite")
-        if not x > 0.0:
-            raise ValueError("argument must be positive")
-        return np.float64(x)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
@@ -122,12 +113,15 @@ def hankel2(n, x):
             np.negative(out, out=out)
     else:
         out = sign * special.hankel2(n, x)
-    if not (cmath.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
-        xmin = float(np.min(x))
-        raise BesselOverflowError(
-            "H2_%d overflows near x=%g; order too large for this argument" % (n, xmin)
-        )
+    if not np.isfinite(out).all():
+        raise _overflow(n, float(np.min(x)))
     return out if out.ndim else complex(out)
+
+
+def _overflow(n, x):
+    return BesselOverflowError(
+        "H2_%d overflows near x=%g; order too large for this argument" % (n, x)
+    )
 
 
 def hankel2_prime(n, x):
@@ -140,7 +134,8 @@ def wronskian_residual(n, x):
     """J_n H2'_n - J'_n H2_n minus its exact value 2/(i pi x).
 
     Should be ~1e-15 relative to 2/(pi x) for any order/argument combination
-    this package touches; used as a self-check and in the validation command.
+    this package touches; used as a self-check. Criterion 01 forms the same
+    residual from one bessel_orders table per kind.
     """
     x = np.asarray(x, dtype=float)
     exact = 2.0 / (1j * np.pi * x)
@@ -148,24 +143,32 @@ def wronskian_residual(n, x):
     return val - exact
 
 
-def _orders(hankel, n, x):
-    """J_n(x), or H2_n(x) if hankel, over an integer order array n at one x > 0.
+def bessel_orders(hankel, n, x):
+    """J_n(x), or H2_n(x) if hankel, over a 1-D integer order array n at every x.
 
-    The same values, bit for bit, as bessel_j and hankel2 order by order:
-    |n| <= 1 from _LOW_ORDER, other orders from jv or hankel2, negative orders
-    folded by parity. Nothing is checked: a non-finite value (an order where
-    Y_n overflows) is left in place for the caller.
+    x is one argument or an array of them; the result has shape
+    np.shape(x) + n.shape. The same values, bit for bit, as bessel_j and
+    hankel2 order by order: |n| <= 1 from _LOW_ORDER, other orders from jv or
+    hankel2, negative orders folded by parity. A non-finite value (an order
+    where Y_n overflows) is left in place for the caller.
     """
-    fn = special.hankel2 if hankel else special.jv
+    n = np.asarray(n)
+    x = _check_argument(x)[..., None]
     m = np.abs(n)
     high = m > 1
-    out = np.empty(n.shape, dtype=complex if hankel else float)
-    out[high] = fn(m[high], x)
-    for i in np.flatnonzero(~high).tolist():
-        j, y = _LOW_ORDER[int(m[i])]
-        out[i] = complex(j(x), -y(x)) if hankel else j(x)
+    out = np.empty(x.shape[:-1] + n.shape, dtype=complex if hankel else float)
+    out[..., high] = (special.hankel2 if hankel else special.jv)(m[high], x)
+    for order in (0, 1):
+        at = m == order
+        if at.any():
+            j, y = _LOW_ORDER[order]
+            if hankel:
+                out.real[..., at] = j(x)
+                out.imag[..., at] = -y(x)
+            else:
+                out[..., at] = j(x)
     folded = (n < 0) & (m % 2 == 1)
-    out[folded] = -out[folded]
+    out[..., folded] = -out[..., folded]
     return out
 
 
@@ -175,8 +178,57 @@ def _orders(hankel, n, x):
 # evaluating all of them at once costs 0.016 s on that grid against 0.007 s
 # in blocks of 32 (8: 0.015 s, 16: 0.010 s, 64: 0.008 s) on a 2-core Xeon,
 # CPU time at one BLAS thread. One call per angle, in blocks of 32, cost
-# 0.054 s.
+# 0.054 s. OrderTable fills its rows in the same blocks.
 _BLOCK = 32
+
+
+class OrderTable:
+    """J_n and H2_n at a few fixed arguments, read one order at a time.
+
+    j and h list the arguments of each kind. The first read of an order
+    evaluates its aligned block of _BLOCK orders for every argument of its
+    kind in one bessel_orders call; each block is evaluated once per table.
+    The read methods mirror the module's scalar functions at one of those
+    arguments and return the same Python floats and complexes, bit for bit;
+    hankel2 and hankel2_prime raise BesselOverflowError where hankel2 does.
+    A table holds the orders of one series call and is not shared between
+    calls.
+    """
+
+    def __init__(self, j=(), h=()):
+        self._args = (tuple(dict.fromkeys(j)), tuple(dict.fromkeys(h)))
+        self._rows = tuple({x: [] for x in args} for args in self._args)
+        self._blocks = (set(), set())
+
+    def _read(self, hankel, n, x):
+        m = -n if n < 0 else n
+        block = m // _BLOCK
+        if block not in self._blocks[hankel]:
+            start = block * _BLOCK
+            args = self._args[hankel]
+            values = bessel_orders(hankel, np.arange(start, start + _BLOCK), args).tolist()
+            for arg, row_values in zip(args, values):
+                row = self._rows[hankel][arg]
+                row.extend([None] * (start - len(row)))
+                row[start : start + _BLOCK] = row_values
+            self._blocks[hankel].add(block)
+        value = self._rows[hankel][x][m]
+        return -value if n < 0 and m % 2 else value
+
+    def bessel_j(self, n, x):
+        return self._read(False, n, x)
+
+    def bessel_j_prime(self, n, x):
+        return 0.5 * (self._read(False, n - 1, x) - self._read(False, n + 1, x))
+
+    def hankel2(self, n, x):
+        value = self._read(True, n, x)
+        if not cmath.isfinite(value):
+            raise _overflow(abs(n), x)
+        return value
+
+    def hankel2_prime(self, n, x):
+        return 0.5 * (self.hankel2(n - 1, x) - self.hankel2(n + 1, x))
 
 
 def _addition_sum(theta, n_max, term):
@@ -261,7 +313,7 @@ def addition_series_h0(x1, x2, theta, n_max=60):
         raise ValueError("radii must differ (distance may vanish)")
     lo, hi = min(x1, x2), max(x1, x2)
     total, last = _addition_sum(
-        theta, n_max, lambda n: _orders(False, n, lo) * _orders(True, n, hi)
+        theta, n_max, lambda n: bessel_orders(False, n, lo) * bessel_orders(True, n, hi)
     )
     _warn_if_unconverged(last, total, lo / hi)
     return total
@@ -283,8 +335,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
         raise ValueError("need x2 > x1 > 0")
 
     def term(n):
-        j = _orders(False, _around(n), x1)
-        return -(0.5 * (j[:-2] - j[2:])) * _orders(True, n, x2)
+        j = bessel_orders(False, _around(n), x1)
+        return -(0.5 * (j[:-2] - j[2:])) * bessel_orders(True, n, x2)
 
     total, last = _addition_sum(theta, n_max, term)
     _warn_if_unconverged(last, total, x1 / x2)
@@ -301,8 +353,8 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
         raise ValueError("need x2 > x1 > 0")
 
     def term(n):
-        h = _orders(True, _around(n), x2)
-        return -_orders(False, n, x1) * (0.5 * (h[:-2] - h[2:]))
+        h = bessel_orders(True, _around(n), x2)
+        return -bessel_orders(False, n, x1) * (0.5 * (h[:-2] - h[2:]))
 
     total, last = _addition_sum(theta, n_max, term)
     _warn_if_unconverged(last, total, x1 / x2)

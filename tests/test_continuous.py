@@ -14,6 +14,8 @@ from cylwave.continuous import (
 from cylwave.exact import Medium
 from cylwave.geometry import Excitation
 
+import series_loop
+
 M1 = Medium()
 M2 = Medium(4.2, 1.0)
 RHO_CYL = 2.0
@@ -231,3 +233,51 @@ def test_reconstruction_property(eps, rho_cyl, ratio, obs_scale, phi):
     got = reconstruct_fields_from_densities(exc, rho_obs, phi, rho_cyl, M1, m2, n_max=150)
     want = exact.exact_field(exc, 1, rho_obs, phi, rho_cyl, M1, m2, n_max=150).value
     assert abs(got - want) < 1e-7 * max(abs(want), 1e-30)
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args), None
+    except ArithmeticError as error:
+        return None, type(error)
+
+
+def test_density_series_match_the_per_order_loop_bit_for_bit():
+    rotated = Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
+    near = Excitation("internal", 1.9, phi=-0.4, amplitude=0.5j)
+    raised = 0
+    for exc in (EXT, INT, rotated, near):
+        for phi in (0.3, np.array([0.3]), 2.0 * np.pi * np.arange(4) / 4.0,
+                    2.0 * np.pi * (np.arange(36) + 0.5) / 36.0):
+            for n_max in (None, 12):
+                args = (exc, phi, RHO_CYL, M1, M2, n_max)
+                got, got_error = _raised(density_series, *args)
+                want, want_error = _raised(series_loop.density_series, *args)
+                assert got_error is want_error
+                raised += want is None
+                if want is not None:
+                    for g, w in zip(got, want):
+                        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                        assert np.shape(g) == np.shape(w)
+    # the capped series stop short of convergence and raise in both
+    assert 0 < raised < 32
+
+
+def test_reconstructed_fields_match_the_per_order_loop_bit_for_bit():
+    rotated = Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
+    raised = 0
+    for exc in (EXT, INT, rotated):
+        for rho_obs in (10.0, 2.3, 1.3, 0.4):
+            for phi in (0.3, 2.0 * np.pi * (np.arange(36) + 0.5) / 36.0):
+                for n_max in (None, 8):
+                    args = (exc, rho_obs, phi, RHO_CYL, M1, M2, n_max)
+                    got, got_error = _raised(reconstruct_fields_from_densities, *args)
+                    want, want_error = _raised(
+                        series_loop.reconstruct_fields_from_densities, *args
+                    )
+                    assert got_error is want_error
+                    raised += want is None
+                    if want is not None:
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                        assert np.shape(got) == np.shape(want)
+    assert 0 < raised < 48

@@ -22,6 +22,7 @@ from cylwave import continuous, discrete, fields, geometry, specfun
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
+import series_loop
 from circulant import is_circulant
 from oracles import gauss_solve
 
@@ -538,6 +539,54 @@ def test_qsum_validation():
         discrete.q_sum_coefficients(0, 8, ELLIPSE, ELL_IN, ELL_OUT, EXT, M1, M2)
     with pytest.raises(ValueError, match="mode index"):
         discrete.q_sum_coefficients(8, 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
+
+
+_QSUM_FIELDS = ("d", "b1", "b2", "b3", "b4")
+
+
+def _qsum_bytes(sums, index=()):
+    return [np.complex128(np.asarray(getattr(sums, f))[index]).tobytes() for f in _QSUM_FIELDS]
+
+
+@pytest.mark.parametrize("n_points", [5, 11, 81])
+def test_qsums_match_the_per_order_loop_bit_for_bit(n_points):
+    rotated = geometry.Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
+    inside = geometry.Excitation("internal", 1.0, phi=-0.4)
+    # every mode of the small systems; at N = 81 every fourth and the last,
+    # whose second ring loses its high order to overflow
+    modes = np.unique(np.r_[np.arange(0, n_points, 1 + n_points // 20), n_points - 1])
+    for exc in (EXT, INT, rotated, inside):
+        for q_max in (None, 0, 2):
+            args = (n_points, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2, q_max)
+            every = discrete.q_sum_coefficients(modes, *args)
+            assert np.array_equal(every.m, modes)
+            for i, m in enumerate(modes.tolist()):
+                want = _qsum_bytes(series_loop.q_sum_coefficients(m, *args))
+                assert _qsum_bytes(discrete.q_sum_coefficients(m, *args)) == want, (m, exc, q_max)
+                # all modes in one call: each keeps the bits of its one-mode call
+                assert _qsum_bytes(every, i) == want, (m, exc, q_max)
+    with pytest.raises(ValueError, match="1-D"):
+        discrete.q_sum_coefficients(np.zeros((2, 2), dtype=int), 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
+
+
+def test_qsums_past_half_the_points_sum_from_their_lowest_order():
+    # modes m and N - m sum the same orders; at N = 512 the central order of
+    # m > N/2 overflows while N - m does not, and only m = 200, whose lowest
+    # order 200 overflows near x = 2, has no representable sum
+    inner, outer = (geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.6, 2.5))
+    args = (512, CIRCLE, inner, outer, EXT, M1, M2)
+    for m in (100, 150):
+        low = discrete.q_sum_coefficients(m, *args)
+        high = discrete.q_sum_coefficients(512 - m, *args)
+        for field in _QSUM_FIELDS:
+            want = getattr(low, field)
+            assert abs(getattr(high, field) - want) <= 1e-14 * abs(want), (m, field)
+        pair = discrete.q_sum_coefficients(np.array([m, 512 - m]), *args)
+        assert _qsum_bytes(pair, 0) == _qsum_bytes(low)
+        assert _qsum_bytes(pair, 1) == _qsum_bytes(high)
+    for m in (200, 312):
+        with pytest.raises(specfun.BesselOverflowError, match="H2_200 "):
+            discrete.q_sum_coefficients(m, *args)
 
 
 # -- large-N limits -----------------------------------------------------------

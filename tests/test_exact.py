@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylwave import exact
+from cylwave import exact, specfun
 from cylwave.exact import Medium, critical_radius, exact_field
 from cylwave.geometry import Excitation
+
+import series_loop
 
 M1 = Medium()
 M2 = Medium(4.2, 1.0)  # reference dielectric: k2/k1 ~ 2.049, Z2/Z1 ~ 0.488
@@ -344,3 +346,84 @@ def test_boundary_continuity_property(eps, mu, rho_cyl, ratio, phi):
     e1 = exact_field(exc, 1, rho_cyl, phi, rho_cyl, M1, m2, n_max=150).value
     e2 = exact_field(exc, 2, rho_cyl, phi, rho_cyl, M1, m2, n_max=150).value
     assert abs(e1 - e2) < 1e-7 * max(abs(e1), 1e-30)
+
+
+# -- order blocks against the per-order loop ------------------------------------
+
+
+def _same_sums(got, want):
+    """Equal bytes for value, n_used, tail and converged, equal warnings in order."""
+    for g, w in zip(got[:4], want[:4]):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert got[4] == want[4]
+
+
+def _same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.complex128(g.value).tobytes() == np.complex128(w.value).tobytes()
+        assert (g.n_used, g.converged, g.warning) == (w.n_used, w.converged, w.warning)
+        assert np.float64(g.tail_estimate).tobytes() == np.float64(w.tail_estimate).tobytes()
+
+
+def _ring(k):
+    return 2.0 * np.pi * (np.arange(k) + 0.5) / k
+
+
+def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
+    # synthetic terms reach every way an angle stops: convergence at orders
+    # on both sides of a block seam, a partial sum that cancels to zero
+    # (growing without bound), a raising order, a non-finite term, and a cap
+    psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
+
+    def decaying(rate):
+        return lambda n: (0.3 - 0.7j) * rate**n
+
+    def cancelling(n):
+        return -2.0 + 0j if n == 0 else (1.0 + 0j if n == 1 else 0.6**n * (1 + 1j))
+
+    def raising(n):
+        if n == 40:
+            raise specfun.BesselOverflowError("H2_40 overflows")
+        return 0.97**n * (1 - 2j)
+
+    def infinite(n):
+        return complex("inf") if n == 21 else 0.95**n + 0.1j
+
+    cases = [(decaying(r), cap) for r in (0.1, 0.125, 0.14, 0.3, 0.5, 0.8) for cap in (0, 1, 15, 16, 17, 500)]
+    cases += [(cancelling, 60), (raising, 60), (raising, 39), (infinite, 60), (infinite, 20)]
+    flags, orders = set(), set()
+    for term, cap in cases:
+        for angles in (psi, psi[:1], np.linspace(-3.0, 3.0, 36)):
+            want = series_loop.sum_adaptive(term, angles, cap)
+            _same_sums(exact._sum_adaptive(term, angles, cap), want)
+            flags.update(want[4])
+            orders.update(want[1].tolist())
+    assert {
+        None,
+        "series terms growing without bound",
+        "series truncated at n=40 by order overflow",
+        "series truncated at n=21 by floating-point range",
+    } <= flags
+    assert {16, 17, 18} <= orders
+
+
+@pytest.mark.parametrize("series_id", exact.SERIES_IDS)
+@pytest.mark.parametrize("deriv", [False, True], ids=["value", "deriv"])
+def test_exact_ring_matches_the_per_order_loop_bit_for_bit(series_id, deriv):
+    side = "external" if series_id.startswith("ext") else "internal"
+    region = int(series_id[-1])
+    rotated = Excitation(side, 4.0 if side == "external" else 1.0, phi=0.7, amplitude=1.5 - 0.5j)
+    plain = Excitation(side, rotated.rho)
+    # inside and beyond the physical region, a ring outside the convergence
+    # region, and caps past order overflow and below the stop
+    radii = {1: (10.0, 2.5, 1.2, 0.3), 2: (1.3, 0.4, 3.0, 9.0)}[region]
+    spread = 0
+    for exc in (plain, rotated):
+        for rho_obs in radii:
+            for k, n_max in ((1, None), (4, None), (36, None), (4, 5), (4, 400)):
+                args = (exc, region, rho_obs, _ring(k), RHO_CYL, M1, M2, n_max, deriv)
+                got = exact.exact_ring(*args)
+                _same_results(got, series_loop.exact_ring(*args))
+                spread += len({r.n_used for r in got}) > 1
+    assert spread > 0

@@ -312,3 +312,45 @@ def test_addition_closure_property(x1, ratio, theta):
     got = specfun.addition_series_h0(x1, x2, theta, n_max=80)
     want = specfun.hankel2(0, d)
     assert abs(got - want) < 1e-9
+
+
+def test_order_table_reads_have_the_bits_of_the_scalar_functions(monkeypatch):
+    calls = []
+    evaluate = specfun.bessel_orders
+
+    def counting(hankel, n, x):
+        calls.append((hankel, n[0], len(n), tuple(x)))
+        return evaluate(hankel, n, x)
+
+    monkeypatch.setattr(specfun, "bessel_orders", counting)
+    args = (0.4, 2.0, 5.1)
+    table = specfun.OrderTable(j=args + (2.0,), h=args)
+    reads = ("bessel_j", "bessel_j_prime", "hankel2", "hankel2_prime")
+    for n in list(range(-2, 70)) + [300, 129, 64]:
+        for x in args:
+            for name in reads:
+                try:
+                    want = getattr(specfun, name)(n, x)
+                except specfun.BesselOverflowError as error:
+                    with pytest.raises(specfun.BesselOverflowError) as caught:
+                        getattr(table, name)(n, x)
+                    assert str(caught.value) == str(error)
+                    continue
+                got = getattr(table, name)(n, x)
+                assert type(got) is type(want)
+                assert np.array([got]).tobytes() == np.array([want]).tobytes(), (name, n, x)
+    # one call per block and kind, all arguments together, each block once
+    blocks = [(hankel, start) for hankel, start, _, _ in calls]
+    assert len(blocks) == len(set(blocks)) == 2 * 5
+    assert all(size == 32 and start % 32 == 0 for _, start, size, _ in calls)
+    assert {x for *_, x in calls} == {args}
+
+
+def test_bessel_orders_takes_an_argument_array():
+    n = np.arange(-3, 40)
+    x = np.array([[0.3, 2.0], [7.5, 40.0]])
+    for hankel in (False, True):
+        table = specfun.bessel_orders(hankel, n, x)
+        assert table.shape == (2, 2, n.size)
+        for index in np.ndindex(x.shape):
+            assert table[index].tobytes() == specfun.bessel_orders(hankel, n, x[index]).tobytes()
