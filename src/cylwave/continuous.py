@@ -95,14 +95,15 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium(), order
 def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(), n_max=None):
     """Both boundary densities at angle phi: the pair (J_z, M_phi).
 
-    phi is one angle or an array of angles; an array gives a pair of arrays.
+    phi is one angle or an array of angles; an array gives a pair of arrays
+    of its shape.
     The coefficients decay geometrically like (rho_fil / rho_cyl)^(-|n|)
     (or its reciprocal for an interior source), so the series converges for
     every source position strictly off the boundary.
     """
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
-    psi = np.atleast_1d(np.asarray(phi, dtype=float) - excitation.phi)
+    psi = np.ravel(np.asarray(phi, dtype=float) - excitation.phi)
     orders = _density_orders(base, rho_cyl, medium1, medium2)
 
     # both series read the same per-mode solve; each still stops on its own
@@ -160,7 +161,8 @@ def reconstruct_fields_from_densities(
     """Field radiated by the boundary densities, plus the incident part.
 
     phi_obs is one angle or an array of angles on the circle rho_obs; an
-    array gives an array, with each mode solved once for all of them.
+    array gives an array of its shape, with each mode solved once for all
+    of them.
 
     Outside the boundary the densities radiate with the exterior wavenumber,
     inside with the interior one (with reversed sign of both densities); the
@@ -182,7 +184,7 @@ def reconstruct_fields_from_densities(
     cap = n_max if n_max is not None else default_n_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
-    phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
+    phis = np.ravel(np.asarray(phi_obs, dtype=float))
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     outside = rho_obs > rho_cyl

@@ -11,10 +11,7 @@ vectors, an a-priori verdict per auxiliary surface, and sweeps over N that
 track amplitude growth or field error.
 """
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,34 +314,8 @@ def _growth(previous_amplitude, amplitude):
     return 1.0 if amplitude == 0.0 else float("inf")
 
 
-def _worker_count(n_jobs):
-    """Worker count for sweeps; the CYLWAVE_THREADS variable caps it.
-
-    Unset, non-integer, or nonpositive values fall back to the CPUs this
-    process may run on (its affinity mask, where the platform has one).
-    """
-    try:
-        cap = int(os.environ.get("CYLWAVE_THREADS", ""))
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        try:
-            cap = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cap = os.cpu_count() or 1
-    return max(1, min(n_jobs, cap))
-
-
 def _solve_sizes(method, geometry, excitation, media, n_list):
-    """Solve every N: (solutions, failures), each keyed by N ascending.
-
-    Circulant systems (discrete.circulant_geometry) are solved in order on
-    the calling thread: at the sizes sweeps use, their DFT solves run
-    mostly in Python under the interpreter lock, so a second thread only
-    adds contention and CPU time. Every other geometry solves its sizes
-    concurrently on up to _worker_count threads, where the dense LUs
-    release the lock.
-    """
+    """Solve every N in ascending order: (solutions, failures), each keyed by N."""
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
@@ -352,21 +323,13 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
     if not sizes:
         raise ValueError("n_list must not be empty")
 
-    def run(n):
-        system = assemble(
-            curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
-        )
-        return discrete.solve(system)
-
-    if discrete.circulant_geometry(curve, aux_inner, aux_outer):
-        results = {n: functools.partial(run, n) for n in sizes}
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-            results = {n: pool.submit(run, n).result for n in sizes}
     solutions, failures = {}, {}
     for n in sizes:
         try:
-            solutions[n] = results[n]()
+            system = assemble(
+                curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
+            )
+            solutions[n] = discrete.solve(system)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             failures[n] = str(exc)
     return solutions, failures

@@ -760,8 +760,11 @@ def q_sum_coefficients(
     modes = np.asarray(m)
     if modes.ndim > 1:
         raise ValueError("m must be one mode index or a 1-D array of them")
+    if not np.all(modes == np.round(modes)):
+        raise ValueError("mode index must be an integer")
     if not np.all((0 <= modes) & (modes < n_points)):
         raise ValueError("mode index must satisfy 0 <= m < n_points")
+    modes = modes.astype(int)
     _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
 
     r_cyl = curve.params["radius"]

@@ -363,7 +363,8 @@ def exact_ring(
 ):
     """Total field of the circular problem at every angle of phis on the circle rho_obs.
 
-    region is 1 (outside the cylinder) or 2 (inside). The ring may lie
+    phis is a 1-D array of angles (exact_field takes one angle), and region
+    is 1 (outside the cylinder) or 2 (inside). The ring may lie
     anywhere the requested series converges, including the extended region
     beyond the physical one; outside that a divergence warning is attached
     to every result and the partial sums are returned as they are.
@@ -381,6 +382,8 @@ def exact_ring(
     if rho_obs <= 0.0:
         raise ValueError("observation radius must be positive")
     phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 1:
+        raise ValueError("phis must be a 1-D array of angles")
 
     warning = None
     if convergence_region(series_id, rho_obs, rho_cyl, excitation.rho) == "diverges":

@@ -6,7 +6,9 @@ Usage::
 
 Runs every preset under ``presets/`` through ``solve``, ``fields`` and
 ``sweep`` (a command that a preset does not support is recorded too, with
-its error and exit code), then ``validate --only GROUP --out`` for each
+its error and exit code), then ``sweep`` on the configs of ELLIPSE_SWEEPS,
+which it writes to ``OUTDIR/configs/`` (no preset sweeps a non-circular
+boundary at more than one N), then ``validate --only GROUP --out`` for each
 acceptance group, then every script under ``demos/``, once with
 ``OPENBLAS_NUM_THREADS=1`` into ``OUTDIR/threads-1/`` and once with
 ``OPENBLAS_NUM_THREADS=2`` into ``OUTDIR/threads-2/`` (dense-path outputs
@@ -22,6 +24,7 @@ Run it in two checkouts, then ``diff -r A B``. This file is a tool, not a
 test; pytest does not collect it.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +36,22 @@ GROUPS = ("specfun", "exact", "discrete", "concordance")
 
 
 THREADS = (1, 2)
+
+# 2.0/1.6 ellipse at scales 0.8/1.25, external source at 4: one per method
+ELLIPSE_SWEEPS = {
+    "ellipse-sweep-%s" % method: {
+        "geometry": {
+            "kind": "ellipse",
+            "semi_major": 2.0,
+            "semi_minor": 1.6,
+            "aux": {"inner_scale": 0.8, "outer_scale": 1.25},
+        },
+        "media": {"region1": {"eps_r": 1.0, "mu_r": 1.0}, "region2": {"eps_r": 4.2, "mu_r": 1.0}},
+        "excitation": {"region": "external", "radius": 4.0, "amplitude": 1.0},
+        "solver": {"method": method, "n_list": [40, 46, 64]},
+    }
+    for method in ("nfm", "mas")
+}
 
 
 def record(run_dir, argv, threads):
@@ -71,6 +90,12 @@ def main(argv):
         for preset in sorted((ROOT / "presets").glob("*.json"))
         for command in COMMANDS
     ]
+    configs = outdir / "configs"
+    configs.mkdir(parents=True)
+    for name, doc in ELLIPSE_SWEEPS.items():
+        path = configs / (name + ".json")
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        runs.append(("%s-sweep" % name, ["sweep", "--config", str(path)]))
     runs += [("validate-%s" % group, ["validate", "--only", group]) for group in GROUPS]
     for threads in THREADS:
         base = outdir / ("threads-%d" % threads)

@@ -108,6 +108,10 @@ def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):
         pairs = [density_series(exc, phi, RHO_CYL, M1, M2) for phi in phis]
         assert np.array_equal(j_z, [pair[0] for pair in pairs])
         assert np.array_equal(m_phi, [pair[1] for pair in pairs])
+        # a 2-D array gives the flat call's bytes in its shape
+        grid = phis.reshape(5, 8)
+        for got, flat in zip(density_series(exc, grid, RHO_CYL, M1, M2), (j_z, m_phi)):
+            assert got.shape == grid.shape and got.tobytes() == flat.tobytes()
         for rho_obs in (10.0, 1.3):
             ring = reconstruct_fields_from_densities(exc, rho_obs, phis, RHO_CYL, M1, M2)
             points = [
@@ -115,6 +119,8 @@ def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):
                 for phi in phis
             ]
             assert np.array_equal(ring, points)
+            got = reconstruct_fields_from_densities(exc, rho_obs, grid, RHO_CYL, M1, M2)
+            assert got.shape == grid.shape and got.tobytes() == ring.tobytes()
 
 
 def test_densities_even_about_source_angle():

@@ -1,12 +1,12 @@
 """Divergence prediction, oscillation scans, and convergence sweeps."""
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cylwave import diagnostics
+from cylwave import diagnostics, discrete
 from cylwave.exact import Medium
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
@@ -200,64 +200,31 @@ def test_unknown_method_and_empty_sweep_are_rejected():
         diagnostics.oscillation_scan("mas", NARROW, EXT, (M1, M2), [])
 
 
+@pytest.mark.parametrize("method", ["nfm", "mas"])
 @pytest.mark.parametrize(
     "geometry, n_list",
-    [(WIDE, [40, 46]), (ELLIPSE, [16, 20, 24])],
+    [(WIDE, [40, 46, 3]), (ELLIPSE, [16, 20, 3])],
     ids=["circle", "ellipse"],
 )
-def test_thread_cap_does_not_change_results(monkeypatch, geometry, n_list):
-    monkeypatch.setenv("CYLWAVE_THREADS", "1")
-    serial = diagnostics.oscillation_scan("mas", geometry, EXT, (M1, M2), n_list)
-    monkeypatch.setenv("CYLWAVE_THREADS", "not a number")
-    fallback = diagnostics.oscillation_scan("mas", geometry, EXT, (M1, M2), n_list)
-    assert serial.reports == fallback.reports
+def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method):
+    want = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
+    solve, threads = discrete.solve, []
 
+    def recorded(system):
+        threads.append(threading.get_ident())
+        return solve(system)
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a circle sweep must not start a thread pool")
-
-
-@pytest.mark.parametrize("method", ["nfm", "mas"])
-def test_circle_scans_solve_on_the_calling_thread(monkeypatch, method):
-    want = diagnostics.oscillation_scan(method, WIDE, EXT, (M1, M2), [40, 46, 3])
-    monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", _NoPool)
-    got = diagnostics.oscillation_scan(method, WIDE, EXT, (M1, M2), [40, 46, 3])
+    monkeypatch.setattr(discrete, "solve", recorded)
+    got = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
+    assert threads == [threading.get_ident()] * 2
+    assert got.n_points == want.n_points == tuple(sorted(n_list))[1:]
     assert got.reports == want.reports
     assert got.failures == want.failures
-    sweep = diagnostics.convergence_sweep(method, WIDE, EXT, (M1, M2), [20, 24])
-    assert tuple(sweep.errors()) == (20, 24)
-
-
-def test_ellipse_scans_solve_their_sizes_on_the_pool(monkeypatch):
-    started = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", Pool)
-    monkeypatch.setenv("CYLWAVE_THREADS", "2")
-    scan = diagnostics.oscillation_scan("nfm", ELLIPSE, EXT, (M1, M2), [16, 20, 3])
-    assert started == [2]
-    assert scan.n_points == (16, 20)
-    assert list(scan.failures) == [3]
-
-
-def test_worker_count_follows_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("CYLWAVE_THREADS", raising=False)
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert diagnostics._worker_count(4) == 1
-    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert diagnostics._worker_count(4) == 3
-    assert diagnostics._worker_count(2) == 2
-    monkeypatch.setenv("CYLWAVE_THREADS", "2")
-    assert diagnostics._worker_count(4) == 2
-    monkeypatch.delenv("CYLWAVE_THREADS")
-    monkeypatch.delattr(diagnostics.os, "sched_getaffinity")
-    assert diagnostics._worker_count(16) == 8
+    assert list(got.failures) == [3]
+    assert "collocation points" in got.failures[3]
+    sweep = diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), n_list[:2])
+    assert tuple(sweep.errors()) == tuple(n_list[:2])
+    assert threads == [threading.get_ident()] * 4
 
 
 # -- convergence_sweep -------------------------------------------------------

@@ -539,6 +539,12 @@ def test_qsum_validation():
         discrete.q_sum_coefficients(0, 8, ELLIPSE, ELL_IN, ELL_OUT, EXT, M1, M2)
     with pytest.raises(ValueError, match="mode index"):
         discrete.q_sum_coefficients(8, 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
+    args = (11, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
+    for m in (1.5, [1.0, 2.5]):
+        with pytest.raises(ValueError, match="mode index must be an integer"):
+            discrete.q_sum_coefficients(m, *args)
+    whole = discrete.q_sum_coefficients(np.array([1.0, 2.0]), *args)
+    assert _qsum_bytes(whole, 1) == _qsum_bytes(discrete.q_sum_coefficients(2, *args))
 
 
 _QSUM_FIELDS = ("d", "b1", "b2", "b3", "b4")

@@ -285,6 +285,9 @@ def test_invalid_inputs_rejected():
             exact.exact_ring(EXT, 3, 5.0, [0.0], RHO_CYL, M1, M2, deriv=deriv)
         with pytest.raises(ValueError, match="observation radius must be positive"):
             exact.exact_ring(EXT, 1, -1.0, [0.0], RHO_CYL, M1, M2, deriv=deriv)
+        for phis in (0.5, np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="phis must be a 1-D array"):
+                exact.exact_ring(EXT, 1, 5.0, phis, RHO_CYL, M1, M2, deriv=deriv)
 
 
 def test_field_regression_anchors():
