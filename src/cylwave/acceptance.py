@@ -44,17 +44,8 @@ def special_function_identities():
     """Criterion 01: Wronskian and the H0 addition theorem."""
     radii = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 40.0])
     scale = 2.0 / (np.pi * radii)
-    exact = 2.0 / (1j * np.pi * radii)
-    # row n + 1 holds order n at every radius, for n = -1 .. 61
-    orders = np.arange(-1, 62)
-    j = np.ascontiguousarray(specfun.bessel_orders(False, orders, radii).T)
-    h = np.ascontiguousarray(specfun.bessel_orders(True, orders, radii).T)
-    worst_w = 0.0
-    for n in range(1, 62):
-        residual = (
-            j[n] * (0.5 * (h[n - 1] - h[n + 1])) - (0.5 * (j[n - 1] - j[n + 1])) * h[n]
-        ) - exact
-        worst_w = max(worst_w, float(np.max(np.abs(residual) / scale)))
+    residual = specfun.wronskian_residual(np.arange(61), radii)
+    worst_w = float(np.max(np.abs(residual) / scale[:, None]))
     worst_a = 0.0
     thetas = np.linspace(0.0, np.pi, 8)
     for x1 in np.linspace(1.0, 3.0, 5):

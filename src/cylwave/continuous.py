@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .exact import Medium, _sum_adaptive, default_n_cap, incident_field
+from .exact import Medium, default_n_cap, incident_field, sum_series
 
 _TWO_PI = 2.0 * np.pi
 
@@ -111,8 +111,8 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     def coefficients(n):
         return mode_solve(n, base, rho_cyl, medium1, medium2, orders)
 
-    j_z, _, _, ok_j, _ = _sum_adaptive(lambda n: coefficients(n).electric, psi, cap)
-    m_phi, _, _, ok_m, _ = _sum_adaptive(lambda n: coefficients(n).magnetic, psi, cap)
+    j_z, _, _, _, ok_j, _ = sum_series(lambda n: coefficients(n).electric, psi, cap)
+    m_phi, _, _, _, ok_m, _ = sum_series(lambda n: coefficients(n).magnetic, psi, cap)
     if not (ok_j.all() and ok_m.all()):
         raise ArithmeticError(
             "density series not converged within n_max=%d "
@@ -207,7 +207,7 @@ def reconstruct_fields_from_densities(
             + (k2 / 4j) * coeff.magnetic * orders.hankel2_prime(n, k2 * rho_cyl)
         ) * radial
 
-    value, _, _, converged, warning = _sum_adaptive(term, phis - excitation.phi, cap)
+    value, _, _, _, converged, warning = sum_series(term, phis - excitation.phi, cap)
     if not converged.all():
         first = warning[int(np.argmin(converged))]
         raise ArithmeticError(
@@ -216,8 +216,6 @@ def reconstruct_fields_from_densities(
         )
     value = _TWO_PI * rho_cyl * value
 
-    if outside and excitation.region == "external":
-        value = value + incident_field(excitation, medium1, rho_obs, phis)
-    elif not outside and excitation.region == "internal":
-        value = value + incident_field(excitation, medium2, rho_obs, phis)
+    if outside == (excitation.region == "external"):
+        value = value + incident_field(excitation, medium1 if outside else medium2, rho_obs, phis)
     return value.reshape(shape)[()]

@@ -7,6 +7,7 @@ boundary about its center, which keeps them star shaped with radius
 sigma * r(phi).
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,11 @@ class Excitation:
     def __post_init__(self):
         if self.region not in ("external", "internal"):
             raise ValueError("region must be 'external' or 'internal'")
-        if self.rho <= 0.0:
-            raise ValueError("source radius must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("source radius rho must be positive and finite")
+        for name in ("phi", "amplitude"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError("source %s must be finite" % name)
 
     def position_xy(self):
         return np.array([self.rho * np.cos(self.phi), self.rho * np.sin(self.phi)])

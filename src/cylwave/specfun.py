@@ -21,9 +21,10 @@ blocks of orders. The exact field, density coefficients and q-sums read them
 one order at a time from an OrderTable, which evaluates a block for all
 arguments of a kind the first time one of its orders is read; every read has
 the bits of the scalar functions at that order, so those series keep their
-per-order arithmetic. The addition series sum each block for every angle
-asked for in one pass, with the same bits as the order-by-order sum at each
-angle.
+per-order arithmetic. Every order series, the addition series here and the
+circular series of exact and continuous, is summed by sum_orders: runs of
+orders for every angle asked for in one pass, with the same bits and the
+same stop order as the order-by-order sum at each angle.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
@@ -133,14 +134,23 @@ def hankel2_prime(n, x):
 def wronskian_residual(n, x):
     """J_n H2'_n - J'_n H2_n minus its exact value 2/(i pi x).
 
-    Should be ~1e-15 relative to 2/(pi x) for any order/argument combination
-    this package touches; used as a self-check. Criterion 01 forms the same
-    residual from one bessel_orders table per kind.
+    n is one order or a 1-D array of them; the result has shape
+    np.shape(x) + np.shape(n), from one bessel_orders table per kind over
+    the orders n - 1, n and n + 1, each evaluated once. Should be ~1e-15
+    relative to 2/(pi x) for any order/argument combination this package
+    touches; criterion 01 and the tests use it as a self-check.
     """
-    x = np.asarray(x, dtype=float)
-    exact = 2.0 / (1j * np.pi * x)
-    val = bessel_j(n, x) * hankel2_prime(n, x) - bessel_j_prime(n, x) * hankel2(n, x)
-    return val - exact
+    n = np.asarray(n)
+    x = _check_argument(x)
+    shape = x.shape + (3,) + n.shape
+    orders, at = np.unique(np.ravel([n - 1, n, n + 1]), return_inverse=True)
+    h = bessel_orders(True, orders, x)
+    if not np.isfinite(h).all():
+        raise _overflow(int(np.max(np.abs(orders))), float(np.min(x)))
+    j_lo, j, j_hi = np.moveaxis(bessel_orders(False, orders, x)[..., at].reshape(shape), x.ndim, 0)
+    h_lo, h, h_hi = np.moveaxis(h[..., at].reshape(shape), x.ndim, 0)
+    exact = 2.0 / (1j * np.pi * x.reshape(x.shape + (1,) * n.ndim))
+    return (j * (0.5 * (h_lo - h_hi)) - (0.5 * (j_lo - j_hi)) * h) - exact
 
 
 def bessel_orders(hankel, n, x):
@@ -231,71 +241,112 @@ class OrderTable:
         return 0.5 * (self.hankel2(n - 1, x) - self.hankel2(n + 1, x))
 
 
-def _addition_sum(theta, n_max, term):
-    """Common summation for the three addition-theorem partial sums.
+def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
+    """t_0 + sum_{1 <= n <= n_max} 2 t_n cos(n angle) at a 1-D array of angles.
 
-    theta is one angle or a 1-D array of angles; the radial factors are
-    evaluated once for all of them. term(n) must return the products of
-    radial factors for an array n of consecutive orders >= 0, non-finite
-    where an order overflows; the angular factor and the +/-n symmetry (all
-    three kernels are even in n) are handled here. Orders go in blocks of
-    _BLOCK. Within a block each angle's running sum is a sequential
-    np.add.accumulate of 2 t cos(n theta), so every partial sum has the bits
-    of adding the terms one by one at that angle alone. An angle stops once
-    three consecutive terms fall below roundoff relative to its running sum
-    (the streak carries across blocks); every angle stops before the first
-    non-finite term. Returns the sums and the magnitudes of the last terms
-    added, each shaped like theta (a complex and a float for one angle).
+    Every order series of the package is summed here. run(n) returns the
+    terms of the orders n, at most block consecutive ones from order 0 up,
+    and a reason, None unless it returns fewer terms: those of the first
+    orders. Each angle's partial sums are a sequential np.add.accumulate
+    over the run, with the bits of adding the terms one by one. An angle
+    stops converged once three consecutive terms have 2 |t_n| below rel_tol
+    times its partial sum (the streak carries across runs); if grow is
+    given, it stops warning "series terms growing without bound" at a term
+    with 2 |t_n| above grow times that sum. A short run stops every angle
+    still running, warning its reason; n_max stops them with no warning. A
+    run without order 0 raises BesselOverflowError. Returns per angle the
+    sum, the last order added, |t_n| at that order, the geometric tail
+    estimate (inf at order 0), the converged flag, and a list of warnings.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    total = np.empty(angles.size, dtype=complex)
+    order = np.zeros(angles.size, dtype=int)
+    converged = np.zeros(angles.size, dtype=bool)
+    warning = [None] * angles.size
+    # |t_n| of the orders summed, the same at every angle; of the angles still
+    # running, their indices, angles, partial sums and last two small flags
+    mags, active, theta = [], np.arange(angles.size), angles[:, None]
+    small = np.zeros((angles.size, 2), dtype=bool)
+    for start in range(0, n_max + 1, block):
+        n = np.arange(start, min(start + block, n_max + 1))
+        terms, reason = run(n)
+        t = np.asarray(terms, dtype=complex)
+        short, n = t.size < n.size, n[: t.size]
+        # np.hypot rounds as abs() of a complex scalar does; np.abs may not
+        mags.append(np.hypot(t.real, t.imag))
+        if start == 0:
+            if not t.size:
+                raise BesselOverflowError("series overflows at order 0")
+            total[:] = running = t[0]
+            n, t = n[1:], t[1:]
+        if t.size:
+            part = 2.0 * t * np.cos(n * theta)
+            part[:, 0] += running
+            sums = np.add.accumulate(part, axis=1)
+            mag2 = 2.0 * mags[-1][-t.size :]
+            scale = np.maximum(np.hypot(sums.real, sums.imag), 1e-300)
+            flags = np.concatenate((small, mag2 < rel_tol * scale), axis=1)
+            done = flags[:, 2:] & flags[:, 1:-1]
+            done &= flags[:, :-2]
+            stopped = done if grow is None else done | (mag2 > grow * scale)
+            if stopped.any():
+                hit = stopped.any(axis=1)
+                at = stopped[hit].argmax(axis=1)
+                index = active[hit]
+                total[index] = sums[hit, at]
+                order[index] = n[at]
+                converged[index] = ok = done[hit, at]
+                for i in index[~ok].tolist():
+                    warning[i] = "series terms growing without bound"
+                if index.size == active.size:
+                    active = index[:0]
+                    break
+                keep = ~hit
+                active, theta, sums, flags = active[keep], theta[keep], sums[keep], flags[keep]
+            running, small = sums[:, -1], flags[:, -2:]
+        if short or not active.size:
+            break
+    mags = np.concatenate(mags)
+    if active.size:
+        total[active] = running
+        order[active] = mags.size - 1
+        for i in active.tolist():
+            warning[i] = reason
+    # 2 |t_n| r / (1 - r), r the ratio to |t_0| at order 1, else to the
+    # floored 2 |t_(n-1)|, capped at 0.99; once per order stopped at
+    tails, values = {0: np.inf}, mags.tolist()
+    for n in set(order.tolist()) - {0}:
+        mag = 2.0 * values[n]
+        prev = values[0] if n == 1 else max(2.0 * values[n - 1], 1e-300)
+        ratio = min(mag / prev if prev > 0 else 1.0, 0.99)
+        tails[n] = mag * ratio / (1.0 - ratio)
+    tail = np.array([tails[n] for n in order.tolist()])
+    return total, order, mags[order], tail, converged, warning
+
+
+def _addition_sum(theta, n_max, ratio, term):
+    """sum_orders of an addition series at one angle or a 1-D array of them.
+
+    term(n) returns the products of radial factors at an array n of orders,
+    non-finite where an order overflows; the sum stops before the first
+    such order. Warns per angle as _warn_if_unconverged does for the radius
+    ratio of the two points. Returns the sums shaped like theta.
+    """
     angles = np.asarray(theta, dtype=float)
     if angles.ndim > 1:
         raise ValueError("theta must be one angle or a 1-D array of angles")
-    single = angles.ndim == 0
-    angles = angles.reshape(-1)
-    total = np.empty(angles.size, dtype=complex)
-    last = np.empty(angles.size)
-    streak = [0] * angles.size
-    active = np.arange(angles.size)
-    for start in range(0, n_max + 1, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, n_max + 1))
-        # overflowing orders may meet 0 * inf; they are cut off below
+
+    def run(n):
+        # overflowing orders may meet 0 * inf; they are cut off here
         with np.errstate(invalid="ignore", over="ignore"):
             t = term(n)
-        if start == 0:
-            if not cmath.isfinite(t[0]):
-                raise BesselOverflowError("addition series overflows at order 0")
-            total[:] = t[0]
-            last[:] = abs(complex(t[0]))
-            n, t = n[1:], t[1:]
         finite = np.isfinite(t)
-        stop = t.size if finite.all() else int(finite.argmin())
-        if stop == 0:
-            break
-        n, t = n[:stop], t[:stop]
-        part = 2.0 * t * np.cos(n * angles[active, None])
-        part[:, 0] += total[active]
-        running = np.add.accumulate(part, axis=1)
-        mag = np.hypot(t.real, t.imag)
-        small = 2.0 * mag < 1e-14 * np.maximum(np.hypot(running.real, running.imag), 1e-300)
-        going = []
-        for row, a in enumerate(active.tolist()):
-            end = stop
-            for i, is_small in enumerate(small[row].tolist()):
-                streak[a] = streak[a] + 1 if is_small else 0
-                if streak[a] >= 3:
-                    end = i + 1
-                    break
-            total[a], last[a] = running[row, end - 1], mag[end - 1]
-            if streak[a] < 3:
-                going.append(a)
-        active = np.array(going, dtype=int)
-        if not going or stop < finite.size:
-            break
-    if single:
-        return complex(total[0]), float(last[0])
-    return total, last
+        return (t if finite.all() else t[: finite.argmin()]), None
+
+    total, _, last, _, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
+    _warn_if_unconverged(last, total, ratio)
+    return complex(total[0]) if angles.ndim == 0 else total
 
 
 def addition_series_h0(x1, x2, theta, n_max=60):
@@ -312,11 +363,9 @@ def addition_series_h0(x1, x2, theta, n_max=60):
     if x1 == x2:
         raise ValueError("radii must differ (distance may vanish)")
     lo, hi = min(x1, x2), max(x1, x2)
-    total, last = _addition_sum(
-        theta, n_max, lambda n: bessel_orders(False, n, lo) * bessel_orders(True, n, hi)
+    return _addition_sum(
+        theta, n_max, lo / hi, lambda n: bessel_orders(False, n, lo) * bessel_orders(True, n, hi)
     )
-    _warn_if_unconverged(last, total, lo / hi)
-    return total
 
 
 def _around(n):
@@ -338,9 +387,7 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
         j = bessel_orders(False, _around(n), x1)
         return -(0.5 * (j[:-2] - j[2:])) * bessel_orders(True, n, x2)
 
-    total, last = _addition_sum(theta, n_max, term)
-    _warn_if_unconverged(last, total, x1 / x2)
-    return total
+    return _addition_sum(theta, n_max, x1 / x2, term)
 
 
 def addition_series_h0_d2(x1, x2, theta, n_max=60):
@@ -356,15 +403,14 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
         h = bessel_orders(True, _around(n), x2)
         return -bessel_orders(False, n, x1) * (0.5 * (h[:-2] - h[2:]))
 
-    total, last = _addition_sum(theta, n_max, term)
-    _warn_if_unconverged(last, total, x1 / x2)
-    return total
+    return _addition_sum(theta, n_max, x1 / x2, term)
 
 
 def _warn_if_unconverged(last_term, total, ratio):
     """Warn once per angle whose sum's tail estimate is not below tolerance.
 
-    last_term and total are one angle's values or arrays over the angles.
+    last_term and total are one angle's values or arrays over the angles;
+    the warning names the line that called the series, through _addition_sum.
     """
     import warnings
 
@@ -375,5 +421,5 @@ def _warn_if_unconverged(last_term, total, ratio):
             warnings.warn(
                 "addition series tail estimate %.3g not below tolerance; "
                 "increase n_max" % bound,
-                stacklevel=3,
+                stacklevel=4,
             )

@@ -148,6 +148,16 @@ def test_density_series_truncation_failure_raises():
         density_series(grazing, 0.0, RHO_CYL, M1, M2, n_max=60)
 
 
+@pytest.mark.parametrize("n_max", [-1, -3])
+def test_negative_series_caps_are_rejected(n_max):
+    # not a convergence failure: the shared summation rejects the cap itself
+    for exc in (EXT, INT):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            density_series(exc, [0.0, 0.5], RHO_CYL, M1, M2, n_max=n_max)
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            reconstruct_fields_from_densities(exc, 10.0, [0.0, 0.5], RHO_CYL, M1, M2, n_max)
+
+
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 @pytest.mark.parametrize("which", ["J", "M"])
 def test_density_asymptotics_converge_to_prediction(exc, which):

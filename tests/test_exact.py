@@ -31,6 +31,14 @@ def test_medium_derived_quantities():
         Medium(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_medium_rejects_non_finite_values_naming_the_field(bad):
+    with pytest.raises(ValueError, match="eps_r must be positive and finite"):
+        Medium(bad)
+    with pytest.raises(ValueError, match="mu_r must be positive and finite"):
+        Medium(4.2, bad)
+
+
 def test_critical_radius():
     assert critical_radius(2.0, 4.0) == pytest.approx(1.0)
     assert critical_radius(2.0, 1.0) == pytest.approx(4.0)
@@ -249,6 +257,17 @@ def test_incident_field_singularity_and_zero_amplitude():
     assert exact.incident_field(quiet, M1, 1.0, 0.0) == 0.0
 
 
+def test_incident_field_keeps_the_shape_of_its_angles():
+    # a 2-D angle array gives, bit for bit, the raveled call in that shape
+    exc = Excitation("external", 4.0, phi=0.3, amplitude=1.5 - 0.5j)
+    grid = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    for field in (exact.incident_field, exact._incident_radial_deriv):
+        got = field(exc, M2, 2.5, grid)
+        flat = field(exc, M2, 2.5, grid.ravel())
+        assert got.shape == (2, 3)
+        assert got.tobytes() == flat.reshape(2, 3).tobytes()
+
+
 def test_series_id_for():
     assert exact.series_id_for(EXT, 1) == "ext_R1"
     assert exact.series_id_for(EXT, 2) == "ext_R2"
@@ -288,6 +307,14 @@ def test_invalid_inputs_rejected():
         for phis in (0.5, np.zeros((2, 3))):
             with pytest.raises(ValueError, match="phis must be a 1-D array"):
                 exact.exact_ring(EXT, 1, 5.0, phis, RHO_CYL, M1, M2, deriv=deriv)
+
+
+@pytest.mark.parametrize("n_max", [-1, -16])
+def test_negative_series_caps_are_rejected(n_max):
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        exact.exact_ring(EXT, 1, 5.0, [0.0, 1.0], RHO_CYL, M1, M2, n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        exact_field(EXT, 1, 5.0, 0.0, RHO_CYL, M1, M2, n_max=n_max)
 
 
 def test_field_regression_anchors():
@@ -355,7 +382,12 @@ def test_boundary_continuity_property(eps, mu, rho_cyl, ratio, phi):
 
 
 def _same_sums(got, want):
-    """Equal bytes for value, n_used, tail and converged, equal warnings in order."""
+    """Equal bytes for value, n_used, tail and converged, equal warnings in order.
+
+    got is what specfun.sum_orders returns, want what series_loop.sum_adaptive
+    returns (no magnitude of the last term).
+    """
+    got = got[:2] + got[3:]
     for g, w in zip(got[:4], want[:4]):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
     assert got[4] == want[4]
@@ -374,8 +406,9 @@ def _ring(k):
 
 
 def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
-    # synthetic terms reach every way an angle stops: convergence at orders
-    # on both sides of a block seam, a partial sum that cancels to zero
+    # exact.sum_series, the scalar adapter, summed by specfun.sum_orders.
+    # Synthetic terms reach every way an angle stops: convergence at orders
+    # on both sides of a run seam, a partial sum that cancels to zero
     # (growing without bound), a raising order, a non-finite term, and a cap
     psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
 
@@ -393,13 +426,14 @@ def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
     def infinite(n):
         return complex("inf") if n == 21 else 0.95**n + 0.1j
 
-    cases = [(decaying(r), cap) for r in (0.1, 0.125, 0.14, 0.3, 0.5, 0.8) for cap in (0, 1, 15, 16, 17, 500)]
+    caps = (0, 1, 15, 16, 17, 31, 32, 33, 500)
+    cases = [(decaying(r), cap) for r in (0.1, 0.125, 0.14, 0.3, 0.5, 0.8) for cap in caps]
     cases += [(cancelling, 60), (raising, 60), (raising, 39), (infinite, 60), (infinite, 20)]
     flags, orders = set(), set()
     for term, cap in cases:
         for angles in (psi, psi[:1], np.linspace(-3.0, 3.0, 36)):
             want = series_loop.sum_adaptive(term, angles, cap)
-            _same_sums(exact._sum_adaptive(term, angles, cap), want)
+            _same_sums(exact.sum_series(term, angles, cap), want)
             flags.update(want[4])
             orders.update(want[1].tolist())
     assert {

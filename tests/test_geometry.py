@@ -148,6 +148,19 @@ def test_excitation_validation():
         Excitation("external", -4.0)
 
 
+def test_excitation_rejects_non_finite_values_naming_the_field():
+    nan, inf = float("nan"), float("inf")
+    for rho in (nan, inf):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            Excitation("external", rho)
+    for phi in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            Excitation("external", 4.0, phi=phi)
+    for amplitude in (complex("nan"), complex(1.0, inf), nan):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            Excitation("internal", 1.0, amplitude=amplitude)
+
+
 def test_excitation_position():
     exc = Excitation("external", 4.0, phi=np.pi / 2)
     assert np.allclose(exc.position_xy(), [0.0, 4.0], atol=1e-15)

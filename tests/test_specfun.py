@@ -1,5 +1,6 @@
 """Special-function layer against the extended-precision oracle."""
 
+import cmath
 import warnings
 
 import numpy as np
@@ -58,6 +59,28 @@ def test_wronskian_frozen_value():
         - specfun.bessel_j_prime(n, x) * specfun.hankel2(n, x)
     )
     assert val == pytest.approx(WRONSKIAN_AT_2, rel=1e-12)
+
+
+def test_wronskian_order_arrays_equal_one_order_calls_bit_for_bit():
+    # one table per kind over an order array; each column has the bits of
+    # the scalar functions' residual at that order, scalar n keeps its type
+    radii = np.array(X_GRID)
+    orders = np.arange(61)
+    got = specfun.wronskian_residual(orders, radii)
+    assert got.shape == (len(X_GRID), 61)
+    for n in orders.tolist():
+        x = radii
+        want = (
+            specfun.bessel_j(n, x) * specfun.hankel2_prime(n, x)
+            - specfun.bessel_j_prime(n, x) * specfun.hankel2(n, x)
+        ) - 2.0 / (1j * np.pi * x)
+        assert got[:, n].tobytes() == want.tobytes()
+        one = specfun.wronskian_residual(n, 2.0)
+        assert type(one) is np.complex128
+        assert one == got[X_GRID.index(2.0), n]
+    assert specfun.wronskian_residual(np.array([7, 3]), 2.0).tolist() == [got[3, 7], got[3, 3]]
+    with pytest.raises(specfun.BesselOverflowError):
+        specfun.wronskian_residual(400, 0.1)
 
 
 @pytest.mark.parametrize("x", X_GRID)
@@ -288,6 +311,78 @@ def test_addition_series_match_the_per_order_loop_bit_for_bit(kind):
         spread += len(orders) > 1
     assert warned > 0
     assert spread > 0
+
+
+def _families():
+    """Synthetic term families: array terms for the addition path (non-finite
+    where an order overflows), with the overflowing order, if any."""
+
+    def decaying(rate):
+        return lambda n: (0.3 - 0.7j) * rate**n
+
+    def cancelling(n):
+        # -2 + 2 * 1 * cos(0) sums to exactly zero at angle 0
+        return np.where(n == 0, -2.0, np.where(n == 1, 1.0, 0.6**n * (1 + 1j)))
+
+    def overflowing(order, rate):
+        return lambda n: np.where(n == order, complex("inf"), rate**n * (1 - 2j))
+
+    families = [(decaying(r), None) for r in (0.1, 0.125, 0.14, 0.3, 0.5, 0.8)]
+    families += [(cancelling, None)]
+    # overflow in the middle of the first and of the second run, and at order 0
+    families += [(overflowing(k, 0.97), k) for k in (21, 40)] + [(overflowing(0, 0.5), 0)]
+    return families
+
+
+@pytest.mark.filterwarnings("ignore:addition series tail estimate")
+def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch):
+    # _addition_sum (the three addition series' path into sum_orders) against
+    # series_loop._loop_sum at each angle alone: sums, last magnitudes and
+    # stop orders byte for byte, with caps on both sides of the run seam
+    stops, sum_orders = [], specfun.sum_orders
+
+    def recording(*args, **kwargs):
+        out = sum_orders(*args, **kwargs)
+        stops.append(out)
+        return out
+
+    monkeypatch.setattr(specfun, "sum_orders", recording)
+    psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
+    seen = set()
+    for term, overflow in _families():
+
+        def one_order(n, term=term):
+            t = complex(term(np.array([n]))[0])
+            if not cmath.isfinite(t):
+                raise specfun.BesselOverflowError("order %d overflows" % n)
+            return t
+
+        for cap in (0, 1, 31, 32, 33, 64, 500):
+            if overflow == 0:
+                with pytest.raises(specfun.BesselOverflowError):
+                    specfun._addition_sum(psi, cap, 0.5, term)
+                with pytest.raises(specfun.BesselOverflowError):
+                    series_loop._loop_sum(0.3, cap, one_order)
+                continue
+            total = specfun._addition_sum(psi, cap, 0.5, term)
+            _, order, last = stops[-1][:3]
+            for i, theta in enumerate(psi.tolist()):
+                want = series_loop._loop_sum(theta, cap, one_order)
+                assert np.complex128(total[i]).tobytes() == np.complex128(want[0]).tobytes()
+                assert np.float64(last[i]).tobytes() == np.float64(want[1]).tobytes()
+                assert int(order[i]) == want[2]
+                seen.add(want[2])
+            assert specfun._addition_sum(psi[1], cap, 0.5, term) == complex(total[1])
+    assert {20, 31, 32, 33, 39} <= seen
+
+
+def test_addition_series_warn_at_the_callers_line():
+    for series in (specfun.addition_series_h0, specfun.addition_series_h0_d1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series(2.0, 2.2, np.array([0.3, 1.0]), 4)
+        assert len(caught) == 2
+        assert {w.filename for w in caught} == {__file__}
 
 
 @settings(deadline=None, max_examples=60)
