@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acceptance, diagnostics, discrete, fields
-from .exact import Medium, exact_ring
+from .exact import Medium
 from .geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 _TWO_PI = 2.0 * np.pi
@@ -261,7 +261,7 @@ def _parse_output(doc, curve):
                     % (where,)
                 )
             try:
-                fields._ring_region(curve, float(pair[0]), angles, pair[1])
+                fields.ring_region(curve, float(pair[0]), angles, pair[1])
             except ValueError as exc:
                 raise ConfigError("%s: %s" % (where, exc))
             rings.append((float(pair[0]), pair[1]))
@@ -343,17 +343,18 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _report_series_trust(rho, region, results):
-    """One stderr line for a ring whose exact reference did not converge everywhere."""
-    loose = [result for result in results if not result.converged]
-    if loose:
-        print(
-            "cylwave: warning: exact series on ring rho = %g (region %d): %d of %d points "
-            "not converged, worst tail estimate %.2g"
-            % (rho, region, len(loose), len(results),
-               max(result.tail_estimate for result in loose)),
-            file=sys.stderr,
-        )
+def _report_series_trust(references):
+    """One stderr line per ring_references entry whose series did not converge everywhere."""
+    for rho, region, results in references:
+        loose = [result for result in results if not result.converged]
+        if loose:
+            print(
+                "cylwave: warning: exact series on ring rho = %g (region %d): %d of %d "
+                "points not converged, worst tail estimate %.2g"
+                % (rho, region, len(loose), len(results),
+                   max(result.tail_estimate for result in loose)),
+                file=sys.stderr,
+            )
 
 
 def _report_roundoff(method, solution):
@@ -373,20 +374,15 @@ def _report_roundoff(method, solution):
         )
 
 
-def _solve_single(config, method, n):
-    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
-    system = assemble(
-        config.curve,
-        config.aux_inner,
-        config.aux_outer,
-        config.excitation,
-        config.media[0],
-        config.media[1],
-        n_points=n,
+def _scan_one(config, method, n):
+    """The oscillation scan of one N; a failed solve raises its message."""
+    scan = diagnostics.oscillation_scan(
+        method, config.geometry(), config.excitation, config.media, (n,)
     )
-    solution = discrete.solve(system)
-    _report_roundoff(method, solution)
-    return solution
+    if scan.failures:
+        raise ValueError(scan.failures[n])
+    _report_roundoff(method, scan.solutions[n])
+    return scan
 
 
 # -- commands ----------------------------------------------------------------
@@ -397,7 +393,8 @@ def cmd_solve(config, out_dir):
     if config.method == "both":
         raise ConfigError("solver.method: the solve command needs 'nfm' or 'mas'")
     n = config.single_n("solve")
-    solution = _solve_single(config, config.method, n)
+    scan = _scan_one(config, config.method, n)
+    solution = scan.solutions[n]
     phis = solution.system.nodes.phis
     dens_e, dens_m = discrete.normalized_currents(solution)
     rows = [
@@ -427,16 +424,15 @@ def cmd_solve(config, out_dir):
         "re_magnetic_density",
         "im_magnetic_density",
     ]
-    oscillation = {}
-    labels = diagnostics.surface_labels(config.method)
-    for label, vec in zip(labels, (solution.electric, solution.magnetic)):
-        report = diagnostics.oscillation_report(label, n, vec)
-        oscillation[label] = {
+    oscillation = {
+        label: {
             "oscillation_index": report.oscillation_index,
             "max_amplitude": report.max_amplitude,
             "growth_factor": report.growth_factor,
             "flagged": report.flagged,
         }
+        for label, (report,) in scan.reports.items()
+    }
     summary = {
         "schema": _SCHEMA,
         "config_sha256": config.sha256,
@@ -461,7 +457,7 @@ def cmd_fields(config, out_dir):
     """Evaluate fields on observation rings; write fields.csv."""
     n = config.single_n("fields")
     methods = ("nfm", "mas") if config.method == "both" else (config.method,)
-    solutions = {method: _solve_single(config, method, n) for method in methods}
+    solutions = {method: _scan_one(config, method, n).solutions[n] for method in methods}
     rings = config.output["rings"]
     if rings is None:
         rings = diagnostics.default_rings(config.curve, config.excitation)
@@ -472,19 +468,14 @@ def cmd_fields(config, out_dir):
         header += ["re_exact", "im_exact"]
     for method in methods:
         header += ["re_%s" % method, "im_%s" % method]
+    references = ()
+    if with_exact:
+        references = diagnostics.ring_references(
+            config.curve, config.excitation, config.media, rings, angles
+        )
+        _report_series_trust(references)
     rows = []
-    for rho, region in rings:
-        if with_exact:
-            reference = exact_ring(
-                config.excitation,
-                region,
-                rho,
-                angles,
-                config.curve.params["radius"],
-                config.media[0],
-                config.media[1],
-            )
-            _report_series_trust(rho, region, reference)
+    for k, (rho, region) in enumerate(rings):
         samples = [
             fields.field_from_discrete(solutions[method], rho, angles, region=region).e_z
             for method in methods
@@ -492,7 +483,7 @@ def cmd_fields(config, out_dir):
         for i, phi in enumerate(angles):
             row = [_fmt(rho), region, _fmt(phi)]
             if with_exact:
-                value = reference[i].value
+                value = references[k][2][i].value
                 row += [_fmt(value.real), _fmt(value.imag)]
             for e_z in samples:
                 row += [_fmt(e_z[i].real), _fmt(e_z[i].imag)]
@@ -511,9 +502,7 @@ def cmd_sweep(config, out_dir):
     scan = sweep.scan
     for solution in scan.solutions.values():
         _report_roundoff(config.method, solution)
-    for rho, region, results in sweep.references:
-        _report_series_trust(rho, region, results)
-    errors = sweep.errors()
+    _report_series_trust(sweep.references)
     predicted = {}
     if config.method == "mas" and config.curve.kind == "circle":
         for verdict in diagnostics.predict_mas_divergence(
@@ -537,26 +526,23 @@ def cmd_sweep(config, out_dir):
     ]
     rows = []
     failures = scan.failures
-    sizes = sorted(set(scan.n_points) | set(failures))
-    first_seen = set()
-    for size in sizes:
+    for size in sorted(set(scan.n_points) | set(failures)):
         if size in failures:
             rows.append([size, "", "", "", "", "", "", "", failures[size]])
             continue
-        for label in scan.reports:
-            report = next(r for r in scan.reports[label] if r.n_points == size)
-            growth = "" if label not in first_seen else _fmt(report.growth_factor)
-            first_seen.add(label)
+        at = scan.n_points.index(size)
+        for label, reports in scan.reports.items():
+            report = reports[at]
             rows.append(
                 [
                     size,
                     label,
                     _fmt(report.max_amplitude),
-                    growth,
+                    "" if at == 0 else _fmt(report.growth_factor),
                     _fmt(report.oscillation_index),
                     "true" if report.flagged else "false",
                     predicted.get(label, ""),
-                    _fmt(errors[size]) if size in errors else "",
+                    _fmt(sweep.errors[size]),
                     "",
                 ]
             )

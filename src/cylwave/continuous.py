@@ -111,8 +111,8 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     def coefficients(n):
         return mode_solve(n, base, rho_cyl, medium1, medium2, orders)
 
-    j_z, _, _, _, ok_j, _ = sum_series(lambda n: coefficients(n).electric, psi, cap)
-    m_phi, _, _, _, ok_m, _ = sum_series(lambda n: coefficients(n).magnetic, psi, cap)
+    j_z, _, _, ok_j, _ = sum_series(lambda n: coefficients(n).electric, psi, cap)
+    m_phi, _, _, ok_m, _ = sum_series(lambda n: coefficients(n).magnetic, psi, cap)
     if not (ok_j.all() and ok_m.all()):
         raise ArithmeticError(
             "density series not converged within n_max=%d "
@@ -177,9 +177,6 @@ def reconstruct_fields_from_densities(
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
     shape = np.shape(phi_obs)
-    if excitation.amplitude == 0:
-        return np.zeros(shape, dtype=complex)[()]
-
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
@@ -207,7 +204,7 @@ def reconstruct_fields_from_densities(
             + (k2 / 4j) * coeff.magnetic * orders.hankel2_prime(n, k2 * rho_cyl)
         ) * radial
 
-    value, _, _, _, converged, warning = sum_series(term, phis - excitation.phi, cap)
+    value, _, _, converged, warning = sum_series(term, phis - excitation.phi, cap)
     if not converged.all():
         first = warning[int(np.argmin(converged))]
         raise ArithmeticError(

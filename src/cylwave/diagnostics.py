@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrete, fields
-from .exact import critical_radius, exact_ring
+from .exact import convergence_region, exact_ring
 
 _TWO_PI = 2.0 * np.pi
 _RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
@@ -82,46 +82,33 @@ class OscillationScan:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """Error observed at one N of a convergence sweep."""
-
-    n_points: int
-    error: float
-
-
-@dataclass(frozen=True)
 class ConvergenceSweep:
     """Error-vs-N table for one method against a fixed reference.
 
-    reference is 'exact' on a circular boundary and 'residual' on any
-    other (see convergence_sweep). For the 'exact' reference, references
-    holds one (radius, region, SeriesResult per angle) entry per
-    observation ring, so callers can see how far the series behind the
-    errors converged. scan is the OscillationScan whose solutions the
-    errors were measured on.
+    scan is the OscillationScan whose solutions the errors were measured
+    on; it holds the method, the solved sizes and the failures. reference
+    is 'exact' on a circular boundary and 'residual' on any other (see
+    convergence_sweep), and errors maps each solved N, ascending, to its
+    error. For the 'exact' reference, references holds the ring_references
+    the errors were measured against, so callers can see how far the
+    series behind them converged.
     """
 
-    method: str
+    scan: OscillationScan
     reference: str
-    points: tuple
-    failures: dict
-    scan: OscillationScan = field(compare=False, repr=False)
+    errors: dict
     references: tuple = field(default=(), compare=False, repr=False)
-
-    def errors(self):
-        """Mapping of solved N to the observed error."""
-        return {point.n_points: point.error for point in self.points}
 
 
 def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil):
     """Classify both auxiliary surfaces of a circular source-method setup.
 
-    The analytic continuation of the scattered field stops at the image
-    radius rho_cyl**2 / rho_fil on the far side of the boundary from the
-    filament, and at the filament radius on its own side. A source surface
-    placed at or past the obstruction on its side picks up exponentially
-    growing amplitudes; one strictly clear of it stays clean. A surface
-    exactly on the threshold is classified 'diverges'.
+    The source route's currents blow up once an auxiliary surface leaves
+    the region where the series of the field its sources must reproduce
+    converges: the region-1 series for the inner surface, the region-2
+    series for the outer one (exact.convergence_region; the limits are the
+    filament radius and its image radius rho_cyl**2 / rho_fil). A surface
+    exactly on its limit is classified 'diverges'.
 
     Returns (inner verdict, outer verdict) with surfaces labeled 'aux1'
     (inside the boundary) and 'aux2' (outside).
@@ -132,19 +119,18 @@ def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil
         raise ValueError("radii must be positive")
     if not rho_aux1 < rho_cyl < rho_aux2:
         raise ValueError("need rho_aux1 < rho_cyl < rho_aux2")
-    if excitation_kind == "external":
-        if rho_fil <= rho_cyl:
-            raise ValueError("an external filament needs rho_fil > rho_cyl")
-        inner_limit, outer_limit = critical_radius(rho_cyl, rho_fil), rho_fil
-    else:
-        if rho_fil >= rho_cyl:
-            raise ValueError("an internal filament needs rho_fil < rho_cyl")
-        inner_limit, outer_limit = rho_fil, critical_radius(rho_cyl, rho_fil)
-    verdict_inner = "diverges" if rho_aux1 <= inner_limit else "converges"
-    verdict_outer = "diverges" if rho_aux2 >= outer_limit else "converges"
+    if excitation_kind == "external" and rho_fil <= rho_cyl:
+        raise ValueError("an external filament needs rho_fil > rho_cyl")
+    if excitation_kind == "internal" and rho_fil >= rho_cyl:
+        raise ValueError("an internal filament needs rho_fil < rho_cyl")
+    side = excitation_kind[:3]
     return (
-        DivergencePrediction("mas", "aux1", verdict_inner),
-        DivergencePrediction("mas", "aux2", verdict_outer),
+        DivergencePrediction(
+            "mas", "aux1", convergence_region(side + "_R1", rho_aux1, rho_cyl, rho_fil)
+        ),
+        DivergencePrediction(
+            "mas", "aux2", convergence_region(side + "_R2", rho_aux2, rho_cyl, rho_fil)
+        ),
     )
 
 
@@ -166,27 +152,6 @@ def oscillation_index(values):
     wavenumber = np.minimum(np.arange(vec.size), vec.size - np.arange(vec.size))
     top_third = wavenumber > (2.0 / 3.0) * (vec.size // 2)
     return float(power[top_third].sum() / total)
-
-
-def oscillation_report(surface, n_points, values, previous_amplitude=None):
-    """OscillationReport of one solved current vector.
-
-    previous_amplitude is the max_amplitude of the same surface at the
-    previous solved N of a sweep, or None for the first; growth_factor is
-    1.0 then. The report is flagged when growth_factor > GROWTH_THRESHOLD
-    and oscillation_index > INDEX_THRESHOLD.
-    """
-    amplitude = float(np.max(np.abs(values)))
-    growth = _growth(previous_amplitude, amplitude)
-    index = oscillation_index(values)
-    return OscillationReport(
-        surface=surface,
-        n_points=n_points,
-        oscillation_index=index,
-        max_amplitude=amplitude,
-        growth_factor=growth,
-        flagged=bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD),
-    )
 
 
 def oscillation_scan(method, geometry, excitation, media, n_list):
@@ -211,9 +176,12 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     previous = {label: None for label in labels}
     for n, solution in solutions.items():
         for label, vec in zip(labels, (solution.electric, solution.magnetic)):
-            report = oscillation_report(label, n, vec, previous[label])
-            reports[label].append(report)
-            previous[label] = report.max_amplitude
+            amplitude = float(np.max(np.abs(vec)))
+            growth = _growth(previous[label], amplitude)
+            index = oscillation_index(vec)
+            flagged = bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD)
+            reports[label].append(OscillationReport(label, n, index, amplitude, growth, flagged))
+            previous[label] = amplitude
     return OscillationScan(
         method=method,
         n_points=tuple(solutions),
@@ -270,30 +238,31 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     if reference == "exact" and rings is None:
         rings = default_rings(curve, excitation)
     scan = oscillation_scan(method, geometry, excitation, media, n_list)
-    solutions = scan.solutions
     references = ()
-    if reference == "exact" and solutions:
-        radius = curve.params["radius"]
-        references = tuple(
-            (rho, region, exact_ring(
-                excitation, region, rho, _RING_ANGLES, radius, media[0], media[1]
-            ))
-            for rho, region in rings
-        )
-    points = []
-    for n, solution in solutions.items():
+    if reference == "exact" and scan.solutions:
+        references = ring_references(curve, excitation, media, rings, _RING_ANGLES)
+    errors = {}
+    for n, solution in scan.solutions.items():
         if reference == "exact":
-            error = _ring_error(solution, references)
+            errors[n] = _ring_error(solution, references)
         else:
-            error = fields.boundary_residuals(solution, n_test=n)[0]
-        points.append(SweepPoint(n_points=n, error=error))
-    return ConvergenceSweep(
-        method=method,
-        reference=reference,
-        points=tuple(points),
-        failures=scan.failures,
-        scan=scan,
-        references=references,
+            errors[n] = fields.boundary_residuals(solution, n_test=n)[0]
+    return ConvergenceSweep(scan=scan, reference=reference, errors=errors, references=references)
+
+
+def ring_references(curve, excitation, media, rings, angles):
+    """The exact series on each observation ring of a circular boundary.
+
+    rings are (radius, region) pairs and angles a 1-D array. Returns one
+    (radius, region, SeriesResult per angle) entry per ring, each ring
+    summed in one exact_ring pass.
+    """
+    if curve.kind != "circle":
+        raise ValueError("the exact series needs a circular boundary")
+    radius = curve.params["radius"]
+    return tuple(
+        (rho, region, exact_ring(excitation, region, rho, angles, radius, media[0], media[1]))
+        for rho, region in rings
     )
 
 

@@ -283,6 +283,21 @@ def sum_series(term, angles, n_cap):
     return specfun.sum_orders(run, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
 
 
+def _tail_estimate(mags, order):
+    """Geometric tail 2 |t_n| r / (1 - r) at each stop order n of sum_orders.
+
+    r is the ratio to |t_0| at order 1, else to the floored 2 |t_(n-1)|,
+    capped at 0.99; inf at order 0. Computed once per distinct order.
+    """
+    tails, values = {0: np.inf}, mags.tolist()
+    for n in set(order.tolist()) - {0}:
+        mag = 2.0 * values[n]
+        prev = values[0] if n == 1 else max(2.0 * values[n - 1], 1e-300)
+        ratio = min(mag / prev if prev > 0 else 1.0, 0.99)
+        tails[n] = mag * ratio / (1.0 - ratio)
+    return np.array([tails[n] for n in order.tolist()])
+
+
 def exact_ring(
     excitation,
     region,
@@ -322,9 +337,6 @@ def exact_ring(
     if convergence_region(series_id, rho_obs, rho_cyl, excitation.rho) == "diverges":
         warning = "observation radius outside the convergence region of " + series_id
 
-    if excitation.amplitude == 0:
-        return [SeriesResult(0.0 + 0.0j, 0, 0.0, True, warning) for _ in phis]
-
     cap = n_max if n_max is not None else default_n_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
@@ -336,7 +348,8 @@ def exact_ring(
             series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv, orders
         )
 
-    value, n_used, _, tail, converged, sum_warning = sum_series(term, phis - excitation.phi, cap)
+    value, n_used, mags, converged, sum_warning = sum_series(term, phis - excitation.phi, cap)
+    tail = _tail_estimate(mags, n_used)
 
     incident = np.zeros(phis.shape, dtype=complex)
     if series_id in ("ext_R1", "int_R2"):

@@ -69,7 +69,7 @@ def _incident_here(excitation, region):
     return (excitation.region == "external") == (region == 1)
 
 
-def _ring_region(curve, rho_obs, phis, region):
+def ring_region(curve, rho_obs, phis, region):
     """The one region every point of the ring lies in; region is checked if given."""
     deduced = np.where(curve.contains(rho_obs, phis), 2, 1)
     if region is None and np.any(deduced != deduced[0]):
@@ -107,7 +107,7 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
         raise ValueError("phi_obs must be one angle or a 1-D array of angles")
     if rho_obs < 0.0:
         raise ValueError("observation radius must be nonnegative")
-    region = _ring_region(system.curve, rho_obs, phis, region)
+    region = ring_region(system.curve, rho_obs, phis, region)
     xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
     value = _scattered_field(solution, xy, region)
     if _incident_here(system.excitation, region):

@@ -254,9 +254,9 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
     given, it stops warning "series terms growing without bound" at a term
     with 2 |t_n| above grow times that sum. A short run stops every angle
     still running, warning its reason; n_max stops them with no warning. A
-    run without order 0 raises BesselOverflowError. Returns per angle the
-    sum, the last order added, |t_n| at that order, the geometric tail
-    estimate (inf at order 0), the converged flag, and a list of warnings.
+    run without order 0 raises BesselOverflowError. Returns the sum and
+    the last order added per angle, |t_n| of every order summed (one array
+    for all angles), the converged flag per angle and a list of warnings.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -313,16 +313,7 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
         order[active] = mags.size - 1
         for i in active.tolist():
             warning[i] = reason
-    # 2 |t_n| r / (1 - r), r the ratio to |t_0| at order 1, else to the
-    # floored 2 |t_(n-1)|, capped at 0.99; once per order stopped at
-    tails, values = {0: np.inf}, mags.tolist()
-    for n in set(order.tolist()) - {0}:
-        mag = 2.0 * values[n]
-        prev = values[0] if n == 1 else max(2.0 * values[n - 1], 1e-300)
-        ratio = min(mag / prev if prev > 0 else 1.0, 0.99)
-        tails[n] = mag * ratio / (1.0 - ratio)
-    tail = np.array([tails[n] for n in order.tolist()])
-    return total, order, mags[order], tail, converged, warning
+    return total, order, mags, converged, warning
 
 
 def _addition_sum(theta, n_max, ratio, term):
@@ -344,8 +335,8 @@ def _addition_sum(theta, n_max, ratio, term):
         finite = np.isfinite(t)
         return (t if finite.all() else t[: finite.argmin()]), None
 
-    total, _, last, _, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
-    _warn_if_unconverged(last, total, ratio)
+    total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
+    _warn_if_unconverged(mags[order], total, ratio)
     return complex(total[0]) if angles.ndim == 0 else total
 
 

@@ -529,6 +529,46 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
     assert [(args[1], len(args[3])) for args in rings] == [(1, 36), (2, 36)]
 
 
+def test_solve_and_fields_solve_each_method_once_and_sum_each_ring_once(tmp_path, monkeypatch):
+    solved, rings = [], []
+    solve, exact_ring = discrete.solve, diagnostics.exact_ring
+
+    def counting_solve(system):
+        solved.append((system.method, system.n_points))
+        return solve(system)
+
+    def counting_rings(*args, **kwargs):
+        rings.append(args)
+        return exact_ring(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "solve", counting_solve)
+    monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
+    preset = str(PRESETS / "circle-external-currents.json")
+    assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / "s")]) == 0
+    assert solved == [("nfm", 40)] and rings == []
+    solved.clear()
+    # method both, two rings of 36 angles
+    preset = str(PRESETS / "coarse-n-comparison.json")
+    assert cli.main(["fields", "--config", preset, "--out", str(tmp_path / "f")]) == 0
+    assert solved == [("nfm", 10), ("mas", 10)]
+    assert [(args[1], len(args[3])) for args in rings] == [(1, 36), (2, 36)]
+
+
+@pytest.mark.parametrize("command", ["solve", "fields"])
+def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    def singular(system):
+        raise ArithmeticError("singular")
+
+    monkeypatch.setattr(discrete, "solve", singular)
+    out = tmp_path / "out"
+    config = str(PRESETS / "circle-external-currents.json")
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cylwave: error: singular\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch):
     paths = []
     solve = discrete.solve

@@ -150,8 +150,9 @@ def test_density_series_truncation_failure_raises():
 
 @pytest.mark.parametrize("n_max", [-1, -3])
 def test_negative_series_caps_are_rejected(n_max):
-    # not a convergence failure: the shared summation rejects the cap itself
-    for exc in (EXT, INT):
+    # not a convergence failure: the shared summation rejects the cap itself,
+    # for a silent source too
+    for exc in (EXT, INT, Excitation("external", 4.0, amplitude=0.0)):
         with pytest.raises(ValueError, match="n_max must be non-negative"):
             density_series(exc, [0.0, 0.5], RHO_CYL, M1, M2, n_max=n_max)
         with pytest.raises(ValueError, match="n_max must be non-negative"):
@@ -216,6 +217,8 @@ def test_reconstruction_transparent_cylinder(rho_obs):
 def test_reconstruction_zero_amplitude():
     quiet = Excitation("external", 4.0, amplitude=0.0)
     assert reconstruct_fields_from_densities(quiet, 5.0, 0.0, RHO_CYL, M1, M2) == 0.0
+    got = reconstruct_fields_from_densities(quiet, 5.0, [0.0, 0.5], RHO_CYL, M1, M2)
+    assert got.shape == (2,) and np.all(got == 0.0)
 
 
 def test_reconstruction_rejects_boundary_and_te():

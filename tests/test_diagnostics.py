@@ -223,7 +223,7 @@ def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method
     assert list(got.failures) == [3]
     assert "collocation points" in got.failures[3]
     sweep = diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), n_list[:2])
-    assert tuple(sweep.errors()) == tuple(n_list[:2])
+    assert tuple(sweep.errors) == tuple(n_list[:2])
     assert threads == [threading.get_ident()] * 4
 
 
@@ -235,7 +235,7 @@ def test_coarse_grids_of_both_methods_converge_on_the_exact_series():
     for method in ("nfm", "mas"):
         sweep = diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), [10, 20])
         assert sweep.reference == "exact"
-        errors = sweep.errors()
+        errors = sweep.errors
         assert errors[20] < errors[10] < 0.2
         assert errors[20] < 1e-3
 
@@ -244,7 +244,7 @@ def test_transparent_cylinder_error_decays_to_quadrature_level():
     # equal media: the series reduces to the bare incident field and the
     # solved currents must cancel their own scattered contribution
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M1), [20, 40])
-    errors = sweep.errors()
+    errors = sweep.errors
     assert errors[40] < errors[20] < 2e-2
     assert errors[40] < 1e-3
 
@@ -254,8 +254,8 @@ def test_ellipse_residual_reference_decreases_for_nfm():
     geometry = _geometry(ellipse, 0.7, 1.6, by="scale")
     sweep = diagnostics.convergence_sweep("nfm", geometry, EXT, (M1, M2), [20, 40, 60])
     assert sweep.reference == "residual"
-    errors = [point.error for point in sweep.points]
-    assert [point.n_points for point in sweep.points] == [20, 40, 60]
+    errors = list(sweep.errors.values())
+    assert list(sweep.errors) == [20, 40, 60]
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -263,7 +263,7 @@ def test_ellipse_mas_residual_reaches_the_metric_floor():
     ellipse = BoundaryCurve.ellipse(2.0, 1.6)
     geometry = _geometry(ellipse, 0.7, 1.6, by="scale")
     sweep = diagnostics.convergence_sweep("mas", geometry, EXT, (M1, M2), [20, 40, 60])
-    errors = sweep.errors()
+    errors = sweep.errors
     assert errors[40] < errors[20]
     # the residual is taken on the boundary itself, so it has no floor of its
     # own; 1e-3 is the bound set when the test points straddled the boundary
@@ -293,11 +293,11 @@ def test_default_rings_lie_wholly_in_their_regions(curve, want):
 
 def test_observation_rings_can_be_overridden():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [40], rings=((6.0, 1),))
-    (point,) = sweep.points
-    assert point.error < 1e-3
+    (error,) = sweep.errors.values()
+    assert error < 1e-3
 
 
 def test_sweep_records_failures_like_the_scan():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [3, 20])
-    assert list(sweep.failures) == [3]
-    assert [point.n_points for point in sweep.points] == [20]
+    assert list(sweep.scan.failures) == [3]
+    assert list(sweep.errors) == [20]

@@ -291,6 +291,9 @@ def test_zero_amplitude_source():
     quiet = Excitation("external", 4.0, amplitude=0.0)
     res = exact_field(quiet, 1, 5.0, 0.0, RHO_CYL, M1, M2)
     assert res.value == 0.0 and res.converged
+    # summed like any other source, so it reports the series' own stop order
+    assert res.n_used == exact_field(EXT, 1, 5.0, 0.0, RHO_CYL, M1, M2).n_used > 0
+    assert res.tail_estimate == 0.0
 
 
 def test_truncation_cap_respected():
@@ -311,10 +314,12 @@ def test_invalid_inputs_rejected():
 
 @pytest.mark.parametrize("n_max", [-1, -16])
 def test_negative_series_caps_are_rejected(n_max):
-    with pytest.raises(ValueError, match="n_max must be non-negative"):
-        exact.exact_ring(EXT, 1, 5.0, [0.0, 1.0], RHO_CYL, M1, M2, n_max=n_max)
-    with pytest.raises(ValueError, match="n_max must be non-negative"):
-        exact_field(EXT, 1, 5.0, 0.0, RHO_CYL, M1, M2, n_max=n_max)
+    # a silent source too: it is summed like any other
+    for exc in (EXT, Excitation("external", 4.0, amplitude=0.0)):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            exact.exact_ring(exc, 1, 5.0, [0.0, 1.0], RHO_CYL, M1, M2, n_max=n_max)
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            exact_field(exc, 1, 5.0, 0.0, RHO_CYL, M1, M2, n_max=n_max)
 
 
 def test_field_regression_anchors():
@@ -384,10 +389,11 @@ def test_boundary_continuity_property(eps, mu, rho_cyl, ratio, phi):
 def _same_sums(got, want):
     """Equal bytes for value, n_used, tail and converged, equal warnings in order.
 
-    got is what specfun.sum_orders returns, want what series_loop.sum_adaptive
-    returns (no magnitude of the last term).
+    got is what specfun.sum_orders returns, its |t_n| column turned into the
+    tail estimate exact_ring reports, want what series_loop.sum_adaptive
+    returns.
     """
-    got = got[:2] + got[3:]
+    got = got[:2] + (exact._tail_estimate(got[2], got[1]),) + got[3:]
     for g, w in zip(got[:4], want[:4]):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
     assert got[4] == want[4]

@@ -365,7 +365,8 @@ def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch
                     series_loop._loop_sum(0.3, cap, one_order)
                 continue
             total = specfun._addition_sum(psi, cap, 0.5, term)
-            _, order, last = stops[-1][:3]
+            _, order, mags = stops[-1][:3]
+            last = mags[order]
             for i, theta in enumerate(psi.tolist()):
                 want = series_loop._loop_sum(theta, cap, one_order)
                 assert np.complex128(total[i]).tobytes() == np.complex128(want[0]).tobytes()
