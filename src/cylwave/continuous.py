@@ -9,11 +9,12 @@ system per mode, whose solution is exact and free of any auxiliary-surface
 placement. This module solves that system, sums the density series, exposes
 the large-order behavior of its coefficients, and reconstructs the fields
 radiated by the densities so they can be compared with the direct series of
-:mod:`cylwave.exact`.
+:mod:`cylwave.exact`. Each series solves the systems of a whole run of modes
+at once, from one specfun.order_factors call, and is summed by
+exact.sum_series.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,59 +38,51 @@ class DensityCoefficients:
     magnetic: complex  # coefficient of M_phi (magnetic surface current)
 
 
-def _density_orders(excitation, rho_cyl, medium1, medium2, j=(), h=()):
-    """An order table with every argument mode_solve reads, plus j and h."""
-    j, h = (medium2.k * rho_cyl,) + tuple(j), (medium1.k * rho_cyl,) + tuple(h)
-    if excitation.region == "external":
-        h += (medium1.k * excitation.rho,)
-    else:
-        j += (medium2.k * excitation.rho,)
-    return specfun.OrderTable(j=j, h=h)
+def _solve_modes(n, excitation, rho_cyl, medium1, medium2, j=None, h=None):
+    """Density coefficients of the orders n, whether each order is usable, and the factors.
 
-
-def _matching_matrix(n, rho_cyl, medium1, medium2, orders):
-    """2x2 system matching E_z and H_phi of the two density radiations."""
+    One specfun.order_factors call reads the boundary and source factors
+    and those named in j and h. An order is unusable where a Hankel factor
+    overflows or the matching system is singular.
+    """
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    return (
-        orders.hankel2(n, k1 * rho_cyl),
-        orders.hankel2_prime(n, k1 * rho_cyl) / (1j * z1),
-        orders.bessel_j(n, k2 * rho_cyl),
-        orders.bessel_j_prime(n, k2 * rho_cyl) / (1j * z2),
-    )
+    external = excitation.region == "external"
+    j, h = dict(j or {}, cyl2=k2 * rho_cyl), dict(h or {}, cyl1=k1 * rho_cyl)
+    (h if external else j)["source"] = (k1 if external else k2) * excitation.rho
+    f = specfun.order_factors(np.abs(n), j, h)
+    # 2x2 system matching E_z and H_phi of the two density radiations
+    (a11, a12), (a21, a22) = f["cyl1"], f["cyl2"]
+    a12, a22 = a12 / (1j * z1), a22 / (1j * z2)
+    det = a11 * a22 - a12 * a21
+    source = excitation.amplitude * f["source"][0] / (_TWO_PI * rho_cyl)
+    usable = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(source) & (np.abs(det) >= DET_FLOOR)
+    b1, b2 = (-source, 0.0) if external else (0.0, source)
+    rot = np.exp(-1j * n * excitation.phi)
+    electric = (b1 * a22 - a12 * b2) / det * rot
+    magnetic = (a11 * b2 - b1 * a21) / det * rot
+    return (electric, magnetic), usable, f
 
 
-def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium(), orders=None):
+def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
     """Density coefficients of mode n for a line source on either side.
 
     The exterior radiation of J_z and M_phi matches the source's field on a
     circle inside the boundary, the interior radiation matches on a circle
     outside; both auxiliary radii cancel identically, leaving a system on
-    the boundary alone. Source rotation enters as exp(-i n phi_fil). orders
-    is the caller's table from _density_orders; without one the call
-    evaluates its own.
+    the boundary alone. Source rotation enters as exp(-i n phi_fil). n is
+    one mode (complexes come back) or an array of modes (arrays come back);
+    raises ArithmeticError where a Hankel factor overflows or the system is
+    singular.
     """
-    n = int(n)
-    m = abs(n)
-    if orders is None:
-        orders = _density_orders(excitation, rho_cyl, medium1, medium2)
-    a11, a12, a21, a22 = _matching_matrix(m, rho_cyl, medium1, medium2, orders)
-    det = a11 * a22 - a12 * a21
-    if abs(det) < DET_FLOOR:
-        raise ArithmeticError("matching system singular at mode n=%d" % n)
-
-    amp = excitation.amplitude
-    if excitation.region == "external":
-        b1 = -amp * orders.hankel2(m, medium1.k * excitation.rho) / (_TWO_PI * rho_cyl)
-        b2 = 0.0
-    else:
-        b1 = 0.0
-        b2 = amp * orders.bessel_j(m, medium2.k * excitation.rho) / (_TWO_PI * rho_cyl)
-
-    electric = (b1 * a22 - a12 * b2) / det
-    magnetic = (a11 * b2 - b1 * a21) / det
-    rot = np.exp(-1j * n * excitation.phi)
-    return DensityCoefficients(n, electric * rot, magnetic * rot)
+    n = np.asarray(n, dtype=int)
+    with np.errstate(all="ignore"):
+        (electric, magnetic), usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
+    if not usable.all():
+        raise ArithmeticError("matching system unusable at mode n=%d" % n.flat[np.argmin(usable)])
+    if n.ndim:
+        return DensityCoefficients(n, electric, magnetic)
+    return DensityCoefficients(int(n), complex(electric), complex(magnetic))
 
 
 def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(), n_max=None):
@@ -104,15 +97,17 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
     psi = np.ravel(np.asarray(phi, dtype=float) - excitation.phi)
-    orders = _density_orders(base, rho_cyl, medium1, medium2)
 
-    # both series read the same per-mode solve; each still stops on its own
-    @lru_cache(maxsize=None)
-    def coefficients(n):
-        return mode_solve(n, base, rho_cyl, medium1, medium2, orders)
+    def series(which):
+        # each series solves the modes of its runs and stops on its own
+        def run(n):
+            coefficients, usable, _ = _solve_modes(n, base, rho_cyl, medium1, medium2)
+            return coefficients[which], usable
 
-    j_z, _, _, ok_j, _ = sum_series(lambda n: coefficients(n).electric, psi, cap)
-    m_phi, _, _, ok_m, _ = sum_series(lambda n: coefficients(n).magnetic, psi, cap)
+        return run
+
+    j_z, _, _, ok_j, _ = sum_series(series(0), psi, cap)
+    m_phi, _, _, ok_m, _ = sum_series(series(1), psi, cap)
     if not (ok_j.all() and ok_m.all()):
         raise ArithmeticError(
             "density series not converged within n_max=%d "
@@ -172,8 +167,8 @@ def reconstruct_fields_from_densities(
     reconstruction here is exact up to truncation and provides an
     independent route to the same fields as :func:`cylwave.exact.exact_field`.
     """
-    if rho_obs <= 0.0:
-        raise ValueError("observation radius must be positive")
+    if not 0.0 < rho_obs < np.inf:
+        raise ValueError("observation radius must be positive and finite")
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
     shape = np.shape(phi_obs)
@@ -182,29 +177,20 @@ def reconstruct_fields_from_densities(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
     phis = np.ravel(np.asarray(phi_obs, dtype=float))
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
     outside = rho_obs > rho_cyl
-    if outside:
-        orders = _density_orders(base, rho_cyl, medium1, medium2, (k1 * rho_cyl,), (k1 * rho_obs,))
-    else:
-        orders = _density_orders(base, rho_cyl, medium1, medium2, (k2 * rho_obs,), (k2 * rho_cyl,))
+    k, z, sign = (medium1.k, medium1.Z, -1.0) if outside else (medium2.k, medium2.Z, 1.0)
+    # J at k1 rc and H2 at k1 rho_obs outside; H2 at k2 rc and J at k2 rho_obs inside
+    near, obs = {"near": k * rho_cyl}, {"obs": k * rho_obs}
+    extra = {"j": near, "h": obs} if outside else {"j": obs, "h": near}
 
-    def term(n):
-        coeff = mode_solve(n, base, rho_cyl, medium1, medium2, orders)
-        if outside:
-            radial = orders.hankel2(n, k1 * rho_obs)
-            return (
-                -(k1 * z1 / 4.0) * coeff.electric * orders.bessel_j(n, k1 * rho_cyl)
-                - (k1 / 4j) * coeff.magnetic * orders.bessel_j_prime(n, k1 * rho_cyl)
-            ) * radial
-        radial = orders.bessel_j(n, k2 * rho_obs)
-        return (
-            (k2 * z2 / 4.0) * coeff.electric * orders.hankel2(n, k2 * rho_cyl)
-            + (k2 / 4j) * coeff.magnetic * orders.hankel2_prime(n, k2 * rho_cyl)
-        ) * radial
+    def run(n):
+        (electric, magnetic), usable, f = _solve_modes(n, base, rho_cyl, medium1, medium2, **extra)
+        (near, near_deriv), radial = f["near"], f["obs"][0]
+        terms = (sign * k * z / 4.0) * electric * near + (sign * k / 4j) * magnetic * near_deriv
+        usable &= np.isfinite(near) & np.isfinite(near_deriv) & np.isfinite(radial)
+        return terms * radial, usable
 
-    value, _, _, converged, warning = sum_series(term, phis - excitation.phi, cap)
+    value, _, _, converged, warning = sum_series(run, phis - excitation.phi, cap)
     if not converged.all():
         first = warning[int(np.argmin(converged))]
         raise ArithmeticError(

@@ -683,48 +683,73 @@ class QSumCoefficients:
     b4: complex
 
 
-def _bilateral_sum(term, ratio, x_floor, n_points, m, q_max, phi_fil=0.0):
-    """Sum term(order) over orders qN + m, q in Z, folded by Bessel parity.
+# The five sums of q_sum_coefficients, b1..b4 and d: the names of their J and
+# H2 arguments, each with 1 where the sum reads the derivative there
+_Q_SUMS = (
+    ("j_in", 0, "h_cyl", 0), ("j_in", 0, "h_cyl", 1), ("j_cyl", 0, "h_out", 0),
+    ("j_cyl", 1, "h_out", 0), ("j_src", 0, "h_src", 0),
+)
 
-    term(nu) must be even in nu (every product here is). A source rotation
-    multiplies the order-nu term by exp(-i nu phi_fil) with nu signed. Rings
-    are cut off once a (1/pi x) ratio^nu envelope falls below 1e-17 of the
-    running scale; terms decay by ratio^N per ring so this settles fast.
-    An order whose Hankel factor overflows adds nothing, and the sum ends at
-    the first ring whose two orders both overflow. It raises only when its
-    lowest order, min(m, N - m) (m alone when q_max = 0), overflows.
+
+def _bilateral_sums(modes, n_points, q_max, j, h, phi_fil):
+    """The five sums of q_sum_coefficients over the orders qN + m, q in Z, shape (5, modes).
+
+    Products are even in their order, so ring q adds the orders qN +- m, each
+    ring in one specfun.order_factors call for every mode still summing; the
+    order-nu term of d carries exp(-i nu phi_fil), nu signed. A sum stops once
+    a (1/pi x) ratio^nu envelope falls below 1e-17 of its running scale. An
+    order whose Hankel factor overflows adds nothing, a sum ends at the first
+    ring whose two orders both overflow, and only a mode's lowest order,
+    min(m, N - m) (m alone when q_max = 0), raises when it overflows.
     """
-    lowest = m if q_max == 0 or 2 * m <= n_points else n_points - m
+    x1 = np.array([j[name] for name, _, _, _ in _Q_SUMS])[:, None]
+    x2 = np.array([h[name] for _, _, name, _ in _Q_SUMS])[:, None]
+    ratio, x_floor = x1 / x2, np.minimum(x1, x2)
+    lowest = modes if q_max == 0 else np.minimum(modes, n_points - modes)
 
-    def rotated(nu, turn):
-        try:
-            return term(nu) * np.exp(turn * nu * phi_fil)
-        except specfun.BesselOverflowError:
-            if nu == lowest:
-                raise
-            return None
+    def terms(nu, signed):
+        f = specfun.order_factors(nu, j, h)
+        hankel = np.array([f[name][d] for _, _, name, d in _Q_SUMS])
+        t = np.array([f[name][d] for name, d, _, _ in _Q_SUMS]) * hankel
+        # numpy's in-place complex product rounds differently for short arrays
+        t[4] = t[4] * np.exp(-1j * phi_fil * signed)
+        return t, np.isfinite(hankel)
 
-    total = rotated(m, -1j)
-    if total is None:
-        total = 0j
-    peak = max(abs(total), 1e-300)
-    q = 1
-    while q_max is None or q <= q_max:
-        nu_hi = q * n_points + m
-        nu_lo = q * n_points - m
-        if q_max is None:
-            envelope = 10.0 * ratio**nu_lo / (np.pi * x_floor)
-            if envelope < 1e-17 * max(abs(total), peak):
+    def check_lowest(overflow, nu, at):
+        overflow = overflow & (nu == lowest[at])
+        if overflow.any():
+            mode, row = np.argwhere(overflow.T)[0]
+            raise specfun.BesselOverflowError(
+                "H2_%d overflows near x=%g; order too large for this argument"
+                % (nu[mode], x2[row, 0])
+            )
+
+    with np.errstate(all="ignore"):
+        total, ok = terms(modes, modes)
+        check_lowest(~ok, modes, slice(None))
+        total = np.where(ok, total, 0.0)
+        peak = np.maximum(np.abs(total), 1e-300)
+        active = np.ones(total.shape, dtype=bool)
+        for q in range(1, 1002 if q_max is None else q_max + 1):
+            if q_max is None:
+                envelope = 10.0 * ratio ** (q * n_points - modes) / (np.pi * x_floor)
+                active &= ~(envelope < 1e-17 * np.maximum(np.abs(total), peak))
+            live = np.flatnonzero(active.any(axis=0))
+            if not live.size:
                 break
-        if q > 1000:
-            raise ArithmeticError("bilateral sum failed to settle")
-        parts = [t for t in (rotated(nu_hi, -1j), rotated(nu_lo, +1j)) if t is not None]
-        if not parts:
-            break
-        ring = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-        total += ring
-        peak = max(peak, abs(ring))
-        q += 1
+            if q > 1000:
+                raise ArithmeticError("bilateral sum failed to settle")
+            hi, lo = q * n_points + modes[live], q * n_points - modes[live]
+            t, ok = terms(np.r_[hi, lo], np.r_[hi, -lo])
+            (t_hi, t_lo), (hi_ok, lo_ok) = np.split(t, 2, axis=1), np.split(ok, 2, axis=1)
+            summing = active[:, live]
+            check_lowest(summing & ~lo_ok, lo, live)
+            summing &= hi_ok | lo_ok
+            ring = np.where(hi_ok, t_hi, 0.0) + np.where(lo_ok, t_lo, 0.0)
+            sums, top = total[:, live], peak[:, live]
+            np.add(sums, ring, out=sums, where=summing)
+            np.maximum(top, np.abs(ring), out=top, where=summing)
+            total[:, live], peak[:, live], active[:, live] = sums, top, summing
     return total
 
 
@@ -749,10 +774,10 @@ def q_sum_coefficients(
     q_max=None keeps rings until they stop mattering; q_max=0 isolates the
     central term, which dominates for small m.
 
-    m is one mode index or a 1-D array of them. Every mode reads one order
-    table, and each gets the bits of its one-mode call. A mode raises
+    m is one mode index or a 1-D array of them; every mode is summed at
+    once and gets the bits of its one-mode call. A mode raises
     BesselOverflowError when the lowest order of its sum, min(m, N - m),
-    overflows (see _bilateral_sum).
+    overflows (see _bilateral_sums).
     """
     if curve.kind != "circle":
         raise ValueError("q-sum coefficients are defined for circles only")
@@ -776,31 +801,11 @@ def q_sum_coefficients(
         source = (k1 * r_in, k1 * r_fil, -1.0)
     else:
         source = (k2 * r_fil, k2 * r_out, +1.0)
-    orders = specfun.OrderTable(
-        j=(k1 * r_in, k2 * r_cyl, source[0]), h=(k1 * r_cyl, k2 * r_out, source[1])
-    )
-    jj, jp = orders.bessel_j, orders.bessel_j_prime
-    hh, hp = orders.hankel2, orders.hankel2_prime
-
-    def one_mode(m):
-        def _sum(fa, fb, x1, x2, sign, phi_fil=0.0):
-            return sign * _bilateral_sum(
-                lambda nu: fa(nu, x1) * fb(nu, x2),
-                x1 / x2,
-                min(x1, x2),
-                n_points,
-                m,
-                q_max,
-                phi_fil,
-            )
-
-        b1 = _sum(jj, hh, k1 * r_in, k1 * r_cyl, +1.0)
-        b2 = _sum(jj, hp, k1 * r_in, k1 * r_cyl, -1.0)
-        b3 = _sum(jj, hh, k2 * r_cyl, k2 * r_out, +1.0)
-        b4 = _sum(jp, hh, k2 * r_cyl, k2 * r_out, -1.0)
-        return _sum(jj, hh, *source, excitation.phi), b1, b2, b3, b4
-
+    j = {"j_in": k1 * r_in, "j_cyl": k2 * r_cyl, "j_src": source[0]}
+    h = {"h_cyl": k1 * r_cyl, "h_out": k2 * r_out, "h_src": source[1]}
+    sums = _bilateral_sums(np.atleast_1d(modes), n_points, q_max, j, h, excitation.phi)
+    b1, b2, b3, b4, d = sums * np.array([1.0, -1.0, 1.0, -1.0, source[2]])[:, None]
     if modes.ndim == 0:
-        return QSumCoefficients(int(modes), n_points, *one_mode(int(modes)))
-    sums = np.array([one_mode(mode) for mode in modes.tolist()], dtype=complex)
-    return QSumCoefficients(modes, n_points, *sums.reshape(-1, 5).T.copy())
+        d, b1, b2, b3, b4 = (complex(v[0]) for v in (d, b1, b2, b3, b4))
+        modes = int(modes)
+    return QSumCoefficients(modes, n_points, d, b1, b2, b3, b4)

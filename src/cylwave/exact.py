@@ -15,12 +15,13 @@ Each series keeps converging beyond its physical region up to an image
 radius: the critical radius rho_cyl^2 / rho_fil bounds the analytic
 continuation, and convergence_region() classifies any observation radius.
 These series are the package's internal oracle; every solver is judged
-against them.
+against them. Each run of orders is computed as one numpy expression from
+specfun.order_factors and summed for a whole ring of angles by
+specfun.sum_orders (see sum_series).
 
 Time convention exp(+i omega t); outgoing waves are H^(2).
 """
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,124 +109,107 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
     array gives an array, with H0 evaluated in one call.
     """
     d = _source_distance(excitation, rho_obs, phi_obs)
-    if np.any(d < 1e-12 * max(excitation.rho, rho_obs, 1.0)):
-        raise ValueError("observation point coincides with the source filament")
     if excitation.amplitude == 0:
         return np.zeros(np.shape(d), dtype=complex)[()]
-    pref = incident_prefactor(medium)
-    return _times(pref * excitation.amplitude, specfun.hankel2(0, medium.k * d))
-
-
-def _times(factor, values):
-    """factor * values with scalar complex products, one value at a time.
-
-    numpy's vectorised complex product may fuse multiply-adds and round
-    differently from the scalar one; keeping the scalar product keeps ring
-    and one-point results equal to the last bit.
-    """
-    if np.ndim(values) == 0:
-        return factor * values
-    products = [factor * complex(v) for v in np.ravel(values)]
-    return np.array(products, dtype=complex).reshape(np.shape(values))
+    return incident_prefactor(medium) * excitation.amplitude * specfun.hankel2(0, medium.k * d)
 
 
 def _source_distance(excitation, rho_obs, phi_obs):
+    """Distance from the filament, refusing a point that coincides with it."""
     psi = phi_obs - excitation.phi
-    return np.sqrt(
-        rho_obs**2 + excitation.rho**2 - 2.0 * rho_obs * excitation.rho * np.cos(psi)
-    )
+    d = np.sqrt(rho_obs**2 + excitation.rho**2 - 2.0 * rho_obs * excitation.rho * np.cos(psi))
+    if np.any(d < 1e-12 * max(excitation.rho, rho_obs, 1.0)):
+        raise ValueError("observation point coincides with the source filament")
+    return d
 
 
 def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     """d/d rho_obs of the incident field (term-free, used for H_tan checks)."""
     d = _source_distance(excitation, rho_obs, phi_obs)
-    psi = phi_obs - excitation.phi
-    dd_drho = (rho_obs - excitation.rho * np.cos(psi)) / d
-    pref = incident_prefactor(medium)
-    k = medium.k
-    h1 = -k * specfun.hankel2(1, k * d)
-    return _times(pref * excitation.amplitude, h1) * dd_drho
+    dd_drho = (rho_obs - excitation.rho * np.cos(phi_obs - excitation.phi)) / d
+    h1 = -medium.k * specfun.hankel2(1, medium.k * d)
+    return incident_prefactor(medium) * excitation.amplitude * h1 * dd_drho
 
 
-def mode_denominator(n, rho_cyl, medium1, medium2, orders=None):
+def _denominator(medium1, medium2, j, jp, h, hp):
+    """The mode denominator from J, J' at k2 rc and H2, H2' at k1 rc, and
+    whether each order is usable: Hankel factors finite, no underflow."""
+    delta = medium1.Z * h * jp - medium2.Z * j * hp
+    return delta, np.isfinite(h) & np.isfinite(hp) & (np.abs(delta) >= 1e-300)
+
+
+def _usable_only(n, values, usable, what):
+    """values (a complex for one order), or ArithmeticError at the first unusable order."""
+    if not np.all(usable):
+        first = np.ravel(n)[np.argmin(np.ravel(usable))]
+        raise ArithmeticError("%s unusable at n=%d (overflow or underflow)" % (what, first))
+    return values if np.ndim(n) else complex(values)
+
+
+def mode_denominator(n, rho_cyl, medium1, medium2):
     """Z1 H2_n(k1 rc) J'_n(k2 rc) - Z2 J_n(k2 rc) H2'_n(k1 rc).
 
-    Common to all four series; provably nonvanishing for real media. orders
-    is the caller's specfun.OrderTable holding J at k2 rc and H2 at k1 rc;
-    without one the call evaluates its own.
+    Common to all four series; provably nonvanishing for real media. n is
+    one order (a complex comes back) or an array of orders (an array comes
+    back); raises ArithmeticError where a Hankel factor overflows or the
+    value underflows.
     """
+    f = specfun.order_factors(n, {"j": medium2.k * rho_cyl}, {"h": medium1.k * rho_cyl})
+    with np.errstate(all="ignore"):
+        delta, usable = _denominator(medium1, medium2, *f["j"], *f["h"])
+    return _usable_only(n, delta, usable, "mode denominator")
+
+
+def _series_run(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
+    """Radial parts of the terms of the orders n, and whether each order is usable.
+
+    n is one order or an array of them, read in one specfun.order_factors
+    call. With deriv=True the observation-dependent factor is replaced by
+    its radial derivative, so tangential-H checks stay term exact. An order
+    is unusable where a Hankel factor it reads overflows or its mode
+    denominator underflows.
+    """
+    if series_id not in SERIES_IDS:
+        raise ValueError("unknown series id %r" % (series_id,))
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
-    if orders is None:
-        orders = specfun.OrderTable(j=(x2,), h=(x1,))
-    val = z1 * orders.hankel2(n, x1) * orders.bessel_j_prime(
-        n, x2
-    ) - z2 * orders.bessel_j(n, x2) * orders.hankel2_prime(n, x1)
-    if abs(val) < 1e-300:
-        raise ArithmeticError("mode denominator underflow at n=%d" % n)
-    return val
-
-
-def _series_orders(series_id, rho_obs, rho_cyl, rho_fil, medium1, medium2):
-    """The order table holding every factor the terms of one series read."""
-    k1, k2 = medium1.k, medium2.k
-    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
-    j, h = [x2], [x1]
+    outside, external = series_id.endswith("R1"), series_id.startswith("ext")
+    j, h = {"j2": k2 * rho_cyl}, {"h1": k1 * rho_cyl}
     if series_id == "ext_R1":
-        j.append(x1)
+        j["j1"] = k1 * rho_cyl
     elif series_id == "int_R2":
-        h.append(x2)
-    if series_id.endswith("R1"):
-        h.append(k1 * rho_obs)
-    else:
-        j.append(k2 * rho_obs)
-    if series_id.startswith("ext"):
-        h.append(k1 * rho_fil)
-    else:
-        j.append(k2 * rho_fil)
-    return specfun.OrderTable(j=j, h=h)
-
-
-def _series_term(
-    series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False, orders=None
-):
-    """Radial part of the n-th series term (angle factor handled by caller).
-
-    With deriv=True the observation-dependent factor is replaced by its
-    radial derivative, so tangential-H checks stay term exact. orders is the
-    series' table from _series_orders; without one the call evaluates its
-    own.
-    """
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
-    if orders is None:
-        orders = _series_orders(series_id, rho_obs, rho_cyl, rho_fil, medium1, medium2)
-    delta = mode_denominator(n, rho_cyl, medium1, medium2, orders)
-    jj, jp = orders.bessel_j, orders.bessel_j_prime
-    hh, hp = orders.hankel2, orders.hankel2_prime
-    x1, x2 = k1 * rho_cyl, k2 * rho_cyl
+        h["h2"] = k2 * rho_cyl
+    # the observation factor depends on the region, the source factor on the side
+    (h if outside else j)["obs"] = (k1 if outside else k2) * rho_obs
+    (h if external else j)["source"] = (k1 if external else k2) * rho_fil
+    f = specfun.order_factors(n, j, h)
+    (j2, jp2), (h1, hp1) = f["j2"], f["h1"]
+    delta, usable = _denominator(medium1, medium2, j2, jp2, h1, hp1)
 
     # only the ratio depends on the series; p and q are boundary mismatches
     if series_id == "ext_R1":
-        p = z1 * jp(n, x2) * jj(n, x1) - z2 * jj(n, x2) * jp(n, x1)
-        ratio = p / delta
+        j1, jp1 = f["j1"]
+        ratio = (z1 * jp2 * j1 - z2 * j2 * jp1) / delta
     elif series_id == "int_R2":
-        q = z1 * hh(n, x1) * hp(n, x2) - z2 * hp(n, x1) * hh(n, x2)
-        ratio = q / delta
-    elif series_id in SERIES_IDS:
+        h2, hp2 = f["h2"]
+        ratio = (z1 * h1 * hp2 - z2 * hp1 * h2) / delta
+        usable &= np.isfinite(h2) & np.isfinite(hp2)
+    else:
         ratio = 1j * z1 * z2 / delta
-    else:
-        raise ValueError("unknown series id %r" % (series_id,))
-    # the observation factor depends on the region, the source factor on the side
-    if series_id.endswith("R1"):
-        obs = k1 * hp(n, k1 * rho_obs) if deriv else hh(n, k1 * rho_obs)
-    else:
-        obs = k2 * jp(n, k2 * rho_obs) if deriv else jj(n, k2 * rho_obs)
-    source = hh(n, k1 * rho_fil) if series_id.startswith("ext") else jj(n, k2 * rho_fil)
+    obs = (k1 if outside else k2) * f["obs"][1] if deriv else f["obs"][0]
+    source = f["source"][0]
+    usable &= np.isfinite(obs) & np.isfinite(source)
     # apply the small ratio before the second growing Hankel factor, so
     # the product stays in float range as long as the term itself does
-    return obs * ratio * source
+    return obs * ratio * source, usable
+
+
+def _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
+    """_series_run's terms: a complex for one order, ArithmeticError where unusable."""
+    args = (rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv)
+    with np.errstate(all="ignore"):
+        terms, usable = _series_run(series_id, n, *args)
+    return _usable_only(n, terms, usable, "series term")
 
 
 def _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl):
@@ -256,31 +240,20 @@ def default_n_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
 _SUM_BLOCK = 16
 
 
-def sum_series(term, angles, n_cap):
-    """specfun.sum_orders of the circular series, term(n) one order's term.
+def sum_series(run, angles, n_cap):
+    """specfun.sum_orders of a circular series, run(n) the terms of a run of orders.
 
-    Each term is scalar arithmetic, one order at a time. The sum stops at
-    a relative tolerance of 1e-13, or where terms grow beyond 1e120 times
-    it. An order n > 0 whose term raises ArithmeticError (an overflowing
-    order, an indeterminate mode denominator) or is not finite (inf or
-    inf * 0 in a product) stops it at order n - 1, with a warning.
+    run returns the terms of the orders n and whether each order is usable
+    (see specfun.cut_run). The sum stops at a relative tolerance of 1e-13,
+    or where terms grow beyond 1e120 times it. An unusable order n > 0, or
+    one whose term is not finite, stops it at order n - 1, with a warning.
     """
 
-    def run(orders):
-        terms = []
-        for n in orders.tolist():
-            try:
-                t = term(n)
-            except ArithmeticError:
-                if not n:
-                    raise
-                return terms, "series truncated at n=%d by order overflow" % n
-            if not cmath.isfinite(t):
-                return terms, "series truncated at n=%d by floating-point range" % n
-            terms.append(t)
-        return terms, None
+    def cut(n):
+        with np.errstate(all="ignore"):
+            return specfun.cut_run(n, *run(n))
 
-    return specfun.sum_orders(run, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
+    return specfun.sum_orders(cut, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
 
 
 def _tail_estimate(mags, order):
@@ -327,8 +300,8 @@ def exact_ring(
     the circle.
     """
     series_id = series_id_for(excitation, region)
-    if rho_obs <= 0.0:
-        raise ValueError("observation radius must be positive")
+    if not 0.0 < rho_obs < np.inf:
+        raise ValueError("observation radius must be positive and finite")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError("phis must be a 1-D array of angles")
@@ -341,27 +314,24 @@ def exact_ring(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
     pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
-    orders = _series_orders(series_id, rho_obs, rho_cyl, excitation.rho, medium1, medium2)
 
-    def term(n):
-        return _series_term(
-            series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv, orders
-        )
+    def run(n):
+        return _series_run(series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv)
 
-    value, n_used, mags, converged, sum_warning = sum_series(term, phis - excitation.phi, cap)
-    tail = _tail_estimate(mags, n_used)
+    value, n_used, mags, converged, sum_warning = sum_series(run, phis - excitation.phi, cap)
+    tail = abs(pref) * _tail_estimate(mags, n_used)
 
-    incident = np.zeros(phis.shape, dtype=complex)
+    value = pref * value
     if series_id in ("ext_R1", "int_R2"):
         source = _incident_radial_deriv if deriv else incident_field
         medium = medium1 if series_id == "ext_R1" else medium2
-        incident = source(excitation, medium, rho_obs, phis)
+        value = source(excitation, medium, rho_obs, phis) + value
 
     return [
         SeriesResult(
-            incident[i] + pref * complex(value[i]),
+            complex(value[i]),
             int(n_used[i]),
-            abs(pref) * float(tail[i]),
+            float(tail[i]),
             bool(converged[i]),
             warning or sum_warning[i],
         )

@@ -103,8 +103,8 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     rho_obs = float(rho_obs)
     scalar = np.ndim(phi_obs) == 0
     phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
-    if phis.ndim != 1:
-        raise ValueError("phi_obs must be one angle or a 1-D array of angles")
+    if phis.ndim != 1 or not phis.size:
+        raise ValueError("phi_obs must be one angle or a non-empty 1-D array of angles")
     if rho_obs < 0.0:
         raise ValueError("observation radius must be nonnegative")
     region = ring_region(system.curve, rho_obs, phis, region)

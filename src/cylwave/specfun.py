@@ -16,20 +16,18 @@ orders from jv and hankel2 (AMOS). All functions accept scalars or numpy
 arrays for the argument and are safe to call concurrently.
 
 Kernel matrices pass arrays of arguments. The order series need many orders
-at a few fixed arguments instead, and take them from bessel_orders over
-blocks of orders. The exact field, density coefficients and q-sums read them
-one order at a time from an OrderTable, which evaluates a block for all
-arguments of a kind the first time one of its orders is read; every read has
-the bits of the scalar functions at that order, so those series keep their
-per-order arithmetic. Every order series, the addition series here and the
-circular series of exact and continuous, is summed by sum_orders: runs of
-orders for every angle asked for in one pass, with the same bits and the
-same stop order as the order-by-order sum at each angle.
+at a few fixed arguments instead: bessel_orders evaluates an array of orders
+at every argument given, and order_factors reads J and H2 with their
+derivatives at named arguments, one bessel_orders call per kind. Every order
+series (the addition series here, the circular series of exact and
+continuous, the q-sums of discrete) computes the terms of a run of orders
+as one numpy expression from them. sum_orders sums the runs of an order
+series for every angle asked for in one pass, with the same bits and the
+same stop order as the order-by-order sum at each angle; cut_run ends a run
+at its first unusable order.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
-
-import cmath
 
 import numpy as np
 from scipy import special
@@ -45,9 +43,9 @@ class BesselOverflowError(ArithmeticError):
 
 def _check_argument(x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
-    if np.any(x <= 0.0):
+    if not ((x > 0.0) & (x < np.inf)).all():
+        if not np.isfinite(x).all():
+            raise ValueError("argument must be finite")
         raise ValueError("argument must be positive")
     return x
 
@@ -165,21 +163,62 @@ def bessel_orders(hankel, n, x):
     n = np.asarray(n)
     x = _check_argument(x)[..., None]
     m = np.abs(n)
-    high = m > 1
-    out = np.empty(x.shape[:-1] + n.shape, dtype=complex if hankel else float)
-    out[..., high] = (special.hankel2 if hankel else special.jv)(m[high], x)
-    for order in (0, 1):
-        at = m == order
-        if at.any():
+    out = (special.hankel2 if hankel else special.jv)(m, x)
+    if (m <= 1).any():
+        for order in (0, 1):
+            at = m == order
             j, y = _LOW_ORDER[order]
             if hankel:
                 out.real[..., at] = j(x)
                 out.imag[..., at] = -y(x)
             else:
                 out[..., at] = j(x)
-    folded = (n < 0) & (m % 2 == 1)
-    out[..., folded] = -out[..., folded]
+    if (n < 0).any():
+        folded = (n < 0) & (m % 2 == 1)
+        out[..., folded] = -out[..., folded]
     return out
+
+
+def order_factors(n, j=None, h=None):
+    """J with J' at the arguments of j and H2 with H2' at those of h, at the orders n.
+
+    n is one integer order or an array of them; j and h map names to
+    arguments. Returns a dict from each name to its pair (f_n, f'_n) shaped
+    like n, f' = (f_{n-1} - f_{n+1}) / 2, non-finite values left in place.
+    One bessel_orders call per kind evaluates each distinct (order,
+    argument) pair of n - 1, n, n + 1 and that kind's arguments once.
+    """
+    n = np.asarray(n)
+    around = np.ravel([n - 1, n, n + 1])
+    # a run of consecutive orders fills its span; scattered orders go through np.unique
+    span = np.arange(around.min(), around.max() + 1) if around.size else around
+    orders = span if span.size <= around.size else np.unique(around)
+    lo, mid, hi = (np.searchsorted(orders, k) for k in (n - 1, n, n + 1))
+    out = {}
+    for hankel, named in ((False, j), (True, h)):
+        if named:
+            args = list(dict.fromkeys(named.values()))
+            f = bessel_orders(hankel, orders, args)
+            value, deriv = f[:, mid], 0.5 * (f[:, lo] - f[:, hi])
+            for name, x in named.items():
+                out[name] = value[args.index(x)], deriv[args.index(x)]
+    return out
+
+
+def cut_run(n, terms, usable):
+    """The terms of a run of orders n before its first unusable one, and why.
+
+    The run adapter of every order series. usable is False at an order
+    whose factors overflow (or whose mode denominator underflows); a
+    non-finite term at a usable order stops the run as well. Returns the
+    terms kept and the reason, None if the whole run is kept.
+    """
+    ok = usable & np.isfinite(terms)
+    if ok.all():
+        return terms, None
+    at = int(ok.argmin())
+    why = "floating-point range" if usable[at] else "order overflow"
+    return terms[:at], "series truncated at n=%d by %s" % (n[at], why)
 
 
 # Orders per block of an addition series. AMOS spends about a microsecond on
@@ -188,57 +227,8 @@ def bessel_orders(hankel, n, x):
 # evaluating all of them at once costs 0.016 s on that grid against 0.007 s
 # in blocks of 32 (8: 0.015 s, 16: 0.010 s, 64: 0.008 s) on a 2-core Xeon,
 # CPU time at one BLAS thread. One call per angle, in blocks of 32, cost
-# 0.054 s. OrderTable fills its rows in the same blocks.
+# 0.054 s.
 _BLOCK = 32
-
-
-class OrderTable:
-    """J_n and H2_n at a few fixed arguments, read one order at a time.
-
-    j and h list the arguments of each kind. The first read of an order
-    evaluates its aligned block of _BLOCK orders for every argument of its
-    kind in one bessel_orders call; each block is evaluated once per table.
-    The read methods mirror the module's scalar functions at one of those
-    arguments and return the same Python floats and complexes, bit for bit;
-    hankel2 and hankel2_prime raise BesselOverflowError where hankel2 does.
-    A table holds the orders of one series call and is not shared between
-    calls.
-    """
-
-    def __init__(self, j=(), h=()):
-        self._args = (tuple(dict.fromkeys(j)), tuple(dict.fromkeys(h)))
-        self._rows = tuple({x: [] for x in args} for args in self._args)
-        self._blocks = (set(), set())
-
-    def _read(self, hankel, n, x):
-        m = -n if n < 0 else n
-        block = m // _BLOCK
-        if block not in self._blocks[hankel]:
-            start = block * _BLOCK
-            args = self._args[hankel]
-            values = bessel_orders(hankel, np.arange(start, start + _BLOCK), args).tolist()
-            for arg, row_values in zip(args, values):
-                row = self._rows[hankel][arg]
-                row.extend([None] * (start - len(row)))
-                row[start : start + _BLOCK] = row_values
-            self._blocks[hankel].add(block)
-        value = self._rows[hankel][x][m]
-        return -value if n < 0 and m % 2 else value
-
-    def bessel_j(self, n, x):
-        return self._read(False, n, x)
-
-    def bessel_j_prime(self, n, x):
-        return 0.5 * (self._read(False, n - 1, x) - self._read(False, n + 1, x))
-
-    def hankel2(self, n, x):
-        value = self._read(True, n, x)
-        if not cmath.isfinite(value):
-            raise _overflow(abs(n), x)
-        return value
-
-    def hankel2_prime(self, n, x):
-        return 0.5 * (self.hankel2(n - 1, x) - self.hankel2(n + 1, x))
 
 
 def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
@@ -332,8 +322,7 @@ def _addition_sum(theta, n_max, ratio, term):
         # overflowing orders may meet 0 * inf; they are cut off here
         with np.errstate(invalid="ignore", over="ignore"):
             t = term(n)
-        finite = np.isfinite(t)
-        return (t if finite.all() else t[: finite.argmin()]), None
+            return cut_run(n, t, np.isfinite(t))
 
     total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
     _warn_if_unconverged(mags[order], total, ratio)

@@ -3,6 +3,7 @@
 Usage::
 
     python tests/preset_outputs.py OUTDIR
+    python tests/preset_outputs.py compare A B
 
 Runs every preset under ``presets/`` through ``solve``, ``fields`` and
 ``sweep`` (a command that a preset does not support is recorded too, with
@@ -20,12 +21,23 @@ holding:
 - ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
   by ``OUT`` so that two OUTDIRs can be compared.
 
-Run it in two checkouts, then ``diff -r A B``. This file is a tool, not a
-test; pytest does not collect it.
+Run it in two checkouts, then ``diff -r A B``, or ``compare A B`` to
+measure a difference that is meant to be there. ``compare`` prints, for each
+file, "same bytes" if the two copies are identical, and otherwise the
+largest relative gap of each numeric CSV column and each JSON number, and of
+the numbers in any other text, each relative to the largest magnitude of its
+column (a JSON number and a number in text are their own column). It exits
+1 on a structural difference: a file present on one side only, a changed
+CSV header or row count, a changed JSON key or list length, or any changed
+token that is not a number. This file is a tool, not a test; pytest does
+not collect it.
 """
 
+import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,7 +92,122 @@ def _run(run_dir, argv, threads, out=None):
     return proc.returncode
 
 
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
+
+
+class Structural(Exception):
+    """The two copies differ in something other than the value of a number."""
+
+
+def _number(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _gap(pairs):
+    """Largest |a - b| over the pairs, relative to the largest |a| (or |b|)."""
+    pairs = [(a, b) for a, b in pairs if not (a == b or (math.isnan(a) and math.isnan(b)))]
+    if not pairs:
+        return 0.0
+    if any(not (math.isfinite(a) and math.isfinite(b)) for a, b in pairs):
+        return math.inf
+    scale = max(abs(a) for a, _ in pairs) or max(abs(b) for _, b in pairs)
+    return max(abs(a - b) for a, b in pairs) / scale
+
+
+def _text_numbers(a, b):
+    """The number pairs of two texts that agree in everything but their numbers."""
+    parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        raise Structural("a token that is not a number changed")
+    return [(float(x), float(y)) for x, y in zip(parts_a[1::2], parts_b[1::2])]
+
+
+def _json_gaps(a, b, path, gaps):
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            raise Structural("keys changed at %s" % (path or "the top"))
+        for key in a:
+            _json_gaps(a[key], b[key], "%s.%s" % (path, key) if path else key, gaps)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Structural("length changed at %s" % path)
+        for i, (x, y) in enumerate(zip(a, b)):
+            _json_gaps(x, y, "%s[%d]" % (path, i), gaps)
+    elif isinstance(a, str) and isinstance(b, str):
+        gaps[path] = _gap(_text_numbers(a, b))
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        gaps[path] = _gap([(float(a), float(b))])
+    elif a != b:
+        raise Structural("value changed at %s" % path)
+
+
+def _csv_gaps(a, b):
+    """Gap of each column; '#' comment lines must match exactly."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    comments = [line for line in lines_a if line.startswith("#")]
+    if comments != [line for line in lines_b if line.startswith("#")]:
+        raise Structural("a comment line changed")
+    rows_a = list(csv.reader(line for line in lines_a if not line.startswith("#")))
+    rows_b = list(csv.reader(line for line in lines_b if not line.startswith("#")))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        raise Structural("header changed")
+    if len(rows_a) != len(rows_b) or any(len(r) != len(q) for r, q in zip(rows_a, rows_b)):
+        raise Structural("row count or row length changed")
+    columns = {name: [] for name in rows_a[0]}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(rows_a[0], row_a, row_b):
+            u, v = _number(x), _number(y)
+            if u is None or v is None:
+                if x != y:
+                    raise Structural("a token that is not a number changed in column %s" % name)
+            else:
+                columns[name].append((u, v))
+    return {name: _gap(pairs) for name, pairs in columns.items()}
+
+
+def compare(a_dir, b_dir):
+    """Print how each file of a_dir differs from its copy in b_dir; 1 on a structural difference."""
+    a_dir, b_dir = Path(a_dir), Path(b_dir)
+    names = sorted(
+        {p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file()}
+        | {p.relative_to(b_dir) for p in b_dir.rglob("*") if p.is_file()}
+    )
+    structural = 0
+    for name in names:
+        a, b = a_dir / name, b_dir / name
+        if not (a.is_file() and b.is_file()):
+            print("%s: only in %s" % (name, a_dir if a.is_file() else b_dir))
+            structural += 1
+            continue
+        bytes_a, bytes_b = a.read_bytes(), b.read_bytes()
+        if bytes_a == bytes_b:
+            print("%s: same bytes" % name)
+            continue
+        text_a, text_b = bytes_a.decode(), bytes_b.decode()
+        try:
+            if name.suffix == ".csv":
+                gaps = _csv_gaps(text_a, text_b)
+            elif name.suffix == ".json":
+                gaps = {}
+                _json_gaps(json.loads(text_a), json.loads(text_b), "", gaps)
+            else:
+                gaps = {"numbers": _gap(_text_numbers(text_a, text_b))}
+        except Structural as why:
+            print("%s: STRUCTURAL: %s" % (name, why))
+            structural += 1
+            continue
+        moved = ", ".join("%s %.1e" % item for item in gaps.items() if item[1])
+        print("%s: %s" % (name, moved or "numbers equal, formatting differs"))
+    print("%d files, %d with a structural difference" % (len(names), structural))
+    return 1 if structural else 0
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwave import cli, diagnostics, discrete, exact, fields
+from cylwave import cli, diagnostics, discrete, exact, fields, specfun
 from cylwave.exact import Medium
 from cylwave.geometry import Excitation
 
@@ -431,23 +431,29 @@ def test_sweep_default_rings_avoid_the_filament(tmp_path):
 
 
 def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
-    terms = []
-    series_term = exact._series_term
+    calls = []
+    evaluate = specfun.bessel_orders
 
-    def counting(*args, **kwargs):
-        terms.append(args[1])
-        return series_term(*args, **kwargs)
+    def recording(hankel, n, x):
+        calls.append((hankel, np.asarray(n).tolist(), np.atleast_1d(x).tolist()))
+        return evaluate(hankel, n, x)
 
-    monkeypatch.setattr(exact, "_series_term", counting)
+    monkeypatch.setattr(specfun, "bessel_orders", recording)
     cap = exact.default_n_cap(Excitation("external", 4.0), 2.0, Medium(), Medium(4.2), 10.0)
     for angles in (4, 144):
         def mutate(doc):
             doc["output"].update(rings=[[10.0, 1]], angles=angles)
 
-        terms.clear()
+        calls.clear()
         assert cli.main(["fields", "--config", str(_write_config(tmp_path, mutate))]) == 0
-        assert len(terms) <= cap + 1
-        assert sorted(terms) == list(range(len(terms)))
+        # one call per kind and run, each (order, argument) pair once in it
+        assert [hankel for hankel, _, _ in calls] == [False, True] * (len(calls) // 2)
+        for _, orders, args in calls:
+            assert len(set(orders)) == len(orders) and len(set(args)) == len(args)
+        # the runs take the orders 0, 1, 2, ... once for every angle of the ring
+        orders = [n for hankel, run, _ in calls if not hankel for n in run[1:-1]]
+        assert orders == list(range(len(orders)))
+        assert 0 < len(orders) <= cap + 1
 
 
 def test_fields_evaluate_each_ring_in_one_call(tmp_path, monkeypatch):

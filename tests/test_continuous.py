@@ -14,7 +14,7 @@ from cylwave.continuous import (
 from cylwave.exact import Medium
 from cylwave.geometry import Excitation
 
-import series_loop
+import frozen_series
 
 M1 = Medium()
 M2 = Medium(4.2, 1.0)
@@ -75,37 +75,54 @@ def test_mode_solve_linear_in_amplitude():
     assert abs(got.electric - 2.0 * base.electric) < 1e-15
 
 
+def _recording_orders(monkeypatch):
+    """The (hankel, orders, arguments) of every specfun.bessel_orders call, as they come."""
+    calls = []
+    evaluate = specfun.bessel_orders
+
+    def recording(hankel, n, x):
+        calls.append((hankel, np.asarray(n).tolist(), np.atleast_1d(x).tolist()))
+        return evaluate(hankel, n, x)
+
+    monkeypatch.setattr(specfun, "bessel_orders", recording)
+    return calls
+
+
+def _elements(calls):
+    return sum(len(orders) * len(args) for _, orders, args in calls)
+
+
 def test_density_series_solves_each_mode_once(monkeypatch):
-    orders = []
-    solve = continuous.mode_solve
-
-    def counting(n, *args):
-        orders.append(n)
-        return solve(n, *args)
-
-    monkeypatch.setattr(continuous, "mode_solve", counting)
+    calls = _recording_orders(monkeypatch)
     density_series(EXT, 0.7, RHO_CYL, M1, M2)
-    assert sorted(orders) == list(range(len(orders)))
+    # one call per kind and run, J then H2, each (order, argument) pair once in it
+    assert [hankel for hankel, _, _ in calls] == [False, True] * (len(calls) // 2)
+    for _, orders, args in calls:
+        assert len(set(orders)) == len(orders) and len(set(args)) == len(args)
+    # each of the two series solves its modes 0, 1, 2, ... once, in runs whose
+    # neighbour orders (for the derivatives) are read again by the next run
+    modes = [n for hankel, orders, _ in calls if not hankel for n in orders[1:-1]]
+    restart = modes.index(0, 1)
+    assert modes[:restart] == list(range(restart))
+    assert modes[restart:] == list(range(len(modes) - restart))
 
 
 def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):
     phis = 2.0 * np.pi * (np.arange(40) + 0.5) / 40.0
-    orders = []
-    solve = continuous.mode_solve
+    calls = _recording_orders(monkeypatch)
 
-    def counting(n, *args):
-        orders.append(n)
-        return solve(n, *args)
+    def elements(series, *args):
+        calls.clear()
+        value = series(*args)
+        return value, _elements(calls)
 
     for exc in (EXT, INT, Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)):
-        monkeypatch.setattr(continuous, "mode_solve", counting)
-        orders.clear()
-        j_z, m_phi = density_series(exc, phis, RHO_CYL, M1, M2)
-        # one solve per mode for every angle of the call
-        assert sorted(orders) == list(range(len(orders)))
-        monkeypatch.setattr(continuous, "mode_solve", solve)
+        (j_z, m_phi), ring = elements(density_series, exc, phis, RHO_CYL, M1, M2)
+        # one pass for every angle of the call: as many factors as its slowest angle alone
+        points = [elements(density_series, exc, phi, RHO_CYL, M1, M2) for phi in phis]
+        assert ring == max(count for _, count in points)
         assert j_z.shape == m_phi.shape == phis.shape
-        pairs = [density_series(exc, phi, RHO_CYL, M1, M2) for phi in phis]
+        pairs = [pair for pair, _ in points]
         assert np.array_equal(j_z, [pair[0] for pair in pairs])
         assert np.array_equal(m_phi, [pair[1] for pair in pairs])
         # a 2-D array gives the flat call's bytes in its shape
@@ -113,12 +130,14 @@ def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):
         for got, flat in zip(density_series(exc, grid, RHO_CYL, M1, M2), (j_z, m_phi)):
             assert got.shape == grid.shape and got.tobytes() == flat.tobytes()
         for rho_obs in (10.0, 1.3):
-            ring = reconstruct_fields_from_densities(exc, rho_obs, phis, RHO_CYL, M1, M2)
+            args = (exc, rho_obs)
+            ring, count = elements(reconstruct_fields_from_densities, *args, phis, RHO_CYL, M1, M2)
             points = [
-                reconstruct_fields_from_densities(exc, rho_obs, phi, RHO_CYL, M1, M2)
+                elements(reconstruct_fields_from_densities, *args, phi, RHO_CYL, M1, M2)
                 for phi in phis
             ]
-            assert np.array_equal(ring, points)
+            assert count == max(n for _, n in points)
+            assert np.array_equal(ring, [value for value, _ in points])
             got = reconstruct_fields_from_densities(exc, rho_obs, grid, RHO_CYL, M1, M2)
             assert got.shape == grid.shape and got.tobytes() == ring.tobytes()
 
@@ -226,6 +245,9 @@ def test_reconstruction_rejects_boundary_and_te():
         reconstruct_fields_from_densities(EXT, RHO_CYL, 0.0, RHO_CYL, M1, M2)
     with pytest.raises(ValueError):
         reconstruct_fields_from_densities(EXT, -1.0, 0.0, RHO_CYL, M1, M2)
+    for rho_obs in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="observation radius must be positive and finite"):
+            reconstruct_fields_from_densities(EXT, rho_obs, 0.0, RHO_CYL, M1, M2)
 
 
 def test_offset_source_reconstruction():
@@ -254,49 +276,57 @@ def test_reconstruction_property(eps, rho_cyl, ratio, obs_scale, phi):
     assert abs(got - want) < 1e-7 * max(abs(want), 1e-30)
 
 
-def _raised(fn, *args):
-    try:
-        return fn(*args), None
-    except ArithmeticError as error:
-        return None, type(error)
+def _excitation(name):
+    side, rho, phi, amplitude = frozen_series.EXCITATIONS[name]
+    return Excitation(side, rho, phi=phi, amplitude=amplitude)
 
 
 def test_density_series_match_the_per_order_loop_bit_for_bit():
-    rotated = Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
-    near = Excitation("internal", 1.9, phi=-0.4, amplitude=0.5j)
+    # Against the frozen 50-digit sums of tests/frozen_series.py, summed to
+    # convergence, at five angles, each density relative to its largest
+    # value; and which capped or near-boundary series raise. Measured: at
+    # most 2.7e-14, the stop rule's truncation included (tolerance 1e-13);
+    # the per-order loop measured the same.
+    media = tuple(Medium(*m) for m in frozen_series.MEDIA)
+    angles = np.array(frozen_series.ANGLES5)
     raised = 0
-    for exc in (EXT, INT, rotated, near):
-        for phi in (0.3, np.array([0.3]), 2.0 * np.pi * np.arange(4) / 4.0,
-                    2.0 * np.pi * (np.arange(36) + 0.5) / 36.0):
-            for n_max in (None, 12):
-                args = (exc, phi, RHO_CYL, M1, M2, n_max)
-                got, got_error = _raised(density_series, *args)
-                want, want_error = _raised(series_loop.density_series, *args)
-                assert got_error is want_error
-                raised += want is None
-                if want is not None:
-                    for g, w in zip(got, want):
-                        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-                        assert np.shape(g) == np.shape(w)
-    # the capped series stop short of convergence and raise in both
-    assert 0 < raised < 32
+    for (name, n_max), want in frozen_series.DENSITY.items():
+        args = (_excitation(name), frozen_series.RHO_CYL, *media, n_max)
+        if want is None:
+            with pytest.raises(ArithmeticError, match="not converged"):
+                density_series(args[0], 0.3, *args[1:])
+            raised += 1
+            continue
+        got = density_series(args[0], angles, *args[1:])
+        if want == "converges":
+            continue
+        for g, w in zip(got, np.array(want).T):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (name, n_max)
+        # one angle gives a pair of scalars with the same bits
+        one = density_series(args[0], float(angles[1]), *args[1:])
+        assert [np.ndim(v) for v in one] == [0, 0]
+        assert np.array_equal(one, [got[0][1], got[1][1]])
+    assert 0 < raised < len(frozen_series.DENSITY)
 
 
 def test_reconstructed_fields_match_the_per_order_loop_bit_for_bit():
-    rotated = Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
+    # Against the frozen 50-digit sums of tests/frozen_series.py, summed to
+    # convergence, at five angles on rings outside and inside the boundary,
+    # relative to the ring's largest value; and which capped series raise.
+    # Measured: at most 1.3e-14, the stop rule's truncation included
+    # (tolerance 5e-14); the per-order loop measured the same.
+    media = tuple(Medium(*m) for m in frozen_series.MEDIA)
+    angles = np.array(frozen_series.ANGLES5)
     raised = 0
-    for exc in (EXT, INT, rotated):
-        for rho_obs in (10.0, 2.3, 1.3, 0.4):
-            for phi in (0.3, 2.0 * np.pi * (np.arange(36) + 0.5) / 36.0):
-                for n_max in (None, 8):
-                    args = (exc, rho_obs, phi, RHO_CYL, M1, M2, n_max)
-                    got, got_error = _raised(reconstruct_fields_from_densities, *args)
-                    want, want_error = _raised(
-                        series_loop.reconstruct_fields_from_densities, *args
-                    )
-                    assert got_error is want_error
-                    raised += want is None
-                    if want is not None:
-                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-                        assert np.shape(got) == np.shape(want)
-    assert 0 < raised < 48
+    for (name, rho_obs, n_max), want in frozen_series.RECONSTRUCTION.items():
+        args = (_excitation(name), rho_obs, angles, frozen_series.RHO_CYL, *media, n_max)
+        if want is None:
+            with pytest.raises(ArithmeticError, match="not converged"):
+                reconstruct_fields_from_densities(*args)
+            raised += 1
+            continue
+        got = reconstruct_fields_from_densities(*args)
+        if want == "converges":
+            continue
+        assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want)), (name, rho_obs)
+    assert 0 < raised < len(frozen_series.RECONSTRUCTION)

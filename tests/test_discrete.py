@@ -22,7 +22,7 @@ from cylwave import continuous, discrete, fields, geometry, specfun
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
-import series_loop
+import frozen_series
 from circulant import is_circulant
 from oracles import gauss_solve
 
@@ -556,21 +556,28 @@ def _qsum_bytes(sums, index=()):
 
 @pytest.mark.parametrize("n_points", [5, 11, 81])
 def test_qsums_match_the_per_order_loop_bit_for_bit(n_points):
-    rotated = geometry.Excitation("external", 4.0, phi=0.7, amplitude=1.5 - 0.5j)
-    inside = geometry.Excitation("internal", 1.0, phi=-0.4)
-    # every mode of the small systems; at N = 81 every fourth and the last,
-    # whose second ring loses its high order to overflow
-    modes = np.unique(np.r_[np.arange(0, n_points, 1 + n_points // 20), n_points - 1])
-    for exc in (EXT, INT, rotated, inside):
-        for q_max in (None, 0, 2):
-            args = (n_points, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2, q_max)
-            every = discrete.q_sum_coefficients(modes, *args)
-            assert np.array_equal(every.m, modes)
-            for i, m in enumerate(modes.tolist()):
-                want = _qsum_bytes(series_loop.q_sum_coefficients(m, *args))
-                assert _qsum_bytes(discrete.q_sum_coefficients(m, *args)) == want, (m, exc, q_max)
-                # all modes in one call: each keeps the bits of its one-mode call
-                assert _qsum_bytes(every, i) == want, (m, exc, q_max)
+    # Against the frozen 50-digit q-sums of tests/frozen_series.py, each
+    # value relative to itself, for sources on both sides, rotated or not,
+    # and q_max None, 0 and 2. Measured: at most 9.0e-16 at N = 5, 1.3e-15
+    # at N = 11 and 7.6e-15 at N = 81 (tolerance 3e-14); the per-order loop
+    # measured the same. Mode 80 of N = 81 loses the high order of its
+    # second ring to overflow, a term of the size 1e-23 the oracle keeps.
+    modes = np.array(frozen_series.QSUM_MODES[n_points])
+    # at N = 81 every fourth mode and the last, else every mode
+    every_mode = np.unique(np.r_[np.arange(0, n_points, 1 + n_points // 20), n_points - 1])
+    for (n, name, q_max), want in frozen_series.QSUMS.items():
+        if n != n_points:
+            continue
+        side, rho, phi, _ = frozen_series.EXCITATIONS[name]
+        args = (n_points, CIRCLE, AUX_IN, AUX_OUT, geometry.Excitation(side, rho, phi), M1, M2, q_max)
+        got = discrete.q_sum_coefficients(modes, *args)
+        assert np.array_equal(got.m, modes)
+        got = np.array([getattr(got, field) for field in _QSUM_FIELDS]).T
+        assert np.all(np.abs(got - want) <= 3e-14 * np.abs(want)), (name, q_max)
+        # all modes in one call: each keeps the bits of its one-mode call
+        every = discrete.q_sum_coefficients(every_mode, *args)
+        for i, m in enumerate(every_mode.tolist()):
+            assert _qsum_bytes(every, i) == _qsum_bytes(discrete.q_sum_coefficients(m, *args))
     with pytest.raises(ValueError, match="1-D"):
         discrete.q_sum_coefficients(np.zeros((2, 2), dtype=int), 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
 

@@ -8,6 +8,7 @@ from cylwave import exact, specfun
 from cylwave.exact import Medium, critical_radius, exact_field
 from cylwave.geometry import Excitation
 
+import frozen_series
 import series_loop
 
 M1 = Medium()
@@ -383,39 +384,38 @@ def test_boundary_continuity_property(eps, mu, rho_cyl, ratio, phi):
     assert abs(e1 - e2) < 1e-7 * max(abs(e1), 1e-30)
 
 
-# -- order blocks against the per-order loop ------------------------------------
-
-
-def _same_sums(got, want):
-    """Equal bytes for value, n_used, tail and converged, equal warnings in order.
-
-    got is what specfun.sum_orders returns, its |t_n| column turned into the
-    tail estimate exact_ring reports, want what series_loop.sum_adaptive
-    returns.
-    """
-    got = got[:2] + (exact._tail_estimate(got[2], got[1]),) + got[3:]
-    for g, w in zip(got[:4], want[:4]):
-        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-    assert got[4] == want[4]
-
-
-def _same_results(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.complex128(g.value).tobytes() == np.complex128(w.value).tobytes()
-        assert (g.n_used, g.converged, g.warning) == (w.n_used, w.converged, w.warning)
-        assert np.float64(g.tail_estimate).tobytes() == np.float64(w.tail_estimate).tobytes()
+# -- runs of orders against the per-order loop and the 50-digit oracle -------
 
 
 def _ring(k):
     return 2.0 * np.pi * (np.arange(k) + 0.5) / k
 
 
+def _run_of(term):
+    """A run callable for exact.sum_series from a one-order term; an order that
+    raises ArithmeticError is unusable."""
+
+    def run(n):
+        terms, usable = [], []
+        for k in n.tolist():
+            try:
+                terms.append(term(k))
+                usable.append(True)
+            except ArithmeticError:
+                terms.append(complex("nan"))
+                usable.append(False)
+        return np.array(terms, dtype=complex), np.array(usable)
+
+    return run
+
+
 def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
-    # exact.sum_series, the scalar adapter, summed by specfun.sum_orders.
-    # Synthetic terms reach every way an angle stops: convergence at orders
+    # exact.sum_series, the run adapter summed by specfun.sum_orders, against
+    # series_loop._loop_sum with the circular series' rule at each angle
+    # alone: sums, last magnitudes, stop orders, flags and warnings. The
+    # synthetic terms reach every way an angle stops: convergence at orders
     # on both sides of a run seam, a partial sum that cancels to zero
-    # (growing without bound), a raising order, a non-finite term, and a cap
+    # (growing without bound), an unusable order, a non-finite term, a cap
     psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
 
     def decaying(rate):
@@ -438,10 +438,14 @@ def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
     flags, orders = set(), set()
     for term, cap in cases:
         for angles in (psi, psi[:1], np.linspace(-3.0, 3.0, 36)):
-            want = series_loop.sum_adaptive(term, angles, cap)
-            _same_sums(exact.sum_series(term, angles, cap), want)
-            flags.update(want[4])
-            orders.update(want[1].tolist())
+            total, order, mags, converged, warning = exact.sum_series(_run_of(term), angles, cap)
+            for i, theta in enumerate(angles.tolist()):
+                want = series_loop._loop_sum(theta, cap, term, 1e-13, 1e120)
+                assert np.complex128(total[i]).tobytes() == np.complex128(want[0]).tobytes()
+                assert np.float64(mags[order[i]]).tobytes() == np.float64(want[1]).tobytes()
+                assert (order[i], converged[i], warning[i]) == want[2:]
+                flags.add(want[4])
+                orders.add(want[2])
     assert {
         None,
         "series terms growing without bound",
@@ -451,22 +455,54 @@ def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
     assert {16, 17, 18} <= orders
 
 
+def _excitation(name):
+    side, rho, phi, amplitude = frozen_series.EXCITATIONS[name]
+    return Excitation(side, rho, phi=phi, amplitude=amplitude)
+
+
 @pytest.mark.parametrize("series_id", exact.SERIES_IDS)
 @pytest.mark.parametrize("deriv", [False, True], ids=["value", "deriv"])
 def test_exact_ring_matches_the_per_order_loop_bit_for_bit(series_id, deriv):
-    side = "external" if series_id.startswith("ext") else "internal"
+    # Against the frozen 50-digit partial sums of tests/frozen_series.py:
+    # the stop orders, flags and warnings of the per-order loop exactly, the
+    # values to a tolerance set from the measured gap, relative to the
+    # ring's largest value. Rings inside, beyond and outside the physical
+    # and convergence regions, and caps past order overflow and below the
+    # stop. Measured: at most 5.2e-15 where the ring's series converges
+    # by order 70 (tolerance 2e-14); elsewhere the sums reach orders
+    # 94-153 or diverge to 1e25-1e31, and the factors' own error there
+    # gives at most 2.8e-11 (tolerance 1e-10). The per-order loop measured
+    # the same on every case.
+    media = tuple(Medium(*m) for m in frozen_series.MEDIA)
     region = int(series_id[-1])
-    rotated = Excitation(side, 4.0 if side == "external" else 1.0, phi=0.7, amplitude=1.5 - 0.5j)
-    plain = Excitation(side, rotated.rho)
-    # inside and beyond the physical region, a ring outside the convergence
-    # region, and caps past order overflow and below the stop
-    radii = {1: (10.0, 2.5, 1.2, 0.3), 2: (1.3, 0.4, 3.0, 9.0)}[region]
     spread = 0
-    for exc in (plain, rotated):
-        for rho_obs in radii:
-            for k, n_max in ((1, None), (4, None), (36, None), (4, 5), (4, 400)):
-                args = (exc, region, rho_obs, _ring(k), RHO_CYL, M1, M2, n_max, deriv)
-                got = exact.exact_ring(*args)
-                _same_results(got, series_loop.exact_ring(*args))
-                spread += len({r.n_used for r in got}) > 1
+    for (sid, d, name, rho_obs, n_max), (values, n_used, converged, warning) in (
+        frozen_series.EXACT.items()
+    ):
+        if (sid, d) != (series_id, deriv):
+            continue
+        exc = _excitation(name)
+        got = exact.exact_ring(
+            exc, region, rho_obs, frozen_series.RING4, frozen_series.RHO_CYL, *media, n_max, deriv
+        )
+        assert [r.n_used for r in got] == n_used
+        assert [r.converged for r in got] == converged
+        assert [r.warning for r in got] == [warning] * len(got)
+        spread += len(set(n_used)) > 1
+        settled = max(n_used) <= 70 and exact.convergence_region(
+            series_id, rho_obs, frozen_series.RHO_CYL, exc.rho
+        ) == "converges"
+        gap = np.abs(np.array([r.value for r in got]) - values)
+        assert np.max(gap) <= (2e-14 if settled else 1e-10) * np.max(np.abs(values))
     assert spread > 0
+
+
+def test_exact_ring_and_derivative_refuse_the_filament_and_infinite_radii():
+    # the filament on the ring: the field and its radial derivative refuse it alike
+    exc = Excitation("internal", 1.0)
+    for deriv in (False, True):
+        with pytest.raises(ValueError, match="coincides with the source filament"):
+            exact.exact_ring(exc, 2, 1.0, np.array([0.0, 1.0]), RHO_CYL, M1, M2, deriv=deriv)
+    for rho_obs in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="observation radius must be positive and finite"):
+            exact.exact_ring(EXT, 1, rho_obs, RING, RHO_CYL, M1, M2)

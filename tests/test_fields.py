@@ -68,6 +68,13 @@ def test_sample_reports_region_and_provenance():
     assert fields.field_from_discrete(_mas(EXT, 16), 10.0, 0.3).provenance == "mas"
 
 
+def test_empty_angle_arrays_are_refused_by_name():
+    solution = _nfm(EXT, 16)
+    for region in (None, 1):
+        with pytest.raises(ValueError, match="phi_obs must be one angle or a non-empty"):
+            fields.field_from_discrete(solution, 3.0, [], region=region)
+
+
 def test_region_mismatch_raises():
     solution = _nfm(EXT, 16)
     with pytest.raises(ValueError, match="region"):

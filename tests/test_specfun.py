@@ -411,35 +411,40 @@ def test_addition_closure_property(x1, ratio, theta):
 
 
 def test_order_table_reads_have_the_bits_of_the_scalar_functions(monkeypatch):
+    # specfun.order_factors, the table of factors every circular series and
+    # q-sum reads: one bessel_orders call per kind with all arguments of
+    # that kind, each (order, argument) pair once, only the orders asked for
+    # and their +-1 neighbours, and the bits of the scalar functions
     calls = []
     evaluate = specfun.bessel_orders
 
-    def counting(hankel, n, x):
-        calls.append((hankel, n[0], len(n), tuple(x)))
+    def recording(hankel, n, x):
+        calls.append((hankel, np.asarray(n).tolist(), np.atleast_1d(x).tolist()))
         return evaluate(hankel, n, x)
 
-    monkeypatch.setattr(specfun, "bessel_orders", counting)
-    args = (0.4, 2.0, 5.1)
-    table = specfun.OrderTable(j=args + (2.0,), h=args)
-    reads = ("bessel_j", "bessel_j_prime", "hankel2", "hankel2_prime")
-    for n in list(range(-2, 70)) + [300, 129, 64]:
-        for x in args:
-            for name in reads:
-                try:
-                    want = getattr(specfun, name)(n, x)
-                except specfun.BesselOverflowError as error:
-                    with pytest.raises(specfun.BesselOverflowError) as caught:
-                        getattr(table, name)(n, x)
-                    assert str(caught.value) == str(error)
-                    continue
-                got = getattr(table, name)(n, x)
-                assert type(got) is type(want)
-                assert np.array([got]).tobytes() == np.array([want]).tobytes(), (name, n, x)
-    # one call per block and kind, all arguments together, each block once
-    blocks = [(hankel, start) for hankel, start, _, _ in calls]
-    assert len(blocks) == len(set(blocks)) == 2 * 5
-    assert all(size == 32 and start % 32 == 0 for _, start, size, _ in calls)
-    assert {x for *_, x in calls} == {args}
+    monkeypatch.setattr(specfun, "bessel_orders", recording)
+    j = {"a": 0.4, "b": 2.0, "c": 5.1, "twin": 2.0}
+    h = {"ha": 0.4, "hb": 2.0, "hc": 5.1}
+    runs = [np.arange(16), np.arange(16, 32), np.arange(-2, 5), np.array(7), np.array([300, 129, 64])]
+    for n in runs:
+        calls.clear()
+        table = specfun.order_factors(n, j, h)
+        assert [hankel for hankel, _, _ in calls] == [False, True]
+        for _, orders, args in calls:
+            assert sorted(orders) == sorted(set(np.ravel([n - 1, n, n + 1]).tolist()))
+            assert sorted(args) == [0.4, 2.0, 5.1]
+        for names, hankel in ((j, False), (h, True)):
+            reads = ("hankel2", "hankel2_prime") if hankel else ("bessel_j", "bessel_j_prime")
+            for name, x in names.items():
+                for got, read in zip(table[name], reads):
+                    assert got.shape == np.shape(n)
+                    for order, value in zip(np.ravel(n).tolist(), np.ravel(got).tolist()):
+                        try:
+                            want = getattr(specfun, read)(order, x)
+                        except specfun.BesselOverflowError:
+                            assert not cmath.isfinite(value), (read, order, x)
+                            continue
+                        assert np.array([value]).tobytes() == np.array([want]).tobytes()
 
 
 def test_bessel_orders_takes_an_argument_array():
