@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cylwave import continuous, exact, specfun
+from cylwave import exact, specfun
 from cylwave.continuous import (
     density_series,
     density_term_asymptotics,
