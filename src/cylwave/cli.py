@@ -13,6 +13,7 @@ exits nonzero if any of them fails.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -583,7 +584,9 @@ def cmd_validate(only, out_dir):
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use; parse_args gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cylwave",
         description="Line-source scattering workbench: solvers, fields, sweeps, checks.",

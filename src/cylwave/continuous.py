@@ -98,10 +98,16 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
     psi = np.ravel(np.asarray(phi, dtype=float) - excitation.phi)
 
+    # each run of modes is solved once, by the first series to reach it;
+    # each series stops on its own, so the later one may solve further runs
+    solved = {}
+
     def series(which):
-        # each series solves the modes of its runs and stops on its own
         def run(n):
-            coefficients, usable, _ = _solve_modes(n, base, rho_cyl, medium1, medium2)
+            if n[0] not in solved:
+                coefficients, usable, _ = _solve_modes(n, base, rho_cyl, medium1, medium2)
+                solved[n[0]] = coefficients, usable
+            coefficients, usable = solved[n[0]]
             return coefficients[which], usable
 
         return run

@@ -170,8 +170,28 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     Surface labels are 'aux1'/'aux2' for method 'mas' and
     'electric'/'magnetic' for method 'nfm' (surface_labels).
     """
+    return oscillation_scans(method, geometry, (excitation,), media, n_list)[0]
+
+
+def oscillation_scans(method, geometry, excitations, media, n_list):
+    """One oscillation_scan per excitation, each system assembled and factored once per N.
+
+    The collocation matrix depends on the geometry and the media alone, so
+    every N is assembled once and solved for all the excitations on one
+    factorisation (discrete.solve_shared). Each scan equals, bit for bit,
+    the oscillation_scan of its excitation. An excitation that cannot be
+    set up (a source on the wrong side of the boundary) fails its own scan
+    only; a solve that raises fails its N for every excitation, since they
+    share the factorisation.
+    """
     labels = surface_labels(method)
-    solutions, failures = _solve_sizes(method, geometry, excitation, media, n_list)
+    return tuple(
+        _scan(method, labels, solutions, failures)
+        for solutions, failures in _solve_sizes(method, geometry, excitations, media, n_list)
+    )
+
+
+def _scan(method, labels, solutions, failures):
     reports = {label: [] for label in labels}
     previous = {label: None for label in labels}
     for n, solution in solutions.items():
@@ -283,8 +303,16 @@ def _growth(previous_amplitude, amplitude):
     return 1.0 if amplitude == 0.0 else float("inf")
 
 
-def _solve_sizes(method, geometry, excitation, media, n_list):
-    """Solve every N in ascending order: (solutions, failures), each keyed by N."""
+_FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _solve_sizes(method, geometry, excitations, media, n_list):
+    """Solve every N in ascending order for every excitation.
+
+    Returns one (solutions, failures) pair per excitation, each keyed by N.
+    An N is assembled for the first excitation that sets it up, re-excited
+    (discrete.excite) for the others, and solved for all of them at once.
+    """
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
@@ -292,16 +320,33 @@ def _solve_sizes(method, geometry, excitation, media, n_list):
     if not sizes:
         raise ValueError("n_list must not be empty")
 
-    solutions, failures = {}, {}
+    results = tuple(({}, {}) for _ in excitations)
     for n in sizes:
+        systems, owners = [], []
+        for result, excitation in zip(results, excitations):
+            try:
+                if systems:
+                    system = discrete.excite(systems[0], excitation)
+                else:
+                    system = assemble(
+                        curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
+                    )
+            except _FAILURES as exc:
+                result[1][n] = str(exc)
+                continue
+            systems.append(system)
+            owners.append(result)
+        if not systems:
+            continue
         try:
-            system = assemble(
-                curve, aux_inner, aux_outer, excitation, medium1, medium2, n_points=n
-            )
-            solutions[n] = discrete.solve(system)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            failures[n] = str(exc)
-    return solutions, failures
+            solved = discrete.solve_shared(*systems)
+        except _FAILURES as exc:
+            for _, failures in owners:
+                failures[n] = str(exc)
+            continue
+        for (solutions, _), solution in zip(owners, solved):
+            solutions[n] = solution
+    return results
 
 
 def _ring_error(solution, references):

@@ -14,7 +14,7 @@ the group D2, which splits the dense solve into four independent systems
 of about N/2 each.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft, linalg
@@ -297,14 +297,12 @@ def assemble_nfm(
     Row block 1 cancels the region-1 representation on the inner surface,
     row block 2 cancels the region-2 representation on the outer surface;
     both rows are scaled so the electric-current kernel is Z_j H^(2)_0.
-    The incident term lands on the inner rows for an external source and on
-    the outer rows for an internal one. Only the carried columns of each
+    The right side is _nfm_rhs. Only the carried columns of each
     block are evaluated (see BlockSystem): every matching point against
     boundary point 0 on concentric circles, against boundary points
     0..N//4 on ellipses at even N.
     """
     nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
-    n_points = len(nodes.phis)
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
@@ -316,20 +314,29 @@ def assemble_nfm(
         z2 * monopole_matrix(k2, d2, label="block z21"),
         1j * dipole_matrix(k2, a2_pts, c_pts[src], c_nrm[src], dist=d2, label="block z22"),
     )
+    rhs = _nfm_rhs(nodes, excitation, medium1, medium2)
+    return BlockSystem(
+        *_carried(blocks), rhs, "nfm", curve, nodes, excitation, medium1, medium2
+    )
 
+
+def _nfm_rhs(nodes, excitation, medium1, medium2):
+    """Incident data of the direct system at its matching points.
+
+    The incident term lands on the inner rows for an external source and on
+    the outer rows for an internal one, scaled like the blocks by Z_j.
+    """
+    n_points = len(nodes.phis)
     amp = complex(excitation.amplitude)
     rhs = np.zeros(2 * n_points, dtype=complex)
     fil = excitation.position_xy()
     if excitation.region == "external":
-        d_fil = _point_distances(a1_pts, fil)
-        rhs[:n_points] = -amp * z1 * monopole_matrix(k1, d_fil, label="rhs")
+        d_fil = _point_distances(nodes.inner, fil)
+        rhs[:n_points] = -amp * medium1.Z * monopole_matrix(medium1.k, d_fil, label="rhs")
     else:
-        d_fil = _point_distances(a2_pts, fil)
-        rhs[n_points:] = amp * z2 * monopole_matrix(k2, d_fil, label="rhs")
-
-    return BlockSystem(
-        *_carried(blocks), rhs, "nfm", curve, nodes, excitation, medium1, medium2
-    )
+        d_fil = _point_distances(nodes.outer, fil)
+        rhs[n_points:] = amp * medium2.Z * monopole_matrix(medium2.k, d_fil, label="rhs")
+    return rhs
 
 
 def _mas_rhs(nodes, excitation, medium1, medium2):
@@ -421,6 +428,22 @@ def mas_from_nfm(system):
     )
 
 
+_RHS = {"nfm": _nfm_rhs, "mas": _mas_rhs}
+
+
+def excite(system, excitation):
+    """The system driven by another line source.
+
+    The blocks, grid and media are those of system, shared and not copied;
+    only the right side is built again, by the assembler's own function, so
+    it equals that of assembling the system for excitation. Raises
+    ValueError for a source on the wrong side of the boundary.
+    """
+    excitation.validate_against(system.curve)
+    rhs = _RHS[system.method](system.nodes, excitation, system.medium1, system.medium2)
+    return replace(system, rhs=rhs, excitation=excitation)
+
+
 # -- solvers ----------------------------------------------------------------
 
 
@@ -430,27 +453,48 @@ def _relative_residual(applied, rhs):
     return err / scale if scale > 0.0 else err
 
 
-def _lu_solve(a, b):
-    """LU solve of a x = b with an infinity-norm condition estimate.
+def _lu_factor(a):
+    """LU factors of a with an infinity-norm condition estimate.
 
-    Returns (x, ||a||_inf, rcond). One fixed-precision refinement step is
-    taken only when rcond > eps, i.e. cond * u < 1 (Higham, IMA J. Numer.
-    Anal. 17 (1997) 495-509): beyond that the step adds a^-1 (roundoff),
-    which inflates ||x|| instead of shrinking the error.
+    Returns ((lu, piv), ||a||_inf, rcond); rcond is gecon's estimate of
+    1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon fails.
     """
     lu, piv = linalg.lu_factor(a)
     if not np.all(np.isfinite(lu)) or np.any(np.diagonal(lu) == 0.0):
         raise ArithmeticError("system is singular to working precision")
-    x = linalg.lu_solve((lu, piv), b)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
     a_norm = np.linalg.norm(a, np.inf)
     rcond, info = gecon(lu, a_norm, norm="I")
-    rcond = float(rcond) if info == 0 else 0.0
+    return (lu, piv), a_norm, float(rcond) if info == 0 else 0.0
+
+
+def _lu_solve(a, factors, rcond, b):
+    """x with a x = b from the factors and rcond of _lu_factor.
+
+    One fixed-precision refinement step is taken only when rcond > eps,
+    i.e. cond * u < 1 (Higham, IMA J. Numer. Anal. 17 (1997) 495-509):
+    beyond that the step adds a^-1 (roundoff), which inflates ||x|| instead
+    of shrinking the error.
+    """
+    x = linalg.lu_solve(factors, b)
     if rcond > np.finfo(float).eps:
-        x += linalg.lu_solve((lu, piv), b - a @ x)
+        x += linalg.lu_solve(factors, b - a @ x)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("system is singular to working precision")
-    return x, a_norm, rcond
+    return x
+
+
+def _blocks(system):
+    return system.z11, system.z12, system.z21, system.z22
+
+
+def _with_shared(system, shared):
+    """(system, *shared), once every shared system is checked to carry system's blocks."""
+    blocks = _blocks(system)
+    for other in shared:
+        if any(mine is not theirs for mine, theirs in zip(blocks, _blocks(other))):
+            raise ValueError("shared systems must carry the blocks of the first (see excite)")
+    return (system,) + tuple(shared)
 
 
 def _d2_rows(carried, m):
@@ -475,15 +519,18 @@ def _d2_sum(chi, rows, index, out):
     _PLUS_MINUS[chi[3]](out, rs, out=out)
 
 
-def _d2_solve(system):
-    """Split solve of a D2 system; returns (x, applied, cond).
+def _d2_solve(systems):
+    """Split solve of D2 systems that share their blocks.
 
+    Returns one (x, applied) pair per system and the shared cond.
     For each character chi and p, l over the representatives whose
     stabiliser chi is trivial on, M_chi[p, l] = (1/|Stab l|) sum_g chi(g)
     Z[g.p, l] in each block and b_chi[p] = (1/4) sum_g chi(g) b[g.p]. A
     character that admits no representative ((chi(R), chi(S)) = (+, -) at
     N = 4) has no system and is skipped. The solution is x[g.l] = sum_chi chi(g)
-    x_chi[l], and A x is recombined from the M_chi x_chi the same way.
+    x_chi[l], and A x is recombined from the M_chi x_chi the same way. Each
+    M_chi is formed and factored once, one character at a time, and solved
+    for the b_chi of every system.
 
     Bit-identity contract: each sum runs over g = id, R, S, RS from left
     to right, ((Z_id +- Z_R) +- Z_S) +- Z_RS, before any division. Then
@@ -496,16 +543,18 @@ def _d2_solve(system):
     tests/d2_reference.py. The sums are elementwise: forming the systems
     makes no BLAS call.
     """
+    system = systems[0]
     n = system.n_points
     act, rep, elem = _orbit_table(n)
     m = system.z11.shape[1]
     fixed = act[:, :m] == np.arange(m)
     stab = fixed.sum(axis=0)
-    blocks = [_d2_rows(z, m) for z in (system.z11, system.z12, system.z21, system.z22)]
-    rhs = _d2_rows(system.rhs.reshape(2, n).T, m)
-    parts = np.zeros((4, 2, 2, m), dtype=complex)  # (chi, x or A x, row block, rep)
+    blocks = [_d2_rows(z, m) for z in _blocks(system)]
+    rhs = [_d2_rows(s.rhs.reshape(2, n).T, m) for s in systems]
+    # (system, chi, x or A x, row block, rep)
+    parts = np.zeros((len(systems), 4, 2, 2, m), dtype=complex)
     norms, inv_norms = [], []
-    for chi, part in zip(_D2_CHARACTERS, parts):
+    for c, chi in enumerate(_D2_CHARACTERS):
         keep = np.flatnonzero(chi @ fixed == stab)
         if keep.size == 0:
             continue
@@ -516,16 +565,21 @@ def _d2_solve(system):
             _d2_sum(chi, rows, (run, run), mat[i // 2, :, i % 2])
         stabilised = stab[run] > 1
         mat[..., stabilised] /= stab[run][stabilised]
-        b = np.empty((2, k), dtype=complex)
-        _d2_sum(chi, rhs, run, b.T)
-        b /= 4.0
         mat = mat.reshape(2 * k, 2 * k)
-        x_chi, m_norm, rcond = _lu_solve(mat, b.ravel())
-        part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
+        factors, m_norm, rcond = _lu_factor(mat)
+        for rows, part in zip(rhs, parts[:, c]):
+            b = np.empty((2, k), dtype=complex)
+            _d2_sum(chi, rows, run, b.T)
+            b /= 4.0
+            x_chi = _lu_solve(mat, factors, rcond, b.ravel())
+            part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
         norms.append(m_norm)
         inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
-    x, applied = np.sum(_D2_CHARACTERS[:, None, None, elem] * parts[..., rep], axis=0)
-    return x.ravel(), applied.ravel(), float(max(norms) * max(inv_norms))
+    pairs = []
+    for part in parts:
+        x, applied = np.sum(_D2_CHARACTERS[:, None, None, elem] * part[..., rep], axis=0)
+        pairs.append((x.ravel(), applied.ravel()))
+    return pairs, float(max(norms) * max(inv_norms))
 
 
 def solve_dense(system):
@@ -537,17 +591,34 @@ def solve_dense(system):
     2N x 2N array is formed. Every other system, circulant ones included,
     takes one full LU.
     """
-    b = system.rhs
+    return _dense_solutions((system,))[0]
+
+
+def _dense_solutions(systems):
+    """solve_dense of systems that share their blocks, on one factorisation.
+
+    The D2 split factors each character's system once and solves it for
+    every right side; a full LU is factored once, and each right side is
+    solved by the lu_solve calls of a lone solve.
+    """
+    system = systems[0]
     n = system.n_points
     if system.d2:
-        x, applied, cond = _d2_solve(system)
+        pairs, cond = _d2_solve(systems)
     else:
         a = system.matrix
-        x, _, rcond = _lu_solve(a, b)
+        factors, _, rcond = _lu_factor(a)
         cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
-        applied = a @ x
-    residual = _relative_residual(applied, b)
-    return DiscreteSolution(system, x[:n], x[n:], "dense", residual, cond)
+        pairs = []
+        for other in systems:
+            x = _lu_solve(a, factors, rcond, other.rhs)
+            pairs.append((x, a @ x))
+    return tuple(
+        DiscreteSolution(
+            other, x[:n], x[n:], "dense", _relative_residual(applied, other.rhs), cond
+        )
+        for other, (x, applied) in zip(systems, pairs)
+    )
 
 
 def _mode_singular_values(l11, l12, l21, l22, det):
@@ -592,23 +663,25 @@ def solve_circulant_dft(system):
     """
     if not system.circulant:
         raise ValueError("system is not circulant; use the dense path")
-    n = system.n_points
-    l11 = fft.fft(system.z11)
-    l12 = fft.fft(system.z12)
-    l21 = fft.fft(system.z21)
-    l22 = fft.fft(system.z22)
-    b1 = fft.fft(system.rhs[:n])
-    b2 = fft.fft(system.rhs[n:])
+    return _dft_solutions((system,))[0]
 
+
+def _dft_solutions(systems):
+    """solve_circulant_dft of systems that share their blocks.
+
+    The per-mode data (spectra, determinants, singular values and kept
+    modes) are computed once for all of them. Each transform is one
+    scipy.fft call over a stack of rows, which gives every row the bits of
+    its own call.
+    """
+    system = systems[0]
+    n = system.n_points
+    l11, l12, l21, l22 = fft.fft(np.stack(_blocks(system)))
     det = l11 * l22 - l12 * l21
     s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
     s_top = float(np.max(s_max))
     floor = np.finfo(float).eps * s_top
     keep = s_min > floor
-    adj_b1 = b1 * l22 - l12 * b2
-    adj_b2 = l11 * b2 - l21 * b1
-    u = np.divide(adj_b1, det, out=np.zeros_like(det), where=keep)
-    v = np.divide(adj_b2, det, out=np.zeros_like(det), where=keep)
     dropped = 2 * n - int(np.count_nonzero(keep)) - int(np.count_nonzero(s_max > floor))
     if dropped:
         # the dropped modes form one band around N/2, so solving the band's
@@ -616,28 +689,61 @@ def solve_circulant_dft(system):
         # keep their Cramer values and rank-zero modes stay zero
         lost = np.flatnonzero(~keep)
         band = slice(lost[0], lost[-1] + 1)
-        parts = (l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x1, x2 = _rank_one_solve(*(part[band] for part in parts))
         rank_one = ~keep[band] & (s_max[band] > floor)
-        np.copyto(u[band], x1, where=rank_one)
-        np.copyto(v[band], x2, where=rank_one)
-    electric = fft.ifft(u)
-    magnetic = fft.ifft(v)
-
     s_low = float(np.min(s_min))
     cond = s_top / s_low if s_low > 0.0 else np.inf
-    f_e, f_m = fft.fft(electric), fft.fft(magnetic)
-    applied = fft.ifft([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m]).ravel()
-    residual = _relative_residual(applied, system.rhs)
-    return DiscreteSolution(system, electric, magnetic, "dft", residual, cond, dropped)
+
+    # each stack holds the two halves of system e in rows 2e and 2e + 1
+    rhs_modes = fft.fft(np.concatenate([s.rhs for s in systems]).reshape(-1, n))
+    modes = np.zeros_like(rhs_modes)
+    for b1, b2, u, v in zip(rhs_modes[::2], rhs_modes[1::2], modes[::2], modes[1::2]):
+        adj_b1 = b1 * l22 - l12 * b2
+        adj_b2 = l11 * b2 - l21 * b1
+        np.divide(adj_b1, det, out=u, where=keep)
+        np.divide(adj_b2, det, out=v, where=keep)
+        if dropped:
+            parts = (l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x1, x2 = _rank_one_solve(*(part[band] for part in parts))
+            np.copyto(u[band], x1, where=rank_one)
+            np.copyto(v[band], x2, where=rank_one)
+    currents = fft.ifft(modes)
+    current_modes = fft.fft(currents)
+    products = np.empty_like(current_modes)
+    for f_e, f_m, top, bottom in zip(
+        current_modes[::2], current_modes[1::2], products[::2], products[1::2]
+    ):
+        top[:] = l11 * f_e + l12 * f_m
+        bottom[:] = l21 * f_e + l22 * f_m
+    applied = fft.ifft(products).reshape(len(systems), 2 * n)
+    return tuple(
+        DiscreteSolution(
+            other, electric, magnetic, "dft", _relative_residual(product, other.rhs), cond,
+            dropped,
+        )
+        for other, electric, magnetic, product in zip(
+            systems, currents[::2], currents[1::2], applied
+        )
+    )
+
+
+def solve_shared(system, *shared):
+    """Solve system and the shared systems on one factorisation.
+
+    shared are systems that carry system's blocks with other right sides,
+    as excite makes them, so one assembly serves every excitation of a
+    grid. Takes the DFT path if the system is circulant and the dense path
+    otherwise, and factors the blocks once for all the systems. Returns one
+    DiscreteSolution per system, system first; each equals, bit for bit,
+    the solution of its system solved alone.
+    """
+    systems = _with_shared(system, shared)
+    return (_dft_solutions if system.circulant else _dense_solutions)(systems)
 
 
 def solve(system):
     """Solve on the DFT path if the system is circulant, on the dense path otherwise."""
-    if system.circulant:
-        return solve_circulant_dft(system)
-    return solve_dense(system)
+    return solve_circulant_dft(system) if system.circulant else solve_dense(system)
 
 
 def mode_amplitudes(solution):

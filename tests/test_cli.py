@@ -514,19 +514,34 @@ def test_divergence_sweep_table_tells_the_whole_story(tmp_path):
     assert all(float(r["error"]) < 1e-6 for r in rows)
 
 
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "sweep"
+    preset = str(PRESETS / "nfm-stability.json")
+    assert cli.main(["sweep", "--config", preset, "--out", str(out)]) == 0
+    # the next command parses its own argv: the sweep's --out does not carry over
+    assert cli.main(["validate", "--only", "exact"]) == 0
+    assert not (out / "validate.json").exists()
+    assert "wrote" not in capsys.readouterr().out.splitlines()[-1]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["solve"])
+    assert exit_info.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeypatch):
     solved, rings = [], []
-    solve, exact_ring = discrete.solve, diagnostics.exact_ring
+    solve, exact_ring = discrete.solve_shared, diagnostics.exact_ring
 
-    def counting_solve(system):
+    def counting_solve(system, *shared):
         solved.append(system.n_points)
-        return solve(system)
+        return solve(system, *shared)
 
     def counting_rings(*args, **kwargs):
         rings.append(args)
         return exact_ring(*args, **kwargs)
 
-    monkeypatch.setattr(discrete, "solve", counting_solve)
+    monkeypatch.setattr(discrete, "solve_shared", counting_solve)
     monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
     preset = str(PRESETS / "nfm-stability.json")
     assert cli.main(["sweep", "--config", preset, "--out", str(tmp_path)]) == 0
@@ -537,17 +552,17 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
 
 def test_solve_and_fields_solve_each_method_once_and_sum_each_ring_once(tmp_path, monkeypatch):
     solved, rings = [], []
-    solve, exact_ring = discrete.solve, diagnostics.exact_ring
+    solve, exact_ring = discrete.solve_shared, diagnostics.exact_ring
 
-    def counting_solve(system):
+    def counting_solve(system, *shared):
         solved.append((system.method, system.n_points))
-        return solve(system)
+        return solve(system, *shared)
 
     def counting_rings(*args, **kwargs):
         rings.append(args)
         return exact_ring(*args, **kwargs)
 
-    monkeypatch.setattr(discrete, "solve", counting_solve)
+    monkeypatch.setattr(discrete, "solve_shared", counting_solve)
     monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
     preset = str(PRESETS / "circle-external-currents.json")
     assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / "s")]) == 0
@@ -562,10 +577,10 @@ def test_solve_and_fields_solve_each_method_once_and_sum_each_ring_once(tmp_path
 
 @pytest.mark.parametrize("command", ["solve", "fields"])
 def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    def singular(system):
+    def singular(*systems):
         raise ArithmeticError("singular")
 
-    monkeypatch.setattr(discrete, "solve", singular)
+    monkeypatch.setattr(discrete, "solve_shared", singular)
     out = tmp_path / "out"
     config = str(PRESETS / "circle-external-currents.json")
     assert cli.main([command, "--config", config, "--out", str(out)]) == 2
@@ -577,14 +592,14 @@ def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, m
 
 def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch):
     paths = []
-    solve = discrete.solve
+    solve = discrete.solve_shared
 
-    def recording_solve(system):
-        solution = solve(system)
-        paths.append((system.n_points, solution.path))
-        return solution
+    def recording_solve(*systems):
+        solutions = solve(*systems)
+        paths.extend((sol.n_points, sol.path) for sol in solutions)
+        return solutions
 
-    monkeypatch.setattr(discrete, "solve", recording_solve)
+    monkeypatch.setattr(discrete, "solve_shared", recording_solve)
     preset = PRESETS / "mas-divergence.json"
     doc = json.loads(preset.read_text())
     doc["solver"]["path"] = "auto"

@@ -99,12 +99,11 @@ def test_density_series_solves_each_mode_once(monkeypatch):
     assert [hankel for hankel, _, _ in calls] == [False, True] * (len(calls) // 2)
     for _, orders, args in calls:
         assert len(set(orders)) == len(orders) and len(set(args)) == len(args)
-    # each of the two series solves its modes 0, 1, 2, ... once, in runs whose
-    # neighbour orders (for the derivatives) are read again by the next run
+    # the two series share one solve of each run: modes 0, 1, 2, ... once per
+    # call, with no restart, in runs whose neighbour orders (for the
+    # derivatives) are read again by the next run
     modes = [n for hankel, orders, _ in calls if not hankel for n in orders[1:-1]]
-    restart = modes.index(0, 1)
-    assert modes[:restart] == list(range(restart))
-    assert modes[restart:] == list(range(len(modes) - restart))
+    assert modes == list(range(len(modes)))
 
 
 def test_angle_arrays_equal_one_angle_calls_bit_for_bit(monkeypatch):

@@ -208,13 +208,13 @@ def test_unknown_method_and_empty_sweep_are_rejected():
 )
 def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method):
     want = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
-    solve, threads = discrete.solve, []
+    solve, threads = discrete.solve_shared, []
 
-    def recorded(system):
+    def recorded(*systems):
         threads.append(threading.get_ident())
-        return solve(system)
+        return solve(*systems)
 
-    monkeypatch.setattr(discrete, "solve", recorded)
+    monkeypatch.setattr(discrete, "solve_shared", recorded)
     got = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
     assert threads == [threading.get_ident()] * 2
     assert got.n_points == want.n_points == tuple(sorted(n_list))[1:]
@@ -225,6 +225,53 @@ def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method
     sweep = diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), n_list[:2])
     assert tuple(sweep.errors) == tuple(n_list[:2])
     assert threads == [threading.get_ident()] * 4
+
+
+def _same_scan(got, want):
+    assert (got.method, got.n_points, got.reports, got.failures) == (
+        want.method, want.n_points, want.reports, want.failures,
+    )
+    for n, solution in want.solutions.items():
+        assert got.solutions[n].vector.tobytes() == solution.vector.tobytes()
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+@pytest.mark.parametrize(
+    "geometry, n_list",
+    [(WIDE, [40, 46, 3]), (NARROW, [5, 11, 81]), (ELLIPSE, [16, 20, 3])],
+    ids=["circle-wide", "circle-narrow", "ellipse"],
+)
+def test_a_plural_scan_equals_the_scans_of_its_excitations(geometry, n_list, method):
+    excitations = (EXT, INT, Excitation("external", 5.0, phi=0.4, amplitude=2.0 - 1.0j))
+    scans = diagnostics.oscillation_scans(method, geometry, excitations, (M1, M2), n_list)
+    assert len(scans) == len(excitations)
+    for exc, scan in zip(excitations, scans):
+        _same_scan(scan, diagnostics.oscillation_scan(method, geometry, exc, (M1, M2), n_list))
+        assert all(sol.system.excitation == exc for sol in scan.solutions.values())
+
+
+def test_a_misplaced_excitation_fails_only_its_own_scan(monkeypatch):
+    outside = Excitation("internal", 3.0)
+    calls = []
+    solve = discrete.solve_shared
+
+    def recorded(*systems):
+        calls.append(len(systems))
+        return solve(*systems)
+
+    monkeypatch.setattr(discrete, "solve_shared", recorded)
+    for excitations in ((outside, EXT, INT), (EXT, outside, INT)):
+        calls.clear()
+        scans = diagnostics.oscillation_scans("mas", WIDE, excitations, (M1, M2), [40, 46])
+        # one factorisation per N serves the two excitations that set up
+        assert calls == [2, 2]
+        for exc, scan in zip(excitations, scans):
+            want = diagnostics.oscillation_scan("mas", WIDE, exc, (M1, M2), [40, 46])
+            _same_scan(scan, want)
+        bad = scans[excitations.index(outside)]
+        assert bad.n_points == () and bad.solutions == {}
+        assert set(bad.failures) == {40, 46}
+        assert "internal excitation must lie inside" in bad.failures[40]
 
 
 # -- convergence_sweep -------------------------------------------------------

@@ -474,6 +474,80 @@ def test_zero_amplitude_source_gives_zero_currents():
     assert np.all(j == 0.0) and np.all(m == 0.0)
 
 
+# -- one factorisation, several excitations -----------------------------------
+
+
+def _same_solution(got, want):
+    """Every array and number of two solutions, bit for bit."""
+    assert got.system.excitation == want.system.excitation
+    assert got.system.rhs.tobytes() == want.system.rhs.tobytes()
+    assert got.electric.tobytes() == want.electric.tobytes()
+    assert got.magnetic.tobytes() == want.magnetic.tobytes()
+    assert (got.path, got.residual, got.cond_estimate, got.dropped) == (
+        want.path, want.residual, want.cond_estimate, want.dropped,
+    )
+
+
+ELL_INT = geometry.Excitation("internal", 1.0)
+SHARED_CASES = [
+    *((CIRCLE, (AUX_IN, AUX_OUT), n, "dft") for n in (5, 11, 40, 81, 512)),
+    (ELLIPSE, ELL_MILD, 40, "d2"),
+    (ELLIPSE, ELL_MILD, 512, "d2"),
+    (ELLIPSE, ELL_MILD, 41, "full"),
+    (_star_twin(ELLIPSE), ELL_MILD, 40, "full"),
+]
+
+
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+@pytest.mark.parametrize(
+    "curve, aux, n_points, form",
+    SHARED_CASES,
+    ids=["circle-%d" % n for n in (5, 11, 40, 81, 512)]
+    + ["d2-40", "d2-512", "ellipse-41", "star-40"],
+)
+def test_one_factorisation_gives_each_excitation_the_bits_of_its_own_solve(
+    route, curve, aux, n_points, form
+):
+    assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
+    alone = {
+        exc: discrete.solve(assemble(curve, *aux, exc, M1, M2, n_points=n_points))
+        for exc in (EXT, ELL_INT)
+    }
+    system = assemble(curve, *aux, EXT, M1, M2, n_points=n_points)
+    assert {"dft": system.circulant, "d2": system.d2, "full": system.z11.ndim == 2}[form]
+    # the snug circle at N = 512 drops modes, so the rank-one band is shared too
+    assert (alone[EXT].dropped > 0) == (form == "dft" and n_points == 512)
+    other = discrete.excite(system, ELL_INT)
+    assert all(a is b for a, b in zip(
+        (system.z11, system.z12, system.z21, system.z22),
+        (other.z11, other.z12, other.z21, other.z22),
+    ))
+    # either excitation may come first
+    for first, second in ((system, other), (other, system)):
+        solved = discrete.solve_shared(first, second)
+        assert [sol.system for sol in solved] == [first, second]
+        for sol in solved:
+            _same_solution(sol, alone[sol.system.excitation])
+    assert discrete.solve_shared(system)[0].electric.tobytes() == alone[EXT].electric.tobytes()
+
+
+def test_excite_rebuilds_only_the_right_side():
+    for assemble in (_nfm, _mas):
+        system = assemble(EXT, 16)
+        internal = discrete.excite(system, INT)
+        assert internal.rhs.tobytes() == assemble(INT, 16).rhs.tobytes()
+        assert internal.excitation == INT and internal.nodes is system.nodes
+    # a source on the wrong side of the boundary is refused by name
+    with pytest.raises(ValueError, match="internal excitation must lie inside"):
+        discrete.excite(system, geometry.Excitation("internal", 3.0))
+
+
+def test_shared_systems_must_carry_the_same_blocks():
+    # equal blocks evaluated twice are not shared ones
+    with pytest.raises(ValueError, match="blocks of the first"):
+        discrete.solve_shared(_nfm(EXT, 16), _nfm(INT, 16))
+
+
 # -- q-sum oracles ------------------------------------------------------------
 
 
