@@ -742,7 +742,11 @@ def solve_shared(system, *shared):
 
 
 def solve(system):
-    """Solve on the DFT path if the system is circulant, on the dense path otherwise."""
+    """Solve on the DFT path if the system is circulant, on the dense path otherwise.
+
+    The one-system case of solve_shared, taken through the public path
+    functions so that a trace times each path under its own name.
+    """
     return solve_circulant_dft(system) if system.circulant else solve_dense(system)
 
 
