@@ -119,7 +119,7 @@ def currents_track_densities():
     currents = []
     for geo in (NARROW, WIDE):
         system = discrete.assemble_nfm(*geo, EXT, M1, M2, n_points=40)
-        solved = discrete.solve_shared(system, discrete.excite(system, INT))
+        solved = discrete.solve(system, shared=(discrete.excite(system, INT),))
         currents.append([discrete.normalized_currents(sol) for sol in solved])
     worst_fit = max(
         relative_gap(got, want)
@@ -150,7 +150,7 @@ def mas_flags_follow_placement():
         for outer in (2.5, 3.2, 7.0):
             # each (placement, route) is scanned once for both excitations
             geo = placement(inner, outer)
-            scans = diagnostics.oscillation_scans("mas", geo, excitations, (M1, M2), (40, 46))
+            scans = diagnostics.oscillation_scan("mas", geo, excitations, (M1, M2), (40, 46))
             for exc, scan in zip(excitations, scans):
                 flagged = scan.flagged_surfaces()
                 for pred in diagnostics.predict_mas_divergence(
@@ -158,7 +158,7 @@ def mas_flags_follow_placement():
                 ):
                     total += 1
                     matches += (pred.surface in flagged) == (pred.predicted == "diverges")
-            scans = diagnostics.oscillation_scans("nfm", geo, excitations, (M1, M2), (40, 46))
+            scans = diagnostics.oscillation_scan("nfm", geo, excitations, (M1, M2), (40, 46))
             nfm_flags += sum(len(scan.flagged_surfaces()) for scan in scans)
     return [
         ("mas_flags_match_predictions", matches == total == 36,

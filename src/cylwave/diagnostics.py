@@ -169,26 +169,25 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     surface) triple and media a (region-1 medium, region-2 medium) pair.
     Surface labels are 'aux1'/'aux2' for method 'mas' and
     'electric'/'magnetic' for method 'nfm' (surface_labels).
-    """
-    return oscillation_scans(method, geometry, (excitation,), media, n_list)[0]
 
-
-def oscillation_scans(method, geometry, excitations, media, n_list):
-    """One oscillation_scan per excitation, each system assembled and factored once per N.
-
-    The collocation matrix depends on the geometry and the media alone, so
+    excitation is one line source, which gives one OscillationScan, or a
+    tuple of them, which gives a tuple of scans in the same order. The
+    collocation matrix depends on the geometry and the media alone, so
     every N is assembled once and solved for all the excitations on one
-    factorisation (discrete.solve_shared). Each scan equals, bit for bit,
-    the oscillation_scan of its excitation. An excitation that cannot be
-    set up (a source on the wrong side of the boundary) fails its own scan
-    only; a solve that raises fails its N for every excitation, since they
-    share the factorisation.
+    factorisation (discrete.solve with shared systems); each scan equals,
+    bit for bit, the scan of its excitation alone. An excitation that
+    cannot be set up (a source on the wrong side of the boundary) fails
+    its own scan only; a solve that raises fails its N for every
+    excitation, since they share the factorisation.
     """
+    single = not isinstance(excitation, tuple)
+    excitations = (excitation,) if single else excitation
     labels = surface_labels(method)
-    return tuple(
+    scans = tuple(
         _scan(method, labels, solutions, failures)
         for solutions, failures in _solve_sizes(method, geometry, excitations, media, n_list)
     )
+    return scans[0] if single else scans
 
 
 def _scan(method, labels, solutions, failures):
@@ -339,7 +338,7 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
         if not systems:
             continue
         try:
-            solved = discrete.solve_shared(*systems)
+            solved = discrete.solve(systems[0], shared=systems[1:])
         except _FAILURES as exc:
             for _, failures in owners:
                 failures[n] = str(exc)

@@ -490,11 +490,12 @@ def _blocks(system):
 
 def _with_shared(system, shared):
     """(system, *shared), once every shared system is checked to carry system's blocks."""
+    shared = tuple(shared or ())
     blocks = _blocks(system)
     for other in shared:
         if any(mine is not theirs for mine, theirs in zip(blocks, _blocks(other))):
             raise ValueError("shared systems must carry the blocks of the first (see excite)")
-    return (system,) + tuple(shared)
+    return (system,) + shared
 
 
 def _d2_rows(carried, m):
@@ -582,26 +583,19 @@ def _d2_solve(systems):
     return pairs, float(max(norms) * max(inv_norms))
 
 
-def solve_dense(system):
+def solve_dense(system, shared=None):
     """LU solve with a condition estimate, refined when that can help.
 
     A D2 system (see BlockSystem) splits into one independent system per
     character of D2, of about N/2 unknowns each (_d2_solve); each is
     factored on its own and the residual is recombined from theirs, so no
     2N x 2N array is formed. Every other system, circulant ones included,
-    takes one full LU.
+    takes one full LU. With shared systems (see solve) the D2 split factors
+    each character's system once and solves it for every right side, and a
+    full LU is factored once, each right side taking the lu_solve calls of
+    a lone solve.
     """
-    return _dense_solutions((system,))[0]
-
-
-def _dense_solutions(systems):
-    """solve_dense of systems that share their blocks, on one factorisation.
-
-    The D2 split factors each character's system once and solves it for
-    every right side; a full LU is factored once, and each right side is
-    solved by the lu_solve calls of a lone solve.
-    """
-    system = systems[0]
+    systems = _with_shared(system, shared)
     n = system.n_points
     if system.d2:
         pairs, cond = _d2_solve(systems)
@@ -613,12 +607,13 @@ def _dense_solutions(systems):
         for other in systems:
             x = _lu_solve(a, factors, rcond, other.rhs)
             pairs.append((x, a @ x))
-    return tuple(
+    solutions = tuple(
         DiscreteSolution(
             other, x[:n], x[n:], "dense", _relative_residual(applied, other.rhs), cond
         )
         for other, (x, applied) in zip(systems, pairs)
     )
+    return solutions[0] if shared is None else solutions
 
 
 def _mode_singular_values(l11, l12, l21, l22, det):
@@ -647,7 +642,7 @@ def _rank_one_solve(l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_mi
     return x1, x2
 
 
-def solve_circulant_dft(system):
+def solve_circulant_dft(system, shared=None):
     """Per-mode 2x2 pseudo-inverse solve through the DFT; circles only.
 
     Every block of a concentric-circle system is circulant, so the DFT of
@@ -659,22 +654,14 @@ def solve_circulant_dft(system):
     so it is dropped: such a mode is solved at rank one in least squares,
     or set to zero when both its singular values go. Every other mode
     keeps the Cramer solve. The residual applies the blocks to the solution
-    through the same DFT.
+    through the same DFT. With shared systems (see solve) the per-mode
+    data (spectra, determinants, singular values and kept modes) are
+    computed once for all of them. Each transform is one scipy.fft call
+    over a stack of rows, which gives every row the bits of its own call.
     """
     if not system.circulant:
         raise ValueError("system is not circulant; use the dense path")
-    return _dft_solutions((system,))[0]
-
-
-def _dft_solutions(systems):
-    """solve_circulant_dft of systems that share their blocks.
-
-    The per-mode data (spectra, determinants, singular values and kept
-    modes) are computed once for all of them. Each transform is one
-    scipy.fft call over a stack of rows, which gives every row the bits of
-    its own call.
-    """
-    system = systems[0]
+    systems = _with_shared(system, shared)
     n = system.n_points
     l11, l12, l21, l22 = fft.fft(np.stack(_blocks(system)))
     det = l11 * l22 - l12 * l21
@@ -716,7 +703,7 @@ def _dft_solutions(systems):
         top[:] = l11 * f_e + l12 * f_m
         bottom[:] = l21 * f_e + l22 * f_m
     applied = fft.ifft(products).reshape(len(systems), 2 * n)
-    return tuple(
+    solutions = tuple(
         DiscreteSolution(
             other, electric, magnetic, "dft", _relative_residual(product, other.rhs), cond,
             dropped,
@@ -725,29 +712,20 @@ def _dft_solutions(systems):
             systems, currents[::2], currents[1::2], applied
         )
     )
+    return solutions[0] if shared is None else solutions
 
 
-def solve_shared(system, *shared):
-    """Solve system and the shared systems on one factorisation.
-
-    shared are systems that carry system's blocks with other right sides,
-    as excite makes them, so one assembly serves every excitation of a
-    grid. Takes the DFT path if the system is circulant and the dense path
-    otherwise, and factors the blocks once for all the systems. Returns one
-    DiscreteSolution per system, system first; each equals, bit for bit,
-    the solution of its system solved alone.
-    """
-    systems = _with_shared(system, shared)
-    return (_dft_solutions if system.circulant else _dense_solutions)(systems)
-
-
-def solve(system):
+def solve(system, shared=None):
     """Solve on the DFT path if the system is circulant, on the dense path otherwise.
 
-    The one-system case of solve_shared, taken through the public path
-    functions so that a trace times each path under its own name.
+    shared, if given, is a sequence of systems that carry system's blocks
+    with other right sides, as excite makes them, so one assembly serves
+    every excitation of a grid: the blocks are factored once for all of
+    them, and one DiscreteSolution per system comes back as a tuple,
+    system's first. Each equals, bit for bit, the solution of its system
+    solved alone. Without shared, the one solution is returned.
     """
-    return solve_circulant_dft(system) if system.circulant else solve_dense(system)
+    return (solve_circulant_dft if system.circulant else solve_dense)(system, shared)
 
 
 def mode_amplitudes(solution):

@@ -97,7 +97,8 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     passing one that contradicts any observation point, or leaving it out
     on a ring that crosses the boundary, raises instead of silently using
     the wrong representation. Points exactly on the boundary count as
-    region 1.
+    region 1. A negative or non-finite radius or a non-finite angle is
+    refused by name; the origin (rho_obs = 0) is a valid point.
     """
     system = solution.system
     rho_obs = float(rho_obs)
@@ -105,8 +106,10 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
     if phis.ndim != 1 or not phis.size:
         raise ValueError("phi_obs must be one angle or a non-empty 1-D array of angles")
-    if rho_obs < 0.0:
-        raise ValueError("observation radius must be nonnegative")
+    if not np.isfinite(phis).all():
+        raise ValueError("observation angles must be finite")
+    if not 0.0 <= rho_obs < np.inf:
+        raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
     xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
     value = _scattered_field(solution, xy, region)

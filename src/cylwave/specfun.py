@@ -133,22 +133,20 @@ def wronskian_residual(n, x):
     """J_n H2'_n - J'_n H2_n minus its exact value 2/(i pi x).
 
     n is one order or a 1-D array of them; the result has shape
-    np.shape(x) + np.shape(n), from one bessel_orders table per kind over
-    the orders n - 1, n and n + 1, each evaluated once. Should be ~1e-15
+    np.shape(x) + np.shape(n), from one order_factors call per kind, which
+    evaluates each of the orders n - 1, n and n + 1 once. Should be ~1e-15
     relative to 2/(pi x) for any order/argument combination this package
     touches; criterion 01 and the tests use it as a self-check.
     """
     n = np.asarray(n)
     x = _check_argument(x)
-    shape = x.shape + (3,) + n.shape
-    orders, at = np.unique(np.ravel([n - 1, n, n + 1]), return_inverse=True)
-    h = bessel_orders(True, orders, x)
-    if not np.isfinite(h).all():
-        raise _overflow(int(np.max(np.abs(orders))), float(np.min(x)))
-    j_lo, j, j_hi = np.moveaxis(bessel_orders(False, orders, x)[..., at].reshape(shape), x.ndim, 0)
-    h_lo, h, h_hi = np.moveaxis(h[..., at].reshape(shape), x.ndim, 0)
+    args, shape = dict(enumerate(x.ravel())), (2,) + x.shape + n.shape
+    j, jp = np.swapaxes(list(order_factors(n, j=args).values()), 0, 1).reshape(shape)
+    h, hp = np.swapaxes(list(order_factors(n, h=args).values()), 0, 1).reshape(shape)
+    if not (np.isfinite(h).all() and np.isfinite(hp).all()):
+        raise _overflow(int(np.max(np.abs(n))) + 1, float(np.min(x)))
     exact = 2.0 / (1j * np.pi * x.reshape(x.shape + (1,) * n.ndim))
-    return (j * (0.5 * (h_lo - h_hi)) - (0.5 * (j_lo - j_hi)) * h) - exact
+    return (j * hp - jp * h) - exact
 
 
 def bessel_orders(hankel, n, x):
@@ -197,11 +195,11 @@ def order_factors(n, j=None, h=None):
     out = {}
     for hankel, named in ((False, j), (True, h)):
         if named:
-            args = list(dict.fromkeys(named.values()))
-            f = bessel_orders(hankel, orders, args)
+            at = {x: i for i, x in enumerate(dict.fromkeys(named.values()))}
+            f = bessel_orders(hankel, orders, list(at))
             value, deriv = f[:, mid], 0.5 * (f[:, lo] - f[:, hi])
             for name, x in named.items():
-                out[name] = value[args.index(x)], deriv[args.index(x)]
+                out[name] = value[at[x]], deriv[at[x]]
     return out
 
 

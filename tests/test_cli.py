@@ -531,17 +531,17 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
 
 def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeypatch):
     solved, rings = [], []
-    solve, exact_ring = discrete.solve_shared, diagnostics.exact_ring
+    solve, exact_ring = discrete.solve, diagnostics.exact_ring
 
-    def counting_solve(system, *shared):
+    def counting_solve(system, shared=None):
         solved.append(system.n_points)
-        return solve(system, *shared)
+        return solve(system, shared)
 
     def counting_rings(*args, **kwargs):
         rings.append(args)
         return exact_ring(*args, **kwargs)
 
-    monkeypatch.setattr(discrete, "solve_shared", counting_solve)
+    monkeypatch.setattr(discrete, "solve", counting_solve)
     monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
     preset = str(PRESETS / "nfm-stability.json")
     assert cli.main(["sweep", "--config", preset, "--out", str(tmp_path)]) == 0
@@ -552,17 +552,17 @@ def test_sweep_solves_each_n_once_and_sums_each_reference_once(tmp_path, monkeyp
 
 def test_solve_and_fields_solve_each_method_once_and_sum_each_ring_once(tmp_path, monkeypatch):
     solved, rings = [], []
-    solve, exact_ring = discrete.solve_shared, diagnostics.exact_ring
+    solve, exact_ring = discrete.solve, diagnostics.exact_ring
 
-    def counting_solve(system, *shared):
+    def counting_solve(system, shared=None):
         solved.append((system.method, system.n_points))
-        return solve(system, *shared)
+        return solve(system, shared)
 
     def counting_rings(*args, **kwargs):
         rings.append(args)
         return exact_ring(*args, **kwargs)
 
-    monkeypatch.setattr(discrete, "solve_shared", counting_solve)
+    monkeypatch.setattr(discrete, "solve", counting_solve)
     monkeypatch.setattr(diagnostics, "exact_ring", counting_rings)
     preset = str(PRESETS / "circle-external-currents.json")
     assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / "s")]) == 0
@@ -577,10 +577,10 @@ def test_solve_and_fields_solve_each_method_once_and_sum_each_ring_once(tmp_path
 
 @pytest.mark.parametrize("command", ["solve", "fields"])
 def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    def singular(*systems):
+    def singular(system, shared=None):
         raise ArithmeticError("singular")
 
-    monkeypatch.setattr(discrete, "solve_shared", singular)
+    monkeypatch.setattr(discrete, "solve", singular)
     out = tmp_path / "out"
     config = str(PRESETS / "circle-external-currents.json")
     assert cli.main([command, "--config", config, "--out", str(out)]) == 2
@@ -592,14 +592,14 @@ def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, m
 
 def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch):
     paths = []
-    solve = discrete.solve_shared
+    solve = discrete.solve
 
-    def recording_solve(*systems):
-        solutions = solve(*systems)
+    def recording_solve(system, shared=None):
+        solutions = solve(system, shared)
         paths.extend((sol.n_points, sol.path) for sol in solutions)
         return solutions
 
-    monkeypatch.setattr(discrete, "solve_shared", recording_solve)
+    monkeypatch.setattr(discrete, "solve", recording_solve)
     preset = PRESETS / "mas-divergence.json"
     doc = json.loads(preset.read_text())
     doc["solver"]["path"] = "auto"

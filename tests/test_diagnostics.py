@@ -208,13 +208,13 @@ def test_unknown_method_and_empty_sweep_are_rejected():
 )
 def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method):
     want = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
-    solve, threads = discrete.solve_shared, []
+    solve, threads = discrete.solve, []
 
-    def recorded(*systems):
+    def recorded(system, shared=None):
         threads.append(threading.get_ident())
-        return solve(*systems)
+        return solve(system, shared)
 
-    monkeypatch.setattr(discrete, "solve_shared", recorded)
+    monkeypatch.setattr(discrete, "solve", recorded)
     got = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
     assert threads == [threading.get_ident()] * 2
     assert got.n_points == want.n_points == tuple(sorted(n_list))[1:]
@@ -243,7 +243,7 @@ def _same_scan(got, want):
 )
 def test_a_plural_scan_equals_the_scans_of_its_excitations(geometry, n_list, method):
     excitations = (EXT, INT, Excitation("external", 5.0, phi=0.4, amplitude=2.0 - 1.0j))
-    scans = diagnostics.oscillation_scans(method, geometry, excitations, (M1, M2), n_list)
+    scans = diagnostics.oscillation_scan(method, geometry, excitations, (M1, M2), n_list)
     assert len(scans) == len(excitations)
     for exc, scan in zip(excitations, scans):
         _same_scan(scan, diagnostics.oscillation_scan(method, geometry, exc, (M1, M2), n_list))
@@ -253,16 +253,16 @@ def test_a_plural_scan_equals_the_scans_of_its_excitations(geometry, n_list, met
 def test_a_misplaced_excitation_fails_only_its_own_scan(monkeypatch):
     outside = Excitation("internal", 3.0)
     calls = []
-    solve = discrete.solve_shared
+    solve = discrete.solve
 
-    def recorded(*systems):
-        calls.append(len(systems))
-        return solve(*systems)
+    def recorded(system, shared=None):
+        calls.append(1 + len(shared))
+        return solve(system, shared)
 
-    monkeypatch.setattr(discrete, "solve_shared", recorded)
+    monkeypatch.setattr(discrete, "solve", recorded)
     for excitations in ((outside, EXT, INT), (EXT, outside, INT)):
         calls.clear()
-        scans = diagnostics.oscillation_scans("mas", WIDE, excitations, (M1, M2), [40, 46])
+        scans = diagnostics.oscillation_scan("mas", WIDE, excitations, (M1, M2), [40, 46])
         # one factorisation per N serves the two excitations that set up
         assert calls == [2, 2]
         for exc, scan in zip(excitations, scans):
@@ -272,6 +272,38 @@ def test_a_misplaced_excitation_fails_only_its_own_scan(monkeypatch):
         assert bad.n_points == () and bad.solutions == {}
         assert set(bad.failures) == {40, 46}
         assert "internal excitation must lie inside" in bad.failures[40]
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+@pytest.mark.parametrize(
+    "geometry, path",
+    [(WIDE, "solve_circulant_dft"), (ELLIPSE, "solve_dense")],
+    ids=["circle", "ellipse"],
+)
+def test_scans_reach_each_solve_path_through_its_module_attribute(
+    monkeypatch, geometry, path, method
+):
+    # a tracer that wraps the public path functions sees every scan's solves
+    original, calls = getattr(discrete, path), []
+
+    def recorded(system, shared=None):
+        calls.append((system.n_points, 1 + len(shared or ())))
+        return original(system, shared)
+
+    monkeypatch.setattr(discrete, path, recorded)
+    scans = diagnostics.oscillation_scan(method, geometry, (EXT, INT), (M1, M2), [16, 20])
+    # one factorisation per N serves both sources
+    assert calls == [(16, 2), (20, 2)]
+    assert [scan.n_points for scan in scans] == [(16, 20)] * 2
+    system = discrete.assemble_nfm(*geometry, EXT, M1, M2, n_points=16)
+    alone = discrete.solve(system)
+    assert isinstance(alone, discrete.DiscreteSolution)
+    (shared,) = discrete.solve(system, shared=())
+    assert calls[2:] == [(16, 1), (16, 1)]
+    assert shared.vector.tobytes() == alone.vector.tobytes()
+    assert (shared.path, shared.residual, shared.cond_estimate, shared.dropped) == (
+        alone.path, alone.residual, alone.cond_estimate, alone.dropped,
+    )
 
 
 # -- convergence_sweep -------------------------------------------------------

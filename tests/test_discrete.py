@@ -524,11 +524,11 @@ def test_one_factorisation_gives_each_excitation_the_bits_of_its_own_solve(
     ))
     # either excitation may come first
     for first, second in ((system, other), (other, system)):
-        solved = discrete.solve_shared(first, second)
+        solved = discrete.solve(first, shared=(second,))
         assert [sol.system for sol in solved] == [first, second]
         for sol in solved:
             _same_solution(sol, alone[sol.system.excitation])
-    assert discrete.solve_shared(system)[0].electric.tobytes() == alone[EXT].electric.tobytes()
+    assert discrete.solve(system, shared=())[0].electric.tobytes() == alone[EXT].electric.tobytes()
 
 
 def test_excite_rebuilds_only_the_right_side():
@@ -545,7 +545,7 @@ def test_excite_rebuilds_only_the_right_side():
 def test_shared_systems_must_carry_the_same_blocks():
     # equal blocks evaluated twice are not shared ones
     with pytest.raises(ValueError, match="blocks of the first"):
-        discrete.solve_shared(_nfm(EXT, 16), _nfm(INT, 16))
+        discrete.solve(_nfm(EXT, 16), shared=(_nfm(INT, 16),))
 
 
 # -- q-sum oracles ------------------------------------------------------------

@@ -171,6 +171,18 @@ def test_negative_radius_raises():
         fields.field_from_discrete(solution, -1.0, 0.0)
 
 
+def test_non_finite_observation_points_are_refused_by_name():
+    solution = _nfm(EXT, 16)
+    for rho_obs in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="observation radius must be nonnegative and finite"):
+            fields.field_from_discrete(solution, rho_obs, 0.3)
+    for phi_obs in (np.nan, np.inf, np.array([0.3, -np.inf])):
+        with pytest.raises(ValueError, match="observation angles must be finite"):
+            fields.field_from_discrete(solution, 10.0, phi_obs)
+    # the origin stays a valid observation point
+    assert np.isfinite(fields.field_from_discrete(solution, 0.0, 0.3).e_z)
+
+
 def test_observation_on_source_point_raises():
     solution = _nfm(EXT, 16)
     with pytest.raises(ValueError):
