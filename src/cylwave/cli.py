@@ -103,7 +103,10 @@ def _number(block, path, default=_MISSING, positive=False):
 
 
 def _integer(block, path, default=_MISSING, minimum=1):
-    value = _entry(block, path, default)
+    return _integer_value(_entry(block, path, default), path, minimum)
+
+
+def _integer_value(value, path, minimum):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("%s: expected an integer" % (path,))
     if value < minimum:
@@ -219,14 +222,9 @@ def _parse_solver(doc):
             raise ConfigError("solver.n_list: expected a list of integers")
         if not raw:
             raise ConfigError("solver.n_list: must not be empty")
-        n_list = []
-        for i, value in enumerate(raw):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError("solver.n_list[%d]: expected an integer" % (i,))
-            if value < 4:
-                raise ConfigError("solver.n_list[%d]: must be at least 4" % (i,))
-            n_list.append(value)
-        n_list = tuple(n_list)
+        n_list = tuple(
+            _integer_value(value, "solver.n_list[%d]" % (i,), 4) for i, value in enumerate(raw)
+        )
     else:
         n_list = (_integer(solver, "solver.n_points", minimum=4),)
     return method, n_list

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import discrete, fields
 from .exact import convergence_region, exact_ring
+from .geometry import as_count
 
 _TWO_PI = 2.0 * np.pi
 _RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
@@ -51,7 +52,6 @@ class OscillationReport:
 class DivergencePrediction:
     """A-priori verdict for one auxiliary surface of a source-method solve."""
 
-    method: str
     surface: str
     predicted: str
 
@@ -124,14 +124,9 @@ def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil
     if excitation_kind == "internal" and rho_fil >= rho_cyl:
         raise ValueError("an internal filament needs rho_fil < rho_cyl")
     side = excitation_kind[:3]
-    return (
-        DivergencePrediction(
-            "mas", "aux1", convergence_region(side + "_R1", rho_aux1, rho_cyl, rho_fil)
-        ),
-        DivergencePrediction(
-            "mas", "aux2", convergence_region(side + "_R2", rho_aux2, rho_cyl, rho_fil)
-        ),
-    )
+    inner = convergence_region(side + "_R1", rho_aux1, rho_cyl, rho_fil)
+    outer = convergence_region(side + "_R2", rho_aux2, rho_cyl, rho_fil)
+    return DivergencePrediction("aux1", inner), DivergencePrediction("aux2", outer)
 
 
 def oscillation_index(values):
@@ -315,7 +310,7 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
-    sizes = sorted(set(int(n) for n in n_list))
+    sizes = sorted({as_count(n, "n_list entry") for n in n_list})
     if not sizes:
         raise ValueError("n_list must not be empty")
 

@@ -1,17 +1,17 @@
 """Collocation systems for the two discretizations and their solvers.
 
 Both formulations share one 2N x 2N matrix up to row scalings and a
-transpose. The direct formulation places fictitious electric and magnetic
-line currents at N points of the boundary and cancels the total field at N
-points of each displaced surface; the source formulation places radiating
-line sources on the displaced surfaces and matches the transmission
-conditions at N boundary points. On concentric circles every block is
-circulant, which yields a per-mode 2x2 system through the DFT; as N grows
-the DFT of each amplitude vector approaches 2 pi rho_cyl times the density
-coefficients of continuous.mode_solve, free of the displaced radii. On
-centred ellipses at even N the half-turn and the mirror phi -> -phi form
-the group D2, which splits the dense solve into four independent systems
-of about N/2 each.
+transpose: A_mas = (diag(-k1/4, +k2/4) A_nfm)^T, which criterion 09 checks.
+The direct formulation places fictitious electric and magnetic line currents
+at N points of the boundary and cancels the total field at N points of each
+displaced surface; the source formulation places radiating line sources on
+the displaced surfaces and matches the transmission conditions at N boundary
+points. On concentric circles every block is circulant, which yields a
+per-mode 2x2 system through the DFT; as N grows the DFT of each amplitude
+vector approaches 2 pi rho_cyl times the density coefficients of
+continuous.mode_solve, free of the displaced radii. On centred ellipses at
+even N the half-turn and the mirror phi -> -phi form the group D2, which
+splits the dense solve into four independent systems of about N/2 each.
 """
 
 from dataclasses import dataclass, replace
@@ -186,24 +186,16 @@ def _point_distances(points, xy):
     return geometry.pairwise_distances(points, np.asarray(xy, dtype=float)[None, :])[:, 0]
 
 
-def circulant_geometry(curve, aux_inner, aux_outer):
-    """True when uniform collocation makes every block circulant, at any N.
-
-    That holds on three concentric circles; solve then takes the DFT path.
-    """
-    return {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)} == {"circle"}
-
-
 def _carried_columns(curve, aux_inner, aux_outer, n_points):
     """How many leading columns of each block the geometry's symmetry needs.
 
-    A circulant geometry (circulant_geometry) needs one column; on three
-    centred ellipses at even N the group D2 leaves one column per orbit
-    (N//4 + 1); anything else needs all N.
+    Three concentric circles make every block circulant at any N and need
+    one column (solve takes the DFT path); on three centred ellipses at even
+    N the group D2 leaves one column per orbit (N//4 + 1); else all N.
     """
-    if circulant_geometry(curve, aux_inner, aux_outer):
-        return 1
     kinds = {c.kind for c in (curve, aux_inner.curve, aux_outer.curve)}
+    if kinds == {"circle"}:
+        return 1
     if kinds == {"ellipse"} and n_points % 2 == 0:
         return n_points // 4 + 1
     return n_points
@@ -242,31 +234,22 @@ def _expand(block):
     return block[act[elem].T, rep]
 
 
-def _transpose(block):
-    """Transpose of a block, carried in the same form as the block itself."""
-    if block.ndim == 1:
-        return np.roll(block[::-1], 1)
-    n, m = block.shape
-    if m == n:
-        return block.T
-    # column r of the transpose is row r of the block: Z[r, l] = Z[g.r, rep l]
-    act, rep, elem = _orbit_table(n)
-    return block[act[elem, :m], rep[:, None]]
-
-
 def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
+    """The collocation count n_points as an int, once the set-up is checked."""
     if aux_inner.side != "inner" or aux_outer.side != "outer":
         raise ValueError("pass the inner surface first and the outer surface second")
     aux_inner.validate_against(curve)
     aux_outer.validate_against(curve)
     excitation.validate_against(curve)
-    if int(n_points) < 4:
+    n_points = geometry.as_count(n_points, "n_points")
+    if n_points < 4:
         raise ValueError("need at least 4 collocation points")
+    return n_points
 
 
 def _collocation(curve, aux_inner, aux_outer, excitation, n_points):
     """Checked set-up of both assemblers: (Nodes, slice of the carried columns of each block)."""
-    _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
+    n_points = _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     boundary, normals, phis = geometry.collocation_points(curve, n_points)
     inner, outer = aux_inner.curve.point(phis), aux_outer.curve.point(phis)
     src = slice(0, _carried_columns(curve, aux_inner, aux_outer, len(phis)))
@@ -403,28 +386,6 @@ def assemble_mas(
     rhs = _mas_rhs(nodes, excitation, medium1, medium2)
     return BlockSystem(
         *_carried(blocks), rhs, "mas", curve, nodes, excitation, medium1, medium2
-    )
-
-
-def mas_from_nfm(system):
-    """Turn a direct system into the equivalent source system.
-
-    Scale the top block row by -k1/4 and the bottom one by +k2/4, transpose
-    the full 2N x 2N matrix, and rebuild the right side for the
-    transmission conditions. The result matches assemble_mas entrywise.
-    """
-    if system.method != "nfm":
-        raise ValueError("expected a direct ('nfm') system")
-    s_top = -system.medium1.k / 4.0
-    s_bot = +system.medium2.k / 4.0
-    z11 = _transpose(s_top * system.z11)
-    z12 = _transpose(s_bot * system.z21)
-    z21 = _transpose(s_top * system.z12)
-    z22 = _transpose(s_bot * system.z22)
-    rhs = _mas_rhs(system.nodes, system.excitation, system.medium1, system.medium2)
-    return BlockSystem(
-        z11, z12, z21, z22, rhs, "mas",
-        system.curve, system.nodes, system.excitation, system.medium1, system.medium2,
     )
 
 
@@ -869,7 +830,7 @@ def q_sum_coefficients(
     """
     if curve.kind != "circle":
         raise ValueError("q-sum coefficients are defined for circles only")
-    n_points = int(n_points)
+    n_points = _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     modes = np.asarray(m)
     if modes.ndim > 1:
         raise ValueError("m must be one mode index or a 1-D array of them")
@@ -878,7 +839,6 @@ def q_sum_coefficients(
     if not np.all((0 <= modes) & (modes < n_points)):
         raise ValueError("mode index must satisfy 0 <= m < n_points")
     modes = modes.astype(int)
-    _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
 
     r_cyl = curve.params["radius"]
     r_in = aux_inner.curve.params["radius"]

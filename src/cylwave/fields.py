@@ -98,7 +98,8 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     on a ring that crosses the boundary, raises instead of silently using
     the wrong representation. Points exactly on the boundary count as
     region 1. A negative or non-finite radius or a non-finite angle is
-    refused by name; the origin (rho_obs = 0) is a valid point.
+    refused by name, and so is a point on one of the solution's radiating
+    nodes; the origin (rho_obs = 0) is a valid point.
     """
     system = solution.system
     rho_obs = float(rho_obs)
@@ -112,7 +113,11 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
         raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
     xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
-    value = _scattered_field(solution, xy, region)
+    try:
+        value = _scattered_field(solution, xy, region)
+    except ValueError:  # pairwise_distances refusing a point on a radiating node
+        where = "observation point at radius %g coincides with a radiating node of the %s route"
+        raise ValueError(where % (rho_obs, system.method)) from None
     if _incident_here(system.excitation, region):
         medium = system.medium1 if region == 1 else system.medium2
         value = value + incident_field(system.excitation, medium, rho_obs, phis)
@@ -122,7 +127,7 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
 
 
 def _test_angles(n_test):
-    n_test = int(n_test)
+    n_test = geometry.as_count(n_test, "n_test")
     if n_test < 4:
         raise ValueError("need at least 4 test angles")
     return _TWO_PI * (np.arange(n_test) + 0.5) / n_test

@@ -189,12 +189,22 @@ class Excitation:
             raise ValueError("internal excitation must lie inside the boundary")
 
 
+def as_count(value, name):
+    """value as an int; ValueError naming name unless it is a finite whole number, not a bool."""
+    try:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 def collocation_points(curve, N):
     """N points at phi_l = 2 pi l / N with outward unit normals.
 
     Returns (points, normals, phis) with shapes (N, 2), (N, 2), (N,).
     """
-    N = int(N)
+    N = as_count(N, "N")
     if N < 4:
         raise ValueError("need at least 4 collocation points")
     phis = _TWO_PI * np.arange(N) / N

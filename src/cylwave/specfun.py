@@ -84,12 +84,6 @@ def bessel_j(n, x):
     return out if out.ndim else float(out)
 
 
-def bessel_j_prime(n, x):
-    """Derivative J'_n(x) via the recurrence (J_{n-1} - J_{n+1}) / 2."""
-    n = int(n)
-    return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
-
-
 def hankel2(n, x):
     """Outgoing Hankel function H^(2)_n(x) = J_n(x) - i Y_n(x).
 
@@ -121,12 +115,6 @@ def _overflow(n, x):
     return BesselOverflowError(
         "H2_%d overflows near x=%g; order too large for this argument" % (n, x)
     )
-
-
-def hankel2_prime(n, x):
-    """Derivative H2'_n(x) via the recurrence (H2_{n-1} - H2_{n+1}) / 2."""
-    n = int(n)
-    return 0.5 * (hankel2(n - 1, x) - hankel2(n + 1, x))
 
 
 def wronskian_residual(n, x):
@@ -346,11 +334,6 @@ def addition_series_h0(x1, x2, theta, n_max=60):
     )
 
 
-def _around(n):
-    """Orders n[0] - 1 .. n[-1] + 1, for the recurrence (f_{n-1} - f_{n+1}) / 2."""
-    return np.arange(n[0] - 1, n[-1] + 2)
-
-
 def addition_series_h0_d1(x1, x2, theta, n_max=60):
     """Partial sum of -sum_n J'_n(x1) H2_n(x2) e^{i n theta}, for x2 > x1.
 
@@ -362,8 +345,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
         raise ValueError("need x2 > x1 > 0")
 
     def term(n):
-        j = bessel_orders(False, _around(n), x1)
-        return -(0.5 * (j[:-2] - j[2:])) * bessel_orders(True, n, x2)
+        f = order_factors(n, {"j": x1}, {"h": x2})
+        return -f["j"][1] * f["h"][0]
 
     return _addition_sum(theta, n_max, x1 / x2, term)
 
@@ -378,8 +361,8 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
         raise ValueError("need x2 > x1 > 0")
 
     def term(n):
-        h = bessel_orders(True, _around(n), x2)
-        return -bessel_orders(False, n, x1) * (0.5 * (h[:-2] - h[2:]))
+        f = order_factors(n, {"j": x1}, {"h": x2})
+        return -f["j"][0] * f["h"][1]
 
     return _addition_sum(theta, n_max, x1 / x2, term)
 

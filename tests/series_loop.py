@@ -2,8 +2,9 @@
 
 These are the per-order loops the package summed its order series with
 before specfun.sum_orders took orders in runs: Graf's addition series of
-`cylwave.specfun`, whose every factor comes from a public scalar function
-of `cylwave.specfun`, one call per order, and the loop itself, which the
+`cylwave.specfun`, whose every factor comes from the scalar bessel_j and
+hankel2 of `cylwave.specfun` order by order (a derivative through the
+recurrence (f_{n-1} - f_{n+1}) / 2), and the loop itself, which the
 circular series' stopping rule is checked against on synthetic terms. The
 package's sums must give the same bits, the same stop orders and flags,
 and the same warnings.
@@ -51,12 +52,11 @@ def _loop_sum(theta, n_max, term, rel_tol=1e-14, grow=None):
 
 
 def _term(kind, x1, x2):
-    j, jp = specfun.bessel_j, specfun.bessel_j_prime
-    h, hp = specfun.hankel2, specfun.hankel2_prime
+    j, h = specfun.bessel_j, specfun.hankel2
     return {
         "h0": lambda n: j(n, x1) * h(n, x2),
-        "h0_d1": lambda n: -jp(n, x1) * h(n, x2),
-        "h0_d2": lambda n: -j(n, x1) * hp(n, x2),
+        "h0_d1": lambda n: -(0.5 * (j(n - 1, x1) - j(n + 1, x1))) * h(n, x2),
+        "h0_d2": lambda n: -j(n, x1) * (0.5 * (h(n - 1, x2) - h(n + 1, x2))),
     }[kind]
 
 

@@ -125,6 +125,20 @@ def test_empty_n_list_is_rejected_with_a_field_path(tmp_path, capsys):
     assert "solver.n_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [(40.5, "expected an integer"), (True, "expected an integer"), (3, "must be at least 4")],
+    ids=["float", "bool", "small"],
+)
+def test_n_list_entries_are_checked_like_other_integers(tmp_path, capsys, entry, message):
+    def mutate(doc):
+        doc["solver"] = {"method": "nfm", "n_list": [12, entry]}
+
+    code = cli.main(["sweep", "--config", str(_write_config(tmp_path, mutate))])
+    assert code == 2
+    assert "solver.n_list[1]: %s" % message in capsys.readouterr().err
+
+
 def test_malformed_json_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -399,6 +413,17 @@ def test_ring_through_the_filament_is_a_clean_error(tmp_path, capsys):
     config = _write_config(tmp_path, mutate)
     assert cli.main(["fields", "--config", str(config)]) == 2
     assert "filament" in capsys.readouterr().err
+
+
+def test_ring_through_a_radiating_node_is_a_clean_error(tmp_path, capsys):
+    # validation admits a ring on the boundary; its angle 0 is collocation node 0
+    def mutate(doc):
+        doc["output"]["rings"] = [[2.0, 1], [1.0, 2]]
+
+    config = _write_config(tmp_path, mutate)
+    assert cli.main(["fields", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "observation point at radius 2 coincides with a radiating node of the nfm" in err
 
 
 def test_default_rings_avoid_the_filament(tmp_path):

@@ -25,17 +25,20 @@ INT = Excitation("internal", 1.0)
 
 def _closed_form(n, excitation, rho_cyl, medium1, medium2):
     # Cramer solution of the per-mode matching system, written out by hand
+    # with the derivatives from the recurrence f' = (f_{n-1} - f_{n+1}) / 2
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
     delta = exact.mode_denominator(n, rho_cyl, medium1, medium2)
     front = excitation.amplitude / (2.0 * np.pi * rho_cyl)
     if excitation.region == "external":
         h_fil = specfun.hankel2(n, k1 * excitation.rho)
-        electric = -front * z1 * h_fil * specfun.bessel_j_prime(n, k2 * rho_cyl) / delta
+        jp = 0.5 * (specfun.bessel_j(n - 1, k2 * rho_cyl) - specfun.bessel_j(n + 1, k2 * rho_cyl))
+        electric = -front * z1 * h_fil * jp / delta
         magnetic = front * 1j * z1 * z2 * h_fil * specfun.bessel_j(n, k2 * rho_cyl) / delta
     else:
         j_fil = specfun.bessel_j(n, k2 * excitation.rho)
-        electric = -front * z2 * j_fil * specfun.hankel2_prime(n, k1 * rho_cyl) / delta
+        hp = 0.5 * (specfun.hankel2(n - 1, k1 * rho_cyl) - specfun.hankel2(n + 1, k1 * rho_cyl))
+        electric = -front * z2 * j_fil * hp / delta
         magnetic = front * 1j * z1 * z2 * j_fil * specfun.hankel2(n, k1 * rho_cyl) / delta
     return electric, magnetic
 

@@ -38,8 +38,8 @@ ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 
 def test_wide_external_placement_breaks_both_surfaces():
     inner, outer = diagnostics.predict_mas_divergence("external", 0.5, 10.0, 2.0, 4.0)
-    assert (inner.method, inner.surface, inner.predicted) == ("mas", "aux1", "diverges")
-    assert (outer.method, outer.surface, outer.predicted) == ("mas", "aux2", "diverges")
+    assert (inner.surface, inner.predicted) == ("aux1", "diverges")
+    assert (outer.surface, outer.predicted) == ("aux2", "diverges")
 
 
 def test_narrow_external_placement_is_safe():

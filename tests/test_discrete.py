@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwave import continuous, discrete, fields, geometry, specfun
+from cylwave import continuous, diagnostics, discrete, fields, geometry, specfun
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
@@ -139,7 +139,7 @@ def _ellipse_and_twin(assemble, aux, exc, n_points):
 @pytest.mark.parametrize("n_points", [4, 6, 8, 12, 40, 42])
 @pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
                          ids=["nfm", "mas"])
-def test_ellipse_blocks_carry_half_their_columns(assemble, n_points):
+def test_ellipse_blocks_carry_their_d2_orbit_columns(assemble, n_points):
     # the half-turn (l -> l + N/2) and the mirror (l -> -l) map each
     # ellipse's collocation points onto themselves, so every block is fixed
     # by D2 and columns 0..N//4, one per orbit, are all the system carries
@@ -231,6 +231,26 @@ def test_assembles_and_solves_on_a_star_curve():
     assert solution.residual < 1e-12
 
 
+@pytest.mark.parametrize("bad", [40.7, np.inf, np.nan, True], ids=["40.7", "inf", "nan", "bool"])
+def test_a_count_that_is_not_a_whole_number_is_refused_by_name(bad):
+    # each site converts its count to an int: 40.7 must not become 40, nor
+    # inf an OverflowError; a whole float is still a count
+    geo = (CIRCLE, AUX_IN, AUX_OUT)
+    calls = [
+        ("n_points", lambda: discrete.assemble_nfm(*geo, EXT, M1, M2, n_points=bad)),
+        ("n_points", lambda: discrete.q_sum_coefficients(3, bad, *geo, EXT, M1, M2)),
+        ("N", lambda: geometry.collocation_points(CIRCLE, bad)),
+        ("n_list entry", lambda: diagnostics.oscillation_scan("nfm", geo, EXT, (M1, M2), (bad, 41))),
+        ("n_test", lambda: fields.boundary_traces(discrete.solve(_mas(EXT, 12)), n_test=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            call()
+    whole = _nfm(EXT, 40.0)
+    assert whole.n_points == 40 and whole.z11.tobytes() == _nfm(EXT, 40).z11.tobytes()
+    assert diagnostics.oscillation_scan("nfm", geo, EXT, (M1, M2), (40.0,)).n_points == (40,)
+
+
 # -- the footnote transform --------------------------------------------------
 
 
@@ -241,33 +261,28 @@ def test_assembles_and_solves_on_a_star_curve():
 )
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_transform_matches_direct_source_assembly(curve, aux_in, aux_out, exc):
-    # odd N catches an off-by-one in reversing a circulant first column;
-    # 42 (N mod 4 = 2) transposes the ellipse's D2 orbit columns
+    # (diag(-k1/4 I_N, +k2/4 I_N) A_nfm)^T against each block of A_mas; odd N
+    # and 42 (N mod 4 = 2) expand circulant and D2 orbit columns of both sides
     for n_points in (7, 8, 42):
         direct = discrete.assemble_nfm(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
-        transformed = discrete.mas_from_nfm(direct)
         reference = discrete.assemble_mas(curve, aux_in, aux_out, exc, M1, M2, n_points=n_points)
-        assert transformed.circulant == reference.circulant == (curve is CIRCLE)
-        for (name, a), (_, b) in zip(transformed.named_blocks(), reference.named_blocks()):
+        assert direct.circulant == reference.circulant == (curve is CIRCLE)
+        rows = np.repeat([-M1.k / 4.0, M2.k / 4.0], n_points)[:, None]
+        transformed = (rows * direct.matrix).T.reshape(2, n_points, 2, n_points)
+        for i, (name, b) in enumerate(reference.named_blocks()):
+            a = transformed[i // 2, :, i % 2]
             scale = np.max(np.abs(b))
             assert np.max(np.abs(a - b)) < 1e-14 * scale, (name, n_points)
-        assert np.array_equal(transformed.rhs, reference.rhs)
-        assert transformed.method == "mas"
-
-
-def test_transform_requires_a_direct_system():
-    with pytest.raises(ValueError, match="direct"):
-        discrete.mas_from_nfm(_mas(EXT, 8))
 
 
 def test_transform_preserves_conditioning_up_to_the_row_scalings():
-    # with equal wavenumbers the two scalings coincide, so the transposed
-    # matrix has exactly the same singular values as the scaled original
+    # with equal wavenumbers the two scalings coincide, so the assembled
+    # source matrix has exactly the singular values of the scaled direct one
     vacuum = Medium()
-    system = discrete.assemble_nfm(CIRCLE, AUX_IN, AUX_OUT, EXT, vacuum, vacuum, n_points=10)
-    transformed = discrete.mas_from_nfm(system)
-    s_a = np.linalg.svd(system.matrix, compute_uv=False)
-    s_b = np.linalg.svd(transformed.matrix, compute_uv=False)
+    direct = discrete.assemble_nfm(CIRCLE, AUX_IN, AUX_OUT, EXT, vacuum, vacuum, n_points=10)
+    source = discrete.assemble_mas(CIRCLE, AUX_IN, AUX_OUT, EXT, vacuum, vacuum, n_points=10)
+    s_a = np.linalg.svd(direct.matrix, compute_uv=False)
+    s_b = np.linalg.svd(source.matrix, compute_uv=False)
     assert np.allclose(s_b, (vacuum.k / 4.0) * s_a, rtol=1e-12)
 
 
@@ -329,7 +344,7 @@ def test_dft_path_matches_dense_path_internal_and_source_method():
                          ids=["external", "internal"])
 @pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
                          ids=["nfm", "mas"])
-def test_half_turn_split_matches_the_full_lu(assemble, exc, capfd):
+def test_d2_split_matches_the_full_lu(assemble, exc, capfd):
     # the D2 split into one system per character; at N = 4 the character
     # (R +1, S -1) admits no orbit and must be skipped, not handed to LAPACK
     # as a 0 x 0 matrix, and N = 6 has N mod 4 = 2
@@ -387,7 +402,7 @@ def _ring_fields(solution):
 
 @pytest.mark.parametrize("assemble", [discrete.assemble_nfm, discrete.assemble_mas],
                          ids=["nfm", "mas"])
-def test_half_turn_split_far_fields_match_the_full_lu_at_n_512(assemble):
+def test_d2_split_far_fields_match_the_full_lu_at_n_512(assemble):
     # cond is about 1e20 here, so the currents are roundoff; the fields they
     # radiate are backward-stable and agree
     exc = geometry.Excitation("external", 4.0, 0.3)

@@ -142,7 +142,7 @@ def test_solved_systems_read_their_grid_instead_of_collocating_again(curve, monk
             out += discrete.normalized_currents(solution)
         traces = fields.boundary_traces(solutions["mas"])
         out += [traces.e_1, traces.h_1, traces.e_2, traces.h_2]
-        out.append(discrete.mas_from_nfm(systems["nfm"]).rhs)
+        out.append(discrete.excite(systems["mas"], EXT).rhs)
         return out
 
     want = outputs()
@@ -184,9 +184,13 @@ def test_non_finite_observation_points_are_refused_by_name():
 
 
 def test_observation_on_source_point_raises():
+    # a boundary node of the direct route, refused by name rather than by
+    # the assembly's "coincident points between the two surfaces"
     solution = _nfm(EXT, 16)
-    with pytest.raises(ValueError):
-        fields.field_from_discrete(solution, 2.0, 0.0)
+    where = "observation point at radius 2 coincides with a radiating node of the nfm route"
+    for phi_obs in (0.0, np.array([0.1, 0.0])):
+        with pytest.raises(ValueError, match=where):
+            fields.field_from_discrete(solution, 2.0, phi_obs)
 
 
 def test_zero_amplitude_gives_zero_field():

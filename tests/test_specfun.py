@@ -22,6 +22,17 @@ WRONSKIAN_AT_2 = -0.3183098861837907j  # 2 / (i pi 2)
 X_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 40.0]
 
 
+def _factors(n, x):
+    """(J_n, J'_n, H2_n, H2'_n) at x, as specfun.order_factors reads them."""
+    table = specfun.order_factors(n, {"j": x}, {"h": x})
+    return (*table["j"], *table["h"])
+
+
+def _derivative(f):
+    """f' = (f_{n-1} - f_{n+1}) / 2 from the scalar bessel_j or hankel2, order by order."""
+    return lambda n, x: 0.5 * (f(n - 1, x) - f(n + 1, x))
+
+
 def test_bessel_j_small_argument_limit():
     assert specfun.bessel_j(0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
@@ -32,11 +43,9 @@ def test_bessel_j_frozen_values():
 
 
 def test_bessel_j_prime_frozen_values():
-    assert specfun.bessel_j_prime(0, 0.7) == pytest.approx(
-        -specfun.bessel_j(1, 0.7), abs=1e-15
-    )
-    assert specfun.bessel_j_prime(1, 1.0) == pytest.approx(JP1_AT_1, rel=1e-12)
-    assert specfun.bessel_j_prime(3, 2.0) == pytest.approx(JP3_AT_2, rel=1e-12)
+    assert _factors(0, 0.7)[1] == pytest.approx(-specfun.bessel_j(1, 0.7), abs=1e-15)
+    assert _factors(1, 1.0)[1] == pytest.approx(JP1_AT_1, rel=1e-12)
+    assert _factors(3, 2.0)[1] == pytest.approx(JP3_AT_2, rel=1e-12)
 
 
 def test_hankel2_frozen_value():
@@ -53,11 +62,8 @@ def test_hankel2_imag_negative_near_origin():
 
 
 def test_wronskian_frozen_value():
-    n, x = 3, 2.0
-    val = (
-        specfun.bessel_j(n, x) * specfun.hankel2_prime(n, x)
-        - specfun.bessel_j_prime(n, x) * specfun.hankel2(n, x)
-    )
+    j, jp, h, hp = _factors(3, 2.0)
+    val = j * hp - jp * h
     assert val == pytest.approx(WRONSKIAN_AT_2, rel=1e-12)
 
 
@@ -71,8 +77,8 @@ def test_wronskian_order_arrays_equal_one_order_calls_bit_for_bit():
     for n in orders.tolist():
         x = radii
         want = (
-            specfun.bessel_j(n, x) * specfun.hankel2_prime(n, x)
-            - specfun.bessel_j_prime(n, x) * specfun.hankel2(n, x)
+            specfun.bessel_j(n, x) * _derivative(specfun.hankel2)(n, x)
+            - _derivative(specfun.bessel_j)(n, x) * specfun.hankel2(n, x)
         ) - 2.0 / (1j * np.pi * x)
         assert got[:, n].tobytes() == want.tobytes()
         one = specfun.wronskian_residual(n, 2.0)
@@ -99,12 +105,9 @@ def test_against_oracle_spot_grid():
             assert specfun.hankel2(n, x) == pytest.approx(
                 oracles.hankel2_mp(n, x), rel=1e-12
             )
-            assert specfun.bessel_j_prime(n, x) == pytest.approx(
-                oracles.bessel_j_prime_mp(n, x), rel=1e-12, abs=1e-280
-            )
-            assert specfun.hankel2_prime(n, x) == pytest.approx(
-                oracles.hankel2_prime_mp(n, x), rel=1e-12
-            )
+            _, jp, _, hp = _factors(n, x)
+            assert jp == pytest.approx(oracles.bessel_j_prime_mp(n, x), rel=1e-12, abs=1e-280)
+            assert hp == pytest.approx(oracles.hankel2_prime_mp(n, x), rel=1e-12)
 
 
 # first zeros of J0, Y0, J1 and Y1
@@ -167,7 +170,7 @@ def test_overflow_is_tagged_not_silent():
     with pytest.raises(specfun.BesselOverflowError):
         specfun.hankel2(500, np.float64(0.1))
     with pytest.raises(specfun.BesselOverflowError):
-        specfun.hankel2_prime(400, 0.2)
+        specfun.wronskian_residual(400, 0.2)
     with pytest.raises(specfun.BesselOverflowError):
         specfun.hankel2(1, 1e-310)
 
@@ -434,13 +437,13 @@ def test_order_table_reads_have_the_bits_of_the_scalar_functions(monkeypatch):
             assert sorted(orders) == sorted(set(np.ravel([n - 1, n, n + 1]).tolist()))
             assert sorted(args) == [0.4, 2.0, 5.1]
         for names, hankel in ((j, False), (h, True)):
-            reads = ("hankel2", "hankel2_prime") if hankel else ("bessel_j", "bessel_j_prime")
+            f = specfun.hankel2 if hankel else specfun.bessel_j
             for name, x in names.items():
-                for got, read in zip(table[name], reads):
+                for got, read in zip(table[name], (f, _derivative(f))):
                     assert got.shape == np.shape(n)
                     for order, value in zip(np.ravel(n).tolist(), np.ravel(got).tolist()):
                         try:
-                            want = getattr(specfun, read)(order, x)
+                            want = read(order, x)
                         except specfun.BesselOverflowError:
                             assert not cmath.isfinite(value), (read, order, x)
                             continue
