@@ -44,7 +44,7 @@ for inner in (0.5, 1.35, 1.8):
         predictions = diagnostics.predict_mas_divergence(EXT.region, inner, outer, 2.0, EXT.rho)
         scan = diagnostics.oscillation_scan("mas", placed(inner, outer), EXT, (M1, M2), (40, 46))
         flagged = scan.flagged_surfaces()
-        verdicts = "/".join(p.predicted for p in predictions)
+        verdicts = "/".join(predictions.values())
         observed = ", ".join(flagged) if flagged else "none"
         print("(%4.2f, %4.1f)   %-21s %s" % (inner, outer, verdicts, observed))
 
@@ -70,7 +70,7 @@ print("float64 roundoff here, and neither is cleaner on both rings:")
 
 def ring_error(solution, rho, region):
     angles = 2.0 * np.pi * np.arange(36) / 36.0
-    want = np.array([r.value for r in exact_ring(EXT, region, rho, angles, 2.0, M1, M2)])
+    want = exact_ring(EXT, region, rho, angles, 2.0, M1, M2).value
     got = fields.field_from_discrete(solution, rho, angles, region=region).e_z
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 

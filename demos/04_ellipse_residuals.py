@@ -58,9 +58,8 @@ for method in ("mas", "nfm"):
     scan = diagnostics.oscillation_scan(method, scaled(0.33, 5.0), EXT, (M1, M2), (40, 44))
     flagged = scan.flagged_surfaces()
     print("  %s: %s" % (method, ", ".join(flagged) if flagged else "no flags"))
-    for label, reports in scan.reports.items():
-        last = reports[-1]
+    for label, report in scan.reports.items():
         print(
             "    %-8s N = %d  growth %6.2fx  oscillation index %.3f"
-            % (label, last.n_points, last.growth_factor, last.oscillation_index)
+            % (label, scan.n_points[-1], report.growth_factor[-1], report.oscillation_index[-1])
         )

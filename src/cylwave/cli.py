@@ -344,14 +344,13 @@ def _json_text(payload):
 
 def _report_series_trust(references):
     """One stderr line per ring_references entry whose series did not converge everywhere."""
-    for rho, region, results in references:
-        loose = [result for result in results if not result.converged]
-        if loose:
+    for rho, region, series in references:
+        loose = ~series.converged
+        if loose.any():
             print(
                 "cylwave: warning: exact series on ring rho = %g (region %d): %d of %d "
                 "points not converged, worst tail estimate %.2g"
-                % (rho, region, len(loose), len(results),
-                   max(result.tail_estimate for result in loose)),
+                % (rho, region, loose.sum(), loose.size, series.tail_estimate[loose].max()),
                 file=sys.stderr,
             )
 
@@ -425,12 +424,12 @@ def cmd_solve(config, out_dir):
     ]
     oscillation = {
         label: {
-            "oscillation_index": report.oscillation_index,
-            "max_amplitude": report.max_amplitude,
-            "growth_factor": report.growth_factor,
-            "flagged": report.flagged,
+            "oscillation_index": float(report.oscillation_index[0]),
+            "max_amplitude": float(report.max_amplitude[0]),
+            "growth_factor": float(report.growth_factor[0]),
+            "flagged": bool(report.flagged[0]),
         }
-        for label, (report,) in scan.reports.items()
+        for label, report in scan.reports.items()
     }
     summary = {
         "schema": _SCHEMA,
@@ -482,7 +481,7 @@ def cmd_fields(config, out_dir):
         for i, phi in enumerate(angles):
             row = [_fmt(rho), region, _fmt(phi)]
             if with_exact:
-                value = references[k][2][i].value
+                value = references[k][2].value[i]
                 row += [_fmt(value.real), _fmt(value.imag)]
             for e_z in samples:
                 row += [_fmt(e_z[i].real), _fmt(e_z[i].imag)]
@@ -504,14 +503,13 @@ def cmd_sweep(config, out_dir):
     _report_series_trust(sweep.references)
     predicted = {}
     if config.method == "mas" and config.curve.kind == "circle":
-        for verdict in diagnostics.predict_mas_divergence(
+        predicted = diagnostics.predict_mas_divergence(
             config.excitation.region,
             config.aux_inner.curve.params["radius"],
             config.aux_outer.curve.params["radius"],
             config.curve.params["radius"],
             config.excitation.rho,
-        ):
-            predicted[verdict.surface] = verdict.predicted
+        )
     header = [
         "n_points",
         "surface",
@@ -530,16 +528,15 @@ def cmd_sweep(config, out_dir):
             rows.append([size, "", "", "", "", "", "", "", failures[size]])
             continue
         at = scan.n_points.index(size)
-        for label, reports in scan.reports.items():
-            report = reports[at]
+        for label, report in scan.reports.items():
             rows.append(
                 [
                     size,
                     label,
-                    _fmt(report.max_amplitude),
-                    "" if at == 0 else _fmt(report.growth_factor),
-                    _fmt(report.oscillation_index),
-                    "true" if report.flagged else "false",
+                    _fmt(report.max_amplitude[at]),
+                    "" if at == 0 else _fmt(report.growth_factor[at]),
+                    _fmt(report.oscillation_index[at]),
+                    "true" if report.flagged[at] else "false",
                     predicted.get(label, ""),
                     _fmt(sweep.errors[size]),
                     "",

@@ -6,12 +6,11 @@ radiating in the exterior medium and a magnetic one M_phi accounting for the
 jump of tangential H. Expanding both in a Fourier series in the boundary
 angle turns the two matching conditions into an independent 2x2 algebraic
 system per mode, whose solution is exact and free of any auxiliary-surface
-placement. This module solves that system, sums the density series, exposes
-the large-order behavior of its coefficients, and reconstructs the fields
-radiated by the densities so they can be compared with the direct series of
-:mod:`cylwave.exact`. Each series solves the systems of a whole run of modes
-at once, from one specfun.order_factors call, and is summed by
-exact.sum_series.
+placement. This module solves that system, sums the density series, and
+reconstructs the fields radiated by the densities so they can be compared
+with the direct series of :mod:`cylwave.exact`. Each series solves the
+systems of a whole run of modes at once, from one specfun.order_factors
+call, and is summed by exact.sum_series.
 """
 
 from dataclasses import dataclass, replace
@@ -121,33 +120,6 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
         )
     shape = np.shape(phi)
     return j_z.reshape(shape)[()], m_phi.reshape(shape)[()]
-
-
-def density_term_asymptotics(which, n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
-    """Predicted n-th density coefficient in the large-order regime.
-
-    Both families decay geometrically at the rate set by the source distance;
-    the magnetic coefficients carry one extra power of 1/|n|, so the magnetic
-    density is the smoother of the two.
-    """
-    if which not in ("J", "M"):
-        raise ValueError("which must be 'J' (electric) or 'M' (magnetic)")
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("asymptotic form needs n >= 1")
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
-    amp = excitation.amplitude
-    front = amp / (_TWO_PI * rho_cyl)
-    if excitation.region == "external":
-        decay = (rho_cyl / excitation.rho) ** n
-        if which == "J":
-            return -front * decay * z1 / (z1 + z2 * k2 / k1)
-        return front * decay * 1j * z1 * z2 * rho_cyl / (n * (z1 / k2 + z2 / k1))
-    decay = (excitation.rho / rho_cyl) ** n
-    if which == "J":
-        return front * decay * z2 / (z1 * k1 / k2 + z2)
-    return amp * 1j * z1 * z2 * decay / (_TWO_PI * n * (z1 / k2 + z2 / k1))
 
 
 def reconstruct_fields_from_densities(

@@ -29,31 +29,22 @@ INDEX_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class OscillationReport:
-    """How large and how wiggly one solved current vector is.
+    """How large and how wiggly one surface's solved current vectors are over N.
 
-    oscillation_index is the fraction of the vector's mean-removed DFT
-    energy carried by the top third of spatial frequencies (0 for a smooth
-    vector, 1 for a sawtooth). max_amplitude is the largest entry magnitude
-    and growth_factor compares it against the previous solved N of the same
-    sweep (1.0 for the first). flagged marks growth_factor and
-    oscillation_index jointly above GROWTH_THRESHOLD and INDEX_THRESHOLD
-    at this N.
+    Each field is an array with one entry per solved N of the scan
+    (OscillationScan.n_points). oscillation_index is the fraction of a
+    vector's mean-removed DFT energy carried by the top third of spatial
+    frequencies (0 for a smooth vector, 1 for a sawtooth). max_amplitude is
+    the largest entry magnitude and growth_factor compares it against the
+    previous solved N (1.0 for the first). flagged marks growth_factor and
+    oscillation_index jointly above GROWTH_THRESHOLD and INDEX_THRESHOLD at
+    the same N.
     """
 
-    surface: str
-    n_points: int
-    oscillation_index: float
-    max_amplitude: float
-    growth_factor: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class DivergencePrediction:
-    """A-priori verdict for one auxiliary surface of a source-method solve."""
-
-    surface: str
-    predicted: str
+    oscillation_index: np.ndarray
+    max_amplitude: np.ndarray
+    growth_factor: np.ndarray
+    flagged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class OscillationScan:
     """Per-surface oscillation reports across a sweep of N.
 
     n_points lists the successfully solved sizes in ascending order;
-    reports maps each surface label to one OscillationReport per solved N;
+    reports maps each surface label to its OscillationReport over them;
     failures maps every N whose solve raised to the error message;
     solutions maps every solved N to its DiscreteSolution.
     """
@@ -74,11 +65,7 @@ class OscillationScan:
 
     def flagged_surfaces(self):
         """Labels of surfaces flagged at any N of the sweep."""
-        return tuple(
-            label
-            for label, reports in self.reports.items()
-            if any(report.flagged for report in reports)
-        )
+        return tuple(label for label, report in self.reports.items() if report.flagged.any())
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,9 @@ def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil
     filament radius and its image radius rho_cyl**2 / rho_fil). A surface
     exactly on its limit is classified 'diverges'.
 
-    Returns (inner verdict, outer verdict) with surfaces labeled 'aux1'
-    (inside the boundary) and 'aux2' (outside).
+    Returns {'aux1': inner verdict, 'aux2': outer verdict}, keyed by the
+    surface labels of OscillationScan.reports ('aux1' inside the boundary,
+    'aux2' outside).
     """
     if excitation_kind not in ("external", "internal"):
         raise ValueError("excitation_kind must be 'external' or 'internal'")
@@ -126,7 +114,7 @@ def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil
     side = excitation_kind[:3]
     inner = convergence_region(side + "_R1", rho_aux1, rho_cyl, rho_fil)
     outer = convergence_region(side + "_R2", rho_aux2, rho_cyl, rho_fil)
-    return DivergencePrediction("aux1", inner), DivergencePrediction("aux2", outer)
+    return {"aux1": inner, "aux2": outer}
 
 
 def oscillation_index(values):
@@ -152,11 +140,11 @@ def oscillation_index(values):
 def oscillation_scan(method, geometry, excitation, media, n_list):
     """Track oscillation and amplitude growth of solved currents over N.
 
-    Solves the system for every size in n_list and reports, per surface and
-    per solved N in ascending order, the oscillation index, the peak
-    amplitude, and its growth relative to the previous solved N. A report
+    Solves the system for every size in n_list and reports, per surface,
+    arrays over the solved N in ascending order: the oscillation index, the
+    peak amplitude, and its growth relative to the previous solved N. An N
     is flagged when growth_factor > GROWTH_THRESHOLD and
-    oscillation_index > INDEX_THRESHOLD at the same N. A failed solve is
+    oscillation_index > INDEX_THRESHOLD there. A failed solve is
     recorded under its N and the scan continues; growth then compares
     against the last N that did solve.
 
@@ -186,20 +174,19 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
 
 
 def _scan(method, labels, solutions, failures):
-    reports = {label: [] for label in labels}
-    previous = {label: None for label in labels}
-    for n, solution in solutions.items():
-        for label, vec in zip(labels, (solution.electric, solution.magnetic)):
-            amplitude = float(np.max(np.abs(vec)))
-            growth = _growth(previous[label], amplitude)
-            index = oscillation_index(vec)
-            flagged = bool(growth > GROWTH_THRESHOLD and index > INDEX_THRESHOLD)
-            reports[label].append(OscillationReport(label, n, index, amplitude, growth, flagged))
-            previous[label] = amplitude
+    blocks = [(solution.electric, solution.magnetic) for solution in solutions.values()]
+    reports = {}
+    for side, label in enumerate(labels):
+        vectors = [pair[side] for pair in blocks]
+        amplitude = np.array([np.max(np.abs(vec)) for vec in vectors])
+        index = np.array([oscillation_index(vec) for vec in vectors])
+        growth = _growth(amplitude)
+        flagged = (growth > GROWTH_THRESHOLD) & (index > INDEX_THRESHOLD)
+        reports[label] = OscillationReport(index, amplitude, growth, flagged)
     return OscillationScan(
         method=method,
         n_points=tuple(solutions),
-        reports={label: tuple(entries) for label, entries in reports.items()},
+        reports=reports,
         failures=failures,
         solutions=solutions,
     )
@@ -268,8 +255,8 @@ def ring_references(curve, excitation, media, rings, angles):
     """The exact series on each observation ring of a circular boundary.
 
     rings are (radius, region) pairs and angles a 1-D array. Returns one
-    (radius, region, SeriesResult per angle) entry per ring, each ring
-    summed in one exact_ring pass.
+    (radius, region, SeriesResult of arrays over angles) entry per ring,
+    each ring summed in one exact_ring pass.
     """
     if curve.kind != "circle":
         raise ValueError("the exact series needs a circular boundary")
@@ -289,12 +276,13 @@ def surface_labels(method):
     raise ValueError("unknown method %r" % (method,))
 
 
-def _growth(previous_amplitude, amplitude):
-    if previous_amplitude is None:
-        return 1.0
-    if previous_amplitude > 0.0:
-        return amplitude / previous_amplitude
-    return 1.0 if amplitude == 0.0 else float("inf")
+def _growth(amplitude):
+    """Each amplitude over the one before it: 1.0 at the first, and after a
+    zero amplitude 1.0 if it is still zero, else inf."""
+    previous, current = amplitude[:-1], amplitude[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(previous > 0.0, current / previous, np.where(current == 0.0, 1.0, np.inf))
+    return np.concatenate((np.ones(amplitude[:1].size), ratio))
 
 
 _FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError)
@@ -345,9 +333,8 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
 
 def _ring_error(solution, references):
     worst = 0.0
-    for rho, region, results in references:
-        reference = np.array([result.value for result in results])
+    for rho, region, series in references:
         observed = fields.field_from_discrete(solution, rho, _RING_ANGLES, region=region).e_z
-        scale = float(np.max(np.abs(reference)))
-        worst = max(worst, float(np.max(np.abs(observed - reference))) / (scale or 1.0))
+        scale = float(np.max(np.abs(series.value)))
+        worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
     return worst

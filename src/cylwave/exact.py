@@ -59,7 +59,12 @@ class Medium:
 
 @dataclass
 class SeriesResult:
-    """Value of a truncated series plus how trustworthy the truncation is."""
+    """Value of a truncated series plus how trustworthy the truncation is.
+
+    At one angle (exact_field) each field is a Python scalar. On a ring
+    (exact_ring) value, n_used, tail_estimate and converged are arrays over
+    its angles and warning is a tuple with one entry per angle.
+    """
 
     value: complex
     n_used: int
@@ -288,13 +293,14 @@ def exact_ring(
     is 1 (outside the cylinder) or 2 (inside). The ring may lie
     anywhere the requested series converges, including the extended region
     beyond the physical one; outside that a divergence warning is attached
-    to every result and the partial sums are returned as they are.
+    to every angle and the partial sums are returned as they are.
 
-    Returns one SeriesResult per angle. The radial part of each order is
-    evaluated once for the whole ring and every angle stops on its own
-    rule, so each result equals exact_field at its angle to the last bit.
+    Returns one SeriesResult of arrays over phis. The radial part of each
+    order is evaluated once for the whole ring and every angle stops on its
+    own rule, so each entry equals exact_field at its angle to the last bit.
+    A silent source's series is identically zero, and so is its tail.
 
-    With deriv=True the results are d/d rho_obs of the field, summed term
+    With deriv=True the values are d/d rho_obs of the field, summed term
     by term (no numerical differencing). Tangential-H continuity checks need
     it: H_tan in region j is proportional to (1 / (i k_j Z_j)) dE/d rho on
     the circle.
@@ -319,7 +325,7 @@ def exact_ring(
         return _series_run(series_id, n, rho_obs, rho_cyl, excitation.rho, medium1, medium2, deriv)
 
     value, n_used, mags, converged, sum_warning = sum_series(run, phis - excitation.phi, cap)
-    tail = abs(pref) * _tail_estimate(mags, n_used)
+    tail = abs(pref) * _tail_estimate(mags, n_used) if pref else np.zeros(phis.size)
 
     value = pref * value
     if series_id in ("ext_R1", "int_R2"):
@@ -327,16 +333,9 @@ def exact_ring(
         medium = medium1 if series_id == "ext_R1" else medium2
         value = source(excitation, medium, rho_obs, phis) + value
 
-    return [
-        SeriesResult(
-            complex(value[i]),
-            int(n_used[i]),
-            float(tail[i]),
-            bool(converged[i]),
-            warning or sum_warning[i],
-        )
-        for i in range(phis.size)
-    ]
+    return SeriesResult(
+        value, n_used, tail, converged, tuple(warning or entry for entry in sum_warning)
+    )
 
 
 def exact_field(
@@ -349,10 +348,15 @@ def exact_field(
     medium2=Medium(),
     n_max=None,
 ):
-    """exact_ring at the one angle phi_obs: a single SeriesResult."""
-    return exact_ring(
-        excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max
-    )[0]
+    """exact_ring at the one angle phi_obs: a SeriesResult of Python scalars."""
+    ring = exact_ring(excitation, region, rho_obs, [phi_obs], rho_cyl, medium1, medium2, n_max)
+    return SeriesResult(
+        complex(ring.value[0]),
+        int(ring.n_used[0]),
+        float(ring.tail_estimate[0]),
+        bool(ring.converged[0]),
+        ring.warning[0],
+    )
 
 
 def predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil):

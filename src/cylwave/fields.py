@@ -314,13 +314,14 @@ def _layer_operators(grid, k, rows):
     """
     dist, nrm, speed = grid["dist"], grid["nrm"], grid["speed"]
     rdist, rdx, rdy, rnrm = dist[rows], grid["dx"][rows], grid["dy"][rows], nrm[rows]
-    log_h0 = (-1j / np.pi) * specfun.bessel_j(0, k * dist)
+    # J_n is the real part that specfun.hankel2 writes, so it is read from H_n
+    h0 = specfun.hankel2(0, k * dist)
+    log_h0 = (-1j / np.pi) * h0.real
     np.fill_diagonal(log_h0, -1j / np.pi)
     h0_diag = 1.0 - (2j / np.pi) * (np.euler_gamma + np.log(0.5 * k * speed))
-    h0 = specfun.hankel2(0, k * dist)
     single = _product_rule(grid, h0, log_h0, h0_diag)
     h1 = specfun.hankel2(1, k * rdist)
-    log_h1 = (-1j / np.pi) * specfun.bessel_j(1, k * rdist)
+    log_h1 = (-1j / np.pi) * h1.real
     cos_src = -(rdx * nrm[None, :, 0] + rdy * nrm[None, :, 1]) / rdist
     cos_tgt = (rdx * rnrm[:, None, 0] + rdy * rnrm[:, None, 1]) / rdist
     # both cosines tend to -bend/2 times r, and H1(k r) to 2i/(pi k r)

@@ -50,9 +50,7 @@ def _gate(number, criterion, budget):
 
 def _field_error(solution, excitation, rho, region, offset=0.0):
     angles = 2.0 * np.pi * (np.arange(36) + offset) / 36.0
-    want = np.array(
-        [r.value for r in exact_ring(excitation, region, rho, angles, 2.0, M1, M2)]
-    )
+    want = exact_ring(excitation, region, rho, angles, 2.0, M1, M2).value
     got = fields.field_from_discrete(solution, rho, angles, region=region).e_z
     return _rel(got, want)
 

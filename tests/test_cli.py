@@ -311,14 +311,15 @@ def test_solve_summary_reports_the_oscillation_of_a_one_size_scan(tmp_path, meth
     scan = diagnostics.oscillation_scan(
         method, config.geometry(), config.excitation, config.media, config.n_list
     )
+    assert all(report.flagged.shape == (1,) for report in scan.reports.values())
     want = {
         label: {
-            "oscillation_index": report.oscillation_index,
-            "max_amplitude": report.max_amplitude,
-            "growth_factor": report.growth_factor,
-            "flagged": report.flagged,
+            "oscillation_index": float(report.oscillation_index[0]),
+            "max_amplitude": float(report.max_amplitude[0]),
+            "growth_factor": float(report.growth_factor[0]),
+            "flagged": bool(report.flagged[0]),
         }
-        for label, (report,) in scan.reports.items()
+        for label, report in scan.reports.items()
     }
     assert summary["oscillation"] == want
 

@@ -1,5 +1,6 @@
 """Divergence prediction, oscillation scans, and convergence sweeps."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -37,36 +38,30 @@ ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 
 
 def test_wide_external_placement_breaks_both_surfaces():
-    inner, outer = diagnostics.predict_mas_divergence("external", 0.5, 10.0, 2.0, 4.0)
-    assert (inner.surface, inner.predicted) == ("aux1", "diverges")
-    assert (outer.surface, outer.predicted) == ("aux2", "diverges")
+    predicted = diagnostics.predict_mas_divergence("external", 0.5, 10.0, 2.0, 4.0)
+    assert predicted == {"aux1": "diverges", "aux2": "diverges"}
+    assert list(predicted) == ["aux1", "aux2"]
 
 
 def test_narrow_external_placement_is_safe():
-    inner, outer = diagnostics.predict_mas_divergence("external", 1.5, 2.5, 2.0, 4.0)
-    assert inner.predicted == "converges"
-    assert outer.predicted == "converges"
+    predicted = diagnostics.predict_mas_divergence("external", 1.5, 2.5, 2.0, 4.0)
+    assert predicted == {"aux1": "converges", "aux2": "converges"}
 
 
 def test_surface_on_the_threshold_counts_as_diverging():
-    inner, _ = diagnostics.predict_mas_divergence("internal", 1.0, 3.0, 2.0, 1.0)
-    assert inner.predicted == "diverges"
-    _, outer = diagnostics.predict_mas_divergence("external", 1.5, 4.0, 2.0, 4.0)
-    assert outer.predicted == "diverges"
-    inner, _ = diagnostics.predict_mas_divergence("external", 1.0, 2.5, 2.0, 4.0)
-    assert inner.predicted == "diverges"
+    predict = diagnostics.predict_mas_divergence
+    assert predict("internal", 1.0, 3.0, 2.0, 1.0)["aux1"] == "diverges"
+    assert predict("external", 1.5, 4.0, 2.0, 4.0)["aux2"] == "diverges"
+    assert predict("external", 1.0, 2.5, 2.0, 4.0)["aux1"] == "diverges"
 
 
 def test_internal_thresholds_swap_roles():
     # filament radius limits the inner surface, its image limits the outer
-    _, outer = diagnostics.predict_mas_divergence("internal", 1.5, 3.9, 2.0, 1.0)
-    assert outer.predicted == "converges"
-    _, outer = diagnostics.predict_mas_divergence("internal", 1.5, 4.1, 2.0, 1.0)
-    assert outer.predicted == "diverges"
-    inner, _ = diagnostics.predict_mas_divergence("internal", 0.9, 3.0, 2.0, 1.0)
-    assert inner.predicted == "diverges"
-    inner, _ = diagnostics.predict_mas_divergence("internal", 1.1, 3.0, 2.0, 1.0)
-    assert inner.predicted == "converges"
+    predict = diagnostics.predict_mas_divergence
+    assert predict("internal", 1.5, 3.9, 2.0, 1.0)["aux2"] == "converges"
+    assert predict("internal", 1.5, 4.1, 2.0, 1.0)["aux2"] == "diverges"
+    assert predict("internal", 0.9, 3.0, 2.0, 1.0)["aux1"] == "diverges"
+    assert predict("internal", 1.1, 3.0, 2.0, 1.0)["aux1"] == "converges"
 
 
 def test_prediction_rejects_impossible_setups():
@@ -128,33 +123,33 @@ def test_wide_mas_scan_flags_fast_growing_sawtooth_currents():
     assert scan.n_points == (40, 46)
     assert scan.failures == {}
     assert set(scan.reports) == {"aux1", "aux2"}
-    first, outer = scan.reports["aux2"]
-    assert first.growth_factor == 1.0
-    assert not first.flagged
-    assert outer.n_points == 46
-    assert outer.growth_factor > 10.0
-    assert outer.oscillation_index > 0.5
-    assert outer.flagged
+    outer = scan.reports["aux2"]
+    assert outer.flagged.shape == (2,)
+    assert outer.growth_factor[0] == 1.0
+    assert not outer.flagged[0]
+    assert outer.growth_factor[1] > 10.0
+    assert outer.oscillation_index[1] > 0.5
+    assert outer.flagged[1]
     assert "aux2" in scan.flagged_surfaces()
 
 
 def test_narrow_mas_scan_stays_clean():
     scan = diagnostics.oscillation_scan("mas", NARROW, EXT, (M1, M2), [40, 46])
     assert scan.flagged_surfaces() == ()
-    for reports in scan.reports.values():
-        for report in reports:
-            assert report.oscillation_index < 0.3
-            assert report.growth_factor < 2.0
+    for report in scan.reports.values():
+        assert report.flagged.shape == (2,)
+        assert np.all(report.oscillation_index < 0.3)
+        assert np.all(report.growth_factor < 2.0)
 
 
 def test_nfm_currents_stay_tame_where_mas_breaks():
     scan = diagnostics.oscillation_scan("nfm", WIDE, EXT, (M1, M2), [40, 46])
     assert set(scan.reports) == {"electric", "magnetic"}
     assert scan.flagged_surfaces() == ()
-    for reports in scan.reports.values():
-        for report in reports:
-            assert report.oscillation_index < 0.2
-            assert 0.5 < report.growth_factor < 2.0
+    for report in scan.reports.values():
+        assert report.flagged.shape == (2,)
+        assert np.all(report.oscillation_index < 0.2)
+        assert np.all((0.5 < report.growth_factor) & (report.growth_factor < 2.0))
 
 
 @pytest.mark.parametrize("excitation", [EXT, INT], ids=["external", "internal"])
@@ -167,12 +162,13 @@ def test_flags_land_exactly_where_predicted_on_a_threshold_grid(excitation):
             geometry = _geometry(CIRCLE, rho_inner, rho_outer)
             scan = diagnostics.oscillation_scan("mas", geometry, excitation, (M1, M2), [40, 46])
             flagged = scan.flagged_surfaces()
-            for verdict in predicted:
-                hit = verdict.surface in flagged
-                assert hit == (verdict.predicted == "diverges"), (
+            for surface, verdict in predicted.items():
+                hit = surface in flagged
+                assert hit == (verdict == "diverges"), (
                     excitation.region,
                     rho_inner,
                     rho_outer,
+                    surface,
                     verdict,
                 )
             nfm = diagnostics.oscillation_scan("nfm", geometry, excitation, (M1, M2), [40, 46])
@@ -184,8 +180,13 @@ def test_failed_sizes_are_recorded_and_skipped():
     assert scan.n_points == (40,)
     assert list(scan.failures) == [3]
     assert "collocation points" in scan.failures[3]
-    (report,) = scan.reports["aux1"]
-    assert report.growth_factor == 1.0
+    assert np.array_equal(scan.reports["aux1"].growth_factor, [1.0])
+
+
+def test_growth_after_a_zero_amplitude_is_one_while_it_stays_zero_else_infinite():
+    amplitude = np.array([0.0, 0.0, 2.0, 3.0, 0.0])
+    assert np.array_equal(diagnostics._growth(amplitude), [1.0, 1.0, np.inf, 1.5, 0.0])
+    assert diagnostics._growth(amplitude[:0]).shape == (0,)
 
 
 def test_sizes_are_deduplicated_and_sorted():
@@ -218,7 +219,7 @@ def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method
     got = diagnostics.oscillation_scan(method, geometry, EXT, (M1, M2), n_list)
     assert threads == [threading.get_ident()] * 2
     assert got.n_points == want.n_points == tuple(sorted(n_list))[1:]
-    assert got.reports == want.reports
+    _same_reports(got.reports, want.reports)
     assert got.failures == want.failures
     assert list(got.failures) == [3]
     assert "collocation points" in got.failures[3]
@@ -227,10 +228,16 @@ def test_scans_solve_on_the_calling_thread(monkeypatch, geometry, n_list, method
     assert threads == [threading.get_ident()] * 4
 
 
+def _same_reports(got, want):
+    assert list(got) == list(want)
+    for label, report in want.items():
+        for name in (entry.name for entry in dataclasses.fields(report)):
+            assert np.array_equal(getattr(got[label], name), getattr(report, name))
+
+
 def _same_scan(got, want):
-    assert (got.method, got.n_points, got.reports, got.failures) == (
-        want.method, want.n_points, want.reports, want.failures,
-    )
+    assert (got.method, got.n_points, got.failures) == (want.method, want.n_points, want.failures)
+    _same_reports(got.reports, want.reports)
     for n, solution in want.solutions.items():
         assert got.solutions[n].vector.tobytes() == solution.vector.tobytes()
 

@@ -1,5 +1,7 @@
 """Tests for the circular-cylinder series solution."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,8 +77,8 @@ def test_tangential_h_continuous_across_boundary(exc):
     # H_tan in region j is (1 / (i k_j Z_j)) dE/d rho; the common 1/i drops out
     gaps, scale = [], 0.0
     for phi in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-        d1 = exact.exact_ring(exc, 1, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True)[0].value
-        d2 = exact.exact_ring(exc, 2, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True)[0].value
+        d1 = exact.exact_ring(exc, 1, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True).value[0]
+        d2 = exact.exact_ring(exc, 2, RHO_CYL, [phi], RHO_CYL, M1, M2, deriv=True).value[0]
         h1, h2 = d1 / (M1.k * M1.Z), d2 / (M2.k * M2.Z)
         gaps.append(abs(h1 - h2))
         scale = max(scale, abs(h1))
@@ -138,8 +140,8 @@ def test_exterior_series_continues_smoothly_inside():
     eps = 1e-5
     f_in = exact_field(EXT, 1, RHO_CYL - eps, 0.9, RHO_CYL, M1, M2).value
     f_out = exact_field(EXT, 1, RHO_CYL + eps, 0.9, RHO_CYL, M1, M2).value
-    d_in = exact.exact_ring(EXT, 1, RHO_CYL - eps, [0.9], RHO_CYL, M1, M2, deriv=True)[0].value
-    d_mid = exact.exact_ring(EXT, 1, RHO_CYL, [0.9], RHO_CYL, M1, M2, deriv=True)[0].value
+    d_in = exact.exact_ring(EXT, 1, RHO_CYL - eps, [0.9], RHO_CYL, M1, M2, deriv=True).value[0]
+    d_mid = exact.exact_ring(EXT, 1, RHO_CYL, [0.9], RHO_CYL, M1, M2, deriv=True).value[0]
     assert abs(f_out - (f_in + 2.0 * eps * d_in)) < 1e-8 * abs(f_out)
     assert abs((f_out - f_in) / (2.0 * eps) - d_mid) < 1e-8 * abs(d_mid)
 
@@ -282,9 +284,9 @@ def test_divergent_observation_is_flagged():
     assert not res.converged
     assert res.warning is not None
     # the derivative series carries the same warning inside the image radius
-    (res,) = exact.exact_ring(EXT_ON_AXIS, 1, 0.9, [0.0], RHO_CYL, M1, M2, deriv=True)
-    assert not res.converged
-    assert res.warning == "observation radius outside the convergence region of ext_R1"
+    res = exact.exact_ring(EXT_ON_AXIS, 1, 0.9, [0.0], RHO_CYL, M1, M2, deriv=True)
+    assert np.array_equal(res.converged, [False])
+    assert res.warning == ("observation radius outside the convergence region of ext_R1",)
 
 
 def test_zero_amplitude_source():
@@ -294,6 +296,26 @@ def test_zero_amplitude_source():
     # summed like any other source, so it reports the series' own stop order
     assert res.n_used == exact_field(EXT, 1, 5.0, 0.0, RHO_CYL, M1, M2).n_used > 0
     assert res.tail_estimate == 0.0
+
+
+def test_silent_source_stopped_at_order_zero_has_a_zero_tail():
+    # its series is identically zero, so is its tail: no 0 * inf at order 0
+    quiet = Excitation("external", 4.0, amplitude=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ring = exact.exact_ring(quiet, 1, 5.0, [0.0, 1.0], RHO_CYL, n_max=0)
+    assert np.array_equal(ring.tail_estimate, [0.0, 0.0])
+    assert np.array_equal(ring.value, [0.0, 0.0])
+    assert np.array_equal(ring.n_used, [0, 0])
+
+
+def test_exact_field_returns_python_scalars():
+    res = exact_field(EXT, 2, 4.5, 0.0, RHO_CYL, M1, M2)
+    assert [type(v) for v in (res.value, res.n_used, res.tail_estimate, res.converged)] == [
+        complex, int, float, bool,
+    ]
+    assert isinstance(res.warning, str)
+    assert exact_field(EXT, 1, 10.0, 0.0, RHO_CYL, M1, M2).warning is None
 
 
 def test_truncation_cap_respected():
@@ -355,16 +377,16 @@ PARTLY_CONVERGED = [(EXT, 2, 2.6, False), (EXT, 1, 1.45, True)]
 )
 def test_ring_equals_point_calls_bit_for_bit(exc, region, rho_obs, deriv):
     ring = exact.exact_ring(exc, region, rho_obs, RING, RHO_CYL, M1, M2, deriv=deriv)
-    assert len(ring) == RING.size
-    for phi, got in zip(RING, ring):
-        (want,) = exact.exact_ring(exc, region, rho_obs, [phi], RHO_CYL, M1, M2, deriv=deriv)
-        assert np.array_equal(got.value, want.value)
-        assert got.n_used == want.n_used
-        assert got.tail_estimate == want.tail_estimate
-        assert got.converged == want.converged
-        assert got.warning == want.warning
+    points = [
+        exact.exact_ring(exc, region, rho_obs, [phi], RHO_CYL, M1, M2, deriv=deriv) for phi in RING
+    ]
+    for name in ("value", "n_used", "tail_estimate", "converged"):
+        got = getattr(ring, name)
+        assert got.shape == RING.shape
+        assert np.array_equal(got, np.concatenate([getattr(point, name) for point in points]))
+    assert ring.warning == tuple(point.warning[0] for point in points)
     if (exc, region, rho_obs, deriv) in PARTLY_CONVERGED:
-        assert 0 < sum(result.converged for result in ring) < RING.size
+        assert 0 < ring.converged.sum() < RING.size
 
 
 @settings(deadline=None, max_examples=25)
@@ -484,14 +506,14 @@ def test_exact_ring_matches_the_per_order_loop_bit_for_bit(series_id, deriv):
         got = exact.exact_ring(
             exc, region, rho_obs, frozen_series.RING4, frozen_series.RHO_CYL, *media, n_max, deriv
         )
-        assert [r.n_used for r in got] == n_used
-        assert [r.converged for r in got] == converged
-        assert [r.warning for r in got] == [warning] * len(got)
+        assert got.n_used.tolist() == n_used
+        assert got.converged.tolist() == converged
+        assert got.warning == (warning,) * frozen_series.RING4.size
         spread += len(set(n_used)) > 1
         settled = max(n_used) <= 70 and exact.convergence_region(
             series_id, rho_obs, frozen_series.RHO_CYL, exc.rho
         ) == "converges"
-        gap = np.abs(np.array([r.value for r in got]) - values)
+        gap = np.abs(got.value - values)
         assert np.max(gap) <= (2e-14 if settled else 1e-10) * np.max(np.abs(values))
     assert spread > 0
 

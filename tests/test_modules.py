@@ -1,9 +1,19 @@
-"""Each library module keeps its private names to itself."""
+"""Each library module keeps its private names to itself, and its public
+names have readers outside the tests."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cylwave"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cylwave"
+# public library names that only the tests read: each is a reference the
+# tests compare the library's own route against
+TEST_REFERENCES = {
+    "exact.mode_denominator",
+    "specfun.addition_series_h0_d1",
+    "specfun.addition_series_h0_d2",
+    "specfun.bessel_j",
+}
 
 
 def _private(name):
@@ -51,3 +61,43 @@ def test_no_module_reaches_into_another_modules_private_names():
         path.name: names for path in paths if (names := _foreign_private_names(path))
     }
     assert offenders == {}
+
+
+def _public_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _referenced_names(tree):
+    """Every name tree reads, imports or reads as an attribute, unqualified."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found
+
+
+def test_public_library_names_reached_only_by_tests_are_the_references():
+    library = sorted(SRC.glob("*.py"))
+    demos, bench = sorted((ROOT / "demos").glob("*.py")), sorted((ROOT / "perfbench").glob("*.py"))
+    readers = library + demos + bench
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in readers}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unreached = {
+        "%s.%s" % (path.stem, name)
+        for path in library
+        for name in _public_top_level_names(trees[path])
+        if name not in referenced
+    }
+    assert unreached == TEST_REFERENCES
