@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acceptance, diagnostics, discrete, fields
-from .exact import Medium
+from .exact import Medium, refuse_filament_points
 from .geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 _TWO_PI = 2.0 * np.pi
@@ -383,6 +383,15 @@ def _scan_one(config, method, n):
     return scan
 
 
+def _refuse_filament_rings(config, angles):
+    """Refuse, by its field, a configured ring that meets the filament at one of angles."""
+    for i, (rho, _) in enumerate(config.output["rings"] or ()):
+        try:
+            refuse_filament_points(config.excitation, rho, angles)
+        except ValueError as exc:
+            raise ConfigError("output.rings[%d]: %s" % (i, exc))
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -454,6 +463,7 @@ def cmd_solve(config, out_dir):
 def cmd_fields(config, out_dir):
     """Evaluate fields on observation rings; write fields.csv."""
     n = config.single_n("fields")
+    _refuse_filament_rings(config, config.output["angles"])
     methods = ("nfm", "mas") if config.method == "both" else (config.method,)
     solutions = {method: _scan_one(config, method, n).solutions[n] for method in methods}
     rings = config.output["rings"]
@@ -495,6 +505,8 @@ def cmd_sweep(config, out_dir):
     """Scan oscillation and error over N; write sweep.csv."""
     if config.method == "both":
         raise ConfigError("solver.method: the sweep command needs 'nfm' or 'mas'")
+    if diagnostics.sweep_reference(config.curve) == "exact":
+        _refuse_filament_rings(config, diagnostics.SWEEP_ANGLES)
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
     sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"])
     scan = sweep.scan

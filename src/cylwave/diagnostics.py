@@ -21,7 +21,8 @@ from .exact import convergence_region, exact_ring
 from .geometry import as_count
 
 _TWO_PI = 2.0 * np.pi
-_RING_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
+# the angles at which convergence_sweep samples its rings
+SWEEP_ANGLES = _TWO_PI * (np.arange(36) + 0.5) / 36.0
 # oscillation_scan flags a surface where both are exceeded at the same N
 GROWTH_THRESHOLD = 3.0
 INDEX_THRESHOLD = 0.5
@@ -241,7 +242,7 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     scan = oscillation_scan(method, geometry, excitation, media, n_list)
     references = ()
     if reference == "exact" and scan.solutions:
-        references = ring_references(curve, excitation, media, rings, _RING_ANGLES)
+        references = ring_references(curve, excitation, media, rings, SWEEP_ANGLES)
     errors = {}
     for n, solution in scan.solutions.items():
         if reference == "exact":
@@ -334,7 +335,7 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
 def _ring_error(solution, references):
     worst = 0.0
     for rho, region, series in references:
-        observed = fields.field_from_discrete(solution, rho, _RING_ANGLES, region=region).e_z
+        observed = fields.field_from_discrete(solution, rho, SWEEP_ANGLES, region=region).e_z
         scale = float(np.max(np.abs(series.value)))
         worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
     return worst

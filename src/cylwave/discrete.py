@@ -149,41 +149,46 @@ class DiscreteSolution:
 # -- kernels ----------------------------------------------------------------
 
 
-def _hankel2_matrix(order, k, dist, label):
-    """H^(2)_order(k d) entrywise; an overflow names the entry of least distance."""
-    try:
-        return specfun.hankel2(order, k * dist)
-    except specfun.BesselOverflowError as err:
-        loc = np.unravel_index(int(np.argmin(dist)), np.shape(dist))
-        raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
+def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
+    """The two radiating kernels between target points t_p and source points s_l.
 
-
-def monopole_matrix(k, dist, label="kernel"):
-    """H^(2)_0(k d) for a matrix of source/observation distances."""
-    return _hankel2_matrix(0, k, np.asarray(dist, dtype=float), label)
-
-
-def dipole_matrix(k, obs_points, src_points, src_normals, dist=None, label="kernel"):
-    """Normal-derivative kernel [n_src . (src - obs) / d] H^(2)_1(k d).
-
-    Entry (p, l) couples observation point p to source point l, with the
-    normal taken at the source. The transpose moves the normal to the
-    observation side, which is exactly the matching-row kernel of the
-    source formulation.
+    Returns (H0, dn), shape (targets, sources) each: H0 = H^(2)_0(k r) with
+    r = |t_p - s_l|, and dn the normal-derivative kernel, None without
+    normals. normals holds one unit normal per source, giving
+    [n_l . (s_l - t_p) / r] H^(2)_1(k r), or with at_target one per
+    target, giving [n_p . (t_p - s_l) / r] H^(2)_1(k r). The offsets are
+    formed once for both. A target closer to a source than 1e-14 times the
+    largest coordinate of either set (or 1) raises ValueError; an entry
+    leaving the floating range raises AssemblyError naming label and the
+    entry of least distance.
     """
-    obs = np.asarray(obs_points, dtype=float)
-    src = np.asarray(src_points, dtype=float)
-    nrm = np.asarray(src_normals, dtype=float)
-    if dist is None:
-        dist = geometry.pairwise_distances(obs, src)
-    dx = src[None, :, 0] - obs[:, None, 0]
-    dy = src[None, :, 1] - obs[:, None, 1]
-    cos_factor = (dx * nrm[None, :, 0] + dy * nrm[None, :, 1]) / dist
-    return cos_factor * _hankel2_matrix(1, k, dist, label)
-
-
-def _point_distances(points, xy):
-    return geometry.pairwise_distances(points, np.asarray(xy, dtype=float)[None, :])[:, 0]
+    targets = np.asarray(targets, dtype=float)
+    sources = np.asarray(sources, dtype=float)
+    dx = targets[:, None, 0] - sources[None, :, 0]
+    dy = targets[:, None, 1] - sources[None, :, 1]
+    dist = np.hypot(dx, dy)
+    scale = max(np.max(np.abs(targets)), np.max(np.abs(sources)), 1.0)
+    if np.any(dist < 1e-14 * scale):
+        raise ValueError("coincident points between the two surfaces")
+    cos = None
+    if normals is not None:
+        nrm = np.asarray(normals, dtype=float)
+        if at_target:
+            cos = (dx * nrm[:, None, 0] + dy * nrm[:, None, 1]) / dist
+        else:
+            cos = (-dx * nrm[None, :, 0] - dy * nrm[None, :, 1]) / dist
+    del dx, dy  # freed before the Hankel functions, which set the peak memory
+    kd = k * dist
+    try:
+        h0 = specfun.hankel2(0, kd)
+        if cos is None:
+            return h0, None
+        dn = specfun.hankel2(1, kd)
+    except specfun.BesselOverflowError as err:
+        loc = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
+    dn *= cos
+    return h0, dn
 
 
 def _carried_columns(curve, aux_inner, aux_outer, n_points):
@@ -289,14 +294,11 @@ def assemble_nfm(
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    d1 = geometry.pairwise_distances(a1_pts, c_pts[src])
-    d2 = geometry.pairwise_distances(a2_pts, c_pts[src])
-    blocks = (
-        z1 * monopole_matrix(k1, d1, label="block z11"),
-        1j * dipole_matrix(k1, a1_pts, c_pts[src], c_nrm[src], dist=d1, label="block z12"),
-        z2 * monopole_matrix(k2, d2, label="block z21"),
-        1j * dipole_matrix(k2, a2_pts, c_pts[src], c_nrm[src], dist=d2, label="block z22"),
-    )
+    h1, dn1 = kernels(k1, a1_pts, c_pts[src], c_nrm[src], label="blocks z11, z12")
+    h2, dn2 = kernels(k2, a2_pts, c_pts[src], c_nrm[src], label="blocks z21, z22")
+    blocks = (h1, dn1, h2, dn2)
+    for block, scale in zip(blocks, (z1, 1j, z2, 1j)):
+        np.multiply(scale, block, out=block)  # in place: no block is held twice
     rhs = _nfm_rhs(nodes, excitation, medium1, medium2)
     return BlockSystem(
         *_carried(blocks), rhs, "nfm", curve, nodes, excitation, medium1, medium2
@@ -312,13 +314,13 @@ def _nfm_rhs(nodes, excitation, medium1, medium2):
     n_points = len(nodes.phis)
     amp = complex(excitation.amplitude)
     rhs = np.zeros(2 * n_points, dtype=complex)
-    fil = excitation.position_xy()
+    fil = excitation.position_xy()[None, :]
     if excitation.region == "external":
-        d_fil = _point_distances(nodes.inner, fil)
-        rhs[:n_points] = -amp * medium1.Z * monopole_matrix(medium1.k, d_fil, label="rhs")
+        h0, _ = kernels(medium1.k, nodes.inner, fil, label="rhs")
+        rhs[:n_points] = -amp * medium1.Z * h0[:, 0]
     else:
-        d_fil = _point_distances(nodes.outer, fil)
-        rhs[n_points:] = amp * medium2.Z * monopole_matrix(medium2.k, d_fil, label="rhs")
+        h0, _ = kernels(medium2.k, nodes.outer, fil, label="rhs")
+        rhs[n_points:] = amp * medium2.Z * h0[:, 0]
     return rhs
 
 
@@ -331,8 +333,6 @@ def _mas_rhs(nodes, excitation, medium1, medium2):
     """
     c_pts, c_nrm, n_points = nodes.boundary, nodes.normals, len(nodes.phis)
     amp = complex(excitation.amplitude)
-    fil = excitation.position_xy()
-    d_fil = _point_distances(c_pts, fil)
     rhs = np.zeros(2 * n_points, dtype=complex)
     if excitation.region == "external":
         k, z = medium1.k, medium1.Z
@@ -340,9 +340,10 @@ def _mas_rhs(nodes, excitation, medium1, medium2):
     else:
         k, z = medium2.k, medium2.Z
         sign = -1.0
-    slope = dipole_matrix(k, fil[None, :], c_pts, c_nrm, dist=d_fil[None, :], label="rhs")[0]
-    rhs[:n_points] = sign * (k * z / 4.0) * amp * monopole_matrix(k, d_fil, label="rhs")
-    rhs[n_points:] = sign * (1j * k / 4.0) * amp * slope
+    fil = excitation.position_xy()[None, :]
+    h0, slope = kernels(k, c_pts, fil, c_nrm, at_target=True, label="rhs")
+    rhs[:n_points] = sign * (k * z / 4.0) * amp * h0[:, 0]
+    rhs[n_points:] = sign * (1j * k / 4.0) * amp * slope[:, 0]
     return rhs
 
 
@@ -369,19 +370,14 @@ def assemble_mas(
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    d1 = geometry.pairwise_distances(c_pts, a1_pts[src])
-    d2 = geometry.pairwise_distances(c_pts, a2_pts[src])
-    # dipole_matrix puts the normal at its source argument; transposing the
-    # (aux obs, boundary src) kernel gives the boundary-normal derivative of
-    # the aux-source fields that the magnetic matching row needs.
-    blocks = (
-        -(k1 * z1 / 4.0) * monopole_matrix(k1, d1, label="block z11"),
-        +(k2 * z2 / 4.0) * monopole_matrix(k2, d2, label="block z12"),
-        -(1j * k1 / 4.0)
-        * dipole_matrix(k1, a1_pts[src], c_pts, c_nrm, dist=d1.T, label="block z21").T,
-        +(1j * k2 / 4.0)
-        * dipole_matrix(k2, a2_pts[src], c_pts, c_nrm, dist=d2.T, label="block z22").T,
-    )
+    # the magnetic matching row takes the aux-source fields' derivative
+    # along the boundary normal, so the normal sits at the target
+    h1, dn1 = kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True, label="blocks z11, z21")
+    h2, dn2 = kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True, label="blocks z12, z22")
+    blocks = (h1, h2, dn1, dn2)
+    scales = (-(k1 * z1 / 4.0), +(k2 * z2 / 4.0), -(1j * k1 / 4.0), +(1j * k2 / 4.0))
+    for block, scale in zip(blocks, scales):
+        np.multiply(scale, block, out=block)  # in place: no block is held twice
 
     rhs = _mas_rhs(nodes, excitation, medium1, medium2)
     return BlockSystem(

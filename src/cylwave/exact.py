@@ -128,6 +128,12 @@ def _source_distance(excitation, rho_obs, phi_obs):
     return d
 
 
+def refuse_filament_points(excitation, rho_obs, phi_obs):
+    """Raise ValueError, as every incident and series value does, where an
+    observation point on the circle rho_obs coincides with the filament."""
+    _source_distance(excitation, rho_obs, phi_obs)
+
+
 def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     """d/d rho_obs of the incident field (term-free, used for H_tan checks)."""
     d = _source_distance(excitation, rho_obs, phi_obs)

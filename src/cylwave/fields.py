@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, specfun
 from .exact import incident_field, incident_prefactor
-from .discrete import dipole_matrix, monopole_matrix
+from .discrete import kernels
 
 _TWO_PI = 2.0 * np.pi
 
@@ -50,14 +50,12 @@ def _scattered_field(solution, xy, region):
     """Field radiated into one region at the observation points xy, shape (P, 2)."""
     medium, pts, nrm = _source_stacks(solution, region)
     k, z = medium.k, medium.Z
-    dist = geometry.pairwise_distances(xy, pts)
-    mono = monopole_matrix(k, dist, label="field kernel")
+    mono, dip = kernels(k, xy, pts, nrm, label="field kernel")
     # row by row, not kernel @ amps: each point then sums in the same order
     # as a one-point call, so a ring equals its points to the last bit
     if solution.system.method == "mas":
         amps = solution.electric if region == 1 else solution.magnetic
         return -(k * z / 4.0) * np.array([row @ amps for row in mono])
-    dip = dipole_matrix(k, xy, pts, nrm, dist=dist, label="field kernel")
     electric_part = np.array([row @ solution.electric for row in mono])
     magnetic_part = np.array([row @ solution.magnetic for row in dip])
     if region == 1:
@@ -115,7 +113,7 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
     try:
         value = _scattered_field(solution, xy, region)
-    except ValueError:  # pairwise_distances refusing a point on a radiating node
+    except ValueError:  # kernels refusing a point on a radiating node
         where = "observation point at radius %g coincides with a radiating node of the %s route"
         raise ValueError(where % (rho_obs, system.method)) from None
     if _incident_here(system.excitation, region):
@@ -173,7 +171,10 @@ def boundary_traces(solution, n_test=72):
         for region in (1, 2):
             medium, src, _ = _source_stacks(solution, region)
             amps = solution.electric if region == 1 else solution.magnetic
-            h0, dn = _monopole_traces(medium.k, pts, nrm, src)
+            h0, dn = kernels(medium.k, pts, src, nrm, at_target=True, label="trace kernel")
+            # BLAS sums dn @ amps in another order for each memory layout;
+            # column-major keeps the traces' bits (preset_outputs --hashes)
+            dn = np.multiply(-medium.k, dn, order="F")
             weight = -medium.k * medium.Z / 4.0
             traces.append((weight * (h0 @ amps), weight * (dn @ amps)))
     scaled = []
@@ -181,10 +182,11 @@ def boundary_traces(solution, n_test=72):
         medium = system.medium1 if region == 1 else system.medium2
         if _incident_here(system.excitation, region):
             exc = system.excitation
-            h0, dn = _monopole_traces(medium.k, pts, nrm, exc.position_xy()[None, :])
+            fil = exc.position_xy()[None, :]
+            h0, dn = kernels(medium.k, pts, fil, nrm, at_target=True, label="trace kernel")
             weight = incident_prefactor(medium) * exc.amplitude
             value = value + weight * h0[:, 0]
-            slope = slope + weight * dn[:, 0]
+            slope = slope + weight * (-medium.k * dn[:, 0])
         scaled += [value, slope / (medium.k * medium.Z)]
     return BoundaryTraces(phis, *scaled)
 
@@ -204,14 +206,6 @@ def boundary_residuals(solution, n_test=72):
         float(np.max(np.abs(tr.e_1 - tr.e_2))) / e_scale,
         float(np.max(np.abs(tr.h_1 - tr.h_2))) / h_scale,
     )
-
-
-def _monopole_traces(k, targets, normals, sources):
-    """H^(2)_0(k r) and its derivative along the target normal, r = |x - y|."""
-    dist = geometry.pairwise_distances(targets, sources)
-    # the transposed dipole kernel carries the normal at the target
-    slope = dipole_matrix(k, sources, targets, normals, dist=dist.T, label="trace kernel").T
-    return monopole_matrix(k, dist, label="trace kernel"), -k * slope
 
 
 def _spectral_derivative(samples, order=1):

@@ -210,15 +210,3 @@ def collocation_points(curve, N):
     phis = _TWO_PI * np.arange(N) / N
     return curve.point(phis), curve.normal(phis), phis
 
-
-def pairwise_distances(points_a, points_b):
-    """Distance matrix |a_p - b_l| between two point sets of shape (*, 2)."""
-    points_a = np.asarray(points_a, dtype=float)
-    points_b = np.asarray(points_b, dtype=float)
-    dx = points_a[:, None, 0] - points_b[None, :, 0]
-    dy = points_a[:, None, 1] - points_b[None, :, 1]
-    dist = np.hypot(dx, dy)
-    scale = max(np.max(np.abs(points_a)), np.max(np.abs(points_b)), 1.0)
-    if np.any(dist < 1e-14 * scale):
-        raise ValueError("coincident points between the two surfaces")
-    return dist

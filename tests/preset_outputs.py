@@ -4,13 +4,14 @@ Usage::
 
     python tests/preset_outputs.py OUTDIR
     python tests/preset_outputs.py compare A B
+    python tests/preset_outputs.py --hashes
 
 Runs every preset under ``presets/`` through ``solve``, ``fields`` and
 ``sweep`` (a command that a preset does not support is recorded too, with
 its error and exit code), then ``sweep`` on the configs of ELLIPSE_SWEEPS,
 which it writes to ``OUTDIR/configs/`` (no preset sweeps a non-circular
 boundary at more than one N), then ``validate --only GROUP --out`` for each
-acceptance group, then every script under ``demos/``, once with
+acceptance group, then ``--hashes``, then every script under ``demos/``, once with
 ``OPENBLAS_NUM_THREADS=1`` into ``OUTDIR/threads-1/`` and once with
 ``OPENBLAS_NUM_THREADS=2`` into ``OUTDIR/threads-2/`` (dense-path outputs
 depend on the BLAS thread count). Each run gets a fresh interpreter that
@@ -20,6 +21,11 @@ holding:
 - ``out/``: the files the command wrote (CLI runs only);
 - ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
   by ``OUT`` so that two OUTDIRs can be compared.
+
+``--hashes`` prints, for every preset, both routes and each N of the
+preset, the sha256 of the assembled blocks (their carried columns), the
+right side, the solved amplitudes and each of the four
+``fields.boundary_traces`` arrays: values that no CLI file prints.
 
 Run it in two checkouts, then ``diff -r A B``, or ``compare A B`` to
 measure a difference that is meant to be there. ``compare`` prints, for each
@@ -34,6 +40,7 @@ not collect it.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -205,9 +212,50 @@ def compare(a_dir, b_dir):
     return 1 if structural else 0
 
 
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes(order="C"))
+    return digest.hexdigest()
+
+
+def hashes():
+    """Print the digests of --hashes, one line per preset, route, N and quantity."""
+    from cylwave import cli, discrete, fields
+
+    for preset in sorted((ROOT / "presets").glob("*.json")):
+        config = cli.load_config(preset)
+        for method in ("nfm", "mas"):
+            assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+            for n in config.n_list:
+                tag = "%s %s N=%d" % (preset.stem, method, n)
+                try:
+                    system = assemble(
+                        *config.geometry(), config.excitation, *config.media, n_points=n
+                    )
+                    solution = discrete.solve(system)
+                    traces = fields.boundary_traces(solution)
+                except (ValueError, ArithmeticError) as exc:
+                    print("%s error %s" % (tag, exc))
+                    continue
+                digests = {
+                    "blocks": _sha256(system.z11, system.z12, system.z21, system.z22),
+                    "rhs": _sha256(system.rhs),
+                    "amplitudes": _sha256(solution.electric, solution.magnetic),
+                }
+                for name in ("e_1", "h_1", "e_2", "h_2"):
+                    digests[name] = _sha256(getattr(traces, name))
+                for name, digest in digests.items():
+                    print("%s %s %s" % (tag, name, digest))
+    return 0
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if argv == ["--hashes"]:
+        return hashes()
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
@@ -229,6 +277,8 @@ def main(argv):
         for name, args in runs:
             code = record(base / name, args, threads)
             print("%-50s exit %d" % ("%s/%s" % (base.name, name), code))
+        code = _run(base / "hashes", [__file__, "--hashes"], threads)
+        print("%-50s exit %d" % ("%s/hashes" % base.name, code))
         for demo in sorted((ROOT / "demos").glob("*.py")):
             name = "demo-%s" % demo.stem
             code = _run(base / name, [str(demo)], threads)

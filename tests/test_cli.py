@@ -416,6 +416,38 @@ def test_ring_through_the_filament_is_a_clean_error(tmp_path, capsys):
     assert "filament" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, angle, solver",
+    [
+        ("fields", 0.0, {"method": "nfm", "n_points": 40}),
+        # the sweep samples its rings at (k + 0.5) * 10 degrees, not at output.angles
+        ("sweep", np.pi / 36, {"method": "nfm", "n_list": [40, 46]}),
+    ],
+    ids=["fields", "sweep"],
+)
+def test_configured_ring_through_the_filament_is_refused_before_any_solve(
+    tmp_path, capsys, monkeypatch, command, angle, solver
+):
+    solved, solve = [], discrete.solve
+
+    def counting_solve(system, shared=None):
+        solved.append(system.n_points)
+        return solve(system, shared)
+
+    monkeypatch.setattr(discrete, "solve", counting_solve)
+
+    def mutate(doc):
+        doc["excitation"] = {"region": "external", "radius": 4.0, "angle": angle}
+        doc["solver"] = solver
+        doc["output"].update(angles=4, rings=[[10.0, 1], [4.0, 1]])
+
+    config = _write_config(tmp_path, mutate)
+    assert cli.main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "output.rings[1]: observation point coincides with the source filament" in err
+    assert solved == []
+
+
 def test_ring_through_a_radiating_node_is_a_clean_error(tmp_path, capsys):
     # validation admits a ring on the boundary; its angle 0 is collocation node 0
     def mutate(doc):

@@ -65,17 +65,16 @@ def _kernel_blocks(route, n_points):
     a2_pts, _, _ = geometry.collocation_points(AUX_OUT.curve, n_points)
     (k1, z1), (k2, z2) = (M1.k, M1.Z), (M2.k, M2.Z)
     if route == "nfm":
-        return (
-            z1 * discrete.monopole_matrix(k1, geometry.pairwise_distances(a1_pts, c_pts)),
-            1j * discrete.dipole_matrix(k1, a1_pts, c_pts, c_nrm),
-            z2 * discrete.monopole_matrix(k2, geometry.pairwise_distances(a2_pts, c_pts)),
-            1j * discrete.dipole_matrix(k2, a2_pts, c_pts, c_nrm),
-        )
+        h1, dn1 = discrete.kernels(k1, a1_pts, c_pts, c_nrm)
+        h2, dn2 = discrete.kernels(k2, a2_pts, c_pts, c_nrm)
+        return z1 * h1, 1j * dn1, z2 * h2, 1j * dn2
+    h1, dn1 = discrete.kernels(k1, c_pts, a1_pts, c_nrm, at_target=True)
+    h2, dn2 = discrete.kernels(k2, c_pts, a2_pts, c_nrm, at_target=True)
     return (
-        -(k1 * z1 / 4.0) * discrete.monopole_matrix(k1, geometry.pairwise_distances(c_pts, a1_pts)),
-        +(k2 * z2 / 4.0) * discrete.monopole_matrix(k2, geometry.pairwise_distances(c_pts, a2_pts)),
-        -(1j * k1 / 4.0) * discrete.dipole_matrix(k1, a1_pts, c_pts, c_nrm).T,
-        +(1j * k2 / 4.0) * discrete.dipole_matrix(k2, a2_pts, c_pts, c_nrm).T,
+        -(k1 * z1 / 4.0) * h1,
+        +(k2 * z2 / 4.0) * h2,
+        -(1j * k1 / 4.0) * dn1,
+        +(1j * k2 / 4.0) * dn2,
     )
 
 
@@ -193,18 +192,31 @@ def test_dipole_kernel_agrees_with_the_addition_series():
     k = M2.k
     c_pts, c_nrm, c_phi = geometry.collocation_points(CIRCLE, n)
     a_pts, _, a_phi = geometry.collocation_points(AUX_IN.curve, n)
-    kernel = discrete.dipole_matrix(k, a_pts, c_pts, c_nrm)
+    _, kernel = discrete.kernels(k, a_pts, c_pts, c_nrm)
     for p, l in ((0, 0), (2, 5), (7, 1)):
         theta = c_phi[l] - a_phi[p]
         series = specfun.addition_series_h0_d2(k * 1.5, k * 2.0, theta, n_max=150)
         assert abs(kernel[p, l] - series) < 1e-12 * abs(series)
 
-    outer = discrete.dipole_matrix(k, geometry.collocation_points(AUX_OUT.curve, n)[0],
-                                   c_pts, c_nrm)
+    _, outer = discrete.kernels(k, geometry.collocation_points(AUX_OUT.curve, n)[0], c_pts, c_nrm)
     for p, l in ((0, 3), (4, 4)):
         theta = c_phi[l] - a_phi[p]
         series = specfun.addition_series_h0_d1(k * 2.0, k * 2.5, theta, n_max=150)
         assert abs(outer[p, l] - series) < 1e-12 * abs(series)
+
+
+@pytest.mark.parametrize("n_points", [7, 8])
+def test_target_normal_kernel_is_the_transposed_source_normal_kernel(n_points):
+    # the source route's kernels (normal at the boundary target) against
+    # the direct route's (normal at the boundary source), bit for bit
+    for aux, medium in ((AUX_IN, M1), (AUX_OUT, M2), (ELL_MILD[0], M1), (ELL_MILD[1], M2)):
+        curve = CIRCLE if aux.curve.kind == "circle" else ELLIPSE
+        c_pts, c_nrm, _ = geometry.collocation_points(curve, n_points)
+        a_pts, _, _ = geometry.collocation_points(aux.curve, n_points)
+        at_target = discrete.kernels(medium.k, c_pts, a_pts, c_nrm, at_target=True)
+        at_source = discrete.kernels(medium.k, a_pts, c_pts, c_nrm)
+        for mine, theirs in zip(at_target, at_source):
+            assert np.array_equal(mine, theirs.T)
 
 
 def test_assembly_validation():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import hankel2
 
+from cylwave.discrete import kernels
 from cylwave.geometry import (
     AuxiliarySurface,
     BoundaryCurve,
     Excitation,
     collocation_points,
-    pairwise_distances,
 )
 
 from circulant import circulant_deviation, is_circulant
@@ -169,18 +169,18 @@ def test_excitation_position():
 def test_pairwise_distances_concentric():
     inner, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
     outer, _, _ = collocation_points(BoundaryCurve.circle(1.5), 8)
-    dist = pairwise_distances(outer, inner)
-    assert dist[0, 0] == pytest.approx(0.5)
-    assert dist[3, 3] == pytest.approx(0.5)
+    h0, _ = kernels(1.0, outer, inner)
+    assert h0[0, 0] == pytest.approx(hankel2(0, 0.5))
+    assert h0[3, 3] == pytest.approx(hankel2(0, 0.5))
     # law of cosines for the off-diagonal
     want = np.sqrt(1.5**2 + 1.0**2 - 2.0 * 1.5 * np.cos(2.0 * np.pi * 3 / 8))
-    assert dist[0, 3] == pytest.approx(want)
+    assert h0[0, 3] == pytest.approx(hankel2(0, want))
 
 
 def test_pairwise_distances_rejects_coincident():
     pts, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
     with pytest.raises(ValueError):
-        pairwise_distances(pts, pts)
+        kernels(1.0, pts, pts)
 
 
 def test_collocation_needs_four_points():
@@ -191,7 +191,7 @@ def test_collocation_needs_four_points():
 def test_concentric_circle_kernel_is_circulant():
     obs, _, _ = collocation_points(BoundaryCurve.circle(2.5), 16)
     src, _, _ = collocation_points(BoundaryCurve.circle(1.5), 16)
-    kernel = hankel2(0, pairwise_distances(obs, src))
+    kernel, _ = kernels(1.0, obs, src)
     assert is_circulant(kernel)
     assert circulant_deviation(kernel) < 1e-14
 
@@ -200,7 +200,7 @@ def test_ellipse_kernel_is_not_circulant():
     base = BoundaryCurve.ellipse(2.0, 1.6)
     obs, _, _ = collocation_points(base, 16)
     src, _, _ = collocation_points(base.scaled(0.75), 16)
-    kernel = hankel2(0, pairwise_distances(obs, src))
+    kernel, _ = kernels(1.0, obs, src)
     assert not is_circulant(kernel)
     assert circulant_deviation(kernel) > 1e-3
 
