@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrete, fields
-from .exact import convergence_region, exact_ring
+from .exact import convergence_region, exact_ring, refuse_filament_points
 from .geometry import as_count
 
 _TWO_PI = 2.0 * np.pi
@@ -229,16 +229,20 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     reference (sweep_reference). On a circle it is 'exact': total fields
     are compared against the separable series on one observation ring per
     region, by default those of default_rings, over 36 angles offset from
-    the collocation grid, and the error is the worst relative deviation
-    over both rings; pass rings as (radius, region) pairs to override. On
-    any other boundary it is 'residual': the tangential-E defect of
+    the collocation grid, and the error is field_error, the worst relative
+    deviation over both rings; pass rings as (radius, region) pairs to
+    override. A ring through the filament raises ValueError before any
+    solve. On any other boundary it is 'residual': the tangential-E defect of
     fields.boundary_residuals, which needs no separable solution. Failed
     solves are recorded as in oscillation_scan.
     """
     curve = geometry[0]
     reference = sweep_reference(curve)
-    if reference == "exact" and rings is None:
-        rings = default_rings(curve, excitation)
+    if reference == "exact":
+        rings = default_rings(curve, excitation) if rings is None else rings
+        # a ring through the filament fails before any size is solved
+        for rho, _ in rings:
+            refuse_filament_points(excitation, rho, SWEEP_ANGLES)
     scan = oscillation_scan(method, geometry, excitation, media, n_list)
     references = ()
     if reference == "exact" and scan.solutions:
@@ -246,7 +250,7 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     errors = {}
     for n, solution in scan.solutions.items():
         if reference == "exact":
-            errors[n] = _ring_error(solution, references)
+            errors[n] = field_error(solution, references, SWEEP_ANGLES)
         else:
             errors[n] = fields.boundary_residuals(solution, n_test=n)[0]
     return ConvergenceSweep(scan=scan, reference=reference, errors=errors, references=references)
@@ -266,6 +270,22 @@ def ring_references(curve, excitation, media, rings, angles):
         (rho, region, exact_ring(excitation, region, rho, angles, radius, media[0], media[1]))
         for rho, region in rings
     )
+
+
+def field_error(solution, references, angles):
+    """Worst relative field error of a solution over its rings.
+
+    references are ring_references entries summed at angles. On each ring
+    the error is the largest gap between the solution's E_z and the series
+    over the series' largest magnitude (the gap itself where that is 0);
+    the result is the largest over the rings.
+    """
+    worst = 0.0
+    for rho, region, series in references:
+        observed = fields.field_from_discrete(solution, rho, angles, region=region).e_z
+        scale = float(np.max(np.abs(series.value)))
+        worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
+    return worst
 
 
 def surface_labels(method):
@@ -330,12 +350,3 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
         for (solutions, _), solution in zip(owners, solved):
             solutions[n] = solution
     return results
-
-
-def _ring_error(solution, references):
-    worst = 0.0
-    for rho, region, series in references:
-        observed = fields.field_from_discrete(solution, rho, SWEEP_ANGLES, region=region).e_z
-        scale = float(np.max(np.abs(series.value)))
-        worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
-    return worst

@@ -142,15 +142,20 @@ def bessel_orders(hankel, n, x):
 
     x is one argument or an array of them; the result has shape
     np.shape(x) + n.shape. The same values, bit for bit, as bessel_j and
-    hankel2 order by order: |n| <= 1 from _LOW_ORDER, other orders from jv or
-    hankel2, negative orders folded by parity. A non-finite value (an order
-    where Y_n overflows) is left in place for the caller.
+    hankel2 order by order: |n| <= 1 from _LOW_ORDER, only the other orders
+    from jv or hankel2, negative orders folded by parity. A non-finite value
+    (an order where Y_n overflows) is left in place for the caller.
     """
     n = np.asarray(n)
     x = _check_argument(x)[..., None]
     m = np.abs(n)
-    out = (special.hankel2 if hankel else special.jv)(m, x)
-    if (m <= 1).any():
+    amos = special.hankel2 if hankel else special.jv
+    high = m >= 2
+    if high.all():
+        out = amos(m, x)
+    else:
+        out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
+        out[..., high] = amos(m[high], x)
         for order in (0, 1):
             at = m == order
             j, y = _LOW_ORDER[order]

@@ -51,7 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("solve", "fields", "sweep")
-GROUPS = ("specfun", "exact", "discrete", "concordance")
+GROUPS = ("specfun", "exact", "discrete", "concordance", "routes", "ellipse")
 
 
 THREADS = (1, 2)

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -769,8 +770,11 @@ def test_validate_rejects_unknown_groups(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from the src directory this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "cylwave.cli", "validate", "--only", "specfun"],
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,

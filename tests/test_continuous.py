@@ -5,17 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cylwave import exact, specfun
+from cylwave.acceptance import EXT, INT, M1, M2, RHO_CYL
 from cylwave.continuous import density_series, mode_solve, reconstruct_fields_from_densities
 from cylwave.exact import Medium
 from cylwave.geometry import Excitation
 
 import frozen_series
 
-M1 = Medium()
-M2 = Medium(4.2, 1.0)
-RHO_CYL = 2.0
-EXT = Excitation("external", 4.0)
-INT = Excitation("internal", 1.0)
 
 
 def _closed_form(n, excitation, rho_cyl, medium1, medium2):
@@ -294,7 +290,7 @@ def _excitation(name):
     return Excitation(side, rho, phi=phi, amplitude=amplitude)
 
 
-def test_density_series_match_the_per_order_loop_bit_for_bit():
+def test_density_series_match_the_frozen_references():
     # Against the frozen 50-digit sums of tests/frozen_series.py, summed to
     # convergence, at five angles, each density relative to its largest
     # value; and which capped or near-boundary series raise. Measured: at
@@ -322,7 +318,7 @@ def test_density_series_match_the_per_order_loop_bit_for_bit():
     assert 0 < raised < len(frozen_series.DENSITY)
 
 
-def test_reconstructed_fields_match_the_per_order_loop_bit_for_bit():
+def test_reconstructed_fields_match_the_frozen_references():
     # Against the frozen 50-digit sums of tests/frozen_series.py, summed to
     # convergence, at five angles on rings outside and inside the boundary,
     # relative to the ring's largest value; and which capped series raise.

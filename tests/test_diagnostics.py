@@ -8,14 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cylwave import diagnostics, discrete
-from cylwave.exact import Medium
+from cylwave.acceptance import CIRCLE, EXT, INT, M1, M2, NARROW, WIDE
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
-M1 = Medium()
-M2 = Medium(4.2, 1.0)
-CIRCLE = BoundaryCurve.circle(2.0)
-EXT = Excitation("external", 4.0)
-INT = Excitation("internal", 1.0)
 
 # straddles every placement threshold for rho_cyl=2 with rho_fil=4 outside
 # (image radius 1) and rho_fil=1 inside (image radius 4), staying clear of
@@ -29,8 +24,6 @@ def _geometry(curve, inner, outer, by="radius"):
     return (curve, place(curve, inner), place(curve, outer))
 
 
-WIDE = _geometry(CIRCLE, 0.5, 10.0)
-NARROW = _geometry(CIRCLE, 1.5, 2.5)
 ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 
 
@@ -381,6 +374,17 @@ def test_observation_rings_can_be_overridden():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [40], rings=((6.0, 1),))
     (error,) = sweep.errors.values()
     assert error < 1e-3
+
+
+def test_a_ring_through_the_filament_is_refused_before_any_solve(monkeypatch):
+    solves, solve = [], discrete.solve
+    monkeypatch.setattr(
+        discrete, "solve", lambda system, **kw: solves.append(system.n_points) or solve(system, **kw)
+    )
+    source = Excitation("external", 4.0, np.pi / 36)
+    with pytest.raises(ValueError, match="coincides with the source filament"):
+        diagnostics.convergence_sweep("nfm", NARROW, source, (M1, M2), (40, 46), rings=((4.0, 1),))
+    assert solves == []
 
 
 def test_sweep_records_failures_like_the_scan():

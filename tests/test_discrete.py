@@ -3,8 +3,8 @@
 The circular reference problem (boundary radius 2, relative permittivity
 4.2, external source at radius 4 or internal at radius 1) exercises every
 identity: circulant structure, the DFT closed form against the dense solve,
-the bilateral q-sums against the DFT eigenvalues, and the aux-free limits
-against the continuous density coefficients.
+the bilateral q-sums against the DFT eigenvalues, and the currents against
+the continuous density coefficients.
 """
 
 import os
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwave import continuous, diagnostics, discrete, fields, geometry, specfun
+from cylwave.acceptance import CIRCLE, ELLIPSE, EXT, INT, M1, M2
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
@@ -26,18 +27,12 @@ import frozen_series
 from circulant import is_circulant
 from oracles import gauss_solve
 
-M1 = Medium()
-M2 = Medium(4.2, 1.0)
-CIRCLE = geometry.BoundaryCurve.circle(2.0)
 AUX_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 1.5)
 AUX_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 2.5)
 WIDE_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 0.5)
 WIDE_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 10.0)
 NEAR = tuple(geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.99, 2.01))
-EXT = geometry.Excitation("external", 4.0)
-INT = geometry.Excitation("internal", 1.0)
 
-ELLIPSE = geometry.BoundaryCurve.ellipse(2.0, 1.6)
 ELL_IN = geometry.AuxiliarySurface.from_scale(ELLIPSE, 0.33)
 ELL_OUT = geometry.AuxiliarySurface.from_scale(ELLIPSE, 5.0)
 ELL_EXT = geometry.Excitation("external", 4.0)
@@ -656,7 +651,7 @@ def _qsum_bytes(sums, index=()):
 
 
 @pytest.mark.parametrize("n_points", [5, 11, 81])
-def test_qsums_match_the_per_order_loop_bit_for_bit(n_points):
+def test_qsums_match_the_frozen_references(n_points):
     # Against the frozen 50-digit q-sums of tests/frozen_series.py, each
     # value relative to itself, for sources on both sides, rotated or not,
     # and q_max None, 0 and 2. Measured: at most 9.0e-16 at N = 5, 1.3e-15
@@ -701,21 +696,6 @@ def test_qsums_past_half_the_points_sum_from_their_lowest_order():
     for m in (200, 312):
         with pytest.raises(specfun.BesselOverflowError, match="H2_200 "):
             discrete.q_sum_coefficients(m, *args)
-
-
-# -- large-N limits -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
-def test_solved_modes_approach_the_limits(exc):
-    solution = discrete.solve_circulant_dft(_nfm(exc, 201))
-    i_modes, k_modes = discrete.mode_amplitudes(solution)
-    for m in range(21):
-        # the placement-free limit is 2 pi rho_cyl times the density coefficient
-        modes = continuous.mode_solve(m, exc, 2.0, M1, M2)
-        electric, magnetic = 4.0 * np.pi * modes.electric, 4.0 * np.pi * modes.magnetic
-        assert abs(201 * i_modes[m] - electric) < 1e-6 * abs(electric)
-        assert abs(201 * k_modes[m] - magnetic) < 1e-6 * abs(magnetic)
 
 
 # -- large N ---------------------------------------------------------------------

@@ -483,7 +483,7 @@ def _excitation(name):
 
 @pytest.mark.parametrize("series_id", exact.SERIES_IDS)
 @pytest.mark.parametrize("deriv", [False, True], ids=["value", "deriv"])
-def test_exact_ring_matches_the_per_order_loop_bit_for_bit(series_id, deriv):
+def test_exact_ring_matches_the_frozen_references(series_id, deriv):
     # Against the frozen 50-digit partial sums of tests/frozen_series.py:
     # the stop orders, flags and warnings of the per-order loop exactly, the
     # values to a tolerance set from the measured gap, relative to the

@@ -458,3 +458,17 @@ def test_bessel_orders_takes_an_argument_array():
         assert table.shape == (2, 2, n.size)
         for index in np.ndindex(x.shape):
             assert table[index].tobytes() == specfun.bessel_orders(hankel, n, x[index]).tobytes()
+
+
+def test_bessel_orders_calls_amos_only_above_order_one(monkeypatch):
+    # |n| <= 1 come from the real Cephes pairs, so jv and hankel2 never see them
+    seen = []
+    for name in ("jv", "hankel2"):
+        amos = getattr(specfun.special, name)
+        monkeypatch.setattr(
+            specfun.special, name, lambda n, x, f=amos: seen.append(np.ravel(n)) or f(n, x)
+        )
+    for hankel in (False, True):
+        for n in (np.arange(-3, 6), np.arange(-1, 2), np.array([4, 0, -7])):
+            specfun.bessel_orders(hankel, n, [0.5, 3.0])
+    assert set(np.abs(np.concatenate(seen)).tolist()) == {2, 3, 4, 5, 7}
