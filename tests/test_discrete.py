@@ -3,8 +3,8 @@
 The circular reference problem (boundary radius 2, relative permittivity
 4.2, external source at radius 4 or internal at radius 1) exercises every
 identity: circulant structure, the DFT closed form against the dense solve,
-the bilateral q-sums against the DFT eigenvalues, and the currents against
-the continuous density coefficients.
+the bilateral q-sums against the DFT eigenvalues, and the aux-free limits
+against the continuous density coefficients.
 """
 
 import os
@@ -696,6 +696,21 @@ def test_qsums_past_half_the_points_sum_from_their_lowest_order():
     for m in (200, 312):
         with pytest.raises(specfun.BesselOverflowError, match="H2_200 "):
             discrete.q_sum_coefficients(m, *args)
+
+
+# -- large-N limits -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
+def test_solved_modes_approach_the_limits(exc):
+    solution = discrete.solve_circulant_dft(_nfm(exc, 201))
+    i_modes, k_modes = discrete.mode_amplitudes(solution)
+    for m in range(21):
+        # the placement-free limit is 2 pi rho_cyl times the density coefficient
+        modes = continuous.mode_solve(m, exc, 2.0, M1, M2)
+        electric, magnetic = 4.0 * np.pi * modes.electric, 4.0 * np.pi * modes.magnetic
+        assert abs(201 * i_modes[m] - electric) < 1e-6 * abs(electric)
+        assert abs(201 * k_modes[m] - magnetic) < 1e-6 * abs(magnetic)
 
 
 # -- large N ---------------------------------------------------------------------

@@ -42,6 +42,18 @@ def _ring_error(solution, exc, rho, region, phis):
     return np.max(np.abs(_ring(solution, rho, phis) - ref)) / np.max(np.abs(ref))
 
 
+def test_nfm_external_fields_match_exact_series():
+    solution = _nfm(EXT, 40)
+    assert _ring_error(solution, EXT, 10.0, 1, ALIGNED) < 1e-3
+    assert _ring_error(solution, EXT, 1.0, 2, ALIGNED) < 1e-3
+
+
+def test_nfm_internal_fields_match_exact_series():
+    solution = _nfm(INT, 40)
+    assert _ring_error(solution, INT, 10.0, 1, STAGGERED) < 1e-3
+    assert _ring_error(solution, INT, 1.0, 2, STAGGERED) < 1e-3
+
+
 def test_sample_reports_region_and_provenance():
     solution = _nfm(EXT, 16)
     far = fields.field_from_discrete(solution, 10.0, 0.3)
