@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrete, fields
-from .exact import convergence_region, exact_ring, refuse_filament_points
+from .exact import convergence_region, exact_ring
 from .geometry import as_count
 
 _TWO_PI = 2.0 * np.pi
@@ -238,15 +238,12 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     """
     curve = geometry[0]
     reference = sweep_reference(curve)
-    if reference == "exact":
-        rings = default_rings(curve, excitation) if rings is None else rings
-        # a ring through the filament fails before any size is solved
-        for rho, _ in rings:
-            refuse_filament_points(excitation, rho, SWEEP_ANGLES)
-    scan = oscillation_scan(method, geometry, excitation, media, n_list)
     references = ()
-    if reference == "exact" and scan.solutions:
+    if reference == "exact":
+        # summed first, so a ring through the filament fails before any solve
+        rings = default_rings(curve, excitation) if rings is None else rings
         references = ring_references(curve, excitation, media, rings, SWEEP_ANGLES)
+    scan = oscillation_scan(method, geometry, excitation, media, n_list)
     errors = {}
     for n, solution in scan.solutions.items():
         if reference == "exact":

@@ -151,19 +151,16 @@ def bessel_orders(hankel, n, x):
     m = np.abs(n)
     amos = special.hankel2 if hankel else special.jv
     high = m >= 2
-    if high.all():
-        out = amos(m, x)
-    else:
-        out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
-        out[..., high] = amos(m[high], x)
-        for order in (0, 1):
-            at = m == order
-            j, y = _LOW_ORDER[order]
-            if hankel:
-                out.real[..., at] = j(x)
-                out.imag[..., at] = -y(x)
-            else:
-                out[..., at] = j(x)
+    out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
+    out[..., high] = amos(m[high], x)
+    for order in (0, 1):
+        at = m == order
+        j, y = _LOW_ORDER[order]
+        if hankel:
+            out.real[..., at] = j(x)
+            out.imag[..., at] = -y(x)
+        else:
+            out[..., at] = j(x)
     if (n < 0).any():
         folded = (n < 0) & (m % 2 == 1)
         out[..., folded] = -out[..., folded]

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cylwave import exact, specfun
-from cylwave.acceptance import EXT, INT, M1, M2, RHO_CYL
 from cylwave.continuous import density_series, mode_solve, reconstruct_fields_from_densities
 from cylwave.exact import Medium
 from cylwave.geometry import Excitation
 
 import frozen_series
 
+M1 = Medium()
+M2 = Medium(4.2, 1.0)
+RHO_CYL = 2.0
+EXT = Excitation("external", 4.0)
+INT = Excitation("internal", 1.0)
 
 
 def _closed_form(n, excitation, rho_cyl, medium1, medium2):

@@ -8,9 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cylwave import diagnostics, discrete
-from cylwave.acceptance import CIRCLE, EXT, INT, M1, M2, NARROW, WIDE
+from cylwave.exact import Medium
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
+M1 = Medium()
+M2 = Medium(4.2, 1.0)
+CIRCLE = BoundaryCurve.circle(2.0)
+EXT = Excitation("external", 4.0)
+INT = Excitation("internal", 1.0)
 
 # straddles every placement threshold for rho_cyl=2 with rho_fil=4 outside
 # (image radius 1) and rho_fil=1 inside (image radius 4), staying clear of
@@ -24,6 +29,8 @@ def _geometry(curve, inner, outer, by="radius"):
     return (curve, place(curve, inner), place(curve, outer))
 
 
+WIDE = _geometry(CIRCLE, 0.5, 10.0)
+NARROW = _geometry(CIRCLE, 1.5, 2.5)
 ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 
 

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwave import continuous, diagnostics, discrete, fields, geometry, specfun
-from cylwave.acceptance import CIRCLE, ELLIPSE, EXT, INT, M1, M2
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
@@ -27,12 +26,18 @@ import frozen_series
 from circulant import is_circulant
 from oracles import gauss_solve
 
+M1 = Medium()
+M2 = Medium(4.2, 1.0)
+CIRCLE = geometry.BoundaryCurve.circle(2.0)
 AUX_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 1.5)
 AUX_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 2.5)
 WIDE_IN = geometry.AuxiliarySurface.from_radius(CIRCLE, 0.5)
 WIDE_OUT = geometry.AuxiliarySurface.from_radius(CIRCLE, 10.0)
 NEAR = tuple(geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.99, 2.01))
+EXT = geometry.Excitation("external", 4.0)
+INT = geometry.Excitation("internal", 1.0)
 
+ELLIPSE = geometry.BoundaryCurve.ellipse(2.0, 1.6)
 ELL_IN = geometry.AuxiliarySurface.from_scale(ELLIPSE, 0.33)
 ELL_OUT = geometry.AuxiliarySurface.from_scale(ELLIPSE, 5.0)
 ELL_EXT = geometry.Excitation("external", 4.0)

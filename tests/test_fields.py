@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from cylwave import continuous, discrete, fields, geometry
-from cylwave.acceptance import CIRCLE, ELLIPSE, EXT, INT, M1, M2
 from cylwave.exact import Medium, exact_ring, incident_field
-from cylwave.geometry import AuxiliarySurface, Excitation
+from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
+M1 = Medium()
+M2 = Medium(4.2, 1.0)
+CIRCLE = BoundaryCurve.circle(2.0)
+ELLIPSE = BoundaryCurve.ellipse(2.0, 1.6)
 AUX_IN = AuxiliarySurface.from_radius(CIRCLE, 1.5)
 AUX_OUT = AuxiliarySurface.from_radius(CIRCLE, 2.5)
 WIDE_IN = AuxiliarySurface.from_radius(CIRCLE, 0.5)
 WIDE_OUT = AuxiliarySurface.from_radius(CIRCLE, 10.0)
+EXT = Excitation("external", 4.0)
+INT = Excitation("internal", 1.0)
 
 ALIGNED = 2.0 * np.pi * np.arange(36) / 36
 # the internal filament sits at radius 1, angle 0, right on one of the
