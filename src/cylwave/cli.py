@@ -505,10 +505,12 @@ def cmd_sweep(config, out_dir):
     """Scan oscillation and error over N; write sweep.csv."""
     if config.method == "both":
         raise ConfigError("solver.method: the sweep command needs 'nfm' or 'mas'")
+    rings = None
     if diagnostics.sweep_reference(config.curve) == "exact":
         _refuse_filament_rings(config, diagnostics.SWEEP_ANGLES)
+        rings = config.output["rings"]
     problem = (config.method, config.geometry(), config.excitation, config.media, config.n_list)
-    sweep = diagnostics.convergence_sweep(*problem, rings=config.output["rings"])
+    sweep = diagnostics.convergence_sweep(*problem, rings=rings)
     scan = sweep.scan
     for solution in scan.solutions.values():
         _report_roundoff(config.method, solution)

@@ -233,12 +233,15 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     deviation over both rings; pass rings as (radius, region) pairs to
     override. A ring through the filament raises ValueError before any
     solve. On any other boundary it is 'residual': the tangential-E defect of
-    fields.boundary_residuals, which needs no separable solution. Failed
-    solves are recorded as in oscillation_scan.
+    fields.boundary_residuals, which needs no separable solution, and
+    passing rings raises ValueError. Failed solves are recorded as in
+    oscillation_scan.
     """
     curve = geometry[0]
     reference = sweep_reference(curve)
     references = ()
+    if reference == "residual" and rings is not None:
+        raise ValueError("rings serve only the exact reference of a circular boundary")
     if reference == "exact":
         # summed first, so a ring through the filament fails before any solve
         rings = default_rings(curve, excitation) if rings is None else rings

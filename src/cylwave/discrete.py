@@ -17,7 +17,7 @@ splits the dense solve into four independent systems of about N/2 each.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft, linalg
+from scipy import linalg
 from scipy.linalg import get_lapack_funcs
 
 from . import geometry, specfun
@@ -613,14 +613,14 @@ def solve_circulant_dft(system, shared=None):
     keeps the Cramer solve. The residual applies the blocks to the solution
     through the same DFT. With shared systems (see solve) the per-mode
     data (spectra, determinants, singular values and kept modes) are
-    computed once for all of them. Each transform is one scipy.fft call
+    computed once for all of them. Each transform is one numpy.fft call
     over a stack of rows, which gives every row the bits of its own call.
     """
     if not system.circulant:
         raise ValueError("system is not circulant; use the dense path")
     systems = _with_shared(system, shared)
     n = system.n_points
-    l11, l12, l21, l22 = fft.fft(np.stack(_blocks(system)))
+    l11, l12, l21, l22 = np.fft.fft(np.stack(_blocks(system)))
     det = l11 * l22 - l12 * l21
     s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
     s_top = float(np.max(s_max))
@@ -638,7 +638,7 @@ def solve_circulant_dft(system, shared=None):
     cond = s_top / s_low if s_low > 0.0 else np.inf
 
     # each stack holds the two halves of system e in rows 2e and 2e + 1
-    rhs_modes = fft.fft(np.concatenate([s.rhs for s in systems]).reshape(-1, n))
+    rhs_modes = np.fft.fft(np.concatenate([s.rhs for s in systems]).reshape(-1, n))
     modes = np.zeros_like(rhs_modes)
     for b1, b2, u, v in zip(rhs_modes[::2], rhs_modes[1::2], modes[::2], modes[1::2]):
         adj_b1 = b1 * l22 - l12 * b2
@@ -651,15 +651,15 @@ def solve_circulant_dft(system, shared=None):
                 x1, x2 = _rank_one_solve(*(part[band] for part in parts))
             np.copyto(u[band], x1, where=rank_one)
             np.copyto(v[band], x2, where=rank_one)
-    currents = fft.ifft(modes)
-    current_modes = fft.fft(currents)
+    currents = np.fft.ifft(modes)
+    current_modes = np.fft.fft(currents)
     products = np.empty_like(current_modes)
     for f_e, f_m, top, bottom in zip(
         current_modes[::2], current_modes[1::2], products[::2], products[1::2]
     ):
         top[:] = l11 * f_e + l12 * f_m
         bottom[:] = l21 * f_e + l22 * f_m
-    applied = fft.ifft(products).reshape(len(systems), 2 * n)
+    applied = np.fft.ifft(products).reshape(len(systems), 2 * n)
     solutions = tuple(
         DiscreteSolution(
             other, electric, magnetic, "dft", _relative_residual(product, other.rhs), cond,

@@ -177,10 +177,7 @@ def order_factors(n, j=None, h=None):
     argument) pair of n - 1, n, n + 1 and that kind's arguments once.
     """
     n = np.asarray(n)
-    around = np.ravel([n - 1, n, n + 1])
-    # a run of consecutive orders fills its span; scattered orders go through np.unique
-    span = np.arange(around.min(), around.max() + 1) if around.size else around
-    orders = span if span.size <= around.size else np.unique(around)
+    orders = np.unique([n - 1, n, n + 1])
     lo, mid, hi = (np.searchsorted(orders, k) for k in (n - 1, n, n + 1))
     out = {}
     for hankel, named in ((False, j), (True, h)):

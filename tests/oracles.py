@@ -85,7 +85,7 @@ def gauss_solve(a, b):
     return x
 
 
-# -- the circular series at 50 digits -----------------------------------------
+# -- the circular and addition series at 50 digits ---------------------------
 #
 # Inputs are the float64 values the package computes from: the wavenumber
 # and impedance sqrt(eps mu) and sqrt(mu / eps) rounded to float64, each
@@ -109,6 +109,22 @@ def _cylinder(hankel, n, x):
 def _pair(hankel, n, x):
     """(f_n(x), f'_n(x)) with f' = (f_{n-1} - f_{n+1}) / 2, f = J or H2."""
     return _cylinder(hankel, n, x), (_cylinder(hankel, n - 1, x) - _cylinder(hankel, n + 1, x)) / 2
+
+
+def addition_series_mp(kind, x1, x2, theta, n_used):
+    """The series cylwave.specfun.addition_series_<kind> sums, through order n_used.
+
+    kind is 'h0' (J_n of the smaller radius times H2_n of the larger),
+    'h0_d1' (-J'_n(x1) H2_n(x2)) or 'h0_d2' (-J_n(x1) H2'_n(x2)); each term
+    weighted 2 cos(n theta) for n >= 1. Returns a complex.
+    """
+    lo, hi = min(x1, x2), max(x1, x2)
+    total = mpmath.mpc(0)
+    for n in range(n_used + 1):
+        (j, jp), (h, hp) = _pair(False, n, lo), _pair(True, n, hi)
+        term = {"h0": j * h, "h0_d1": -jp * h, "h0_d2": -j * hp}[kind]
+        total += (1 if n == 0 else 2) * term * mpmath.cos(n * theta)
+    return complex(total)
 
 
 def _incident_mp(media_kz, rho_fil, amplitude, rho_obs, psi, deriv):

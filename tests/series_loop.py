@@ -1,20 +1,14 @@
-"""Order series summed one order at a time, used only by the test suite.
+"""The one-order-at-a-time sum, used only by the test suite.
 
-These are the per-order loops the package summed its order series with
-before specfun.sum_orders took orders in runs: Graf's addition series of
-`cylwave.specfun`, whose every factor comes from the scalar bessel_j and
-hankel2 of `cylwave.specfun` order by order (a derivative through the
-recurrence (f_{n-1} - f_{n+1}) / 2), and the loop itself, which the
-circular series' stopping rule is checked against on synthetic terms. The
-package's sums must give the same bits, the same stop orders and flags,
-and the same warnings.
+This is the loop the package summed its order series with before
+specfun.sum_orders took orders in runs. The tests check the stopping rule
+of the package's sums against it on synthetic terms: the same bits, the
+same stop orders and flags, and the same warnings.
 """
 
 import cmath
 
 import numpy as np
-
-from cylwave import specfun
 
 
 def _loop_sum(theta, n_max, term, rel_tol=1e-14, grow=None):
@@ -49,28 +43,3 @@ def _loop_sum(theta, n_max, term, rel_tol=1e-14, grow=None):
             if grow is not None and 2.0 * last > grow * scale:
                 return total, last, order, False, "series terms growing without bound"
     return total, last, order, False, None
-
-
-def _term(kind, x1, x2):
-    j, h = specfun.bessel_j, specfun.hankel2
-    return {
-        "h0": lambda n: j(n, x1) * h(n, x2),
-        "h0_d1": lambda n: -(0.5 * (j(n - 1, x1) - j(n + 1, x1))) * h(n, x2),
-        "h0_d2": lambda n: -j(n, x1) * (0.5 * (h(n - 1, x2) - h(n + 1, x2))),
-    }[kind]
-
-
-def addition_series(kind, x1, x2, theta, n_max):
-    """The series `specfun.addition_series_<kind>` sums, for x2 > x1 > 0.
-
-    kind is 'h0', 'h0_d1' or 'h0_d2'. Warns as the package does when the
-    tail estimate is not below tolerance.
-    """
-    total, last = _loop_sum(theta, n_max, _term(kind, x1, x2))[:2]
-    specfun._warn_if_unconverged(last, total, x1 / x2)
-    return total
-
-
-def last_order(kind, x1, x2, theta, n_max):
-    """The highest order addition_series adds before it stops."""
-    return _loop_sum(theta, n_max, _term(kind, x1, x2))[2]

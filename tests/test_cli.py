@@ -743,6 +743,8 @@ def test_ellipse_sweep_defaults_to_the_residual_reference(tmp_path):
             "aux": {"inner_scale": 0.7, "outer_scale": 1.6},
         }
         doc["solver"] = {"method": "nfm", "n_list": [20, 40]}
+        # rings configured for fields; the residual reference has no use for them
+        doc["output"]["rings"] = [[8.0, 1], [1.0, 2]]
 
     config = _write_config(tmp_path, mutate)
     out = tmp_path / "s"

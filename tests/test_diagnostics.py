@@ -394,6 +394,19 @@ def test_a_ring_through_the_filament_is_refused_before_any_solve(monkeypatch):
     assert solves == []
 
 
+def test_rings_on_a_non_circular_boundary_are_refused_before_any_solve(monkeypatch):
+    # the residual reference has no rings to read; passing them is an error
+    # instead of a sweep that quietly ignores them
+    solves, solve = [], discrete.solve
+    monkeypatch.setattr(
+        discrete, "solve", lambda system, **kw: solves.append(system.n_points) or solve(system, **kw)
+    )
+    geometry = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.8, 1.25, by="scale")
+    with pytest.raises(ValueError, match="rings"):
+        diagnostics.convergence_sweep("nfm", geometry, EXT, (M1, M2), (20,), rings=((1e9, 2),))
+    assert solves == []
+
+
 def test_sweep_records_failures_like_the_scan():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [3, 20])
     assert list(sweep.scan.failures) == [3]

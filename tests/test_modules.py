@@ -1,5 +1,5 @@
-"""Each library module keeps its private names to itself, and its public
-names have readers outside the tests."""
+"""Each library module keeps its private names to itself, its public names
+have readers outside the tests, and the package has one FFT library."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,29 @@ def test_no_module_reaches_into_another_modules_private_names():
         path.name: names for path in paths if (names := _foreign_private_names(path))
     }
     assert offenders == {}
+
+
+def _imported_modules(path):
+    """Dotted names of every module, and every name from one, that path imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module)
+            found.update("%s.%s" % (node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_no_module_imports_scipy_fft():
+    # every transform of the package goes through numpy.fft
+    offenders = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(name.split(".")[:2] == ["scipy", "fft"] for name in _imported_modules(path))
+    }
+    assert offenders == set()
 
 
 def _public_top_level_names(tree):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frozen_series
 import oracles
 import series_loop
 from cylwave import specfun
@@ -265,54 +266,64 @@ def _series_and_warnings(series, *args):
     return value, [str(w.message) for w in caught]
 
 
+def _recording_stops(monkeypatch):
+    """Record what each specfun.sum_orders call returns, in a list."""
+    stops, sum_orders = [], specfun.sum_orders
+
+    def recording(*args, **kwargs):
+        out = sum_orders(*args, **kwargs)
+        stops.append(out)
+        return out
+
+    monkeypatch.setattr(specfun, "sum_orders", recording)
+    return stops
+
+
 @pytest.mark.parametrize("kind", ["h0", "h0_d1", "h0_d2"])
-def test_addition_series_match_the_per_order_loop_bit_for_bit(kind):
-    # Blocks of 32 orders must leave every bit of the one-order-at-a-time sum:
-    # the criterion-01 grid, n_max on both sides of each block seam, and
-    # inner radii small enough that the series is cut short by overflow.
+def test_addition_series_match_the_frozen_references(kind, monkeypatch):
+    # Against the frozen 50-digit partial sums of tests/frozen_series.py:
+    # n_max on both sides of each block seam, inner radii small enough that
+    # the series is cut short, and five points of the closure grid. The
+    # stop orders and warnings of the one-order loop exactly; the values to
+    # a tolerance set from the measured gap, relative to the value. Where
+    # the sum stops by order 70 the gap is at most 1.3e-14 (tolerance
+    # 5e-14). Deeper sums reach the orders where AMOS's J_n(x1) underflows
+    # to zero (below about 1e-293) and may stop on those zeros, dropping
+    # terms of about (x1 / x2)^n_used; the gap measured at most 9.1 times
+    # that (tolerance 20 times).
+    stops = _recording_stops(monkeypatch)
     series = getattr(specfun, "addition_series_" + kind)
-    cases = [
-        (x1, x1 * r, th, 220)
-        for x1 in np.linspace(1.0, 3.0, 5)
-        for r in np.linspace(1.2, 10.0, 5)
-        for th in np.linspace(0.0, np.pi, 8)
-    ]
-    for n_max in (0, 4, 31, 32, 33, 64, 65, 220):
-        cases += [(1.0, 3.0, 0.7, n_max), (2.0, 2.2, 0.3, n_max), (0.2, 0.26, 2.0, n_max)]
-    cases += [(0.2, 0.26, th, 400) for th in (0.0, 1.1, np.pi)]
-    cases += [(0.05, 0.0505, 0.4, 400), (0.5, 0.65, -2.5, 300)]
-    warned = 0
-    for case in cases:
-        got, got_warnings = _series_and_warnings(series, *case)
-        want, want_warnings = _series_and_warnings(series_loop.addition_series, kind, *case)
-        assert got == want, case
-        assert got_warnings == want_warnings, case
-        warned += bool(want_warnings)
-    assert warned > 0
+    warned = deep = 0
+    pairs = {}
+    for (k, x1, x2, th, n_max), (value, n_used, tail) in frozen_series.ADDITION.items():
+        if k != kind:
+            continue
+        got, caught = _series_and_warnings(series, x1, x2, th, n_max)
+        assert int(stops[-1][1][0]) == n_used
+        assert caught == ([] if tail is None else [frozen_series.TAIL_WARNING % tail])
+        tolerance = 5e-14 if n_used <= 70 else 20.0 * (x1 / x2) ** n_used
+        assert abs(got - value) <= tolerance * abs(value), (x1, x2, th, n_max)
+        warned += tail is not None
+        deep += n_used > 70
+        pairs.setdefault((x1, x2, n_max), [0.4, -1.7]).append(th)
+    assert warned > 0 and deep > 0
     # Each radius pair's angles in one call (two more angles added to every
     # pair) must give every angle the bits and the warning of its own call,
     # also where the angles stop at different orders.
-    pairs = {}
-    for x1, x2, th, n_max in cases:
-        pairs.setdefault((x1, x2, n_max), [0.4, -1.7]).append(th)
-    warned = spread = 0
+    spread = 0
     for (x1, x2, n_max), angles in pairs.items():
         got, got_warnings = _series_and_warnings(series, x1, x2, np.array(angles), n_max)
+        orders = set(stops[-1][1].tolist())
         want, want_warnings = [], []
         for th in angles:
-            value, caught = _series_and_warnings(
-                series_loop.addition_series, kind, x1, x2, th, n_max
-            )
+            value, caught = _series_and_warnings(series, x1, x2, th, n_max)
             want.append(value)
             want_warnings += caught
         case = (x1, x2, angles, n_max)
         assert got.shape == (len(angles),), case
         assert got.tobytes() == np.array(want, dtype=complex).tobytes(), case
         assert got_warnings == want_warnings, case
-        warned += bool(want_warnings)
-        orders = {series_loop.last_order(kind, x1, x2, th, n_max) for th in angles}
         spread += len(orders) > 1
-    assert warned > 0
     assert spread > 0
 
 
@@ -342,14 +353,7 @@ def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch
     # _addition_sum (the three addition series' path into sum_orders) against
     # series_loop._loop_sum at each angle alone: sums, last magnitudes and
     # stop orders byte for byte, with caps on both sides of the run seam
-    stops, sum_orders = [], specfun.sum_orders
-
-    def recording(*args, **kwargs):
-        out = sum_orders(*args, **kwargs)
-        stops.append(out)
-        return out
-
-    monkeypatch.setattr(specfun, "sum_orders", recording)
+    stops = _recording_stops(monkeypatch)
     psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
     seen = set()
     for term, overflow in _families():
