@@ -1,8 +1,9 @@
 """Configuration-driven command line: solve, fields, sweep, validate.
 
 Every command except ``validate`` reads one JSON configuration describing
-the geometry, the two media, the excitation, and the solver, and writes
-machine-readable CSV/JSON into an output directory. Ready-made
+the geometry, the two media, the excitation, and the solver. Each command
+returns its machine-readable CSV/JSON files as {file name: text}, and
+``main`` writes them into an output directory through one helper. Ready-made
 configurations for the package's demonstration scenarios live under
 ``presets/``. Output is deterministic: the same configuration produces
 byte-identical files (17-significant-digit floats, no timestamps), and
@@ -130,6 +131,13 @@ def _block(container, path):
     return value
 
 
+def _refuse_unknown(block, prefix, keys):
+    """Refuse the first field of block, in document order, that is not one of keys."""
+    for key in block:
+        if key not in keys:
+            raise ConfigError("%s%s: unknown field" % (prefix, key))
+
+
 def _amplitude(block):
     path = "excitation.amplitude"
     value = block.get("amplitude", 1.0)
@@ -177,6 +185,9 @@ def _parse_geometry(doc):
             surfaces.append(place(curve, value, side))
         except ValueError as exc:
             raise ConfigError("%s: %s" % (path, exc))
+    _refuse_unknown(aux, "geometry.aux.", ("inner_" + unit, "outer_" + unit))
+    shape = ("radius",) if circle else ("semi_major", "semi_minor")
+    _refuse_unknown(geom, "geometry.", ("kind", "aux", *shape))
     return (curve, *surfaces)
 
 
@@ -196,6 +207,8 @@ def _parse_media(doc):
             raise
         except ValueError as exc:
             raise ConfigError("media.%s: %s" % (name, exc))
+        _refuse_unknown(region, "media.%s." % name, ("eps_r", "mu_r"))
+    _refuse_unknown(media, "media.", ("region1", "region2"))
     return tuple(out)
 
 
@@ -205,6 +218,7 @@ def _parse_excitation(doc, curve):
     radius = _number(block, "excitation.radius", positive=True)
     angle = _number(block, "excitation.angle", default=0.0)
     excitation = Excitation(region, radius, angle, _amplitude(block))
+    _refuse_unknown(block, "excitation.", ("region", "radius", "angle", "amplitude"))
     try:
         excitation.validate_against(curve)
     except ValueError as exc:
@@ -217,6 +231,8 @@ def _parse_solver(doc):
     method = _string(solver, "solver.method", choices=("nfm", "mas", "both"))
     _retired(solver, "solver.path", "auto")
     if "n_list" in solver:
+        if "n_points" in solver:
+            raise ConfigError("solver: give n_points or n_list, not both")
         raw = solver["n_list"]
         if not isinstance(raw, list):
             raise ConfigError("solver.n_list: expected a list of integers")
@@ -227,6 +243,7 @@ def _parse_solver(doc):
         )
     else:
         n_list = (_integer(solver, "solver.n_points", minimum=4),)
+    _refuse_unknown(solver, "solver.", ("method", "path", "n_points", "n_list"))
     return method, n_list
 
 
@@ -266,11 +283,9 @@ def _parse_output(doc, curve):
             rings.append((float(pair[0]), pair[1]))
         rings = tuple(rings)
     _retired(block, "output.reference", diagnostics.sweep_reference(curve))
-    return {
-        "directory": _string(block, "output.directory", default="out"),
-        "rings": rings,
-        "angles": angles,
-    }
+    directory = _string(block, "output.directory", default="out")
+    _refuse_unknown(block, "output.", ("directory", "rings", "angles", "angle_offset", "reference"))
+    return {"directory": directory, "rings": rings, "angles": angles}
 
 
 def load_config(path):
@@ -288,7 +303,7 @@ def load_config(path):
         raise ConfigError("config: expected a JSON object at the top level")
     curve, inner, outer = _parse_geometry(doc)
     method, n_list = _parse_solver(doc)
-    return RunConfig(
+    config = RunConfig(
         curve=curve,
         aux_inner=inner,
         aux_outer=outer,
@@ -299,6 +314,8 @@ def load_config(path):
         output=_parse_output(doc, curve),
         sha256=hashlib.sha256(raw).hexdigest(),
     )
+    _refuse_unknown(doc, "", ("geometry", "media", "excitation", "solver", "output"))
+    return config
 
 
 # -- output helpers ----------------------------------------------------------
@@ -329,6 +346,12 @@ def _write_atomic(out_dir, name, text):
     return target
 
 
+def _write_files(out_dir, files):
+    """Write each {file name: text} entry into out_dir, in order, and print where."""
+    for name, text in files.items():
+        print("wrote %s" % (_write_atomic(out_dir, name, text),))
+
+
 def _csv_text(sha256, header, rows):
     buf = io.StringIO()
     buf.write("# schema=%d\n# config_sha256=%s\n" % (_SCHEMA, sha256))
@@ -336,6 +359,22 @@ def _csv_text(sha256, header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _table_text(sha256, columns):
+    """CSV text of equal-length {name: array} columns, one row per element.
+
+    A complex column X becomes re_X and im_X; floats are written as %.17g.
+    """
+    header, cells = [], []
+    for name, values in columns.items():
+        if values.dtype.kind == "c":
+            header += ["re_" + name, "im_" + name]
+            cells += [[_fmt(v) for v in values.real], [_fmt(v) for v in values.imag]]
+        else:
+            header.append(name)
+            cells.append([_fmt(v) for v in values] if values.dtype.kind == "f" else values.tolist())
+    return _csv_text(sha256, header, zip(*cells))
 
 
 def _json_text(payload):
@@ -395,42 +434,22 @@ def _refuse_filament_rings(config, angles):
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_solve(config, out_dir):
-    """Solve one system; write currents.csv and summary.json."""
+def cmd_solve(config):
+    """Solve one system; return currents.csv and summary.json."""
     if config.method == "both":
         raise ConfigError("solver.method: the solve command needs 'nfm' or 'mas'")
     n = config.single_n("solve")
     scan = _scan_one(config, config.method, n)
     solution = scan.solutions[n]
-    phis = solution.system.nodes.phis
     dens_e, dens_m = discrete.normalized_currents(solution)
-    rows = [
-        [
-            l,
-            _fmt(phis[l]),
-            _fmt(solution.electric[l].real),
-            _fmt(solution.electric[l].imag),
-            _fmt(solution.magnetic[l].real),
-            _fmt(solution.magnetic[l].imag),
-            _fmt(dens_e[l].real),
-            _fmt(dens_e[l].imag),
-            _fmt(dens_m[l].real),
-            _fmt(dens_m[l].imag),
-        ]
-        for l in range(n)
-    ]
-    header = [
-        "index",
-        "angle",
-        "re_electric",
-        "im_electric",
-        "re_magnetic",
-        "im_magnetic",
-        "re_electric_density",
-        "im_electric_density",
-        "re_magnetic_density",
-        "im_magnetic_density",
-    ]
+    currents = {
+        "index": np.arange(n),
+        "angle": solution.system.nodes.phis,
+        "electric": solution.electric,
+        "magnetic": solution.magnetic,
+        "electric_density": dens_e,
+        "magnetic_density": dens_m,
+    }
     oscillation = {
         label: {
             "oscillation_index": float(report.oscillation_index[0]),
@@ -451,17 +470,14 @@ def cmd_solve(config, out_dir):
         "condition_estimate": _jsonable(solution.cond_estimate),
         "oscillation": oscillation,
     }
-    wrote = [
-        _write_atomic(out_dir, "currents.csv", _csv_text(config.sha256, header, rows)),
-        _write_atomic(out_dir, "summary.json", _json_text(summary)),
-    ]
-    for path in wrote:
-        print("wrote %s" % (path,))
-    return 0
+    return {
+        "currents.csv": _table_text(config.sha256, currents),
+        "summary.json": _json_text(summary),
+    }
 
 
-def cmd_fields(config, out_dir):
-    """Evaluate fields on observation rings; write fields.csv."""
+def cmd_fields(config):
+    """Evaluate fields on observation rings; return fields.csv."""
     n = config.single_n("fields")
     _refuse_filament_rings(config, config.output["angles"])
     methods = ("nfm", "mas") if config.method == "both" else (config.method,)
@@ -470,39 +486,31 @@ def cmd_fields(config, out_dir):
     if rings is None:
         rings = diagnostics.default_rings(config.curve, config.excitation)
     angles = config.output["angles"]
-    with_exact = config.curve.kind == "circle"
-    header = ["ring_radius", "region", "angle"]
-    if with_exact:
-        header += ["re_exact", "im_exact"]
-    for method in methods:
-        header += ["re_%s" % method, "im_%s" % method]
-    references = ()
-    if with_exact:
+    table = {
+        "ring_radius": np.repeat([rho for rho, _ in rings], angles.size),
+        "region": np.repeat([region for _, region in rings], angles.size),
+        "angle": np.tile(angles, len(rings)),
+    }
+    if config.curve.kind == "circle":
         references = diagnostics.ring_references(
             config.curve, config.excitation, config.media, rings, angles
         )
         _report_series_trust(references)
-    rows = []
-    for k, (rho, region) in enumerate(rings):
-        samples = [
+        table["exact"] = np.concatenate([series.value for _, _, series in references])
+    samples = [
+        [
             fields.field_from_discrete(solutions[method], rho, angles, region=region).e_z
             for method in methods
         ]
-        for i, phi in enumerate(angles):
-            row = [_fmt(rho), region, _fmt(phi)]
-            if with_exact:
-                value = references[k][2].value[i]
-                row += [_fmt(value.real), _fmt(value.imag)]
-            for e_z in samples:
-                row += [_fmt(e_z[i].real), _fmt(e_z[i].imag)]
-            rows.append(row)
-    target = _write_atomic(out_dir, "fields.csv", _csv_text(config.sha256, header, rows))
-    print("wrote %s" % (target,))
-    return 0
+        for rho, region in rings
+    ]
+    for method, per_ring in zip(methods, zip(*samples)):
+        table[method] = np.concatenate(per_ring)
+    return {"fields.csv": _table_text(config.sha256, table)}
 
 
-def cmd_sweep(config, out_dir):
-    """Scan oscillation and error over N; write sweep.csv."""
+def cmd_sweep(config):
+    """Scan oscillation and error over N; return sweep.csv."""
     if config.method == "both":
         raise ConfigError("solver.method: the sweep command needs 'nfm' or 'mas'")
     rings = None
@@ -556,16 +564,14 @@ def cmd_sweep(config, out_dir):
                     "",
                 ]
             )
-    target = _write_atomic(out_dir, "sweep.csv", _csv_text(config.sha256, header, rows))
-    print("wrote %s" % (target,))
-    return 0
+    return {"sweep.csv": _csv_text(config.sha256, header, rows)}
 
 
 # -- validate ----------------------------------------------------------------
 
 
-def cmd_validate(only, out_dir):
-    """Run the acceptance criteria group by group; exit 0 iff all pass."""
+def cmd_validate(only):
+    """Run the acceptance criteria group by group; return (exit code, validate.json)."""
     if only is not None and only not in acceptance.GROUPS:
         raise ConfigError(
             "--only: unknown group %r (choose from %s)"
@@ -585,9 +591,7 @@ def cmd_validate(only, out_dir):
         report["groups"][name] = entries
     report["passed"] = failed == 0
     print("%d checks passed, %d failed" % (passed, failed))
-    if out_dir is not None:
-        print("wrote %s" % (_write_atomic(out_dir, "validate.json", _json_text(report)),))
-    return 0 if failed == 0 else 1
+    return (0 if failed == 0 else 1), {"validate.json": _json_text(report)}
 
 
 # -- entry point -------------------------------------------------------------
@@ -619,11 +623,16 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.only, args.out)
-        config = load_config(args.config)
-        out_dir = args.out if args.out is not None else config.output["directory"]
-        command = {"solve": cmd_solve, "fields": cmd_fields, "sweep": cmd_sweep}[args.command]
-        return command(config, out_dir)
+            code, files = cmd_validate(args.only)
+            out_dir = args.out
+        else:
+            config = load_config(args.config)
+            out_dir = args.out if args.out is not None else config.output["directory"]
+            command = {"solve": cmd_solve, "fields": cmd_fields, "sweep": cmd_sweep}[args.command]
+            code, files = 0, command(config)
+        if out_dir is not None:
+            _write_files(out_dir, files)
+        return code
     except (ValueError, ArithmeticError, OSError) as exc:
         print("cylwave: error: %s" % (exc,), file=sys.stderr)
         return 2

@@ -306,7 +306,7 @@ def _growth(amplitude):
     return np.concatenate((np.ones(amplitude[:1].size), ratio))
 
 
-_FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+_FAILURES = (ValueError, ArithmeticError)
 
 
 def _solve_sizes(method, geometry, excitations, media, n_list):

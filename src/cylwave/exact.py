@@ -57,7 +57,7 @@ class Medium:
         return float(np.sqrt(self.mu_r / self.eps_r))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesResult:
     """Value of a truncated series plus how trustworthy the truncation is.
 

@@ -95,6 +95,33 @@ def test_every_preset_runs_each_command_it_supports(tmp_path, preset, command):
     assert {path.name for path in out.iterdir()} == _WRITES[command]
 
 
+@pytest.mark.parametrize(
+    "command, preset, names",
+    [
+        (cli.cmd_solve, "circle-external-currents", ["currents.csv", "summary.json"]),
+        (cli.cmd_fields, "coarse-n-comparison", ["fields.csv"]),
+        (cli.cmd_sweep, "mas-divergence", ["sweep.csv"]),
+    ],
+    ids=["solve", "fields", "sweep"],
+)
+def test_commands_return_their_files_and_main_writes_them(
+    tmp_path, capsys, monkeypatch, command, preset, names
+):
+    monkeypatch.chdir(tmp_path)
+    config = str(PRESETS / (preset + ".json"))
+    files = command(cli.load_config(config))
+    assert list(files) == names
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
+    out = tmp_path / "out"
+    name = command.__name__[len("cmd_"):]
+    assert cli.main([name, "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "".join("wrote %s\n" % (out / n) for n in names)
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    for file_name, text in files.items():
+        assert (out / file_name).read_bytes() == text.encode("utf-8")
+
+
 def test_solve_output_is_byte_identical_across_reruns(tmp_path):
     preset = str(PRESETS / "circle-internal-currents.json")
     for name in ("a", "b"):
@@ -170,6 +197,54 @@ def test_unknown_solver_path_is_rejected(tmp_path, capsys):
         assert cli.main(["solve", "--config", str(_write_config(tmp_path, mutate))]) == 2
         err = capsys.readouterr().err
         assert "%s.%s: retired, the geometry now decides it" % (block, key) in err
+
+
+@pytest.mark.parametrize(
+    "message, mutate",
+    [
+        ("media.region2.eps: unknown field", lambda doc: doc["media"].update(region2={"eps": 4.2})),
+        ("output.ring: unknown field", lambda doc: doc["output"].update(ring=[[10.0, 1]])),
+        ("excitation.amplitud: unknown field", lambda doc: doc["excitation"].update(amplitud=2.0)),
+        (
+            "solver: give n_points or n_list, not both",
+            lambda doc: doc["solver"].update(n_list=[12]),
+        ),
+        ("outputs: unknown field", lambda doc: doc.update(outputs={})),
+        ("geometry.semi_major: unknown field", lambda doc: doc["geometry"].update(semi_major=3.0)),
+        (
+            "geometry.aux.outer_scale: unknown field",
+            lambda doc: doc["geometry"]["aux"].update(outer_scale=1.25),
+        ),
+        ("media.region3: unknown field", lambda doc: doc["media"].update(region3={})),
+        ("solver.n_point: unknown field", lambda doc: doc["solver"].update(n_point=40)),
+        # the first unknown field in document order is the one named
+        (
+            "excitation.phi: unknown field",
+            lambda doc: doc["excitation"].update(phi=0.5, amp=2.0),
+        ),
+    ],
+    ids=[
+        "region-eps",
+        "output-ring",
+        "amplitude",
+        "n-points-and-n-list",
+        "top-level",
+        "circle-semi-major",
+        "aux-scale-on-circle",
+        "media-region3",
+        "solver-n-point",
+        "document-order",
+    ],
+)
+def test_unknown_config_fields_are_refused_with_their_path(tmp_path, capsys, message, mutate):
+    # the parser would leave each of these unread and run on a default in its place
+    config = _write_config(tmp_path, mutate)
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cylwave: error: %s\n" % (message,)
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -166,7 +166,7 @@ def test_excitation_position():
     assert np.allclose(exc.position_xy(), [0.0, 4.0], atol=1e-15)
 
 
-def test_pairwise_distances_concentric():
+def test_kernels_of_concentric_circles():
     inner, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
     outer, _, _ = collocation_points(BoundaryCurve.circle(1.5), 8)
     h0, _ = kernels(1.0, outer, inner)
@@ -177,7 +177,7 @@ def test_pairwise_distances_concentric():
     assert h0[0, 3] == pytest.approx(hankel2(0, want))
 
 
-def test_pairwise_distances_rejects_coincident():
+def test_kernels_reject_coincident_points():
     pts, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
     with pytest.raises(ValueError):
         kernels(1.0, pts, pts)
