@@ -101,14 +101,13 @@ def dft_solver():
     z1, z2 = system.medium1.Z, system.medium2.Z
     worst_q = 0.0
     sums = discrete.q_sum_coefficients(np.arange(11), 11, *NARROW, EXT, M1, M2)
+    spectra = [
+        np.fft.fft(column)
+        for column in (system.rhs[:11], system.z11, system.z12, system.z21, system.z22)
+    ]
+    scales = (11 * system.excitation.amplitude * z1, 11 * z1, 11 * 1j, 11 * z2, 11 * 1j)
     for m in range(11):
-        dft = (
-            np.fft.fft(system.rhs[:11])[m] / (11 * system.excitation.amplitude * z1),
-            np.fft.fft(system.z11)[m] / (11 * z1),
-            np.fft.fft(system.z12)[m] / (11 * 1j),
-            np.fft.fft(system.z21)[m] / (11 * z2),
-            np.fft.fft(system.z22)[m] / (11 * 1j),
-        )
+        dft = [spectrum[m] / scale for spectrum, scale in zip(spectra, scales)]
         for got, want in zip((sums.d[m], sums.b1[m], sums.b2[m], sums.b3[m], sums.b4[m]), dft):
             worst_q = max(worst_q, abs(got - want) / abs(want))
     return [

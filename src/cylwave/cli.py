@@ -370,10 +370,11 @@ def _table_text(sha256, columns):
     for name, values in columns.items():
         if values.dtype.kind == "c":
             header += ["re_" + name, "im_" + name]
-            cells += [[_fmt(v) for v in values.real], [_fmt(v) for v in values.imag]]
+            cells += [[_fmt(v) for v in part.tolist()] for part in (values.real, values.imag)]
         else:
             header.append(name)
-            cells.append([_fmt(v) for v in values] if values.dtype.kind == "f" else values.tolist())
+            floats = values.dtype.kind == "f"
+            cells.append([_fmt(v) for v in values.tolist()] if floats else values.tolist())
     return _csv_text(sha256, header, zip(*cells))
 
 

@@ -157,19 +157,25 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
     normals. normals holds one unit normal per source, giving
     [n_l . (s_l - t_p) / r] H^(2)_1(k r), or with at_target one per
     target, giving [n_p . (t_p - s_l) / r] H^(2)_1(k r). The offsets are
-    formed once for both. A target closer to a source than 1e-14 times the
-    largest coordinate of either set (or 1) raises ValueError; an entry
-    leaving the floating range raises AssemblyError naming label and the
-    entry of least distance.
+    formed once for both. A non-finite point raises ValueError, and so does
+    a target closer to a source than 1e-14 times the largest coordinate of
+    either set (or 1); an entry leaving the floating range raises
+    AssemblyError naming label and the entry of least distance.
     """
     targets = np.asarray(targets, dtype=float)
     sources = np.asarray(sources, dtype=float)
     dx = targets[:, None, 0] - sources[None, :, 0]
     dy = targets[:, None, 1] - sources[None, :, 1]
     dist = np.hypot(dx, dy)
-    scale = max(np.max(np.abs(targets)), np.max(np.abs(sources)), 1.0)
-    if np.any(dist < 1e-14 * scale):
+    # the distance range refuses both, so H0 and H1 read checked arguments
+    lo, hi = float(dist.min()), float(dist.max())
+    if not hi < np.inf:
+        raise ValueError("points must be finite")
+    scale = max(np.abs(targets).max(), np.abs(sources).max(), 1.0)
+    if lo < 1e-14 * scale:
         raise ValueError("coincident points between the two surfaces")
+    if not 0.0 < k * lo <= k * hi < np.inf:
+        raise ValueError("wavenumber times distance must be positive and finite")
     cos = None
     if normals is not None:
         nrm = np.asarray(normals, dtype=float)
@@ -180,10 +186,10 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
     del dx, dy  # freed before the Hankel functions, which set the peak memory
     kd = k * dist
     try:
-        h0 = specfun.hankel2(0, kd)
+        h0 = specfun.hankel2_low(0, kd)
         if cos is None:
             return h0, None
-        dn = specfun.hankel2(1, kd)
+        dn = specfun.hankel2_low(1, kd)
     except specfun.BesselOverflowError as err:
         loc = np.unravel_index(int(np.argmin(dist)), dist.shape)
         raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
@@ -255,8 +261,9 @@ def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
 def _collocation(curve, aux_inner, aux_outer, excitation, n_points):
     """Checked set-up of both assemblers: (Nodes, slice of the carried columns of each block)."""
     n_points = _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
-    boundary, normals, phis = geometry.collocation_points(curve, n_points)
-    inner, outer = aux_inner.curve.point(phis), aux_outer.curve.point(phis)
+    boundary, normals, phis, inner, outer = geometry.collocation_points(
+        curve, n_points, aux_inner.curve, aux_outer.curve
+    )
     src = slice(0, _carried_columns(curve, aux_inner, aux_outer, len(phis)))
     return Nodes(phis, boundary, normals, inner, outer), src
 

@@ -23,6 +23,7 @@ Time convention exp(+i omega t); outgoing waves are H^(2).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,11 +49,12 @@ class Medium:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError("%s must be positive and finite" % name)
 
-    @property
+    # computed on first use and kept: every kernel and series term reads them
+    @cached_property
     def k(self):
         return float(np.sqrt(self.eps_r * self.mu_r))
 
-    @property
+    @cached_property
     def Z(self):
         return float(np.sqrt(self.mu_r / self.eps_r))
 
@@ -172,13 +174,15 @@ def mode_denominator(n, rho_cyl, medium1, medium2):
 
 
 def _series_run(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
-    """Radial parts of the terms of the orders n, and whether each order is usable.
+    """Radial parts of the terms of the orders n, and two masks for specfun.cut_run.
 
     n is one order or an array of them, read in one specfun.order_factors
     call. With deriv=True the observation-dependent factor is replaced by
     its radial derivative, so tangential-H checks stay term exact. An order
     is unusable where a Hankel factor it reads overflows or its mode
-    denominator underflows.
+    denominator underflows, and out of range where the quotient of the
+    mode numerator and denominator is 0 or subnormal. Returns (terms,
+    usable, in_range).
     """
     if series_id not in SERIES_IDS:
         raise ValueError("unknown series id %r" % (series_id,))
@@ -198,29 +202,36 @@ def _series_run(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv
     delta, usable = _denominator(medium1, medium2, j2, jp2, h1, hp1)
 
     # only the ratio depends on the series; p and q are boundary mismatches
-    if series_id == "ext_R1":
-        j1, jp1 = f["j1"]
-        ratio = (z1 * jp2 * j1 - z2 * j2 * jp1) / delta
-    elif series_id == "int_R2":
-        h2, hp2 = f["h2"]
-        ratio = (z1 * h1 * hp2 - z2 * hp1 * h2) / delta
-        usable &= np.isfinite(h2) & np.isfinite(hp2)
+    tiny, cancelled = np.finfo(float).tiny, False
+    if series_id in ("ext_R1", "int_R2"):
+        if series_id == "ext_R1":
+            j1, jp1 = f["j1"]
+            p, q = z1 * jp2 * j1, z2 * j2 * jp1
+        else:
+            h2, hp2 = f["h2"]
+            p, q = z1 * h1 * hp2, z2 * hp1 * h2
+            usable &= np.isfinite(h2) & np.isfinite(hp2)
+        ratio = (p - q) / delta
+        # equal media cancel p and q exactly: a true zero, unlike a ratio
+        # that fell below the normal range and lost its digits
+        cancelled = (p == q) & (np.abs(p) >= tiny)
     else:
         ratio = 1j * z1 * z2 / delta
     obs = (k1 if outside else k2) * f["obs"][1] if deriv else f["obs"][0]
     source = f["source"][0]
     usable &= np.isfinite(obs) & np.isfinite(source)
-    # apply the small ratio before the second growing Hankel factor, so
-    # the product stays in float range as long as the term itself does
-    return obs * ratio * source, usable
+    # apply the small ratio before the second growing Hankel factor, so the
+    # product stays below the overflow threshold as long as the term itself
+    # does
+    return obs * ratio * source, usable, (np.abs(ratio) >= tiny) | cancelled
 
 
 def _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
     """_series_run's terms: a complex for one order, ArithmeticError where unusable."""
     args = (rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv)
     with np.errstate(all="ignore"):
-        terms, usable = _series_run(series_id, n, *args)
-    return _usable_only(n, terms, usable, "series term")
+        terms, usable, in_range = _series_run(series_id, n, *args)
+    return _usable_only(n, terms, usable & in_range, "series term")
 
 
 def _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl):
@@ -254,10 +265,11 @@ _SUM_BLOCK = 16
 def sum_series(run, angles, n_cap):
     """specfun.sum_orders of a circular series, run(n) the terms of a run of orders.
 
-    run returns the terms of the orders n and whether each order is usable
-    (see specfun.cut_run). The sum stops at a relative tolerance of 1e-13,
-    or where terms grow beyond 1e120 times it. An unusable order n > 0, or
-    one whose term is not finite, stops it at order n - 1, with a warning.
+    run returns the terms of the orders n, whether each order is usable and,
+    optionally, whether it is in range (see specfun.cut_run). The sum stops
+    at a relative tolerance of 1e-13, or where terms grow beyond 1e120 times
+    it. An unusable or out-of-range order n > 0, or one whose term is not
+    finite, stops it at order n - 1, with a warning.
     """
 
     def cut(n):

@@ -9,6 +9,7 @@ between collocation angles, stand in for an exact reference on shapes where
 no separable solution exists.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,13 @@ def _incident_here(excitation, region):
 
 
 def ring_region(curve, rho_obs, phis, region):
-    """The one region every point of the ring lies in; region is checked if given."""
+    """The one region every point of the ring lies in; region is checked if given.
+
+    region is None, to deduce it, or the integer 1 or 2 (not a bool).
+    """
+    integer = isinstance(region, (int, np.integer)) and not isinstance(region, bool)
+    if region is not None and not (integer and region in (1, 2)):
+        raise ValueError("region must be 1 or 2")
     deduced = np.where(curve.contains(rho_obs, phis), 2, 1)
     if region is None and np.any(deduced != deduced[0]):
         raise ValueError(
@@ -94,23 +101,33 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     one-angle calls. The region is deduced from the curve when not given;
     passing one that contradicts any observation point, or leaving it out
     on a ring that crosses the boundary, raises instead of silently using
-    the wrong representation. Points exactly on the boundary count as
-    region 1. A negative or non-finite radius or a non-finite angle is
-    refused by name, and so is a point on one of the solution's radiating
-    nodes; the origin (rho_obs = 0) is a valid point.
+    the wrong representation, and a region other than 1 or 2 is refused.
+    Points exactly on the boundary count as region 1. A negative or
+    non-finite radius or a non-finite angle is refused by name, and so is
+    a point on one of the solution's radiating nodes; the origin (rho_obs =
+    0) is a valid point.
     """
     system = solution.system
     rho_obs = float(rho_obs)
     scalar = np.ndim(phi_obs) == 0
-    phis = np.atleast_1d(np.asarray(phi_obs, dtype=float))
-    if phis.ndim != 1 or not phis.size:
-        raise ValueError("phi_obs must be one angle or a non-empty 1-D array of angles")
-    if not np.isfinite(phis).all():
-        raise ValueError("observation angles must be finite")
+    if scalar:
+        phi = float(phi_obs)
+        if not math.isfinite(phi):
+            raise ValueError("observation angles must be finite")
+        phis = np.array([phi])
+    else:
+        phis = np.asarray(phi_obs, dtype=float)
+        if phis.ndim != 1 or not phis.size:
+            raise ValueError("phi_obs must be one angle or a non-empty 1-D array of angles")
+        if not np.isfinite(phis).all():
+            raise ValueError("observation angles must be finite")
     if not 0.0 <= rho_obs < np.inf:
         raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
-    xy = np.stack([rho_obs * np.cos(phis), rho_obs * np.sin(phis)], axis=-1)
+    # the points (rho cos, rho sin), written in place
+    xy = np.empty((phis.size, 2))
+    np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
+    np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])
     try:
         value = _scattered_field(solution, xy, region)
     except ValueError:  # kernels refusing a point on a radiating node
@@ -120,7 +137,7 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
         medium = system.medium1 if region == 1 else system.medium2
         value = value + incident_field(system.excitation, medium, rho_obs, phis)
     if scalar:
-        return FieldSample(rho_obs, float(phis[0]), region, complex(value[0]), system.method)
+        return FieldSample(rho_obs, phi, region, complex(value[0]), system.method)
     return FieldSample(rho_obs, phis, region, value, system.method)
 
 

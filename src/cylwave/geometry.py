@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+# where AuxiliarySurface.validate_against compares a surface with its boundary
+_CHECK_ANGLES = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
 
 
 class BoundaryCurve:
@@ -39,8 +41,8 @@ class BoundaryCurve:
             raise ValueError("circle radius must be positive")
         return cls(
             "circle",
-            lambda phi: np.full_like(np.asarray(phi, dtype=float), radius),
-            lambda phi: np.zeros_like(np.asarray(phi, dtype=float)),
+            lambda phi: np.full(np.shape(phi), radius),
+            lambda phi: np.zeros(np.shape(phi)),
             {"radius": radius},
         )
 
@@ -145,10 +147,11 @@ class AuxiliarySurface:
             raise ValueError("radius placement is only defined for circles")
         return cls.from_scale(base, float(radius) / base.params["radius"], side)
 
-    def validate_against(self, base, samples=720):
-        phi = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-        r_aux = np.asarray(self.curve.radius(phi))
-        r_base = np.asarray(base.radius(phi))
+    def validate_against(self, base):
+        """Raise ValueError unless the surface lies strictly on its side of base
+        at each of the 720 angles of _CHECK_ANGLES."""
+        r_aux = self.curve.radius(_CHECK_ANGLES)
+        r_base = base.radius(_CHECK_ANGLES)
         if self.side == "inner" and not np.all(r_aux < r_base):
             raise ValueError("inner auxiliary surface must lie strictly inside the boundary")
         if self.side == "outer" and not np.all(r_aux > r_base):
@@ -199,14 +202,24 @@ def as_count(value, name):
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
-def collocation_points(curve, N):
+def collocation_points(curve, N, *surfaces):
     """N points at phi_l = 2 pi l / N with outward unit normals.
 
-    Returns (points, normals, phis) with shapes (N, 2), (N, 2), (N,).
+    Returns (points, normals, phis) with shapes (N, 2), (N, 2), (N,),
+    followed by the points of each curve of surfaces at the same angles.
+    Every point set and the normals are formed from one cos and sin of the
+    angles, with the bits of curve.point and curve.normal.
     """
     N = as_count(N, "N")
     if N < 4:
         raise ValueError("need at least 4 collocation points")
     phis = _TWO_PI * np.arange(N) / N
-    return curve.point(phis), curve.normal(phis), phis
-
+    cos, sin = np.cos(phis), np.sin(phis)
+    r, dr = curve.radius(phis), curve.radius_deriv(phis)
+    nx = r * cos + dr * sin
+    ny = r * sin - dr * cos
+    norm = np.hypot(nx, ny)
+    normals = np.stack([nx / norm, ny / norm], axis=-1)
+    radii = [r] + [surface.radius(phis) for surface in surfaces]
+    points = [np.stack([rho * cos, rho * sin], axis=-1) for rho in radii]
+    return (points[0], normals, phis, *points[1:])

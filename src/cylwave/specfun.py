@@ -97,18 +97,32 @@ def hankel2(n, x):
         sign = _parity(n)
         n = -n
     if n <= 1:
-        j, y = _LOW_ORDER[n]
-        out = np.empty(np.shape(x), dtype=complex)
-        j(x, out=out.real)
-        y(x, out=out.imag)
-        np.negative(out.imag, out=out.imag)
+        out = hankel2_low(n, x)
         if sign < 0.0:
             np.negative(out, out=out)
     else:
         out = sign * special.hankel2(n, x)
-    if not np.isfinite(out).all():
-        raise _overflow(n, float(np.min(x)))
+        if not np.isfinite(out).all():
+            raise _overflow(n, float(np.min(x)))
     return out if out.ndim else complex(out)
+
+
+def hankel2_low(n, x):
+    """H^(2)_n(x) for n = 0 or 1 at arguments the caller has checked.
+
+    The one definition of H2_0 and H2_1: Cephes J_n and -Y_n written into
+    one complex array. x is a float or an array of floats, each positive
+    and finite (not checked here). Raises BesselOverflowError where Y_1
+    leaves the floating range, which needs a subnormal x; Y_0 cannot.
+    """
+    j, y = _LOW_ORDER[n]
+    out = np.empty(np.shape(x), dtype=complex)
+    j(x, out=out.real)
+    y(x, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    if n and not np.isfinite(out.imag).all():
+        raise _overflow(n, float(np.min(x)))
+    return out
 
 
 def _overflow(n, x):
@@ -142,9 +156,11 @@ def bessel_orders(hankel, n, x):
 
     x is one argument or an array of them; the result has shape
     np.shape(x) + n.shape. The same values, bit for bit, as bessel_j and
-    hankel2 order by order: |n| <= 1 from _LOW_ORDER, only the other orders
-    from jv or hankel2, negative orders folded by parity. A non-finite value
-    (an order where Y_n overflows) is left in place for the caller.
+    hankel2 order by order: |n| <= 1 from bessel_j's Cephes functions or
+    hankel2_low, only the other orders from jv or hankel2, negative orders
+    folded by parity. A non-finite value (an order |n| >= 2 where Y_n
+    overflows) is left in place for the caller; hankel2_low raises
+    BesselOverflowError for H2_1 at a subnormal x.
     """
     n = np.asarray(n)
     x = _check_argument(x)[..., None]
@@ -155,12 +171,8 @@ def bessel_orders(hankel, n, x):
     out[..., high] = amos(m[high], x)
     for order in (0, 1):
         at = m == order
-        j, y = _LOW_ORDER[order]
-        if hankel:
-            out.real[..., at] = j(x)
-            out.imag[..., at] = -y(x)
-        else:
-            out[..., at] = j(x)
+        if at.any():
+            out[..., at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
     if (n < 0).any():
         folded = (n < 0) & (m % 2 == 1)
         out[..., folded] = -out[..., folded]
@@ -190,15 +202,17 @@ def order_factors(n, j=None, h=None):
     return out
 
 
-def cut_run(n, terms, usable):
+def cut_run(n, terms, usable, in_range=True):
     """The terms of a run of orders n before its first unusable one, and why.
 
     The run adapter of every order series. usable is False at an order
-    whose factors overflow (or whose mode denominator underflows); a
-    non-finite term at a usable order stops the run as well. Returns the
-    terms kept and the reason, None if the whole run is kept.
+    whose factors overflow (or whose mode denominator underflows), in_range
+    False at one where a factor the term is formed from fell to 0 or below
+    the normal range, so that the term would read as converged; a
+    non-finite term stops the run as well. Returns the terms kept and the
+    reason, None if the whole run is kept.
     """
-    ok = usable & np.isfinite(terms)
+    ok = usable & in_range & np.isfinite(terms)
     if ok.all():
         return terms, None
     at = int(ok.argmin())
@@ -295,9 +309,10 @@ def _addition_sum(theta, n_max, ratio, term):
     """sum_orders of an addition series at one angle or a 1-D array of them.
 
     term(n) returns the products of radial factors at an array n of orders,
-    non-finite where an order overflows; the sum stops before the first
-    such order. Warns per angle as _warn_if_unconverged does for the radius
-    ratio of the two points. Returns the sums shaped like theta.
+    non-finite where an order overflows, and the J factor of each product;
+    the sum stops before the first such order, or the first whose J factor
+    is 0 or subnormal. Warns per angle as _warn_if_unconverged does for the
+    radius ratio of the two points. Returns the sums shaped like theta.
     """
     angles = np.asarray(theta, dtype=float)
     if angles.ndim > 1:
@@ -306,8 +321,10 @@ def _addition_sum(theta, n_max, ratio, term):
     def run(n):
         # overflowing orders may meet 0 * inf; they are cut off here
         with np.errstate(invalid="ignore", over="ignore"):
-            t = term(n)
-            return cut_run(n, t, np.isfinite(t))
+            t, j = term(n)
+            # AMOS jv returns 0 once J_n(x) falls below about 1e-293, and a
+            # zero term would read as converged
+            return cut_run(n, t, np.isfinite(t), np.abs(j) >= np.finfo(float).tiny)
 
     total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
     _warn_if_unconverged(mags[order], total, ratio)
@@ -328,9 +345,12 @@ def addition_series_h0(x1, x2, theta, n_max=60):
     if x1 == x2:
         raise ValueError("radii must differ (distance may vanish)")
     lo, hi = min(x1, x2), max(x1, x2)
-    return _addition_sum(
-        theta, n_max, lo / hi, lambda n: bessel_orders(False, n, lo) * bessel_orders(True, n, hi)
-    )
+
+    def term(n):
+        j = bessel_orders(False, n, lo)
+        return j * bessel_orders(True, n, hi), j
+
+    return _addition_sum(theta, n_max, lo / hi, term)
 
 
 def addition_series_h0_d1(x1, x2, theta, n_max=60):
@@ -345,7 +365,7 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
 
     def term(n):
         f = order_factors(n, {"j": x1}, {"h": x2})
-        return -f["j"][1] * f["h"][0]
+        return -f["j"][1] * f["h"][0], f["j"][1]
 
     return _addition_sum(theta, n_max, x1 / x2, term)
 
@@ -361,7 +381,7 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
 
     def term(n):
         f = order_factors(n, {"j": x1}, {"h": x2})
-        return -f["j"][0] * f["h"][1]
+        return -f["j"][0] * f["h"][1], f["j"][0]
 
     return _addition_sum(theta, n_max, x1 / x2, term)
 

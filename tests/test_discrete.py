@@ -78,7 +78,54 @@ def _kernel_blocks(route, n_points):
     )
 
 
+def _hankel2_kernels(k, targets, sources, normals, at_target):
+    """H0 and the normal-derivative kernel from the checked specfun.hankel2,
+    with the offsets, distances and cosines formed as kernels forms them."""
+    dx = targets[:, None, 0] - sources[None, :, 0]
+    dy = targets[:, None, 1] - sources[None, :, 1]
+    dist = np.hypot(dx, dy)
+    if at_target:
+        cos = (dx * normals[:, None, 0] + dy * normals[:, None, 1]) / dist
+    else:
+        cos = (-dx * normals[None, :, 0] - dy * normals[None, :, 1]) / dist
+    return specfun.hankel2(0, k * dist), specfun.hankel2(1, k * dist) * cos
+
+
 # -- structure ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+def test_kernels_have_the_bits_of_hankel2(route, curve):
+    # the carried columns of both routes' blocks, and a one-point field row,
+    # equal H0 and H1 read through the checked specfun.hankel2
+    aux = tuple(geometry.AuxiliarySurface.from_scale(curve, s) for s in (0.75, 1.25))
+    assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
+    system = assemble(curve, *aux, EXT, M1, M2, n_points=16)
+    nodes = system.nodes
+    cols = 1 if system.circulant else system.z11.shape[1]
+    assert cols == (1 if curve is CIRCLE else 5)
+    (k1, z1), (k2, z2) = (M1.k, M1.Z), (M2.k, M2.Z)
+    if route == "nfm":
+        src = (nodes.boundary[:cols], nodes.normals[:cols], False)
+        h1, dn1 = _hankel2_kernels(k1, nodes.inner, *src)
+        h2, dn2 = _hankel2_kernels(k2, nodes.outer, *src)
+        want = (z1 * h1, 1j * dn1, z2 * h2, 1j * dn2)
+    else:
+        h1, dn1 = _hankel2_kernels(k1, nodes.boundary, nodes.inner[:cols], nodes.normals, True)
+        h2, dn2 = _hankel2_kernels(k2, nodes.boundary, nodes.outer[:cols], nodes.normals, True)
+        want = (
+            -(k1 * z1 / 4.0) * h1,
+            +(k2 * z2 / 4.0) * h2,
+            -(1j * k1 / 4.0) * dn1,
+            +(1j * k2 / 4.0) * dn2,
+        )
+    for got, block in zip((system.z11, system.z12, system.z21, system.z22), want):
+        assert got.tobytes() == (block[:, 0] if system.circulant else block).tobytes()
+    point = np.array([[10.0 * np.cos(0.3), 10.0 * np.sin(0.3)]])
+    got = discrete.kernels(k1, point, nodes.boundary, nodes.normals)
+    want = _hankel2_kernels(k1, point, nodes.boundary, nodes.normals, False)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("n_points", [7, 8, 81])

@@ -100,6 +100,18 @@ def test_region_mismatch_raises():
         fields.field_from_discrete(ellipse, 1.8, ALIGNED)
 
 
+def test_region_must_be_the_integer_1_or_2():
+    solution = _nfm(EXT, 16)
+    for region in (1.7, 1.0, True, False, np.bool_(True), "1", 3, 0, -1, (1,)):
+        for phi_obs in (0.3, ALIGNED):
+            with pytest.raises(ValueError, match="^region must be 1 or 2$"):
+                fields.field_from_discrete(solution, 10.0, phi_obs, region=region)
+    for region in (1, np.int64(1)):
+        sample = fields.field_from_discrete(solution, 10.0, 0.3, region=region)
+        assert sample.region == 1 and type(sample.region) is int
+        assert sample.e_z == fields.field_from_discrete(solution, 10.0, 0.3).e_z
+
+
 @pytest.mark.parametrize("n_points", [10, 41, 512])
 @pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])

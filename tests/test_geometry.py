@@ -183,6 +183,32 @@ def test_kernels_reject_coincident_points():
         kernels(1.0, pts, pts)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernels_refuse_non_finite_points_by_name(bad):
+    pts, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
+    far = pts * 1.5
+    for targets, sources in ((np.array([[bad, 0.0]]), pts), (far, np.array([[0.0, bad]]))):
+        with pytest.raises(ValueError, match="points must be finite"):
+            kernels(1.0, targets, sources)
+
+
+@pytest.mark.parametrize(
+    "curve", [BoundaryCurve.circle(2.0), BoundaryCurve.ellipse(2.0, 1.6)], ids=["circle", "ellipse"]
+)
+def test_collocation_grid_has_the_bits_of_point_and_normal(curve):
+    # one cos and sin pass forms every point set and the normals
+    surfaces = (curve.scaled(0.75), curve.scaled(1.25))
+    for n in (4, 37, 512):
+        pts, nrm, phis, inner, outer = collocation_points(curve, n, *surfaces)
+        assert phis.tobytes() == (2.0 * np.pi * np.arange(n) / n).tobytes()
+        assert pts.tobytes() == curve.point(phis).tobytes()
+        assert nrm.tobytes() == curve.normal(phis).tobytes()
+        for got, surface in zip((inner, outer), surfaces):
+            assert got.tobytes() == surface.point(phis).tobytes()
+        alone = collocation_points(curve, n)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, (pts, nrm, phis)))
+
+
 def test_collocation_needs_four_points():
     with pytest.raises(ValueError):
         collocation_points(BoundaryCurve.circle(1.0), 3)

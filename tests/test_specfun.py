@@ -288,9 +288,9 @@ def test_addition_series_match_the_frozen_references(kind, monkeypatch):
     # a tolerance set from the measured gap, relative to the value. Where
     # the sum stops by order 70 the gap is at most 1.3e-14 (tolerance
     # 5e-14). Deeper sums reach the orders where AMOS's J_n(x1) underflows
-    # to zero (below about 1e-293) and may stop on those zeros, dropping
-    # terms of about (x1 / x2)^n_used; the gap measured at most 9.1 times
-    # that (tolerance 20 times).
+    # to zero (below about 1e-293) and stop before the first of them; the
+    # tolerance there is 20 times (x1 / x2)^n_used, and the gap measured at
+    # most 0.22 times that (9.1 times while the sums stopped on the zeros).
     stops = _recording_stops(monkeypatch)
     series = getattr(specfun, "addition_series_" + kind)
     warned = deep = 0
@@ -327,24 +327,65 @@ def test_addition_series_match_the_frozen_references(kind, monkeypatch):
     assert spread > 0
 
 
+@pytest.mark.parametrize("kind", ["h0", "h0_d1", "h0_d2"])
+def test_addition_series_stop_before_an_underflowed_j_factor(kind, monkeypatch):
+    # AMOS returns J_93(0.05) = 8.8e-294 as 0. The sums used to read the
+    # zero terms from there on as convergence and stop at orders 95-96,
+    # missing the closed forms by 1.7e-3, 0.72 and 1.18 with no warning.
+    # They now stop before the first zero J factor and warn, since the last
+    # nonzero term leaves a tail far above tolerance at x1 / x2 = 0.99.
+    stops = _recording_stops(monkeypatch)
+    x1, x2, theta = 0.05, 0.0505, 0.4
+    series = getattr(specfun, "addition_series_" + kind)
+    value, caught = _series_and_warnings(series, x1, x2, theta, 400)
+    _, order, _, converged, warning = stops[-1]
+    stop = int(order[0]) + 1
+    assert not converged[0]
+    assert warning == ["series truncated at n=%d by floating-point range" % stop]
+    assert len(caught) == 1 and caught[0].startswith("addition series tail estimate")
+    # the order it stops at is the first whose J factor reads 0
+    f = specfun.order_factors(np.array([stop - 1, stop]), {"j": x1})["j"]
+    j_factor = f[1] if kind == "h0_d1" else f[0]
+    assert j_factor[0] != 0.0 and j_factor[1] == 0.0
+    want, _, _ = frozen_series.ADDITION[(kind, x1, x2, theta, 400)]
+    assert abs(value - want) <= 20.0 * (x1 / x2) ** (stop - 1) * abs(want)
+    d = _distance(x1, x2, theta)
+    closed = {
+        "h0": specfun.hankel2(0, d),
+        "h0_d1": (x1 - x2 * np.cos(theta)) / d * specfun.hankel2(1, d),
+        "h0_d2": (x2 - x1 * np.cos(theta)) / d * specfun.hankel2(1, d),
+    }[kind]
+    assert abs(value - closed) > 1e-3 * abs(closed)
+
+
 def _families():
-    """Synthetic term families: array terms for the addition path (non-finite
-    where an order overflows), with the overflowing order, if any."""
+    """Synthetic term families for the addition path, each with the order
+    where it must stop, if any: term(n) returns the terms (non-finite where
+    an order overflows) and their J factors (0 where one underflows)."""
+
+    def plain(terms):
+        return lambda n: (terms(n), np.ones(n.shape))
 
     def decaying(rate):
-        return lambda n: (0.3 - 0.7j) * rate**n
+        return plain(lambda n: (0.3 - 0.7j) * rate**n)
 
     def cancelling(n):
         # -2 + 2 * 1 * cos(0) sums to exactly zero at angle 0
-        return np.where(n == 0, -2.0, np.where(n == 1, 1.0, 0.6**n * (1 + 1j)))
+        return np.where(n == 0, -2.0, np.where(n == 1, 1.0, 0.6**n * (1 + 1j))), np.ones(n.shape)
 
     def overflowing(order, rate):
-        return lambda n: np.where(n == order, complex("inf"), rate**n * (1 - 2j))
+        return plain(lambda n: np.where(n == order, complex("inf"), rate**n * (1 - 2j)))
+
+    def underflowing(order, rate):
+        # the J factor reads 0 from order on, and so does the term
+        return lambda n: (np.where(n >= order, 0.0, rate**n * (1 - 2j)), (n < order) * 1.0)
 
     families = [(decaying(r), None) for r in (0.1, 0.125, 0.14, 0.3, 0.5, 0.8)]
     families += [(cancelling, None)]
-    # overflow in the middle of the first and of the second run, and at order 0
+    # overflow or underflow in the middle of the first and of the second
+    # run, and overflow at order 0
     families += [(overflowing(k, 0.97), k) for k in (21, 40)] + [(overflowing(0, 0.5), 0)]
+    families += [(underflowing(k, 0.97), k) for k in (21, 40)]
     return families
 
 
@@ -359,10 +400,13 @@ def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch
     for term, overflow in _families():
 
         def one_order(n, term=term):
-            t = complex(term(np.array([n]))[0])
+            t, j = term(np.array([n]))
+            t = complex(t[0])
             if not cmath.isfinite(t):
                 raise specfun.BesselOverflowError("order %d overflows" % n)
-            return t
+            # the loop stops at a non-finite term, as the path does at a
+            # J factor of 0
+            return t if j[0] else complex("nan")
 
         for cap in (0, 1, 31, 32, 33, 64, 500):
             if overflow == 0:
@@ -452,6 +496,25 @@ def test_order_table_reads_have_the_bits_of_the_scalar_functions(monkeypatch):
                             assert not cmath.isfinite(value), (read, order, x)
                             continue
                         assert np.array([value]).tobytes() == np.array([want]).tobytes()
+
+
+def test_low_orders_have_one_definition():
+    # bessel_orders at orders -1, 0 and 1, hankel2 and hankel2_low give the
+    # same bits: H2_0 and H2_1 are written by hankel2_low alone
+    x = np.array([1e-3, 0.3, 2.0, 7.5, 40.0, 1e4])
+    n = np.array([-1, 0, 1])
+    table = specfun.bessel_orders(True, n, x)
+    j_table = specfun.bessel_orders(False, n, x)
+    for column, order in enumerate(n.tolist()):
+        want = specfun.hankel2(order, x)
+        assert table[:, column].tobytes() == want.tobytes()
+        assert j_table[:, column].tobytes() == specfun.bessel_j(order, x).tobytes()
+        for value, point in zip(want.tolist(), x.tolist()):
+            assert specfun.hankel2(order, point) == value
+        if order >= 0:
+            assert specfun.hankel2_low(order, x).tobytes() == want.tobytes()
+    with pytest.raises(specfun.BesselOverflowError):
+        specfun.hankel2_low(1, np.array([1.0, 1e-310]))
 
 
 def test_bessel_orders_takes_an_argument_array():
