@@ -220,6 +220,8 @@ def collocation_points(curve, N, *surfaces):
     ny = r * sin - dr * cos
     norm = np.hypot(nx, ny)
     normals = np.stack([nx / norm, ny / norm], axis=-1)
-    radii = [r] + [surface.radius(phis) for surface in surfaces]
-    points = [np.stack([rho * cos, rho * sin], axis=-1) for rho in radii]
-    return (points[0], normals, phis, *points[1:])
+
+    def points(rho):
+        return np.stack([rho * cos, rho * sin], axis=-1)
+
+    return (points(r), normals, phis) + tuple(points(s.radius(phis)) for s in surfaces)
