@@ -124,7 +124,6 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     if not 0.0 <= rho_obs < np.inf:
         raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
-    # the points (rho cos, rho sin), written in place
     xy = np.empty((phis.size, 2))
     np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
     np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])

@@ -26,6 +26,9 @@ series for every angle asked for in one pass, with the same bits and the
 same stop order as the order-by-order sum at each angle; cut_run ends a run
 at its first unusable order.
 
+Kernel matrices check their arguments once and read hankel2_low, the one
+definition of H2_0 and H2_1, which hankel2 and bessel_orders read too.
+
 Only real arguments are supported (every wavenumber in the package is real).
 """
 
