@@ -201,29 +201,28 @@ def _series_run(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv
     (j2, jp2), (h1, hp1) = f["j2"], f["h1"]
     delta, usable = _denominator(medium1, medium2, j2, jp2, h1, hp1)
 
-    # only the ratio depends on the series; p and q are boundary mismatches
-    tiny, cancelled = np.finfo(float).tiny, False
-    if series_id in ("ext_R1", "int_R2"):
-        if series_id == "ext_R1":
-            j1, jp1 = f["j1"]
-            p, q = z1 * jp2 * j1, z2 * j2 * jp1
-        else:
-            h2, hp2 = f["h2"]
-            p, q = z1 * h1 * hp2, z2 * hp1 * h2
-            usable &= np.isfinite(h2) & np.isfinite(hp2)
-        ratio = (p - q) / delta
-        # equal media cancel p and q exactly: a true zero, unlike a ratio
-        # that fell below the normal range and lost its digits
-        cancelled = (p == q) & (np.abs(p) >= tiny)
+    # only the ratio depends on the series; p - q is the boundary mismatch
+    if series_id == "ext_R1":
+        j1, jp1 = f["j1"]
+        p, q = z1 * jp2 * j1, z2 * j2 * jp1
+    elif series_id == "int_R2":
+        h2, hp2 = f["h2"]
+        p, q = z1 * h1 * hp2, z2 * hp1 * h2
+        usable &= np.isfinite(h2) & np.isfinite(hp2)
     else:
-        ratio = 1j * z1 * z2 / delta
+        p, q = 1j * z1 * z2, 0.0
+    ratio = (p - q) / delta
+    # equal media cancel p and q exactly: a true zero, unlike a ratio that
+    # fell below the normal range and lost its digits
+    tiny = np.finfo(float).tiny
+    in_range = (np.abs(ratio) >= tiny) | ((p == q) & (np.abs(p) >= tiny))
     obs = (k1 if outside else k2) * f["obs"][1] if deriv else f["obs"][0]
     source = f["source"][0]
     usable &= np.isfinite(obs) & np.isfinite(source)
     # apply the small ratio before the second growing Hankel factor, so the
     # product stays below the overflow threshold as long as the term itself
     # does
-    return obs * ratio * source, usable, (np.abs(ratio) >= tiny) | cancelled
+    return obs * ratio * source, usable, in_range
 
 
 def _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
