@@ -48,6 +48,10 @@ class Medium:
         for name in ("eps_r", "mu_r"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError("%s must be positive and finite" % name)
+        # the incident field and the layer operators read H_n(k r) unchecked
+        # once r is checked, so k must be positive and finite itself
+        if not (0.0 < self.eps_r * self.mu_r < np.inf and 0.0 < self.mu_r / self.eps_r < np.inf):
+            raise ValueError("eps_r and mu_r must give a positive, finite k and Z")
 
     # computed on first use and kept: every kernel and series term reads them
     @cached_property
@@ -118,13 +122,16 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
     d = _source_distance(excitation, rho_obs, phi_obs)
     if excitation.amplitude == 0:
         return np.zeros(np.shape(d), dtype=complex)[()]
-    return incident_prefactor(medium) * excitation.amplitude * specfun.hankel2(0, medium.k * d)
+    return incident_prefactor(medium) * excitation.amplitude * specfun.hankel2_low(0, medium.k * d)
 
 
 def _source_distance(excitation, rho_obs, phi_obs):
-    """Distance from the filament, refusing a point that coincides with it."""
+    """Distance from the filament, refusing a non-finite one and a point that
+    coincides with the filament: H0 and H1 read it unchecked."""
     psi = phi_obs - excitation.phi
     d = np.sqrt(rho_obs**2 + excitation.rho**2 - 2.0 * rho_obs * excitation.rho * np.cos(psi))
+    if not np.isfinite(d).all():
+        raise ValueError("argument must be finite")
     if np.any(d < 1e-12 * max(excitation.rho, rho_obs, 1.0)):
         raise ValueError("observation point coincides with the source filament")
     return d
@@ -140,7 +147,7 @@ def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     """d/d rho_obs of the incident field (term-free, used for H_tan checks)."""
     d = _source_distance(excitation, rho_obs, phi_obs)
     dd_drho = (rho_obs - excitation.rho * np.cos(phi_obs - excitation.phi)) / d
-    h1 = -medium.k * specfun.hankel2(1, medium.k * d)
+    h1 = -medium.k * specfun.hankel2_low(1, medium.k * d)
     return incident_prefactor(medium) * excitation.amplitude * h1 * dd_drho
 
 
@@ -414,9 +421,15 @@ def term_ratio_probe(
     return t / predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil)
 
 
+def check_region(region):
+    """Raise ValueError unless region is the integer 1 or 2 (not a bool)."""
+    integer = isinstance(region, (int, np.integer)) and not isinstance(region, bool)
+    if not (integer and region in (1, 2)):
+        raise ValueError("region must be 1 or 2")
+
+
 def series_id_for(excitation, region):
     """Series identifier for a source side and observation region."""
-    if region not in (1, 2):
-        raise ValueError("region must be 1 or 2")
+    check_region(region)
     side = "ext" if excitation.region == "external" else "int"
     return side + "_R%d" % region

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, specfun
-from .exact import incident_field, incident_prefactor
+from .exact import check_region, incident_field, incident_prefactor
 from .discrete import kernels
 
 _TWO_PI = 2.0 * np.pi
@@ -73,9 +73,8 @@ def ring_region(curve, rho_obs, phis, region):
 
     region is None, to deduce it, or the integer 1 or 2 (not a bool).
     """
-    integer = isinstance(region, (int, np.integer)) and not isinstance(region, bool)
-    if region is not None and not (integer and region in (1, 2)):
-        raise ValueError("region must be 1 or 2")
+    if region is not None:
+        check_region(region)
     deduced = np.where(curve.contains(rho_obs, phis), 2, 1)
     if region is None and np.any(deduced != deduced[0]):
         raise ValueError(
@@ -324,13 +323,14 @@ def _layer_operators(grid, k, rows):
     """
     dist, nrm, speed = grid["dist"], grid["nrm"], grid["speed"]
     rdist, rdx, rdy, rnrm = dist[rows], grid["dx"][rows], grid["dy"][rows], nrm[rows]
-    # J_n is the real part that specfun.hankel2 writes, so it is read from H_n
-    h0 = specfun.hankel2(0, k * dist)
+    # the distances are positive (1 on the diagonal) and finite, so H_n is
+    # read unchecked; J_n is its real part
+    h0 = specfun.hankel2_low(0, k * dist)
     log_h0 = (-1j / np.pi) * h0.real
     np.fill_diagonal(log_h0, -1j / np.pi)
     h0_diag = 1.0 - (2j / np.pi) * (np.euler_gamma + np.log(0.5 * k * speed))
     single = _product_rule(grid, h0, log_h0, h0_diag)
-    h1 = specfun.hankel2(1, k * rdist)
+    h1 = specfun.hankel2_low(1, k * rdist)
     log_h1 = (-1j / np.pi) * h1.real
     cos_src = -(rdx * nrm[None, :, 0] + rdy * nrm[None, :, 1]) / rdist
     cos_tgt = (rdx * rnrm[:, None, 0] + rdy * rnrm[:, None, 1]) / rdist

@@ -10,10 +10,14 @@ positive argument, together with two classical facts:
 
 Evaluation is delegated to scipy.special; this module adds the argument
 checking, parity folding for negative orders, and overflow tagging that the
-rest of the package relies on. Orders 0 and 1, which fill every kernel
-matrix, come from the real functions j0, y0, j1 and y1 (Cephes); higher
-orders from jv and hankel2 (AMOS). All functions accept scalars or numpy
-arrays for the argument and are safe to call concurrently.
+rest of the package relies on. Integer-order values are formed in two
+places: hankel2_low writes H2_0 and H2_1 from the real functions j0, y0, j1
+and y1 (Cephes) at arguments its caller has checked, and bessel_orders
+forms any integer order after checking its arguments, |n| <= 1 from the
+same Cephes functions (H2 through hankel2_low), higher orders from jv and
+hankel2 (AMOS). bessel_j and hankel2 each read one order of bessel_orders.
+All functions accept scalars or numpy arrays for the argument and are safe
+to call concurrently.
 
 Kernel matrices pass arrays of arguments. The order series need many orders
 at a few fixed arguments instead: bessel_orders evaluates an array of orders
@@ -26,8 +30,8 @@ series for every angle asked for in one pass, with the same bits and the
 same stop order as the order-by-order sum at each angle; cut_run ends a run
 at its first unusable order.
 
-Kernel matrices check their arguments once and read hankel2_low, the one
-definition of H2_0 and H2_1, which hankel2 and bessel_orders read too.
+Kernel matrices, the incident field and the layer operators check their
+arguments themselves and read hankel2_low directly.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
@@ -53,11 +57,6 @@ def _check_argument(x):
     return x
 
 
-def _parity(n):
-    """(-1)^n sign folding for negative orders."""
-    return -1.0 if (n % 2) else 1.0
-
-
 # Real J_n and Y_n for the two orders every kernel matrix needs; several times
 # cheaper than the complex hankel2/jv, which stay in use for |n| >= 2.
 _LOW_ORDER = {0: (special.j0, special.y0), 1: (special.j1, special.y1)}
@@ -66,47 +65,24 @@ _LOW_ORDER = {0: (special.j0, special.y0), 1: (special.j1, special.y1)}
 def bessel_j(n, x):
     """Bessel function J_n(x) for integer n (any sign) and real x > 0.
 
-    Parameters
-    ----------
-    n : int
-        Order. Negative orders are folded with J_{-n} = (-1)^n J_n.
-    x : float or ndarray
-        Argument, strictly positive.
-
-    Returns
-    -------
-    float or ndarray
+    One order of bessel_orders, with its bits: a float for a scalar x, an
+    array shaped like x otherwise.
     """
-    n = int(n)
-    x = _check_argument(x)
-    sign = 1.0
-    if n < 0:
-        sign = _parity(n)
-        n = -n
-    out = sign * (_LOW_ORDER[n][0](x) if n <= 1 else special.jv(n, x))
+    out = bessel_orders(False, np.array([int(n)]), x)[..., 0]
     return out if out.ndim else float(out)
 
 
 def hankel2(n, x):
     """Outgoing Hankel function H^(2)_n(x) = J_n(x) - i Y_n(x).
 
+    One order of bessel_orders, with its bits, as bessel_j reads J_n.
     Raises BesselOverflowError instead of returning infinities when the
     Y_n part leaves the floating range (n much larger than x).
     """
     n = int(n)
-    x = _check_argument(x)
-    sign = 1.0
-    if n < 0:
-        sign = _parity(n)
-        n = -n
-    if n <= 1:
-        out = hankel2_low(n, x)
-        if sign < 0.0:
-            np.negative(out, out=out)
-    else:
-        out = sign * special.hankel2(n, x)
-        if not np.isfinite(out).all():
-            raise _overflow(n, float(np.min(x)))
+    out = bessel_orders(True, np.array([n]), x)[..., 0]
+    if not np.isfinite(out).all():
+        raise _overflow(abs(n), float(np.min(x)))
     return out if out.ndim else complex(out)
 
 
@@ -114,9 +90,10 @@ def hankel2_low(n, x):
     """H^(2)_n(x) for n = 0 or 1 at arguments the caller has checked.
 
     The one definition of H2_0 and H2_1: Cephes J_n and -Y_n written into
-    one complex array. x is a float or an array of floats, each positive
-    and finite (not checked here). Raises BesselOverflowError where Y_1
-    leaves the floating range, which needs a subnormal x; Y_0 cannot.
+    one complex array, a complex for a scalar x as hankel2 gives. x is a
+    float or an array of floats, each positive and finite (not checked
+    here). Raises BesselOverflowError where Y_1 leaves the floating range,
+    which needs a subnormal x; Y_0 cannot.
     """
     j, y = _LOW_ORDER[n]
     out = np.empty(np.shape(x), dtype=complex)
@@ -125,7 +102,7 @@ def hankel2_low(n, x):
     np.negative(out.imag, out=out.imag)
     if n and not np.isfinite(out.imag).all():
         raise _overflow(n, float(np.min(x)))
-    return out
+    return out if out.ndim else complex(out)
 
 
 def _overflow(n, x):
@@ -158,12 +135,12 @@ def bessel_orders(hankel, n, x):
     """J_n(x), or H2_n(x) if hankel, over a 1-D integer order array n at every x.
 
     x is one argument or an array of them; the result has shape
-    np.shape(x) + n.shape. The same values, bit for bit, as bessel_j and
-    hankel2 order by order: |n| <= 1 from bessel_j's Cephes functions or
-    hankel2_low, only the other orders from jv or hankel2, negative orders
-    folded by parity. A non-finite value (an order |n| >= 2 where Y_n
-    overflows) is left in place for the caller; hankel2_low raises
-    BesselOverflowError for H2_1 at a subnormal x.
+    np.shape(x) + n.shape. The one evaluator of integer orders: |n| <= 1
+    from the Cephes functions of _LOW_ORDER (H2 through hankel2_low), only
+    the other orders from jv or hankel2, negative orders folded by parity.
+    A non-finite value (an order |n| >= 2 where Y_n overflows) is left in
+    place for the caller; hankel2_low raises BesselOverflowError for H2_1
+    at a subnormal x.
     """
     n = np.asarray(n)
     x = _check_argument(x)[..., None]
@@ -312,10 +289,11 @@ def _addition_sum(theta, n_max, ratio, term):
     """sum_orders of an addition series at one angle or a 1-D array of them.
 
     term(n) returns the products of radial factors at an array n of orders,
-    non-finite where an order overflows, and the J factor of each product;
-    the sum stops before the first such order, or the first whose J factor
-    is 0 or subnormal. Warns per angle as _warn_if_unconverged does for the
-    radius ratio of the two points. Returns the sums shaped like theta.
+    non-finite where an order overflows, and of the J values each product
+    is formed from the one AMOS flushes to 0 first; the sum stops before
+    the first such order, or the first where that J value is 0 or
+    subnormal. Warns per angle as _warn_if_unconverged does for the radius
+    ratio of the two points. Returns the sums shaped like theta.
     """
     angles = np.asarray(theta, dtype=float)
     if angles.ndim > 1:
@@ -368,7 +346,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
 
     def term(n):
         f = order_factors(n, {"j": x1}, {"h": x2})
-        return -f["j"][1] * f["h"][0], f["j"][1]
+        # J'_n = (J_{n-1} - J_{n+1}) / 2 loses a half once J_{n+1} reads 0
+        return -f["j"][1] * f["h"][0], bessel_orders(False, n + 1, x1)
 
     return _addition_sum(theta, n_max, x1 / x2, term)
 

@@ -42,6 +42,14 @@ def test_medium_rejects_non_finite_values_naming_the_field(bad):
         Medium(4.2, bad)
 
 
+@pytest.mark.parametrize("eps_r, mu_r", [(1e-200, 1e-200), (1e200, 1e200), (1e-200, 1e200)])
+def test_medium_rejects_a_wavenumber_or_impedance_out_of_range(eps_r, mu_r):
+    # each value is in range, but k = sqrt(eps_r mu_r) or Z = sqrt(mu_r /
+    # eps_r) is 0 or inf, which the incident field would turn into nan
+    with pytest.raises(ValueError, match="must give a positive, finite k and Z"):
+        Medium(eps_r, mu_r)
+
+
 def test_critical_radius():
     assert critical_radius(2.0, 4.0) == pytest.approx(1.0)
     assert critical_radius(2.0, 1.0) == pytest.approx(4.0)
@@ -268,6 +276,26 @@ def test_incident_field_keeps_the_shape_of_its_angles():
         flat = field(exc, M2, 2.5, grid.ravel())
         assert got.shape == (2, 3)
         assert got.tobytes() == flat.reshape(2, 3).tobytes()
+
+
+def test_incident_fields_refuse_non_finite_points():
+    # the distance check that lets them read hankel2_low refuses what the
+    # checked hankel2 refused before
+    exc = Excitation("external", 4.0, phi=0.5)
+    for field in (exact.incident_field, exact._incident_radial_deriv):
+        for rho_obs, phi_obs in ((1.0, np.nan), (np.inf, 0.2), (np.inf, np.array([0.5, 3.0]))):
+            # inf - inf in the distance is the point of the case, not news
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="^argument must be finite$"):
+                    field(exc, M1, rho_obs, phi_obs)
+
+
+def test_regions_other_than_the_integers_1_and_2_are_refused():
+    for region in (True, 1.0, 3, "1"):
+        with pytest.raises(ValueError, match="^region must be 1 or 2$"):
+            exact.exact_ring(EXT, region, 10.0, [0.0], RHO_CYL, M1, M2)
+        with pytest.raises(ValueError, match="^region must be 1 or 2$"):
+            exact_field(EXT, region, 10.0, 0.0, RHO_CYL, M1, M2)
 
 
 def test_series_id_for():

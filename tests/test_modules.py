@@ -1,13 +1,16 @@
 """Each library module keeps its private names to itself, its public names
-have readers outside the tests, and the package has one FFT library."""
+have readers outside the tests, the package has one FFT library, and one
+module evaluates Bessel functions."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cylwave"
-# public library names that only the tests read: each is a reference the
-# tests compare the library's own route against
+# public library names that only the tests read: the first three are
+# references the tests compare the library's own route against;
+# specfun.bessel_j is a one-order read of specfun.bessel_orders that only
+# the tests use, not an independent reference
 TEST_REFERENCES = {
     "exact.mode_denominator",
     "specfun.addition_series_h0_d1",
@@ -86,16 +89,42 @@ def test_no_module_imports_scipy_fft():
     assert offenders == set()
 
 
+def test_one_module_and_one_evaluator_name_the_bessel_functions():
+    # integer-order Bessel values are formed only in specfun's _LOW_ORDER,
+    # hankel2_low and bessel_orders: no other module imports scipy.special,
+    # and no other top-level definition of specfun reads it or _LOW_ORDER
+    importers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(name.split(".")[:2] == ["scipy", "special"] for name in _imported_modules(path))
+    }
+    assert importers == {"specfun.py"}
+    tree = ast.parse((SRC / "specfun.py").read_text())
+    naming = set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                reads = sub.value.id == "special"
+            else:
+                reads = isinstance(sub, ast.Name) and sub.id == "_LOW_ORDER"
+                reads = reads and isinstance(sub.ctx, ast.Load)
+            if reads:
+                naming.update(_top_level_names(node))
+    assert naming == {"_LOW_ORDER", "hankel2_low", "bessel_orders"}
+
+
+def _top_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+    return []
+
+
 def _public_top_level_names(tree):
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [target.id for target in targets if isinstance(target, ast.Name)]
-        else:
-            names = []
-        yield from (name for name in names if not name.startswith("_"))
+        yield from (name for name in _top_level_names(node) if not name.startswith("_"))
 
 
 def _referenced_names(tree):
