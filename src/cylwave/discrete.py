@@ -423,11 +423,11 @@ def _lu_factor(a):
     Returns ((lu, piv), ||a||_inf, rcond); rcond is gecon's estimate of
     1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon fails.
     """
+    a_norm = np.linalg.norm(a, np.inf)  # before the LU copy: its |a| scratch is gone by then
     lu, piv = linalg.lu_factor(a)
     if not np.all(np.isfinite(lu)) or np.any(np.diagonal(lu) == 0.0):
         raise ArithmeticError("system is singular to working precision")
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
-    a_norm = np.linalg.norm(a, np.inf)
     rcond, info = gecon(lu, a_norm, norm="I")
     return (lu, piv), a_norm, float(rcond) if info == 0 else 0.0
 
@@ -465,23 +465,56 @@ def _with_shared(system, shared):
 def _d2_rows(carried, m):
     """Rows g.p of an (N, ...) array for g = id, R, S, RS and the representatives p < m.
 
-    id, R and RS read runs of rows (0 up, N/2 up and N/2 down), taken as
-    views; only S's rows 0, N-1, N-2, ... wrap round and are gathered.
+    All are views. id, R and RS read runs of rows (0 up, N/2 up and N/2
+    down). S's rows 0, N-1, N-2, ... wrap round, so S comes as the pair
+    (row 0, the run N-1 down to N-m+1 of p = 1..m-1).
     """
     n = carried.shape[0]
     h = n // 2
-    return carried[:m], carried[h:h + m], carried[-np.arange(m) % n], carried[h:h - m:-1]
+    mirror = (carried[:1], carried[n - 1:n - m:-1])
+    return carried[:m], carried[h:h + m], mirror, carried[h:h - m:-1]
 
 
 _PLUS_MINUS = {1: np.add, -1: np.subtract}
 
 
-def _d2_sum(chi, rows, index, out):
-    """out = sum_g chi(g) rows[g][index], left to right: ((Z_id +- Z_R) +- Z_S) +- Z_RS."""
-    ident, r, s, rs = (z[index] for z in rows)
-    _PLUS_MINUS[chi[1]](ident, r, out=out)
-    _PLUS_MINUS[chi[2]](out, s, out=out)
-    _PLUS_MINUS[chi[3]](out, rs, out=out)
+def _d2_sum(chi, rows, run, out, cols=slice(None)):
+    """out = sum_g chi(g) rows[g][run, cols], left to right: ((Z_id +- Z_R) +- Z_S) +- Z_RS.
+
+    run is a slice of representatives p; S adds its row 0 to p = 0 and its
+    run to the p >= 1, which changes no sum's order.
+    """
+    ident, r, (s_head, s_tail), rs = rows
+    _PLUS_MINUS[chi[1]](ident[run, cols], r[run, cols], out=out)
+    mirror = _PLUS_MINUS[chi[2]]
+    head = int(run.start == 0)  # the rows of out that S's row 0 serves
+    mirror(out[:head], s_head[:head, cols], out=out[:head])
+    mirror(out[head:], s_tail[run.start + head - 1:run.stop - 1, cols], out=out[head:])
+    _PLUS_MINUS[chi[3]](out, rs[run, cols], out=out)
+
+
+def _d2_character(chi, run, stab, blocks, rhs, parts):
+    """Form, factor and solve the system of character chi on the representatives run.
+
+    Writes x_chi and M_chi x_chi of every right side into parts[:, :, :, run]
+    and returns (||M_chi||_inf, rcond). M_chi and its LU die on return, so
+    the next character's system is never formed while they are alive.
+    """
+    k = run.stop - run.start
+    mat = np.empty((2, k, 2, k), dtype=complex)  # (row block, p, column block, l)
+    for i, rows in enumerate(blocks):
+        _d2_sum(chi, rows, run, mat[i // 2, :, i % 2], run)
+    stabilised = stab[run] > 1
+    mat[..., stabilised] /= stab[run][stabilised]
+    mat = mat.reshape(2 * k, 2 * k)
+    factors, m_norm, rcond = _lu_factor(mat)
+    for rows, part in zip(rhs, parts):
+        b = np.empty((2, k), dtype=complex)
+        _d2_sum(chi, rows, run, b.T)
+        b /= 4.0
+        x_chi = _lu_solve(mat, factors, rcond, b.ravel())
+        part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
+    return m_norm, rcond
 
 
 def _d2_solve(systems):
@@ -494,8 +527,9 @@ def _d2_solve(systems):
     character that admits no representative ((chi(R), chi(S)) = (+, -) at
     N = 4) has no system and is skipped. The solution is x[g.l] = sum_chi chi(g)
     x_chi[l], and A x is recombined from the M_chi x_chi the same way. Each
-    M_chi is formed and factored once, one character at a time, and solved
-    for the b_chi of every system.
+    M_chi is formed and factored once, solved for the b_chi of every system
+    and released before the next is formed (_d2_character), so besides the
+    carried blocks one system and its LU are alive at a time.
 
     Bit-identity contract: each sum runs over g = id, R, S, RS from left
     to right, ((Z_id +- Z_R) +- Z_S) +- Z_RS, before any division. Then
@@ -524,20 +558,8 @@ def _d2_solve(systems):
         if keep.size == 0:
             continue
         # only 0 and N/4 have a stabiliser beyond id, so keep is a run
-        run, k = slice(keep[0], keep[-1] + 1), keep.size
-        mat = np.empty((2, k, 2, k), dtype=complex)  # (row block, p, column block, l)
-        for i, rows in enumerate(blocks):
-            _d2_sum(chi, rows, (run, run), mat[i // 2, :, i % 2])
-        stabilised = stab[run] > 1
-        mat[..., stabilised] /= stab[run][stabilised]
-        mat = mat.reshape(2 * k, 2 * k)
-        factors, m_norm, rcond = _lu_factor(mat)
-        for rows, part in zip(rhs, parts[:, c]):
-            b = np.empty((2, k), dtype=complex)
-            _d2_sum(chi, rows, run, b.T)
-            b /= 4.0
-            x_chi = _lu_solve(mat, factors, rcond, b.ravel())
-            part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
+        run = slice(int(keep[0]), int(keep[-1]) + 1)
+        m_norm, rcond = _d2_character(chi, run, stab, blocks, rhs, parts[:, c])
         norms.append(m_norm)
         inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
     pairs = []

@@ -454,6 +454,26 @@ def test_d2_split_stays_within_its_memory_at_n_512():
     assert peak < 8 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("n_points, bound", [(256, 1.25), (257, 1.10)], ids=["d2", "full-lu"])
+def test_dense_solve_holds_one_system_and_its_lu(n_points, bound):
+    # Above the assembled blocks, a D2 solve holds one character system and
+    # its LU at a time (the largest has 2 (N/4 + 1) unknowns), and a full LU
+    # the 2N x 2N matrix and its LU. The finiteness checks and the right
+    # sides add 11% and 3%; a second system or the norm's |a| scratch
+    # alive next to them would add 100% and 25%.
+    system = discrete.assemble_nfm(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=n_points)
+    assert system.d2 == (n_points % 2 == 0)
+    unknowns = 2 * system.z11.shape[1]
+    held = 2 * unknowns**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        discrete.solve_dense(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * held, peak / held
+
+
 def _ring_fields(solution):
     return np.array([fields.field_from_discrete(solution, rho, phi, region=region).e_z
                      for rho, region, phi in ELL_RINGS])
