@@ -41,8 +41,9 @@ print()
 print("placement      predicted            flagged after solving N = 40, 46")
 for inner in (0.5, 1.35, 1.8):
     for outer in (2.5, 3.2, 7.0):
-        predictions = diagnostics.predict_mas_divergence(EXT.region, inner, outer, 2.0, EXT.rho)
-        scan = diagnostics.oscillation_scan("mas", placed(inner, outer), EXT, (M1, M2), (40, 46))
+        geometry = placed(inner, outer)
+        predictions = diagnostics.predict_mas_divergence(geometry, EXT)
+        scan = diagnostics.oscillation_scan("mas", geometry, EXT, (M1, M2), (40, 46))
         flagged = scan.flagged_surfaces()
         verdicts = "/".join(predictions.values())
         observed = ", ".join(flagged) if flagged else "none"

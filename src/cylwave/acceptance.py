@@ -180,9 +180,7 @@ def mas_flags_follow_placement():
             scans = diagnostics.oscillation_scan("mas", geo, excitations, (M1, M2), (40, 46))
             for exc, scan in zip(excitations, scans):
                 flagged = scan.flagged_surfaces()
-                for surface, verdict in diagnostics.predict_mas_divergence(
-                    exc.region, inner, outer, RHO_CYL, exc.rho
-                ).items():
+                for surface, verdict in diagnostics.predict_mas_divergence(geo, exc).items():
                     total += 1
                     matches += (surface in flagged) == (verdict == "diverges")
             scans = diagnostics.oscillation_scan("nfm", geo, excitations, (M1, M2), (40, 46))

@@ -526,13 +526,7 @@ def cmd_sweep(config):
     _report_series_trust(sweep.references)
     predicted = {}
     if config.method == "mas" and config.curve.kind == "circle":
-        predicted = diagnostics.predict_mas_divergence(
-            config.excitation.region,
-            config.aux_inner.curve.params["radius"],
-            config.aux_outer.curve.params["radius"],
-            config.curve.params["radius"],
-            config.excitation.rho,
-        )
+        predicted = diagnostics.predict_mas_divergence(config.geometry(), config.excitation)
     header = [
         "n_points",
         "surface",

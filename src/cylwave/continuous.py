@@ -13,7 +13,7 @@ systems of a whole run of modes at once, from one specfun.order_factors
 call, and is summed by exact.sum_series.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ class DensityCoefficients:
 def _solve_modes(n, excitation, rho_cyl, medium1, medium2, j=None, h=None):
     """Density coefficients of the orders n, whether each order is usable, and the factors.
 
+    Those of a source at angle 0; mode_solve applies the source rotation.
     One specfun.order_factors call reads the boundary and source factors
     and those named in j and h. An order is unusable where a Hankel factor
     overflows or the matching system is singular.
@@ -57,9 +58,8 @@ def _solve_modes(n, excitation, rho_cyl, medium1, medium2, j=None, h=None):
     source = excitation.amplitude * f["source"][0] / (_TWO_PI * rho_cyl)
     usable = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(source) & (np.abs(det) >= DET_FLOOR)
     b1, b2 = (-source, 0.0) if external else (0.0, source)
-    rot = np.exp(-1j * n * excitation.phi)
-    electric = (b1 * a22 - a12 * b2) / det * rot
-    magnetic = (a11 * b2 - b1 * a21) / det * rot
+    electric = (b1 * a22 - a12 * b2) / det
+    magnetic = (a11 * b2 - b1 * a21) / det
     return (electric, magnetic), usable, f
 
 
@@ -79,6 +79,8 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
         (electric, magnetic), usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
     if not usable.all():
         raise ArithmeticError("matching system unusable at mode n=%d" % n.flat[np.argmin(usable)])
+    rot = np.exp(-1j * n * excitation.phi)
+    electric, magnetic = electric * rot, magnetic * rot
     if n.ndim:
         return DensityCoefficients(n, electric, magnetic)
     return DensityCoefficients(int(n), complex(electric), complex(magnetic))
@@ -93,7 +95,6 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     (or its reciprocal for an interior source), so the series converges for
     every source position strictly off the boundary.
     """
-    base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
     psi = np.ravel(np.asarray(phi, dtype=float) - excitation.phi)
 
@@ -104,7 +105,7 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     def series(which):
         def run(n):
             if n[0] not in solved:
-                coefficients, usable, _ = _solve_modes(n, base, rho_cyl, medium1, medium2)
+                coefficients, usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
                 solved[n[0]] = coefficients, usable
             coefficients, usable = solved[n[0]]
             return coefficients[which], usable
@@ -150,7 +151,6 @@ def reconstruct_fields_from_densities(
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
     shape = np.shape(phi_obs)
-    base = replace(excitation, phi=0.0)
     cap = n_max if n_max is not None else default_n_cap(
         excitation, rho_cyl, medium1, medium2, rho_obs
     )
@@ -162,7 +162,8 @@ def reconstruct_fields_from_densities(
     extra = {"j": near, "h": obs} if outside else {"j": obs, "h": near}
 
     def run(n):
-        (electric, magnetic), usable, f = _solve_modes(n, base, rho_cyl, medium1, medium2, **extra)
+        solved = _solve_modes(n, excitation, rho_cyl, medium1, medium2, **extra)
+        (electric, magnetic), usable, f = solved
         (near, near_deriv), radial = f["near"], f["obs"][0]
         terms = (sign * k * z / 4.0) * electric * near + (sign * k / 4j) * magnetic * near_deriv
         usable &= np.isfinite(near) & np.isfinite(near_deriv) & np.isfinite(radial)

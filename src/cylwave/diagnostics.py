@@ -18,7 +18,7 @@ import numpy as np
 
 from . import discrete, fields
 from .exact import convergence_region, exact_ring
-from .geometry import as_count
+from .geometry import as_count, check_placement
 
 _TWO_PI = 2.0 * np.pi
 # the angles at which convergence_sweep samples its rings
@@ -88,8 +88,12 @@ class ConvergenceSweep:
     references: tuple = field(default=(), compare=False, repr=False)
 
 
-def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil):
+def predict_mas_divergence(geometry, excitation):
     """Classify both auxiliary surfaces of a circular source-method setup.
+
+    geometry is a (boundary, inner auxiliary surface, outer auxiliary
+    surface) triple of circles and excitation one line source, as
+    oscillation_scan takes them; they are checked as assembly checks them.
 
     The source route's currents blow up once an auxiliary surface leaves
     the region where the series of the field its sources must reproduce
@@ -102,20 +106,15 @@ def predict_mas_divergence(excitation_kind, rho_aux1, rho_aux2, rho_cyl, rho_fil
     surface labels of OscillationScan.reports ('aux1' inside the boundary,
     'aux2' outside).
     """
-    if excitation_kind not in ("external", "internal"):
-        raise ValueError("excitation_kind must be 'external' or 'internal'")
-    if min(rho_aux1, rho_aux2, rho_cyl, rho_fil) <= 0.0:
-        raise ValueError("radii must be positive")
-    if not rho_aux1 < rho_cyl < rho_aux2:
-        raise ValueError("need rho_aux1 < rho_cyl < rho_aux2")
-    if excitation_kind == "external" and rho_fil <= rho_cyl:
-        raise ValueError("an external filament needs rho_fil > rho_cyl")
-    if excitation_kind == "internal" and rho_fil >= rho_cyl:
-        raise ValueError("an internal filament needs rho_fil < rho_cyl")
-    side = excitation_kind[:3]
-    inner = convergence_region(side + "_R1", rho_aux1, rho_cyl, rho_fil)
-    outer = convergence_region(side + "_R2", rho_aux2, rho_cyl, rho_fil)
-    return {"aux1": inner, "aux2": outer}
+    curve, inner, outer = geometry
+    if {curve.kind, inner.curve.kind, outer.curve.kind} != {"circle"}:
+        raise ValueError("the divergence prediction needs a circular boundary and surfaces")
+    check_placement(curve, inner, outer, excitation)
+    side, limits = excitation.region[:3], (curve.params["radius"], excitation.rho)
+    return {
+        "aux1": convergence_region(side + "_R1", inner.curve.params["radius"], *limits),
+        "aux2": convergence_region(side + "_R2", outer.curve.params["radius"], *limits),
+    }
 
 
 def oscillation_index(values):

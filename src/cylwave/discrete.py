@@ -247,11 +247,7 @@ def _expand(block):
 
 def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
     """The collocation count n_points as an int, once the set-up is checked."""
-    if aux_inner.side != "inner" or aux_outer.side != "outer":
-        raise ValueError("pass the inner surface first and the outer surface second")
-    aux_inner.validate_against(curve)
-    aux_outer.validate_against(curve)
-    excitation.validate_against(curve)
+    geometry.check_placement(curve, aux_inner, aux_outer, excitation)
     n_points = geometry.as_count(n_points, "n_points")
     if n_points < 4:
         raise ValueError("need at least 4 collocation points")

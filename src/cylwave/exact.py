@@ -81,8 +81,8 @@ class SeriesResult:
 
 def critical_radius(rho_cyl, rho_fil):
     """Image radius rho_cyl^2 / rho_fil bounding analytic continuation."""
-    if rho_cyl <= 0.0 or rho_fil <= 0.0:
-        raise ValueError("radii must be positive")
+    if not (0.0 < rho_cyl < np.inf and 0.0 < rho_fil < np.inf):
+        raise ValueError("radii must be positive and finite")
     return rho_cyl**2 / rho_fil
 
 
@@ -95,6 +95,8 @@ def convergence_region(series_id, rho_obs, rho_cyl, rho_fil):
     """
     if series_id not in SERIES_IDS:
         raise ValueError("unknown series id %r" % (series_id,))
+    if not 0.0 < rho_obs < np.inf:
+        raise ValueError("observation radius must be positive and finite")
     rho_cri = critical_radius(rho_cyl, rho_fil)
     rules = {
         "ext_R1": rho_obs > rho_cri,
@@ -181,7 +183,7 @@ def mode_denominator(n, rho_cyl, medium1, medium2):
 
 
 def _series_run(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2, deriv=False):
-    """Radial parts of the terms of the orders n, and two masks for specfun.cut_run.
+    """Radial parts of the terms of the orders n, and the two masks of specfun.sum_orders.
 
     n is one order or an array of them, read in one specfun.order_factors
     call. With deriv=True the observation-dependent factor is replaced by
@@ -272,17 +274,11 @@ def sum_series(run, angles, n_cap):
     """specfun.sum_orders of a circular series, run(n) the terms of a run of orders.
 
     run returns the terms of the orders n, whether each order is usable and,
-    optionally, whether it is in range (see specfun.cut_run). The sum stops
-    at a relative tolerance of 1e-13, or where terms grow beyond 1e120 times
-    it. An unusable or out-of-range order n > 0, or one whose term is not
-    finite, stops it at order n - 1, with a warning.
+    optionally, whether it is in range (see specfun.sum_orders, which cuts
+    the run). The sum stops at a relative tolerance of 1e-13, or where terms
+    grow beyond 1e120 times it.
     """
-
-    def cut(n):
-        with np.errstate(all="ignore"):
-            return specfun.cut_run(n, *run(n))
-
-    return specfun.sum_orders(cut, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
+    return specfun.sum_orders(run, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
 
 
 def _tail_estimate(mags, order):
@@ -330,8 +326,6 @@ def exact_ring(
     the circle.
     """
     series_id = series_id_for(excitation, region)
-    if not 0.0 < rho_obs < np.inf:
-        raise ValueError("observation radius must be positive and finite")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError("phis must be a 1-D array of angles")

@@ -202,6 +202,16 @@ def as_count(value, name):
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def check_placement(curve, aux_inner, aux_outer, excitation):
+    """Raise ValueError unless the surfaces come inner then outer and each
+    surface and the filament lie strictly on their side of curve."""
+    if aux_inner.side != "inner" or aux_outer.side != "outer":
+        raise ValueError("pass the inner surface first and the outer surface second")
+    aux_inner.validate_against(curve)
+    aux_outer.validate_against(curve)
+    excitation.validate_against(curve)
+
+
 def collocation_points(curve, N, *surfaces):
     """N points at phi_l = 2 pi l / N with outward unit normals.
 

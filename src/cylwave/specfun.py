@@ -27,8 +27,8 @@ series (the addition series here, the circular series of exact and
 continuous, the q-sums of discrete) computes the terms of a run of orders
 as one numpy expression from them. sum_orders sums the runs of an order
 series for every angle asked for in one pass, with the same bits and the
-same stop order as the order-by-order sum at each angle; cut_run ends a run
-at its first unusable order.
+same stop order as the order-by-order sum at each angle, and alone cuts a
+run at its first unusable order.
 
 Kernel matrices, the incident field and the layer operators check their
 arguments themselves and read hankel2_low directly.
@@ -38,6 +38,8 @@ Only real arguments are supported (every wavenumber in the package is real).
 
 import numpy as np
 from scipy import special
+
+from .geometry import as_count
 
 
 class BesselOverflowError(ArithmeticError):
@@ -182,24 +184,6 @@ def order_factors(n, j=None, h=None):
     return out
 
 
-def cut_run(n, terms, usable, in_range=True):
-    """The terms of a run of orders n before its first unusable one, and why.
-
-    The run adapter of every order series. usable is False at an order
-    whose factors overflow (or whose mode denominator underflows), in_range
-    False at one where a factor the term is formed from fell to 0 or below
-    the normal range, so that the term would read as converged; a
-    non-finite term stops the run as well. Returns the terms kept and the
-    reason, None if the whole run is kept.
-    """
-    ok = usable & in_range & np.isfinite(terms)
-    if ok.all():
-        return terms, None
-    at = int(ok.argmin())
-    why = "floating-point range" if usable[at] else "order overflow"
-    return terms[:at], "series truncated at n=%d by %s" % (n[at], why)
-
-
 # Orders per block of an addition series. AMOS spends about a microsecond on
 # each order above the argument, and a radius pair of the criterion-01 grid
 # (its 8 angles summed in one call) uses about 48 of its 221 orders, so
@@ -215,33 +199,44 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
 
     Every order series of the package is summed here. run(n) returns the
     terms of the orders n, at most block consecutive ones from order 0 up,
-    and a reason, None unless it returns fewer terms: those of the first
-    orders. Each angle's partial sums are a sequential np.add.accumulate
-    over the run, with the bits of adding the terms one by one. An angle
-    stops converged once three consecutive terms have 2 |t_n| below rel_tol
-    times its partial sum (the streak carries across runs); if grow is
-    given, it stops warning "series terms growing without bound" at a term
-    with 2 |t_n| above grow times that sum. A short run stops every angle
-    still running, warning its reason; n_max stops them with no warning. A
-    run without order 0 raises BesselOverflowError. Returns the sum and
-    the last order added per angle, |t_n| of every order summed (one array
-    for all angles), the converged flag per angle and a list of warnings.
+    a mask usable and optionally a mask in_range, with every floating-point
+    warning off; the run is cut before its first order that is unusable
+    (factors overflow), out of range (a factor fell to 0 or below the
+    normal range) or not finite. Each angle's partial sums are a sequential
+    np.add.accumulate over the run, with the bits of adding the terms one
+    by one. An angle stops converged once three consecutive terms have
+    2 |t_n| below rel_tol times its partial sum (the streak carries across
+    runs); if grow is given, it stops warning "series terms growing without
+    bound" at a term with 2 |t_n| above grow times that sum. A cut stops
+    every angle still running, warning where and why; n_max, a whole
+    number, stops them with no warning. A cut at order 0 raises
+    BesselOverflowError. Returns the sum and the last order added per
+    angle, |t_n| of every order summed (one array for all angles), the
+    converged flag per angle and a list of warnings.
     """
+    n_max = as_count(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     total = np.empty(angles.size, dtype=complex)
     order = np.zeros(angles.size, dtype=int)
     converged = np.zeros(angles.size, dtype=bool)
     warning = [None] * angles.size
-    # |t_n| of the orders summed, the same at every angle; of the angles still
-    # running, their indices, angles, partial sums and last two small flags
-    mags, active, theta = [], np.arange(angles.size), angles[:, None]
+    # |t_n| of the orders summed, the same at every angle; the angles still
+    # running, by index and angle; a cut's warning; their last two small flags
+    mags, active, theta, reason = [], np.arange(angles.size), angles[:, None], None
     small = np.zeros((angles.size, 2), dtype=bool)
     for start in range(0, n_max + 1, block):
         n = np.arange(start, min(start + block, n_max + 1))
-        terms, reason = run(n)
+        with np.errstate(all="ignore"):
+            terms, usable, *in_range = run(n)
         t = np.asarray(terms, dtype=complex)
-        short, n = t.size < n.size, n[: t.size]
+        ok = usable & np.isfinite(t) & (in_range[0] if in_range else True)
+        short = not ok.all()
+        if short:
+            at = int(ok.argmin())
+            why = "floating-point range" if usable[at] else "order overflow"
+            reason = "series truncated at n=%d by %s" % (n[at], why)
+            t, n = t[:at], n[:at]
         # np.hypot rounds as abs() of a complex scalar does; np.abs may not
         mags.append(np.hypot(t.real, t.imag))
         if start == 0:
@@ -290,9 +285,8 @@ def _addition_sum(theta, n_max, ratio, term):
 
     term(n) returns the products of radial factors at an array n of orders,
     non-finite where an order overflows, and of the J values each product
-    is formed from the one AMOS flushes to 0 first; the sum stops before
-    the first such order, or the first where that J value is 0 or
-    subnormal. Warns per angle as _warn_if_unconverged does for the radius
+    is formed from the one AMOS flushes to 0 first, out of range where it
+    is 0 or subnormal. Warns per angle as _warn_if_unconverged does for the radius
     ratio of the two points. Returns the sums shaped like theta.
     """
     angles = np.asarray(theta, dtype=float)
@@ -300,12 +294,10 @@ def _addition_sum(theta, n_max, ratio, term):
         raise ValueError("theta must be one angle or a 1-D array of angles")
 
     def run(n):
-        # overflowing orders may meet 0 * inf; they are cut off here
-        with np.errstate(invalid="ignore", over="ignore"):
-            t, j = term(n)
-            # AMOS jv returns 0 once J_n(x) falls below about 1e-293, and a
-            # zero term would read as converged
-            return cut_run(n, t, np.isfinite(t), np.abs(j) >= np.finfo(float).tiny)
+        t, j = term(n)
+        # AMOS jv returns 0 once J_n(x) falls below about 1e-293, and a zero
+        # term would read as converged
+        return t, np.isfinite(t), np.abs(j) >= np.finfo(float).tiny
 
     total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
     _warn_if_unconverged(mags[order], total, ratio)

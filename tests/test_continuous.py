@@ -198,6 +198,28 @@ def test_negative_series_caps_are_rejected(n_max):
             reconstruct_fields_from_densities(exc, 10.0, [0.0, 0.5], RHO_CYL, M1, M2, n_max)
 
 
+def test_series_caps_must_be_whole_numbers():
+    # Every order series checks its cap once, in specfun.sum_orders. A whole
+    # float is the cap of its int, with the same bits; a fraction, a
+    # non-finite value or a bool is refused, naming n_max. The float and
+    # infinite caps used to raise TypeError, and True summed to order 1.
+    phis = np.array([0.0, 0.5])
+    series = {
+        "exact_field": lambda cap: exact.exact_field(EXT, 1, 5.0, 0.3, RHO_CYL, M1, M2, cap).value,
+        "exact_ring": lambda cap: exact.exact_ring(EXT, 2, 1.0, phis, RHO_CYL, M1, M2, cap).value,
+        "addition": lambda cap: specfun.addition_series_h0(1.0, 3.0, phis, cap),
+        "densities": lambda cap: np.array(density_series(INT, phis, RHO_CYL, M1, M2, cap)),
+        "reconstruction": lambda cap: reconstruct_fields_from_densities(
+            EXT, 10.0, phis, RHO_CYL, M1, M2, cap
+        ),
+    }
+    for name, value in series.items():
+        assert np.asarray(value(60.0)).tobytes() == np.asarray(value(60)).tobytes(), name
+        for cap in (60.5, np.inf, np.nan, True, np.float64(np.inf)):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                value(cap)
+
+
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 @pytest.mark.parametrize("which", ["J", "M"])
 def test_density_asymptotics_converge_to_prediction(exc, which):

@@ -37,44 +37,63 @@ ELLIPSE = _geometry(BoundaryCurve.ellipse(2.0, 1.6), 0.7, 1.6, by="scale")
 # -- predict_mas_divergence --------------------------------------------------
 
 
+def _predict(side, inner, outer, rho_fil):
+    """predict_mas_divergence on the circle of radius 2 with aux circles at these radii."""
+    excitation = Excitation(side, rho_fil)
+    return diagnostics.predict_mas_divergence(_geometry(CIRCLE, inner, outer), excitation)
+
+
 def test_wide_external_placement_breaks_both_surfaces():
-    predicted = diagnostics.predict_mas_divergence("external", 0.5, 10.0, 2.0, 4.0)
+    predicted = diagnostics.predict_mas_divergence(WIDE, EXT)
     assert predicted == {"aux1": "diverges", "aux2": "diverges"}
     assert list(predicted) == ["aux1", "aux2"]
 
 
 def test_narrow_external_placement_is_safe():
-    predicted = diagnostics.predict_mas_divergence("external", 1.5, 2.5, 2.0, 4.0)
+    predicted = diagnostics.predict_mas_divergence(NARROW, EXT)
     assert predicted == {"aux1": "converges", "aux2": "converges"}
 
 
 def test_surface_on_the_threshold_counts_as_diverging():
-    predict = diagnostics.predict_mas_divergence
-    assert predict("internal", 1.0, 3.0, 2.0, 1.0)["aux1"] == "diverges"
-    assert predict("external", 1.5, 4.0, 2.0, 4.0)["aux2"] == "diverges"
-    assert predict("external", 1.0, 2.5, 2.0, 4.0)["aux1"] == "diverges"
+    assert _predict("internal", 1.0, 3.0, 1.0)["aux1"] == "diverges"
+    assert _predict("external", 1.5, 4.0, 4.0)["aux2"] == "diverges"
+    assert _predict("external", 1.0, 2.5, 4.0)["aux1"] == "diverges"
 
 
 def test_internal_thresholds_swap_roles():
     # filament radius limits the inner surface, its image limits the outer
-    predict = diagnostics.predict_mas_divergence
-    assert predict("internal", 1.5, 3.9, 2.0, 1.0)["aux2"] == "converges"
-    assert predict("internal", 1.5, 4.1, 2.0, 1.0)["aux2"] == "diverges"
-    assert predict("internal", 0.9, 3.0, 2.0, 1.0)["aux1"] == "diverges"
-    assert predict("internal", 1.1, 3.0, 2.0, 1.0)["aux1"] == "converges"
+    assert _predict("internal", 1.5, 3.9, 1.0)["aux2"] == "converges"
+    assert _predict("internal", 1.5, 4.1, 1.0)["aux2"] == "diverges"
+    assert _predict("internal", 0.9, 3.0, 1.0)["aux1"] == "diverges"
+    assert _predict("internal", 1.1, 3.0, 1.0)["aux1"] == "converges"
 
 
 def test_prediction_rejects_impossible_setups():
-    with pytest.raises(ValueError, match="excitation_kind"):
-        diagnostics.predict_mas_divergence("sideways", 1.5, 2.5, 2.0, 4.0)
-    with pytest.raises(ValueError, match="rho_aux1 < rho_cyl"):
-        diagnostics.predict_mas_divergence("external", 2.5, 1.5, 2.0, 4.0)
-    with pytest.raises(ValueError, match="positive"):
-        diagnostics.predict_mas_divergence("external", -1.0, 2.5, 2.0, 4.0)
-    with pytest.raises(ValueError, match="external filament"):
-        diagnostics.predict_mas_divergence("external", 1.5, 2.5, 2.0, 1.0)
-    with pytest.raises(ValueError, match="internal filament"):
-        diagnostics.predict_mas_divergence("internal", 1.5, 2.5, 2.0, 4.0)
+    predict = diagnostics.predict_mas_divergence
+    with pytest.raises(ValueError, match="circular boundary"):
+        predict(ELLIPSE, EXT)
+    with pytest.raises(ValueError, match="inner surface first"):
+        predict((CIRCLE, NARROW[2], NARROW[1]), EXT)
+    # a surface placed against another boundary than the one it is paired with
+    stray = AuxiliarySurface.from_radius(BoundaryCurve.circle(3.0), 2.5)
+    with pytest.raises(ValueError, match="strictly inside"):
+        predict((CIRCLE, stray, NARROW[2]), EXT)
+    with pytest.raises(ValueError, match="external excitation"):
+        predict(NARROW, Excitation("external", 1.0))
+    with pytest.raises(ValueError, match="internal excitation"):
+        predict(NARROW, Excitation("internal", 4.0))
+
+
+def test_prediction_gives_non_finite_radii_no_verdict():
+    # The five-scalar signature read a nan filament radius as "diverges" on
+    # both surfaces, an infinite one as "converges" on both, and an infinite
+    # outer surface as "diverges". None of them is a placement: the checked
+    # source and surfaces refuse them before any verdict.
+    for rho_fil in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            diagnostics.predict_mas_divergence(NARROW, Excitation("external", rho_fil))
+    with pytest.raises(ValueError, match="positive and finite"):
+        diagnostics.predict_mas_divergence(_geometry(CIRCLE, 1.5, np.inf), EXT)
 
 
 # -- oscillation_index -------------------------------------------------------
@@ -156,10 +175,8 @@ def test_nfm_currents_stay_tame_where_mas_breaks():
 def test_flags_land_exactly_where_predicted_on_a_threshold_grid(excitation):
     for rho_inner in GRID_INNER:
         for rho_outer in GRID_OUTER:
-            predicted = diagnostics.predict_mas_divergence(
-                excitation.region, rho_inner, rho_outer, 2.0, excitation.rho
-            )
             geometry = _geometry(CIRCLE, rho_inner, rho_outer)
+            predicted = diagnostics.predict_mas_divergence(geometry, excitation)
             scan = diagnostics.oscillation_scan("mas", geometry, excitation, (M1, M2), [40, 46])
             flagged = scan.flagged_surfaces()
             for surface, verdict in predicted.items():

@@ -59,6 +59,27 @@ def test_critical_radius():
 
 
 @pytest.mark.parametrize(
+    "rho_cyl, rho_fil", [(np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0), (2.0, np.inf), (2.0, -1.0)]
+)
+def test_critical_radius_refuses_radii_that_are_not_positive_and_finite(rho_cyl, rho_fil):
+    # critical_radius(nan, 1.0) used to return nan and critical_radius(2.0,
+    # inf) 0.0, so every radius read "converges" or "diverges" against them
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
+        critical_radius(rho_cyl, rho_fil)
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
+        exact.convergence_region("ext_R1", 3.0, rho_cyl, rho_fil)
+
+
+@pytest.mark.parametrize("rho_obs", [np.nan, np.inf, 0.0, -1.0])
+def test_convergence_region_refuses_a_radius_that_is_not_positive_and_finite(rho_obs):
+    # it used to classify them all: nan "diverges" on every series, inf
+    # "converges" outside, 0 and -1 "converges" inside
+    for series_id in exact.SERIES_IDS:
+        with pytest.raises(ValueError, match="observation radius must be positive and finite"):
+            exact.convergence_region(series_id, rho_obs, RHO_CYL, 4.0)
+
+
+@pytest.mark.parametrize(
     "exc, region, rho_obs",
     [(EXT, 1, 5.0), (EXT, 2, 1.2), (INT, 2, 0.6), (INT, 1, 3.5)],
 )
@@ -527,6 +548,28 @@ def test_sum_adaptive_matches_the_per_order_loop_bit_for_bit():
         "series truncated at n=21 by floating-point range",
     } <= flags
     assert {16, 17, 18} <= orders
+
+
+def test_sum_series_stops_before_an_order_out_of_range():
+    # the run contract: a run that marks one order out of range (in_range
+    # False, usable True, its term finite) is cut before that order, in the
+    # first run and past a run seam, and every angle still running reports
+    # the cut as "floating-point range"; the orders before it are summed
+    # with the bits of a cap just below it
+    angles = np.array([0.0, 0.3, 2.9])
+    for cut in (5, 21):
+
+        def run(n, cut=cut):
+            terms = (0.3 - 0.7j) * 0.9**n
+            return terms, np.ones(n.shape, dtype=bool), n != cut
+
+        total, order, mags, converged, warning = exact.sum_series(run, angles, 60)
+        assert order.tolist() == [cut - 1] * angles.size
+        assert mags.size == cut and not converged.any()
+        assert warning == ["series truncated at n=%d by floating-point range" % cut] * angles.size
+        capped = exact.sum_series(run, angles, cut - 1)
+        assert total.tobytes() == capped[0].tobytes()
+        assert capped[4] == [None] * angles.size
 
 
 def _excitation(name):

@@ -306,3 +306,28 @@ def test_nfm_boundary_residuals_track_the_series_error():
 def test_mas_boundary_residuals_fall_below_the_offset_floor():
     solution = _mas(EXT, 80)
     assert max(fields.boundary_residuals(solution, n_test=80)) < 1e-6
+
+
+# cross reciprocity, |E_A(B) - E_B(A)| / |E_A(B)|, measured at 1 and 2 BLAS
+# threads: 8.78e-7 (circle) and 7.65e-7 (ellipse) at N = 64, 5.28e-13 and
+# 5.49e-13 at N = 128, and 3.1e-16 to 4.5e-16 (circle) and 2.0e-16 to
+# 6.1e-16 (ellipse) at N = 256, the same for both routes
+RECIPROCITY_BOUNDS = {64: 2e-6, 128: 2e-12, 256: 1e-14}
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+def test_reciprocity_across_the_boundary_falls_to_roundoff(curve, method):
+    # E at B from a unit line source at A equals E at A from one at B. The
+    # swapped problem is a second right side of the same system: assembled
+    # for A, re-excited for B, both solved on one factorisation.
+    a_source = Excitation("external", 4.0, 0.3)
+    b_source = Excitation("internal", 1.2, 2.1)
+    geo = (curve, AuxiliarySurface.from_scale(curve, 0.8), AuxiliarySurface.from_scale(curve, 1.25))
+    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    for n, bound in RECIPROCITY_BOUNDS.items():
+        system = assemble(*geo, a_source, M1, M2, n_points=n)
+        from_a, from_b = discrete.solve(system, shared=(discrete.excite(system, b_source),))
+        at_b = fields.field_from_discrete(from_a, b_source.rho, b_source.phi, region=2).e_z
+        at_a = fields.field_from_discrete(from_b, a_source.rho, a_source.phi, region=1).e_z
+        assert abs(at_b - at_a) <= bound * abs(at_b), (n, abs(at_b - at_a) / abs(at_b))
