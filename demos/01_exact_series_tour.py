@@ -16,6 +16,7 @@ from cylwave.exact import (
     convergence_region,
     critical_radius,
     exact_ring,
+    series_ratio,
     term_ratio_probe,
 )
 from cylwave.geometry import Excitation
@@ -48,7 +49,7 @@ print("term decay of the region-1 series: dividing the n-th term by its")
 print("predicted large-n form leaves no geometric factor behind, only a")
 print("slow algebraic tail (1/n^2 here, because the permeabilities match)")
 for rho in (2.5, 4.5, 8.0):
-    rate = critical_radius(RHO_CYL, EXT.rho) / rho
+    rate = series_ratio("ext_R1", rho, RHO_CYL, EXT.rho)
     probes = [
         abs(term_ratio_probe("ext_R1", n, rho, RHO_CYL, EXT.rho, M1, M2))
         for n in (20, 40)

@@ -148,16 +148,6 @@ def _amplitude(block):
     raise ConfigError("%s: expected a number or an [re, im] pair" % (path,))
 
 
-def _retired(block, path, implied):
-    """Accept a retired field only when it repeats the value the geometry implies."""
-    key = path.rsplit(".", 1)[-1]
-    if key in block and block[key] != implied:
-        raise ConfigError(
-            "%s: retired, the geometry now decides it; drop the field (%s still loads)"
-            % (path, json.dumps(implied))
-        )
-
-
 def _parse_geometry(doc):
     geom = _block(doc, "geometry")
     kind = _string(geom, "geometry.kind", choices=("circle", "ellipse"))
@@ -229,7 +219,6 @@ def _parse_excitation(doc, curve):
 def _parse_solver(doc):
     solver = _block(doc, "solver")
     method = _string(solver, "solver.method", choices=("nfm", "mas", "both"))
-    _retired(solver, "solver.path", "auto")
     if "n_list" in solver:
         if "n_points" in solver:
             raise ConfigError("solver: give n_points or n_list, not both")
@@ -243,7 +232,7 @@ def _parse_solver(doc):
         )
     else:
         n_list = (_integer(solver, "solver.n_points", minimum=4),)
-    _refuse_unknown(solver, "solver.", ("method", "path", "n_points", "n_list"))
+    _refuse_unknown(solver, "solver.", ("method", "n_points", "n_list"))
     return method, n_list
 
 
@@ -282,9 +271,8 @@ def _parse_output(doc, curve):
                 raise ConfigError("%s: %s" % (where, exc))
             rings.append((float(pair[0]), pair[1]))
         rings = tuple(rings)
-    _retired(block, "output.reference", diagnostics.sweep_reference(curve))
     directory = _string(block, "output.directory", default="out")
-    _refuse_unknown(block, "output.", ("directory", "rings", "angles", "angle_offset", "reference"))
+    _refuse_unknown(block, "output.", ("directory", "rings", "angles", "angle_offset"))
     return {"directory": directory, "rings": rings, "angles": angles}
 
 

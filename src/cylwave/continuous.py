@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exact import Medium, default_n_cap, incident_field, sum_series
+from .exact import Medium, default_n_cap, incident_field, series_id_for, sum_series
 
 _TWO_PI = 2.0 * np.pi
 
@@ -86,16 +86,28 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
     return DensityCoefficients(int(n), complex(electric), complex(magnetic))
 
 
+def _require_converged(what, cap, converged, warning):
+    """Raise ArithmeticError naming the first unconverged angle's reason, if any."""
+    if not converged.all():
+        first = warning[int(np.argmin(converged))]
+        raise ArithmeticError(
+            "%s not converged within n_max=%d%s" % (what, cap, (": " + first) if first else "")
+        )
+
+
 def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(), n_max=None):
     """Both boundary densities at angle phi: the pair (J_z, M_phi).
 
     phi is one angle or an array of angles; an array gives a pair of arrays
     of its shape.
-    The coefficients decay geometrically like (rho_fil / rho_cyl)^(-|n|)
-    (or its reciprocal for an interior source), so the series converges for
-    every source position strictly off the boundary.
+    The coefficients fall by exact.series_ratio of the region-1 series on
+    the boundary (rho_cyl / rho_fil outside, rho_fil / rho_cyl inside), so
+    the series converges for every source strictly off the boundary; the
+    default cap gives that ratio the orders it needs.
     """
-    cap = n_max if n_max is not None else default_n_cap(excitation, rho_cyl, medium1, medium2)
+    cap = n_max if n_max is not None else default_n_cap(
+        series_id_for(excitation, 1), rho_cyl, rho_cyl, excitation, medium1, medium2
+    )
     psi = np.ravel(np.asarray(phi, dtype=float) - excitation.phi)
 
     # each run of modes is solved once, by the first series to reach it;
@@ -112,13 +124,9 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
 
         return run
 
-    j_z, _, _, ok_j, _ = sum_series(series(0), psi, cap)
-    m_phi, _, _, ok_m, _ = sum_series(series(1), psi, cap)
-    if not (ok_j.all() and ok_m.all()):
-        raise ArithmeticError(
-            "density series not converged within n_max=%d "
-            "(source too close to the boundary?)" % cap
-        )
+    j_z, _, _, ok_j, warn_j = sum_series(series(0), psi, cap)
+    m_phi, _, _, ok_m, warn_m = sum_series(series(1), psi, cap)
+    _require_converged("density series", cap, np.concatenate((ok_j, ok_m)), warn_j + warn_m)
     shape = np.shape(phi)
     return j_z.reshape(shape)[()], m_phi.reshape(shape)[()]
 
@@ -151,11 +159,12 @@ def reconstruct_fields_from_densities(
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
     shape = np.shape(phi_obs)
+    outside = rho_obs > rho_cyl
+    series_id = series_id_for(excitation, 1 if outside else 2)
     cap = n_max if n_max is not None else default_n_cap(
-        excitation, rho_cyl, medium1, medium2, rho_obs
+        series_id, rho_obs, rho_cyl, excitation, medium1, medium2
     )
     phis = np.ravel(np.asarray(phi_obs, dtype=float))
-    outside = rho_obs > rho_cyl
     k, z, sign = (medium1.k, medium1.Z, -1.0) if outside else (medium2.k, medium2.Z, 1.0)
     # J at k1 rc and H2 at k1 rho_obs outside; H2 at k2 rc and J at k2 rho_obs inside
     near, obs = {"near": k * rho_cyl}, {"obs": k * rho_obs}
@@ -170,12 +179,7 @@ def reconstruct_fields_from_densities(
         return terms * radial, usable
 
     value, _, _, converged, warning = sum_series(run, phis - excitation.phi, cap)
-    if not converged.all():
-        first = warning[int(np.argmin(converged))]
-        raise ArithmeticError(
-            "field reconstruction not converged within n_max=%d%s"
-            % (cap, (": " + first) if first else "")
-        )
+    _require_converged("field reconstruction", cap, converged, warning)
     value = _TWO_PI * rho_cyl * value
 
     if outside == (excitation.region == "external"):

@@ -98,7 +98,8 @@ def predict_mas_divergence(geometry, excitation):
     The source route's currents blow up once an auxiliary surface leaves
     the region where the series of the field its sources must reproduce
     converges: the region-1 series for the inner surface, the region-2
-    series for the outer one (exact.convergence_region; the limits are the
+    series for the outer one (exact.convergence_region, which reads the
+    series' geometric ratio from exact.series_ratio; the limits are the
     filament radius and its image radius rho_cyl**2 / rho_fil). A surface
     exactly on its limit is classified 'diverges'.
 

@@ -13,7 +13,8 @@ denominator. Four series cover the four combinations of source side
 
 Each series keeps converging beyond its physical region up to an image
 radius: the critical radius rho_cyl^2 / rho_fil bounds the analytic
-continuation, and convergence_region() classifies any observation radius.
+continuation. series_ratio() gives the geometric ratio each series' terms
+fall by, and convergence_region() classifies any observation radius by it.
 These series are the package's internal oracle; every solver is judged
 against them. Each run of orders is computed as one numpy expression from
 specfun.order_factors and summed for a whole ring of angles by
@@ -86,25 +87,35 @@ def critical_radius(rho_cyl, rho_fil):
     return rho_cyl**2 / rho_fil
 
 
-def convergence_region(series_id, rho_obs, rho_cyl, rho_fil):
-    """Classify an observation radius for one of the four series.
+def series_ratio(series_id, rho_obs, rho_cyl, rho_fil):
+    """Geometric ratio q of one of the four series at the radius rho_obs.
 
-    Returns 'converges' or 'diverges'. The boundary of each region is
-    classified as 'diverges' (the series degrades to algebraic decay there
-    at best, so the conservative call is the useful one).
+    The terms fall like q^n / n: q is rho_cri / rho_obs for ext_R1,
+    rho_obs / rho_fil for ext_R2, rho_fil / rho_obs for int_R1 and
+    rho_obs / rho_cri for int_R2, with rho_cri the critical radius. The
+    series converges where q < 1.
     """
     if series_id not in SERIES_IDS:
         raise ValueError("unknown series id %r" % (series_id,))
     if not 0.0 < rho_obs < np.inf:
         raise ValueError("observation radius must be positive and finite")
     rho_cri = critical_radius(rho_cyl, rho_fil)
-    rules = {
-        "ext_R1": rho_obs > rho_cri,
-        "ext_R2": rho_obs < rho_fil,
-        "int_R1": rho_obs > rho_fil,
-        "int_R2": rho_obs < rho_cri,
-    }
-    return "converges" if rules[series_id] else "diverges"
+    return {
+        "ext_R1": rho_cri / rho_obs,
+        "ext_R2": rho_obs / rho_fil,
+        "int_R1": rho_fil / rho_obs,
+        "int_R2": rho_obs / rho_cri,
+    }[series_id]
+
+
+def convergence_region(series_id, rho_obs, rho_cyl, rho_fil):
+    """Classify an observation radius for one of the four series.
+
+    'converges' where series_ratio is below 1, else 'diverges': on the limit
+    itself the series degrades to algebraic decay at best, so the
+    conservative call is the useful one.
+    """
+    return "converges" if series_ratio(series_id, rho_obs, rho_cyl, rho_fil) < 1.0 else "diverges"
 
 
 def incident_prefactor(medium):
@@ -251,16 +262,20 @@ def _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl):
     return -amp / (2.0 * np.pi * rho_cyl)
 
 
-def default_n_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
-    """Order cap of the series of one problem: 40 + ceil(3 k_max rho_max).
+def default_n_cap(series_id, rho_obs, rho_cyl, excitation, medium1, medium2):
+    """Order cap of one series at rho_obs: 40 + ceil(3 k_max rho_max) + ceil(ln(tol) / ln q).
 
     k_max is the larger wavenumber and rho_max the largest of the boundary,
-    filament and (if given) observation radii. The adaptive stopping rule
-    ends a converging series well before it.
+    filament and observation radii. The last part is the number of orders
+    the series' geometric ratio q (series_ratio) needs to fall to the
+    stopping tolerance tol of sum_series; none where q is not below 1. The
+    adaptive stopping rule ends a converging series well before the cap.
     """
     k_max = max(medium1.k, medium2.k)
-    rho_max = max(rho_cyl, excitation.rho, rho_obs or 0.0)
-    return 40 + int(np.ceil(3.0 * k_max * rho_max))
+    rho_max = max(rho_cyl, excitation.rho, rho_obs)
+    q = series_ratio(series_id, rho_obs, rho_cyl, excitation.rho)
+    geometric = int(np.ceil(np.log(_SUM_TOL) / np.log(q))) if 0.0 < q < 1.0 else 0
+    return 40 + int(np.ceil(3.0 * k_max * rho_max)) + geometric
 
 
 # Orders per run of sum_series: up to _SUM_BLOCK - 1 terms past the last
@@ -268,6 +283,8 @@ def default_n_cap(excitation, rho_cyl, medium1, medium2, rho_obs=None):
 # `validate --only exact` took 0.0081, 0.0077 and 0.0077 s of CPU (median
 # of 48, one BLAS thread) in runs of 8, 16 and 32 on a 2-core Xeon.
 _SUM_BLOCK = 16
+# the relative tolerance at which sum_series stops, and default_n_cap aims
+_SUM_TOL = 1e-13
 
 
 def sum_series(run, angles, n_cap):
@@ -278,7 +295,7 @@ def sum_series(run, angles, n_cap):
     the run). The sum stops at a relative tolerance of 1e-13, or where terms
     grow beyond 1e120 times it.
     """
-    return specfun.sum_orders(run, angles, n_cap, _SUM_BLOCK, 1e-13, grow=1e120)
+    return specfun.sum_orders(run, angles, n_cap, _SUM_BLOCK, _SUM_TOL, grow=1e120)
 
 
 def _tail_estimate(mags, order):
@@ -335,7 +352,7 @@ def exact_ring(
         warning = "observation radius outside the convergence region of " + series_id
 
     cap = n_max if n_max is not None else default_n_cap(
-        excitation, rho_cyl, medium1, medium2, rho_obs
+        series_id, rho_obs, rho_cyl, excitation, medium1, medium2
     )
     pref = _series_prefactor(series_id, excitation, medium1, medium2, rho_cyl)
 
@@ -377,42 +394,25 @@ def exact_field(
     )
 
 
-def predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil):
-    """Large-n reference form of the n-th radial term, up to a constant.
-
-    ext_R1 carries the classical (2 / (pi n)) (rho_cri / rho_obs)^n shape;
-    the other three decay like (ratio)^n / n with the ratio that defines
-    their convergence region.
-    """
-    rho_cri = critical_radius(rho_cyl, rho_fil)
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("reference form needs n >= 1")
-    if series_id == "ext_R1":
-        return (2.0 / (np.pi * n)) * (rho_cri / rho_obs) ** n
-    if series_id == "ext_R2":
-        return (rho_obs / rho_fil) ** n / n
-    if series_id == "int_R1":
-        return (rho_fil / rho_obs) ** n / n
-    if series_id == "int_R2":
-        return (rho_obs / rho_cri) ** n / n
-    raise ValueError("unknown series id %r" % (series_id,))
-
-
 def term_ratio_probe(
     series_id, n, rho_obs, rho_cyl, rho_fil, medium1=Medium(), medium2=Medium()
 ):
     """n-th radial term divided by its predicted large-n form.
 
-    For generic media the ratio levels off to a geometry/impedance constant
-    as n grows, which is the practical certificate that the convergence
-    region classification uses the right geometric rate. When the two media
+    The form is (2 / (pi |n|)) q^|n| for ext_R1 and q^|n| / |n| for the
+    other three, q the series_ratio. For generic media the ratio levels off
+    to a geometry/impedance constant as n grows, which is the practical
+    certificate that q is the right geometric rate. When the two media
     share the same permeability (Z1 k1 = Z2 k2), the leading parts of the
     boundary-mismatch numerators of ext_R1 and int_R2 cancel and those two
     ratios keep decaying like 1/n^2; the geometric rate is unaffected.
     """
-    t = _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2)
-    return t / predicted_term_form(series_id, n, rho_obs, rho_cyl, rho_fil)
+    q = series_ratio(series_id, rho_obs, rho_cyl, rho_fil)
+    m = abs(int(n))
+    if m == 0:
+        raise ValueError("reference form needs n >= 1")
+    form = (2.0 / (np.pi * m)) * q**m if series_id == "ext_R1" else q**m / m
+    return _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2) / form
 
 
 def check_region(region):

@@ -212,8 +212,12 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
     number, stops them with no warning. A cut at order 0 raises
     BesselOverflowError. Returns the sum and the last order added per
     angle, |t_n| of every order summed (one array for all angles), the
-    converged flag per angle and a list of warnings.
+    converged flag per angle and a list of warnings. Raises ValueError
+    naming the angles that are not finite.
     """
+    finite = np.isfinite(angles)
+    if not finite.all():
+        raise ValueError("angles must be finite, got %s" % angles[~finite].tolist())
     n_max = as_count(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")

@@ -183,8 +183,8 @@ def test_aux_keys_must_match_the_geometry_kind(tmp_path, capsys):
 
 
 def test_unknown_solver_path_is_rejected(tmp_path, capsys):
-    # the geometry picks the solve path and the sweep reference; a retired
-    # field loads only when it repeats that choice
+    # the geometry picks the solve path and the sweep reference; no field
+    # selects them, so the old fields are unknown ones
     for block, key, value in (
         ("solver", "path", "lu"),
         ("solver", "path", "dense"),
@@ -196,7 +196,7 @@ def test_unknown_solver_path_is_rejected(tmp_path, capsys):
 
         assert cli.main(["solve", "--config", str(_write_config(tmp_path, mutate))]) == 2
         err = capsys.readouterr().err
-        assert "%s.%s: retired, the geometry now decides it" % (block, key) in err
+        assert "%s.%s: unknown field" % (block, key) in err
 
 
 @pytest.mark.parametrize(
@@ -573,7 +573,8 @@ def test_fields_sum_each_ring_in_one_pass(tmp_path, monkeypatch):
         return evaluate(hankel, n, x)
 
     monkeypatch.setattr(specfun, "bessel_orders", recording)
-    cap = exact.default_n_cap(Excitation("external", 4.0), 2.0, Medium(), Medium(4.2), 10.0)
+    source = Excitation("external", 4.0)
+    cap = exact.default_n_cap("ext_R1", 10.0, 2.0, source, Medium(), Medium(4.2))
     for angles in (4, 144):
         def mutate(doc):
             doc["output"].update(rings=[[10.0, 1]], angles=angles)
@@ -607,19 +608,20 @@ def test_fields_evaluate_each_ring_in_one_call(tmp_path, monkeypatch):
 
 def test_unconverged_references_are_reported_on_stderr(tmp_path, capsys):
     # with the filament just outside the boundary the transmitted-field
-    # series decays like (1.9 / 2.2)^n on the inner ring and is still
-    # running at the cap; the outer ring converges and stays silent
+    # series decays like (1.95 / 2.2)^n on the inner ring, and its Hankel
+    # factors overflow at order 169 before the stopping rule holds; the
+    # outer ring converges and stays silent
     def rings(doc):
         doc["geometry"]["aux"]["outer_radius"] = 2.1
         doc["excitation"]["radius"] = 2.2
-        doc["output"]["rings"] = [[10.0, 1], [1.9, 2]]
+        doc["output"]["rings"] = [[10.0, 1], [1.95, 2]]
 
     def sweep(doc):
         rings(doc)
         doc["solver"] = {"method": "nfm", "n_list": [12, 16]}
 
     line = (
-        "cylwave: warning: exact series on ring rho = 1.9 (region 2): "
+        "cylwave: warning: exact series on ring rho = 1.95 (region 2): "
         "36 of 36 points not converged, worst tail estimate "
     )
     for command, mutate in (("fields", rings), ("sweep", sweep)):
@@ -724,29 +726,18 @@ def test_a_failed_solve_is_one_error_line_and_writes_nothing(tmp_path, capsys, m
     assert not out.exists()
 
 
-def test_retired_keys_with_their_implied_values_still_load(tmp_path, monkeypatch):
-    paths = []
-    solve = discrete.solve
-
-    def recording_solve(system, shared=None):
-        solutions = solve(system, shared)
-        paths.extend((sol.n_points, sol.path) for sol in solutions)
-        return solutions
-
-    monkeypatch.setattr(discrete, "solve", recording_solve)
-    preset = PRESETS / "mas-divergence.json"
-    doc = json.loads(preset.read_text())
-    doc["solver"]["path"] = "auto"
-    doc["output"]["reference"] = "exact"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
-    assert sorted(paths) == [(40, "dft"), (46, "dft")]
-    assert cli.main(["sweep", "--config", str(preset), "--out", str(tmp_path / "p")]) == 0
-    ours = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
-    preset_rows = (tmp_path / "p" / "sweep.csv").read_text().splitlines()
-    # the config hash on line 2 differs; every other line is the same
-    assert ours[2:] == preset_rows[2:]
+def test_retired_keys_are_refused_with_their_implied_values_too(tmp_path, capsys):
+    # solver.path "auto" and output.reference "exact" repeat what the
+    # geometry implies for this preset, and are refused by path all the same
+    for block, key, value in (("solver", "path", "auto"), ("output", "reference", "exact")):
+        doc = json.loads((PRESETS / "mas-divergence.json").read_text())
+        doc[block][key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "cylwave: error: %s.%s: unknown field\n" % (block, key)
+        assert not out.exists()
 
 
 def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwave import continuous, diagnostics, discrete, fields, geometry, specfun
+from cylwave import continuous, diagnostics, discrete, exact, fields, geometry, specfun
 from cylwave.exact import Medium, exact_field
 
 import d2_reference
@@ -915,6 +915,40 @@ def test_currents_converge_with_refinement():
     for previous, current in zip(errors, errors[1:]):
         assert current < 1.1 * previous
     assert errors[-1] < 1e-5
+
+
+@pytest.mark.parametrize(
+    "side, rho_fil, rho_in, rho_out, n_range, fitted",
+    [
+        ("external", 4.0, 1.5, 2.5, (28, 80), 0.225),
+        ("external", 6.0, 1.5, 4.0, (20, 48), 0.287),
+        ("external", 4.0, 1.8, 3.0, (48, 92), 0.105),
+        ("internal", 1.0, 1.5, 2.5, (40, 80), 0.224),
+        ("internal", 1.0, 0.5, 2.2, (56, 120), 0.096),
+        ("external", 8.0, 1.2, 6.0, (16, 32), 0.509),
+    ],
+)
+def test_direct_currents_converge_at_the_predicted_rate(
+    side, rho_fil, rho_in, rho_out, n_range, fitted
+):
+    # The gap of the normalised currents to the densities falls like
+    # e^(-r N), r = min(ln(rho_out / rho_C), ln(rho_C / rho_in), |ln q| / 2),
+    # q the ratio of the density series. The rule was fitted to these
+    # windows, where the FFT path is sound; fitted is the least-squares
+    # slope of ln(gap) they measured, each within 1% of r.
+    exc = geometry.Excitation(side, rho_fil)
+    aux = tuple(geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (rho_in, rho_out))
+    q = exact.series_ratio(side[:3] + "_R1", 2.0, 2.0, rho_fil)
+    rate = min(np.log(rho_out / 2.0), np.log(2.0 / rho_in), 0.5 * abs(np.log(q)))
+    sizes = np.arange(n_range[0], n_range[1] + 1, 4)
+    gaps = []
+    for n_points in sizes:
+        got = discrete.normalized_currents(discrete.solve(_nfm(exc, n_points, aux=aux)))
+        want = _density_samples(exc, n_points)
+        gaps.append(max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want)))
+    slope = -np.polyfit(sizes, np.log(gaps), 1)[0]
+    assert abs(slope / rate - 1.0) < 0.05
+    assert slope == pytest.approx(fitted, abs=5e-4)
 
 
 def test_source_amplitudes_grow_where_the_direct_currents_stay_put():

@@ -257,18 +257,26 @@ def test_algebraic_trend_at_critical_radius():
     assert abs(abs(g61 / g60) / (60.0 / 61.0) - 1.0) < 0.01
 
 
-def test_predicted_term_form_values():
-    got = exact.predicted_term_form("ext_R1", 3, 3.0, RHO_CYL, 4.0)
-    assert got == pytest.approx((2.0 / (3.0 * np.pi)) * (1.0 / 3.0) ** 3)
-    got = exact.predicted_term_form("int_R1", 5, 3.0, RHO_CYL, 1.0)
-    assert got == pytest.approx((1.0 / 3.0) ** 5 / 5.0)
-    assert exact.predicted_term_form("ext_R2", -4, 1.2, RHO_CYL, 4.0) == pytest.approx(
-        exact.predicted_term_form("ext_R2", 4, 1.2, RHO_CYL, 4.0)
-    )
-    with pytest.raises(ValueError):
-        exact.predicted_term_form("ext_R1", 0, 3.0, RHO_CYL, 4.0)
-    with pytest.raises(ValueError):
-        exact.predicted_term_form("bogus", 3, 3.0, RHO_CYL, 4.0)
+def test_series_ratio_values_and_probe_forms():
+    # the one table of the four ratios, and the large-n forms the probe
+    # divides by: (2 / (pi n)) q^n for ext_R1, q^n / n for the others
+    assert exact.series_ratio("ext_R1", 3.0, RHO_CYL, 4.0) == 1.0 / 3.0
+    assert exact.series_ratio("ext_R2", 1.2, RHO_CYL, 4.0) == 1.2 / 4.0
+    assert exact.series_ratio("int_R1", 3.0, RHO_CYL, 1.0) == 1.0 / 3.0
+    assert exact.series_ratio("int_R2", 3.0, RHO_CYL, 1.0) == 3.0 / 4.0
+    for series_id, n, rho_obs, rho_fil, form in (
+        ("ext_R1", 3, 3.0, 4.0, (2.0 / (3.0 * np.pi)) * (1.0 / 3.0) ** 3),
+        ("int_R1", 5, 3.0, 1.0, (1.0 / 3.0) ** 5 / 5.0),
+        ("ext_R2", 4, 1.2, 4.0, (1.2 / 4.0) ** 4 / 4.0),
+    ):
+        term = exact._series_term(series_id, n, rho_obs, RHO_CYL, rho_fil, M1, MG)
+        probe = exact.term_ratio_probe(series_id, n, rho_obs, RHO_CYL, rho_fil, M1, MG)
+        assert probe == pytest.approx(term / form, rel=1e-15)
+    with pytest.raises(ValueError, match="n >= 1"):
+        exact.term_ratio_probe("ext_R1", 0, 3.0, RHO_CYL, 4.0)
+    for probe in (exact.series_ratio, exact.convergence_region):
+        with pytest.raises(ValueError, match="unknown series id"):
+            probe("bogus", 3.0, RHO_CYL, 4.0)
 
 
 def test_incident_field_frozen_value():
@@ -429,8 +437,9 @@ EXT_ON_AXIS = Excitation("external", 4.0)
 INT_ON_AXIS = Excitation("internal", 1.0)
 RING = 2.0 * np.pi * (np.arange(36) + 0.5) / 36.0
 # rings on which some angles stop on the small-terms rule and the others
-# run to the cap: (source, region, radius, deriv)
-PARTLY_CONVERGED = [(EXT, 2, 2.6, False), (EXT, 1, 1.45, True)]
+# are cut, by order overflow and by floating-point range: (source, region,
+# radius, deriv)
+PARTLY_CONVERGED = [(EXT, 2, 3.4, False), (EXT, 1, 1.25, True)]
 
 
 @pytest.mark.parametrize(
@@ -587,9 +596,11 @@ def test_exact_ring_matches_the_frozen_references(series_id, deriv):
     # and convergence regions, and caps past order overflow and below the
     # stop. Measured: at most 5.2e-15 where the ring's series converges
     # by order 70 (tolerance 2e-14); elsewhere the sums reach orders
-    # 94-153 or diverge to 1e25-1e31, and the factors' own error there
+    # 78-153 or diverge to 1e25-1e31, and the factors' own error there
     # gives at most 2.8e-11 (tolerance 1e-10). The per-order loop measured
-    # the same on every case.
+    # the same on every case but the eight in-region rings at the default
+    # cap (ext_R1 and int_R1 at 1.2, ext_R2 and int_R2 at 3.0), which were
+    # frozen from exact_ring's stop orders and measured at most 1.3e-15.
     media = tuple(Medium(*m) for m in frozen_series.MEDIA)
     region = int(series_id[-1])
     spread = 0

@@ -11,7 +11,9 @@ from scipy import special
 import frozen_series
 import oracles
 import series_loop
-from cylwave import specfun
+from cylwave import exact, specfun
+from cylwave.continuous import density_series, reconstruct_fields_from_densities
+from cylwave.geometry import Excitation
 
 # Values frozen from the mpmath oracle (tests/oracles.py, 50 digits).
 J0_AT_1 = 0.7651976865579666
@@ -567,3 +569,27 @@ def test_bessel_orders_calls_amos_only_above_order_one(monkeypatch):
         for n in (np.arange(-3, 6), np.arange(-1, 2), np.array([4, 0, -7])):
             specfun.bessel_orders(hankel, n, [0.5, 3.0])
     assert set(np.abs(np.concatenate(seen)).tolist()) == {2, 3, 4, 5, 7}
+
+
+_EXT, _M2 = Excitation("external", 4.0), exact.Medium(4.2)
+# every public entry to an order series, called at the angles 0 and a
+_SERIES_ENTRIES = {
+    "exact_ring": lambda a: exact.exact_ring(_EXT, 1, 5.0, np.array([0.0, a]), 2.0, exact.Medium(), _M2),
+    "exact_field": lambda a: exact.exact_field(_EXT, 2, 1.0, a, 2.0, exact.Medium(), _M2),
+    "addition_series_h0": lambda a: specfun.addition_series_h0(1.0, 3.0, [0.0, a]),
+    "addition_series_h0_d1": lambda a: specfun.addition_series_h0_d1(1.0, 3.0, [0.0, a]),
+    "addition_series_h0_d2": lambda a: specfun.addition_series_h0_d2(1.0, 3.0, [0.0, a]),
+    "density_series": lambda a: density_series(_EXT, [0.0, a], 2.0, exact.Medium(), _M2),
+    "reconstruct_fields_from_densities": lambda a: reconstruct_fields_from_densities(
+        _EXT, 10.0, [0.0, a], 2.0, exact.Medium(), _M2
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SERIES_ENTRIES))
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_every_order_series_refuses_a_non_finite_angle(entry, angle):
+    # sum_orders names the bad angles; a nan angle used to give nan with no
+    # warning, or a convergence error blaming the cap
+    with pytest.raises(ValueError, match=r"^angles must be finite, got \[%s\]$" % angle):
+        _SERIES_ENTRIES[entry](angle)
