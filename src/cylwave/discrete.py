@@ -15,6 +15,8 @@ splits the dense solve into four independent systems of about N/2 each.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy import linalg
@@ -109,7 +111,10 @@ class DiscreteSolution:
     electric/magnetic hold the two N-vectors of unknowns in row order: for
     an 'nfm' system the electric and magnetic boundary currents, for a
     'mas' system the inner-surface and outer-surface source amplitudes.
-    residual is ||A x - b||_inf relative to ||b||_inf. cond_estimate is
+    residual is ||A x - b||_inf relative to ||b||_inf. The dense path forms
+    it while each factored system is alive and passes it as
+    dense_residual; a DFT solution leaves that None, forms the residual
+    when it is first read (_circulant_apply) and keeps it. cond_estimate is
     the exact 2-norm condition number (assembled from the per-mode singular
     values) on the DFT path and an infinity-norm estimate on the dense
     path: ||A|| ||A^-1|| for a full LU, and max ||M_chi|| * max
@@ -133,13 +138,20 @@ class DiscreteSolution:
     electric: np.ndarray
     magnetic: np.ndarray
     path: str
-    residual: float
     cond_estimate: float
     dropped: int = 0
+    dense_residual: Optional[float] = None
 
     @property
     def n_points(self):
         return self.electric.shape[0]
+
+    # formed on first read and kept, as Medium.k is
+    @cached_property
+    def residual(self):
+        if self.dense_residual is not None:
+            return self.dense_residual
+        return _relative_residual(_circulant_apply(self), self.system.rhs)
 
     @property
     def vector(self):
@@ -171,18 +183,30 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
     lo, hi = float(dist.min()), float(dist.max())
     if not hi < np.inf:
         raise ValueError("points must be finite")
-    scale = max(np.abs(targets).max(), np.abs(sources).max(), 1.0)
-    if lo < 1e-14 * scale:
-        raise ValueError("coincident points between the two surfaces")
+    # Every coordinate lies within 2 hi of t_0's (via s_0), so |t_0| + 4 hi
+    # bounds the largest one with room for rounding: the coordinates are read
+    # only when the nearest pair could fall below 1e-14 of that bound.
+    t_0 = max(abs(targets[0, 0]), abs(targets[0, 1]))
+    if lo < 1e-14 * max(t_0 + 4.0 * hi, 1.0):
+        scale = max(np.abs(targets).max(), np.abs(sources).max(), 1.0)
+        if lo < 1e-14 * scale:
+            raise ValueError("coincident points between the two surfaces")
     if not 0.0 < k * lo <= k * hi < np.inf:
         raise ValueError("wavenumber times distance must be positive and finite")
     cos = None
     if normals is not None:
+        # formed in dx's memory, with the bits of (dx n_x + dy n_y) / r at
+        # the target and of (-dx n_x - dy n_y) / r at the source
         nrm = np.asarray(normals, dtype=float)
+        nrm = nrm[:, None] if at_target else nrm[None, :]
+        cos = np.multiply(dx, nrm[..., 0], out=dx)
+        np.multiply(dy, nrm[..., 1], out=dy)
         if at_target:
-            cos = (dx * nrm[:, None, 0] + dy * nrm[:, None, 1]) / dist
+            np.add(cos, dy, out=cos)
         else:
-            cos = (-dx * nrm[None, :, 0] - dy * nrm[None, :, 1]) / dist
+            np.negative(cos, out=cos)
+            np.subtract(cos, dy, out=cos)
+        np.divide(cos, dist, out=cos)
     del dx, dy  # freed before the Hankel functions, which set the peak memory
     kd = k * dist
     try:
@@ -591,7 +615,8 @@ def solve_dense(system, shared=None):
             pairs.append((x, a @ x))
     solutions = tuple(
         DiscreteSolution(
-            other, x[:n], x[n:], "dense", _relative_residual(applied, other.rhs), cond
+            other, x[:n], x[n:], "dense", cond,
+            dense_residual=_relative_residual(applied, other.rhs),
         )
         for other, (x, applied) in zip(systems, pairs)
     )
@@ -635,17 +660,21 @@ def solve_circulant_dft(system, shared=None):
     modes is roundoff of the column sums, not the mode's true eigenvalue,
     so it is dropped: such a mode is solved at rank one in least squares,
     or set to zero when both its singular values go. Every other mode
-    keeps the Cramer solve. The residual applies the blocks to the solution
-    through the same DFT. With shared systems (see solve) the per-mode
-    data (spectra, determinants, singular values and kept modes) are
-    computed once for all of them. Each transform is one numpy.fft call
-    over a stack of rows, which gives every row the bits of its own call.
+    keeps the Cramer solve. No solution applies the blocks until its
+    residual is read (_circulant_apply). With shared systems (see solve)
+    the per-mode data (spectra, determinants, singular values and kept
+    modes) are computed once for all of them. Each transform is one
+    numpy.fft call over a stack of rows, which gives every row the bits of
+    its own call: the block columns and the right sides share one.
     """
     if not system.circulant:
         raise ValueError("system is not circulant; use the dense path")
     systems = _with_shared(system, shared)
     n = system.n_points
-    l11, l12, l21, l22 = np.fft.fft(np.stack(_blocks(system)))
+    # the four block columns, then the two halves of each right side
+    halves = tuple(s.rhs.reshape(2, n) for s in systems)
+    spectra = np.fft.fft(np.vstack(_blocks(system) + halves))
+    (l11, l12, l21, l22), rhs_modes = spectra[:4], spectra[4:]
     det = l11 * l22 - l12 * l21
     s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
     s_top = float(np.max(s_max))
@@ -662,8 +691,7 @@ def solve_circulant_dft(system, shared=None):
     s_low = float(np.min(s_min))
     cond = s_top / s_low if s_low > 0.0 else np.inf
 
-    # each stack holds the two halves of system e in rows 2e and 2e + 1
-    rhs_modes = np.fft.fft(np.concatenate([s.rhs for s in systems]).reshape(-1, n))
+    # rhs_modes and modes hold the two halves of system e in rows 2e and 2e + 1
     modes = np.zeros_like(rhs_modes)
     for b1, b2, u, v in zip(rhs_modes[::2], rhs_modes[1::2], modes[::2], modes[1::2]):
         adj_b1 = b1 * l22 - l12 * b2
@@ -677,24 +705,20 @@ def solve_circulant_dft(system, shared=None):
             np.copyto(u[band], x1, where=rank_one)
             np.copyto(v[band], x2, where=rank_one)
     currents = np.fft.ifft(modes)
-    current_modes = np.fft.fft(currents)
-    products = np.empty_like(current_modes)
-    for f_e, f_m, top, bottom in zip(
-        current_modes[::2], current_modes[1::2], products[::2], products[1::2]
-    ):
-        top[:] = l11 * f_e + l12 * f_m
-        bottom[:] = l21 * f_e + l22 * f_m
-    applied = np.fft.ifft(products).reshape(len(systems), 2 * n)
     solutions = tuple(
-        DiscreteSolution(
-            other, electric, magnetic, "dft", _relative_residual(product, other.rhs), cond,
-            dropped,
-        )
-        for other, electric, magnetic, product in zip(
-            systems, currents[::2], currents[1::2], applied
-        )
+        DiscreteSolution(other, electric, magnetic, "dft", cond, dropped)
+        for other, electric, magnetic in zip(systems, currents[::2], currents[1::2])
     )
     return solutions[0] if shared is None else solutions
+
+
+def _circulant_apply(solution):
+    """A x of a DFT solution, laid out as rhs: the blocks' spectra times the
+    solution's, transformed back."""
+    l11, l12, l21, l22 = np.fft.fft(np.stack(_blocks(solution.system)))
+    f_e, f_m = np.fft.fft(np.stack([solution.electric, solution.magnetic]))
+    products = np.stack([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m])
+    return np.fft.ifft(products).ravel()
 
 
 def solve(system, shared=None):

@@ -143,9 +143,11 @@ def _source_distance(excitation, rho_obs, phi_obs):
     coincides with the filament: H0 and H1 read it unchecked."""
     psi = phi_obs - excitation.phi
     d = np.sqrt(rho_obs**2 + excitation.rho**2 - 2.0 * rho_obs * excitation.rho * np.cos(psi))
-    if not np.isfinite(d).all():
+    # d >= 0, so its range holds both checks: a nan or inf reaches the largest
+    # distance, and a coincident point the smallest
+    if not d.max() < np.inf:
         raise ValueError("argument must be finite")
-    if np.any(d < 1e-12 * max(excitation.rho, rho_obs, 1.0)):
+    if d.min() < 1e-12 * max(excitation.rho, rho_obs, 1.0):
         raise ValueError("observation point coincides with the source filament")
     return d
 

@@ -73,22 +73,22 @@ def ring_region(curve, rho_obs, phis, region):
 
     region is None, to deduce it, or the integer 1 or 2 (not a bool).
     """
-    if region is not None:
+    deduced = region is None
+    if not deduced:
         check_region(region)
-    deduced = np.where(curve.contains(rho_obs, phis), 2, 1)
-    if region is None and np.any(deduced != deduced[0]):
+    inside = curve.contains(rho_obs, phis)
+    region = (2 if inside[0] else 1) if deduced else int(region)
+    if inside.all() if region == 2 else not inside.any():  # every point in region
+        return region
+    if deduced:
         raise ValueError(
             "observation ring at radius %g crosses the boundary: give each region's "
             "angles separately" % rho_obs
         )
-    region = int(deduced[0] if region is None else region)
-    mismatch = deduced != region
-    if np.any(mismatch):
-        raise ValueError(
-            "region %d does not match the observation point (it lies in region %d)"
-            % (region, deduced[np.argmax(mismatch)])
-        )
-    return region
+    raise ValueError(
+        "region %d does not match the observation point (it lies in region %d)"
+        % (region, 3 - region)
+    )
 
 
 def field_from_discrete(solution, rho_obs, phi_obs, region=None):
@@ -101,14 +101,20 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     passing one that contradicts any observation point, or leaving it out
     on a ring that crosses the boundary, raises instead of silently using
     the wrong representation, and a region other than 1 or 2 is refused.
-    Points exactly on the boundary count as region 1. A negative or
-    non-finite radius or a non-finite angle is refused by name, and so is
+    Points exactly on the boundary count as region 1. A radius that is a
+    bool or an array of any shape but 0-d, a negative or non-finite radius
+    and a non-finite angle are refused by name, and so is
     a point on one of the solution's radiating nodes; the origin (rho_obs =
     0) is a valid point.
     """
     system = solution.system
+    # a float (numpy's float64 too) is one number; else it must be 0-d, not a bool
+    if not isinstance(rho_obs, float):
+        value = np.asarray(rho_obs)
+        if value.ndim or value.dtype == bool:
+            raise ValueError("observation radius must be one number, got %r" % (rho_obs,))
     rho_obs = float(rho_obs)
-    scalar = np.ndim(phi_obs) == 0
+    scalar = isinstance(phi_obs, float) or np.ndim(phi_obs) == 0
     if scalar:
         phi = float(phi_obs)
         if not math.isfinite(phi):

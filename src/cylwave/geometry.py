@@ -229,9 +229,14 @@ def collocation_points(curve, N, *surfaces):
     nx = r * cos + dr * sin
     ny = r * sin - dr * cos
     norm = np.hypot(nx, ny)
-    normals = np.stack([nx / norm, ny / norm], axis=-1)
+    normals = np.empty((N, 2))
+    np.divide(nx, norm, out=normals[:, 0])
+    np.divide(ny, norm, out=normals[:, 1])
 
     def points(rho):
-        return np.stack([rho * cos, rho * sin], axis=-1)
+        out = np.empty((N, 2))
+        np.multiply(rho, cos, out=out[:, 0])
+        np.multiply(rho, sin, out=out[:, 1])
+        return out
 
     return (points(r), normals, phis) + tuple(points(s.radius(phis)) for s in surfaces)

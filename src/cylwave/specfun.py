@@ -101,7 +101,7 @@ def hankel2_low(n, x):
     out = np.empty(np.shape(x), dtype=complex)
     j(x, out=out.real)
     y(x, out=out.imag)
-    np.negative(out.imag, out=out.imag)
+    np.conjugate(out, out=out)  # J - iY; one contiguous pass, where negating .imag strides
     if n and not np.isfinite(out.imag).all():
         raise _overflow(n, float(np.min(x)))
     return out if out.ndim else complex(out)

@@ -554,6 +554,70 @@ def test_fft_residual_matches_the_dense_product(route, exc):
             assert abs(solution.residual - dense) < 1e-13
 
 
+# ||A x - b|| / ||b|| of the 1.5/2.5 circle systems for EXT and INT, as
+# float.hex, recorded when every DFT solve still applied its blocks to the
+# solution (the snug N = 512 systems drop 496 and 491 modes)
+CIRCLE_RESIDUALS = {
+    ("nfm", 11): ("0x1.69bd0e62fed48p-52", "0x1.46c3bad228ef0p-51"),
+    ("nfm", 40): ("0x1.74df1b6726966p-51", "0x1.359d22afff2c9p-51"),
+    ("nfm", 512): ("0x1.77b0315dec3adp-50", "0x1.6a60246ba52e1p-50"),
+    ("mas", 11): ("0x1.2b1de35801eddp-51", "0x1.0dfb187618f7cp-51"),
+    ("mas", 40): ("0x1.b46f001b1522bp-51", "0x1.133dd40b6440cp-51"),
+    ("mas", 512): ("0x1.3e1a5878f4758p-50", "0x1.cadfa99e515e1p-51"),
+}
+
+
+@pytest.mark.parametrize("route, n_points", list(CIRCLE_RESIDUALS))
+def test_dft_residual_is_formed_on_first_read_with_the_recorded_bits(route, n_points):
+    want = dict(zip((EXT, INT), map(float.fromhex, CIRCLE_RESIDUALS[route, n_points])))
+    system = _ASSEMBLE[route](EXT, n_points)
+    solved = [discrete.solve(_ASSEMBLE[route](exc, n_points)) for exc in (EXT, INT)]
+    solved += discrete.solve(system, shared=(discrete.excite(system, INT),))
+    for solution in solved:
+        assert "residual" not in vars(solution)  # nothing is applied until it is read
+        first = solution.residual
+        assert first == want[solution.system.excitation]
+        assert solution.residual is first
+
+
+# The same for the mild ellipse: D2 at N = 40, a full LU at N = 41. Dense
+# residuals move with the BLAS thread count, so they are read at one thread.
+_DENSE_RESIDUALS_CHILD = """
+from cylwave import discrete, geometry
+from cylwave.exact import Medium
+ellipse = geometry.BoundaryCurve.ellipse(2.0, 1.6)
+aux = [geometry.AuxiliarySurface.from_scale(ellipse, s) for s in (0.8, 1.25)]
+sources = (geometry.Excitation("external", 4.0), geometry.Excitation("internal", 1.0))
+for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
+    for n_points in (40, 41):
+        system = assemble(ellipse, *aux, sources[0], Medium(), Medium(4.2, 1.0), n_points=n_points)
+        alone = discrete.solve(system)
+        shared = discrete.solve(system, shared=(discrete.excite(system, sources[1]),))
+        print(system.d2, *(s.residual.hex() for s in (alone,) + shared),
+              alone.residual is alone.residual)
+"""
+DENSE_RESIDUALS = [
+    "True 0x1.519d32d808d7ap-52 0x1.519d32d808d7ap-52 0x1.5b395b7a10d69p-51 True",
+    "False 0x1.2a067df9be54dp-51 0x1.2a067df9be54dp-51 0x1.e934fdf7b897dp-50 True",
+    "True 0x1.10c56010ed35bp-51 0x1.10c56010ed35bp-51 0x1.133dd40b6440cp-52 True",
+    "False 0x1.b46f001b1522bp-51 0x1.b46f001b1522bp-51 0x1.4408aee8f615cp-51 True",
+]
+
+
+def test_dense_residuals_keep_their_recorded_bits_at_one_blas_thread():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _DENSE_RESIDUALS_CHILD],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == DENSE_RESIDUALS
+
+
 def test_solves_report_residual_and_conditioning():
     for solution in (discrete.solve_dense(_nfm(EXT, 40)), discrete.solve_circulant_dft(_nfm(EXT, 40))):
         assert solution.residual < 1e-12

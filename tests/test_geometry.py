@@ -183,6 +183,25 @@ def test_kernels_reject_coincident_points():
         kernels(1.0, pts, pts)
 
 
+@pytest.mark.parametrize("large", ["targets", "sources", "both"])
+def test_kernels_refuse_pairs_within_1e_14_of_the_largest_coordinate(large):
+    # The largest coordinate is 1e6, so pairs closer than 1e-8 are refused
+    # however far that coordinate lies from the pair: on another target,
+    # on another source, or at the pair itself (where the pair's own
+    # distances are all tiny).
+    for gap, refused in ((0.9e-8, True), (1.1e-8, False)):
+        if large == "both":
+            targets, sources = [[1e6, 1.0]], [[1e6, 1.0 + gap]]
+        else:
+            targets = [[1.0, 0.0]] + ([[0.0, 1e6]] if large == "targets" else [])
+            sources = [[1.0 + gap, 0.0]] + ([[-1e6, 0.0]] if large == "sources" else [])
+        if refused:
+            with pytest.raises(ValueError, match="coincident points between the two surfaces"):
+                kernels(1.0, targets, sources)
+        else:
+            assert np.isfinite(kernels(1.0, targets, sources)[0]).all()
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_kernels_refuse_non_finite_points_by_name(bad):
     pts, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
