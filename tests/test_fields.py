@@ -369,7 +369,7 @@ def snug_curves(draw):
 # 3 300 unseeded hypothesis examples, which favour the ends of each range,
 # at most 1.8e-5 (an ellipse, source route), with medians 4e-11 to 1.4e-10
 # and every circle below 1.2e-7. The 24 examples run here read at most
-# 1.3e-7 (median 2.4e-12) in about 0.5 s. Scaling the scattered field of
+# 1.3e-7 (median 2.4e-12) in 0.4-1.2 s. Scaling the scattered field of
 # one region by 1 + 1e-3 fails it.
 RANDOM_RECIPROCITY_N = 160
 RANDOM_RECIPROCITY_BOUND = 1e-4
