@@ -26,10 +26,7 @@ from . import geometry, specfun
 from .exact import Medium
 
 _TWO_PI = 2.0 * np.pi
-
-
-class AssemblyError(ArithmeticError):
-    """A kernel entry left the floating range during matrix assembly."""
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ class DiscreteSolution:
 # -- kernels ----------------------------------------------------------------
 
 
-def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
+def kernels(k, targets, sources, normals=None, at_target=False):
     """The two radiating kernels between target points t_p and source points s_l.
 
     Returns (H0, dn), shape (targets, sources) each: H0 = H^(2)_0(k r) with
@@ -169,10 +166,9 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
     normals. normals holds one unit normal per source, giving
     [n_l . (s_l - t_p) / r] H^(2)_1(k r), or with at_target one per
     target, giving [n_p . (t_p - s_l) / r] H^(2)_1(k r). The offsets are
-    formed once for both. A non-finite point raises ValueError, and so does
+    formed once for both. A non-finite point raises ValueError, and so do
     a target closer to a source than 1e-14 times the largest coordinate of
-    either set (or 1); an entry leaving the floating range raises
-    AssemblyError naming label and the entry of least distance.
+    either set (or 1) and a k r below the normal range, where H1 overflows.
     """
     targets = np.asarray(targets, dtype=float)
     sources = np.asarray(sources, dtype=float)
@@ -191,7 +187,7 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
         scale = max(np.abs(targets).max(), np.abs(sources).max(), 1.0)
         if lo < 1e-14 * scale:
             raise ValueError("coincident points between the two surfaces")
-    if not 0.0 < k * lo <= k * hi < np.inf:
+    if not _TINY <= k * lo <= k * hi < np.inf:
         raise ValueError("wavenumber times distance must be positive and finite")
     cos = None
     if normals is not None:
@@ -209,14 +205,10 @@ def kernels(k, targets, sources, normals=None, at_target=False, label="kernel"):
         np.divide(cos, dist, out=cos)
     del dx, dy  # freed before the Hankel functions, which set the peak memory
     kd = k * dist
-    try:
-        h0 = specfun.hankel2_low(0, kd)
-        if cos is None:
-            return h0, None
-        dn = specfun.hankel2_low(1, kd)
-    except specfun.BesselOverflowError as err:
-        loc = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        raise AssemblyError("%s overflowed near entry %s: %s" % (label, loc, err)) from err
+    h0 = specfun.hankel2_low(0, kd)
+    if cos is None:
+        return h0, None
+    dn = specfun.hankel2_low(1, kd)
     dn *= cos
     return h0, dn
 
@@ -321,8 +313,8 @@ def assemble_nfm(
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    h1, dn1 = kernels(k1, a1_pts, c_pts[src], c_nrm[src], label="blocks z11, z12")
-    h2, dn2 = kernels(k2, a2_pts, c_pts[src], c_nrm[src], label="blocks z21, z22")
+    h1, dn1 = kernels(k1, a1_pts, c_pts[src], c_nrm[src])
+    h2, dn2 = kernels(k2, a2_pts, c_pts[src], c_nrm[src])
     blocks = (h1, dn1, h2, dn2)
     for block, scale in zip(blocks, (z1, 1j, z2, 1j)):
         np.multiply(scale, block, out=block)  # in place: no block is held twice
@@ -343,10 +335,10 @@ def _nfm_rhs(nodes, excitation, medium1, medium2):
     rhs = np.zeros(2 * n_points, dtype=complex)
     fil = excitation.position_xy()[None, :]
     if excitation.region == "external":
-        h0, _ = kernels(medium1.k, nodes.inner, fil, label="rhs")
+        h0, _ = kernels(medium1.k, nodes.inner, fil)
         rhs[:n_points] = -amp * medium1.Z * h0[:, 0]
     else:
-        h0, _ = kernels(medium2.k, nodes.outer, fil, label="rhs")
+        h0, _ = kernels(medium2.k, nodes.outer, fil)
         rhs[n_points:] = amp * medium2.Z * h0[:, 0]
     return rhs
 
@@ -368,7 +360,7 @@ def _mas_rhs(nodes, excitation, medium1, medium2):
         k, z = medium2.k, medium2.Z
         sign = -1.0
     fil = excitation.position_xy()[None, :]
-    h0, slope = kernels(k, c_pts, fil, c_nrm, at_target=True, label="rhs")
+    h0, slope = kernels(k, c_pts, fil, c_nrm, at_target=True)
     rhs[:n_points] = sign * (k * z / 4.0) * amp * h0[:, 0]
     rhs[n_points:] = sign * (1j * k / 4.0) * amp * slope[:, 0]
     return rhs
@@ -399,8 +391,8 @@ def assemble_mas(
     k2, z2 = medium2.k, medium2.Z
     # the magnetic matching row takes the aux-source fields' derivative
     # along the boundary normal, so the normal sits at the target
-    h1, dn1 = kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True, label="blocks z11, z21")
-    h2, dn2 = kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True, label="blocks z12, z22")
+    h1, dn1 = kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True)
+    h2, dn2 = kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True)
     blocks = (h1, h2, dn1, dn2)
     scales = (-(k1 * z1 / 4.0), +(k2 * z2 / 4.0), -(1j * k1 / 4.0), +(1j * k2 / 4.0))
     for block, scale in zip(blocks, scales):

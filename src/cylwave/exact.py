@@ -140,14 +140,22 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
 
 def _source_distance(excitation, rho_obs, phi_obs):
     """Distance from the filament, refusing a non-finite one and a point that
-    coincides with the filament: H0 and H1 read it unchecked."""
-    psi = phi_obs - excitation.phi
-    d = np.sqrt(rho_obs**2 + excitation.rho**2 - 2.0 * rho_obs * excitation.rho * np.cos(psi))
+    coincides with the filament: H0 and H1 read it unchecked. Where the law
+    of cosines gives d below 1e-3 max(rho_f, rho, 1), its terms cancel (and
+    may fall below 0); d^2 is then (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2)."""
+    rho_f, psi = excitation.rho, phi_obs - excitation.phi
+    scale = max(rho_f, rho_obs, 1.0)
+    d = np.sqrt(np.maximum(rho_obs**2 + rho_f**2 - 2.0 * rho_obs * rho_f * np.cos(psi), 0.0))
     # d >= 0, so its range holds both checks: a nan or inf reaches the largest
     # distance, and a coincident point the smallest
     if not d.max() < np.inf:
         raise ValueError("argument must be finite")
-    if d.min() < 1e-12 * max(excitation.rho, rho_obs, 1.0):
+    lo = d.min()
+    if lo < 1e-3 * scale:
+        half = np.sqrt((rho_obs - rho_f) ** 2 + 4.0 * rho_obs * rho_f * np.sin(0.5 * psi) ** 2)
+        d = np.where(d >= 1e-3 * scale, d, half)
+        lo = d.min()
+    if lo < 1e-12 * scale:
         raise ValueError("observation point coincides with the source filament")
     return d
 

@@ -51,7 +51,7 @@ def _scattered_field(solution, xy, region):
     """Field radiated into one region at the observation points xy, shape (P, 2)."""
     medium, pts, nrm = _source_stacks(solution, region)
     k, z = medium.k, medium.Z
-    mono, dip = kernels(k, xy, pts, nrm, label="field kernel")
+    mono, dip = kernels(k, xy, pts, nrm)
     # row by row, not kernel @ amps: each point then sums in the same order
     # as a one-point call, so a ring equals its points to the last bit
     if solution.system.method == "mas":
@@ -192,7 +192,7 @@ def boundary_traces(solution, n_test=72):
         for region in (1, 2):
             medium, src, _ = _source_stacks(solution, region)
             amps = solution.electric if region == 1 else solution.magnetic
-            h0, dn = kernels(medium.k, pts, src, nrm, at_target=True, label="trace kernel")
+            h0, dn = kernels(medium.k, pts, src, nrm, at_target=True)
             # BLAS sums dn @ amps in another order for each memory layout;
             # column-major keeps the traces' bits (preset_outputs --hashes)
             dn = np.multiply(-medium.k, dn, order="F")
@@ -204,7 +204,7 @@ def boundary_traces(solution, n_test=72):
         if _incident_here(system.excitation, region):
             exc = system.excitation
             fil = exc.position_xy()[None, :]
-            h0, dn = kernels(medium.k, pts, fil, nrm, at_target=True, label="trace kernel")
+            h0, dn = kernels(medium.k, pts, fil, nrm, at_target=True)
             weight = incident_prefactor(medium) * exc.amplitude
             value = value + weight * h0[:, 0]
             slope = slope + weight * (-medium.k * dn[:, 0])

@@ -193,9 +193,9 @@ class Excitation:
 
 
 def as_count(value, name):
-    """value as an int; ValueError naming name unless it is a finite whole number, not a bool."""
+    """value as an int; ValueError naming name unless a finite whole number, not of bool dtype."""
     try:
-        if int(value) == value and not isinstance(value, (bool, np.bool_)):
+        if int(value) == value and np.asarray(value).dtype != bool:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

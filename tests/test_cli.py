@@ -787,6 +787,29 @@ def test_roundoff_amplitudes_warn_on_stderr(tmp_path, capsys, monkeypatch):
         assert (out / "sweep.csv").read_bytes() == (quiet / "sweep.csv").read_bytes()
 
 
+def test_sweep_writes_a_failed_solve_as_a_row_with_its_message(tmp_path, monkeypatch):
+    # the solve of one N raises: the sweep goes on, exits 0 and writes that
+    # N as one row with blank cells and the message in note
+    solve = discrete.solve
+
+    def failing_solve(system, shared=None):
+        if system.n_points == 46:
+            raise ArithmeticError("singular system at N = 46")
+        return solve(system, shared)
+
+    monkeypatch.setattr(discrete, "solve", failing_solve)
+    out = tmp_path / "s"
+    preset = str(PRESETS / "mas-divergence.json")
+    assert cli.main(["sweep", "--config", preset, "--out", str(out)]) == 0
+    rows = _read_table(out / "sweep.csv")
+    cells = [(r["n_points"], r["surface"]) for r in rows]
+    assert cells == [("40", "aux1"), ("40", "aux2"), ("46", "")]
+    assert all(r["error"] and r["note"] == "" for r in rows[:2])
+    failed = rows[2]
+    assert failed["note"] == "singular system at N = 46"
+    assert all(value == "" for name, value in failed.items() if name not in ("n_points", "note"))
+
+
 def test_single_n_sweep_omits_growth(tmp_path):
     def mutate(doc):
         doc["solver"] = {"method": "mas", "n_list": [24]}

@@ -1,5 +1,7 @@
 """Tests for the mode-space boundary densities and field reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -411,3 +413,44 @@ def test_reconstructed_fields_match_the_frozen_references():
             continue
         assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want)), (name, rho_obs)
     assert 0 < raised < len(frozen_series.RECONSTRUCTION)
+
+
+MEDIA_RANGES = ((1.0, 2.0), (1.0, 1.5), (1.5, 8.0), (1.0, 3.0))  # eps1, mu1, eps2, mu2
+# how a series that did not converge is refused, naming its stop
+UNCONVERGED = (
+    r"not converged within n_max=\d+: series (truncated at n=\d+ by "
+    r"(order overflow|floating-point range)|terms growing without bound)"
+)
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(
+    rho_cyl=st.floats(1.0, 3.0),
+    media=st.tuples(*(st.floats(lo, hi) for lo, hi in MEDIA_RANGES)),
+    source=st.one_of(
+        st.tuples(st.just("external"), st.floats(1.05, 4.0)),
+        st.tuples(st.just("internal"), st.floats(0.05, 0.95)),
+    ),
+    observed=st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 3.0)),
+    phis=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=8),
+)
+def test_densities_and_their_fields_return_or_name_their_stop(
+    rho_cyl, media, source, observed, phis
+):
+    # every valid source: the density series and the field they radiate
+    # either return finite values or raise naming the order they stopped at
+    side, scale = source
+    exc = Excitation(side, scale * rho_cyl, phis[0] + 1.0)
+    assume(abs(observed - scale) > 1e-3 * scale)
+    media = Medium(*media[:2]), Medium(*media[2:])
+    calls = (
+        lambda: density_series(exc, phis, rho_cyl, *media),
+        lambda: reconstruct_fields_from_densities(exc, observed * rho_cyl, phis, rho_cyl, *media),
+    )
+    for call in calls:
+        try:
+            values = call()
+        except ArithmeticError as err:
+            assert re.search(UNCONVERGED, str(err)), str(err)
+        else:
+            assert np.isfinite(values).all()

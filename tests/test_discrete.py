@@ -290,12 +290,19 @@ def test_assembles_and_solves_on_a_star_curve():
     assert solution.residual < 1e-12
 
 
-@pytest.mark.parametrize("bad", [40.7, np.inf, np.nan, True], ids=["40.7", "inf", "nan", "bool"])
+@pytest.mark.parametrize(
+    "bad",
+    [40.7, np.inf, np.nan, True, np.array(True)],
+    ids=["40.7", "inf", "nan", "bool", "0d-bool"],
+)
 def test_a_count_that_is_not_a_whole_number_is_refused_by_name(bad):
     # each site converts its count to an int: 40.7 must not become 40, nor
-    # inf an OverflowError; a whole float is still a count
+    # inf an OverflowError, nor a 0-d bool array 1; a whole float and a 0-d
+    # integer array are still counts
     geo = (CIRCLE, AUX_IN, AUX_OUT)
+    ring = (EXT, 1, 10.0, [0.1, 0.2], 2.0, M1, M2)
     calls = [
+        ("n_max", lambda: exact.exact_ring(*ring, n_max=bad)),
         ("n_points", lambda: discrete.assemble_nfm(*geo, EXT, M1, M2, n_points=bad)),
         ("n_points", lambda: discrete.q_sum_coefficients(3, bad, *geo, EXT, M1, M2)),
         ("N", lambda: geometry.collocation_points(CIRCLE, bad)),
@@ -308,6 +315,8 @@ def test_a_count_that_is_not_a_whole_number_is_refused_by_name(bad):
     whole = _nfm(EXT, 40.0)
     assert whole.n_points == 40 and whole.z11.tobytes() == _nfm(EXT, 40).z11.tobytes()
     assert diagnostics.oscillation_scan("nfm", geo, EXT, (M1, M2), (40.0,)).n_points == (40,)
+    by_array = exact.exact_ring(*ring, n_max=np.array(60))
+    assert by_array.value.tobytes() == exact.exact_ring(*ring, n_max=60).value.tobytes()
 
 
 # -- the footnote transform --------------------------------------------------

@@ -202,6 +202,18 @@ def test_kernels_refuse_pairs_within_1e_14_of_the_largest_coordinate(large):
             assert np.isfinite(kernels(1.0, targets, sources)[0]).all()
 
 
+def test_kernels_refuse_a_subnormal_wavenumber_times_distance_by_name():
+    # H1 overflows only for k r below about 3.5e-309: every k r below the
+    # smallest normal float is refused, with and without normals
+    targets, sources, normals = [[0.0, 0.0]], [[1e-10, 0.0]], [[1.0, 0.0]]
+    for k in (1e-299, 1e-300):  # k r = 1e-309 and 1e-310
+        for nrm in (None, normals):
+            with pytest.raises(ValueError, match="wavenumber times distance must be positive"):
+                kernels(k, targets, sources, nrm)
+    h0, dn = kernels(1e-297, targets, sources, normals)  # k r = 1e-307
+    assert np.isfinite(h0).all() and np.isfinite(dn).all()
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_kernels_refuse_non_finite_points_by_name(bad):
     pts, _, _ = collocation_points(BoundaryCurve.circle(1.0), 8)
