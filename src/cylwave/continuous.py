@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exact import Medium, default_n_cap, incident_field, series_id_for, sum_series
+from .exact import (
+    Medium,
+    check_boundary_radius,
+    default_n_cap,
+    incident_field,
+    series_id_for,
+    sum_series,
+)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -74,6 +81,7 @@ def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
     raises ArithmeticError where a Hankel factor overflows or the system is
     singular.
     """
+    check_boundary_radius(rho_cyl)
     n = np.asarray(n, dtype=int)
     with np.errstate(all="ignore"):
         (electric, magnetic), usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
@@ -105,6 +113,7 @@ def density_series(excitation, phi, rho_cyl, medium1=Medium(), medium2=Medium(),
     the series converges for every source strictly off the boundary; the
     default cap gives that ratio the orders it needs.
     """
+    check_boundary_radius(rho_cyl)
     cap = n_max if n_max is not None else default_n_cap(
         series_id_for(excitation, 1), rho_cyl, rho_cyl, excitation, medium1, medium2
     )
@@ -156,6 +165,7 @@ def reconstruct_fields_from_densities(
     """
     if not 0.0 < rho_obs < np.inf:
         raise ValueError("observation radius must be positive and finite")
+    check_boundary_radius(rho_cyl)
     if abs(rho_obs - rho_cyl) < 1e-12 * rho_cyl:
         raise ValueError("observation point must lie off the boundary")
     shape = np.shape(phi_obs)

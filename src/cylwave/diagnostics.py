@@ -128,6 +128,8 @@ def oscillation_index(values):
     vec = np.asarray(values, dtype=complex).ravel()
     if vec.size == 0:
         raise ValueError("need at least one sample")
+    if not np.isfinite(vec).all():
+        raise ValueError("values must be finite")
     vec = vec - vec.mean()
     power = np.abs(np.fft.fft(vec)) ** 2
     total = float(power.sum())

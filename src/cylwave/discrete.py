@@ -150,6 +150,25 @@ class DiscreteSolution:
             return self.dense_residual
         return _relative_residual(_circulant_apply(self), self.system.rhs)
 
+    @cached_property
+    def spectra(self):
+        """The DFTs of electric and magnetic, shape (2, N), formed on first read.
+
+        One numpy.fft call over the two stacked rows, which gives each row
+        the bits of its own call.
+        """
+        return np.fft.fft(np.stack([self.electric, self.magnetic]))
+
+    @cached_property
+    def ring_modes(self):
+        """Per region, the last observation radius of a field evaluation and its mode sum.
+
+        fields keeps (rho, coefficients) there, coefficients None where the
+        kernels are summed instead, so that one-angle calls around a ring
+        form them once. Each entry is one tuple, replaced whole.
+        """
+        return {}
+
     @property
     def vector(self):
         return np.concatenate([self.electric, self.magnetic])
@@ -708,7 +727,7 @@ def _circulant_apply(solution):
     """A x of a DFT solution, laid out as rhs: the blocks' spectra times the
     solution's, transformed back."""
     l11, l12, l21, l22 = np.fft.fft(np.stack(_blocks(solution.system)))
-    f_e, f_m = np.fft.fft(np.stack([solution.electric, solution.magnetic]))
+    f_e, f_m = solution.spectra
     products = np.stack([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m])
     return np.fft.ifft(products).ravel()
 
@@ -729,7 +748,8 @@ def solve(system, shared=None):
 def mode_amplitudes(solution):
     """Fourier coefficients (DFT / N) of the two solved amplitude vectors."""
     n = solution.n_points
-    return np.fft.fft(solution.electric) / n, np.fft.fft(solution.magnetic) / n
+    f_e, f_m = solution.spectra
+    return f_e / n, f_m / n
 
 
 def normalized_currents(solution):

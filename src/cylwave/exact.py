@@ -147,10 +147,14 @@ def _source_distance(excitation, rho_obs, phi_obs):
     scale = max(rho_f, rho_obs, 1.0)
     d = np.sqrt(np.maximum(rho_obs**2 + rho_f**2 - 2.0 * rho_obs * rho_f * np.cos(psi), 0.0))
     # d >= 0, so its range holds both checks: a nan or inf reaches the largest
-    # distance, and a coincident point the smallest
-    if not d.max() < np.inf:
-        raise ValueError("argument must be finite")
-    lo = d.min()
+    # distance, and a coincident point the smallest; one point is both ends
+    one = d.size == 1
+    if not (d.item() if one else d.max()) < np.inf:
+        for name, value in (("radius", rho_obs), ("angles", phi_obs)):
+            if not np.isfinite(value).all():
+                raise ValueError("observation %s must be finite" % name)
+        raise ValueError("distance from the source filament must be finite")
+    lo = d.item() if one else d.min()
     if lo < 1e-3 * scale:
         half = np.sqrt((rho_obs - rho_f) ** 2 + 4.0 * rho_obs * rho_f * np.sin(0.5 * psi) ** 2)
         d = np.where(d >= 1e-3 * scale, d, half)
@@ -197,6 +201,7 @@ def mode_denominator(n, rho_cyl, medium1, medium2):
     back); raises ArithmeticError where a Hankel factor overflows or the
     value underflows.
     """
+    check_boundary_radius(rho_cyl)
     f = specfun.order_factors(n, {"j": medium2.k * rho_cyl}, {"h": medium1.k * rho_cyl})
     with np.errstate(all="ignore"):
         delta, usable = _denominator(medium1, medium2, *f["j"], *f["h"])
@@ -423,6 +428,12 @@ def term_ratio_probe(
         raise ValueError("reference form needs n >= 1")
     form = (2.0 / (np.pi * m)) * q**m if series_id == "ext_R1" else q**m / m
     return _series_term(series_id, n, rho_obs, rho_cyl, rho_fil, medium1, medium2) / form
+
+
+def check_boundary_radius(rho_cyl):
+    """Raise ValueError naming rho_cyl unless it is positive and finite."""
+    if not 0.0 < rho_cyl < np.inf:
+        raise ValueError("boundary radius rho_cyl must be positive and finite")
 
 
 def check_region(region):

@@ -3,12 +3,18 @@
 A solved direct system radiates its boundary currents with the region's own
 wavenumber and impedance (electric currents through H^(2)_0, magnetic ones
 through the normal-derivative kernel); a solved source system radiates its
-displaced line sources. The incident field joins on whichever side the
-filament lives. Residuals of the two transmission conditions, sampled
-between collocation angles, stand in for an exact reference on shapes where
-no separable solution exists.
+displaced line sources. On concentric circles the N radiating points of a
+region sit equispaced on one circle, and Graf's addition theorem turns
+their kernel sum into a sum over the solution's Fourier modes whose terms
+fall geometrically; a point takes that sum wherever a few dozen orders
+reach roundoff (_mode_coefficients), and the sum of N kernels elsewhere.
+The incident field joins on whichever side the filament lives. Residuals
+of the two transmission conditions, sampled between collocation angles,
+stand in for an exact reference on shapes where no separable solution
+exists.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,6 +53,128 @@ def _source_stacks(solution, region):
     return medium, nodes.inner if region == 1 else nodes.outer, None
 
 
+def _debye_exponent(n, x):
+    """n (alpha - tanh alpha) with cosh alpha = n/x, 0 for n <= x.
+
+    By Debye's expansions J_n(x) falls like exp(-this) and |H2_n(x)| grows
+    like exp(+this) once the order passes the argument.
+    """
+    if n <= x:
+        return 0.0
+    t = math.sqrt(n * n - x * x)
+    return n * math.log((n + t) / x) - t
+
+
+# ln(1e18): the mode sum drops terms of about 1e-18 and below (_mode_order)
+_TAIL = math.log(1e18)
+
+
+def _mode_order(x, y, slope, cap):
+    """The last order m of a mode sum whose terms are J_n(x) H2_n(y), x < y, or None.
+
+    By Debye's expansions |J_n(x) H2_n(y)| is about exp(-F(n)) / (pi n),
+    F(n) = E(n, x) - E(n, y) with E = _debye_exponent. F grows with n, by
+    at least ln(y/x) per order once n > y. m is the least order with
+    F(m) >= ln(1e18) + ln(1 + y) / 2 +
+    ln(m / slope) where slope > 0 is the argument of a derivative factor
+    (J'_n(x) or H2'_n(y), about n/slope times the function; 0 for none). A
+    dropped order n then weighs at most about 1e-18 / sqrt(1 + y) of the
+    largest |DFT_n| of the amplitudes, itself at most sum |a_l|; the direct
+    sum's own roundoff is eps sum |a_l| |H0(k r_l)|, with |H0| of order
+    (1 + y)^(-1/2), a hundred times more. F(n) <= n ln(y/x), so the search
+    starts at the order where that bound meets the target and climbs. None
+    when m would exceed cap.
+    """
+    target = _TAIL + 0.5 * math.log1p(y)
+
+    def short(n):
+        excess = _debye_exponent(n, x) - _debye_exponent(n, y) - target
+        return excess < (math.log(n / slope) if n > slope > 0.0 else 0.0)
+
+    start = m = max(1, math.ceil(target / math.log(y / x)))
+    while m <= cap and short(m):
+        m += 1
+        if m == start + 4 and short(cap):  # a long climb: give up early if it tops out
+            return None
+    # None past cap, and where H2_(m+1)(y) nears the floating range (e^700 ~ 1e304)
+    return m if m <= cap and _debye_exponent(m + 1, y) < 700.0 else None
+
+
+def _mode_coefficients(solution, rho, region):
+    """_modes_at(solution, rho, region) on a circulant system, else None.
+
+    The result is kept per region for the last radius asked
+    (solution.ring_modes holds (rho, result)), so one-angle calls around a
+    ring form the coefficients once, as a ring's own call does. The same
+    inputs give the same bits either way.
+    """
+    if not solution.system.circulant:
+        return None
+    kept = solution.ring_modes.get(region)
+    if kept is None or kept[0] != rho:
+        kept = rho, _modes_at(solution, rho, region)
+        solution.ring_modes[region] = kept
+    return kept[1]
+
+
+def _modes_at(solution, rho, region):
+    """(i n, c_n), n = -m..m, with sum_n c_n e^(i n phi) the field radiated into region at rho.
+
+    Graf's addition theorem on concentric circles: N equispaced sources of
+    amplitudes a_l on the circle of radius s radiate sum_n w_n e^(i n phi)
+    A_(n mod N), with A = DFT(a) (solution.spectra) and w_n = J_n(k min)
+    H2_n(k max) for the monopole kernel H0, min and max of (rho, s). The
+    direct route's dipole kernel takes -J'_n(k s) H2_n(k rho) outside and
+    -J_n(k rho) H2'_n(k s) inside; specfun's addition series hold the same
+    identities. The system must be circulant. None (the caller sums the
+    kernels) unless 0 < k min < k max, the orders up to m (_mode_order)
+    are at most (N - 1) / 2 and every w_n is finite.
+    """
+    system = solution.system
+    medium, pts, _ = _source_stacks(solution, region)
+    k, z = medium.k, medium.Z
+    s = float(pts[0, 0])  # node 0 sits at angle 0: its x is the radius
+    # region 1 lies outside its radiating circle and region 2 inside it
+    outside = region == 1
+    lo, hi = (k * s, k * rho) if outside else (k * rho, k * s)
+    if not 0.0 < lo < hi:  # the origin, or a point on the circle
+        return None
+    nfm = system.method == "nfm"
+    m = _mode_order(lo, hi, (lo if outside else hi) if nfm else 0.0, (solution.n_points - 1) // 2)
+    if m is None:
+        return None
+    # the dipole's derivative reads one order more on the radiating circle
+    j = specfun.bessel_orders(False, np.arange(m + 2 if nfm and outside else m + 1), lo)
+    h = specfun.hankel2_upward(m + 1 if nfm and not outside else m, hi)
+    # |H2_n| grows with n: the last one is the largest, and every J_n <= 1
+    if not cmath.isfinite(h[-1]):
+        return None
+    # w_n, n = 0..m, each row scaled by its amplitudes' weight
+    if not nfm:
+        w = (-(k * z / 4.0) * j * h)[None]
+        rows = slice(region - 1, region)
+    else:
+        sign = 1.0 if region == 1 else -1.0
+        w = np.empty((2, m + 1), dtype=complex)
+        if outside:  # -J'_n = J_(n+1) - (n/x) J_n
+            np.multiply(j[: m + 1], h, out=w[0])
+            np.multiply(j[1:] - np.arange(m + 1) * (1.0 / lo) * j[: m + 1], h, out=w[1])
+        else:  # -H2'_n = H2_(n+1) - (n/x) H2_n
+            np.multiply(j, h[: m + 1], out=w[0])
+            np.multiply(j, h[1:] - np.arange(m + 1) * (1.0 / hi) * h[: m + 1], out=w[1])
+        w *= np.array([[sign * -(k * z / 4.0)], [sign * (k / 4j)]])
+        rows = slice(0, 2)
+    # orders -m..m: w_n is even in n, DFT_n is read at n mod N
+    spectra = solution.spectra[rows]
+    c = np.concatenate((w[:, :0:-1] * spectra[:, -m:], w * spectra[:, : m + 1]), axis=1)
+    return 1j * np.arange(-m, m + 1), c[0] + c[1] if nfm else c[0]
+
+
+def _mode_sum(i_orders, c, phi):
+    """sum_n c_n e^(i n phi) from i n and c_n: one angle's value of a mode sum."""
+    return np.exp(i_orders * math.remainder(phi, _TWO_PI)) @ c
+
+
 def _scattered_field(solution, xy, region):
     """Field radiated into one region at the observation points xy, shape (P, 2)."""
     medium, pts, nrm = _source_stacks(solution, region)
@@ -76,9 +204,13 @@ def ring_region(curve, rho_obs, phis, region):
     deduced = region is None
     if not deduced:
         check_region(region)
-    inside = curve.contains(rho_obs, phis)
-    region = (2 if inside[0] else 1) if deduced else int(region)
-    if inside.all() if region == 2 else not inside.any():  # every point in region
+    if curve.kind == "circle":  # one radius at every angle: one comparison decides
+        first = every = some = rho_obs < curve.params["radius"]
+    else:
+        inside = curve.contains(rho_obs, phis)
+        first, every, some = inside[0], inside.all(), inside.any()
+    region = (2 if first else 1) if deduced else int(region)
+    if every if region == 2 else not some:  # every point in region
         return region
     if deduced:
         raise ValueError(
@@ -97,8 +229,11 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     phi_obs is one angle or a 1-D array of angles on the circle rho_obs;
     one angle gives a FieldSample of scalars, an array a FieldSample whose
     phi and e_z are arrays, summed in one pass with the same bits as
-    one-angle calls. The region is deduced from the curve when not given;
-    passing one that contradicts any observation point, or leaving it out
+    one-angle calls. On a circulant system the scattered field is the
+    solution's mode sum where _mode_coefficients allows it, else (and on
+    every other system) the sum of the N kernels. The region is deduced
+    from the curve when not given; passing one that contradicts any
+    observation point, or leaving it out
     on a ring that crosses the boundary, raises instead of silently using
     the wrong representation, and a region other than 1 or 2 is refused.
     Points exactly on the boundary count as region 1. A radius that is a
@@ -129,14 +264,18 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     if not 0.0 <= rho_obs < np.inf:
         raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
-    xy = np.empty((phis.size, 2))
-    np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
-    np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])
-    try:
-        value = _scattered_field(solution, xy, region)
-    except ValueError:  # kernels refusing a point on a radiating node
-        where = "observation point at radius %g coincides with a radiating node of the %s route"
-        raise ValueError(where % (rho_obs, system.method)) from None
+    modes = _mode_coefficients(solution, rho_obs, region)
+    if modes is not None:
+        value = np.array([_mode_sum(*modes, phi) for phi in phis.tolist()])
+    else:
+        xy = np.empty((phis.size, 2))
+        np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
+        np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])
+        try:
+            value = _scattered_field(solution, xy, region)
+        except ValueError:  # kernels refusing a point on a radiating node
+            where = "observation point at radius %g coincides with a radiating node of the %s route"
+            raise ValueError(where % (rho_obs, system.method)) from None
     if _incident_here(system.excitation, region):
         medium = system.medium1 if region == 1 else system.medium2
         value = value + incident_field(system.excitation, medium, rho_obs, phis)

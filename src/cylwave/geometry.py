@@ -37,8 +37,8 @@ class BoundaryCurve:
     @classmethod
     def circle(cls, radius):
         radius = float(radius)
-        if radius <= 0.0:
-            raise ValueError("circle radius must be positive")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("circle radius must be positive and finite")
         return cls(
             "circle",
             lambda phi: np.full(np.shape(phi), radius),
@@ -49,8 +49,8 @@ class BoundaryCurve:
     @classmethod
     def ellipse(cls, semi_major, semi_minor):
         a, b = float(semi_major), float(semi_minor)
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("ellipse semi-axes must be positive")
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise ValueError("ellipse semi-axes must be positive and finite")
 
         def r(phi):
             phi = np.asarray(phi, dtype=float)
@@ -100,8 +100,8 @@ class BoundaryCurve:
     def scaled(self, factor):
         """Similarity scaling (x, y) -> (factor x, factor y)."""
         factor = float(factor)
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < factor < np.inf:
+            raise ValueError("scale factor must be positive and finite")
         if self.kind == "circle":
             return BoundaryCurve.circle(factor * self.params["radius"])
         if self.kind == "ellipse":

@@ -16,6 +16,8 @@ and y1 (Cephes) at arguments its caller has checked, and bessel_orders
 forms any integer order after checking its arguments, |n| <= 1 from the
 same Cephes functions (H2 through hankel2_low), higher orders from jv and
 hankel2 (AMOS). bessel_j and hankel2 each read one order of bessel_orders.
+hankel2_upward runs the recurrence from hankel2_low's two values, for the
+mode sums of the circle fields.
 All functions accept scalars or numpy arrays for the argument and are safe
 to call concurrently.
 
@@ -98,6 +100,11 @@ def hankel2_low(n, x):
     which needs a subnormal x; Y_0 cannot.
     """
     j, y = _LOW_ORDER[n]
+    if isinstance(x, float):  # one float: the same two Cephes values, no array
+        out = complex(j(x), -y(x))
+        if n and not np.isfinite(out.imag):
+            raise _overflow(n, x)
+        return out
     out = np.empty(np.shape(x), dtype=complex)
     j(x, out=out.real)
     y(x, out=out.imag)
@@ -105,6 +112,24 @@ def hankel2_low(n, x):
     if n and not np.isfinite(out.imag).all():
         raise _overflow(n, float(np.min(x)))
     return out if out.ndim else complex(out)
+
+
+def hankel2_upward(m, x):
+    """H2_0(x), ..., H2_m(x) at one positive finite float x, as an array.
+
+    The upward recurrence H2_{n+1} = (2n/x) H2_n - H2_{n-1} from
+    hankel2_low's two seeds. Y_n grows with n, so its part is stable
+    upward; J_n falls, and its error stays of the order of roundoff
+    relative to |H2_n|, which is what a product J_n(x') H2_n(x) with
+    x' < x needs. Past the floating range the values turn infinite and are
+    left so for the caller.
+    """
+    a, b = hankel2_low(0, x), hankel2_low(1, x)
+    h, step = [a, b], 2.0 / x
+    for n in range(1, m):
+        a, b = b, n * step * b - a
+        h.append(b)
+    return np.fromiter(h[: m + 1], complex, m + 1)
 
 
 def _overflow(n, x):
@@ -145,16 +170,24 @@ def bessel_orders(hankel, n, x):
     at a subnormal x.
     """
     n = np.asarray(n)
-    x = _check_argument(x)[..., None]
     m = np.abs(n)
     amos = special.hankel2 if hankel else special.jv
-    high = m >= 2
-    out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
-    out[..., high] = amos(m[high], x)
-    for order in (0, 1):
-        at = m == order
-        if at.any():
-            out[..., at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
+    if isinstance(x, float) and n.ndim == 1 and 0.0 < x < np.inf:
+        # one valid float, the lean path: AMOS at every order, then orders 0
+        # and 1 written over from Cephes; each value has the general path's bits
+        out = amos(m, x)
+        for at in np.flatnonzero(m <= 1).tolist():
+            order = int(m[at])
+            out[at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
+    else:
+        x = _check_argument(x)[..., None]
+        high = m >= 2
+        out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
+        out[..., high] = amos(m[high], x)
+        for order in (0, 1):
+            at = m == order
+            if at.any():
+                out[..., at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
     if (n < 0).any():
         folded = (n < 0) & (m % 2 == 1)
         out[..., folded] = -out[..., folded]
@@ -317,8 +350,8 @@ def addition_series_h0(x1, x2, theta, n_max=60):
     array comes back); each angle gets the bits and the warning of its own
     one-angle call.
     """
-    if x1 <= 0 or x2 <= 0:
-        raise ValueError("radii must be positive")
+    if not (0.0 < x1 < np.inf and 0.0 < x2 < np.inf):
+        raise ValueError("radii must be positive and finite")
     if x1 == x2:
         raise ValueError("radii must differ (distance may vanish)")
     lo, hi = min(x1, x2), max(x1, x2)
@@ -337,8 +370,8 @@ def addition_series_h0_d1(x1, x2, theta, n_max=60):
     ((x1 - x2 cos theta)/d) H^(2)_1(d), d the two-point distance. theta is
     one angle or a 1-D array of them, as in addition_series_h0.
     """
-    if not x2 > x1 > 0:
-        raise ValueError("need x2 > x1 > 0")
+    if not np.inf > x2 > x1 > 0:
+        raise ValueError("need x2 > x1 > 0, both finite")
 
     def term(n):
         f = order_factors(n, {"j": x1}, {"h": x2})
@@ -354,8 +387,8 @@ def addition_series_h0_d2(x1, x2, theta, n_max=60):
     Equals ((x2 - x1 cos theta)/d) H^(2)_1(d). theta is one angle or a 1-D
     array of them, as in addition_series_h0.
     """
-    if not x2 > x1 > 0:
-        raise ValueError("need x2 > x1 > 0")
+    if not np.inf > x2 > x1 > 0:
+        raise ValueError("need x2 > x1 > 0, both finite")
 
     def term(n):
         f = order_factors(n, {"j": x1}, {"h": x2})

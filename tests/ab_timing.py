@@ -13,14 +13,20 @@ workload names of ``BENCHMARK.json``; each side builds every op of a
 workload with ``prepare(name, seed, work_dir, presets_dir)``, with the same
 seed, so both sides run the same inputs.
 
-Every round (round 0 is not timed) runs each (workload, side) pair once, in
-a shuffled order: the side's whole pool, stdout and stderr redirected, as
-one sample of the process CPU clock (all threads of the process, BLAS's
-included). After the clock stops each op's own ``check`` runs. A workload
-fails if either side reports a problem, or if the two sides' digests of any
-op differ. At the end it prints, for each workload, the median CPU time of
-each side, the ratio B/A of the medians and the number of rounds in which B
-took less CPU than A. It exits 1 if any workload failed.
+Every round (round 0 is not timed) takes each (workload, side) pair once, in
+a shuffled order, and runs the side's whole pool r times, stdout and stderr
+redirected, as one sample of the process CPU clock (all threads of the
+process, BLAS's included). r = ceil(0.2 s / the CPU time of the workload's
+slower pool in round 0), the same for both sides and fixed for the run, so
+that a pool of a few milliseconds is not one short sample that the host's
+noise swamps, and neither side's first, colder pass weighs more than the
+other's. After the clock stops each op's own
+``check`` runs on the last repeat's outputs. A workload fails if either
+side reports a problem, or if the two sides' digests of any op differ. At
+the end it prints, for each workload, the median CPU time of one pass of
+each side's pool, the ratio B/A of the medians, the number of rounds in
+which B took less CPU than A and r. It exits 1 if any workload
+failed.
 
 Host speed moves by up to 50% between processes, so compare the two sides
 within one run of this script, not across runs. This file is a tool, not a
@@ -32,6 +38,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import math
 import random
 import statistics
 import sys
@@ -42,6 +49,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("circle-dft", "ellipse-dense", "cli-presets")
 SIDES = ("a", "b")
+# CPU seconds a sample should last at least: each pool runs that long over
+# as many whole repeats as its round-0 time asks for
+SAMPLE_SECONDS = 0.2
 
 
 def load_workloads(src, side):
@@ -61,11 +71,12 @@ def load_workloads(src, side):
     return module
 
 
-def run_pool(pool):
-    """Run every op of pool; return the process CPU time and the outputs."""
+def run_pool(pool, repeats=1):
+    """Run every op of pool repeats times; return the process CPU time and the last outputs."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         start = time.process_time()
-        outputs = [op.run() for op in pool]
+        for _ in range(repeats):
+            outputs = [op.run() for op in pool]
         elapsed = time.process_time() - start
     return elapsed, outputs
 
@@ -112,25 +123,30 @@ def main(argv=None):
             for side, module in modules.items()
         }
         cpu = {key: [] for key in pools}
+        repeats = dict.fromkeys(names, 1)
         for round_ in range(args.rounds + 1):  # round 0 warms up and is not timed
             jobs = list(pools)
             rng.shuffle(jobs)
             outputs = {}
             for key in jobs:
-                elapsed, outputs[key] = run_pool(pools[key])
-                if round_:
-                    cpu[key].append(elapsed)
+                elapsed, outputs[key] = run_pool(pools[key], repeats[key[0]])
+                cpu[key].append(elapsed / repeats[key[0]])
+            if not round_:
+                for name in names:
+                    slower = max(cpu[name, side].pop() for side in SIDES)
+                    repeats[name] = max(1, math.ceil(SAMPLE_SECONDS / slower))
             for name in names:
                 for line in failures_of(name, pools, outputs):
                     failed.setdefault(name, line)
-    print("%-14s %12s %12s %8s %8s" % ("workload", "A cpu (ms)", "B cpu (ms)", "B/A", "B won"))
+    header = ("workload", "A cpu (ms)", "B cpu (ms)", "B/A", "B won", "r")
+    print("%-14s %12s %12s %8s %8s %4s" % header)
     for name in names:
         a, b = cpu[name, "a"], cpu[name, "b"]
         won = sum(tb < ta for ta, tb in zip(a, b))
         print(
-            "%-14s %12.3f %12.3f %8.3f %5d/%d"
+            "%-14s %12.3f %12.3f %8.3f %5d/%d %4d"
             % (name, 1e3 * statistics.median(a), 1e3 * statistics.median(b),
-               statistics.median(b) / statistics.median(a), won, len(a))
+               statistics.median(b) / statistics.median(a), won, len(a), repeats[name])
         )
     for name, line in failed.items():
         print("FAILED " + line)

@@ -29,10 +29,11 @@ def test_ab_timing_names_the_workload_whose_fields_moved_by_one_bit(tmp_path):
     )
     fields = tmp_path / "cylwave" / "fields.py"
     text = fields.read_text()
-    # the source route's scattered field, scaled by the next float above 1
-    old = "return -(k * z / 4.0) * np.array("
+    # one angle's mode sum, which every circle-dft field runs, scaled by the
+    # next float above 1
+    old = "return np.exp(i_orders * math.remainder(phi, _TWO_PI)) @ c"
     assert text.count(old) == 1
-    fields.write_text(text.replace(old, "return -(k * z / 4.0) * (1.0 + 2.0**-52) * np.array("))
+    fields.write_text(text.replace(old, "return (1.0 + 2.0**-52) * (%s)" % old[len("return "):]))
     done = _ab_timing(ROOT / "src", tmp_path)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "FAILED circle-dft: " in done.stdout

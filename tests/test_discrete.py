@@ -846,6 +846,18 @@ def test_qsums_past_half_the_points_sum_from_their_lowest_order():
 # -- large-N limits -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_points", [4, 41, 512, 1001])
+def test_one_stacked_fft_gives_each_amplitude_vector_the_bits_of_its_own(n_points):
+    # spectra serves the circle fields, the residual and mode_amplitudes
+    solution = discrete.solve(_nfm(EXT, n_points))
+    f_e, f_m = solution.spectra
+    assert f_e.tobytes() == np.fft.fft(solution.electric).tobytes()
+    assert f_m.tobytes() == np.fft.fft(solution.magnetic).tobytes()
+    i_modes, k_modes = discrete.mode_amplitudes(solution)
+    assert i_modes.tobytes() == (np.fft.fft(solution.electric) / n_points).tobytes()
+    assert k_modes.tobytes() == (np.fft.fft(solution.magnetic) / n_points).tobytes()
+
+
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_solved_modes_approach_the_limits(exc):
     solution = discrete.solve_circulant_dft(_nfm(exc, 201))

@@ -311,13 +311,19 @@ def test_incident_field_keeps_the_shape_of_its_angles():
 
 def test_incident_fields_refuse_non_finite_points():
     # the distance check that lets them read hankel2_low refuses what the
-    # checked hankel2 refused before
+    # checked hankel2 refused before, naming the radius or the angles
     exc = Excitation("external", 4.0, phi=0.5)
+    cases = (
+        (1.0, np.nan, "angles"),
+        (np.inf, 0.2, "radius"),
+        (np.inf, np.array([0.5, 3.0]), "radius"),
+        (1.0, np.array([0.5, -np.inf]), "angles"),
+    )
     for field in (exact.incident_field, exact._incident_radial_deriv):
-        for rho_obs, phi_obs in ((1.0, np.nan), (np.inf, 0.2), (np.inf, np.array([0.5, 3.0]))):
+        for rho_obs, phi_obs, name in cases:
             # inf - inf in the distance is the point of the case, not news
             with np.errstate(invalid="ignore"):
-                with pytest.raises(ValueError, match="^argument must be finite$"):
+                with pytest.raises(ValueError, match="^observation %s must be finite$" % name):
                     field(exc, M1, rho_obs, phi_obs)
 
 

@@ -130,6 +130,138 @@ def test_ring_equals_point_calls_bit_for_bit(method, exc, curve, n_points):
         assert np.array_equal(ring.e_z, [p.e_z for p in points])
 
 
+def _kernel_sum(solution, rho, phis, region):
+    """The scattered field at the points as the direct path sums it, N kernels each."""
+    xy = np.stack([rho * np.cos(phis), rho * np.sin(phis)], axis=-1)
+    return fields._scattered_field(solution, xy, region)
+
+
+def _kernel_sum_scale(solution, rho, phis, region):
+    """sum_l |kernel_l| |a_l| at each point: the scale of the kernel sum's roundoff."""
+    medium, pts, nrm = fields._source_stacks(solution, region)
+    xy = np.stack([rho * np.cos(phis), rho * np.sin(phis)], axis=-1)
+    mono, dip = discrete.kernels(medium.k, xy, pts, nrm)
+    weight = medium.k * medium.Z / 4.0
+    if solution.system.method == "mas":
+        amps = solution.electric if region == 1 else solution.magnetic
+        return weight * (np.abs(mono) @ np.abs(amps))
+    return weight * (np.abs(mono) @ np.abs(solution.electric)) + (
+        medium.k / 4.0 * (np.abs(dip) @ np.abs(solution.magnetic))
+    )
+
+
+def _mode_sum(solution, rho, phis, region):
+    """The scattered field at the points from the solution's Fourier modes."""
+    modes = fields._mode_coefficients(solution, rho, region)
+    assert modes is not None, "the mode path falls back at rho=%g" % rho
+    return np.array([fields._mode_sum(*modes, phi) for phi in phis])
+
+
+# q = min(rho, s) / max(rho, s) drawn per N, s the radius of the radiating
+# circle: the mode path needs 2m + 1 <= N orders, m about ln(1e18) / ln(1/q)
+_MODE_RATIOS = {64: (0.03, 0.12), 128: (0.05, 0.3), 512: (0.1, 0.6)}
+
+
+@pytest.mark.parametrize("n_points", sorted(_MODE_RATIOS))
+@pytest.mark.parametrize("exc_side", ["external", "internal"])
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_mode_sum_matches_the_kernel_sum_on_circles(method, exc_side, n_points):
+    # seeded problems on the radius-2 circle, both regions. The gap is read
+    # against the larger of the ring's largest value and the kernel sum's
+    # roundoff scale sum_l |kernel_l a_l|, which the source route's
+    # cancelling amplitudes can put far above the field: over the 720
+    # points of this grid it reads at most 2.0e-15 of that
+    rng = np.random.default_rng(n_points + 7 * (method == "mas") + 3 * (exc_side == "internal"))
+    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    for _ in range(3):
+        inner = AuxiliarySurface.from_radius(CIRCLE, rng.uniform(1.0, 1.9))
+        outer = AuxiliarySurface.from_radius(CIRCLE, rng.uniform(2.1, 3.0))
+        rho_exc = rng.uniform(3.0, 5.0) if exc_side == "external" else rng.uniform(0.3, 1.4)
+        exc = Excitation(exc_side, rho_exc, rng.uniform(0.0, 2.0 * np.pi))
+        solution = discrete.solve(assemble(CIRCLE, inner, outer, exc, M1, M2, n_points=n_points))
+        for region in (1, 2):
+            _, sources, _ = fields._source_stacks(solution, region)
+            s = sources[0, 0]
+            q = rng.uniform(*_MODE_RATIOS[n_points])
+            rho = s / q if region == 1 else s * q
+            if region == 1 and rho < 2.0:
+                rho = 2.0 / q  # the source route's inner circle: keep the point outside C
+            phis = rng.uniform(0.0, 2.0 * np.pi, 10)
+            direct = _kernel_sum(solution, rho, phis, region)
+            gap = np.abs(_mode_sum(solution, rho, phis, region) - direct)
+            roundoff = _kernel_sum_scale(solution, rho, phis, region)
+            scale = np.maximum(np.max(np.abs(direct)), roundoff)
+            assert np.all(gap <= 2e-14 * scale)
+
+
+@pytest.mark.parametrize(
+    "n_points,rho,region,exc",
+    [
+        (40, 10.0, 1, INT),  # the CLI presets' N: m of about 30 needs N >= 61
+        (512, 2.05, 1, INT),  # q = 0.98 next to the boundary
+        (512, 1.96, 2, EXT),
+        (512, 0.0, 2, EXT),  # the origin
+    ],
+)
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_points_the_mode_rule_turns_down_keep_the_kernel_sums_bits(
+    method, n_points, rho, region, exc
+):
+    # the source lies on the other side, so the field is the scattered one;
+    # the source route's circles at 1.9 and 2.1 keep q above 0.9 at 2.05 and 1.96
+    solver = _nfm if method == "nfm" else _mas
+    snug = (AuxiliarySurface.from_radius(CIRCLE, 1.9), AuxiliarySurface.from_radius(CIRCLE, 2.1))
+    solution = solver(exc, n_points, aux=snug)
+    assert fields._mode_coefficients(solution, rho, region) is None
+    got = fields.field_from_discrete(solution, rho, STAGGERED, region=region).e_z
+    assert got.tobytes() == _kernel_sum(solution, rho, STAGGERED, region).tobytes()
+
+
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_kept_ring_modes_leave_no_trace_in_the_bits(method):
+    # one-angle calls that move between radii and regions, on one solution,
+    # give the bits of a fresh solution's ring at each radius
+    solver = _nfm if method == "nfm" else _mas
+    rings = ((10.0, 1), (30.0, 1), (1.0, 2), (0.3, 2))
+    fresh = {ring: _ring(solver(EXT, 512), ring[0], STAGGERED) for ring in rings}
+    shared = solver(EXT, 512)
+    for index, phi in enumerate(STAGGERED):
+        for rho, region in rings if index % 2 else rings[::-1]:
+            got = fields.field_from_discrete(shared, rho, phi, region=region).e_z
+            assert got == fresh[rho, region][index]
+    # the last angle ran the rings in order, so each region kept its second radius
+    assert {region: kept[0] for region, kept in shared.ring_modes.items()} == {1: 30.0, 2: 0.3}
+
+
+def test_mode_sum_is_no_farther_from_the_30_digit_field_than_the_kernel_sum():
+    # mas-divergence at N = 46: sources at 0.5 and 10 around the radius-2
+    # circle, amplitudes near 1e10 that cancel. The reference sums the same
+    # float amplitudes over the exact node positions in 30 digits. Measured
+    # largest errors, mode sum against kernel sum: 8.5e-13 against 9.5e-12
+    # at rho = 10, and 7.5e-11 against 1.4e-10 at rho = 1
+    mpmath = pytest.importorskip("mpmath")
+    solution = _mas(EXT, 46, aux=(WIDE_IN, WIDE_OUT))
+    phis = np.array([0.3, 1.9, 4.4])
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    for rho, region in ((10.0, 1), (1.0, 2)):
+        medium, sources, _ = fields._source_stacks(solution, region)
+        amps = solution.electric if region == 1 else solution.magnetic
+        k, s = mp.mpf(medium.k), mp.mpf(sources[0, 0])
+        reference = []
+        for phi in phis:
+            total = mp.mpc(0)
+            for index, amp in enumerate(amps):
+                angle = 2 * mp.pi * index / len(amps)
+                r = mp.sqrt(rho**2 + s**2 - 2 * rho * s * mp.cos(mp.mpf(phi) - angle))
+                total += mp.mpc(amp) * (mp.besselj(0, k * r) - 1j * mp.bessely(0, k * r))
+            reference.append(complex(-(k * mp.mpf(medium.Z) / 4) * total))
+        reference = np.array(reference)
+        mode_error = np.max(np.abs(_mode_sum(solution, rho, phis, region) - reference))
+        kernel_error = np.max(np.abs(_kernel_sum(solution, rho, phis, region) - reference))
+        assert mode_error <= kernel_error
+
+
 @pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
 def test_solved_systems_read_their_grid_instead_of_collocating_again(curve, monkeypatch):
     n = 12

@@ -621,3 +621,30 @@ def test_addition_series_converge_or_warn(radii, theta):
             assert "increase n_max" in str(caught[0].message)
         else:
             assert abs(got - want) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("x", [0.3, 1.9, 10.0, 20.5])
+def test_upward_recurrence_tracks_the_hankel_function(x):
+    # J_n's part loses digits relative to itself once n > x, but not
+    # relative to |H2_n|, which is what the circle fields' products need:
+    # against AMOS the gap grows about like n eps, at most 1.3e-14 here
+    got = specfun.hankel2_upward(40, x)
+    want = specfun.bessel_orders(True, np.arange(41), x)
+    assert got.shape == (41,) and np.isfinite(got).all() and np.isfinite(want).all()
+    assert got[0] == specfun.hankel2_low(0, x) and got[1] == specfun.hankel2_low(1, x)
+    assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want))
+    assert np.array_equal(specfun.hankel2_upward(12, x), got[:13])
+
+
+@pytest.mark.parametrize("hankel", [False, True])
+def test_one_float_argument_keeps_the_bits_of_an_argument_array(hankel):
+    # the lean path of bessel_orders and hankel2_low's scalar path
+    for x in (1e-3, 0.7, 2.0, 17.5, np.float64(3.3)):
+        for n in (np.arange(-5, 40), np.array([0]), np.array([1, -1, 7]), np.array([3, 2])):
+            lean = specfun.bessel_orders(hankel, n, x)
+            array = specfun.bessel_orders(hankel, n, np.array([x]))[0]
+            assert lean.shape == array.shape and lean.tobytes() == array.tobytes()
+        for order in (0, 1):
+            one = specfun.hankel2_low(order, x)
+            assert type(one) is complex
+            assert np.array([one]).tobytes() == specfun.hankel2_low(order, np.array([x])).tobytes()
