@@ -75,10 +75,9 @@ def _mode_order(x, y, slope, cap):
     By Debye's expansions |J_n(x) H2_n(y)| is about exp(-F(n)) / (pi n),
     F(n) = E(n, x) - E(n, y) with E = _debye_exponent. F grows with n, by
     at least ln(y/x) per order once n > y. m is the least order with
-    F(m) >= ln(1e18) + ln(1 + y) / 2 +
-    ln(m / slope) where slope > 0 is the argument of a derivative factor
-    (J'_n(x) or H2'_n(y), about n/slope times the function; 0 for none). A
-    dropped order n then weighs at most about 1e-18 / sqrt(1 + y) of the
+    F(m) >= ln(1e18) + ln(1 + y) / 2 + ln(m / slope), where slope > 0 is
+    the argument of a derivative factor (J'_n(x) or H2'_n(y), about
+    n/slope times the function; 0 for none). A dropped order n then weighs at most about 1e-18 / sqrt(1 + y) of the
     largest |DFT_n| of the amplitudes, itself at most sum |a_l|; the direct
     sum's own roundoff is eps sum |a_l| |H0(k r_l)|, with |H0| of order
     (1 + y)^(-1/2), a hundred times more. F(n) <= n ln(y/x), so the search
