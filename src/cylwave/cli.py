@@ -352,18 +352,24 @@ def _csv_text(sha256, header, rows):
 def _table_text(sha256, columns):
     """CSV text of equal-length {name: array} columns, one row per element.
 
-    A complex column X becomes re_X and im_X; floats are written as %.17g.
+    A complex column X becomes re_X and im_X; floats are written as %.17g,
+    other values as str() writes them. Each row is one %-format of one
+    string, with the bytes csv.writer writes for these cells: no cell holds
+    a comma, a quote or a line break.
     """
-    header, cells = [], []
+    header, parts, formats = [], [], []
     for name, values in columns.items():
         if values.dtype.kind == "c":
             header += ["re_" + name, "im_" + name]
-            cells += [[_fmt(v) for v in part.tolist()] for part in (values.real, values.imag)]
+            parts += [values.real, values.imag]
+            formats += ["%.17g", "%.17g"]
         else:
             header.append(name)
-            floats = values.dtype.kind == "f"
-            cells.append([_fmt(v) for v in values.tolist()] if floats else values.tolist())
-    return _csv_text(sha256, header, zip(*cells))
+            parts.append(values)
+            formats.append("%.17g" if values.dtype.kind == "f" else "%s")
+    row = ",".join(formats) + "\n"
+    body = "".join([row % cells for cells in zip(*(part.tolist() for part in parts))])
+    return _csv_text(sha256, header, ()) + body
 
 
 def _json_text(payload):

@@ -1,7 +1,9 @@
 """Command-line front end: config validation, data files, determinism."""
 
-import json
+import csv
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -128,6 +130,50 @@ def test_solve_output_is_byte_identical_across_reruns(tmp_path):
         assert cli.main(["solve", "--config", preset, "--out", str(tmp_path / name)]) == 0
     for name in ("currents.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _per_value_table_text(sha256, columns):
+    """A table written one cell at a time through csv.writer, floats as %.17g."""
+    buf = io.StringIO()
+    buf.write("# schema=%d\n# config_sha256=%s\n" % (cli._SCHEMA, sha256))
+    writer = csv.writer(buf, lineterminator="\n")
+    header, cells = [], []
+    for name, values in columns.items():
+        parts = (values.real, values.imag) if values.dtype.kind == "c" else (values,)
+        header += ["re_" + name, "im_" + name] if len(parts) == 2 else [name]
+        for part in parts:
+            floats = part.dtype.kind == "f"
+            cells.append(["%.17g" % v for v in part.tolist()] if floats else part.tolist())
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def test_table_rows_are_the_bytes_of_the_per_value_writer(monkeypatch):
+    rng = np.random.default_rng(3)
+    values = np.r_[rng.standard_normal(9) * 10.0 ** rng.integers(-300, 300, 9), 0.0, -0.0,
+                   np.inf, -np.inf, np.nan, 1.0, 5e-324, 1e308, 0.1]
+    with np.errstate(invalid="ignore"):  # inf times a unit complex has a nan part
+        complex_values = values * np.exp(1j * np.arange(values.size)) + 1j * values[::-1]
+    for rows in (0, 1, values.size):
+        columns = {
+            "ring_radius": values[:rows],
+            "region": np.arange(rows) % 3 - 1,
+            "angle": values[::-1][:rows].copy(),
+            "nfm": complex_values[:rows],
+        }
+        want = _per_value_table_text("ab" * 32, columns)
+        assert cli._table_text("ab" * 32, columns).encode() == want.encode()
+    # the same on the tables the solve and fields commands write
+    seen, table_text = [], cli._table_text
+    monkeypatch.setattr(cli, "_table_text", lambda *args: seen.append(args) or table_text(*args))
+    for command, preset, name in (
+        (cli.cmd_solve, "circle-external-currents", "currents.csv"),
+        (cli.cmd_fields, "circle-external-fields", "fields.csv"),
+    ):
+        text = command(cli.load_config(str(PRESETS / (preset + ".json"))))[name]
+        assert text == _per_value_table_text(*seen[-1])
+    assert seen[-1][1]["region"].dtype.kind == "i" and len(text.splitlines()) > 40
 
 
 def test_data_files_name_the_config_hash(tmp_path):
