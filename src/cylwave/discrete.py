@@ -789,74 +789,26 @@ class QSumCoefficients:
     b4: complex
 
 
-# The five sums of q_sum_coefficients, b1..b4 and d: the names of their J and
-# H2 arguments, each with 1 where the sum reads the derivative there
-_Q_SUMS = (
-    ("j_in", 0, "h_cyl", 0), ("j_in", 0, "h_cyl", 1), ("j_cyl", 0, "h_out", 0),
-    ("j_cyl", 1, "h_out", 0), ("j_src", 0, "h_src", 0),
-)
+def _folded(table, n_points, q_max):
+    """table's orders n = r + qN summed per residue r, and ring q_max's alone (or 0)."""
+    rings = -(-table.size // n_points)
+    padded = np.zeros(rings * n_points, dtype=complex)
+    padded[: table.size] = table
+    padded = padded.reshape(rings, n_points)
+    return padded.sum(axis=0), (np.zeros(n_points) if q_max is None else padded[-1])
 
 
-def _bilateral_sums(modes, n_points, q_max, j, h, phi_fil):
-    """The five sums of q_sum_coefficients over the orders qN + m, q in Z, shape (5, modes).
+def _mode_sums(plus, minus, modes, n_points, q_max):
+    """sum over nu = qN + m, q in Z, of a table's order-|nu| value, plus for nu >= 0.
 
-    Products are even in their order, so ring q adds the orders qN +- m, each
-    ring in one specfun.order_factors call for every mode still summing; the
-    order-nu term of d carries exp(-i nu phi_fil), nu signed. A sum stops once
-    a (1/pi x) ratio^nu envelope falls below 1e-17 of its running scale. An
-    order whose Hankel factor overflows adds nothing, a sum ends at the first
-    ring whose two orders both overflow, and only a mode's lowest order,
-    min(m, N - m) (m alone when q_max = 0), raises when it overflows.
+    Products are even in their order, so the orders nu >= 0 of mode m fold
+    plus at residue m, and the orders nu < 0 fold minus at residue
+    (N - m) mod N, without order 0, which both sides hold once, and, when
+    q_max caps the rings, without the ring q_max on that side.
     """
-    x1 = np.array([j[name] for name, _, _, _ in _Q_SUMS])[:, None]
-    x2 = np.array([h[name] for _, _, name, _ in _Q_SUMS])[:, None]
-    ratio, x_floor = x1 / x2, np.minimum(x1, x2)
-    lowest = modes if q_max == 0 else np.minimum(modes, n_points - modes)
-
-    def terms(nu, signed):
-        f = specfun.order_factors(nu, j, h)
-        hankel = np.array([f[name][d] for _, _, name, d in _Q_SUMS])
-        t = np.array([f[name][d] for name, d, _, _ in _Q_SUMS]) * hankel
-        # numpy's in-place complex product rounds differently for short arrays
-        t[4] = t[4] * np.exp(-1j * phi_fil * signed)
-        return t, np.isfinite(hankel)
-
-    def check_lowest(overflow, nu, at):
-        overflow = overflow & (nu == lowest[at])
-        if overflow.any():
-            mode, row = np.argwhere(overflow.T)[0]
-            raise specfun.BesselOverflowError(
-                "H2_%d overflows near x=%g; order too large for this argument"
-                % (nu[mode], x2[row, 0])
-            )
-
-    with np.errstate(all="ignore"):
-        total, ok = terms(modes, modes)
-        check_lowest(~ok, modes, slice(None))
-        total = np.where(ok, total, 0.0)
-        peak = np.maximum(np.abs(total), 1e-300)
-        active = np.ones(total.shape, dtype=bool)
-        for q in range(1, 1002 if q_max is None else q_max + 1):
-            if q_max is None:
-                envelope = 10.0 * ratio ** (q * n_points - modes) / (np.pi * x_floor)
-                active &= ~(envelope < 1e-17 * np.maximum(np.abs(total), peak))
-            live = np.flatnonzero(active.any(axis=0))
-            if not live.size:
-                break
-            if q > 1000:
-                raise ArithmeticError("bilateral sum failed to settle")
-            hi, lo = q * n_points + modes[live], q * n_points - modes[live]
-            t, ok = terms(np.r_[hi, lo], np.r_[hi, -lo])
-            (t_hi, t_lo), (hi_ok, lo_ok) = np.split(t, 2, axis=1), np.split(ok, 2, axis=1)
-            summing = active[:, live]
-            check_lowest(summing & ~lo_ok, lo, live)
-            summing &= hi_ok | lo_ok
-            ring = np.where(hi_ok, t_hi, 0.0) + np.where(lo_ok, t_lo, 0.0)
-            sums, top = total[:, live], peak[:, live]
-            np.add(sums, ring, out=sums, where=summing)
-            np.maximum(top, np.abs(ring), out=top, where=summing)
-            total[:, live], peak[:, live], active[:, live] = sums, top, summing
-    return total
+    (up, _), (down, last) = _folded(plus, n_points, q_max), _folded(minus, n_points, q_max)
+    back = (n_points - modes) % n_points
+    return up[modes] + np.where(modes == 0, down[0] - minus[0], down[back] - last[back])
 
 
 def q_sum_coefficients(
@@ -880,10 +832,15 @@ def q_sum_coefficients(
     q_max=None keeps rings until they stop mattering; q_max=0 isolates the
     central term, which dominates for small m.
 
-    m is one mode index or a 1-D array of them; every mode is summed at
-    once and gets the bits of its one-mode call. A mode raises
-    BesselOverflowError when the lowest order of its sum, min(m, N - m),
-    overflows (see _bilateral_sums).
+    Each sum folds one table of Graf's products (specfun.graf_products)
+    modulo N (see _mode_sums); three tables, one per argument pair, serve
+    the five sums. So a sum is formed wherever its products are
+    representable, however far a J or H2 factor alone leaves the float
+    range, and no mode raises. A table runs through ring q_max, or with
+    q_max=None to specfun.graf_order's last order above N/2, the largest
+    lowest order min(m, N - m) of a mode. m is one mode index or a 1-D
+    array of them; every mode reads the same tables, so it gets the bits
+    of its one-mode call.
     """
     if curve.kind != "circle":
         raise ValueError("q-sum coefficients are defined for circles only")
@@ -906,11 +863,23 @@ def q_sum_coefficients(
         source = (k1 * r_in, k1 * r_fil, -1.0)
     else:
         source = (k2 * r_fil, k2 * r_out, +1.0)
-    j = {"j_in": k1 * r_in, "j_cyl": k2 * r_cyl, "j_src": source[0]}
-    h = {"h_cyl": k1 * r_cyl, "h_out": k2 * r_out, "h_src": source[1]}
-    sums = _bilateral_sums(np.atleast_1d(modes), n_points, q_max, j, h, excitation.phi)
-    b1, b2, b3, b4, d = sums * np.array([1.0, -1.0, 1.0, -1.0, source[2]])[:, None]
-    if modes.ndim == 0:
+    # each table runs to its last needed order above N/2, the largest lowest
+    # order of a mode, or through ring q_max
+    tables = []
+    for x, y in ((k1 * r_in, k1 * r_cyl), (k2 * r_cyl, k2 * r_out), source[:2]):
+        top = (q_max + 1) * n_points - 1 if q_max is not None else specfun.graf_order(
+            x, y, slope=x, cap=1000 * n_points, base=n_points // 2
+        )
+        if top is None:
+            raise ArithmeticError("q-sums failed to settle within 1000 rings")
+        tables.append(specfun.graf_products(x, y, top))
+    (t1, _, t2), (t3, t4, _), (t_src, _, _) = tables
+    rotation = np.exp(-1j * excitation.phi * np.arange(t_src.size))
+    modes = np.atleast_1d(modes)
+    b1, b2 = (_mode_sums(t, t, modes, n_points, q_max) for t in (t1, -t2))
+    b3, b4 = (_mode_sums(t, t, modes, n_points, q_max) for t in (t3, -t4))
+    d = source[2] * _mode_sums(t_src * rotation, t_src * rotation.conj(), modes, n_points, q_max)
+    if np.ndim(m) == 0:
         d, b1, b2, b3, b4 = (complex(v[0]) for v in (d, b1, b2, b3, b4))
-        modes = int(modes)
+        modes = int(modes[0])
     return QSumCoefficients(modes, n_points, d, b1, b2, b3, b4)

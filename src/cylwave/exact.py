@@ -23,6 +23,7 @@ specfun.sum_orders (see sum_series).
 Time convention exp(+i omega t); outgoing waves are H^(2).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -139,20 +140,23 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
 
 
 def _source_distance(excitation, rho_obs, phi_obs):
-    """Distance from the filament, refusing a non-finite one and a point that
-    coincides with the filament: H0 and H1 read it unchecked. Where the law
-    of cosines gives d below 1e-3 max(rho_f, rho, 1), its terms cancel (and
-    may fall below 0); d^2 is then (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2)."""
+    """Distance from the filament, refusing a non-finite radius, angle or
+    distance and a point that coincides with the filament: H0 and H1 read
+    it unchecked. Where the law of cosines gives d below
+    1e-3 max(rho_f, rho, 1), its terms cancel (and may fall below 0); d^2
+    is then (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2)."""
     rho_f, psi = excitation.rho, phi_obs - excitation.phi
+    # before the law of cosines, whose inf - inf or cos(inf) would warn first
+    if not math.isfinite(rho_obs):
+        raise ValueError("observation radius must be finite")
+    if not (math.isfinite(psi) if isinstance(psi, float) else np.isfinite(psi).all()):
+        raise ValueError("observation angles must be finite")
     scale = max(rho_f, rho_obs, 1.0)
     d = np.sqrt(np.maximum(rho_obs**2 + rho_f**2 - 2.0 * rho_obs * rho_f * np.cos(psi), 0.0))
-    # d >= 0, so its range holds both checks: a nan or inf reaches the largest
+    # d >= 0, so its range holds both checks: an overflow reaches the largest
     # distance, and a coincident point the smallest; one point is both ends
     one = d.size == 1
     if not (d.item() if one else d.max()) < np.inf:
-        for name, value in (("radius", rho_obs), ("angles", phi_obs)):
-            if not np.isfinite(value).all():
-                raise ValueError("observation %s must be finite" % name)
         raise ValueError("distance from the source filament must be finite")
     lo = d.item() if one else d.min()
     if lo < 1e-3 * scale:

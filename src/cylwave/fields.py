@@ -14,7 +14,6 @@ stand in for an exact reference on shapes where no separable solution
 exists.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,52 +52,6 @@ def _source_stacks(solution, region):
     return medium, nodes.inner if region == 1 else nodes.outer, None
 
 
-def _debye_exponent(n, x):
-    """n (alpha - tanh alpha) with cosh alpha = n/x, 0 for n <= x.
-
-    By Debye's expansions J_n(x) falls like exp(-this) and |H2_n(x)| grows
-    like exp(+this) once the order passes the argument.
-    """
-    if n <= x:
-        return 0.0
-    t = math.sqrt(n * n - x * x)
-    return n * math.log((n + t) / x) - t
-
-
-# ln(1e18): the mode sum drops terms of about 1e-18 and below (_mode_order)
-_TAIL = math.log(1e18)
-
-
-def _mode_order(x, y, slope, cap):
-    """The last order m of a mode sum whose terms are J_n(x) H2_n(y), x < y, or None.
-
-    By Debye's expansions |J_n(x) H2_n(y)| is about exp(-F(n)) / (pi n),
-    F(n) = E(n, x) - E(n, y) with E = _debye_exponent. F grows with n, by
-    at least ln(y/x) per order once n > y. m is the least order with
-    F(m) >= ln(1e18) + ln(1 + y) / 2 + ln(m / slope), where slope > 0 is
-    the argument of a derivative factor (J'_n(x) or H2'_n(y), about
-    n/slope times the function; 0 for none). A dropped order n then weighs at most about 1e-18 / sqrt(1 + y) of the
-    largest |DFT_n| of the amplitudes, itself at most sum |a_l|; the direct
-    sum's own roundoff is eps sum |a_l| |H0(k r_l)|, with |H0| of order
-    (1 + y)^(-1/2), a hundred times more. F(n) <= n ln(y/x), so the search
-    starts at the order where that bound meets the target and climbs. None
-    when m would exceed cap.
-    """
-    target = _TAIL + 0.5 * math.log1p(y)
-
-    def short(n):
-        excess = _debye_exponent(n, x) - _debye_exponent(n, y) - target
-        return excess < (math.log(n / slope) if n > slope > 0.0 else 0.0)
-
-    start = m = max(1, math.ceil(target / math.log(y / x)))
-    while m <= cap and short(m):
-        m += 1
-        if m == start + 4 and short(cap):  # a long climb: give up early if it tops out
-            return None
-    # None past cap, and where H2_(m+1)(y) nears the floating range (e^700 ~ 1e304)
-    return m if m <= cap and _debye_exponent(m + 1, y) < 700.0 else None
-
-
 def _mode_coefficients(solution, rho, region):
     """_modes_at(solution, rho, region) on a circulant system, else None.
 
@@ -126,8 +79,9 @@ def _modes_at(solution, rho, region):
     direct route's dipole kernel takes -J'_n(k s) H2_n(k rho) outside and
     -J_n(k rho) H2'_n(k s) inside; specfun's addition series hold the same
     identities. The system must be circulant. None (the caller sums the
-    kernels) unless 0 < k min < k max, the orders up to m (_mode_order)
-    are at most (N - 1) / 2 and every w_n is finite.
+    kernels) unless 0 < k min < k max and the orders up to m
+    (specfun.graf_order) are at most (N - 1) / 2. specfun.graf_products
+    forms every w_n, however far H2_n(k max) alone leaves the float range.
     """
     system = solution.system
     medium, pts, _ = _source_stacks(solution, region)
@@ -139,29 +93,19 @@ def _modes_at(solution, rho, region):
     if not 0.0 < lo < hi:  # the origin, or a point on the circle
         return None
     nfm = system.method == "nfm"
-    m = _mode_order(lo, hi, (lo if outside else hi) if nfm else 0.0, (solution.n_points - 1) // 2)
+    cap = (solution.n_points - 1) // 2
+    m = specfun.graf_order(lo, hi, (lo if outside else hi) if nfm else 0.0, cap)
     if m is None:
         return None
-    # the dipole's derivative reads one order more on the radiating circle
-    j = specfun.bessel_orders(False, np.arange(m + 2 if nfm and outside else m + 1), lo)
-    h = specfun.hankel2_upward(m + 1 if nfm and not outside else m, hi)
-    # |H2_n| grows with n: the last one is the largest, and every J_n <= 1
-    if not cmath.isfinite(h[-1]):
-        return None
     # w_n, n = 0..m, each row scaled by its amplitudes' weight
+    w = specfun.graf_products(lo, hi, m)
     if not nfm:
-        w = (-(k * z / 4.0) * j * h)[None]
+        w = -(k * z / 4.0) * w[:1]
         rows = slice(region - 1, region)
     else:
+        # the dipole reads -J'_n on the radiating circle outside, -H2'_n inside
         sign = 1.0 if region == 1 else -1.0
-        w = np.empty((2, m + 1), dtype=complex)
-        if outside:  # -J'_n = J_(n+1) - (n/x) J_n
-            np.multiply(j[: m + 1], h, out=w[0])
-            np.multiply(j[1:] - np.arange(m + 1) * (1.0 / lo) * j[: m + 1], h, out=w[1])
-        else:  # -H2'_n = H2_(n+1) - (n/x) H2_n
-            np.multiply(j, h[: m + 1], out=w[0])
-            np.multiply(j, h[1:] - np.arange(m + 1) * (1.0 / hi) * h[: m + 1], out=w[1])
-        w *= np.array([[sign * -(k * z / 4.0)], [sign * (k / 4j)]])
+        w = w[[0, 1 if outside else 2]] * np.array([[sign * -(k * z / 4.0)], [-sign * (k / 4j)]])
         rows = slice(0, 2)
     # orders -m..m: w_n is even in n, DFT_n is read at n mod N
     spectra = solution.spectra[rows]

@@ -8,6 +8,7 @@ sigma * r(phi).
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,14 @@ class BoundaryCurve:
         """True where the polar point lies strictly inside the curve.
 
         phi is one angle or an array of angles; an array gives an array.
+        Raises ValueError naming a radius or an angle that is not finite.
         """
-        return float(rho) < np.asarray(self.radius(phi))
+        rho = float(rho)
+        if not math.isfinite(rho):
+            raise ValueError("observation radius must be finite, got %r" % rho)
+        if not np.isfinite(phi).all():
+            raise ValueError("observation angles must be finite")
+        return rho < np.asarray(self.radius(phi))
 
 
 @dataclass(frozen=True)

@@ -10,33 +10,38 @@ positive argument, together with two classical facts:
 
 Evaluation is delegated to scipy.special; this module adds the argument
 checking, parity folding for negative orders, and overflow tagging that the
-rest of the package relies on. Integer-order values are formed in two
+rest of the package relies on. Integer-order values are formed in three
 places: hankel2_low writes H2_0 and H2_1 from the real functions j0, y0, j1
-and y1 (Cephes) at arguments its caller has checked, and bessel_orders
-forms any integer order after checking its arguments, |n| <= 1 from the
-same Cephes functions (H2 through hankel2_low), higher orders from jv and
-hankel2 (AMOS). bessel_j and hankel2 each read one order of bessel_orders.
-hankel2_upward runs the recurrence from hankel2_low's two values, for the
-mode sums of the circle fields.
-All functions accept scalars or numpy arrays for the argument and are safe
-to call concurrently.
+and y1 (Cephes) at arguments its caller has checked; bessel_orders forms
+any integer order after checking its arguments, |n| <= 1 from the same
+Cephes functions (H2 through hankel2_low), higher orders from jv and
+hankel2 (AMOS); and graf_products forms Graf's products J_n(x) H2_n(y) by
+ratio recurrences seeded from hankel2_low. bessel_j and hankel2 each read one
+order of bessel_orders. Every function is safe to call concurrently, and
+all but graf_products and graf_order, which take one pair of floats,
+accept scalars or numpy arrays for the argument.
 
 Kernel matrices pass arrays of arguments. The order series need many orders
-at a few fixed arguments instead: bessel_orders evaluates an array of orders
-at every argument given, and order_factors reads J and H2 with their
-derivatives at named arguments, one bessel_orders call per kind. Every order
-series (the addition series here, the circular series of exact and
-continuous, the q-sums of discrete) computes the terms of a run of orders
-as one numpy expression from them. sum_orders sums the runs of an order
-series for every angle asked for in one pass, with the same bits and the
-same stop order as the order-by-order sum at each angle, and alone cuts a
-run at its first unusable order.
+at a few fixed arguments instead. The sums of Graf's products (the q-sums
+of discrete, the circle mode sums of fields, the addition series here) read
+one graf_products table per argument pair: no J or H2 factor is formed, so
+a product is there wherever it is representable, however far J_n(x) falls
+below the float range or H2_n(y) rises above it, and graf_order says how
+many orders such a sum needs. The circular series of exact and continuous,
+whose terms are ratios of such products, read order_factors: J and H2 with
+their derivatives at named arguments, one bessel_orders call per kind.
+sum_orders sums the runs of an order series for every angle asked for in
+one pass, with the same bits and the same stop order as the order-by-order
+sum at each angle, and alone cuts a run at its first unusable order.
 
 Kernel matrices, the incident field and the layer operators check their
 arguments themselves and read hankel2_low directly.
 
 Only real arguments are supported (every wavenumber in the package is real).
 """
+
+import math
+import warnings
 
 import numpy as np
 from scipy import special
@@ -112,24 +117,6 @@ def hankel2_low(n, x):
     if n and not np.isfinite(out.imag).all():
         raise _overflow(n, float(np.min(x)))
     return out if out.ndim else complex(out)
-
-
-def hankel2_upward(m, x):
-    """H2_0(x), ..., H2_m(x) at one positive finite float x, as an array.
-
-    The upward recurrence H2_{n+1} = (2n/x) H2_n - H2_{n-1} from
-    hankel2_low's two seeds. Y_n grows with n, so its part is stable
-    upward; J_n falls, and its error stays of the order of roundoff
-    relative to |H2_n|, which is what a product J_n(x') H2_n(x) with
-    x' < x needs. Past the floating range the values turn infinite and are
-    left so for the caller.
-    """
-    a, b = hankel2_low(0, x), hankel2_low(1, x)
-    h, step = [a, b], 2.0 / x
-    for n in range(1, m):
-        a, b = b, n * step * b - a
-        h.append(b)
-    return np.fromiter(h[: m + 1], complex, m + 1)
 
 
 def _overflow(n, x):
@@ -217,14 +204,114 @@ def order_factors(n, j=None, h=None):
     return out
 
 
-# Orders per block of an addition series. AMOS spends about a microsecond on
-# each order above the argument, and a radius pair of the criterion-01 grid
-# (its 8 angles summed in one call) uses about 48 of its 221 orders, so
-# evaluating all of them at once costs 0.016 s on that grid against 0.007 s
-# in blocks of 32 (8: 0.015 s, 16: 0.010 s, 64: 0.008 s) on a 2-core Xeon,
-# CPU time at one BLAS thread. One call per angle, in blocks of 32, cost
-# 0.054 s.
-_BLOCK = 32
+def _debye_exponent(n, x):
+    """n (alpha - tanh alpha) with cosh alpha = n/x, 0 for n <= x.
+
+    By Debye's expansions J_n(x) falls like exp(-this) and |H2_n(x)| grows
+    like exp(+this) once the order passes the argument.
+    """
+    if n <= x:
+        return 0.0
+    t = math.sqrt(n * n - x * x)
+    return n * math.log((n + t) / x) - t
+
+
+# ln(1e18): a sum of Graf's products drops terms of about 1e-18 and below (graf_order)
+_TAIL = math.log(1e18)
+
+
+def graf_order(x, y, slope=0.0, cap=math.inf, base=0):
+    """The last order m a sum of Graf's products J_n(x) H2_n(y), x < y, needs, or None.
+
+    By Debye's expansions |J_n(x) H2_n(y)| is about exp(-F(n)) / (pi n),
+    F(n) = E(n, x) - E(n, y) with E = _debye_exponent. F grows with n, by
+    at least ln(y/x) per order once n > y. m is the least order above base
+    with F(m) - F(base) >= ln(1e18) + ln(1 + y) / 2 + ln(m / slope), where
+    slope > 0 is the argument of a derivative factor (J'_n(x) or H2'_n(y),
+    about n/slope times the function; 0 for none). So a dropped order weighs
+    at most about 1e-18 / sqrt(1 + y) of the product at order base. For the
+    circle fields (base 0) that is 1e-18 / sqrt(1 + y) of the largest
+    |DFT_n| of the amplitudes, itself at most sum |a_l|; the direct sum's
+    own roundoff is eps sum |a_l| |H0(k r_l)|, with |H0| of order
+    (1 + y)^(-1/2), a hundred times more. F(n) <= n ln(y/x), so the search
+    starts at the order where that bound meets the target and climbs. None
+    when m would exceed cap.
+    """
+    if not 0.0 < x < y < math.inf:
+        raise ValueError("need 0 < x < y, both finite")
+    target = _TAIL + 0.5 * math.log1p(y)
+    floor = _debye_exponent(base, x) - _debye_exponent(base, y) if base else 0.0
+
+    def short(n):
+        excess = _debye_exponent(n, x) - _debye_exponent(n, y) - floor - target
+        return excess < (math.log(n / slope) if n > slope > 0.0 else 0.0)
+
+    start = m = max(base + 1, math.ceil((target + floor) / math.log(y / x)))
+    while m <= cap and short(m):
+        m += 1
+        if m == start + 4 and short(cap):  # a long climb: give up early if it tops out
+            return None
+    return m if m <= cap else None
+
+
+def _miller_start(x, top):
+    """An order far enough above top and x that J's backward ratio recurrence,
+    started there from 0, reaches the orders up to top within roundoff: the
+    start's error shrinks like exp(-2 (E(start, x) - E(top, x)))."""
+    floor, start = _debye_exponent(top, x), max(top, math.ceil(x)) + 1
+    while _debye_exponent(start, x) - floor < 20.0:
+        start += 1
+    return start
+
+
+def graf_products(x, y, top):
+    """Graf's products J_n(x) H2_n(y), J'_n(x) H2_n(y) and J_n(x) H2'_n(y), n = 0..top.
+
+    x and y are floats with 0 < x < y < inf; returns a complex array of
+    shape (3, top + 1), one row per form. No factor is formed: J's ratios
+    rho_n = J_n / J_(n-1) come from Miller's backward recurrence
+    rho_n = x / (2n - x rho_(n+1)), started at 0 above top (_miller_start),
+    and H2's ratios s_n = H2_n / H2_(n-1) from the upward recurrence
+    s_(n+1) = 2n/y - 1/s_n, both seeded by hankel2_low. One cumprod of
+    rho_n s_n from order 0 then gives the products, which stay in the float
+    range wherever the products themselves are, however far J_n(x) falls
+    below it or H2_n(y) above it. J' / J = n/x - rho_(n+1) and
+    H2' / H2 = n/y - s_(n+1) give the derivative forms, with
+    f' = (f_(n-1) - f_(n+1)) / 2 as order_factors has it. Order 0's J
+    factor is the least-squares scale that maps the ratios onto J_0 and
+    J_1 (the real parts of hankel2_low's values), so that a zero of either
+    does not spoil it.
+    Each ratio carries its own rounding, so the error relative to each
+    product grows about like sqrt(n) eps (7e-15 at n = 4096).
+    """
+    if not 0.0 < x < y < math.inf:
+        raise ValueError("need 0 < x < y, both finite")
+    x, y, top = float(x), float(y), as_count(top, "top")
+    if top < 0:
+        raise ValueError("top must be non-negative")
+    # rho_n and s_n for n = 1..top + 1, order n at index n - 1
+    # no rounded 2/x or 2/y: its one error would bias every ratio alike
+    r = 0.0
+    for n in range(_miller_start(x, top + 1), top + 1, -1):
+        r = x / (2 * n - x * r)
+    rho = [0.0] * (top + 1)
+    for k in range(top, -1, -1):
+        r = rho[k] = x / (2 * k + 2 - x * r)
+    h0 = hankel2_low(0, y)
+    s = [0j] * (top + 1)
+    s[0] = v = hankel2_low(1, y) / h0
+    for k in range(1, top + 1):
+        s[k] = v = 2 * k / y - 1.0 / v
+    rho, s = np.array(rho, dtype=float), np.array(s, dtype=complex)
+    j0, j1 = hankel2_low(0, x).real, hankel2_low(1, x).real
+    out = np.empty((3, top + 1), dtype=complex)
+    out[0, 0] = (j0 + j1 * rho[0]) / (1.0 + rho[0] * rho[0]) * h0
+    np.multiply(rho[:top], s[:top], out=out[0, 1:])
+    np.cumprod(out[0], out=out[0])
+    n = np.arange(top + 1)
+    np.multiply(out[0], n / x - rho, out=out[1])
+    np.multiply(out[0], n / y - s, out=out[2])
+    return out
 
 
 def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
@@ -317,27 +404,30 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
     return total, order, mags, converged, warning
 
 
-def _addition_sum(theta, n_max, ratio, term):
+def _addition_sum(theta, n_max, x1, x2, form):
     """sum_orders of an addition series at one angle or a 1-D array of them.
 
-    term(n) returns the products of radial factors at an array n of orders,
-    non-finite where an order overflows, and of the J values each product
-    is formed from the one AMOS flushes to 0 first, out of range where it
-    is 0 or subnormal. Warns per angle as _warn_if_unconverged does for the radius
-    ratio of the two points. Returns the sums shaped like theta.
+    The terms are row form of graf_products(x1, x2, top), negated for the
+    two derivative forms, summed in one run of orders 0..top: top is
+    n_max, or graf_order's last order where that comes first, past which
+    every term is below 1e-18 of the largest. Warns per angle as
+    _warn_if_unconverged does for the radius ratio x1 / x2. Returns the
+    sums shaped like theta.
     """
     angles = np.asarray(theta, dtype=float)
     if angles.ndim > 1:
         raise ValueError("theta must be one angle or a 1-D array of angles")
 
     def run(n):
-        t, j = term(n)
-        # AMOS jv returns 0 once J_n(x) falls below about 1e-293, and a zero
-        # term would read as converged
-        return t, np.isfinite(t), np.abs(j) >= np.finfo(float).tiny
+        # one run from order 0: n is 0..top, which sum_orders has checked
+        t = graf_products(x1, x2, n.size - 1)[form]
+        return (-t if form else t), np.isfinite(t)
 
-    total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), n_max, _BLOCK, 1e-14)
-    _warn_if_unconverged(mags[order], total, ratio)
+    n_max = as_count(n_max, "n_max")
+    top = graf_order(x1, x2, (0.0, x1, x2)[form], n_max) if n_max > 0 else None
+    top = n_max if top is None else top
+    total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), top, top + 1, 1e-14)
+    _warn_if_unconverged(mags[order], total, x1 / x2)
     return complex(total[0]) if angles.ndim == 0 else total
 
 
@@ -354,47 +444,7 @@ def addition_series_h0(x1, x2, theta, n_max=60):
         raise ValueError("radii must be positive and finite")
     if x1 == x2:
         raise ValueError("radii must differ (distance may vanish)")
-    lo, hi = min(x1, x2), max(x1, x2)
-
-    def term(n):
-        j = bessel_orders(False, n, lo)
-        return j * bessel_orders(True, n, hi), j
-
-    return _addition_sum(theta, n_max, lo / hi, term)
-
-
-def addition_series_h0_d1(x1, x2, theta, n_max=60):
-    """Partial sum of -sum_n J'_n(x1) H2_n(x2) e^{i n theta}, for x2 > x1.
-
-    Equals the cosine-weighted H^(2)_1 kernel
-    ((x1 - x2 cos theta)/d) H^(2)_1(d), d the two-point distance. theta is
-    one angle or a 1-D array of them, as in addition_series_h0.
-    """
-    if not np.inf > x2 > x1 > 0:
-        raise ValueError("need x2 > x1 > 0, both finite")
-
-    def term(n):
-        f = order_factors(n, {"j": x1}, {"h": x2})
-        # J'_n = (J_{n-1} - J_{n+1}) / 2 loses a half once J_{n+1} reads 0
-        return -f["j"][1] * f["h"][0], bessel_orders(False, n + 1, x1)
-
-    return _addition_sum(theta, n_max, x1 / x2, term)
-
-
-def addition_series_h0_d2(x1, x2, theta, n_max=60):
-    """Partial sum of -sum_n J_n(x1) H2'_n(x2) e^{i n theta}, for x2 > x1.
-
-    Equals ((x2 - x1 cos theta)/d) H^(2)_1(d). theta is one angle or a 1-D
-    array of them, as in addition_series_h0.
-    """
-    if not np.inf > x2 > x1 > 0:
-        raise ValueError("need x2 > x1 > 0, both finite")
-
-    def term(n):
-        f = order_factors(n, {"j": x1}, {"h": x2})
-        return -f["j"][0] * f["h"][1], f["j"][0]
-
-    return _addition_sum(theta, n_max, x1 / x2, term)
+    return _addition_sum(theta, n_max, min(x1, x2), max(x1, x2), 0)
 
 
 def _warn_if_unconverged(last_term, total, ratio):
@@ -403,14 +453,10 @@ def _warn_if_unconverged(last_term, total, ratio):
     last_term and total are one angle's values or arrays over the angles;
     the warning names the line that called the series, through _addition_sum.
     """
-    import warnings
-
-    for last, value in zip(np.ravel(last_term).tolist(), np.ravel(total).tolist()):
-        # geometric tail bound from the radius ratio of the two points
-        bound = 2.0 * abs(last) * ratio / max(1e-300, 1.0 - ratio)
-        if bound > 1e-10 * max(abs(value), 1e-300):
-            warnings.warn(
-                "addition series tail estimate %.3g not below tolerance; "
-                "increase n_max" % bound,
-                stacklevel=4,
-            )
+    # geometric tail bound from the radius ratio of the two points
+    bound = 2.0 * np.abs(np.ravel(last_term)) * ratio / max(1e-300, 1.0 - ratio)
+    for b in bound[bound > 1e-10 * np.maximum(np.abs(np.ravel(total)), 1e-300)].tolist():
+        warnings.warn(
+            "addition series tail estimate %.3g not below tolerance; increase n_max" % b,
+            stacklevel=4,
+        )

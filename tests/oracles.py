@@ -1,9 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
-Nothing in here touches the package under test. Special functions come from
-mpmath at 50 significant digits, linear solves from a textbook Gaussian
-elimination written out longhand. Agreement between these and the package is
-what the unit and acceptance tests assert.
+Nothing in here touches the package under test, but for the last section.
+Special functions come from mpmath at 50 significant digits, linear solves
+from a textbook Gaussian elimination written out longhand. Agreement between
+these and the package is what the unit and acceptance tests assert.
+
+The last section holds the two dipole addition series, float64 sums of the
+package's own Graf products (cylwave.specfun.graf_products) that the kernel
+tests hold the H1 kernels to: the library itself reads neither.
 """
 
 import functools
@@ -11,6 +15,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from cylwave import specfun
 
 mpmath.mp.dps = 50
 
@@ -109,6 +115,17 @@ def _cylinder(hankel, n, x):
 def _pair(hankel, n, x):
     """(f_n(x), f'_n(x)) with f' = (f_{n-1} - f_{n+1}) / 2, f = J or H2."""
     return _cylinder(hankel, n, x), (_cylinder(hankel, n - 1, x) - _cylinder(hankel, n + 1, x)) / 2
+
+
+def graf_products_mp(x, y, n):
+    """(J_n(x) H2_n(y), J'_n(x) H2_n(y), J_n(x) H2'_n(y)) at 50 digits, as complexes.
+
+    The forms of cylwave.specfun.graf_products, f' = (f_{n-1} - f_{n+1}) / 2;
+    each product is representable in float64 wherever the package's is,
+    however far a factor alone leaves the float range.
+    """
+    (j, jp), (h, hp) = _pair(False, n, x), _pair(True, n, y)
+    return complex(j * h), complex(jp * h), complex(j * hp)
 
 
 def addition_series_mp(kind, x1, x2, theta, n_used):
@@ -274,3 +291,30 @@ def qsums_mp(m, n_points, r_cyl, r_in, r_out, side, rho_fil, phi_fil, q_max, med
             quiet = quiet + 1 if abs(ring) < mpmath.mpf(10) ** -30 * abs(total) else 0
         out.append(complex(sign * total))
     return tuple(out)
+
+
+# -- the dipole addition series, float64 --------------------------------------
+
+
+def addition_series_h0_d1(x1, x2, theta, n_max=60):
+    """Partial sum of -sum_n J'_n(x1) H2_n(x2) e^{i n theta}, for x2 > x1.
+
+    Equals the cosine-weighted H^(2)_1 kernel
+    ((x1 - x2 cos theta)/d) H^(2)_1(d), d the two-point distance. theta is
+    one angle or a 1-D array of them, as in specfun.addition_series_h0, with
+    its stopping rule and warning.
+    """
+    if not np.inf > x2 > x1 > 0:
+        raise ValueError("need x2 > x1 > 0, both finite")
+    return specfun._addition_sum(theta, n_max, x1, x2, 1)
+
+
+def addition_series_h0_d2(x1, x2, theta, n_max=60):
+    """Partial sum of -sum_n J_n(x1) H2'_n(x2) e^{i n theta}, for x2 > x1.
+
+    Equals ((x2 - x1 cos theta)/d) H^(2)_1(d), as addition_series_h0_d1
+    sums its series.
+    """
+    if not np.inf > x2 > x1 > 0:
+        raise ValueError("need x2 > x1 > 0, both finite")
+    return specfun._addition_sum(theta, n_max, x1, x2, 2)

@@ -24,7 +24,7 @@ from cylwave.exact import Medium, exact_field
 import d2_reference
 import frozen_series
 from circulant import is_circulant
-from oracles import gauss_solve
+from oracles import addition_series_h0_d1, addition_series_h0_d2, gauss_solve
 
 M1 = Medium()
 M2 = Medium(4.2, 1.0)
@@ -242,13 +242,13 @@ def test_dipole_kernel_agrees_with_the_addition_series():
     _, kernel = discrete.kernels(k, a_pts, c_pts, c_nrm)
     for p, l in ((0, 0), (2, 5), (7, 1)):
         theta = c_phi[l] - a_phi[p]
-        series = specfun.addition_series_h0_d2(k * 1.5, k * 2.0, theta, n_max=150)
+        series = addition_series_h0_d2(k * 1.5, k * 2.0, theta, n_max=150)
         assert abs(kernel[p, l] - series) < 1e-12 * abs(series)
 
     _, outer = discrete.kernels(k, geometry.collocation_points(AUX_OUT.curve, n)[0], c_pts, c_nrm)
     for p, l in ((0, 3), (4, 4)):
         theta = c_phi[l] - a_phi[p]
-        series = specfun.addition_series_h0_d1(k * 2.0, k * 2.5, theta, n_max=150)
+        series = addition_series_h0_d1(k * 2.0, k * 2.5, theta, n_max=150)
         assert abs(outer[p, l] - series) < 1e-12 * abs(series)
 
 
@@ -824,12 +824,13 @@ def test_qsums_match_the_frozen_references(n_points):
 
 
 def test_qsums_past_half_the_points_sum_from_their_lowest_order():
-    # modes m and N - m sum the same orders; at N = 512 the central order of
-    # m > N/2 overflows while N - m does not, and only m = 200, whose lowest
-    # order 200 overflows near x = 2, has no representable sum
+    # modes m and N - m sum the same orders. At N = 512 the lowest order 200
+    # of modes 200 and 312 has an H2 factor past the float range near x = 2,
+    # while their products are representable: the folded tables hold them
+    # to the 50-digit sums, where they used to raise
     inner, outer = (geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.6, 2.5))
     args = (512, CIRCLE, inner, outer, EXT, M1, M2)
-    for m in (100, 150):
+    for m in (100, 150, 200):
         low = discrete.q_sum_coefficients(m, *args)
         high = discrete.q_sum_coefficients(512 - m, *args)
         for field in _QSUM_FIELDS:
@@ -838,9 +839,35 @@ def test_qsums_past_half_the_points_sum_from_their_lowest_order():
         pair = discrete.q_sum_coefficients(np.array([m, 512 - m]), *args)
         assert _qsum_bytes(pair, 0) == _qsum_bytes(low)
         assert _qsum_bytes(pair, 1) == _qsum_bytes(high)
+    frozen = frozen_series.PLACED_QSUMS[(512, 1.6, 2.5, "plain_external")]
+    assert not np.isfinite(specfun.bessel_orders(True, np.array([200]), M1.k * 2.0)).all()
     for m in (200, 312):
-        with pytest.raises(specfun.BesselOverflowError, match="H2_200 "):
-            discrete.q_sum_coefficients(m, *args)
+        got = discrete.q_sum_coefficients(m, *args)
+        for field, want in zip(_QSUM_FIELDS, frozen[m]):
+            assert abs(getattr(got, field) - want) <= 5e-14 * abs(want), (m, field)
+
+
+@pytest.mark.parametrize("key", sorted(frozen_series.PLACED_QSUMS), ids=str)
+def test_qsums_match_the_frozen_references_up_to_n_8192(key):
+    # Against the 50-digit q-sums of tests/frozen_series.py at N = 40 to
+    # 8192, each value relative to itself (a value that underflows reads 0
+    # on both sides). Measured: at most 4.2e-15 up to N = 2048 and 7.0e-15
+    # at N = 8192 (tolerance 5e-14). On 1.6/2.5 at N = 512, modes 160 and
+    # 168 read 0 while the J factor of their lowest order was formed alone,
+    # and b1-b4 of 1.92/2.07 lost 1e-7 to 1e-3 of themselves to ring orders
+    # whose H2 factor overflowed.
+    n_points, r_in, r_out, name = key
+    side, rho, phi, _ = frozen_series.EXCITATIONS[name]
+    aux = (geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (r_in, r_out))
+    frozen = frozen_series.PLACED_QSUMS[key]
+    modes = np.array(sorted(frozen))
+    exc = geometry.Excitation(side, rho, phi)
+    got = discrete.q_sum_coefficients(modes, n_points, CIRCLE, *aux, exc, M1, M2)
+    got = np.array([getattr(got, field) for field in _QSUM_FIELDS]).T
+    want = np.array([frozen[m] for m in modes.tolist()])
+    assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want)), np.abs(got - want) / np.abs(want)
+    if key[:3] == (512, 1.6, 2.5):
+        assert np.all(got[modes == 160] != 0) and np.all(got[modes == 168] != 0)
 
 
 # -- large-N limits -----------------------------------------------------------

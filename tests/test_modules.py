@@ -7,14 +7,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cylwave"
-# public library names that only the tests read: the first three are
-# references the tests compare the library's own route against;
+# public library names that only the tests read: exact.mode_denominator is
+# a reference the tests compare the library's own route against;
 # specfun.bessel_j is a one-order read of specfun.bessel_orders that only
 # the tests use, not an independent reference
 TEST_REFERENCES = {
     "exact.mode_denominator",
-    "specfun.addition_series_h0_d1",
-    "specfun.addition_series_h0_d2",
     "specfun.bessel_j",
 }
 
@@ -91,8 +89,10 @@ def test_no_module_imports_scipy_fft():
 
 def test_one_module_and_one_evaluator_name_the_bessel_functions():
     # integer-order Bessel values are formed only in specfun's _LOW_ORDER,
-    # hankel2_low and bessel_orders: no other module imports scipy.special,
-    # and no other top-level definition of specfun reads it or _LOW_ORDER
+    # hankel2_low, bessel_orders and graf_products: no other module imports
+    # scipy.special, no other top-level definition of specfun reads it or
+    # _LOW_ORDER, and graf_products alone runs a recurrence from
+    # hankel2_low's seeds (bessel_orders reads hankel2_low for |n| <= 1)
     importers = {
         path.name
         for path in sorted(SRC.glob("*.py"))
@@ -106,11 +106,11 @@ def test_one_module_and_one_evaluator_name_the_bessel_functions():
             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
                 reads = sub.value.id == "special"
             else:
-                reads = isinstance(sub, ast.Name) and sub.id == "_LOW_ORDER"
+                reads = isinstance(sub, ast.Name) and sub.id in ("_LOW_ORDER", "hankel2_low")
                 reads = reads and isinstance(sub.ctx, ast.Load)
             if reads:
                 naming.update(_top_level_names(node))
-    assert naming == {"_LOW_ORDER", "hankel2_low", "bessel_orders"}
+    assert naming == {"_LOW_ORDER", "hankel2_low", "bessel_orders", "graf_products"}
 
 
 def _top_level_names(node):

@@ -1,8 +1,11 @@
 """Every public entry refuses a nan or infinite float argument with a message naming it.
 
-hankel2_low and hankel2_upward are left out: they read arguments their
-callers have checked, as their docstrings say.
+hankel2_low is left out: it reads arguments its callers have checked, as
+its docstring says. The two dipole addition series of tests/oracles.py,
+the kernel tests' references, are held to the same rule.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from cylwave import continuous, diagnostics, discrete, exact, fields, specfun
 from cylwave.exact import Medium
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
+
+import oracles
 
 M1, M2 = Medium(), Medium(4.2, 1.0)
 EXT = Excitation("external", 4.0, 0.3)
@@ -20,6 +25,7 @@ OBS_RADIUS = "observation radius must be (positive and |nonnegative and )?finite
 OBS_ANGLES = "observation angles must be finite|angles must be finite, got"
 RHO_CYL = "boundary radius rho_cyl must be positive and finite"
 ADDITION = r"need x2 > x1 > 0, both finite"
+GRAF = "need 0 < x < y, both finite"
 
 
 def _solution():
@@ -88,6 +94,10 @@ ENTRIES = {
     "geometry.Excitation.amplitude": (
         lambda v: Excitation("external", 4.0, 0.0, v), "source amplitude must be finite",
     ),
+    "geometry.BoundaryCurve.contains.rho": (lambda v: CIRCLE.contains(v, 0.1), OBS_RADIUS),
+    "geometry.BoundaryCurve.contains.phi": (
+        lambda v: CIRCLE.contains(1.0, np.array([0.1, v])), OBS_ANGLES,
+    ),
     "geometry.BoundaryCurve.circle.radius": (
         lambda v: BoundaryCurve.circle(v), "circle radius must be positive and finite",
     ),
@@ -148,22 +158,26 @@ ENTRIES = {
     "specfun.wronskian_residual.x": (lambda v: specfun.wronskian_residual(2, v), ARGUMENT),
     "specfun.bessel_orders.x": (lambda v: specfun.bessel_orders(False, np.array([2]), v), ARGUMENT),
     "specfun.order_factors.j": (lambda v: specfun.order_factors(2, j={"a": v}), ARGUMENT),
+    "specfun.graf_products.x": (lambda v: specfun.graf_products(v, 2.0, 5), GRAF),
+    "specfun.graf_products.y": (lambda v: specfun.graf_products(1.0, v, 5), GRAF),
+    "specfun.graf_order.x": (lambda v: specfun.graf_order(v, 2.0), GRAF),
+    "specfun.graf_order.y": (lambda v: specfun.graf_order(1.0, v), GRAF),
     "specfun.addition_series_h0.x1": (lambda v: specfun.addition_series_h0(v, 2.0, 0.1), RADII),
     "specfun.addition_series_h0.x2": (lambda v: specfun.addition_series_h0(1.0, v, 0.1), RADII),
     "specfun.addition_series_h0.theta": (
         lambda v: specfun.addition_series_h0(1.0, 2.0, v), OBS_ANGLES,
     ),
-    "specfun.addition_series_h0_d1.x1": (
-        lambda v: specfun.addition_series_h0_d1(v, 2.0, 0.1), ADDITION,
+    "oracles.addition_series_h0_d1.x1": (
+        lambda v: oracles.addition_series_h0_d1(v, 2.0, 0.1), ADDITION,
     ),
-    "specfun.addition_series_h0_d1.x2": (
-        lambda v: specfun.addition_series_h0_d1(1.0, v, 0.1), ADDITION,
+    "oracles.addition_series_h0_d1.x2": (
+        lambda v: oracles.addition_series_h0_d1(1.0, v, 0.1), ADDITION,
     ),
-    "specfun.addition_series_h0_d2.x1": (
-        lambda v: specfun.addition_series_h0_d2(v, 2.0, 0.1), ADDITION,
+    "oracles.addition_series_h0_d2.x1": (
+        lambda v: oracles.addition_series_h0_d2(v, 2.0, 0.1), ADDITION,
     ),
-    "specfun.addition_series_h0_d2.x2": (
-        lambda v: specfun.addition_series_h0_d2(1.0, v, 0.1), ADDITION,
+    "oracles.addition_series_h0_d2.x2": (
+        lambda v: oracles.addition_series_h0_d2(1.0, v, 0.1), ADDITION,
     ),
 }
 
@@ -178,3 +192,18 @@ def test_every_public_entry_refuses_a_non_finite_argument_by_name(entry, value):
     # inf - inf on the way to the check is the case's point, not news
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argument", ["rho_obs", "phi_obs"])
+def test_the_incident_field_names_a_non_finite_point_before_any_warning(argument, value):
+    # the radius and the angles are checked before the law of cosines: an
+    # infinite radius used to reach its inf - inf, and an infinite angle
+    # np.cos, so that under warnings-as-errors numpy's "invalid value
+    # encountered" came out instead of the named ValueError
+    point = {"rho_obs": 3.0, "phi_obs": 0.1, argument: value}
+    message = OBS_RADIUS if argument == "rho_obs" else OBS_ANGLES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"), pytest.raises(ValueError, match=message):
+            exact.incident_field(EXT, M1, point["rho_obs"], point["phi_obs"])

@@ -245,10 +245,10 @@ def test_addition_series_closure_grid():
                 got0 = specfun.addition_series_h0(x1, x2, th, n_max=220)
                 assert abs(got0 - want0) < 1e-10
                 want1 = (x1 - x2 * np.cos(th)) / d * specfun.hankel2(1, d)
-                got1 = specfun.addition_series_h0_d1(x1, x2, th, n_max=220)
+                got1 = oracles.addition_series_h0_d1(x1, x2, th, n_max=220)
                 assert abs(got1 - want1) < 1e-10
                 want2 = (x2 - x1 * np.cos(th)) / d * specfun.hankel2(1, d)
-                got2 = specfun.addition_series_h0_d2(x1, x2, th, n_max=220)
+                got2 = oracles.addition_series_h0_d2(x1, x2, th, n_max=220)
                 assert abs(got2 - want2) < 1e-10
 
 
@@ -257,8 +257,8 @@ def test_addition_series_derivatives_at_pi():
     d = _distance(x1, x2, th)  # = 3
     want1 = (x1 - x2 * np.cos(th)) / d * specfun.hankel2(1, d)
     want2 = (x2 - x1 * np.cos(th)) / d * specfun.hankel2(1, d)
-    assert abs(specfun.addition_series_h0_d1(x1, x2, th, 60) - want1) < 1e-10
-    assert abs(specfun.addition_series_h0_d2(x1, x2, th, 60) - want2) < 1e-10
+    assert abs(oracles.addition_series_h0_d1(x1, x2, th, 60) - want1) < 1e-10
+    assert abs(oracles.addition_series_h0_d2(x1, x2, th, 60) - want2) < 1e-10
 
 
 def test_addition_series_warns_when_truncated_early():
@@ -270,16 +270,23 @@ def test_addition_series_argument_validation():
     with pytest.raises(ValueError):
         specfun.addition_series_h0(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        specfun.addition_series_h0_d1(2.0, 1.0, 0.5)
+        oracles.addition_series_h0_d1(2.0, 1.0, 0.5)
     for series in (
         specfun.addition_series_h0,
-        specfun.addition_series_h0_d1,
-        specfun.addition_series_h0_d2,
+        oracles.addition_series_h0_d1,
+        oracles.addition_series_h0_d2,
     ):
         with pytest.raises(ValueError, match="n_max"):
             series(1.0, 3.0, 0.7, n_max=-1)
         with pytest.raises(ValueError, match="1-D"):
             series(1.0, 3.0, np.zeros((2, 2)))
+
+
+_ADDITION = {
+    "h0": specfun.addition_series_h0,
+    "h0_d1": oracles.addition_series_h0_d1,
+    "h0_d2": oracles.addition_series_h0_d2,
+}
 
 
 def _series_and_warnings(series, *args):
@@ -309,16 +316,15 @@ def test_addition_series_match_the_frozen_references(kind, monkeypatch):
     # the series is cut short, and five points of the closure grid. The
     # stop orders and warnings of the one-order loop exactly; the values to
     # a tolerance set from the measured gap, relative to the value. Where
-    # the sum stops by order 70 the gap is at most 1.3e-14 (tolerance
-    # 5e-14). Deeper sums reach the orders where AMOS's J_n(x1) underflows
-    # to zero (below about 1e-293) and stop before the first of them; the
-    # tolerance there is 20 times (x1 / x2)^n_used, and the gap measured at
-    # most 0.22 times that (9.1 times while the sums stopped on the zeros),
-    # capped at 1e-11: at (0.05, 0.0505) that term reads about 8, the gaps
-    # 5.6e-13 (h0_d2) and 2.4e-14 (h0_d1), and a flushed J_{n+1} once put
-    # h0_d1 5.7e-8 off.
+    # the sum stops by order 70 the gap is at most 2.9e-15 (tolerance
+    # 5e-14; 1.3e-14 from AMOS factors). Deeper sums run past the orders
+    # where AMOS's J_n(x1) underflows to zero (below about 1e-293), where
+    # the AMOS-factor sums stopped; the tolerance there is 20 times
+    # (x1 / x2)^n_used, capped at 1e-11, and the gap measured at most 0.055
+    # times that (0.22 times for the AMOS-factor sums). At (0.05, 0.0505)
+    # the gaps are 8.1e-16 (h0), 5.0e-15 (h0_d1) and 1.5e-15 (h0_d2).
     stops = _recording_stops(monkeypatch)
-    series = getattr(specfun, "addition_series_" + kind)
+    series = _ADDITION[kind]
     warned = deep = 0
     pairs = {}
     for (k, x1, x2, th, n_max), (value, n_used, tail) in frozen_series.ADDITION.items():
@@ -354,41 +360,29 @@ def test_addition_series_match_the_frozen_references(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["h0", "h0_d1", "h0_d2"])
-def test_addition_series_stop_before_an_underflowed_j_factor(kind, monkeypatch):
-    # AMOS returns J_93(0.05) = 8.8e-294 as 0. The sums used to read the
-    # zero terms from there on as convergence and stop at orders 95-96,
-    # missing the closed forms by 1.7e-3, 0.72 and 1.18 with no warning.
-    # They now stop before the first order whose J_n reads 0 (J_{n+1} for
-    # h0_d1, whose J'_n = (J_{n-1} - J_{n+1}) / 2 would lose that half) and
-    # warn, since the last term leaves a tail far above tolerance at
-    # x1 / x2 = 0.99. Each sum then meets its 50-digit partial sum to the
-    # accuracy of AMOS at these orders: gaps of 6.5e-16 (h0), 2.4e-14
-    # (h0_d1, 5.7e-8 while it read the zero J_93) and 5.6e-13 (h0_d2).
+def test_addition_series_sum_past_the_orders_where_amos_flushes_j(kind, monkeypatch):
+    # AMOS returns J_93(0.05) = 8.8e-294 as 0. Products of AMOS factors read
+    # the zero terms from there on as convergence (stopping at orders 95-96,
+    # off the closed forms by 1.7e-3, 0.72 and 1.18 with no warning), or had
+    # to stop before them. The Graf product tables form those terms: each
+    # sum runs to n_max = 400, warns that its tail is not below tolerance
+    # at x1 / x2 = 0.99, and meets its 50-digit partial sum to 8.1e-16
+    # (h0), 5.0e-15 (h0_d1) and 1.5e-15 (h0_d2).
     stops = _recording_stops(monkeypatch)
     x1, x2, theta = 0.05, 0.0505, 0.4
-    series = getattr(specfun, "addition_series_" + kind)
-    value, caught = _series_and_warnings(series, x1, x2, theta, 400)
-    _, order, _, converged, warning = stops[-1]
-    stop = int(order[0]) + 1
-    assert not converged[0]
-    assert warning == ["series truncated at n=%d by floating-point range" % stop]
+    value, caught = _series_and_warnings(_ADDITION[kind], x1, x2, theta, 400)
+    _, order, mags, converged, warning = stops[-1]
+    assert int(order[0]) == 400 and not converged[0] and warning == [None]
     assert len(caught) == 1 and caught[0].startswith("addition series tail estimate")
-    # the order it stops at is the first whose J_n (J_{n+1} for h0_d1) reads 0
-    j = specfun.bessel_orders(False, np.array([stop - 1, stop]) + (kind == "h0_d1"), x1)
-    assert j[0] != 0.0 and j[1] == 0.0
+    # the terms past the flushed J factors are there, falling like 0.99^n
+    assert specfun.bessel_orders(False, np.array([93]), x1)[0] == 0.0
+    assert np.all(mags[93:] > 0.0) and np.all(mags[94:] < mags[93:-1])
     want, _, _ = frozen_series.ADDITION[(kind, x1, x2, theta, 400)]
-    assert abs(value - want) <= 1e-12 * abs(want)
-    d = _distance(x1, x2, theta)
-    closed = {
-        "h0": specfun.hankel2(0, d),
-        "h0_d1": (x1 - x2 * np.cos(theta)) / d * specfun.hankel2(1, d),
-        "h0_d2": (x2 - x1 * np.cos(theta)) / d * specfun.hankel2(1, d),
-    }[kind]
-    assert abs(value - closed) > 1e-3 * abs(closed)
+    assert abs(value - want) <= 5e-14 * abs(want)
 
 
 def _families():
-    """Synthetic term families for the addition path, each with the order
+    """Synthetic term families for runs of orders, each with the order
     where it must stop, if any: term(n) returns the terms (non-finite where
     an order overflows) and their J factors (0 where one underflows)."""
 
@@ -418,34 +412,37 @@ def _families():
     return families
 
 
-@pytest.mark.filterwarnings("ignore:addition series tail estimate")
-def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch):
-    # _addition_sum (the three addition series' path into sum_orders) against
-    # series_loop._loop_sum at each angle alone: sums, last magnitudes and
-    # stop orders byte for byte, with caps on both sides of the run seam
-    stops = _recording_stops(monkeypatch)
+def test_runs_of_orders_match_the_per_order_loop_on_synthetic_terms():
+    # sum_orders with the addition series' rule (1e-14, no growth stop), in
+    # runs of 32 orders, against series_loop._loop_sum at each angle alone:
+    # sums, last magnitudes and stop orders byte for byte, with caps on both
+    # sides of the run seam, and runs cut by a non-finite term or by a term
+    # out of range
     psi = np.array([0.0, 0.3, 1.0, np.pi / 2, 2.9, -1.3])
     seen = set()
     for term, overflow in _families():
+
+        def run(n, term=term):
+            t, j = term(n)
+            return t, np.isfinite(t), j != 0.0
 
         def one_order(n, term=term):
             t, j = term(np.array([n]))
             t = complex(t[0])
             if not cmath.isfinite(t):
                 raise specfun.BesselOverflowError("order %d overflows" % n)
-            # the loop stops at a non-finite term, as the path does at a
-            # J factor of 0
+            # the loop stops at a non-finite term, as the runs do at one
+            # out of range
             return t if j[0] else complex("nan")
 
         for cap in (0, 1, 31, 32, 33, 64, 500):
             if overflow == 0:
                 with pytest.raises(specfun.BesselOverflowError):
-                    specfun._addition_sum(psi, cap, 0.5, term)
+                    specfun.sum_orders(run, psi, cap, 32, 1e-14)
                 with pytest.raises(specfun.BesselOverflowError):
                     series_loop._loop_sum(0.3, cap, one_order)
                 continue
-            total = specfun._addition_sum(psi, cap, 0.5, term)
-            _, order, mags = stops[-1][:3]
+            total, order, mags = specfun.sum_orders(run, psi, cap, 32, 1e-14)[:3]
             last = mags[order]
             for i, theta in enumerate(psi.tolist()):
                 want = series_loop._loop_sum(theta, cap, one_order)
@@ -453,12 +450,12 @@ def test_addition_path_matches_the_per_order_loop_on_synthetic_terms(monkeypatch
                 assert np.float64(last[i]).tobytes() == np.float64(want[1]).tobytes()
                 assert int(order[i]) == want[2]
                 seen.add(want[2])
-            assert specfun._addition_sum(psi[1], cap, 0.5, term) == complex(total[1])
+            assert specfun.sum_orders(run, psi[1:2], cap, 32, 1e-14)[0][0] == total[1]
     assert {20, 31, 32, 33, 39} <= seen
 
 
 def test_addition_series_warn_at_the_callers_line():
-    for series in (specfun.addition_series_h0, specfun.addition_series_h0_d1):
+    for series in (specfun.addition_series_h0, oracles.addition_series_h0_d1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             series(2.0, 2.2, np.array([0.3, 1.0]), 4)
@@ -577,8 +574,8 @@ _SERIES_ENTRIES = {
     "exact_ring": lambda a: exact.exact_ring(_EXT, 1, 5.0, np.array([0.0, a]), 2.0, exact.Medium(), _M2),
     "exact_field": lambda a: exact.exact_field(_EXT, 2, 1.0, a, 2.0, exact.Medium(), _M2),
     "addition_series_h0": lambda a: specfun.addition_series_h0(1.0, 3.0, [0.0, a]),
-    "addition_series_h0_d1": lambda a: specfun.addition_series_h0_d1(1.0, 3.0, [0.0, a]),
-    "addition_series_h0_d2": lambda a: specfun.addition_series_h0_d2(1.0, 3.0, [0.0, a]),
+    "addition_series_h0_d1": lambda a: oracles.addition_series_h0_d1(1.0, 3.0, [0.0, a]),
+    "addition_series_h0_d2": lambda a: oracles.addition_series_h0_d2(1.0, 3.0, [0.0, a]),
     "density_series": lambda a: density_series(_EXT, [0.0, a], 2.0, exact.Medium(), _M2),
     "reconstruct_fields_from_densities": lambda a: reconstruct_fields_from_densities(
         _EXT, 10.0, [0.0, a], 2.0, exact.Medium(), _M2
@@ -610,8 +607,8 @@ def test_addition_series_converge_or_warn(radii, theta):
     h0, h1 = special.hankel2(0, d), special.hankel2(1, d)
     cases = (
         (specfun.addition_series_h0, h0, abs(h0)),
-        (specfun.addition_series_h0_d1, (lo - hi * np.cos(theta)) / d * h1, abs(h1)),
-        (specfun.addition_series_h0_d2, (hi - lo * np.cos(theta)) / d * h1, abs(h1)),
+        (oracles.addition_series_h0_d1, (lo - hi * np.cos(theta)) / d * h1, abs(h1)),
+        (oracles.addition_series_h0_d2, (hi - lo * np.cos(theta)) / d * h1, abs(h1)),
     )
     for series, want, scale in cases:
         with warnings.catch_warnings(record=True) as caught:
@@ -623,17 +620,69 @@ def test_addition_series_converge_or_warn(radii, theta):
             assert abs(got - want) < 1e-9 * scale
 
 
-@pytest.mark.parametrize("x", [0.3, 1.9, 10.0, 20.5])
-def test_upward_recurrence_tracks_the_hankel_function(x):
-    # J_n's part loses digits relative to itself once n > x, but not
-    # relative to |H2_n|, which is what the circle fields' products need:
-    # against AMOS the gap grows about like n eps, at most 1.3e-14 here
-    got = specfun.hankel2_upward(40, x)
-    want = specfun.bessel_orders(True, np.arange(41), x)
-    assert got.shape == (41,) and np.isfinite(got).all() and np.isfinite(want).all()
-    assert got[0] == specfun.hankel2_low(0, x) and got[1] == specfun.hankel2_low(1, x)
-    assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want))
-    assert np.array_equal(specfun.hankel2_upward(12, x), got[:13])
+# (x, y, top): across the transition n ~ x, x / y near 1, and far past the
+# orders where J_n(x) underflows and H2_n(y) overflows alone
+_GRAF_CASES = [
+    (30.0, 31.0, 120),
+    (20.0, 20.2, 220),
+    (0.05, 0.0505, 400),
+    (1.6, 2.0, 400),
+    (4.098780306383839, 4.242237617107274, 300),
+    (2.0, 11.2, 220),
+    (0.3, 0.9, 0),
+    (0.3, 0.9, 1),
+]
+
+
+@pytest.mark.parametrize("x, y, top", _GRAF_CASES)
+def test_graf_products_match_the_50_digit_products(x, y, top):
+    # every seventh order and the last, each form relative to itself:
+    # measured at most 5.0e-15 (tolerance 2.5e-14); the cumprod's error
+    # grows about like sqrt(n) eps, as no rounded 2/x or 2/y biases every
+    # ratio alike (that bias measured 1.3e-13 at n = 4096)
+    got = specfun.graf_products(x, y, top)
+    assert got.shape == (3, top + 1)
+    orders = sorted(set(range(0, top + 1, 7)) | {top})
+    want = np.array([oracles.graf_products_mp(x, y, n) for n in orders]).T
+    assert np.all(np.abs(got[:, orders] - want) <= 2.5e-14 * np.abs(want))
+    if top >= 300:  # past both factors' range: AMOS reads J as 0 and H2 as nan
+        assert specfun.bessel_orders(False, np.array([top]), x)[0] == 0.0
+        assert not np.isfinite(specfun.bessel_orders(True, np.array([top]), y)[0])
+
+
+def test_graf_products_keep_their_scale_at_a_zero_of_j0():
+    # J_0 vanishes at x = 2.4048...: order 0 is known only to the roundoff of
+    # J_0 there, but every higher order keeps its relative accuracy, as the
+    # ratios are scaled onto J_0 and J_1 together
+    x, y = 2.404825557695773, 5.0
+    got = specfun.graf_products(x, y, 40)
+    want = np.array([oracles.graf_products_mp(x, y, n) for n in range(41)]).T
+    near_zero = np.zeros(got.shape, dtype=bool)
+    near_zero[[0, 2], 0] = True  # the two forms with the factor J_0
+    gap = np.abs(got - want)
+    assert np.all(gap[~near_zero] <= 2.5e-14 * np.abs(want[~near_zero]))
+    assert np.all(gap[near_zero] <= 1e-16 * np.abs(specfun.hankel2(0, y)))
+
+
+def test_graf_products_refuse_arguments_out_of_order():
+    for x, y in ((2.0, 2.0), (3.0, 2.0), (0.0, 2.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match="need 0 < x < y"):
+            specfun.graf_products(x, y, 5)
+        with pytest.raises(ValueError, match="need 0 < x < y"):
+            specfun.graf_order(x, y)
+    for top in (-1, 2.5):
+        with pytest.raises(ValueError, match="top"):
+            specfun.graf_products(1.0, 2.0, top)
+
+
+@pytest.mark.parametrize("x, y, base", [(1.5, 2.0, 0), (1.5, 2.0, 256), (3.84, 4.14, 40), (0.5, 10.0, 0)])
+def test_graf_order_drops_only_terms_below_its_target(x, y, base):
+    # the products past the order graf_order names are below 1e-18 of the
+    # product at order base (of 1 at base 0), and a cap below it gives None
+    m = specfun.graf_order(x, y, cap=10**6, base=base)
+    t = np.abs(specfun.graf_products(x, y, m + 40)[0])
+    assert np.all(t[m + 1 :] < 1e-18 * (t[base] if base else 1.0))
+    assert specfun.graf_order(x, y, cap=m - 1, base=base) is None
 
 
 @pytest.mark.parametrize("hankel", [False, True])
