@@ -799,7 +799,7 @@ def _folded(table, n_points, q_max):
 
 
 def _mode_sums(plus, minus, modes, n_points, q_max):
-    """sum over nu = qN + m, q in Z, of a table's order-|nu| value, plus for nu >= 0.
+    """Each mode m's sum over the orders nu = qN + m, q in Z: plus[nu], or minus[-nu] below 0.
 
     Products are even in their order, so the orders nu >= 0 of mode m fold
     plus at residue m, and the orders nu < 0 fold minus at residue
@@ -863,8 +863,6 @@ def q_sum_coefficients(
         source = (k1 * r_in, k1 * r_fil, -1.0)
     else:
         source = (k2 * r_fil, k2 * r_out, +1.0)
-    # each table runs to its last needed order above N/2, the largest lowest
-    # order of a mode, or through ring q_max
     tables = []
     for x, y in ((k1 * r_in, k1 * r_cyl), (k2 * r_cyl, k2 * r_out), source[:2]):
         top = (q_max + 1) * n_points - 1 if q_max is not None else specfun.graf_order(

@@ -257,10 +257,13 @@ def graf_order(x, y, slope=0.0, cap=math.inf, base=0):
 def _miller_start(x, top):
     """An order far enough above top and x that J's backward ratio recurrence,
     started there from 0, reaches the orders up to top within roundoff: the
-    start's error shrinks like exp(-2 (E(start, x) - E(top, x)))."""
+    start's error shrinks like exp(-2 (E(start, x) - E(top, x))). E grows
+    with slope acosh(n/x), itself growing, so a step of the shortfall over
+    that slope reaches the target; a step is held to start - x orders,
+    since next to x that slope is small and the step far too long."""
     floor, start = _debye_exponent(top, x), max(top, math.ceil(x)) + 1
-    while _debye_exponent(start, x) - floor < 20.0:
-        start += 1
+    while (short := 20.0 - (_debye_exponent(start, x) - floor)) > 0.0:
+        start += min(math.ceil(short / math.acosh(start / x)), math.ceil(start - x))
     return start
 
 
@@ -294,23 +297,22 @@ def graf_products(x, y, top):
     r = 0.0
     for n in range(_miller_start(x, top + 1), top + 1, -1):
         r = x / (2 * n - x * r)
-    rho = [0.0] * (top + 1)
+    rho, s = [0.0] * (top + 1), [0j] * (top + 1)
     for k in range(top, -1, -1):
         r = rho[k] = x / (2 * k + 2 - x * r)
     h0 = hankel2_low(0, y)
-    s = [0j] * (top + 1)
     s[0] = v = hankel2_low(1, y) / h0
     for k in range(1, top + 1):
         s[k] = v = 2 * k / y - 1.0 / v
-    rho, s = np.array(rho, dtype=float), np.array(s, dtype=complex)
-    j0, j1 = hankel2_low(0, x).real, hankel2_low(1, x).real
+    ratios = np.array((rho, s), dtype=complex)
     out = np.empty((3, top + 1), dtype=complex)
-    out[0, 0] = (j0 + j1 * rho[0]) / (1.0 + rho[0] * rho[0]) * h0
-    np.multiply(rho[:top], s[:top], out=out[0, 1:])
+    # r is rho_1 = J_1 / J_0
+    out[0, 0] = (hankel2_low(0, x).real + hankel2_low(1, x).real * r) / (1.0 + r * r) * h0
+    np.multiply(ratios[0, :top], ratios[1, :top], out=out[0, 1:])
     np.cumprod(out[0], out=out[0])
-    n = np.arange(top + 1)
-    np.multiply(out[0], n / x - rho, out=out[1])
-    np.multiply(out[0], n / y - s, out=out[2])
+    # J'/J = n/x - rho_(n+1) and H2'/H2 = n/y - s_(n+1)
+    np.subtract(np.arange(top + 1) / np.array([[x], [y]]), ratios, out=out[1:])
+    out[1:] *= out[0]
     return out
 
 
