@@ -412,7 +412,7 @@ def _addition_sum(theta, n_max, x1, x2, form):
     The terms are row form of graf_products(x1, x2, top), negated for the
     two derivative forms, summed in one run of orders 0..top: top is
     n_max, or graf_order's last order where that comes first, past which
-    every term is below 1e-18 of the largest. Warns per angle as
+    the terms are below about 1e-18. Warns per angle as
     _warn_if_unconverged does for the radius ratio x1 / x2. Returns the
     sums shaped like theta.
     """
@@ -426,7 +426,7 @@ def _addition_sum(theta, n_max, x1, x2, form):
         return (-t if form else t), np.isfinite(t)
 
     n_max = as_count(n_max, "n_max")
-    top = graf_order(x1, x2, (0.0, x1, x2)[form], n_max) if n_max > 0 else None
+    top = graf_order(x1, x2, (0.0, x1, x2)[form], n_max)
     top = n_max if top is None else top
     total, order, mags, _, _ = sum_orders(run, angles.reshape(-1), top, top + 1, 1e-14)
     _warn_if_unconverged(mags[order], total, x1 / x2)
