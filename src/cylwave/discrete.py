@@ -27,6 +27,7 @@ from .exact import Medium
 
 _TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class DiscreteSolution:
         One numpy.fft call over the two stacked rows, which gives each row
         the bits of its own call.
         """
-        return np.fft.fft(np.stack([self.electric, self.magnetic]))
+        return np.fft.fft(np.array((self.electric, self.magnetic)))
 
     @cached_property
     def ring_modes(self):
@@ -472,7 +473,7 @@ def _lu_solve(a, factors, rcond, b):
     of shrinking the error.
     """
     x = linalg.lu_solve(factors, b)
-    if rcond > np.finfo(float).eps:
+    if rcond > _EPS:
         x += linalg.lu_solve(factors, b - a @ x)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("system is singular to working precision")
@@ -634,8 +635,16 @@ def solve_dense(system, shared=None):
     return solutions[0] if shared is None else solutions
 
 
-def _mode_singular_values(l11, l12, l21, l22, det):
-    fro2 = np.abs(l11) ** 2 + np.abs(l12) ** 2 + np.abs(l21) ** 2 + np.abs(l22) ** 2
+def _mode_singular_values(blocks, det):
+    """Both singular values of every mode's 2x2 system, from the (4, N) stack of
+    the blocks' spectra l11, l12, l21, l22 and the determinants.
+
+    |l|^2 is taken of the whole stack in one pass; the sum over its four
+    rows runs row by row, as l11 + l12 + l21 + l22 adds them.
+    """
+    fro2 = np.abs(blocks)
+    np.square(fro2, out=fro2)
+    fro2 = fro2.sum(axis=0)
     det_abs = np.abs(det)
     disc = np.sqrt(np.maximum(fro2**2 - 4.0 * det_abs**2, 0.0))
     s_max = np.sqrt((fro2 + disc) / 2.0)
@@ -643,9 +652,10 @@ def _mode_singular_values(l11, l12, l21, l22, det):
     return s_max, s_min
 
 
-def _rank_one_solve(l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min):
+def _rank_one_solve(blocks, b1, b2, det, adj_b1, adj_b2, s_max, s_min):
     """Minimum-norm least-squares solution of 2x2 systems kept at rank one.
 
+    blocks stacks the systems' entries l11, l12, l21, l22 as rows.
     x = v v^H A^H b / s1^2 with v the top eigenvector of A^H A, whose
     projector is v v^H = (A^H A - s2^2) / (s1^2 - s2^2). For 2x2 matrices
     A^H A A^H = |A|_F^2 A^H - conj(det) adj(A), so with adj(A) b, the Cramer
@@ -655,8 +665,9 @@ def _rank_one_solve(l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_mi
     lam2 = s_min * s_min
     scale = lam1 * (lam1 - lam2)
     det = det.conj()
-    x1 = (lam1 * (l11.conj() * b1 + l21.conj() * b2) - det * adj_b1) / scale
-    x2 = (lam1 * (l12.conj() * b1 + l22.conj() * b2) - det * adj_b2) / scale
+    c11, c12, c21, c22 = blocks.conj()
+    x1 = (lam1 * (c11 * b1 + c21 * b2) - det * adj_b1) / scale
+    x2 = (lam1 * (c12 * b1 + c22 * b2) - det * adj_b2) / scale
     return x1, x2
 
 
@@ -682,14 +693,15 @@ def solve_circulant_dft(system, shared=None):
         raise ValueError("system is not circulant; use the dense path")
     systems = _with_shared(system, shared)
     n = system.n_points
-    # the four block columns, then the two halves of each right side
-    halves = tuple(s.rhs.reshape(2, n) for s in systems)
-    spectra = np.fft.fft(np.vstack(_blocks(system) + halves))
-    (l11, l12, l21, l22), rhs_modes = spectra[:4], spectra[4:]
+    # one stack of rows: the four block columns, then the two halves of each right side
+    stack = np.concatenate(_blocks(system) + tuple(s.rhs for s in systems)).reshape(-1, n)
+    spectra = np.fft.fft(stack)
+    blocks, rhs_modes = spectra[:4], spectra[4:]
+    l11, l12, l21, l22 = blocks
     det = l11 * l22 - l12 * l21
-    s_max, s_min = _mode_singular_values(l11, l12, l21, l22, det)
-    s_top = float(np.max(s_max))
-    floor = np.finfo(float).eps * s_top
+    s_max, s_min = _mode_singular_values(blocks, det)
+    s_top = float(s_max.max())
+    floor = _EPS * s_top
     keep = s_min > floor
     dropped = 2 * n - int(np.count_nonzero(keep)) - int(np.count_nonzero(s_max > floor))
     if dropped:
@@ -699,7 +711,7 @@ def solve_circulant_dft(system, shared=None):
         lost = np.flatnonzero(~keep)
         band = slice(lost[0], lost[-1] + 1)
         rank_one = ~keep[band] & (s_max[band] > floor)
-    s_low = float(np.min(s_min))
+    s_low = float(s_min.min())
     cond = s_top / s_low if s_low > 0.0 else np.inf
 
     # rhs_modes and modes hold the two halves of system e in rows 2e and 2e + 1
@@ -710,9 +722,9 @@ def solve_circulant_dft(system, shared=None):
         np.divide(adj_b1, det, out=u, where=keep)
         np.divide(adj_b2, det, out=v, where=keep)
         if dropped:
-            parts = (l11, l12, l21, l22, b1, b2, det, adj_b1, adj_b2, s_max, s_min)
+            parts = (b1, b2, det, adj_b1, adj_b2, s_max, s_min)
             with np.errstate(divide="ignore", invalid="ignore"):
-                x1, x2 = _rank_one_solve(*(part[band] for part in parts))
+                x1, x2 = _rank_one_solve(blocks[:, band], *(part[band] for part in parts))
             np.copyto(u[band], x1, where=rank_one)
             np.copyto(v[band], x2, where=rank_one)
     currents = np.fft.ifft(modes)
@@ -864,14 +876,16 @@ def q_sum_coefficients(
     else:
         source = (k2 * r_fil, k2 * r_out, +1.0)
     tables = []
-    for x, y in ((k1 * r_in, k1 * r_cyl), (k2 * r_cyl, k2 * r_out), source[:2]):
+    # the forms each sum reads: b1 and b2, b3 and b4, d
+    pairs = ((k1 * r_in, k1 * r_cyl, (0, 2)), (k2 * r_cyl, k2 * r_out, (0, 1)))
+    for x, y, forms in pairs + ((*source[:2], (0,)),):
         top = (q_max + 1) * n_points - 1 if q_max is not None else specfun.graf_order(
             x, y, slope=x, cap=1000 * n_points, base=n_points // 2
         )
         if top is None:
             raise ArithmeticError("q-sums failed to settle within 1000 rings")
-        tables.append(specfun.graf_products(x, y, top))
-    (t1, _, t2), (t3, t4, _), (t_src, _, _) = tables
+        tables.append(specfun.graf_products(x, y, top, forms))
+    (t1, t2), (t3, t4), (t_src,) = tables
     rotation = np.exp(-1j * excitation.phi * np.arange(t_src.size))
     modes = np.atleast_1d(modes)
     b1, b2 = (_mode_sums(t, t, modes, n_points, q_max) for t in (t1, -t2))

@@ -130,21 +130,35 @@ def incident_prefactor(medium):
 def incident_field(excitation, medium, rho_obs, phi_obs):
     """Field of the bare line source at polar observation points.
 
-    phi_obs is one angle or an array of angles on the circle rho_obs; an
-    array gives an array, with H0 evaluated in one call.
+    phi_obs is one float angle, which gives a complex, or an array of
+    angles on the circle rho_obs, which gives an array with H0 evaluated in
+    one call. Either way each point has the bits of its own one-angle call.
     """
     d = _source_distance(excitation, rho_obs, phi_obs)
     if excitation.amplitude == 0:
         return np.zeros(np.shape(d), dtype=complex)[()]
-    return incident_prefactor(medium) * excitation.amplitude * specfun.hankel2_low(0, medium.k * d)
+    weight = incident_prefactor(medium) * excitation.amplitude
+    # a ufunc call for one point too: two Python complexes would multiply
+    # with other roundings than numpy's complex loop
+    return np.multiply(weight, specfun.hankel2_low(0, medium.k * d))
+
+
+# Past this radius a square in the law of cosines could overflow, so
+# _source_distance takes the radii in units of the larger one
+_HUGE_RADIUS = 1e150
 
 
 def _source_distance(excitation, rho_obs, phi_obs):
-    """Distance from the filament, refusing a non-finite radius, angle or
-    distance and a point that coincides with the filament: H0 and H1 read
-    it unchecked. Where the law of cosines gives d below
-    1e-3 max(rho_f, rho, 1), its terms cancel (and may fall below 0); d^2
-    is then (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2)."""
+    """Distance from the filament to the points at radius rho_obs and angle
+    phi_obs: a float for one float angle, an array for an array of them.
+
+    Refuses a non-finite radius, angle or distance and a point that
+    coincides with the filament: H0 and H1 read it unchecked. Where the
+    law of cosines gives d below 1e-3 max(rho_f, rho, 1), its terms cancel
+    (and may fall below 0); d^2 is then (rho - rho_f)^2 + 4 rho rho_f
+    sin^2(psi / 2). Past _HUGE_RADIUS, where a square would overflow, the
+    radii are taken in units of the larger one; below it they enter as
+    they are."""
     rho_f, psi = excitation.rho, phi_obs - excitation.phi
     # before the law of cosines, whose inf - inf or cos(inf) would warn first
     if not math.isfinite(rho_obs):
@@ -152,7 +166,9 @@ def _source_distance(excitation, rho_obs, phi_obs):
     if not (math.isfinite(psi) if isinstance(psi, float) else np.isfinite(psi).all()):
         raise ValueError("observation angles must be finite")
     scale = max(rho_f, rho_obs, 1.0)
-    d = np.sqrt(np.maximum(rho_obs**2 + rho_f**2 - 2.0 * rho_obs * rho_f * np.cos(psi), 0.0))
+    unit = scale if scale > _HUGE_RADIUS else 1.0
+    rho, rho_f = rho_obs / unit, rho_f / unit
+    d = unit * np.sqrt(np.maximum(rho**2 + rho_f**2 - 2.0 * rho * rho_f * np.cos(psi), 0.0))
     # d >= 0, so its range holds both checks: an overflow reaches the largest
     # distance, and a coincident point the smallest; one point is both ends
     one = d.size == 1
@@ -160,8 +176,8 @@ def _source_distance(excitation, rho_obs, phi_obs):
         raise ValueError("distance from the source filament must be finite")
     lo = d.item() if one else d.min()
     if lo < 1e-3 * scale:
-        half = np.sqrt((rho_obs - rho_f) ** 2 + 4.0 * rho_obs * rho_f * np.sin(0.5 * psi) ** 2)
-        d = np.where(d >= 1e-3 * scale, d, half)
+        half = unit * np.sqrt((rho - rho_f) ** 2 + 4.0 * rho * rho_f * np.sin(0.5 * psi) ** 2)
+        d = np.where(d >= 1e-3 * scale, d, half)[()]
         lo = d.min()
     if lo < 1e-12 * scale:
         raise ValueError("observation point coincides with the source filament")
@@ -289,12 +305,15 @@ def default_n_cap(series_id, rho_obs, rho_cyl, excitation, medium1, medium2):
     the series' geometric ratio q (series_ratio) needs to fall to the
     stopping tolerance tol of sum_series; none where q is not below 1. The
     adaptive stopping rule ends a converging series well before the cap.
+    3 k_max rho_max is held to 1e300, so that a radius near the float
+    limit still gives a whole number.
     """
     k_max = max(medium1.k, medium2.k)
     rho_max = max(rho_cyl, excitation.rho, rho_obs)
     q = series_ratio(series_id, rho_obs, rho_cyl, excitation.rho)
     geometric = int(np.ceil(np.log(_SUM_TOL) / np.log(q))) if 0.0 < q < 1.0 else 0
-    return 40 + int(np.ceil(3.0 * k_max * rho_max)) + geometric
+    # Python floats: an overflow past the float range is a silent inf
+    return 40 + int(np.ceil(min(3.0 * k_max * float(rho_max), 1e300))) + geometric
 
 
 # Orders per run of sum_series: up to _SUM_BLOCK - 1 terms past the last

@@ -97,15 +97,17 @@ def _modes_at(solution, rho, region):
     m = specfun.graf_order(lo, hi, (lo if outside else hi) if nfm else 0.0, cap)
     if m is None:
         return None
-    # w_n, n = 0..m, each row scaled by its amplitudes' weight
-    w = specfun.graf_products(lo, hi, m)
+    # w_n, n = 0..m, each row scaled by its amplitudes' weight: a real or
+    # an imaginary weight rounds each part of w_n once, in either order
     if not nfm:
-        w = -(k * z / 4.0) * w[:1]
+        w = specfun.graf_products(lo, hi, m, (0,))
+        w *= -(k * z / 4.0)
         rows = slice(region - 1, region)
     else:
         # the dipole reads -J'_n on the radiating circle outside, -H2'_n inside
         sign = 1.0 if region == 1 else -1.0
-        w = w[[0, 1 if outside else 2]] * np.array([[sign * -(k * z / 4.0)], [-sign * (k / 4j)]])
+        w = specfun.graf_products(lo, hi, m, (0, 1 if outside else 2))
+        w *= np.array([[sign * -(k * z / 4.0)], [-sign * (k / 4j)]])
         rows = slice(0, 2)
     # orders -m..m: w_n is even in n, DFT_n is read at n mod N
     spectra = solution.spectra[rows]
@@ -142,7 +144,8 @@ def _incident_here(excitation, region):
 def ring_region(curve, rho_obs, phis, region):
     """The one region every point of the ring lies in; region is checked if given.
 
-    region is None, to deduce it, or the integer 1 or 2 (not a bool).
+    phis is one float angle or an array of them, and region is None, to
+    deduce it, or the integer 1 or 2 (not a bool).
     """
     deduced = region is None
     if not deduced:
@@ -150,7 +153,7 @@ def ring_region(curve, rho_obs, phis, region):
     if curve.kind == "circle":  # one radius at every angle: one comparison decides
         first = every = some = rho_obs < curve.params["radius"]
     else:
-        inside = curve.contains(rho_obs, phis)
+        inside = np.atleast_1d(curve.contains(rho_obs, phis))
         first, every, some = inside[0], inside.all(), inside.any()
     region = (2 if first else 1) if deduced else int(region)
     if every if region == 2 else not some:  # every point in region
@@ -171,19 +174,19 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
 
     phi_obs is one angle or a 1-D array of angles on the circle rho_obs;
     one angle gives a FieldSample of scalars, an array a FieldSample whose
-    phi and e_z are arrays, summed in one pass with the same bits as
-    one-angle calls. On a circulant system the scattered field is the
-    solution's mode sum where _mode_coefficients allows it, else (and on
-    every other system) the sum of the N kernels. The region is deduced
-    from the curve when not given; passing one that contradicts any
-    observation point, or leaving it out
-    on a ring that crosses the boundary, raises instead of silently using
-    the wrong representation, and a region other than 1 or 2 is refused.
-    Points exactly on the boundary count as region 1. A radius that is a
-    bool or an array of any shape but 0-d, a negative or non-finite radius
-    and a non-finite angle are refused by name, and so is
-    a point on one of the solution's radiating nodes; the origin (rho_obs =
-    0) is a valid point.
+    phi and e_z are arrays. Each angle of an array takes the evaluation of
+    a one-angle call and gets its bits: on a circulant system the
+    scattered field is the solution's mode sum at that angle where
+    _mode_coefficients allows it, else (and on every other system) the sum
+    of the N kernels, and the incident term is incident_field's. The
+    region is deduced from the curve when not given; passing one that
+    contradicts any observation point, or leaving it out on a ring that
+    crosses the boundary, raises instead of silently using the wrong
+    representation, and a region other than 1 or 2 is refused. Points
+    exactly on the boundary count as region 1. A radius that is a bool or
+    an array of any shape but 0-d, a negative or non-finite radius and a
+    non-finite angle are refused by name, and so is a point on one of the
+    solution's radiating nodes; the origin (rho_obs = 0) is a valid point.
     """
     system = solution.system
     # a float (numpy's float64 too) is one number; else it must be 0-d, not a bool
@@ -194,10 +197,9 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     rho_obs = float(rho_obs)
     scalar = isinstance(phi_obs, float) or np.ndim(phi_obs) == 0
     if scalar:
-        phi = float(phi_obs)
-        if not math.isfinite(phi):
+        phis = float(phi_obs)
+        if not math.isfinite(phis):
             raise ValueError("observation angles must be finite")
-        phis = np.array([phi])
     else:
         phis = np.asarray(phi_obs, dtype=float)
         if phis.ndim != 1 or not phis.size:
@@ -208,23 +210,29 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
         raise ValueError("observation radius must be nonnegative and finite")
     region = ring_region(system.curve, rho_obs, phis, region)
     modes = _mode_coefficients(solution, rho_obs, region)
-    if modes is not None:
-        value = np.array([_mode_sum(*modes, phi) for phi in phis.tolist()])
+    if modes is None:
+        value = _kernel_field(solution, rho_obs, np.atleast_1d(phis), region)
+        value = value[0] if scalar else value
+    elif scalar:
+        value = _mode_sum(*modes, phis)
     else:
-        xy = np.empty((phis.size, 2))
-        np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
-        np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])
-        try:
-            value = _scattered_field(solution, xy, region)
-        except ValueError:  # kernels refusing a point on a radiating node
-            where = "observation point at radius %g coincides with a radiating node of the %s route"
-            raise ValueError(where % (rho_obs, system.method)) from None
+        value = np.array([_mode_sum(*modes, phi) for phi in phis.tolist()])
     if _incident_here(system.excitation, region):
         medium = system.medium1 if region == 1 else system.medium2
         value = value + incident_field(system.excitation, medium, rho_obs, phis)
-    if scalar:
-        return FieldSample(rho_obs, phi, region, complex(value[0]), system.method)
-    return FieldSample(rho_obs, phis, region, value, system.method)
+    return FieldSample(rho_obs, phis, region, complex(value) if scalar else value, system.method)
+
+
+def _kernel_field(solution, rho_obs, phis, region):
+    """_scattered_field at the points of the 1-D angle array phis on the circle rho_obs."""
+    xy = np.empty((phis.size, 2))
+    np.multiply(rho_obs, np.cos(phis), out=xy[:, 0])
+    np.multiply(rho_obs, np.sin(phis), out=xy[:, 1])
+    try:
+        return _scattered_field(solution, xy, region)
+    except ValueError:  # kernels refusing a point on a radiating node
+        where = "observation point at radius %g coincides with a radiating node of the %s route"
+        raise ValueError(where % (rho_obs, solution.system.method)) from None
 
 
 def _test_angles(n_test):

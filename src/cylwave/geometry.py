@@ -31,9 +31,10 @@ class BoundaryCurve:
         self._radius_fn = radius_fn
         self._radius_deriv_fn = radius_deriv_fn
         self.params = dict(params or {})
-        r_probe = np.asarray(radius_fn(np.linspace(0.0, _TWO_PI, 64)))
-        if not np.all(np.isfinite(r_probe)) or np.any(r_probe <= 0.0):
-            raise ValueError("curve radius must be positive and finite everywhere")
+        if kind == "star":  # circle() and ellipse() check their parameters instead
+            r_probe = np.asarray(radius_fn(np.linspace(0.0, _TWO_PI, 64)))
+            if not np.all(np.isfinite(r_probe)) or np.any(r_probe <= 0.0):
+                raise ValueError("curve radius must be positive and finite everywhere")
 
     @classmethod
     def circle(cls, radius):
@@ -156,12 +157,15 @@ class AuxiliarySurface:
 
     def validate_against(self, base):
         """Raise ValueError unless the surface lies strictly on its side of base
-        at each of the 720 angles of _CHECK_ANGLES."""
-        r_aux = self.curve.radius(_CHECK_ANGLES)
-        r_base = base.radius(_CHECK_ANGLES)
-        if self.side == "inner" and not np.all(r_aux < r_base):
+        at each of the 720 angles of _CHECK_ANGLES; two circles compare radii."""
+        if self.curve.kind == base.kind == "circle":  # one radius each: one comparison decides
+            r_aux, r_base, every = self.curve.params["radius"], base.params["radius"], bool
+        else:
+            r_aux, r_base = self.curve.radius(_CHECK_ANGLES), base.radius(_CHECK_ANGLES)
+            every = np.all
+        if self.side == "inner" and not every(r_aux < r_base):
             raise ValueError("inner auxiliary surface must lie strictly inside the boundary")
-        if self.side == "outer" and not np.all(r_aux > r_base):
+        if self.side == "outer" and not every(r_aux > r_base):
             raise ValueError("outer auxiliary surface must lie strictly outside the boundary")
 
 
@@ -192,7 +196,7 @@ class Excitation:
 
     def validate_against(self, curve):
         """Raise ValueError unless the filament lies strictly on its side of curve."""
-        r = curve.radius(self.phi)
+        r = curve.params["radius"] if curve.kind == "circle" else curve.radius(self.phi)
         if self.region == "external" and not self.rho > r:
             raise ValueError("external excitation must lie outside the boundary")
         if self.region == "internal" and not self.rho < r:
@@ -201,6 +205,8 @@ class Excitation:
 
 def as_count(value, name):
     """value as an int; ValueError naming name unless a finite whole number, not of bool dtype."""
+    if type(value) is int:  # the common case, decided without numpy
+        return value
     try:
         if int(value) == value and np.asarray(value).dtype != bool:
             return int(value)

@@ -16,15 +16,17 @@ and y1 (Cephes) at arguments its caller has checked; bessel_orders forms
 any integer order after checking its arguments, |n| <= 1 from the same
 Cephes functions (H2 through hankel2_low), higher orders from jv and
 hankel2 (AMOS); and graf_products forms Graf's products J_n(x) H2_n(y) by
-ratio recurrences seeded from hankel2_low. bessel_j and hankel2 each read one
-order of bessel_orders. Every function is safe to call concurrently, and
+ratio recurrences, H2's seeded from hankel2_low and J's scaled onto the
+Cephes J_0 and J_1. bessel_j and hankel2 each read one order of
+bessel_orders. Every function is safe to call concurrently, and
 all but graf_products and graf_order, which take one pair of floats,
 accept scalars or numpy arrays for the argument.
 
 Kernel matrices pass arrays of arguments. The order series need many orders
 at a few fixed arguments instead. The sums of Graf's products (the q-sums
 of discrete, the circle mode sums of fields, the addition series here) read
-one graf_products table per argument pair: no J or H2 factor is formed, so
+the rows they need of one graf_products table per argument pair, and only
+those rows are formed: no J or H2 factor is formed either, so
 a product is there wherever it is representable, however far J_n(x) falls
 below the float range or H2_n(y) rises above it, and graf_order says how
 many orders such a sum needs. The circular series of exact and continuous,
@@ -107,7 +109,7 @@ def hankel2_low(n, x):
     j, y = _LOW_ORDER[n]
     if isinstance(x, float):  # one float: the same two Cephes values, no array
         out = complex(j(x), -y(x))
-        if n and not np.isfinite(out.imag):
+        if n and not math.isfinite(out.imag):
             raise _overflow(n, x)
         return out
     out = np.empty(np.shape(x), dtype=complex)
@@ -267,23 +269,28 @@ def _miller_start(x, top):
     return start
 
 
-def graf_products(x, y, top):
-    """Graf's products J_n(x) H2_n(y), J'_n(x) H2_n(y) and J_n(x) H2'_n(y), n = 0..top.
+def graf_products(x, y, top, forms):
+    """Rows of Graf's products, n = 0..top: J_n(x) H2_n(y) (form 0),
+    J'_n(x) H2_n(y) (form 1) and J_n(x) H2'_n(y) (form 2).
 
-    x and y are floats with 0 < x < y < inf; returns a complex array of
-    shape (3, top + 1), one row per form. No factor is formed: J's ratios
-    rho_n = J_n / J_(n-1) come from Miller's backward recurrence
+    x and y are floats with 0 < x < y < inf, and forms a sequence of
+    distinct form numbers, the rows the caller reads; returns a complex
+    array of shape (len(forms), top + 1) whose row i is form forms[i].
+    Only the rows asked for are formed, each with the bits it has in the
+    table of all three, in one numpy call per row and one for the array.
+    No factor is formed: J's
+    ratios rho_n = J_n / J_(n-1) come from Miller's backward recurrence
     rho_n = x / (2n - x rho_(n+1)), started at 0 above top (_miller_start),
     and H2's ratios s_n = H2_n / H2_(n-1) from the upward recurrence
-    s_(n+1) = 2n/y - 1/s_n, both seeded by hankel2_low. One cumprod of
-    rho_n s_n from order 0 then gives the products, which stay in the float
+    s_(n+1) = 2n/y - 1/s_n, seeded by hankel2_low. One cumulative product
+    of rho_n s_n from order 0 then gives the products, which stay in the float
     range wherever the products themselves are, however far J_n(x) falls
     below it or H2_n(y) above it. J' / J = n/x - rho_(n+1) and
     H2' / H2 = n/y - s_(n+1) give the derivative forms, with
     f' = (f_(n-1) - f_(n+1)) / 2 as order_factors has it. Order 0's J
-    factor is the least-squares scale that maps the ratios onto J_0 and
-    J_1 (the real parts of hankel2_low's values), so that a zero of either
-    does not spoil it.
+    factor is the least-squares scale that maps the ratios onto the Cephes
+    J_0(x) and J_1(x), so that a zero of either does not spoil it; no Y_n(x)
+    is read.
     Each ratio carries its own rounding, so the error relative to each
     product grows about like sqrt(n) eps (7e-15 at n = 4096).
     """
@@ -292,27 +299,30 @@ def graf_products(x, y, top):
     x, y, top = float(x), float(y), as_count(top, "top")
     if top < 0:
         raise ValueError("top must be non-negative")
-    # rho_n and s_n for n = 1..top + 1, order n at index n - 1
+    forms = tuple(forms)
+    if not set(forms) <= {0, 1, 2} or len(set(forms)) < len(forms):
+        raise ValueError("forms must be distinct, drawn from 0, 1 and 2, got %r" % (forms,))
     # no rounded 2/x or 2/y: its one error would bias every ratio alike
     r = 0.0
     for n in range(_miller_start(x, top + 1), top + 1, -1):
         r = x / (2 * n - x * r)
-    rho, s = [0.0] * (top + 1), [0j] * (top + 1)
-    for k in range(top, -1, -1):
-        r = rho[k] = x / (2 * k + 2 - x * r)
+    # rho_n and s_n for n = 1..top + 1, order n at index n - 1
+    rho = [r := x / (2 * n - x * r) for n in range(top + 1, 0, -1)][::-1]
     h0 = hankel2_low(0, y)
-    s[0] = v = hankel2_low(1, y) / h0
-    for k in range(1, top + 1):
-        s[k] = v = 2 * k / y - 1.0 / v
-    ratios = np.array((rho, s), dtype=complex)
-    out = np.empty((3, top + 1), dtype=complex)
-    # r is rho_1 = J_1 / J_0
-    out[0, 0] = (hankel2_low(0, x).real + hankel2_low(1, x).real * r) / (1.0 + r * r) * h0
-    np.multiply(ratios[0, :top], ratios[1, :top], out=out[0, 1:])
-    np.cumprod(out[0], out=out[0])
-    # J'/J = n/x - rho_(n+1) and H2'/H2 = n/y - s_(n+1)
-    np.subtract(np.arange(top + 1) / np.array([[x], [y]]), ratios, out=out[1:])
-    out[1:] *= out[0]
+    v = hankel2_low(1, y) / h0
+    s = [v] + [v := 2 * n / y - 1.0 / v for n in range(1, top + 1)]
+    # r is rho_1 = J_1 / J_0. A real factor times a complex one rounds each
+    # part once, so the Python products below have the bits of numpy's
+    j0, j1 = float(_LOW_ORDER[0][0](x)), float(_LOW_ORDER[1][0](x))
+    seed = (j0 + j1 * r) / (1.0 + r * r) * h0
+    out = np.empty((len(forms), top + 1), dtype=complex)
+    products = out[forms.index(0)] if 0 in forms else np.empty(top + 1, dtype=complex)
+    np.multiply.accumulate([seed] + [a * b for a, b in zip(rho[:top], s)], out=products)
+    for row, form in zip(out, forms):
+        if form == 1:  # J'/J = n/x - rho_(n+1)
+            np.multiply([n / x - a for n, a in enumerate(rho)], products, out=row)
+        elif form == 2:  # H2'/H2 = n/y - s_(n+1)
+            np.multiply([n / y - b for n, b in enumerate(s)], products, out=row)
     return out
 
 
@@ -409,7 +419,7 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
 def _addition_sum(theta, n_max, x1, x2, form):
     """sum_orders of an addition series at one angle or a 1-D array of them.
 
-    The terms are row form of graf_products(x1, x2, top), negated for the
+    The terms are graf_products(x1, x2, top, (form,)), negated for the
     two derivative forms, summed in one run of orders 0..top: top is
     n_max, or graf_order's last order where that comes first, past which
     the terms are below about 1e-18. Warns per angle as
@@ -422,7 +432,7 @@ def _addition_sum(theta, n_max, x1, x2, form):
 
     def run(n):
         # one run from order 0: n is 0..top, which sum_orders has checked
-        t = graf_products(x1, x2, n.size - 1)[form]
+        t = graf_products(x1, x2, n.size - 1, (form,))[0]
         return (-t if form else t), np.isfinite(t)
 
     n_max = as_count(n_max, "n_max")

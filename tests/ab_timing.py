@@ -13,32 +13,35 @@ workload names of ``BENCHMARK.json``; each side builds every op of a
 workload with ``prepare(name, seed, work_dir, presets_dir)``, with the same
 seed, so both sides run the same inputs.
 
-Every round (round 0 is not timed) takes each (workload, side) pair once, in
-a shuffled order, and runs the side's whole pool r times, stdout and stderr
-redirected, as one sample of the process CPU clock (all threads of the
-process, BLAS's included). r = ceil(0.2 s / the CPU time of the workload's
-slower pool in round 0), the same for both sides and fixed for the run, so
-that a pool of a few milliseconds is not one short sample that the host's
-noise swamps, and neither side's first, colder pass weighs more than the
-other's. After the clock stops each op's own
-``check`` runs on the last repeat's outputs. A workload fails if either
-side reports a problem, or if the two sides' digests of any op differ. At
-the end it prints, for each workload, the median CPU time of one pass of
-each side's pool, the ratio B/A of the medians, the number of rounds in
-which B took less CPU than A and r. It exits 1 if any workload
-failed.
+Each op is timed as perfbench times it. Before numpy is loaded the thread
+counts are pinned as ``perfbench/run.py`` pins them. The workload's
+calibration kernel (``perfbench.calibration``, the kind ``perfbench/run.py``
+names in ``KERNEL``) runs before a pool's first op and after every op, and
+the op's process CPU time (all threads, BLAS's included) is normalised by
+the kernel times on either side. So each op starts, as in perfbench, after
+the kernel has run over its caches, and costs what it costs there rather
+than warm.
+
+Every round (round 0 is not timed) takes each (workload, side) pair once,
+in a shuffled order, and runs the side's pool once, stdout and stderr
+redirected; the sample is the sum of the pool's normalised op times.
+After the pass each op's own ``check`` runs on its output, untimed. A workload
+fails if either side reports a problem, or if the two sides' digests of
+any op differ. At the end it prints, for each workload, the median
+normalised CPU time of one pass of each side's pool, the ratio B/A of the
+medians and the number of rounds in which B took less than A. It exits 1
+if any workload failed.
 
 Host speed moves by up to 50% between processes, so compare the two sides
 within one run of this script, not across runs. This file is a tool, not a
 test; pytest does not collect it, and it needs nothing beyond the
-package's own dependencies.
+package's own dependencies and ``perfbench/``.
 """
 
 import argparse
 import contextlib
 import importlib.util
 import io
-import math
 import random
 import statistics
 import sys
@@ -47,11 +50,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("circle-dft", "ellipse-dense", "cli-presets")
+sys.path.insert(0, str(ROOT))
+from perfbench import environment  # noqa: E402  (stdlib only; must precede numpy)
+from perfbench.run import KERNEL, WORKLOADS  # noqa: E402
+
 SIDES = ("a", "b")
-# CPU seconds a sample should last at least: each pool runs that long over
-# as many whole repeats as its round-0 time asks for
-SAMPLE_SECONDS = 0.2
 
 
 def load_workloads(src, side):
@@ -71,14 +74,23 @@ def load_workloads(src, side):
     return module
 
 
-def run_pool(pool, repeats=1):
-    """Run every op of pool repeats times; return the process CPU time and the last outputs."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        start = time.process_time()
-        for _ in range(repeats):
-            outputs = [op.run() for op in pool]
-        elapsed = time.process_time() - start
-    return elapsed, outputs
+def run_pool(pool, kind):
+    """Run every op of pool once, each followed by the calibration kernel kind.
+
+    Returns the sum of the ops' normalised CPU times and their outputs.
+    """
+    from perfbench import calibration  # loads numpy: only after pin_threads
+
+    total, outputs, before = 0.0, [], calibration.seconds(kind)
+    for op in pool:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            start = time.process_time()
+            outputs.append(op.run())
+            elapsed = time.process_time() - start
+        after = calibration.seconds(kind)
+        total += calibration.normalised(elapsed, before, after, kind)
+        before = after
+    return total, outputs
 
 
 def failures_of(name, pools, outputs):
@@ -111,6 +123,7 @@ def main(argv=None):
     unknown = set(names) - set(WORKLOADS)
     if unknown or args.rounds < 1:
         parser.error("unknown ops %s" % sorted(unknown) if unknown else "--rounds must be positive")
+    environment.pin_threads()
     modules = dict(zip(SIDES, (load_workloads(args.a_src, "a"), load_workloads(args.b_src, "b"))))
     rng = random.Random(args.seed)
     failed = {}
@@ -122,31 +135,27 @@ def main(argv=None):
             for name in names
             for side, module in modules.items()
         }
-        cpu = {key: [] for key in pools}
-        repeats = dict.fromkeys(names, 1)
+        norm = {key: [] for key in pools}
         for round_ in range(args.rounds + 1):  # round 0 warms up and is not timed
             jobs = list(pools)
             rng.shuffle(jobs)
             outputs = {}
             for key in jobs:
-                elapsed, outputs[key] = run_pool(pools[key], repeats[key[0]])
-                cpu[key].append(elapsed / repeats[key[0]])
-            if not round_:
-                for name in names:
-                    slower = max(cpu[name, side].pop() for side in SIDES)
-                    repeats[name] = max(1, math.ceil(SAMPLE_SECONDS / slower))
+                total, outputs[key] = run_pool(pools[key], KERNEL[key[0]])
+                if round_:
+                    norm[key].append(total)
             for name in names:
                 for line in failures_of(name, pools, outputs):
                     failed.setdefault(name, line)
-    header = ("workload", "A cpu (ms)", "B cpu (ms)", "B/A", "B won", "r")
-    print("%-14s %12s %12s %8s %8s %4s" % header)
+    header = ("workload", "A norm (ms)", "B norm (ms)", "B/A", "B won")
+    print("%-14s %12s %12s %8s %8s" % header)
     for name in names:
-        a, b = cpu[name, "a"], cpu[name, "b"]
+        a, b = norm[name, "a"], norm[name, "b"]
         won = sum(tb < ta for ta, tb in zip(a, b))
         print(
-            "%-14s %12.3f %12.3f %8.3f %5d/%d %4d"
+            "%-14s %12.3f %12.3f %8.3f %5d/%d"
             % (name, 1e3 * statistics.median(a), 1e3 * statistics.median(b),
-               statistics.median(b) / statistics.median(a), won, len(a), repeats[name])
+               statistics.median(b) / statistics.median(a), won, len(a))
         )
     for name, line in failed.items():
         print("FAILED " + line)

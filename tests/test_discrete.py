@@ -942,6 +942,36 @@ def test_pseudo_inverse_keeps_the_source_route_blow_up():
     assert growth_outer > 10.0
 
 
+def _four_array_singular_values(l11, l12, l21, l22, det):
+    """Both singular values of each mode from four separate block spectra: the
+    form the DFT solve used before it stacked them, kept as the reference."""
+    fro2 = np.abs(l11) ** 2 + np.abs(l12) ** 2 + np.abs(l21) ** 2 + np.abs(l22) ** 2
+    det_abs = np.abs(det)
+    disc = np.sqrt(np.maximum(fro2**2 - 4.0 * det_abs**2, 0.0))
+    s_max = np.sqrt((fro2 + disc) / 2.0)
+    s_min = np.divide(det_abs, s_max, out=np.zeros_like(s_max), where=s_max > 0.0)
+    return s_max, s_min
+
+
+@pytest.mark.parametrize("n_points", [5, 6, 7, 16, 33, 100, 511, 512, 1000, 2049, 4096])
+def test_stacked_singular_values_keep_the_four_array_bits(n_points):
+    # random spectra over 25 decades, a zero mode, and a snug circle's own
+    # block spectra, whose modes near N/2 fall to roundoff
+    rng = np.random.default_rng(n_points)
+    shape = (4, n_points)
+    scale = 10.0 ** rng.uniform(-20.0, 5.0, size=shape)
+    drawn = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    drawn[:, 0] = 0.0
+    system = _nfm(EXT, n_points, aux=NEAR)
+    own = np.fft.fft(np.stack(discrete._blocks(system)))
+    for blocks in (drawn, own):
+        l11, l12, l21, l22 = blocks
+        det = l11 * l22 - l12 * l21
+        got = discrete._mode_singular_values(blocks, det)
+        want = _four_array_singular_values(l11, l12, l21, l22, det)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_rank_deficient_modes_get_the_pseudo_inverse():
     # mode 1 has rank one, mode 3 is zero; the others are regular
     rng = np.random.default_rng(3)

@@ -123,6 +123,44 @@ def test_auxiliary_surface_rejects_wrong_side():
         AuxiliarySurface.from_radius(BoundaryCurve.ellipse(2.0, 1.6), 1.0)
 
 
+INNER_MESSAGE = "^inner auxiliary surface must lie strictly inside the boundary$"
+OUTER_MESSAGE = "^outer auxiliary surface must lie strictly outside the boundary$"
+
+
+@pytest.mark.parametrize(
+    "radius, side, message",
+    [
+        (2.0, "inner", INNER_MESSAGE),  # equal radii lie on neither side
+        (2.0, "outer", OUTER_MESSAGE),
+        (2.0, None, OUTER_MESSAGE),  # scale 1 is read as the outer side
+        (2.5, "inner", INNER_MESSAGE),  # inverted
+        (1.5, "outer", OUTER_MESSAGE),
+    ],
+)
+def test_circle_placements_keep_their_messages_for_equal_and_inverted_radii(radius, side, message):
+    # two circles compare their radii instead of 720 sampled angles; the
+    # refusals read as the sampled comparison's did
+    base = BoundaryCurve.circle(2.0)
+    with pytest.raises(ValueError, match=message):
+        AuxiliarySurface.from_radius(base, radius, side)
+    with pytest.raises(ValueError, match=message):
+        AuxiliarySurface(BoundaryCurve.circle(radius), side or "outer").validate_against(base)
+
+
+@pytest.mark.parametrize("rho", [2.0, 1.0, 4.0])
+@pytest.mark.parametrize("region", ["external", "internal"])
+def test_circle_filaments_keep_their_messages_for_equal_and_inverted_radii(region, rho):
+    circle = BoundaryCurve.circle(2.0)
+    on_side = rho > 2.0 if region == "external" else rho < 2.0
+    if on_side:
+        Excitation(region, rho, 0.4).validate_against(circle)
+        return
+    where = "outside" if region == "external" else "inside"
+    message = "^%s excitation must lie %s the boundary$" % (region, where)
+    with pytest.raises(ValueError, match=message):
+        Excitation(region, rho, 0.4).validate_against(circle)
+
+
 def test_auxiliary_surface_crossing_detected():
     # a scaled copy of a different shape can cross the base curve
     base = BoundaryCurve.ellipse(2.0, 1.6)

@@ -5,6 +5,7 @@ its docstring says. The two dipole addition series of tests/oracles.py,
 the kernel tests' references, are held to the same rule.
 """
 
+import cmath
 import warnings
 
 import numpy as np
@@ -158,8 +159,8 @@ ENTRIES = {
     "specfun.wronskian_residual.x": (lambda v: specfun.wronskian_residual(2, v), ARGUMENT),
     "specfun.bessel_orders.x": (lambda v: specfun.bessel_orders(False, np.array([2]), v), ARGUMENT),
     "specfun.order_factors.j": (lambda v: specfun.order_factors(2, j={"a": v}), ARGUMENT),
-    "specfun.graf_products.x": (lambda v: specfun.graf_products(v, 2.0, 5), GRAF),
-    "specfun.graf_products.y": (lambda v: specfun.graf_products(1.0, v, 5), GRAF),
+    "specfun.graf_products.x": (lambda v: specfun.graf_products(v, 2.0, 5, (0,)), GRAF),
+    "specfun.graf_products.y": (lambda v: specfun.graf_products(1.0, v, 5, (0,)), GRAF),
     "specfun.graf_order.x": (lambda v: specfun.graf_order(v, 2.0), GRAF),
     "specfun.graf_order.y": (lambda v: specfun.graf_order(1.0, v), GRAF),
     "specfun.addition_series_h0.x1": (lambda v: specfun.addition_series_h0(v, 2.0, 0.1), RADII),
@@ -207,3 +208,35 @@ def test_the_incident_field_names_a_non_finite_point_before_any_warning(argument
         warnings.simplefilter("error")
         with np.errstate(all="warn"), pytest.raises(ValueError, match=message):
             exact.incident_field(EXT, M1, point["rho_obs"], point["phi_obs"])
+
+
+# entry.argument -> the field with that radius set to v
+HUGE_RADII = {
+    "exact.incident_field.rho_obs": lambda v: exact.incident_field(EXT, M1, v, 0.1),
+    "exact.incident_field.rho_fil": lambda v: exact.incident_field(
+        Excitation("external", v, 0.3), M1, 3.0, 0.1
+    ),
+    "exact.exact_field.rho_obs": lambda v: exact.exact_field(EXT, 1, v, 0.1, 2.0, M1, M2).value,
+    "fields.field_from_discrete.rho_obs": lambda v: fields.field_from_discrete(
+        _solution(), v, 0.1
+    ).e_z,
+}
+
+
+@pytest.mark.parametrize("value", [1e200, 1.7e308], ids=["1e200", "1.7e308"])
+@pytest.mark.parametrize("entry", sorted(HUGE_RADII))
+def test_a_finite_but_huge_radius_gives_a_finite_field(entry, value):
+    # used to: the law of cosines squared a radius as a Python float, which
+    # raised a bare OverflowError past about 1.3e154, and exact_field's
+    # order cap converted an infinite 3 k rho to an integer past about 6e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = HUGE_RADII[entry](value)
+    assert cmath.isfinite(field)
+
+
+def test_a_huge_radius_keeps_a_ring_and_its_points_bit_for_bit():
+    angles = np.array([0.1, 2.0, 4.0])
+    ring = exact.incident_field(EXT, M1, 1e200, angles)
+    points = [exact.incident_field(EXT, M1, 1e200, phi) for phi in angles.tolist()]
+    assert ring.tobytes() == np.array(points).tobytes()

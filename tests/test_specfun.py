@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 import frozen_series
@@ -640,7 +640,7 @@ def test_graf_products_match_the_50_digit_products(x, y, top):
     # measured at most 5.0e-15 (tolerance 2.5e-14); the cumprod's error
     # grows about like sqrt(n) eps, as no rounded 2/x or 2/y biases every
     # ratio alike (that bias measured 1.3e-13 at n = 4096)
-    got = specfun.graf_products(x, y, top)
+    got = specfun.graf_products(x, y, top, (0, 1, 2))
     assert got.shape == (3, top + 1)
     orders = sorted(set(range(0, top + 1, 7)) | {top})
     want = np.array([oracles.graf_products_mp(x, y, n) for n in orders]).T
@@ -655,7 +655,7 @@ def test_graf_products_keep_their_scale_at_a_zero_of_j0():
     # J_0 there, but every higher order keeps its relative accuracy, as the
     # ratios are scaled onto J_0 and J_1 together
     x, y = 2.404825557695773, 5.0
-    got = specfun.graf_products(x, y, 40)
+    got = specfun.graf_products(x, y, 40, (0, 1, 2))
     want = np.array([oracles.graf_products_mp(x, y, n) for n in range(41)]).T
     near_zero = np.zeros(got.shape, dtype=bool)
     near_zero[[0, 2], 0] = True  # the two forms with the factor J_0
@@ -667,12 +667,39 @@ def test_graf_products_keep_their_scale_at_a_zero_of_j0():
 def test_graf_products_refuse_arguments_out_of_order():
     for x, y in ((2.0, 2.0), (3.0, 2.0), (0.0, 2.0), (-1.0, 2.0)):
         with pytest.raises(ValueError, match="need 0 < x < y"):
-            specfun.graf_products(x, y, 5)
+            specfun.graf_products(x, y, 5, (0,))
         with pytest.raises(ValueError, match="need 0 < x < y"):
             specfun.graf_order(x, y)
     for top in (-1, 2.5):
         with pytest.raises(ValueError, match="top"):
-            specfun.graf_products(1.0, 2.0, top)
+            specfun.graf_products(1.0, 2.0, top, (0,))
+    for forms in ((3,), (0, 0), (1, 2, 1), (-1,)):
+        with pytest.raises(ValueError, match="forms must be distinct"):
+            specfun.graf_products(1.0, 2.0, 5, forms)
+
+
+_FORM_SUBSETS = [
+    (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1), (0, 2, 1), (2, 1, 0),
+]
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    x=st.floats(1e-3, 300.0),
+    ratio=st.floats(1.0 + 1e-3, 50.0),
+    top=st.one_of(st.integers(0, 2), st.integers(0, 400)),
+)
+@example(x=2.6666088854307515, ratio=3.1779, top=0)
+@example(x=0.05, ratio=1.01, top=400)
+def test_graf_products_form_only_the_rows_asked_for_with_the_full_tables_bytes(x, ratio, top):
+    # fields, the q-sums and the addition series ask only for the rows
+    # they read; each row keeps the bytes it has in the table of all three
+    y = x * ratio
+    full = specfun.graf_products(x, y, top, (0, 1, 2))
+    assert full.shape == (3, top + 1)
+    for forms in _FORM_SUBSETS:
+        rows = specfun.graf_products(x, y, top, forms)
+        assert rows.tobytes() == full[list(forms)].tobytes()
 
 
 @pytest.mark.parametrize("x, y, base", [(1.5, 2.0, 0), (1.5, 2.0, 256), (3.84, 4.14, 40), (0.5, 10.0, 0)])
@@ -680,7 +707,7 @@ def test_graf_order_drops_only_terms_below_its_target(x, y, base):
     # the products past the order graf_order names are below 1e-18 of the
     # product at order base (of 1 at base 0), and a cap below it gives None
     m = specfun.graf_order(x, y, cap=10**6, base=base)
-    t = np.abs(specfun.graf_products(x, y, m + 40)[0])
+    t = np.abs(specfun.graf_products(x, y, m + 40, (0,))[0])
     assert np.all(t[m + 1 :] < 1e-18 * (t[base] if base else 1.0))
     assert specfun.graf_order(x, y, cap=m - 1, base=base) is None
 
