@@ -360,6 +360,18 @@ def test_non_finite_observation_points_are_refused_by_name():
     assert type(zero_d.rho) is float
 
 
+@pytest.mark.parametrize("method", ["nfm", "mas"])
+def test_a_point_at_a_subnormal_radius_takes_the_mode_sum(method):
+    # used to raise BesselOverflowError: the Graf table read Y_1 at the
+    # subnormal k rho for its order-0 scale, though only J enters there
+    solution = (_nfm if method == "nfm" else _mas)(EXT, 64)
+    near = fields.field_from_discrete(solution, 1e-310, 0.1)
+    assert near.region == 2
+    assert fields._mode_coefficients(solution, 1e-310, 2) is not None
+    origin = fields.field_from_discrete(solution, 0.0, 0.1).e_z
+    assert abs(near.e_z - origin) <= 1e-14 * abs(origin)
+
+
 def test_observation_on_source_point_raises():
     # a boundary node of the direct route, refused by name rather than by
     # the assembly's "coincident points between the two surfaces"
