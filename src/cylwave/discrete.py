@@ -14,11 +14,16 @@ even N the half-turn and the mirror phi -> -phi form the group D2, which
 splits the dense solve into four independent systems of about N/2 each.
 """
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 from scipy import linalg
 from scipy.linalg import get_lapack_funcs
 
@@ -449,6 +454,63 @@ def _relative_residual(applied, rhs):
     return err / scale if scale > 0.0 else err
 
 
+@cache
+def _openblas_thread_controls():
+    """(get, set) of the thread count of each OpenBLAS copy bundled with numpy and scipy.
+
+    numpy's wheel bundles libscipy_openblas64_ (symbols suffixed 64_) and
+    scipy's libscipy_openblas (no suffix) in their .libs directories. A copy
+    that is not there, or lacks the symbols, is left out, and its thread
+    count is left alone.
+    """
+    controls = []
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(module.__file__).parents[1] / (module.__name__ + ".libs")
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_saved = ()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS copy on one thread, then restore them.
+
+    Bodies that overlap in several Python threads share one pin: the first
+    to enter saves the thread counts and sets them to 1, the last to leave
+    restores them, on return or on an exception. The counts are
+    process-wide, so BLAS calls made meanwhile outside any pin run on one
+    thread too.
+    """
+    global _pin_depth, _pin_saved
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = tuple((put, get()) for get, put in _openblas_thread_controls())
+            for put, _ in _pin_saved:
+                put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for put, count in _pin_saved:
+                    put(count)
+
+
 def _lu_factor(a):
     """LU factors of a with an infinity-norm condition estimate.
 
@@ -611,20 +673,22 @@ def solve_dense(system, shared=None):
     takes one full LU. With shared systems (see solve) the D2 split factors
     each character's system once and solves it for every right side, and a
     full LU is factored once, each right side taking the lu_solve calls of
-    a lone solve.
+    a lone solve. All of it runs on one BLAS thread (_one_blas_thread), so
+    no bit depends on the BLAS thread count.
     """
     systems = _with_shared(system, shared)
     n = system.n_points
-    if system.d2:
-        pairs, cond = _d2_solve(systems)
-    else:
-        a = system.matrix
-        factors, _, rcond = _lu_factor(a)
-        cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
-        pairs = []
-        for other in systems:
-            x = _lu_solve(a, factors, rcond, other.rhs)
-            pairs.append((x, a @ x))
+    with _one_blas_thread():
+        if system.d2:
+            pairs, cond = _d2_solve(systems)
+        else:
+            a = system.matrix
+            factors, _, rcond = _lu_factor(a)
+            cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
+            pairs = []
+            for other in systems:
+                x = _lu_solve(a, factors, rcond, other.rhs)
+                pairs.append((x, a @ x))
     solutions = tuple(
         DiscreteSolution(
             other, x[:n], x[n:], "dense", cond,

@@ -168,7 +168,11 @@ def _source_distance(excitation, rho_obs, phi_obs):
     scale = max(rho_f, rho_obs, 1.0)
     unit = scale if scale > _HUGE_RADIUS else 1.0
     rho, rho_f = rho_obs / unit, rho_f / unit
-    d = unit * np.sqrt(np.maximum(rho**2 + rho_f**2 - 2.0 * rho * rho_f * np.cos(psi), 0.0))
+    d = np.sqrt(np.maximum(rho**2 + rho_f**2 - 2.0 * rho * rho_f * np.cos(psi), 0.0))
+    if unit != 1.0:
+        # up to 2 unit, which overflows to inf for radii near the float limit
+        with np.errstate(over="ignore"):
+            d = unit * d
     # d >= 0, so its range holds both checks: an overflow reaches the largest
     # distance, and a coincident point the smallest; one point is both ends
     one = d.size == 1

@@ -5,8 +5,9 @@ before it summed row runs in place: every row g.p of every block gathered
 into one (4, 4, m, m) array, contracted with the character table by
 `np.tensordot`, and each system put together with `np.block` from
 fancy-indexed pairs. The LU solves, the condition estimate and the
-recombination are the package's own. `discrete.solve_dense` must give the
-same bits.
+recombination are the package's own, and run on one BLAS thread under the
+package's own pin, as `discrete.solve_dense` does. `discrete.solve_dense`
+must give the same bits.
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ from cylwave import discrete
 
 def d2_solve(system):
     """(x, residual, cond_estimate) of a D2 system, reduced the old way."""
+    with discrete._one_blas_thread():
+        return _d2_solve(system)
+
+
+def _d2_solve(system):
     n = system.n_points
     act, rep, elem = discrete._orbit_table(n)
     chars = discrete._D2_CHARACTERS

@@ -13,14 +13,18 @@ which it writes to ``OUTDIR/configs/`` (no preset sweeps a non-circular
 boundary at more than one N), then ``validate --only GROUP --out`` for each
 acceptance group, then ``--hashes``, then every script under ``demos/``, once with
 ``OPENBLAS_NUM_THREADS=1`` into ``OUTDIR/threads-1/`` and once with
-``OPENBLAS_NUM_THREADS=2`` into ``OUTDIR/threads-2/`` (dense-path outputs
-depend on the BLAS thread count). Each run gets a fresh interpreter that
-imports cylwave from this checkout's ``src`` and its own directory there,
-holding:
+``OPENBLAS_NUM_THREADS=2`` into ``OUTDIR/threads-2/``. Each run gets a fresh
+interpreter that imports cylwave from this checkout's ``src`` and its own
+directory there, holding:
 
 - ``out/``: the files the command wrote (CLI runs only);
 - ``stdout``, ``stderr`` and ``exit_code``, with the output path replaced
   by ``OUT`` so that two OUTDIRs can be compared.
+
+The dense solve runs on one BLAS thread whatever the setting, so the two
+records must be identical: after recording, every file that differs
+between them, or is in one only, is printed, and the exit code is 1 if
+there is any.
 
 ``--hashes`` prints, for every preset, both routes and each N of the
 preset, the sha256 of the assembled blocks (their carried columns), the
@@ -283,7 +287,21 @@ def main(argv):
             name = "demo-%s" % demo.stem
             code = _run(base / name, [str(demo)], threads)
             print("%-50s exit %d" % ("%s/%s" % (base.name, name), code))
-    return 0
+    return thread_gaps(*(outdir / ("threads-%d" % threads) for threads in THREADS))
+
+
+def thread_gaps(a_dir, b_dir):
+    """Print each file whose bytes differ between a_dir and b_dir, or that is in one only; 1 if any."""
+    files = [
+        {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (a_dir, b_dir)
+    ]
+    names = sorted(files[0].keys() | files[1].keys())
+    differ = [name for name in names if files[0].get(name) != files[1].get(name)]
+    for name in differ:
+        print("differs between %s and %s: %s" % (a_dir.name, b_dir.name, name))
+    print("%d files, %d differ between %s and %s" % (len(names), len(differ), a_dir.name, b_dir.name))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

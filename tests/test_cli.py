@@ -918,3 +918,51 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "PASS specfun.wronskian" in proc.stdout
+
+
+# Runs, in one interpreter, every output that the dense path reaches on the
+# ellipse: both ellipse presets through solve and fields, a source-route
+# solve of the currents preset, and the discrete and ellipse validate groups
+# (criterion 08's printed line among them). argv: the presets directory;
+# the files go to the working directory, under relative paths.
+_ELLIPSE_OUTPUTS_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+from cylwave import cli
+presets = Path(sys.argv[1])
+mas = json.loads((presets / "ellipse-external-currents.json").read_text())
+mas["solver"]["method"] = "mas"
+Path("ellipse-mas.json").write_text(json.dumps(mas))
+runs = {"ellipse-mas-solve": ["solve", "--config", "ellipse-mas.json"]}
+for stem in ("ellipse-external-currents", "ellipse-external-fields"):
+    for command in ("solve", "fields"):
+        runs[stem + "-" + command] = [command, "--config", str(presets / (stem + ".json"))]
+for group in ("discrete", "ellipse"):
+    runs["validate-" + group] = ["validate", "--only", group]
+for name, argv in runs.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", name])
+    Path(name, "printed").write_text(out.getvalue() + err.getvalue() + "exit %d" % code)
+"""
+
+
+def test_ellipse_outputs_keep_their_bytes_at_one_and_two_blas_threads(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = {}
+    for threads in (1, 2):
+        base = tmp_path / ("threads-%d" % threads)
+        base.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _ELLIPSE_OUTPUTS_CHILD, str(PRESETS)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)},
+            cwd=base, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees[threads] = {
+            str(p.relative_to(base)): p.read_bytes() for p in base.rglob("*") if p.is_file()
+        }
+    assert len(trees[1]) == 18  # the mas config, 7 printed records and 10 written files
+    assert b"ellipse.residuals_shrink: at N = 60" in trees[1]["validate-ellipse/printed"]
+    moved = sorted(name for name in trees[1] if trees[1][name] != trees[2].get(name))
+    assert moved == [] and trees[1].keys() == trees[2].keys()

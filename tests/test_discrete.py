@@ -7,14 +7,18 @@ the bilateral q-sums against the DFT eigenvalues, and the aux-free limits
 against the continuous density coefficients.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -589,8 +593,8 @@ def test_dft_residual_is_formed_on_first_read_with_the_recorded_bits(route, n_po
         assert solution.residual is first
 
 
-# The same for the mild ellipse: D2 at N = 40, a full LU at N = 41. Dense
-# residuals move with the BLAS thread count, so they are read at one thread.
+# The same for the mild ellipse: D2 at N = 40, a full LU at N = 41, read at
+# one and at two BLAS threads: the dense path runs on one thread either way.
 _DENSE_RESIDUALS_CHILD = """
 from cylwave import discrete, geometry
 from cylwave.exact import Medium
@@ -613,9 +617,10 @@ DENSE_RESIDUALS = [
 ]
 
 
-def test_dense_residuals_keep_their_recorded_bits_at_one_blas_thread():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dense_residuals_keep_their_recorded_bits_at_each_blas_thread_count(threads):
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
@@ -625,6 +630,108 @@ def test_dense_residuals_keep_their_recorded_bits_at_one_blas_thread():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == DENSE_RESIDUALS
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of the thread count of the OpenBLAS copies bundled with numpy and scipy.
+
+    Both copies are set to 2 threads for the test and put back after it.
+    """
+    copies = []
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(module.__file__).resolve().parents[1] / (module.__name__ + ".libs")
+        paths = sorted(libs.glob("libscipy_openblas*.so*"))
+        if not paths:
+            pytest.skip("%s bundles no OpenBLAS here" % module.__name__)
+        lib = ctypes.CDLL(str(paths[0]))
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        copies.append((get, put))
+    before = [get() for get, _ in copies]
+    for _, put in copies:
+        put(2)
+    yield copies
+    for (_, put), count in zip(copies, before):
+        put(count)
+
+
+def _counts(copies):
+    return [get() for get, _ in copies]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_a_dense_solve_runs_on_one_blas_thread_and_restores_the_count(openblas, monkeypatch):
+    inside = []
+    lu_factor = discrete._lu_factor
+
+    def spy(a):
+        inside.append(_counts(openblas))
+        return lu_factor(a)
+
+    monkeypatch.setattr(discrete, "_lu_factor", spy)
+    for n_points in (40, 41):  # the D2 split, then a full LU
+        discrete.solve_dense(discrete.assemble_nfm(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=n_points))
+        assert _counts(openblas) == [2, 2]
+    assert inside == [[1, 1]] * 5
+    zero = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(ArithmeticError, match="singular"):
+        discrete.solve_dense(_toy_system(zero, zero, zero, zero, np.ones(8)))
+    assert inside[-1] == [1, 1] and _counts(openblas) == [2, 2]
+
+
+def test_overlapping_solves_in_two_threads_keep_serial_bits_and_restore_the_count(openblas, monkeypatch):
+    systems = [
+        discrete.assemble_nfm(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=n) for n in (40, 41)
+    ]
+    serial = [discrete.solve_dense(system).vector.tobytes() for system in systems]
+    meet = threading.Barrier(2, timeout=60)
+    inside = []
+    lu_factor = discrete._lu_factor
+
+    def meeting(a):
+        meet.wait()  # both threads are inside a solve here
+        inside.append(_counts(openblas))
+        return lu_factor(a)
+
+    monkeypatch.setattr(discrete, "_lu_factor", meeting)
+
+    def solve_all(order):
+        # the two orders make five _lu_factor calls each, so every wait meets a partner
+        return {i: discrete.solve_dense(systems[i]).vector.tobytes() for i in order}
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(solve_all, order) for order in ((0, 1), (1, 0))]
+        results = [run.result() for run in runs]
+    assert inside == [[1, 1]] * 10
+    assert all(result == dict(enumerate(serial)) for result in results)
+    assert _counts(openblas) == [2, 2]
+
+
+def test_many_threads_solving_at_once_leave_the_count_restored(openblas):
+    # four workers on two cores, switching as often as the interpreter
+    # allows: a lost update of the pin's depth would leave a count at 1
+    systems = [
+        discrete.assemble_mas(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=n) for n in (8, 9)
+    ]
+    serial = [discrete.solve_dense(system).vector.tobytes() for system in systems]
+
+    def solve_many(first):
+        return [discrete.solve_dense(systems[(first + i) % 2]).vector.tobytes() for i in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(solve_many, first) for first in (0, 1, 0, 1)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for first, result in zip((0, 1, 0, 1), results):
+        assert result == [serial[(first + i) % 2] for i in range(40)]
+    assert _counts(openblas) == [2, 2]
 
 
 def test_solves_report_residual_and_conditioning():

@@ -6,6 +6,7 @@ the kernel tests' references, are held to the same rule.
 """
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ OBS_ANGLES = "observation angles must be finite|angles must be finite, got"
 RHO_CYL = "boundary radius rho_cyl must be positive and finite"
 ADDITION = r"need x2 > x1 > 0, both finite"
 GRAF = "need 0 < x < y, both finite"
+DISTANCE = "distance from the source filament must be finite"
 
 
 def _solution():
@@ -195,19 +197,33 @@ def test_every_public_entry_refuses_a_non_finite_argument_by_name(entry, value):
         call(value)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("argument", ["rho_obs", "phi_obs"])
-def test_the_incident_field_names_a_non_finite_point_before_any_warning(argument, value):
+# id -> (excitation, rho_obs, phi_obs, message) of a point the incident field refuses
+FAR = Excitation("external", 1.7e308, 0.3)
+REFUSED_POINTS = {
+    "rho_obs-%s" % tag: (EXT, value, 0.1, OBS_RADIUS)
+    for tag, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+}
+REFUSED_POINTS.update(
+    ("phi_obs-%s" % tag, (EXT, 3.0, value, OBS_ANGLES))
+    for tag, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+)
+REFUSED_POINTS["opposite-huge-radii"] = (FAR, 1.7e308, math.pi + 0.3, DISTANCE)
+REFUSED_POINTS["opposite-huge-radii-ring"] = (FAR, 1.7e308, np.array([1.0, math.pi + 0.3]), DISTANCE)
+
+
+@pytest.mark.parametrize("case", list(REFUSED_POINTS))
+def test_the_incident_field_names_a_non_finite_point_before_any_warning(case):
     # the radius and the angles are checked before the law of cosines: an
     # infinite radius used to reach its inf - inf, and an infinite angle
     # np.cos, so that under warnings-as-errors numpy's "invalid value
-    # encountered" came out instead of the named ValueError
-    point = {"rho_obs": 3.0, "phi_obs": 0.1, argument: value}
-    message = OBS_RADIUS if argument == "rho_obs" else OBS_ANGLES
+    # encountered" came out instead of the named ValueError. Two radii near
+    # the float limit on opposite sides used to overflow the distance with
+    # numpy's "overflow encountered in multiply" first.
+    excitation, rho_obs, phi_obs, message = REFUSED_POINTS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="warn"), pytest.raises(ValueError, match=message):
-            exact.incident_field(EXT, M1, point["rho_obs"], point["phi_obs"])
+            exact.incident_field(excitation, M1, rho_obs, phi_obs)
 
 
 # entry.argument -> the field with that radius set to v
