@@ -507,45 +507,18 @@ def test_d2_split_far_fields_match_the_full_lu_at_n_512(assemble):
 # Source-route inputs of the 0.33/5.0 placement at N = 512 whose far fields
 # read 1.8e-5 off the mild N = 160 reference at one BLAS thread when every
 # solve took a refinement step: at cond * eps >= 1 the step adds A^-1
-# (roundoff) and inflates the amplitudes from about 3e7 to 6e9.
-_ONE_THREAD_CHILD = """
-import sys
-import numpy as np
-from cylwave import discrete, fields, geometry
-from cylwave.exact import Medium
-ellipse = geometry.BoundaryCurve.ellipse(2.0, 1.6)
-rings = [(rho, region, (k + 0.5) * np.pi / 2.0) for rho, region in ((8.0, 1), (1.0, 2))
-         for k in range(4)]
-def sample(scales, exc, n_points):
-    aux = [geometry.AuxiliarySurface.from_scale(ellipse, s) for s in scales]
-    system = discrete.assemble_mas(ellipse, *aux, exc, Medium(), Medium(4.2, 1.0),
-                                   n_points=n_points)
-    solution = discrete.solve(system)
-    return np.array([fields.field_from_discrete(solution, rho, phi, region=region).e_z
-                     for rho, region, phi in rings])
-for phi in map(float, sys.argv[1:]):
-    exc = geometry.Excitation("external", 4.0, phi)
-    want = sample((0.8, 1.25), exc, 160)
-    got = sample((0.33, 5.0), exc, 512)
-    print(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-"""
-
-
+# (roundoff) and inflates the amplitudes from about 3e7 to 6e9. The dense
+# solve runs on one BLAS thread whatever the setting.
 def test_ill_conditioned_ellipse_fields_hold_at_one_blas_thread():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
-    angles = ("3.1218156431565354", "0.049022525280482655")
-    done = subprocess.run(
-        [sys.executable, "-c", _ONE_THREAD_CHILD, *angles],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    errors = [float(line) for line in done.stdout.split()]
-    assert len(errors) == len(angles)
-    assert max(errors) <= 5e-6, errors
+    def sample(aux, exc, n_points):
+        system = discrete.assemble_mas(ELLIPSE, *aux, exc, M1, M2, n_points=n_points)
+        return _ring_fields(discrete.solve(system))
+
+    for phi in (3.1218156431565354, 0.049022525280482655):
+        exc = geometry.Excitation("external", 4.0, phi)
+        want = sample(ELL_MILD, exc, 160)
+        got = sample((ELL_IN, ELL_OUT), exc, 512)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 5e-6
 
 
 def test_auto_path_selects_by_structure():
