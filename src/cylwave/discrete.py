@@ -749,7 +749,9 @@ def solve_circulant_dft(system, shared=None):
     keeps the Cramer solve. No solution applies the blocks until its
     residual is read (_circulant_apply). With shared systems (see solve)
     the per-mode data (spectra, determinants, singular values and kept
-    modes) are computed once for all of them. Each transform is one
+    modes) are computed once for all of them, and each step of the solve
+    runs once, elementwise, over the stacked modes of every right side,
+    which gives each mode the bits of a lone solve. Each transform is one
     numpy.fft call over a stack of rows, which gives every row the bits of
     its own call: the block columns and the right sides share one.
     """
@@ -767,30 +769,26 @@ def solve_circulant_dft(system, shared=None):
     s_top = float(s_max.max())
     floor = _EPS * s_top
     keep = s_min > floor
-    dropped = 2 * n - int(np.count_nonzero(keep)) - int(np.count_nonzero(s_max > floor))
-    if dropped:
-        # the dropped modes form one band around N/2, so solving the band's
-        # span as slices avoids gathering them; kept modes inside the span
-        # keep their Cramer values and rank-zero modes stay zero
-        lost = np.flatnonzero(~keep)
-        band = slice(lost[0], lost[-1] + 1)
-        rank_one = ~keep[band] & (s_max[band] > floor)
+    live = s_max > floor
+    rank_one = live & ~keep
+    dropped = 2 * n - int(np.count_nonzero(keep)) - int(np.count_nonzero(live))
     s_low = float(s_min.min())
     cond = s_top / s_low if s_low > 0.0 else np.inf
 
-    # rhs_modes and modes hold the two halves of system e in rows 2e and 2e + 1
+    # rhs_modes and modes hold the two halves of system e in rows 2e and 2e + 1;
+    # every step below is elementwise over the (systems, N) stack of each half
+    b1, b2 = rhs_modes[::2], rhs_modes[1::2]
     modes = np.zeros_like(rhs_modes)
-    for b1, b2, u, v in zip(rhs_modes[::2], rhs_modes[1::2], modes[::2], modes[1::2]):
-        adj_b1 = b1 * l22 - l12 * b2
-        adj_b2 = l11 * b2 - l21 * b1
-        np.divide(adj_b1, det, out=u, where=keep)
-        np.divide(adj_b2, det, out=v, where=keep)
-        if dropped:
-            parts = (b1, b2, det, adj_b1, adj_b2, s_max, s_min)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x1, x2 = _rank_one_solve(blocks[:, band], *(part[band] for part in parts))
-            np.copyto(u[band], x1, where=rank_one)
-            np.copyto(v[band], x2, where=rank_one)
+    adj_b1 = b1 * l22 - l12 * b2
+    adj_b2 = l11 * b2 - l21 * b1
+    np.divide(adj_b1, det, out=modes[::2], where=keep)
+    np.divide(adj_b2, det, out=modes[1::2], where=keep)
+    if rank_one.any():
+        # rank-zero modes stay zero; kept ones keep their Cramer values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1, x2 = _rank_one_solve(blocks, b1, b2, det, adj_b1, adj_b2, s_max, s_min)
+        np.copyto(modes[::2], x1, where=rank_one)
+        np.copyto(modes[1::2], x2, where=rank_one)
     currents = np.fft.ifft(modes)
     solutions = tuple(
         DiscreteSolution(other, electric, magnetic, "dft", cond, dropped)
@@ -865,26 +863,24 @@ class QSumCoefficients:
     b4: complex
 
 
-def _folded(table, n_points, q_max):
-    """table's orders n = r + qN summed per residue r, and ring q_max's alone (or 0)."""
+def _folded(table, n_points):
+    """table's orders n = r + qN summed per residue r."""
     rings = -(-table.size // n_points)
     padded = np.zeros(rings * n_points, dtype=complex)
     padded[: table.size] = table
-    padded = padded.reshape(rings, n_points)
-    return padded.sum(axis=0), (np.zeros(n_points) if q_max is None else padded[-1])
+    return padded.reshape(rings, n_points).sum(axis=0)
 
 
-def _mode_sums(plus, minus, modes, n_points, q_max):
+def _mode_sums(plus, minus, modes, n_points):
     """Each mode m's sum over the orders nu = qN + m, q in Z: plus[nu], or minus[-nu] below 0.
 
     Products are even in their order, so the orders nu >= 0 of mode m fold
     plus at residue m, and the orders nu < 0 fold minus at residue
-    (N - m) mod N, without order 0, which both sides hold once, and, when
-    q_max caps the rings, without the ring q_max on that side.
+    (N - m) mod N, without order 0, which both sides hold once.
     """
-    (up, _), (down, last) = _folded(plus, n_points, q_max), _folded(minus, n_points, q_max)
+    up, down = _folded(plus, n_points), _folded(minus, n_points)
     back = (n_points - modes) % n_points
-    return up[modes] + np.where(modes == 0, down[0] - minus[0], down[back] - last[back])
+    return up[modes] + np.where(modes == 0, down[0] - minus[0], down[back])
 
 
 def q_sum_coefficients(
@@ -896,7 +892,6 @@ def q_sum_coefficients(
     excitation,
     medium1=Medium(),
     medium2=Medium(),
-    q_max=None,
 ):
     """Eigenvalue ingredients of the circular system as explicit q-sums.
 
@@ -905,18 +900,16 @@ def q_sum_coefficients(
     H2_{qN+m}(k1 r_cyl), so they cross-check the whole circulant path
     without ever assembling a matrix. d carries the excitation column
     (inner rows for an external source, outer rows for an internal one).
-    q_max=None keeps rings until they stop mattering; q_max=0 isolates the
-    central term, which dominates for small m.
 
     Each sum folds one table of Graf's products (specfun.graf_products)
     modulo N (see _mode_sums); three tables, one per argument pair, serve
     the five sums. So a sum is formed wherever its products are
     representable, however far a J or H2 factor alone leaves the float
-    range, and no mode raises. A table runs through ring q_max, or with
-    q_max=None to specfun.graf_order's last order above N/2, the largest
-    lowest order min(m, N - m) of a mode. m is one mode index or a 1-D
-    array of them; every mode reads the same tables, so it gets the bits
-    of its one-mode call.
+    range, and no mode raises. A table runs to specfun.graf_order's last
+    order above N/2, the largest lowest order min(m, N - m) of a mode. m
+    is one mode index or a 1-D array of them, of an integer or whole float
+    dtype (not bool); every mode reads the same tables, so it gets the
+    bits of its one-mode call.
     """
     if curve.kind != "circle":
         raise ValueError("q-sum coefficients are defined for circles only")
@@ -924,7 +917,7 @@ def q_sum_coefficients(
     modes = np.asarray(m)
     if modes.ndim > 1:
         raise ValueError("m must be one mode index or a 1-D array of them")
-    if not np.all(modes == np.round(modes)):
+    if modes.dtype == bool or not np.all(modes == np.round(modes)):
         raise ValueError("mode index must be an integer")
     if not np.all((0 <= modes) & (modes < n_points)):
         raise ValueError("mode index must satisfy 0 <= m < n_points")
@@ -943,18 +936,16 @@ def q_sum_coefficients(
     # the forms each sum reads: b1 and b2, b3 and b4, d
     pairs = ((k1 * r_in, k1 * r_cyl, (0, 2)), (k2 * r_cyl, k2 * r_out, (0, 1)))
     for x, y, forms in pairs + ((*source[:2], (0,)),):
-        top = (q_max + 1) * n_points - 1 if q_max is not None else specfun.graf_order(
-            x, y, slope=x, cap=1000 * n_points, base=n_points // 2
-        )
+        top = specfun.graf_order(x, y, slope=x, cap=1000 * n_points, base=n_points // 2)
         if top is None:
             raise ArithmeticError("q-sums failed to settle within 1000 rings")
         tables.append(specfun.graf_products(x, y, top, forms))
     (t1, t2), (t3, t4), (t_src,) = tables
     rotation = np.exp(-1j * excitation.phi * np.arange(t_src.size))
     modes = np.atleast_1d(modes)
-    b1, b2 = (_mode_sums(t, t, modes, n_points, q_max) for t in (t1, -t2))
-    b3, b4 = (_mode_sums(t, t, modes, n_points, q_max) for t in (t3, -t4))
-    d = source[2] * _mode_sums(t_src * rotation, t_src * rotation.conj(), modes, n_points, q_max)
+    b1, b2 = (_mode_sums(t, t, modes, n_points) for t in (t1, -t2))
+    b3, b4 = (_mode_sums(t, t, modes, n_points) for t in (t3, -t4))
+    d = source[2] * _mode_sums(t_src * rotation, t_src * rotation.conj(), modes, n_points)
     if np.ndim(m) == 0:
         d, b1, b2, b3, b4 = (complex(v[0]) for v in (d, b1, b2, b3, b4))
         modes = int(modes[0])

@@ -161,22 +161,14 @@ def bessel_orders(hankel, n, x):
     n = np.asarray(n)
     m = np.abs(n)
     amos = special.hankel2 if hankel else special.jv
-    if isinstance(x, float) and n.ndim == 1 and 0.0 < x < np.inf:
-        # one valid float, the lean path: AMOS at every order, then orders 0
-        # and 1 written over from Cephes; each value has the general path's bits
-        out = amos(m, x)
-        for at in np.flatnonzero(m <= 1).tolist():
-            order = int(m[at])
-            out[at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
-    else:
-        x = _check_argument(x)[..., None]
-        high = m >= 2
-        out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
-        out[..., high] = amos(m[high], x)
-        for order in (0, 1):
-            at = m == order
-            if at.any():
-                out[..., at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
+    x = _check_argument(x)[..., None]
+    high = m >= 2
+    out = np.empty(x.shape[:-1] + n.shape, complex if hankel else float)
+    out[..., high] = amos(m[high], x)
+    for order in (0, 1):
+        at = m == order
+        if at.any():
+            out[..., at] = hankel2_low(order, x) if hankel else _LOW_ORDER[order][0](x)
     if (n < 0).any():
         folded = (n < 0) & (m % 2 == 1)
         out[..., folded] = -out[..., folded]

@@ -48,21 +48,6 @@ def hankel2_prime_mp(n, x):
     return 0.5 * (hankel2_mp(n - 1, x) - hankel2_mp(n + 1, x))
 
 
-def bessel_j_prime_fd(n, x, h=1e-5):
-    """Central finite difference of the extended-precision J_n, Richardson step.
-
-    Used once to pin the frozen J' values; everywhere else the recurrence
-    oracle above is preferred.
-    """
-    with mpmath.workdps(60):
-        xm = mpmath.mpf(x)
-        hh = mpmath.mpf(h)
-        d1 = (mpmath.besselj(n, xm + hh) - mpmath.besselj(n, xm - hh)) / (2 * hh)
-        d2 = (mpmath.besselj(n, xm + hh / 2) - mpmath.besselj(n, xm - hh / 2)) / hh
-        # Richardson extrapolation of the O(h^2) rule
-        return float((4 * d2 - d1) / 3)
-
-
 def gauss_solve(a, b):
     """Plain Gaussian elimination with partial pivoting, complex arithmetic.
 
@@ -257,11 +242,11 @@ def reconstruction_mp(side, rho_fil, amplitude, rho_obs, psi, rho_cyl, media):
     return complex(value)
 
 
-def qsums_mp(m, n_points, r_cyl, r_in, r_out, side, rho_fil, phi_fil, q_max, media):
+def qsums_mp(m, n_points, r_cyl, r_in, r_out, side, rho_fil, phi_fil, media):
     """(d, b1, b2, b3, b4) of cylwave.discrete.q_sum_coefficients at 50 digits.
 
-    Each sums its order-nu product over nu = qN + m, q in Z, |q| <= q_max,
-    or until five rings in a row add less than 1e-30 of the sum.
+    Each sums its order-nu product over nu = qN + m, q in Z, until five
+    rings in a row add less than 1e-30 of the sum.
     """
     (k1, _), (k2, _) = (medium_mp(*md) for md in media)
     if side == "external":
@@ -284,7 +269,7 @@ def qsums_mp(m, n_points, r_cyl, r_in, r_out, side, rho_fil, phi_fil, q_max, med
             return a * b * mpmath.expj(-(nu * phi))
 
         total, q, quiet = term(m), 0, 0
-        while (q_max is None and quiet < 5) or (q_max is not None and q < q_max):
+        while quiet < 5:
             q += 1
             ring = term(m + q * n_points) + term(m - q * n_points)
             total += ring

@@ -8,6 +8,7 @@ against the continuous density coefficients.
 """
 
 import ctypes
+import hashlib
 import os
 import subprocess
 import sys
@@ -566,6 +567,51 @@ def test_dft_residual_is_formed_on_first_read_with_the_recorded_bits(route, n_po
         assert solution.residual is first
 
 
+# sha256 of electric + magnetic for EXT and INT of the DFT solves that take
+# the rank-one branch: the 1.5/2.5 circle at N = 512 and the nfm-stability
+# preset's 0.5/10 circle at N = 81, with the singular values each drops
+RANK_ONE_AMPLITUDES = {
+    ("nfm", (AUX_IN, AUX_OUT), 512): (496, (
+        "1a4ececf49046d4f3370990cb098e1fdeb11c1ea4cc92bd90d87493c306ae60b",
+        "0f5b346f726fef1c2cb5b0e673eb695156b3da270b3eb090a8bb1be93aa2d56d",
+    )),
+    ("mas", (AUX_IN, AUX_OUT), 512): (491, (
+        "48b843546e6f46c05417f2a3bb76df5661a6fcf7282d8d6489b4965613fdecdf",
+        "ab2940e2ad5aa654489d18d97b35a2c3fdc590ab2e2a9731754e01109104cc3b",
+    )),
+    ("nfm", (WIDE_IN, WIDE_OUT), 81): (66, (
+        "4f98e5f77a62b426cd5af05fc49bc5c6d65a7cb0bc20f8ed68dabf5777054a1c",
+        "9de345f7fa79f7b0e106c0b7d76cc879b5606a0470296102a180b740ddefd26f",
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    "route, aux, n_points", list(RANK_ONE_AMPLITUDES), ids=["nfm-512", "mas-512", "nfm-stability-81"]
+)
+def test_rank_one_solves_keep_their_recorded_amplitudes(monkeypatch, route, aux, n_points):
+    # each solve call runs the rank-one formula once, on the stacked right
+    # sides: shapes (1, N) alone and (2, N) shared
+    calls = []
+    rank_one_solve = discrete._rank_one_solve
+
+    def counted(blocks, b1, *parts):
+        calls.append(b1.shape)
+        return rank_one_solve(blocks, b1, *parts)
+
+    monkeypatch.setattr(discrete, "_rank_one_solve", counted)
+    dropped, digests = RANK_ONE_AMPLITUDES[route, aux, n_points]
+    want = dict(zip((EXT, INT), digests))
+    system = _ASSEMBLE[route](EXT, n_points, aux=aux)
+    solved = [discrete.solve(_ASSEMBLE[route](exc, n_points, aux=aux)) for exc in (EXT, INT)]
+    solved += discrete.solve(system, shared=(discrete.excite(system, INT),))
+    assert calls == [(1, n_points), (1, n_points), (2, n_points)]
+    for solution in solved:
+        amplitudes = solution.electric.tobytes() + solution.magnetic.tobytes()
+        assert hashlib.sha256(amplitudes).hexdigest() == want[solution.system.excitation]
+        assert solution.dropped == dropped
+
+
 # The same for the mild ellipse: D2 at N = 40, a full LU at N = 41, read at
 # one and at two BLAS threads: the dense path runs on one thread either way.
 _DENSE_RESIDUALS_CHILD = """
@@ -832,19 +878,29 @@ def test_qsums_follow_a_rotated_source():
         assert abs(sums.d - want) < 1e-9 * abs(want)
 
 
+def _single_products(m):
+    """(d, b1, b2, b3, b4) of EXT on the 1.5/2.5 circle from the order-m products alone."""
+    k1, k2 = M1.k, M2.k
+    f = specfun.order_factors(
+        m, j={"in": k1 * 1.5, "cyl2": k2 * 2.0}, h={"cyl1": k1 * 2.0, "fil": k1 * 4.0, "out": k2 * 2.5}
+    )
+    (j_in, _), (j_cyl, jp_cyl) = f["in"], f["cyl2"]
+    (h_cyl, hp_cyl), (h_fil, _), (h_out, _) = f["cyl1"], f["fil"], f["out"]
+    return -j_in * h_fil, j_in * h_cyl, -j_in * hp_cyl, j_cyl * h_out, -jp_cyl * h_out
+
+
 def test_central_term_dominates_low_modes():
     # folding rings of orders qN +/- m decays like ratio^N per ring, so the
-    # q = 0 term carries essentially the whole sum until m approaches N/2;
-    # for this geometry the 0.999 level holds through m = 25 at N = 81 and
-    # is badly lost at m = 40, where the q = -1 order 41 is a near neighbor.
+    # single order-m product carries essentially the whole sum until m
+    # approaches N/2; for this geometry the 0.999 level holds through m = 25
+    # at N = 81 and is badly lost at m = 40, where the q = -1 order 41 is a
+    # near neighbor.
     for m in (0, 10, 20):
         full = discrete.q_sum_coefficients(m, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-        head = discrete.q_sum_coefficients(m, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2, q_max=0)
-        for field in ("d", "b1", "b2", "b3", "b4"):
-            assert abs(getattr(head, field)) / abs(getattr(full, field)) > 0.999
+        for field, head in zip(_QSUM_FIELDS, _single_products(m)):
+            assert abs(head) / abs(getattr(full, field)) > 0.999, (m, field)
     full = discrete.q_sum_coefficients(40, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-    head = discrete.q_sum_coefficients(40, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2, q_max=0)
-    assert abs(head.b1) / abs(full.b1) < 0.9
+    assert abs(_single_products(40)[1]) / abs(full.b1) < 0.9
 
 
 def test_qsum_coefficients_approach_single_products():
@@ -861,7 +917,7 @@ def test_qsum_validation():
     with pytest.raises(ValueError, match="mode index"):
         discrete.q_sum_coefficients(8, 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
     args = (11, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-    for m in (1.5, [1.0, 2.5]):
+    for m in (1.5, [1.0, 2.5], True, np.array([True, False]), np.bool_(False)):
         with pytest.raises(ValueError, match="mode index must be an integer"):
             discrete.q_sum_coefficients(m, *args)
     whole = discrete.q_sum_coefficients(np.array([1.0, 2.0]), *args)
@@ -878,23 +934,21 @@ def _qsum_bytes(sums, index=()):
 @pytest.mark.parametrize("n_points", [5, 11, 81])
 def test_qsums_match_the_frozen_references(n_points):
     # Against the frozen 50-digit q-sums of tests/frozen_series.py, each
-    # value relative to itself, for sources on both sides, rotated or not,
-    # and q_max None, 0 and 2. Measured: at most 9.0e-16 at N = 5, 1.3e-15
-    # at N = 11 and 7.6e-15 at N = 81 (tolerance 3e-14); the per-order loop
-    # measured the same. Mode 80 of N = 81 loses the high order of its
-    # second ring to overflow, a term of the size 1e-23 the oracle keeps.
+    # value relative to itself, for sources on both sides, rotated or not.
+    # Measured: at most 6.4e-16 at N = 5, 9.1e-16 at N = 11 and 1.2e-15 at
+    # N = 81 (tolerance 3e-14).
     modes = np.array(frozen_series.QSUM_MODES[n_points])
     # at N = 81 every fourth mode and the last, else every mode
     every_mode = np.unique(np.r_[np.arange(0, n_points, 1 + n_points // 20), n_points - 1])
-    for (n, name, q_max), want in frozen_series.QSUMS.items():
+    for (n, name), want in frozen_series.QSUMS.items():
         if n != n_points:
             continue
         side, rho, phi, _ = frozen_series.EXCITATIONS[name]
-        args = (n_points, CIRCLE, AUX_IN, AUX_OUT, geometry.Excitation(side, rho, phi), M1, M2, q_max)
+        args = (n_points, CIRCLE, AUX_IN, AUX_OUT, geometry.Excitation(side, rho, phi), M1, M2)
         got = discrete.q_sum_coefficients(modes, *args)
         assert np.array_equal(got.m, modes)
         got = np.array([getattr(got, field) for field in _QSUM_FIELDS]).T
-        assert np.all(np.abs(got - want) <= 3e-14 * np.abs(want)), (name, q_max)
+        assert np.all(np.abs(got - want) <= 3e-14 * np.abs(want)), name
         # all modes in one call: each keeps the bits of its one-mode call
         every = discrete.q_sum_coefficients(every_mode, *args)
         for i, m in enumerate(every_mode.tolist()):

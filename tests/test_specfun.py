@@ -714,7 +714,7 @@ def test_graf_order_drops_only_terms_below_its_target(x, y, base):
 
 @pytest.mark.parametrize("hankel", [False, True])
 def test_one_float_argument_keeps_the_bits_of_an_argument_array(hankel):
-    # the lean path of bessel_orders and hankel2_low's scalar path
+    # a float argument of bessel_orders reads the general path; hankel2_low keeps a scalar path
     for x in (1e-3, 0.7, 2.0, 17.5, np.float64(3.3)):
         for n in (np.arange(-5, 40), np.array([0]), np.array([1, -1, 7]), np.array([3, 2])):
             lean = specfun.bessel_orders(hankel, n, x)
