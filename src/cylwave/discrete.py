@@ -66,6 +66,8 @@ class BlockSystem:
       orbit of D2 on the indices meets 0..N//4 once (see _orbit_table), and
       those N//4 + 1 columns are carried, shape (N, N//4 + 1);
     - otherwise (star curves, odd N): the full block, shape (N, N).
+    An assembler's four blocks are views of one array, which keeps glibc's
+    heap mapped from one assembly and solve to the next (see README).
     matrix and named_blocks() always give full blocks, and nodes the grid
     they were evaluated on. Instances are treated as immutable and can be
     shared between threads; the arrays are not defensively copied.
@@ -183,15 +185,17 @@ class DiscreteSolution:
 # -- kernels ----------------------------------------------------------------
 
 
-def kernels(k, targets, sources, normals=None, at_target=False):
+def kernels(k, targets, sources, normals=None, at_target=False, out=None):
     """The two radiating kernels between target points t_p and source points s_l.
 
     Returns (H0, dn), shape (targets, sources) each: H0 = H^(2)_0(k r) with
     r = |t_p - s_l|, and dn the normal-derivative kernel, None without
     normals. normals holds one unit normal per source, giving
     [n_l . (s_l - t_p) / r] H^(2)_1(k r), or with at_target one per
-    target, giving [n_p . (t_p - s_l) / r] H^(2)_1(k r). The offsets are
-    formed once for both. A non-finite point raises ValueError, and so do
+    target, giving [n_p . (t_p - s_l) / r] H^(2)_1(k r). With out, a
+    complex (2, targets, sources) array or view, H0 and dn are its planes,
+    with the same bits. The offsets are formed once for both, and k r in
+    the distances' memory. A non-finite point raises ValueError, and so do
     a target closer to a source than 1e-14 times the largest coordinate of
     either set (or 1) and a k r below the normal range, where H1 overflows.
     """
@@ -229,11 +233,12 @@ def kernels(k, targets, sources, normals=None, at_target=False):
             np.subtract(cos, dy, out=cos)
         np.divide(cos, dist, out=cos)
     del dx, dy  # freed before the Hankel functions, which set the peak memory
-    kd = k * dist
-    h0 = specfun.hankel2_low(0, kd)
+    kd = np.multiply(k, dist, out=dist)
+    h0_out, dn_out = (None, None) if out is None else out
+    h0 = specfun.hankel2_low(0, kd, h0_out)
     if cos is None:
         return h0, None
-    dn = specfun.hankel2_low(1, kd)
+    dn = specfun.hankel2_low(1, kd, dn_out)
     dn *= cos
     return h0, dn
 
@@ -332,15 +337,17 @@ def assemble_nfm(
     The right side is _nfm_rhs. Only the carried columns of each
     block are evaluated (see BlockSystem): every matching point against
     boundary point 0 on concentric circles, against boundary points
-    0..N//4 on ellipses at even N.
+    0..N//4 on ellipses at even N. The blocks are views of one (kernel,
+    medium, row, column) array: medium j's H0 and dn kernels are zj1, zj2.
     """
     nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
-    h1, dn1 = kernels(k1, a1_pts, c_pts[src], c_nrm[src])
-    h2, dn2 = kernels(k2, a2_pts, c_pts[src], c_nrm[src])
-    blocks = (h1, dn1, h2, dn2)
+    whole = np.empty((2, 2, len(nodes.phis), src.stop), dtype=complex)
+    kernels(k1, a1_pts, c_pts[src], c_nrm[src], out=whole[:, 0])
+    kernels(k2, a2_pts, c_pts[src], c_nrm[src], out=whole[:, 1])
+    blocks = (whole[0, 0], whole[1, 0], whole[0, 1], whole[1, 1])
     for block, scale in zip(blocks, (z1, 1j, z2, 1j)):
         np.multiply(scale, block, out=block)  # in place: no block is held twice
     rhs = _nfm_rhs(nodes, excitation, medium1, medium2)
@@ -408,17 +415,19 @@ def assemble_mas(
     field scaled by -i, with the normal taken at the boundary point. Only
     the carried columns of each block are evaluated (see BlockSystem):
     every boundary point against source point 0 on concentric circles,
-    against source points 0..N//4 on ellipses at even N.
+    against source points 0..N//4 on ellipses at even N. The blocks are
+    views of one (kernel, medium, row, column) array: medium j's are z1j, z2j.
     """
     nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
     c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
     k1, z1 = medium1.k, medium1.Z
     k2, z2 = medium2.k, medium2.Z
+    whole = np.empty((2, 2, len(nodes.phis), src.stop), dtype=complex)
     # the magnetic matching row takes the aux-source fields' derivative
     # along the boundary normal, so the normal sits at the target
-    h1, dn1 = kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True)
-    h2, dn2 = kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True)
-    blocks = (h1, h2, dn1, dn2)
+    kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True, out=whole[:, 0])
+    kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True, out=whole[:, 1])
+    blocks = (whole[0, 0], whole[0, 1], whole[1, 0], whole[1, 1])
     scales = (-(k1 * z1 / 4.0), +(k2 * z2 / 4.0), -(1j * k1 / 4.0), +(1j * k2 / 4.0))
     for block, scale in zip(blocks, scales):
         np.multiply(scale, block, out=block)  # in place: no block is held twice

@@ -97,14 +97,16 @@ def hankel2(n, x):
     return out if out.ndim else complex(out)
 
 
-def hankel2_low(n, x):
+def hankel2_low(n, x, out=None):
     """H^(2)_n(x) for n = 0 or 1 at arguments the caller has checked.
 
     The one definition of H2_0 and H2_1: Cephes J_n and -Y_n written into
     one complex array, a complex for a scalar x as hankel2 gives. x is a
     float or an array of floats, each positive and finite (not checked
-    here). Raises BesselOverflowError where Y_1 leaves the floating range,
-    which needs a subnormal x; Y_0 cannot.
+    here). An array x's values go to out if given, a complex array (or a
+    strided view) of x's shape, with the same bits. Raises
+    BesselOverflowError where Y_1 leaves the floating range, which needs a
+    subnormal x; Y_0 cannot.
     """
     j, y = _LOW_ORDER[n]
     if isinstance(x, float):  # one float: the same two Cephes values, no array
@@ -112,7 +114,7 @@ def hankel2_low(n, x):
         if n and not math.isfinite(out.imag):
             raise _overflow(n, x)
         return out
-    out = np.empty(np.shape(x), dtype=complex)
+    out = np.empty(np.shape(x), dtype=complex) if out is None else out
     j(x, out=out.real)
     y(x, out=out.imag)
     np.conjugate(out, out=out)  # J - iY; one contiguous pass, where negating .imag strides

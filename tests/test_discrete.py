@@ -218,6 +218,25 @@ def test_odd_ellipse_systems_keep_full_blocks(n_points):
         assert all(block.shape == (n_points, n_points) for block in carried)
 
 
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("route", ["nfm", "mas"])
+def test_the_four_blocks_are_views_of_one_array(route, curve):
+    # one allocation per assembly: freeing it raises glibc's dynamic mmap
+    # threshold past a whole op's heap, which then stays mapped between ops;
+    # each block stays contiguous, as strided source-route blocks cost time
+    aux = tuple(geometry.AuxiliarySurface.from_scale(curve, s) for s in (0.75, 1.25))
+    assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
+    system = assemble(curve, *aux, EXT, M1, M2, n_points=16)
+    assert (system.circulant, system.d2) == ((True, False) if curve is CIRCLE else (False, True))
+    # the blocks are disjoint, so np.shares_memory holds between each and the owner
+    whole = system.z11.base
+    blocks = discrete._blocks(system)
+    assert whole is not None and all(b.base is whole for b in blocks)
+    assert all(np.shares_memory(whole, b) for b in blocks)
+    assert whole.size == 4 * system.z11.size
+    assert all(b.flags.c_contiguous for b in blocks)
+
+
 def test_rhs_lands_on_the_matching_rows():
     ext = _nfm(EXT, 16)
     assert np.all(ext.rhs[16:] == 0.0) and np.any(ext.rhs[:16] != 0.0)

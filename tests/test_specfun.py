@@ -544,6 +544,21 @@ def test_low_orders_have_one_definition():
         specfun.hankel2_low(1, np.array([1.0, 1e-310]))
 
 
+def test_hankel2_low_writes_the_same_bits_into_a_strided_plane():
+    # out may be any view of x's shape: here a plane of a (kernel, row,
+    # column) array that strides over the other half's columns
+    x = np.linspace(0.05, 30.0, 6 * 4).reshape(6, 4)
+    whole = np.zeros((2, 6, 8), dtype=complex)
+    for order in (0, 1):
+        plane = whole[order, :, 4:]
+        got = specfun.hankel2_low(order, x, out=plane)
+        assert got is plane
+        assert plane.tobytes() == specfun.hankel2_low(order, x).tobytes()
+    assert not whole[:, :, :4].any()
+    with pytest.raises(specfun.BesselOverflowError):
+        specfun.hankel2_low(1, np.array([[1.0, 1e-310]]), out=whole[1, :1, :2])
+
+
 def test_bessel_orders_takes_an_argument_array():
     n = np.arange(-3, 40)
     x = np.array([[0.3, 2.0], [7.5, 40.0]])
