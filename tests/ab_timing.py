@@ -33,9 +33,16 @@ medians and the number of rounds in which B took less than A. It exits 1
 if any workload failed.
 
 Host speed moves by up to 50% between processes, so compare the two sides
-within one run of this script, not across runs. This file is a tool, not a
-test; pytest does not collect it, and it needs nothing beyond the
-package's own dependencies and ``perfbench/``.
+within one run of this script, not across runs. The two sides also share
+one allocator: glibc's dynamic mmap and trim thresholds, raised by the
+largest block either side frees, hold for both. So this script cannot time
+a change in allocation pattern. On the change that assembles each system's
+blocks into one array, it read B/A 0.987-1.051 on ``ellipse-dense`` in
+three runs, where perfbench pairs, each side in its own process, read 9%
+more ops per second. Time such a change with alternating perfbench pairs
+run as separate processes. This file is a tool, not a test; pytest does
+not collect it, and it needs nothing beyond the package's own dependencies
+and ``perfbench/``.
 """
 
 import argparse

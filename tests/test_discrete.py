@@ -223,7 +223,7 @@ def test_odd_ellipse_systems_keep_full_blocks(n_points):
 def test_the_four_blocks_are_views_of_one_array(route, curve):
     # one allocation per assembly: freeing it raises glibc's dynamic mmap
     # threshold past a whole op's heap, which then stays mapped between ops;
-    # each block stays contiguous, as strided source-route blocks cost time
+    # each block stays a contiguous view
     aux = tuple(geometry.AuxiliarySurface.from_scale(curve, s) for s in (0.75, 1.25))
     assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
     system = assemble(curve, *aux, EXT, M1, M2, n_points=16)
