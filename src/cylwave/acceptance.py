@@ -101,7 +101,7 @@ def dft_solver():
     z1, z2 = system.medium1.Z, system.medium2.Z
     sums = discrete.q_sum_coefficients(np.arange(11), 11, *NARROW, EXT, M1, M2)
     got = np.array([sums.d, sums.b1, sums.b2, sums.b3, sums.b4])
-    columns = (system.rhs[:11], system.z11, system.z12, system.z21, system.z22)
+    columns = (system.rhs[:11], *system.blocks.reshape(4, 11))
     scales = np.array([11 * system.excitation.amplitude * z1, 11 * z1, 11j, 11 * z2, 11j])
     want = np.fft.fft(np.stack(columns)) / scales[:, None]
     worst_q = float(np.max(np.abs(got - want) / np.abs(want)))
@@ -264,8 +264,9 @@ def transformed_nfm_equals_mas():
         direct = discrete.assemble_nfm(*geo, EXT, M1, M2, n_points=8)
         reference = discrete.assemble_mas(*geo, EXT, M1, M2, n_points=8)
         transformed = (rows * direct.matrix).T.reshape(2, 8, 2, 8)
-        for i, (_, block) in enumerate(reference.named_blocks()):
-            worst = max(worst, relative_gap(transformed[i // 2, :, i % 2], block))
+        blocks = reference.matrix.reshape(2, 8, 2, 8)
+        for i, j in np.ndindex(2, 2):
+            worst = max(worst, relative_gap(transformed[i, :, j], blocks[i, :, j]))
     return [
         ("transpose_vs_source", worst < 1e-14,
          "row-scaled transpose of the direct matrix vs the assembled source matrix "

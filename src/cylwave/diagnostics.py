@@ -280,8 +280,11 @@ def field_error(solution, references, angles):
     references are ring_references entries summed at angles. On each ring
     the error is the largest gap between the solution's E_z and the series
     over the series' largest magnitude (the gap itself where that is 0);
-    the result is the largest over the rings.
+    the result is the largest over the rings. An empty ring set raises
+    ValueError, as it measures nothing.
     """
+    if not references:
+        raise ValueError("field_error needs at least one ring; got an empty ring set")
     worst = 0.0
     for rho, region, series in references:
         observed = fields.field_from_discrete(solution, rho, angles, region=region).e_z

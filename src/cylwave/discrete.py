@@ -6,12 +6,14 @@ The direct formulation places fictitious electric and magnetic line currents
 at N points of the boundary and cancels the total field at N points of each
 displaced surface; the source formulation places radiating line sources on
 the displaced surfaces and matches the transmission conditions at N boundary
-points. On concentric circles every block is circulant, which yields a
-per-mode 2x2 system through the DFT; as N grows the DFT of each amplitude
-vector approaches 2 pi rho_cyl times the density coefficients of
-continuous.mode_solve, free of the displaced radii. On centred ellipses at
-even N the half-turn and the mirror phi -> -phi form the group D2, which
-splits the dense solve into four independent systems of about N/2 each.
+points. Both carry their four blocks as one array indexed (row block,
+column block), so every solver reads one layout. On concentric circles
+every block is circulant, which yields a per-mode 2x2 system through the
+DFT; as N grows the DFT of each amplitude vector approaches 2 pi rho_cyl
+times the density coefficients of continuous.mode_solve, free of the
+displaced radii. On centred ellipses at even N the half-turn and the
+mirror phi -> -phi form the group D2, which splits the dense solve into
+four independent systems of about N/2 each.
 """
 
 import ctypes
@@ -56,27 +58,25 @@ class BlockSystem:
     amplitudes on the boundary and the rows cancel the field on the two
     displaced surfaces; for method 'mas' the unknowns are source amplitudes
     on the displaced surfaces and the rows enforce the two transmission
-    conditions on the boundary. z11..z22 carry only the columns that the
-    symmetry of the collocation leaves independent:
+    conditions on the boundary. blocks[i, j] is the block of row block i
+    and column block j, and carries only the columns that the symmetry of
+    the collocation leaves independent:
     - concentric circles: every block is circulant and only its first
-      column is carried, shape (N,);
+      column is carried, shape (2, 2, N);
     - three centred ellipses at even N: the half-turn R (l -> l + N/2) and
       the mirror S (l -> -l) map every point set onto itself, so each block
       satisfies Z[g.p, g.l] = Z[p, l] for g in D2 = {id, R, S, RS}. Every
       orbit of D2 on the indices meets 0..N//4 once (see _orbit_table), and
-      those N//4 + 1 columns are carried, shape (N, N//4 + 1);
-    - otherwise (star curves, odd N): the full block, shape (N, N).
-    An assembler's four blocks are views of one array, which keeps glibc's
-    heap mapped from one assembly and solve to the next (see README).
-    matrix and named_blocks() always give full blocks, and nodes the grid
-    they were evaluated on. Instances are treated as immutable and can be
-    shared between threads; the arrays are not defensively copied.
+      those N//4 + 1 columns are carried, shape (2, 2, N, N//4 + 1);
+    - otherwise (star curves, odd N): the full blocks, shape (2, 2, N, N).
+    blocks is the one C-contiguous array its assembler filled, which keeps
+    glibc's heap mapped from one assembly and solve to the next (see
+    README). matrix always gives full blocks, and nodes the grid they were
+    evaluated on. Instances are treated as immutable and can be shared
+    between threads; the arrays are not defensively copied.
     """
 
-    z11: np.ndarray
-    z12: np.ndarray
-    z21: np.ndarray
-    z22: np.ndarray
+    blocks: np.ndarray
     rhs: np.ndarray
     method: str
     curve: geometry.BoundaryCurve
@@ -87,26 +87,21 @@ class BlockSystem:
 
     @property
     def n_points(self):
-        return self.z11.shape[0]
+        return self.blocks.shape[2]
 
     @property
     def circulant(self):
         """True when the blocks are carried as circulant first columns."""
-        return self.z11.ndim == 1
+        return self.blocks.ndim == 3
 
     @property
     def d2(self):
         """True when the blocks are carried as their D2 orbit columns."""
-        return self.z11.ndim == 2 and self.z11.shape[1] < self.z11.shape[0]
+        return self.blocks.ndim == 4 and self.blocks.shape[3] < self.blocks.shape[2]
 
     @property
     def matrix(self):
-        (_, z11), (_, z12), (_, z21), (_, z22) = self.named_blocks()
-        return np.block([[z11, z12], [z21, z22]])
-
-    def named_blocks(self):
-        blocks = (self.z11, self.z12, self.z21, self.z22)
-        return tuple(zip(("z11", "z12", "z21", "z22"), map(_expand, blocks)))
+        return np.block([[_expand(block) for block in row] for row in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -301,20 +296,27 @@ def _check_setup(curve, aux_inner, aux_outer, excitation, n_points):
 
 
 def _collocation(curve, aux_inner, aux_outer, excitation, n_points):
-    """Checked set-up of both assemblers: (Nodes, slice of the carried columns of each block)."""
+    """Checked set-up of both assemblers: the Nodes, the slice of the carried
+    columns and the empty (2, 2, N, columns) array that the blocks fill."""
     n_points = _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
     boundary, normals, phis, inner, outer = geometry.collocation_points(
         curve, n_points, aux_inner.curve, aux_outer.curve
     )
     src = slice(0, _carried_columns(curve, aux_inner, aux_outer, len(phis)))
-    return Nodes(phis, boundary, normals, inner, outer), src
+    blocks = np.empty((2, 2, len(phis), src.stop), dtype=complex)
+    return Nodes(phis, boundary, normals, inner, outer), src, blocks
 
 
-def _carried(blocks):
-    """Evaluated (N, columns) blocks in their carried form: circulant ones as vectors."""
-    if blocks[0].shape[1] == 1:
-        return tuple(b[:, 0] for b in blocks)
-    return blocks
+def _system(blocks, scales, method, curve, nodes, excitation, medium1, medium2):
+    """The BlockSystem of filled kernel blocks: blocks[i, j] scaled in place by
+    scales[2 i + j], the method's right side, circulant blocks as first columns."""
+    n_points, columns = blocks.shape[2:]
+    for block, scale in zip(blocks.reshape(4, n_points, columns), scales):
+        np.multiply(scale, block, out=block)  # in place: no block is held twice
+    rhs = _RHS[method](nodes, excitation, medium1, medium2)
+    if columns == 1:
+        blocks = blocks.reshape(2, 2, n_points)
+    return BlockSystem(blocks, rhs, method, curve, nodes, excitation, medium1, medium2)
 
 
 # -- assembly ---------------------------------------------------------------
@@ -337,23 +339,15 @@ def assemble_nfm(
     The right side is _nfm_rhs. Only the carried columns of each
     block are evaluated (see BlockSystem): every matching point against
     boundary point 0 on concentric circles, against boundary points
-    0..N//4 on ellipses at even N. The blocks are views of one (kernel,
-    medium, row, column) array: medium j's H0 and dn kernels are zj1, zj2.
+    0..N//4 on ellipses at even N. Row block j takes medium j's H0 and dn
+    kernels as its two column blocks.
     """
-    nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
-    c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
-    whole = np.empty((2, 2, len(nodes.phis), src.stop), dtype=complex)
-    kernels(k1, a1_pts, c_pts[src], c_nrm[src], out=whole[:, 0])
-    kernels(k2, a2_pts, c_pts[src], c_nrm[src], out=whole[:, 1])
-    blocks = (whole[0, 0], whole[1, 0], whole[0, 1], whole[1, 1])
-    for block, scale in zip(blocks, (z1, 1j, z2, 1j)):
-        np.multiply(scale, block, out=block)  # in place: no block is held twice
-    rhs = _nfm_rhs(nodes, excitation, medium1, medium2)
-    return BlockSystem(
-        *_carried(blocks), rhs, "nfm", curve, nodes, excitation, medium1, medium2
-    )
+    nodes, src, blocks = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
+    c_pts, c_nrm = nodes.boundary[src], nodes.normals[src]
+    kernels(medium1.k, nodes.inner, c_pts, c_nrm, out=blocks[0])
+    kernels(medium2.k, nodes.outer, c_pts, c_nrm, out=blocks[1])
+    scales = (medium1.Z, 1j, medium2.Z, 1j)
+    return _system(blocks, scales, "nfm", curve, nodes, excitation, medium1, medium2)
 
 
 def _nfm_rhs(nodes, excitation, medium1, medium2):
@@ -415,27 +409,18 @@ def assemble_mas(
     field scaled by -i, with the normal taken at the boundary point. Only
     the carried columns of each block are evaluated (see BlockSystem):
     every boundary point against source point 0 on concentric circles,
-    against source points 0..N//4 on ellipses at even N. The blocks are
-    views of one (kernel, medium, row, column) array: medium j's are z1j, z2j.
+    against source points 0..N//4 on ellipses at even N. Column block j
+    takes medium j's H0 and dn kernels as its two row blocks.
     """
-    nodes, src = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
-    c_pts, c_nrm, a1_pts, a2_pts = nodes.boundary, nodes.normals, nodes.inner, nodes.outer
-    k1, z1 = medium1.k, medium1.Z
-    k2, z2 = medium2.k, medium2.Z
-    whole = np.empty((2, 2, len(nodes.phis), src.stop), dtype=complex)
+    nodes, src, blocks = _collocation(curve, aux_inner, aux_outer, excitation, n_points)
+    c_pts, c_nrm = nodes.boundary, nodes.normals
+    (k1, z1), (k2, z2) = (medium1.k, medium1.Z), (medium2.k, medium2.Z)
     # the magnetic matching row takes the aux-source fields' derivative
     # along the boundary normal, so the normal sits at the target
-    kernels(k1, c_pts, a1_pts[src], c_nrm, at_target=True, out=whole[:, 0])
-    kernels(k2, c_pts, a2_pts[src], c_nrm, at_target=True, out=whole[:, 1])
-    blocks = (whole[0, 0], whole[0, 1], whole[1, 0], whole[1, 1])
+    kernels(k1, c_pts, nodes.inner[src], c_nrm, at_target=True, out=blocks[:, 0])
+    kernels(k2, c_pts, nodes.outer[src], c_nrm, at_target=True, out=blocks[:, 1])
     scales = (-(k1 * z1 / 4.0), +(k2 * z2 / 4.0), -(1j * k1 / 4.0), +(1j * k2 / 4.0))
-    for block, scale in zip(blocks, scales):
-        np.multiply(scale, block, out=block)  # in place: no block is held twice
-
-    rhs = _mas_rhs(nodes, excitation, medium1, medium2)
-    return BlockSystem(
-        *_carried(blocks), rhs, "mas", curve, nodes, excitation, medium1, medium2
-    )
+    return _system(blocks, scales, "mas", curve, nodes, excitation, medium1, medium2)
 
 
 _RHS = {"nfm": _nfm_rhs, "mas": _mas_rhs}
@@ -551,16 +536,11 @@ def _lu_solve(a, factors, rcond, b):
     return x
 
 
-def _blocks(system):
-    return system.z11, system.z12, system.z21, system.z22
-
-
 def _with_shared(system, shared):
     """(system, *shared), once every shared system is checked to carry system's blocks."""
     shared = tuple(shared or ())
-    blocks = _blocks(system)
     for other in shared:
-        if any(mine is not theirs for mine, theirs in zip(blocks, _blocks(other))):
+        if other.blocks is not system.blocks:
             raise ValueError("shared systems must carry the blocks of the first (see excite)")
     return (system,) + shared
 
@@ -648,10 +628,10 @@ def _d2_solve(systems):
     system = systems[0]
     n = system.n_points
     act, rep, elem = _orbit_table(n)
-    m = system.z11.shape[1]
+    m = system.blocks.shape[3]
     fixed = act[:, :m] == np.arange(m)
     stab = fixed.sum(axis=0)
-    blocks = [_d2_rows(z, m) for z in _blocks(system)]
+    blocks = [_d2_rows(z, m) for z in system.blocks.reshape(4, n, m)]
     rhs = [_d2_rows(s.rhs.reshape(2, n).T, m) for s in systems]
     # (system, chi, x or A x, row block, rep)
     parts = np.zeros((len(systems), 4, 2, 2, m), dtype=complex)
@@ -769,7 +749,7 @@ def solve_circulant_dft(system, shared=None):
     systems = _with_shared(system, shared)
     n = system.n_points
     # one stack of rows: the four block columns, then the two halves of each right side
-    stack = np.concatenate(_blocks(system) + tuple(s.rhs for s in systems)).reshape(-1, n)
+    stack = np.concatenate((system.blocks.ravel(),) + tuple(s.rhs for s in systems)).reshape(-1, n)
     spectra = np.fft.fft(stack)
     blocks, rhs_modes = spectra[:4], spectra[4:]
     l11, l12, l21, l22 = blocks
@@ -809,7 +789,7 @@ def solve_circulant_dft(system, shared=None):
 def _circulant_apply(solution):
     """A x of a DFT solution, laid out as rhs: the blocks' spectra times the
     solution's, transformed back."""
-    l11, l12, l21, l22 = np.fft.fft(np.stack(_blocks(solution.system)))
+    l11, l12, l21, l22 = np.fft.fft(solution.system.blocks.reshape(4, solution.n_points))
     f_e, f_m = solution.spectra
     products = np.stack([l11 * f_e + l12 * f_m, l21 * f_e + l22 * f_m])
     return np.fft.ifft(products).ravel()
@@ -905,7 +885,7 @@ def q_sum_coefficients(
     """Eigenvalue ingredients of the circular system as explicit q-sums.
 
     The DFT of each first column equals N times one of these sums, e.g.
-    fft(z11 column)[m] = N Z1 b1 with b1 = sum_q J_{qN+m}(k1 r_aux1)
+    fft(blocks[0, 0])[m] = N Z1 b1 with b1 = sum_q J_{qN+m}(k1 r_aux1)
     H2_{qN+m}(k1 r_cyl), so they cross-check the whole circulant path
     without ever assembling a matrix. d carries the excitation column
     (inner rows for an external source, outer rows for an internal one).

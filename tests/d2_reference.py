@@ -25,11 +25,11 @@ def _d2_solve(system):
     n = system.n_points
     act, rep, elem = discrete._orbit_table(n)
     chars = discrete._D2_CHARACTERS
-    m = system.z11.shape[1]
+    m = system.blocks.shape[3]
     orbits = act[:, :m]  # orbits[g, p] = g.p for the representatives p
     fixed = orbits == np.arange(m)
     stab = fixed.sum(axis=0)
-    blocks = np.stack([system.z11, system.z12, system.z21, system.z22])[:, orbits]
+    blocks = system.blocks.reshape(4, n, m)[:, orbits]
     # reduced[chi, block, p, l] and rhs[chi, row block, p] over all representatives
     reduced = np.tensordot(chars, blocks, axes=([1], [1])) / stab
     rhs = np.tensordot(chars, system.rhs.reshape(2, n)[:, orbits], axes=([1], [1])) / 4.0

@@ -244,7 +244,7 @@ def hashes():
                     print("%s error %s" % (tag, exc))
                     continue
                 digests = {
-                    "blocks": _sha256(system.z11, system.z12, system.z21, system.z22),
+                    "blocks": _sha256(*system.blocks.reshape(4, *system.blocks.shape[2:])),
                     "rhs": _sha256(system.rhs),
                     "amplitudes": _sha256(solution.electric, solution.magnetic),
                 }

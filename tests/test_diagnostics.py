@@ -400,6 +400,17 @@ def test_observation_rings_can_be_overridden():
     assert error < 1e-3
 
 
+@pytest.mark.parametrize("method, geometry", [("nfm", NARROW), ("mas", WIDE)],
+                         ids=["nfm-narrow", "mas-wide"])
+def test_an_empty_ring_set_is_refused_not_read_as_a_zero_error(method, geometry):
+    # with no ring there is nothing to measure, so no error can read 0.0
+    with pytest.raises(ValueError, match="empty ring set"):
+        diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), [40], rings=())
+    solution = discrete.solve(discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=40))
+    with pytest.raises(ValueError, match="empty ring set"):
+        diagnostics.field_error(solution, (), diagnostics.SWEEP_ANGLES)
+
+
 def test_a_ring_through_the_filament_is_refused_before_any_solve(monkeypatch):
     solves, solve = [], discrete.solve
     monkeypatch.setattr(

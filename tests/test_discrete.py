@@ -108,7 +108,7 @@ def test_kernels_have_the_bits_of_hankel2(route, curve):
     assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
     system = assemble(curve, *aux, EXT, M1, M2, n_points=16)
     nodes = system.nodes
-    cols = 1 if system.circulant else system.z11.shape[1]
+    cols = 1 if system.circulant else system.blocks.shape[3]
     assert cols == (1 if curve is CIRCLE else 5)
     (k1, z1), (k2, z2) = (M1.k, M1.Z), (M2.k, M2.Z)
     if route == "nfm":
@@ -125,7 +125,7 @@ def test_kernels_have_the_bits_of_hankel2(route, curve):
             -(1j * k1 / 4.0) * dn1,
             +(1j * k2 / 4.0) * dn2,
         )
-    for got, block in zip((system.z11, system.z12, system.z21, system.z22), want):
+    for got, block in zip(system.blocks.reshape(4, 16, -1), want):
         assert got.tobytes() == (block[:, 0] if system.circulant else block).tobytes()
     point = np.array([[10.0 * np.cos(0.3), 10.0 * np.sin(0.3)]])
     got = discrete.kernels(k1, point, nodes.boundary, nodes.normals)
@@ -139,8 +139,7 @@ def test_kernels_have_the_bits_of_hankel2(route, curve):
 def test_carried_columns_are_column_zero_of_the_kernel_blocks(route, exc, n_points):
     system = _ASSEMBLE[route](exc, n_points)
     assert system.circulant
-    carried = (system.z11, system.z12, system.z21, system.z22)
-    for column, block in zip(carried, _kernel_blocks(route, n_points)):
+    for column, block in zip(system.blocks.reshape(4, n_points), _kernel_blocks(route, n_points)):
         assert is_circulant(block)
         assert np.array_equal(column, block[:, 0])
 
@@ -160,9 +159,9 @@ def test_circle_blocks_are_circulant():
     for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
         carried = assemble(CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2, n_points=12)
         full = assemble(CIRCLE, *aux, EXT, M1, M2, n_points=12)
-        assert carried.circulant and carried.z11.shape == (12,)
-        assert not full.circulant and full.z11.shape == (12, 12)
-        assert all(is_circulant(block) for _, block in full.named_blocks())
+        assert carried.circulant and carried.blocks.shape == (2, 2, 12)
+        assert not full.circulant and full.blocks.shape == (2, 2, 12, 12)
+        assert all(is_circulant(block) for block in full.blocks.reshape(4, 12, 12))
         scale = np.max(np.abs(full.matrix))
         assert np.max(np.abs(carried.matrix - full.matrix)) < 1e-13 * scale
         assert discrete.solve(full).path == "dense"
@@ -198,12 +197,11 @@ def test_ellipse_blocks_carry_their_d2_orbit_columns(assemble, n_points):
     for aux in ((ELL_IN, ELL_OUT), ELL_MILD):
         carried, full = _ellipse_and_twin(assemble, aux, ELL_EXT, n_points)
         assert carried.d2 and not carried.circulant
-        assert not full.d2 and full.z11.shape == (n_points, n_points)
+        assert not full.d2 and full.blocks.shape == (2, 2, n_points, n_points)
         m = n_points // 4 + 1
-        columns = (carried.z11, carried.z12, carried.z21, carried.z22)
-        for column, (name, block) in zip(columns, full.named_blocks()):
-            assert column.shape == (n_points, m)
-            assert np.array_equal(column, block[:, :m]), name
+        assert carried.blocks.shape == (2, 2, n_points, m)
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(carried.blocks[i, j], full.blocks[i, j, :, :m]), (i, j)
         scale = np.max(np.abs(full.matrix))
         assert np.max(np.abs(carried.matrix - full.matrix)) < 1e-13 * scale
         assert np.array_equal(carried.rhs, full.rhs)
@@ -214,27 +212,30 @@ def test_odd_ellipse_systems_keep_full_blocks(n_points):
     for assemble in (discrete.assemble_nfm, discrete.assemble_mas):
         system = assemble(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=n_points)
         assert not system.d2 and not system.circulant
-        carried = (system.z11, system.z12, system.z21, system.z22)
-        assert all(block.shape == (n_points, n_points) for block in carried)
+        assert system.blocks.shape == (2, 2, n_points, n_points)
 
 
-@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "star"])
 @pytest.mark.parametrize("route", ["nfm", "mas"])
-def test_the_four_blocks_are_views_of_one_array(route, curve):
-    # one allocation per assembly: freeing it raises glibc's dynamic mmap
-    # threshold past a whole op's heap, which then stays mapped between ops;
-    # each block stays a contiguous view
-    aux = tuple(geometry.AuxiliarySurface.from_scale(curve, s) for s in (0.75, 1.25))
+def test_blocks_are_one_array_in_row_block_column_block_order(route, kind):
+    # both routes carry blocks[i, j], the block of row block i and column
+    # block j, in the one C-contiguous array their assembler filled: one
+    # allocation per assembly keeps glibc's heap mapped between ops
+    n = 16
     assemble = discrete.assemble_nfm if route == "nfm" else discrete.assemble_mas
-    system = assemble(curve, *aux, EXT, M1, M2, n_points=16)
-    assert (system.circulant, system.d2) == ((True, False) if curve is CIRCLE else (False, True))
-    # the blocks are disjoint, so np.shares_memory holds between each and the owner
-    whole = system.z11.base
-    blocks = discrete._blocks(system)
-    assert whole is not None and all(b.base is whole for b in blocks)
-    assert all(np.shares_memory(whole, b) for b in blocks)
-    assert whole.size == 4 * system.z11.size
-    assert all(b.flags.c_contiguous for b in blocks)
+    if kind == "circle":
+        system, shape = _ASSEMBLE[route](EXT, n), (2, 2, n)
+    else:
+        ellipse, star = _ellipse_and_twin(assemble, ELL_MILD, ELL_EXT, n)
+        system = star if kind == "star" else ellipse
+        shape = (2, 2, n, n) if kind == "star" else (2, 2, n, n // 4 + 1)
+    assert system.blocks.shape == shape and system.blocks.flags.c_contiguous
+    assert system.blocks.base is None or system.blocks.base.size == system.blocks.size
+    assert (system.circulant, system.d2) == (kind == "circle", kind == "ellipse")
+    full = system.matrix.reshape(2, n, 2, n)
+    for i, j in np.ndindex(2, 2):
+        assert np.array_equal(discrete._expand(system.blocks[i, j]), full[i, :, j]), (i, j)
+    assert discrete.excite(system, INT).blocks is system.blocks
 
 
 def test_rhs_lands_on_the_matching_rows():
@@ -337,7 +338,7 @@ def test_a_count_that_is_not_a_whole_number_is_refused_by_name(bad):
         with pytest.raises(ValueError, match="%s must be an integer" % name):
             call()
     whole = _nfm(EXT, 40.0)
-    assert whole.n_points == 40 and whole.z11.tobytes() == _nfm(EXT, 40).z11.tobytes()
+    assert whole.n_points == 40 and whole.blocks.tobytes() == _nfm(EXT, 40).blocks.tobytes()
     assert diagnostics.oscillation_scan("nfm", geo, EXT, (M1, M2), (40.0,)).n_points == (40,)
     by_array = exact.exact_ring(*ring, n_max=np.array(60))
     assert by_array.value.tobytes() == exact.exact_ring(*ring, n_max=60).value.tobytes()
@@ -361,10 +362,11 @@ def test_transform_matches_direct_source_assembly(curve, aux_in, aux_out, exc):
         assert direct.circulant == reference.circulant == (curve is CIRCLE)
         rows = np.repeat([-M1.k / 4.0, M2.k / 4.0], n_points)[:, None]
         transformed = (rows * direct.matrix).T.reshape(2, n_points, 2, n_points)
-        for i, (name, b) in enumerate(reference.named_blocks()):
-            a = transformed[i // 2, :, i % 2]
+        blocks = reference.matrix.reshape(2, n_points, 2, n_points)
+        for i, j in np.ndindex(2, 2):
+            a, b = transformed[i, :, j], blocks[i, :, j]
             scale = np.max(np.abs(b))
-            assert np.max(np.abs(a - b)) < 1e-14 * scale, (name, n_points)
+            assert np.max(np.abs(a - b)) < 1e-14 * scale, (i, j, n_points)
 
 
 def test_transform_preserves_conditioning_up_to_the_row_scalings():
@@ -381,9 +383,10 @@ def test_transform_preserves_conditioning_up_to_the_row_scalings():
 # -- solvers ------------------------------------------------------------------
 
 
-def _toy_system(z11, z12, z21, z22, rhs):
+def _toy_system(blocks, rhs):
+    """A system of the given (2, 2, N) first columns or (2, 2, N, N) blocks."""
     return discrete.BlockSystem(
-        z11, z12, z21, z22, np.asarray(rhs, dtype=complex), "nfm",
+        np.array(blocks, dtype=complex), np.asarray(rhs, dtype=complex), "nfm",
         CIRCLE, discrete._collocation(CIRCLE, AUX_IN, AUX_OUT, EXT, 4)[0], EXT, M1, M2,
     )
 
@@ -392,23 +395,22 @@ def test_identity_toy_system_returns_the_rhs():
     eye = np.eye(4, dtype=complex)
     zero = np.zeros((4, 4), dtype=complex)
     rhs = np.arange(8) + 1j * np.arange(8)[::-1]
-    solution = discrete.solve_dense(_toy_system(eye, zero, zero, eye, rhs))
+    solution = discrete.solve_dense(_toy_system([[eye, zero], [zero, eye]], rhs))
     assert np.allclose(solution.vector, rhs, atol=1e-15)
     assert solution.residual < 1e-15
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_toy_system_raises():
-    zero = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ArithmeticError, match="singular"):
-        discrete.solve_dense(_toy_system(zero, zero, zero, zero, np.ones(8)))
+        discrete.solve_dense(_toy_system(np.zeros((2, 2, 4, 4)), np.ones(8)))
 
 
 def test_dense_solve_matches_textbook_elimination():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) + 8.0 * np.eye(16)
     rhs = rng.normal(size=16) + 1j * rng.normal(size=16)
-    system = _toy_system(a[:8, :8], a[:8, 8:], a[8:, :8], a[8:, 8:], rhs)
+    system = _toy_system(a.reshape(2, 8, 2, 8).swapaxes(1, 2), rhs)
     mine = discrete.solve_dense(system).vector
     reference = gauss_solve(a, rhs)
     assert np.max(np.abs(mine - reference)) < 1e-12 * np.max(np.abs(reference))
@@ -496,7 +498,7 @@ def test_dense_solve_holds_one_system_and_its_lu(n_points, bound):
     # alive next to them would add 100% and 25%.
     system = discrete.assemble_nfm(ELLIPSE, ELL_IN, ELL_OUT, ELL_EXT, M1, M2, n_points=n_points)
     assert system.d2 == (n_points % 2 == 0)
-    unknowns = 2 * system.z11.shape[1]
+    unknowns = 2 * system.blocks.shape[3]
     held = 2 * unknowns**2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -714,9 +716,8 @@ def test_a_dense_solve_runs_on_one_blas_thread_and_restores_the_count(openblas, 
         discrete.solve_dense(discrete.assemble_nfm(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=n_points))
         assert _counts(openblas) == [2, 2]
     assert inside == [[1, 1]] * 5
-    zero = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ArithmeticError, match="singular"):
-        discrete.solve_dense(_toy_system(zero, zero, zero, zero, np.ones(8)))
+        discrete.solve_dense(_toy_system(np.zeros((2, 2, 4, 4)), np.ones(8)))
     assert inside[-1] == [1, 1] and _counts(openblas) == [2, 2]
 
 
@@ -826,14 +827,11 @@ def test_one_factorisation_gives_each_excitation_the_bits_of_its_own_solve(
         for exc in (EXT, ELL_INT)
     }
     system = assemble(curve, *aux, EXT, M1, M2, n_points=n_points)
-    assert {"dft": system.circulant, "d2": system.d2, "full": system.z11.ndim == 2}[form]
+    assert {"dft": system.circulant, "d2": system.d2, "full": system.blocks.ndim == 4}[form]
     # the snug circle at N = 512 drops modes, so the rank-one band is shared too
     assert (alone[EXT].dropped > 0) == (form == "dft" and n_points == 512)
     other = discrete.excite(system, ELL_INT)
-    assert all(a is b for a, b in zip(
-        (system.z11, system.z12, system.z21, system.z22),
-        (other.z11, other.z12, other.z21, other.z22),
-    ))
+    assert other.blocks is system.blocks
     # either excitation may come first
     for first, second in ((system, other), (other, system)):
         solved = discrete.solve(first, shared=(second,))
@@ -866,10 +864,8 @@ def test_shared_systems_must_carry_the_same_blocks():
 def _dft_coefficients(system, m):
     n = system.n_points
     z1, z2 = system.medium1.Z, system.medium2.Z
-    b1 = np.fft.fft(system.z11)[m] / (n * z1)
-    b2 = np.fft.fft(system.z12)[m] / (n * 1j)
-    b3 = np.fft.fft(system.z21)[m] / (n * z2)
-    b4 = np.fft.fft(system.z22)[m] / (n * 1j)
+    l11, l12, l21, l22 = np.fft.fft(system.blocks.reshape(4, n))[:, m]
+    b1, b2, b3, b4 = l11 / (n * z1), l12 / (n * 1j), l21 / (n * z2), l22 / (n * 1j)
     if system.excitation.region == "external":
         d = np.fft.fft(system.rhs[:n])[m] / (n * system.excitation.amplitude * z1)
     else:
@@ -1116,7 +1112,7 @@ def test_stacked_singular_values_keep_the_four_array_bits(n_points):
     drawn = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
     drawn[:, 0] = 0.0
     system = _nfm(EXT, n_points, aux=NEAR)
-    own = np.fft.fft(np.stack(discrete._blocks(system)))
+    own = np.fft.fft(system.blocks.reshape(4, n_points))
     for blocks in (drawn, own):
         l11, l12, l21, l22 = blocks
         det = l11 * l22 - l12 * l21
@@ -1132,9 +1128,9 @@ def test_rank_deficient_modes_get_the_pseudo_inverse():
     modes[1] = np.outer([1.0, 2.0 - 1j], [0.5j, 3.0])
     modes[3] = 0.0
     rhs_modes = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    columns = [np.fft.ifft(modes[:, i, j]) for i in (0, 1) for j in (0, 1)]
+    columns = np.fft.ifft(modes.transpose(1, 2, 0))
     rhs = np.concatenate([np.fft.ifft(rhs_modes[:, 0]), np.fft.ifft(rhs_modes[:, 1])])
-    solution = discrete.solve_circulant_dft(_toy_system(*columns, rhs))
+    solution = discrete.solve_circulant_dft(_toy_system(columns, rhs))
     assert solution.dropped == 3
     assert solution.cond_estimate == np.inf
     want = np.array([np.linalg.pinv(modes[m]) @ rhs_modes[m] for m in range(4)])
