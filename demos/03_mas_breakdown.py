@@ -15,8 +15,8 @@ is no cleaner than the source route's, since both sit at roundoff.
 
 import numpy as np
 
-from cylwave import continuous, diagnostics, discrete, fields
-from cylwave.exact import Medium, exact_ring
+from cylwave import continuous, diagnostics, discrete
+from cylwave.exact import Medium
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 M1 = Medium()
@@ -69,13 +69,11 @@ print("series on the k1 rho = 10 and k1 rho = 1 rings. Both routes are at")
 print("float64 roundoff here, and neither is cleaner on both rings:")
 
 
-def ring_error(solution, rho, region):
-    angles = 2.0 * np.pi * np.arange(36) / 36.0
-    want = exact_ring(EXT, region, rho, angles, 2.0, M1, M2).value
-    got = fields.field_from_discrete(solution, rho, angles, region=region).e_z
-    return np.max(np.abs(got - want)) / np.max(np.abs(want))
-
-
+ring_angles = 2.0 * np.pi * np.arange(36) / 36.0
+outside, inside = (
+    diagnostics.ring_references(CIRCLE, EXT, (M1, M2), (ring,), ring_angles)
+    for ring in ((10.0, 1), (1.0, 2))
+)
 nfm = discrete.solve_dense(discrete.assemble_nfm(*placed(0.5, 10.0), EXT, M1, M2, n_points=40))
 for label, solution in (
     ("source route N = 40", amplitudes[40]),
@@ -84,7 +82,11 @@ for label, solution in (
 ):
     print(
         "  %s: %.2e outside, %.2e inside"
-        % (label, ring_error(solution, 10.0, 1), ring_error(solution, 1.0, 2))
+        % (
+            label,
+            diagnostics.field_error(solution, outside, ring_angles),
+            diagnostics.field_error(solution, inside, ring_angles),
+        )
     )
 
 print()

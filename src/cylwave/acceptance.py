@@ -99,8 +99,7 @@ def dft_solver():
         worst_v = max(worst_v, relative_gap(fast.vector, dense.vector))
     system = systems[11]
     z1, z2 = system.medium1.Z, system.medium2.Z
-    sums = discrete.q_sum_coefficients(np.arange(11), 11, *NARROW, EXT, M1, M2)
-    got = np.array([sums.d, sums.b1, sums.b2, sums.b3, sums.b4])
+    got = discrete.q_sum_coefficients(11, *NARROW, EXT, M1, M2)
     columns = (system.rhs[:11], *system.blocks.reshape(4, 11))
     scales = np.array([11 * system.excitation.amplitude * z1, 11 * z1, 11j, 11 * z2, 11j])
     want = np.fft.fft(np.stack(columns)) / scales[:, None]

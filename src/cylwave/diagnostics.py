@@ -233,11 +233,11 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     region, by default those of default_rings, over 36 angles offset from
     the collocation grid, and the error is field_error, the worst relative
     deviation over both rings; pass rings as (radius, region) pairs to
-    override. A ring through the filament raises ValueError before any
-    solve. On any other boundary it is 'residual': the tangential-E defect of
-    fields.boundary_residuals, which needs no separable solution, and
-    passing rings raises ValueError. Failed solves are recorded as in
-    oscillation_scan.
+    override. An empty ring set or a ring through the filament raises
+    ValueError before any solve. On any other boundary it is 'residual':
+    the tangential-E defect of fields.boundary_residuals, which needs no
+    separable solution, and passing rings raises ValueError. Failed solves
+    are recorded as in oscillation_scan.
     """
     curve = geometry[0]
     reference = sweep_reference(curve)
@@ -245,7 +245,7 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     if reference == "residual" and rings is not None:
         raise ValueError("rings serve only the exact reference of a circular boundary")
     if reference == "exact":
-        # summed first, so a ring through the filament fails before any solve
+        # summed first, so a ring set it refuses fails before any solve
         rings = default_rings(curve, excitation) if rings is None else rings
         references = ring_references(curve, excitation, media, rings, SWEEP_ANGLES)
     scan = oscillation_scan(method, geometry, excitation, media, n_list)
@@ -263,10 +263,13 @@ def ring_references(curve, excitation, media, rings, angles):
 
     rings are (radius, region) pairs and angles a 1-D array. Returns one
     (radius, region, SeriesResult of arrays over angles) entry per ring,
-    each ring summed in one exact_ring pass.
+    each ring summed in one exact_ring pass. An empty ring set raises
+    ValueError, as field_error does, so a sweep refuses it before any solve.
     """
     if curve.kind != "circle":
         raise ValueError("the exact series needs a circular boundary")
+    if not rings:
+        raise ValueError("ring_references needs at least one ring; got an empty ring set")
     radius = curve.params["radius"]
     return tuple(
         (rho, region, exact_ring(excitation, region, rho, angles, radius, media[0], media[1]))

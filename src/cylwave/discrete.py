@@ -9,11 +9,12 @@ the displaced surfaces and matches the transmission conditions at N boundary
 points. Both carry their four blocks as one array indexed (row block,
 column block), so every solver reads one layout. On concentric circles
 every block is circulant, which yields a per-mode 2x2 system through the
-DFT; as N grows the DFT of each amplitude vector approaches 2 pi rho_cyl
-times the density coefficients of continuous.mode_solve, free of the
-displaced radii. On centred ellipses at even N the half-turn and the
-mirror phi -> -phi form the group D2, which splits the dense solve into
-four independent systems of about N/2 each.
+DFT, its entries the q-sums of q_sum_coefficients; as N grows the DFT of
+each amplitude vector approaches 2 pi rho_cyl times the density
+coefficients of continuous.mode_solve, free of the displaced radii. On
+centred ellipses at even N the half-turn and the mirror phi -> -phi form
+the group D2, which splits the dense solve into four independent systems
+of about N/2 each.
 """
 
 import ctypes
@@ -835,23 +836,6 @@ def normalized_currents(solution):
 # -- coefficient oracles for the circulant path ------------------------------
 
 
-@dataclass(frozen=True)
-class QSumCoefficients:
-    """Per-mode eigendata of a circular direct system, via bilateral sums.
-
-    For an array of modes m, every other field but n_points is an array
-    over those modes.
-    """
-
-    m: int
-    n_points: int
-    d: complex
-    b1: complex
-    b2: complex
-    b3: complex
-    b4: complex
-
-
 def _folded(table, n_points):
     """table's orders n = r + qN summed per residue r."""
     rings = -(-table.size // n_points)
@@ -860,20 +844,20 @@ def _folded(table, n_points):
     return padded.reshape(rings, n_points).sum(axis=0)
 
 
-def _mode_sums(plus, minus, modes, n_points):
-    """Each mode m's sum over the orders nu = qN + m, q in Z: plus[nu], or minus[-nu] below 0.
+def _mode_sums(plus, minus, n_points):
+    """The N sums of modes 0..N-1, each over the orders nu = qN + m, q in Z:
+    plus[nu], or minus[-nu] below 0.
 
     Products are even in their order, so the orders nu >= 0 of mode m fold
     plus at residue m, and the orders nu < 0 fold minus at residue
     (N - m) mod N, without order 0, which both sides hold once.
     """
-    up, down = _folded(plus, n_points), _folded(minus, n_points)
-    back = (n_points - modes) % n_points
-    return up[modes] + np.where(modes == 0, down[0] - minus[0], down[back])
+    down = _folded(minus, n_points)[-np.arange(n_points) % n_points]
+    down[0] -= minus[0]
+    return _folded(plus, n_points) + down
 
 
 def q_sum_coefficients(
-    m,
     n_points,
     curve,
     aux_inner,
@@ -884,33 +868,25 @@ def q_sum_coefficients(
 ):
     """Eigenvalue ingredients of the circular system as explicit q-sums.
 
-    The DFT of each first column equals N times one of these sums, e.g.
-    fft(blocks[0, 0])[m] = N Z1 b1 with b1 = sum_q J_{qN+m}(k1 r_aux1)
-    H2_{qN+m}(k1 r_cyl), so they cross-check the whole circulant path
-    without ever assembling a matrix. d carries the excitation column
-    (inner rows for an external source, outer rows for an internal one).
+    Returns one complex (5, N) array whose rows d, b1, b2, b3 and b4 run
+    over the modes 0..N-1. The DFT of each first column equals N times one
+    row, e.g. fft(blocks[0, 0]) = N Z1 b1 with b1[m] = sum_q
+    J_{qN+m}(k1 r_aux1) H2_{qN+m}(k1 r_cyl), and likewise blocks[0, 1],
+    [1, 0] and [1, 1] give b2, b3 and b4, so they cross-check the whole
+    circulant path without ever assembling a matrix. d carries the
+    excitation column (inner rows for an external source, outer rows for an
+    internal one). Three concentric circles are required.
 
     Each sum folds one table of Graf's products (specfun.graf_products)
     modulo N (see _mode_sums); three tables, one per argument pair, serve
-    the five sums. So a sum is formed wherever its products are
+    the five rows. So a sum is formed wherever its products are
     representable, however far a J or H2 factor alone leaves the float
     range, and no mode raises. A table runs to specfun.graf_order's last
-    order above N/2, the largest lowest order min(m, N - m) of a mode. m
-    is one mode index or a 1-D array of them, of an integer or whole float
-    dtype (not bool); every mode reads the same tables, so it gets the
-    bits of its one-mode call.
+    order above N/2, the largest lowest order min(m, N - m) of a mode.
     """
-    if curve.kind != "circle":
-        raise ValueError("q-sum coefficients are defined for circles only")
     n_points = _check_setup(curve, aux_inner, aux_outer, excitation, n_points)
-    modes = np.asarray(m)
-    if modes.ndim > 1:
-        raise ValueError("m must be one mode index or a 1-D array of them")
-    if modes.dtype == bool or not np.all(modes == np.round(modes)):
-        raise ValueError("mode index must be an integer")
-    if not np.all((0 <= modes) & (modes < n_points)):
-        raise ValueError("mode index must satisfy 0 <= m < n_points")
-    modes = modes.astype(int)
+    if _carried_columns(curve, aux_inner, aux_outer, n_points) != 1:
+        raise ValueError("q-sum coefficients are defined for three concentric circles only")
 
     r_cyl = curve.params["radius"]
     r_in = aux_inner.curve.params["radius"]
@@ -931,11 +907,7 @@ def q_sum_coefficients(
         tables.append(specfun.graf_products(x, y, top, forms))
     (t1, t2), (t3, t4), (t_src,) = tables
     rotation = np.exp(-1j * excitation.phi * np.arange(t_src.size))
-    modes = np.atleast_1d(modes)
-    b1, b2 = (_mode_sums(t, t, modes, n_points) for t in (t1, -t2))
-    b3, b4 = (_mode_sums(t, t, modes, n_points) for t in (t3, -t4))
-    d = source[2] * _mode_sums(t_src * rotation, t_src * rotation.conj(), modes, n_points)
-    if np.ndim(m) == 0:
-        d, b1, b2, b3, b4 = (complex(v[0]) for v in (d, b1, b2, b3, b4))
-        modes = int(modes[0])
-    return QSumCoefficients(modes, n_points, d, b1, b2, b3, b4)
+    b1, b2 = (_mode_sums(t, t, n_points) for t in (t1, -t2))
+    b3, b4 = (_mode_sums(t, t, n_points) for t in (t3, -t4))
+    d = source[2] * _mode_sums(t_src * rotation, t_src * rotation.conj(), n_points)
+    return np.stack([d, b1, b2, b3, b4])

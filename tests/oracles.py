@@ -243,7 +243,7 @@ def reconstruction_mp(side, rho_fil, amplitude, rho_obs, psi, rho_cyl, media):
 
 
 def qsums_mp(m, n_points, r_cyl, r_in, r_out, side, rho_fil, phi_fil, media):
-    """(d, b1, b2, b3, b4) of cylwave.discrete.q_sum_coefficients at 50 digits.
+    """Mode m's column (d, b1, b2, b3, b4) of cylwave.discrete.q_sum_coefficients at 50 digits.
 
     Each sums its order-nu product over nu = qN + m, q in Z, until five
     rings in a row add less than 1e-30 of the sum.

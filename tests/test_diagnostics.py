@@ -422,6 +422,18 @@ def test_a_ring_through_the_filament_is_refused_before_any_solve(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("method, geometry", [("nfm", NARROW), ("mas", WIDE)],
+                         ids=["nfm-narrow", "mas-wide"])
+def test_an_empty_ring_set_is_refused_before_any_solve(monkeypatch, method, geometry):
+    solves, solve = [], discrete.solve
+    monkeypatch.setattr(
+        discrete, "solve", lambda system, **kw: solves.append(system.n_points) or solve(system, **kw)
+    )
+    with pytest.raises(ValueError, match="empty ring set"):
+        diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), (40, 46), rings=())
+    assert solves == []
+
+
 def test_rings_on_a_non_circular_boundary_are_refused_before_any_solve(monkeypatch):
     # the residual reference has no rings to read; passing them is an error
     # instead of a sweep that quietly ignores them

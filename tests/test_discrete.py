@@ -329,7 +329,7 @@ def test_a_count_that_is_not_a_whole_number_is_refused_by_name(bad):
     calls = [
         ("n_max", lambda: exact.exact_ring(*ring, n_max=bad)),
         ("n_points", lambda: discrete.assemble_nfm(*geo, EXT, M1, M2, n_points=bad)),
-        ("n_points", lambda: discrete.q_sum_coefficients(3, bad, *geo, EXT, M1, M2)),
+        ("n_points", lambda: discrete.q_sum_coefficients(bad, *geo, EXT, M1, M2)),
         ("N", lambda: geometry.collocation_points(CIRCLE, bad)),
         ("n_list entry", lambda: diagnostics.oscillation_scan("nfm", geo, EXT, (M1, M2), (bad, 41))),
         ("n_test", lambda: fields.boundary_traces(discrete.solve(_mas(EXT, 12)), n_test=bad)),
@@ -876,21 +876,20 @@ def _dft_coefficients(system, m):
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_qsums_match_the_dft_eigenvalues(exc):
     system = _nfm(exc, 11)
+    sums = discrete.q_sum_coefficients(11, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2)
+    assert sums.shape == (5, 11) and sums.dtype == complex
     for m in range(11):
-        sums = discrete.q_sum_coefficients(m, 11, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2)
-        for got, want in zip(
-            (sums.d, sums.b1, sums.b2, sums.b3, sums.b4), _dft_coefficients(system, m)
-        ):
+        for got, want in zip(sums[:, m], _dft_coefficients(system, m)):
             assert abs(got - want) < 1e-9 * abs(want)
 
 
 def test_qsums_follow_a_rotated_source():
     exc = geometry.Excitation("external", 4.0, phi=0.7)
     system = _nfm(exc, 11)
+    d = discrete.q_sum_coefficients(11, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2)[0]
     for m in (0, 3, 8):
-        sums = discrete.q_sum_coefficients(m, 11, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2)
         want = _dft_coefficients(system, m)[0]
-        assert abs(sums.d - want) < 1e-9 * abs(want)
+        assert abs(d[m] - want) < 1e-9 * abs(want)
 
 
 def _single_products(m):
@@ -910,40 +909,31 @@ def test_central_term_dominates_low_modes():
     # approaches N/2; for this geometry the 0.999 level holds through m = 25
     # at N = 81 and is badly lost at m = 40, where the q = -1 order 41 is a
     # near neighbor.
+    full = discrete.q_sum_coefficients(81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
     for m in (0, 10, 20):
-        full = discrete.q_sum_coefficients(m, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-        for field, head in zip(_QSUM_FIELDS, _single_products(m)):
-            assert abs(head) / abs(getattr(full, field)) > 0.999, (m, field)
-    full = discrete.q_sum_coefficients(40, 81, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-    assert abs(_single_products(40)[1]) / abs(full.b1) < 0.9
+        for row, (head, total) in enumerate(zip(_single_products(m), full[:, m])):
+            assert abs(head) / abs(total) > 0.999, (m, row)
+    assert abs(_single_products(40)[1]) / abs(full[1, 40]) < 0.9
 
 
 def test_qsum_coefficients_approach_single_products():
     # at N = 161 every aliased ring is negligible and b1 collapses to the
     # plain product of the order-3 radial factors
-    sums = discrete.q_sum_coefficients(3, 161, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
+    b1 = discrete.q_sum_coefficients(161, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)[1, 3]
     product = specfun.bessel_j(3, M1.k * 1.5) * specfun.hankel2(3, M1.k * 2.0)
-    assert abs(sums.b1 - product) < 1e-12 * abs(product)
+    assert abs(b1 - product) < 1e-12 * abs(product)
 
 
 def test_qsum_validation():
     with pytest.raises(ValueError, match="circles"):
-        discrete.q_sum_coefficients(0, 8, ELLIPSE, ELL_IN, ELL_OUT, EXT, M1, M2)
-    with pytest.raises(ValueError, match="mode index"):
-        discrete.q_sum_coefficients(8, 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-    args = (11, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
-    for m in (1.5, [1.0, 2.5], True, np.array([True, False]), np.bool_(False)):
-        with pytest.raises(ValueError, match="mode index must be an integer"):
-            discrete.q_sum_coefficients(m, *args)
-    whole = discrete.q_sum_coefficients(np.array([1.0, 2.0]), *args)
-    assert _qsum_bytes(whole, 1) == _qsum_bytes(discrete.q_sum_coefficients(2, *args))
-
-
-_QSUM_FIELDS = ("d", "b1", "b2", "b3", "b4")
-
-
-def _qsum_bytes(sums, index=()):
-    return [np.complex128(np.asarray(getattr(sums, f))[index]).tobytes() for f in _QSUM_FIELDS]
+        discrete.q_sum_coefficients(8, ELLIPSE, ELL_IN, ELL_OUT, EXT, M1, M2)
+    # a circle with one surface that is not: the assembly carries full
+    # blocks, and the q-sums, which need every block circulant, refuse it
+    # by name rather than look up a radius the ellipse does not have
+    mixed = (geometry.AuxiliarySurface(geometry.BoundaryCurve.ellipse(1.5, 1.2), "inner"), AUX_OUT)
+    assert discrete.assemble_nfm(CIRCLE, *mixed, EXT, M1, M2, n_points=8).blocks.shape == (2, 2, 8, 8)
+    with pytest.raises(ValueError, match="circles"):
+        discrete.q_sum_coefficients(8, CIRCLE, *mixed, EXT, M1, M2)
 
 
 @pytest.mark.parametrize("n_points", [5, 11, 81])
@@ -952,24 +942,15 @@ def test_qsums_match_the_frozen_references(n_points):
     # value relative to itself, for sources on both sides, rotated or not.
     # Measured: at most 6.4e-16 at N = 5, 9.1e-16 at N = 11 and 1.2e-15 at
     # N = 81 (tolerance 3e-14).
-    modes = np.array(frozen_series.QSUM_MODES[n_points])
-    # at N = 81 every fourth mode and the last, else every mode
-    every_mode = np.unique(np.r_[np.arange(0, n_points, 1 + n_points // 20), n_points - 1])
+    modes = frozen_series.QSUM_MODES[n_points]
     for (n, name), want in frozen_series.QSUMS.items():
         if n != n_points:
             continue
         side, rho, phi, _ = frozen_series.EXCITATIONS[name]
-        args = (n_points, CIRCLE, AUX_IN, AUX_OUT, geometry.Excitation(side, rho, phi), M1, M2)
-        got = discrete.q_sum_coefficients(modes, *args)
-        assert np.array_equal(got.m, modes)
-        got = np.array([getattr(got, field) for field in _QSUM_FIELDS]).T
+        exc = geometry.Excitation(side, rho, phi)
+        got = discrete.q_sum_coefficients(n_points, CIRCLE, AUX_IN, AUX_OUT, exc, M1, M2)
+        got = got[:, modes].T
         assert np.all(np.abs(got - want) <= 3e-14 * np.abs(want)), name
-        # all modes in one call: each keeps the bits of its one-mode call
-        every = discrete.q_sum_coefficients(every_mode, *args)
-        for i, m in enumerate(every_mode.tolist()):
-            assert _qsum_bytes(every, i) == _qsum_bytes(discrete.q_sum_coefficients(m, *args))
-    with pytest.raises(ValueError, match="1-D"):
-        discrete.q_sum_coefficients(np.zeros((2, 2), dtype=int), 8, CIRCLE, AUX_IN, AUX_OUT, EXT, M1, M2)
 
 
 def test_qsums_past_half_the_points_sum_from_their_lowest_order():
@@ -978,22 +959,15 @@ def test_qsums_past_half_the_points_sum_from_their_lowest_order():
     # while their products are representable: the folded tables hold them
     # to the 50-digit sums, where they used to raise
     inner, outer = (geometry.AuxiliarySurface.from_radius(CIRCLE, r) for r in (1.6, 2.5))
-    args = (512, CIRCLE, inner, outer, EXT, M1, M2)
+    got = discrete.q_sum_coefficients(512, CIRCLE, inner, outer, EXT, M1, M2)
     for m in (100, 150, 200):
-        low = discrete.q_sum_coefficients(m, *args)
-        high = discrete.q_sum_coefficients(512 - m, *args)
-        for field in _QSUM_FIELDS:
-            want = getattr(low, field)
-            assert abs(getattr(high, field) - want) <= 1e-14 * abs(want), (m, field)
-        pair = discrete.q_sum_coefficients(np.array([m, 512 - m]), *args)
-        assert _qsum_bytes(pair, 0) == _qsum_bytes(low)
-        assert _qsum_bytes(pair, 1) == _qsum_bytes(high)
+        low, high = got[:, m], got[:, 512 - m]
+        assert np.all(np.abs(high - low) <= 1e-14 * np.abs(low)), m
     frozen = frozen_series.PLACED_QSUMS[(512, 1.6, 2.5, "plain_external")]
     assert not np.isfinite(specfun.bessel_orders(True, np.array([200]), M1.k * 2.0)).all()
     for m in (200, 312):
-        got = discrete.q_sum_coefficients(m, *args)
-        for field, want in zip(_QSUM_FIELDS, frozen[m]):
-            assert abs(getattr(got, field) - want) <= 5e-14 * abs(want), (m, field)
+        want = np.array(frozen[m])
+        assert np.all(np.abs(got[:, m] - want) <= 5e-14 * np.abs(want)), m
 
 
 @pytest.mark.parametrize("key", sorted(frozen_series.PLACED_QSUMS), ids=str)
@@ -1011,8 +985,7 @@ def test_qsums_match_the_frozen_references_up_to_n_8192(key):
     frozen = frozen_series.PLACED_QSUMS[key]
     modes = np.array(sorted(frozen))
     exc = geometry.Excitation(side, rho, phi)
-    got = discrete.q_sum_coefficients(modes, n_points, CIRCLE, *aux, exc, M1, M2)
-    got = np.array([getattr(got, field) for field in _QSUM_FIELDS]).T
+    got = discrete.q_sum_coefficients(n_points, CIRCLE, *aux, exc, M1, M2)[:, modes].T
     want = np.array([frozen[m] for m in modes.tolist()])
     assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want)), np.abs(got - want) / np.abs(want)
     if key[:3] == (512, 1.6, 2.5):
