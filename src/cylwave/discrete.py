@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy import linalg
 from scipy.linalg import get_lapack_funcs
 
 from . import geometry, specfun
@@ -275,11 +274,12 @@ def _orbit_table(n_points):
 
 
 def _expand(block):
-    """Full block from its carried columns: a circulant first column, the
-    D2 orbit columns (Z[p, l] = Z[g.p, rep l] with g = elem[l]), or the full
-    block itself."""
+    """Full block from its carried columns: a circulant first column
+    (Z[p, l] = Z[(p - l) mod N, 0]), the D2 orbit columns (Z[p, l] =
+    Z[g.p, rep l] with g = elem[l]), or the full block itself."""
     if block.ndim == 1:
-        return linalg.circulant(block)
+        l = np.arange(block.size)
+        return block[(l[:, None] - l) % block.size]
     n, m = block.shape
     if m == n:
         return block
@@ -510,13 +510,14 @@ def _lu_factor(a):
     """LU factors of a with an infinity-norm condition estimate.
 
     Returns ((lu, piv), ||a||_inf, rcond); rcond is gecon's estimate of
-    1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon fails.
+    1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon fails. A zero pivot of
+    getrf or a non-finite factor raises ArithmeticError.
     """
     a_norm = np.linalg.norm(a, np.inf)  # before the LU copy: its |a| scratch is gone by then
-    lu, piv = linalg.lu_factor(a)
-    if not np.all(np.isfinite(lu)) or np.any(np.diagonal(lu) == 0.0):
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
+    lu, piv, info = getrf(a)
+    if info != 0 or not np.all(np.isfinite(lu)):
         raise ArithmeticError("system is singular to working precision")
-    gecon = get_lapack_funcs(("gecon",), (a,))[0]
     rcond, info = gecon(lu, a_norm, norm="I")
     return (lu, piv), a_norm, float(rcond) if info == 0 else 0.0
 
@@ -529,9 +530,10 @@ def _lu_solve(a, factors, rcond, b):
     beyond that the step adds a^-1 (roundoff), which inflates ||x|| instead
     of shrinking the error.
     """
-    x = linalg.lu_solve(factors, b)
+    getrs = get_lapack_funcs(("getrs",), factors[:1])[0]
+    x = getrs(*factors, b)[0]
     if rcond > _EPS:
-        x += linalg.lu_solve(factors, b - a @ x)
+        x += getrs(*factors, b - a @ x)[0]
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("system is singular to working precision")
     return x
@@ -662,9 +664,9 @@ def solve_dense(system, shared=None):
     2N x 2N array is formed. Every other system, circulant ones included,
     takes one full LU. With shared systems (see solve) the D2 split factors
     each character's system once and solves it for every right side, and a
-    full LU is factored once, each right side taking the lu_solve calls of
-    a lone solve. All of it runs on one BLAS thread (_one_blas_thread), so
-    no bit depends on the BLAS thread count.
+    full LU is factored once, each right side taking the getrs calls of a
+    lone solve (_lu_solve). All of it runs on one BLAS thread
+    (_one_blas_thread), so no bit depends on the BLAS thread count.
     """
     systems = _with_shared(system, shared)
     n = system.n_points
@@ -811,9 +813,7 @@ def solve(system, shared=None):
 
 def mode_amplitudes(solution):
     """Fourier coefficients (DFT / N) of the two solved amplitude vectors."""
-    n = solution.n_points
-    f_e, f_m = solution.spectra
-    return f_e / n, f_m / n
+    return tuple(solution.spectra / solution.n_points)
 
 
 def normalized_currents(solution):

@@ -152,17 +152,19 @@ def _source_distance(excitation, rho_obs, phi_obs):
     """Distance from the filament to the points at radius rho_obs and angle
     phi_obs: a float for one float angle, an array for an array of them.
 
-    Refuses a non-finite radius, angle or distance and a point that
-    coincides with the filament: H0 and H1 read it unchecked. Where the
-    law of cosines gives d below 1e-3 max(rho_f, rho, 1), its terms cancel
-    (and may fall below 0); d^2 is then (rho - rho_f)^2 + 4 rho rho_f
-    sin^2(psi / 2). Past _HUGE_RADIUS, where a square would overflow, the
-    radii are taken in units of the larger one; below it they enter as
-    they are."""
+    Refuses an empty array of angles, a non-finite radius, angle or
+    distance and a point that coincides with the filament: H0 and H1 read
+    it unchecked. Where the law of cosines gives d below 1e-3 max(rho_f,
+    rho, 1), its terms cancel (and may fall below 0); d^2 is then
+    (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2). Past _HUGE_RADIUS, where
+    a square would overflow, the radii are taken in units of the larger
+    one; below it they enter as they are."""
     rho_f, psi = excitation.rho, phi_obs - excitation.phi
     # before the law of cosines, whose inf - inf or cos(inf) would warn first
     if not math.isfinite(rho_obs):
         raise ValueError("observation radius must be finite")
+    if not (isinstance(psi, float) or psi.size):
+        raise ValueError("phi_obs must be one angle or a non-empty array of angles")
     if not (math.isfinite(psi) if isinstance(psi, float) else np.isfinite(psi).all()):
         raise ValueError("observation angles must be finite")
     scale = max(rho_f, rho_obs, 1.0)
@@ -386,8 +388,8 @@ def exact_ring(
     """
     series_id = series_id_for(excitation, region)
     phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 1:
-        raise ValueError("phis must be a 1-D array of angles")
+    if phis.ndim != 1 or not phis.size:
+        raise ValueError("phis must be a non-empty 1-D array of angles")
 
     warning = None
     if convergence_region(series_id, rho_obs, rho_cyl, excitation.rho) == "diverges":

@@ -8,12 +8,14 @@ against the continuous density coefficients.
 """
 
 import ctypes
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -400,10 +402,33 @@ def test_identity_toy_system_returns_the_rhs():
     assert solution.residual < 1e-15
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_toy_system_raises():
     with pytest.raises(ArithmeticError, match="singular"):
         discrete.solve_dense(_toy_system(np.zeros((2, 2, 4, 4)), np.ones(8)))
+
+
+def test_a_zero_system_raises_arithmetic_error_and_warns_nothing():
+    # getrf's zero pivot is the one signal, on the full LU and on a D2 split;
+    # a warning would escape diagnostics' sweeps, which catch the exceptions
+    full = _toy_system(np.zeros((2, 2, 4, 4)), np.ones(8))
+    system = discrete.assemble_nfm(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=8)
+    split = dataclasses.replace(system, blocks=np.zeros_like(system.blocks))
+    assert split.d2 and not full.d2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero in (full, split):
+            with pytest.raises(ArithmeticError, match="singular"):
+                discrete.solve_dense(zero)
+
+
+def test_a_non_finite_matrix_entry_raises_arithmetic_error():
+    # the assemblers never form one (the kernels refuse non-finite points);
+    # the LU's finiteness check names it like a singular system
+    blocks = np.zeros((2, 2, 4, 4), dtype=complex)
+    blocks[0, 0] = blocks[1, 1] = np.eye(4)
+    blocks[0, 1, 2, 3] = np.nan
+    with pytest.raises(ArithmeticError, match="singular"):
+        discrete.solve_dense(_toy_system(blocks, np.ones(8)))
 
 
 def test_dense_solve_matches_textbook_elimination():
@@ -702,7 +727,6 @@ def _counts(copies):
     return [get() for get, _ in copies]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_a_dense_solve_runs_on_one_blas_thread_and_restores_the_count(openblas, monkeypatch):
     inside = []
     lu_factor = discrete._lu_factor

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cylwave import exact, specfun
+from cylwave import continuous, diagnostics, exact, specfun
 from cylwave.exact import Medium, critical_radius, exact_field
-from cylwave.geometry import Excitation
+from cylwave.geometry import BoundaryCurve, Excitation
 
 import frozen_series
 import series_loop
@@ -298,6 +298,33 @@ def test_incident_field_singularity_and_zero_amplitude():
     assert exact.incident_field(quiet, M1, 1.0, 0.0) == 0.0
 
 
+_NO_ANGLES = np.array([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact.incident_field(EXT, M1, 3.0, _NO_ANGLES),
+        lambda: exact.refuse_filament_points(EXT, 3.0, _NO_ANGLES),
+        lambda: continuous.reconstruct_fields_from_densities(EXT, 3.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: diagnostics.ring_references(
+            BoundaryCurve.circle(RHO_CYL), EXT, (M1, M2), ((3.0, 1),), _NO_ANGLES
+        ),
+        lambda: exact.exact_ring(EXT, 1, 3.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: exact.exact_ring(EXT, 2, 1.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: exact.exact_ring(INT, 1, 3.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: exact.exact_ring(INT, 2, 1.5, _NO_ANGLES, RHO_CYL, M1, M2),
+    ],
+    ids=["incident_field", "refuse_filament_points", "reconstruct", "ring_references",
+         "ext_R1", "ext_R2", "int_R1", "int_R2"],
+)
+def test_an_empty_angle_array_is_refused_by_name(call):
+    # numpy's max of an empty array would raise its own unnamed error, and
+    # the ext_R2 and int_R1 series would return an empty result
+    with pytest.raises(ValueError, match="non-empty"):
+        call()
+
+
 def test_incident_field_keeps_the_shape_of_its_angles():
     # a 2-D angle array gives, bit for bit, the raveled call in that shape
     exc = Excitation("external", 4.0, phi=0.3, amplitude=1.5 - 0.5j)
@@ -420,7 +447,7 @@ def test_invalid_inputs_rejected():
         with pytest.raises(ValueError, match="observation radius must be positive"):
             exact.exact_ring(EXT, 1, -1.0, [0.0], RHO_CYL, M1, M2, deriv=deriv)
         for phis in (0.5, np.zeros((2, 3))):
-            with pytest.raises(ValueError, match="phis must be a 1-D array"):
+            with pytest.raises(ValueError, match="phis must be a non-empty 1-D array"):
                 exact.exact_ring(EXT, 1, 5.0, phis, RHO_CYL, M1, M2, deriv=deriv)
 
 

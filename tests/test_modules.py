@@ -1,6 +1,6 @@
 """Each library module keeps its private names to itself, its public names
-have readers outside the tests, the package has one FFT library, and one
-module evaluates Bessel functions."""
+have readers outside the tests, the package has one FFT library, one
+module evaluates Bessel functions, and one reaches LAPACK."""
 
 import ast
 from pathlib import Path
@@ -85,6 +85,45 @@ def test_no_module_imports_scipy_fft():
         if any(name.split(".")[:2] == ["scipy", "fft"] for name in _imported_modules(path))
     }
     assert offenders == set()
+
+
+def _scipy_linalg_reads(path):
+    """Every name of scipy.linalg (or of its submodules) that path imports or reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases, found = set(), set()  # aliases: local names bound to scipy.linalg
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "scipy":
+                aliases.update(
+                    alias.asname or "linalg" for alias in node.names if alias.name == "linalg"
+                )
+            elif node.module.split(".")[:2] == ["scipy", "linalg"]:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                alias.asname for alias in node.names
+                if alias.asname and alias.name.split(".")[:2] == ["scipy", "linalg"]
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                found.add(node.attr)
+            elif (
+                isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                and isinstance(owner.value, ast.Name) and owner.value.id == "scipy"
+            ):
+                found.add(node.attr)
+    return found
+
+
+def test_dense_lapack_work_goes_through_get_lapack_funcs_in_discrete_only():
+    # scipy.linalg's lu_factor, lu_solve, solve, inv and circulant repeat the
+    # checks discrete makes itself, and lu_factor warns where it should raise
+    reads = {
+        path.name: names for path in sorted(SRC.glob("*.py")) if (names := _scipy_linalg_reads(path))
+    }
+    assert reads == {"discrete.py": {"get_lapack_funcs"}}
 
 
 def test_one_module_and_one_evaluator_name_the_bessel_functions():
