@@ -151,18 +151,14 @@ def _amplitude(block):
 def _parse_geometry(doc):
     geom = _block(doc, "geometry")
     kind = _string(geom, "geometry.kind", choices=("circle", "ellipse"))
-    try:
-        if kind == "circle":
-            curve = BoundaryCurve.circle(_number(geom, "geometry.radius", positive=True))
-        else:
-            curve = BoundaryCurve.ellipse(
-                _number(geom, "geometry.semi_major", positive=True),
-                _number(geom, "geometry.semi_minor", positive=True),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("geometry: %s" % (exc,))
+    # _number has made each one a positive finite float, all the constructors check
+    if kind == "circle":
+        curve = BoundaryCurve.circle(_number(geom, "geometry.radius", positive=True))
+    else:
+        curve = BoundaryCurve.ellipse(
+            _number(geom, "geometry.semi_major", positive=True),
+            _number(geom, "geometry.semi_minor", positive=True),
+        )
     aux = _block(geom, "geometry.aux")
     circle = kind == "circle"
     place = AuxiliarySurface.from_radius if circle else AuxiliarySurface.from_scale

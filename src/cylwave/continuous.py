@@ -13,8 +13,6 @@ systems of a whole run of modes at once, from one specfun.order_factors
 call, and is summed by exact.sum_series.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import specfun
@@ -33,15 +31,6 @@ _TWO_PI = 2.0 * np.pi
 # comfortably away from zero for every real medium pair; anything below this
 # floor therefore signals a programming or input error, not physics
 DET_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class DensityCoefficients:
-    """Fourier coefficients of the two boundary densities at one mode."""
-
-    n: int
-    electric: complex  # coefficient of J_z (electric surface current)
-    magnetic: complex  # coefficient of M_phi (magnetic surface current)
 
 
 def _solve_modes(n, excitation, rho_cyl, medium1, medium2, j=None, h=None):
@@ -71,27 +60,25 @@ def _solve_modes(n, excitation, rho_cyl, medium1, medium2, j=None, h=None):
 
 
 def mode_solve(n, excitation, rho_cyl, medium1=Medium(), medium2=Medium()):
-    """Density coefficients of mode n for a line source on either side.
+    """Density coefficients of the modes n for a line source on either side.
 
     The exterior radiation of J_z and M_phi matches the source's field on a
     circle inside the boundary, the interior radiation matches on a circle
     outside; both auxiliary radii cancel identically, leaving a system on
     the boundary alone. Source rotation enters as exp(-i n phi_fil). n is
-    one mode (complexes come back) or an array of modes (arrays come back);
-    raises ArithmeticError where a Hankel factor overflows or the system is
-    singular.
+    one whole-number mode or an array of them; the result is one complex
+    array of shape (2,) + np.shape(n), row 0 the J_z coefficients and row 1
+    the M_phi ones. Raises ValueError naming a mode that is not a whole
+    number (or of bool dtype), ArithmeticError where a Hankel factor
+    overflows or the system is singular.
     """
     check_boundary_radius(rho_cyl)
-    n = np.asarray(n, dtype=int)
+    n = np.asarray(specfun.as_orders(n), dtype=int)
     with np.errstate(all="ignore"):
-        (electric, magnetic), usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
+        coefficients, usable, _ = _solve_modes(n, excitation, rho_cyl, medium1, medium2)
     if not usable.all():
         raise ArithmeticError("matching system unusable at mode n=%d" % n.flat[np.argmin(usable)])
-    rot = np.exp(-1j * n * excitation.phi)
-    electric, magnetic = electric * rot, magnetic * rot
-    if n.ndim:
-        return DensityCoefficients(n, electric, magnetic)
-    return DensityCoefficients(int(n), complex(electric), complex(magnetic))
+    return np.stack(coefficients) * np.exp(-1j * n * excitation.phi)
 
 
 def _require_converged(what, cap, converged, warning):

@@ -811,11 +811,6 @@ def solve(system, shared=None):
     return (solve_circulant_dft if system.circulant else solve_dense)(system, shared)
 
 
-def mode_amplitudes(solution):
-    """Fourier coefficients (DFT / N) of the two solved amplitude vectors."""
-    return tuple(solution.spectra / solution.n_points)
-
-
 def normalized_currents(solution):
     """Current densities per unit length sampled at the collocation angles.
 

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
+from .geometry import as_count
 
 SERIES_IDS = ("ext_R1", "ext_R2", "int_R1", "int_R2")
 
@@ -148,9 +149,15 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
 _HUGE_RADIUS = 1e150
 
 
+def _angles(phi_obs):
+    """One float angle as it is, with no numpy conversion; else a float array."""
+    return phi_obs if isinstance(phi_obs, float) else np.asarray(phi_obs, dtype=float)
+
+
 def _source_distance(excitation, rho_obs, phi_obs):
     """Distance from the filament to the points at radius rho_obs and angle
-    phi_obs: a float for one float angle, an array for an array of them.
+    phi_obs: a float for one float angle, an array for an array or a list
+    of them, which _angles reads as a float array.
 
     Refuses an empty array of angles, a non-finite radius, angle or
     distance and a point that coincides with the filament: H0 and H1 read
@@ -159,7 +166,7 @@ def _source_distance(excitation, rho_obs, phi_obs):
     (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2). Past _HUGE_RADIUS, where
     a square would overflow, the radii are taken in units of the larger
     one; below it they enter as they are."""
-    rho_f, psi = excitation.rho, phi_obs - excitation.phi
+    rho_f, psi = excitation.rho, _angles(phi_obs) - excitation.phi
     # before the law of cosines, whose inf - inf or cos(inf) would warn first
     if not math.isfinite(rho_obs):
         raise ValueError("observation radius must be finite")
@@ -198,6 +205,7 @@ def refuse_filament_points(excitation, rho_obs, phi_obs):
 
 def _incident_radial_deriv(excitation, medium, rho_obs, phi_obs):
     """d/d rho_obs of the incident field (term-free, used for H_tan checks)."""
+    phi_obs = _angles(phi_obs)
     d = _source_distance(excitation, rho_obs, phi_obs)
     dd_drho = (rho_obs - excitation.rho * np.cos(phi_obs - excitation.phi)) / d
     h1 = -medium.k * specfun.hankel2_low(1, medium.k * d)
@@ -450,9 +458,11 @@ def term_ratio_probe(
     share the same permeability (Z1 k1 = Z2 k2), the leading parts of the
     boundary-mismatch numerators of ext_R1 and int_R2 cancel and those two
     ratios keep decaying like 1/n^2; the geometric rate is unaffected.
+    n is read by geometry.as_count: ValueError unless a whole number.
     """
+    n = as_count(n, "order")
     q = series_ratio(series_id, rho_obs, rho_cyl, rho_fil)
-    m = abs(int(n))
+    m = abs(n)
     if m == 0:
         raise ValueError("reference form needs n >= 1")
     form = (2.0 / (np.pi * m)) * q**m if series_id == "ext_R1" else q**m / m

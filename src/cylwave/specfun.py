@@ -77,20 +77,22 @@ def bessel_j(n, x):
     """Bessel function J_n(x) for integer n (any sign) and real x > 0.
 
     One order of bessel_orders, with its bits: a float for a scalar x, an
-    array shaped like x otherwise.
+    array shaped like x otherwise. n is read by geometry.as_count: an order
+    that is not a whole number raises ValueError naming it.
     """
-    out = bessel_orders(False, np.array([int(n)]), x)[..., 0]
+    out = bessel_orders(False, np.array([as_count(n, "order")]), x)[..., 0]
     return out if out.ndim else float(out)
 
 
 def hankel2(n, x):
     """Outgoing Hankel function H^(2)_n(x) = J_n(x) - i Y_n(x).
 
-    One order of bessel_orders, with its bits, as bessel_j reads J_n.
-    Raises BesselOverflowError instead of returning infinities when the
-    Y_n part leaves the floating range (n much larger than x).
+    One order of bessel_orders, with its bits and its order checked, as
+    bessel_j reads J_n. Raises BesselOverflowError instead of returning
+    infinities when the Y_n part leaves the floating range (n much larger
+    than x).
     """
-    n = int(n)
+    n = as_count(n, "order")
     out = bessel_orders(True, np.array([n]), x)[..., 0]
     if not np.isfinite(out).all():
         raise _overflow(abs(n), float(np.min(x)))
@@ -149,6 +151,20 @@ def wronskian_residual(n, x):
     return (j * hp - jp * h) - exact
 
 
+def as_orders(n):
+    """n as a signed integer array; ValueError naming the first order that
+    is not a whole number, or any of bool dtype. A signed integer array
+    passes on its dtype alone, with no scan of its values; an unsigned one
+    is cast, since its n - 1 would wrap at order 0."""
+    n = np.asarray(n)
+    if n.dtype.kind == "i":
+        return n
+    whole = np.isfinite(n) & (np.floor(n) == n) if n.dtype.kind in "fu" else np.zeros(n.shape, bool)
+    if whole.all():
+        return n.astype(int)
+    raise ValueError("order must be an integer, got %r" % n.flat[np.argmin(whole)].item())
+
+
 def bessel_orders(hankel, n, x):
     """J_n(x), or H2_n(x) if hankel, over a 1-D integer order array n at every x.
 
@@ -156,11 +172,12 @@ def bessel_orders(hankel, n, x):
     np.shape(x) + n.shape. The one evaluator of integer orders: |n| <= 1
     from the Cephes functions of _LOW_ORDER (H2 through hankel2_low), only
     the other orders from jv or hankel2, negative orders folded by parity.
-    A non-finite value (an order |n| >= 2 where Y_n overflows) is left in
-    place for the caller; hankel2_low raises BesselOverflowError for H2_1
-    at a subnormal x.
+    n goes through as_orders, so an order that is not a whole number (or
+    a bool) raises ValueError naming it. A non-finite value (an order
+    |n| >= 2 where Y_n overflows) is left in place for the caller;
+    hankel2_low raises BesselOverflowError for H2_1 at a subnormal x.
     """
-    n = np.asarray(n)
+    n = as_orders(n)
     m = np.abs(n)
     amos = special.hankel2 if hankel else special.jv
     x = _check_argument(x)[..., None]
@@ -184,9 +201,10 @@ def order_factors(n, j=None, h=None):
     arguments. Returns a dict from each name to its pair (f_n, f'_n) shaped
     like n, f' = (f_{n-1} - f_{n+1}) / 2, non-finite values left in place.
     One bessel_orders call per kind evaluates each distinct (order,
-    argument) pair of n - 1, n, n + 1 and that kind's arguments once.
+    argument) pair of n - 1, n, n + 1 and that kind's arguments once. An
+    order that is not a whole number raises ValueError naming it.
     """
-    n = np.asarray(n)
+    n = as_orders(n)
     orders = np.unique([n - 1, n, n + 1])
     lo, mid, hi = (np.searchsorted(orders, k) for k in (n - 1, n, n + 1))
     out = {}

@@ -225,7 +225,12 @@ def _sha256(*arrays):
 
 
 def hashes():
-    """Print the digests of --hashes, one line per preset, route, N and quantity."""
+    """Print the digests of --hashes, one line per preset, route, N and quantity.
+
+    Imports cylwave from this checkout's src, as the recorded runs do,
+    whatever PYTHONPATH holds.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
     from cylwave import cli, discrete, fields
 
     for preset in sorted((ROOT / "presets").glob("*.json")):

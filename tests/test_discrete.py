@@ -1021,26 +1021,19 @@ def test_qsums_match_the_frozen_references_up_to_n_8192(key):
 
 @pytest.mark.parametrize("n_points", [4, 41, 512, 1001])
 def test_one_stacked_fft_gives_each_amplitude_vector_the_bits_of_its_own(n_points):
-    # spectra serves the circle fields, the residual and mode_amplitudes
+    # spectra serves the circle fields, the residual and the mode limits
     solution = discrete.solve(_nfm(EXT, n_points))
     f_e, f_m = solution.spectra
     assert f_e.tobytes() == np.fft.fft(solution.electric).tobytes()
     assert f_m.tobytes() == np.fft.fft(solution.magnetic).tobytes()
-    i_modes, k_modes = discrete.mode_amplitudes(solution)
-    assert i_modes.tobytes() == (np.fft.fft(solution.electric) / n_points).tobytes()
-    assert k_modes.tobytes() == (np.fft.fft(solution.magnetic) / n_points).tobytes()
 
 
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 def test_solved_modes_approach_the_limits(exc):
     solution = discrete.solve_circulant_dft(_nfm(exc, 201))
-    i_modes, k_modes = discrete.mode_amplitudes(solution)
-    for m in range(21):
-        # the placement-free limit is 2 pi rho_cyl times the density coefficient
-        modes = continuous.mode_solve(m, exc, 2.0, M1, M2)
-        electric, magnetic = 4.0 * np.pi * modes.electric, 4.0 * np.pi * modes.magnetic
-        assert abs(201 * i_modes[m] - electric) < 1e-6 * abs(electric)
-        assert abs(201 * k_modes[m] - magnetic) < 1e-6 * abs(magnetic)
+    # the placement-free limit is 2 pi rho_cyl times the density coefficients
+    limits = 4.0 * np.pi * continuous.mode_solve(np.arange(21), exc, 2.0, M1, M2)
+    assert np.all(np.abs(solution.spectra[:, :21] - limits) < 1e-6 * np.abs(limits))
 
 
 # -- large N ---------------------------------------------------------------------
@@ -1131,7 +1124,7 @@ def test_rank_deficient_modes_get_the_pseudo_inverse():
     assert solution.dropped == 3
     assert solution.cond_estimate == np.inf
     want = np.array([np.linalg.pinv(modes[m]) @ rhs_modes[m] for m in range(4)])
-    got = np.stack(discrete.mode_amplitudes(solution), axis=1) * 4
+    got = solution.spectra.T
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 

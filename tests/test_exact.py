@@ -336,6 +336,25 @@ def test_incident_field_keeps_the_shape_of_its_angles():
         assert got.tobytes() == flat.reshape(2, 3).tobytes()
 
 
+def test_a_list_of_angles_reads_as_their_array():
+    # used to: phi_obs - excitation.phi raised a bare TypeError on a list
+    exc = Excitation("external", 4.0, phi=0.3, amplitude=1.5 - 0.5j)
+    angles = [0.1, 0.2, -2.5]
+    for field in (exact.incident_field, exact._incident_radial_deriv):
+        got = field(exc, M2, 2.5, angles)
+        assert got.tobytes() == field(exc, M2, 2.5, np.array(angles)).tobytes()
+    assert exact.refuse_filament_points(exc, 2.5, angles) is None
+    # the filament sits at angle 0.3 on rho = 4
+    on_filament = (
+        lambda: exact.incident_field(exc, M1, 4.0, [0.1, 0.3]),
+        lambda: exact._incident_radial_deriv(exc, M1, 4.0, [0.1, 0.3]),
+        lambda: exact.refuse_filament_points(exc, 4.0, [0.1, 0.3]),
+    )
+    for call in on_filament:
+        with pytest.raises(ValueError, match="^observation point coincides with the source filament$"):
+            call()
+
+
 def test_incident_fields_refuse_non_finite_points():
     # the distance check that lets them read hankel2_low refuses what the
     # checked hankel2 refused before, naming the radius or the angles

@@ -1,6 +1,7 @@
 """Special-function layer against the extended-precision oracle."""
 
 import cmath
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import frozen_series
 import oracles
 import series_loop
 from cylwave import exact, specfun
-from cylwave.continuous import density_series, reconstruct_fields_from_densities
+from cylwave.continuous import density_series, mode_solve, reconstruct_fields_from_densities
 from cylwave.geometry import Excitation
 
 # Values frozen from the mpmath oracle (tests/oracles.py, 50 digits).
@@ -605,6 +606,53 @@ def test_every_order_series_refuses_a_non_finite_angle(entry, angle):
     # warning, or a convergence error blaming the cap
     with pytest.raises(ValueError, match=r"^angles must be finite, got \[%s\]$" % angle):
         _SERIES_ENTRIES[entry](angle)
+
+
+# every public entry that takes Bessel orders, called with the orders n
+_ORDER_ENTRIES = {
+    "bessel_orders": lambda n: specfun.bessel_orders(True, np.ravel(n), 2.0),
+    "order_factors": lambda n: specfun.order_factors(n, {"j": 2.0}, {"h": 2.0}),
+    "wronskian_residual": lambda n: specfun.wronskian_residual(np.ravel(n), 2.0),
+    "bessel_j": lambda n: specfun.bessel_j(n, 2.0),
+    "hankel2": lambda n: specfun.hankel2(n, 2.0),
+    "mode_denominator": lambda n: exact.mode_denominator(n, 2.0, exact.Medium(), _M2),
+    "term_ratio_probe": lambda n: exact.term_ratio_probe(
+        "ext_R1", n, 3.0, 2.0, 4.0, exact.Medium(), _M2
+    ),
+    "mode_solve": lambda n: mode_solve(n, _EXT, 2.0, exact.Medium(), _M2),
+}
+
+
+@pytest.mark.parametrize(
+    "order",
+    [0.5, 1.5, 2.5, np.nan, True, [1.5, 2]],
+    ids=["0.5", "1.5", "2.5", "nan", "bool", "list"],
+)
+@pytest.mark.parametrize("entry", sorted(_ORDER_ENTRIES))
+def test_an_order_that_is_not_a_whole_number_is_refused_by_name(entry, order):
+    # used to: bessel_orders left orders 0.5, 1.5 and nan as uninitialised
+    # memory and passed 2.5 on to AMOS, and bessel_j, hankel2 and mode_solve
+    # truncated the order (2.5 -> 2, True -> 1)
+    first = order[0] if isinstance(order, list) else order
+    message = r"^order must be an integer, got \[?%s" % re.escape(repr(first))
+    with pytest.raises(ValueError, match=message):
+        _ORDER_ENTRIES[entry](order)
+
+
+def test_integer_orders_pass_on_their_dtype():
+    # the series' own order arrays are not scanned; whole floats read as integers
+    n = np.arange(-3, 5)
+    assert specfun.as_orders(n) is n
+    for whole in (n.astype(float), n.tolist(), list(map(float, n))):
+        got = specfun.as_orders(whole)
+        assert got.dtype.kind == "i" and got.tolist() == n.tolist()
+    assert specfun.bessel_orders(True, n.astype(float), 2.0).tobytes() == (
+        specfun.bessel_orders(True, n, 2.0).tobytes()
+    )
+    # unsigned orders used to wrap: J'_0 read (J_255 - J_1) / 2
+    unsigned = specfun.order_factors(np.arange(4, dtype=np.uint8), {"j": 2.0})["j"]
+    signed = specfun.order_factors(np.arange(4), {"j": 2.0})["j"]
+    assert [f.tobytes() for f in unsigned] == [f.tobytes() for f in signed]
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cylwave import discrete, geometry
+from cylwave import diagnostics, discrete, geometry
 from cylwave.exact import Medium
 
 import yardstick
@@ -153,3 +153,40 @@ def test_the_source_route_fft_path_error_on_the_criterion_06_grid(inner, outer):
             assert recorded / 1.5 <= error <= 1.5 * recorded, errors
     else:
         assert max(errors) <= 1e-10, errors
+
+
+# The flag gap on the mas-divergence placement (0.5/10) at N = 80, 100 and
+# 120: the FFT path's scan flags no surface, while the exact amplitudes
+# diverge. Its solves report cond 8.2e17 to 1.4e18 and drop 63, 102 and
+# 142 mode singular values; its amplitudes change by 0.55 to 1.35 per step
+# (external: 1.29, 0.87 inner and 1.24, 0.60 outer) and its oscillation
+# indices read about 2e-32. The yardstick's amplitudes grow per step by the
+# factors below (inner, outer), with oscillation index 1.0 at every N.
+# These are measurements of the float64 solves, not bounds the library must
+# keep: a scan that reads the exact amplitudes flags both surfaces.
+GAP_N = (80, 100, 120)
+GAP_DROPPED = (63, 102, 142)
+GAP_EXACT_GROWTH = {
+    "external": ((578.0, 651.0), (13_843.0, 11_567.0)),
+    "internal": ((810.0, 847.0), (10_437.0, 9_307.0)),
+}
+
+
+def test_the_fft_path_scan_misses_the_divergence_the_yardstick_shows():
+    aux = _placement(0.5, 10.0)
+    scans = diagnostics.oscillation_scan("mas", (CIRCLE, *aux), (EXT, INT), (M1, M2), GAP_N)
+    for (name, exact_growth), exc, scan in zip(GAP_EXACT_GROWTH.items(), (EXT, INT), scans):
+        assert scan.n_points == GAP_N and not scan.failures
+        assert [s.dropped for s in scan.solutions.values()] == list(GAP_DROPPED)
+        assert all(8e17 / 1.5 <= s.cond_estimate <= 1.4e18 * 1.5 for s in scan.solutions.values())
+        for report in scan.reports.values():
+            assert not report.flagged.any()
+            assert np.all(report.growth_factor[1:] <= 1.35 * 1.5), report.growth_factor
+            assert np.all(report.oscillation_index <= 2e-32 * 10), report.oscillation_index
+        exact = [yardstick.source_currents(n, CIRCLE, *aux, exc, M1, M2) for n in GAP_N]
+        for side, recorded in enumerate(np.array(exact_growth)):
+            peaks = np.array([np.max(np.abs(pair[side])) for pair in exact])
+            growth = peaks[1:] / peaks[:-1]
+            assert np.all((recorded / 1.5 <= growth) & (growth <= 1.5 * recorded)), (name, growth)
+            indices = [diagnostics.oscillation_index(pair[side]) for pair in exact]
+            assert min(indices) >= 0.999, (name, side, indices)
