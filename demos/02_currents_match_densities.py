@@ -41,8 +41,8 @@ for inner, outer in ((1.5, 2.5), (0.5, 10.0)):
     solution = discrete.solve(discrete.assemble_nfm(*placed(inner, outer), EXT, M1, M2, n_points=N))
     got_e, got_k = discrete.normalized_currents(solution)
     solved[inner, outer] = (got_e, got_k)
-    dev_e = np.max(np.abs(got_e - want_e)) / np.max(np.abs(want_e))
-    dev_k = np.max(np.abs(got_k - want_k)) / np.max(np.abs(want_k))
+    dev_e = discrete.relative_gap(got_e, want_e)
+    dev_k = discrete.relative_gap(got_k, want_k)
     print(
         "placement (%.1f, %.1f): electric current off by %.2e, magnetic by %.2e"
         % (inner, outer, dev_e, dev_k)

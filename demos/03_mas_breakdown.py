@@ -84,8 +84,8 @@ for label, solution in (
         "  %s: %.2e outside, %.2e inside"
         % (
             label,
-            diagnostics.field_error(solution, outside, ring_angles),
-            diagnostics.field_error(solution, inside, ring_angles),
+            diagnostics.field_error(solution, outside),
+            diagnostics.field_error(solution, inside),
         )
     )
 
@@ -96,7 +96,7 @@ angles = 2.0 * np.pi * np.arange(40) / 40.0
 densities = continuous.density_series(EXT, angles, 2.0, M1, M2)
 peak = max(np.max(np.abs(d)) for d in densities)
 deviation = max(
-    np.max(np.abs(got - want)) / np.max(np.abs(want))
+    discrete.relative_gap(got, want)
     for got, want in zip(discrete.normalized_currents(nfm), densities)
 )
 source_peak = max(np.max(np.abs(c)) for c in discrete.normalized_currents(amplitudes[40]))

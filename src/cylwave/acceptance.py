@@ -42,12 +42,6 @@ ELL_AUX = (
 )
 
 
-def relative_gap(got, want):
-    """max |got - want| over max |want|."""
-    got, want = np.asarray(got), np.asarray(want)
-    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
-
-
 def special_function_identities():
     """Criterion 01: Wronskian and the H0 addition theorem."""
     radii = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 40.0])
@@ -96,7 +90,7 @@ def dft_solver():
     for system in systems.values():
         dense = discrete.solve_dense(system)
         fast = discrete.solve_circulant_dft(system)
-        worst_v = max(worst_v, relative_gap(fast.vector, dense.vector))
+        worst_v = max(worst_v, discrete.relative_gap(fast.vector, dense.vector))
     system = systems[11]
     z1, z2 = system.medium1.Z, system.medium2.Z
     got = discrete.q_sum_coefficients(11, *NARROW, EXT, M1, M2)
@@ -122,14 +116,16 @@ def currents_track_densities():
         solved = discrete.solve(system, shared=(discrete.excite(system, INT),))
         currents.append([discrete.normalized_currents(sol) for sol in solved])
     worst_fit = max(
-        relative_gap(got, want)
+        discrete.relative_gap(got, want)
         for per_exc in currents
         for got_pair, want_pair in zip(per_exc, wants)
         for got, want in zip(got_pair, want_pair)
     )
     snug, wide = currents
     worst_cross = max(
-        relative_gap(a, b) for pair_a, pair_b in zip(snug, wide) for a, b in zip(pair_a, pair_b)
+        discrete.relative_gap(a, b)
+        for pair_a, pair_b in zip(snug, wide)
+        for a, b in zip(pair_a, pair_b)
     )
     return [
         ("currents_vs_densities", worst_fit < 1e-3,
@@ -144,7 +140,7 @@ def _field_errors(excitation, solutions, offset=0.0):
     """field_error of each solution on rings k rho = 10 and 1, 36 angles shifted by offset."""
     angles = 2.0 * np.pi * (np.arange(36) + offset) / 36.0
     refs = diagnostics.ring_references(CIRCLE, excitation, (M1, M2), ((10.0, 1), (1.0, 2)), angles)
-    return [diagnostics.field_error(solution, refs, angles) for solution in solutions]
+    return [diagnostics.field_error(solution, refs) for solution in solutions]
 
 
 def fields_match_series():
@@ -205,7 +201,8 @@ def mas_breakdown_ordering():
     phis = 2.0 * np.pi * np.arange(40) / 40.0
     densities = continuous.density_series(EXT, phis, RHO_CYL, M1, M2)
     fit = max(
-        relative_gap(got, want) for got, want in zip(discrete.normalized_currents(nfm40), densities)
+        discrete.relative_gap(got, want)
+        for got, want in zip(discrete.normalized_currents(nfm40), densities)
     )
     peak = max(float(np.max(np.abs(d))) for d in densities)
     mas_peak = max(float(np.max(np.abs(c))) for c in discrete.normalized_currents(mas40))
@@ -265,7 +262,7 @@ def transformed_nfm_equals_mas():
         transformed = (rows * direct.matrix).T.reshape(2, 8, 2, 8)
         blocks = reference.matrix.reshape(2, 8, 2, 8)
         for i, j in np.ndindex(2, 2):
-            worst = max(worst, relative_gap(transformed[i, :, j], blocks[i, :, j]))
+            worst = max(worst, discrete.relative_gap(transformed[i, :, j], blocks[i, :, j]))
     return [
         ("transpose_vs_source", worst < 1e-14,
          "row-scaled transpose of the direct matrix vs the assembled source matrix "

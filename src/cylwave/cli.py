@@ -374,7 +374,7 @@ def _json_text(payload):
 
 def _report_series_trust(references):
     """One stderr line per ring_references entry whose series did not converge everywhere."""
-    for rho, region, series in references:
+    for rho, region, _, series in references:
         loose = ~series.converged
         if loose.any():
             print(
@@ -487,7 +487,7 @@ def cmd_fields(config):
             config.curve, config.excitation, config.media, rings, angles
         )
         _report_series_trust(references)
-        table["exact"] = np.concatenate([series.value for _, _, series in references])
+        table["exact"] = np.concatenate([series.value for *_, series in references])
     samples = [
         [
             fields.field_from_discrete(solutions[method], rho, angles, region=region).e_z

@@ -19,6 +19,7 @@ from . import specfun
 from .exact import (
     Medium,
     check_boundary_radius,
+    check_observation_radius,
     default_n_cap,
     incident_field,
     series_id_for,
@@ -150,6 +151,7 @@ def reconstruct_fields_from_densities(
     reconstruction here is exact up to truncation and provides an
     independent route to the same fields as :func:`cylwave.exact.exact_field`.
     """
+    check_observation_radius(rho_obs)
     if not 0.0 < rho_obs < np.inf:
         raise ValueError("observation radius must be positive and finite")
     check_boundary_radius(rho_cyl)

@@ -78,8 +78,9 @@ class ConvergenceSweep:
     is 'exact' on a circular boundary and 'residual' on any other (see
     convergence_sweep), and errors maps each solved N, ascending, to its
     error. For the 'exact' reference, references holds the ring_references
-    the errors were measured against, so callers can see how far the
-    series behind them converged.
+    entries, (radius, region, angles, series), the errors were measured
+    against, so callers can see where and how far the series behind them
+    converged.
     """
 
     scan: OscillationScan
@@ -123,8 +124,11 @@ def oscillation_index(values):
 
     The spatial frequency of DFT bin m of an N-vector is min(m, N - m);
     bins above (2/3) * floor(N/2) count as the top third. A constant
-    vector scores 0.0, the alternating vector (-1)**l scores 1.0.
+    vector scores 0.0, the alternating vector (-1)**l scores 1.0. An input
+    of more than one dimension holds no single vector and is refused.
     """
+    if np.ndim(values) > 1:
+        raise ValueError("values must be one vector, got shape %s" % (np.shape(values),))
     vec = np.asarray(values, dtype=complex).ravel()
     if vec.size == 0:
         raise ValueError("need at least one sample")
@@ -164,10 +168,13 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     bit for bit, the scan of its excitation alone. An excitation that
     cannot be set up (a source on the wrong side of the boundary) fails
     its own scan only; a solve that raises fails its N for every
-    excitation, since they share the factorisation.
+    excitation, since they share the factorisation. An empty excitation
+    tuple and an n_list that is no collection are refused by name.
     """
     single = not isinstance(excitation, tuple)
     excitations = (excitation,) if single else excitation
+    if not excitations:
+        raise ValueError("excitation must be a line source or a non-empty tuple of them")
     labels = surface_labels(method)
     scans = tuple(
         _scan(method, labels, solutions, failures)
@@ -231,13 +238,13 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     reference (sweep_reference). On a circle it is 'exact': total fields
     are compared against the separable series on one observation ring per
     region, by default those of default_rings, over 36 angles offset from
-    the collocation grid, and the error is field_error, the worst relative
-    deviation over both rings; pass rings as (radius, region) pairs to
-    override. An empty ring set or a ring through the filament raises
-    ValueError before any solve. On any other boundary it is 'residual':
-    the tangential-E defect of fields.boundary_residuals, which needs no
-    separable solution, and passing rings raises ValueError. Failed solves
-    are recorded as in oscillation_scan.
+    the collocation grid, and the error is field_error, the worst
+    discrete.relative_gap over the rings; pass rings as (radius, region)
+    pairs to override. An empty ring set or a ring through the filament
+    raises ValueError before any solve. On any other boundary it is
+    'residual': the tangential-E defect of fields.boundary_residuals, which
+    needs no separable solution, and passing rings raises ValueError.
+    Failed solves are recorded as in oscillation_scan.
     """
     curve = geometry[0]
     reference = sweep_reference(curve)
@@ -252,7 +259,7 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     errors = {}
     for n, solution in scan.solutions.items():
         if reference == "exact":
-            errors[n] = field_error(solution, references, SWEEP_ANGLES)
+            errors[n] = field_error(solution, references)
         else:
             errors[n] = fields.boundary_residuals(solution, n_test=n)[0]
     return ConvergenceSweep(scan=scan, reference=reference, errors=errors, references=references)
@@ -262,37 +269,36 @@ def ring_references(curve, excitation, media, rings, angles):
     """The exact series on each observation ring of a circular boundary.
 
     rings are (radius, region) pairs and angles a 1-D array. Returns one
-    (radius, region, SeriesResult of arrays over angles) entry per ring,
-    each ring summed in one exact_ring pass. An empty ring set raises
-    ValueError, as field_error does, so a sweep refuses it before any solve.
+    (radius, region, angles, SeriesResult of arrays over them) entry per
+    ring, each summed in one exact_ring pass at angles read as one float
+    array. An empty ring set raises ValueError, as field_error does, so a
+    sweep refuses it before any solve.
     """
     if curve.kind != "circle":
         raise ValueError("the exact series needs a circular boundary")
     if not rings:
         raise ValueError("ring_references needs at least one ring; got an empty ring set")
-    radius = curve.params["radius"]
+    radius, angles = curve.params["radius"], np.asarray(angles, dtype=float)
     return tuple(
-        (rho, region, exact_ring(excitation, region, rho, angles, radius, media[0], media[1]))
+        (rho, region, angles, exact_ring(excitation, region, rho, angles, radius, *media))
         for rho, region in rings
     )
 
 
-def field_error(solution, references, angles):
+def field_error(solution, references):
     """Worst relative field error of a solution over its rings.
 
-    references are ring_references entries summed at angles. On each ring
-    the error is the largest gap between the solution's E_z and the series
-    over the series' largest magnitude (the gap itself where that is 0);
-    the result is the largest over the rings. An empty ring set raises
-    ValueError, as it measures nothing.
+    references are ring_references entries. On each ring the error is
+    discrete.relative_gap of the solution's E_z against the series at the
+    angles the series was summed at; the result is the largest over the
+    rings. An empty ring set raises ValueError, as it measures nothing.
     """
     if not references:
         raise ValueError("field_error needs at least one ring; got an empty ring set")
     worst = 0.0
-    for rho, region, series in references:
+    for rho, region, angles, series in references:
         observed = fields.field_from_discrete(solution, rho, angles, region=region).e_z
-        scale = float(np.max(np.abs(series.value)))
-        worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
+        worst = max(worst, discrete.relative_gap(observed, series.value))
     return worst
 
 
@@ -327,6 +333,8 @@ def _solve_sizes(method, geometry, excitations, media, n_list):
     curve, aux_inner, aux_outer = geometry
     medium1, medium2 = media
     assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    if not hasattr(n_list, "__iter__"):
+        raise ValueError("n_list must be a collection of integers, got %r" % (n_list,))
     sizes = sorted({as_count(n, "n_list entry") for n in n_list})
     if not sizes:
         raise ValueError("n_list must not be empty")

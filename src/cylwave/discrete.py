@@ -111,9 +111,9 @@ class DiscreteSolution:
     electric/magnetic hold the two N-vectors of unknowns in row order: for
     an 'nfm' system the electric and magnetic boundary currents, for a
     'mas' system the inner-surface and outer-surface source amplitudes.
-    residual is ||A x - b||_inf relative to ||b||_inf. The dense path forms
-    it while each factored system is alive and passes it as
-    dense_residual; a DFT solution leaves that None, forms the residual
+    residual is relative_gap(A x, b), ||A x - b||_inf over ||b||_inf. The
+    dense path forms it while each factored system is alive and passes it
+    as dense_residual; a DFT solution leaves that None, forms the residual
     when it is first read (_circulant_apply) and keeps it. cond_estimate is
     the exact 2-norm condition number (assembled from the per-mode singular
     values) on the DFT path and an infinity-norm estimate on the dense
@@ -151,7 +151,7 @@ class DiscreteSolution:
     def residual(self):
         if self.dense_residual is not None:
             return self.dense_residual
-        return _relative_residual(_circulant_apply(self), self.system.rhs)
+        return relative_gap(_circulant_apply(self), self.system.rhs)
 
     @cached_property
     def spectra(self):
@@ -443,10 +443,11 @@ def excite(system, excitation):
 # -- solvers ----------------------------------------------------------------
 
 
-def _relative_residual(applied, rhs):
-    scale = float(np.max(np.abs(rhs)))
-    err = float(np.max(np.abs(applied - rhs)))
-    return err / scale if scale > 0.0 else err
+def relative_gap(got, want):
+    """max |got - want| over max |want|, or the gap itself where want is all zero."""
+    scale = float(np.max(np.abs(want)))
+    gap = float(np.max(np.abs(np.subtract(got, want))))
+    return gap / scale if scale > 0.0 else gap
 
 
 @cache
@@ -684,7 +685,7 @@ def solve_dense(system, shared=None):
     solutions = tuple(
         DiscreteSolution(
             other, x[:n], x[n:], "dense", cond,
-            dense_residual=_relative_residual(applied, other.rhs),
+            dense_residual=relative_gap(applied, other.rhs),
         )
         for other, (x, applied) in zip(systems, pairs)
     )

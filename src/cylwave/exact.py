@@ -149,6 +149,14 @@ def incident_field(excitation, medium, rho_obs, phi_obs):
 _HUGE_RADIUS = 1e150
 
 
+def check_observation_radius(rho_obs):
+    """Raise ValueError naming rho_obs unless it is one number: a float, or 0-d and no bool."""
+    if not isinstance(rho_obs, float):
+        value = np.asarray(rho_obs)
+        if value.ndim or value.dtype == bool:
+            raise ValueError("observation radius must be one number, got %r" % (rho_obs,))
+
+
 def _angles(phi_obs):
     """One float angle as it is, with no numpy conversion; else a float array."""
     return phi_obs if isinstance(phi_obs, float) else np.asarray(phi_obs, dtype=float)
@@ -166,6 +174,7 @@ def _source_distance(excitation, rho_obs, phi_obs):
     (rho - rho_f)^2 + 4 rho rho_f sin^2(psi / 2). Past _HUGE_RADIUS, where
     a square would overflow, the radii are taken in units of the larger
     one; below it they enter as they are."""
+    check_observation_radius(rho_obs)
     rho_f, psi = excitation.rho, _angles(phi_obs) - excitation.phi
     # before the law of cosines, whose inf - inf or cos(inf) would warn first
     if not math.isfinite(rho_obs):
@@ -395,6 +404,7 @@ def exact_ring(
     the circle.
     """
     series_id = series_id_for(excitation, region)
+    check_observation_radius(rho_obs)
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1 or not phis.size:
         raise ValueError("phis must be a non-empty 1-D array of angles")

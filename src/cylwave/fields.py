@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, specfun
-from .exact import check_region, incident_field, incident_prefactor
+from .exact import check_observation_radius, check_region, incident_field, incident_prefactor
 from .discrete import kernels
 
 _TWO_PI = 2.0 * np.pi
@@ -189,11 +189,7 @@ def field_from_discrete(solution, rho_obs, phi_obs, region=None):
     solution's radiating nodes; the origin (rho_obs = 0) is a valid point.
     """
     system = solution.system
-    # a float (numpy's float64 too) is one number; else it must be 0-d, not a bool
-    if not isinstance(rho_obs, float):
-        value = np.asarray(rho_obs)
-        if value.ndim or value.dtype == bool:
-            raise ValueError("observation radius must be one number, got %r" % (rho_obs,))
+    check_observation_radius(rho_obs)
     rho_obs = float(rho_obs)
     scalar = isinstance(phi_obs, float) or np.ndim(phi_obs) == 0
     if scalar:

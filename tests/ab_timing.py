@@ -28,9 +28,11 @@ redirected; the sample is the sum of the pool's normalised op times.
 After the pass each op's own ``check`` runs on its output, untimed. A workload
 fails if either side reports a problem, or if the two sides' digests of
 any op differ. At the end it prints, for each workload, the median
-normalised CPU time of one pass of each side's pool, the ratio B/A of the
-medians and the number of rounds in which B took less than A. It exits 1
-if any workload failed.
+normalised CPU time of one pass of each side's pool and its interquartile
+range, the ratio B/A of the medians, the number of rounds in which B took
+less than A, and whether the gap between the medians exceeds A's
+interquartile range: a gap within it is spread, not a gain. It exits 1 if
+any workload failed.
 
 Host speed moves by up to 50% between processes, so compare the two sides
 within one run of this script, not across runs. The two sides also share
@@ -118,6 +120,14 @@ def failures_of(name, pools, outputs):
     return found
 
 
+def iqr(samples):
+    """Distance between the quartiles of samples (statistics.quantiles), 0.0 for one sample."""
+    if len(samples) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q3 - q1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src")
@@ -154,15 +164,18 @@ def main(argv=None):
             for name in names:
                 for line in failures_of(name, pools, outputs):
                     failed.setdefault(name, line)
-    header = ("workload", "A norm (ms)", "B norm (ms)", "B/A", "B won")
-    print("%-14s %12s %12s %8s %8s" % header)
+    header = ("workload", "A norm (ms)", "A IQR", "B norm (ms)", "B IQR", "B/A", "B won",
+              "gap > A IQR")
+    print("%-14s %12s %8s %12s %8s %8s %8s %12s" % header)
     for name in names:
         a, b = norm[name, "a"], norm[name, "b"]
+        median_a, median_b = statistics.median(a), statistics.median(b)
         won = sum(tb < ta for ta, tb in zip(a, b))
         print(
-            "%-14s %12.3f %12.3f %8.3f %5d/%d"
-            % (name, 1e3 * statistics.median(a), 1e3 * statistics.median(b),
-               statistics.median(b) / statistics.median(a), won, len(a))
+            "%-14s %12.3f %8.3f %12.3f %8.3f %8.3f %5d/%d %12s"
+            % (name, 1e3 * median_a, 1e3 * iqr(a), 1e3 * median_b, 1e3 * iqr(b),
+               median_b / median_a, won, len(a),
+               "yes" if abs(median_b - median_a) > iqr(a) else "no")
         )
     for name, line in failed.items():
         print("FAILED " + line)

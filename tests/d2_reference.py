@@ -47,5 +47,5 @@ def _d2_solve(system):
         norms.append(m_norm)
         inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
     x, applied = np.sum(chars[:, None, None, elem] * parts[..., rep], axis=0)
-    residual = discrete._relative_residual(applied.ravel(), system.rhs)
+    residual = discrete.relative_gap(applied.ravel(), system.rhs)
     return x.ravel(), residual, float(max(norms) * max(inv_norms))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cylwave import diagnostics, discrete
-from cylwave.exact import Medium
+from cylwave import diagnostics, discrete, fields
+from cylwave.exact import Medium, exact_ring
 from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 M1 = Medium()
@@ -117,6 +117,14 @@ def test_empty_vector_is_rejected():
         diagnostics.oscillation_index([])
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (1, 12), (12, 1), (2, 2, 3)])
+def test_an_input_of_more_than_one_dimension_is_refused_by_name(shape):
+    # used to: the input was flattened into one index of no single vector
+    with pytest.raises(ValueError, match=r"^values must be one vector, got shape \(%s" % shape[0]):
+        diagnostics.oscillation_index(np.ones(shape))
+    assert diagnostics.oscillation_index(np.ones(shape).ravel()) == 0.0
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
@@ -216,6 +224,22 @@ def test_unknown_method_and_empty_sweep_are_rejected():
         diagnostics.oscillation_scan("fem", NARROW, EXT, (M1, M2), [40])
     with pytest.raises(ValueError, match="n_list"):
         diagnostics.oscillation_scan("mas", NARROW, EXT, (M1, M2), [])
+
+
+@pytest.mark.parametrize(
+    "excitation, n_list, message",
+    [
+        ((), [40], "^excitation must be a line source or a non-empty tuple of them$"),
+        (EXT, 40, "^n_list must be a collection of integers, got 40$"),
+        (EXT, None, "^n_list must be a collection of integers, got None$"),
+        ((EXT, INT), 40.0, "^n_list must be a collection of integers, got 40.0$"),
+    ],
+    ids=["no-excitation", "int-n_list", "None-n_list", "float-n_list"],
+)
+def test_a_scan_of_nothing_is_refused_by_name(excitation, n_list, message):
+    # used to: an empty tuple returned (), and an int n_list raised a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        diagnostics.oscillation_scan("nfm", NARROW, excitation, (M1, M2), n_list)
 
 
 @pytest.mark.parametrize("method", ["nfm", "mas"])
@@ -394,6 +418,46 @@ def test_default_rings_lie_wholly_in_their_regions(curve, want):
     assert np.all(curve.contains(inner, phis))
 
 
+def test_each_ring_reference_holds_the_angles_it_was_summed_at():
+    angles = [0.1, 0.2, 2.5]
+    refs = diagnostics.ring_references(CIRCLE, EXT, (M1, M2), ((10.0, 1), (1.0, 2)), angles)
+    for (rho, region, held, series), ring in zip(refs, ((10.0, 1), (1.0, 2))):
+        assert (rho, region) == ring
+        assert held.dtype == float and held.tobytes() == np.array(angles).tobytes()
+        want = exact_ring(EXT, region, rho, np.array(angles), 2.0, M1, M2)
+        assert series.value.tobytes() == want.value.tobytes()
+
+
+def _three_argument_field_error(solution, references, angles):
+    """field_error as it read when it took the angles apart from its references."""
+    worst = 0.0
+    for rho, region, _, series in references:
+        observed = fields.field_from_discrete(solution, rho, angles, region=region).e_z
+        scale = float(np.max(np.abs(series.value)))
+        worst = max(worst, float(np.max(np.abs(observed - series.value))) / (scale or 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("method, geometry", [("nfm", NARROW), ("mas", WIDE)],
+                         ids=["nfm-narrow", "mas-wide"])
+def test_field_error_reads_each_ring_at_its_own_angles(method, geometry):
+    assemble = discrete.assemble_nfm if method == "nfm" else discrete.assemble_mas
+    solution = discrete.solve(assemble(*geometry, EXT, M1, M2, n_points=40))
+    angles = diagnostics.SWEEP_ANGLES
+    refs = diagnostics.ring_references(CIRCLE, EXT, (M1, M2), ((10.0, 1), (1.0, 2)), angles)
+    want = _three_argument_field_error(solution, refs, angles)
+    assert float.hex(diagnostics.field_error(solution, refs)) == float.hex(want)
+    # rings summed at different angles are each measured where they were summed
+    # (one angle array for both used to broadcast (0.1, 0.2) against [0.3])
+    outer = diagnostics.ring_references(CIRCLE, EXT, (M1, M2), ((10.0, 1),), [0.1, 0.2])
+    inner = diagnostics.ring_references(CIRCLE, EXT, (M1, M2), ((1.0, 2),), [0.3])
+    got = diagnostics.field_error(solution, outer + inner)
+    assert got == max(
+        _three_argument_field_error(solution, outer, [0.1, 0.2]),
+        _three_argument_field_error(solution, inner, [0.3]),
+    )
+
+
 def test_observation_rings_can_be_overridden():
     sweep = diagnostics.convergence_sweep("nfm", NARROW, EXT, (M1, M2), [40], rings=((6.0, 1),))
     (error,) = sweep.errors.values()
@@ -408,7 +472,7 @@ def test_an_empty_ring_set_is_refused_not_read_as_a_zero_error(method, geometry)
         diagnostics.convergence_sweep(method, geometry, EXT, (M1, M2), [40], rings=())
     solution = discrete.solve(discrete.assemble_nfm(*NARROW, EXT, M1, M2, n_points=40))
     with pytest.raises(ValueError, match="empty ring set"):
-        diagnostics.field_error(solution, (), diagnostics.SWEEP_ANGLES)
+        diagnostics.field_error(solution, ())
 
 
 def test_a_ring_through_the_filament_is_refused_before_any_solve(monkeypatch):

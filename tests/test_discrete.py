@@ -574,6 +574,14 @@ def test_auto_path_selects_by_structure():
     assert discrete.solve(ell).path == "dense"
 
 
+def test_relative_gap_is_the_gap_over_the_reference_peak_or_the_gap_itself():
+    assert discrete.relative_gap([1.0, 2.0 + 1.0j], [1.0, 4.0]) == abs(-2.0 + 1.0j) / 4.0
+    # an all-zero reference has no scale, so the gap stands as it is
+    assert discrete.relative_gap([3.0, -4.0j], [0.0, 0.0]) == 4.0
+    assert discrete.relative_gap(np.zeros(3), np.zeros(3)) == 0.0
+    assert type(discrete.relative_gap(np.ones(2), np.ones(2))) is float
+
+
 @pytest.mark.parametrize("exc", [EXT, INT], ids=["external", "internal"])
 @pytest.mark.parametrize("route", ["nfm", "mas"])
 def test_fft_residual_matches_the_dense_product(route, exc):
@@ -583,7 +591,7 @@ def test_fft_residual_matches_the_dense_product(route, exc):
         for n_points in (40, 81):
             system = _ASSEMBLE[route](exc, n_points, aux=aux)
             solution = discrete.solve_circulant_dft(system)
-            dense = discrete._relative_residual(system.matrix @ solution.vector, system.rhs)
+            dense = discrete.relative_gap(system.matrix @ solution.vector, system.rhs)
             assert abs(solution.residual - dense) < 1e-13
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cylwave import continuous, diagnostics, exact, specfun
+from cylwave import continuous, diagnostics, discrete, exact, fields, specfun
 from cylwave.exact import Medium, critical_radius, exact_field
-from cylwave.geometry import BoundaryCurve, Excitation
+from cylwave.geometry import AuxiliarySurface, BoundaryCurve, Excitation
 
 import frozen_series
 import series_loop
@@ -353,6 +353,46 @@ def test_a_list_of_angles_reads_as_their_array():
     for call in on_filament:
         with pytest.raises(ValueError, match="^observation point coincides with the source filament$"):
             call()
+
+
+def _field_from_discrete(rho_obs):
+    curve = BoundaryCurve.circle(RHO_CYL)
+    geometry = (
+        curve, AuxiliarySurface.from_radius(curve, 1.5), AuxiliarySurface.from_radius(curve, 2.5)
+    )
+    solution = discrete.solve(discrete.assemble_nfm(*geometry, EXT, M1, M2, n_points=10))
+    return fields.field_from_discrete(solution, rho_obs, 0.3)
+
+
+_RADIUS_ENTRIES = {
+    "exact_ring": lambda rho: exact.exact_ring(EXT, 2, rho, [0.3], RHO_CYL, M1, M2),
+    "exact_field": lambda rho: exact.exact_field(EXT, 2, rho, 0.3, RHO_CYL, M1, M2),
+    "incident_field": lambda rho: exact.incident_field(EXT, M1, rho, 0.3),
+    "reconstruct": lambda rho: continuous.reconstruct_fields_from_densities(
+        EXT, rho, 0.3, RHO_CYL, M1, M2
+    ),
+    "field_from_discrete": _field_from_discrete,
+}
+
+
+@pytest.mark.parametrize(
+    "rho_obs", [True, np.True_, np.array([1.0])], ids=["True", "np.True_", "array"]
+)
+@pytest.mark.parametrize("entry", list(_RADIUS_ENTRIES))
+def test_an_observation_radius_that_is_not_one_number_is_refused_by_name(entry, rho_obs):
+    # used to: every entry but field_from_discrete read True as radius 1.0
+    with pytest.raises(ValueError, match="^observation radius must be one number, got"):
+        _RADIUS_ENTRIES[entry](rho_obs)
+
+
+@pytest.mark.parametrize("entry", list(_RADIUS_ENTRIES))
+def test_an_int_or_0d_radius_reads_as_its_float(entry):
+    def field_bytes(rho_obs):
+        result = _RADIUS_ENTRIES[entry](rho_obs)
+        return np.asarray(getattr(result, "value", getattr(result, "e_z", result))).tobytes()
+
+    for rho_obs in (1, np.array(1.0), np.float64(1.0)):
+        assert field_bytes(rho_obs) == field_bytes(1.0)
 
 
 def test_incident_fields_refuse_non_finite_points():
