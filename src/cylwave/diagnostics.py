@@ -18,7 +18,7 @@ import numpy as np
 
 from . import discrete, fields
 from .exact import convergence_region, exact_ring
-from .geometry import as_count, check_placement
+from .geometry import as_count, check_excitation, check_placement
 
 _TWO_PI = 2.0 * np.pi
 # the angles at which convergence_sweep samples its rings
@@ -161,7 +161,8 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     'electric'/'magnetic' for method 'nfm' (surface_labels).
 
     excitation is one line source, which gives one OscillationScan, or a
-    tuple of them, which gives a tuple of scans in the same order. The
+    non-empty sequence of them (any iterable), which gives a tuple of scans
+    in the same order; anything else is refused by name. The
     collocation matrix depends on the geometry and the media alone, so
     every N is assembled once and solved for all the excitations on one
     factorisation (discrete.solve with shared systems); each scan equals,
@@ -169,12 +170,14 @@ def oscillation_scan(method, geometry, excitation, media, n_list):
     cannot be set up (a source on the wrong side of the boundary) fails
     its own scan only; a solve that raises fails its N for every
     excitation, since they share the factorisation. An empty excitation
-    tuple and an n_list that is no collection are refused by name.
+    sequence and an n_list that is no collection are refused by name.
     """
-    single = not isinstance(excitation, tuple)
-    excitations = (excitation,) if single else excitation
+    single = not hasattr(excitation, "__iter__")  # an Excitation is no collection
+    excitations = (excitation,) if single else tuple(excitation)
     if not excitations:
-        raise ValueError("excitation must be a line source or a non-empty tuple of them")
+        raise ValueError("excitation must be a line source or a non-empty sequence of them")
+    for one in excitations:
+        check_excitation(one)
     labels = surface_labels(method)
     scans = tuple(
         _scan(method, labels, solutions, failures)
@@ -244,8 +247,10 @@ def convergence_sweep(method, geometry, excitation, media, n_list, rings=None):
     raises ValueError before any solve. On any other boundary it is
     'residual': the tangential-E defect of fields.boundary_residuals, which
     needs no separable solution, and passing rings raises ValueError.
-    Failed solves are recorded as in oscillation_scan.
+    Failed solves are recorded as in oscillation_scan; excitation is one
+    line source, and anything else is refused by name.
     """
+    check_excitation(excitation)
     curve = geometry[0]
     reference = sweep_reference(curve)
     references = ()

@@ -433,8 +433,10 @@ def excite(system, excitation):
     The blocks, grid and media are those of system, shared and not copied;
     only the right side is built again, by the assembler's own function, so
     it equals that of assembling the system for excitation. Raises
-    ValueError for a source on the wrong side of the boundary.
+    ValueError for anything but one line source, or one on the wrong side
+    of the boundary.
     """
+    geometry.check_excitation(excitation)
     excitation.validate_against(system.curve)
     rhs = _RHS[system.method](system.nodes, excitation, system.medium1, system.medium2)
     return replace(system, rhs=rhs, excitation=excitation)
@@ -507,43 +509,44 @@ def _one_blas_thread():
                     put(count)
 
 
-def _lu_factor(a):
-    """LU factors of a with an infinity-norm condition estimate.
+def _lu_solves(a, rhs):
+    """Factor a once, then solve and apply it for every right side in rhs.
 
-    Returns ((lu, piv), ||a||_inf, rcond); rcond is gecon's estimate of
-    1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon fails. A zero pivot of
-    getrf or a non-finite factor raises ArithmeticError.
+    Returns ([(x, a @ x) per right side], ||a||_inf, rcond); rcond is
+    gecon's estimate of 1 / (||a||_inf ||a^-1||_inf), 0.0 where gecon
+    fails. One fixed-precision refinement step is taken only when
+    rcond > eps, i.e. cond * u < 1 (Higham, IMA J. Numer. Anal. 17 (1997)
+    495-509): beyond that the step adds a^-1 (roundoff), which inflates
+    ||x|| instead of shrinking the error. A zero pivot of getrf or a
+    non-finite factor or solution raises ArithmeticError.
     """
     a_norm = np.linalg.norm(a, np.inf)  # before the LU copy: its |a| scratch is gone by then
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (a,))
     lu, piv, info = getrf(a)
     if info != 0 or not np.all(np.isfinite(lu)):
         raise ArithmeticError("system is singular to working precision")
     rcond, info = gecon(lu, a_norm, norm="I")
-    return (lu, piv), a_norm, float(rcond) if info == 0 else 0.0
-
-
-def _lu_solve(a, factors, rcond, b):
-    """x with a x = b from the factors and rcond of _lu_factor.
-
-    One fixed-precision refinement step is taken only when rcond > eps,
-    i.e. cond * u < 1 (Higham, IMA J. Numer. Anal. 17 (1997) 495-509):
-    beyond that the step adds a^-1 (roundoff), which inflates ||x|| instead
-    of shrinking the error.
-    """
-    getrs = get_lapack_funcs(("getrs",), factors[:1])[0]
-    x = getrs(*factors, b)[0]
-    if rcond > _EPS:
-        x += getrs(*factors, b - a @ x)[0]
-    if not np.all(np.isfinite(x)):
-        raise ArithmeticError("system is singular to working precision")
-    return x
+    rcond = float(rcond) if info == 0 else 0.0
+    solved = []
+    for b in rhs:
+        x = getrs(lu, piv, b)[0]
+        if rcond > _EPS:
+            x += getrs(lu, piv, b - a @ x)[0]
+        if not np.all(np.isfinite(x)):
+            raise ArithmeticError("system is singular to working precision")
+        solved.append((x, a @ x))
+    return solved, a_norm, rcond
 
 
 def _with_shared(system, shared):
-    """(system, *shared), once every shared system is checked to carry system's blocks."""
-    shared = tuple(shared or ())
+    """(system, *shared), once shared is checked to hold systems that carry system's blocks."""
+    shared = () if shared is None else shared
+    if not hasattr(shared, "__iter__"):  # a BlockSystem is no collection
+        raise ValueError("shared must be a collection of systems, got %s" % type(shared).__name__)
+    shared = tuple(shared)
     for other in shared:
+        if not isinstance(other, BlockSystem):
+            raise ValueError("shared must hold systems, got %s" % type(other).__name__)
         if other.blocks is not system.blocks:
             raise ValueError("shared systems must carry the blocks of the first (see excite)")
     return (system,) + shared
@@ -583,9 +586,10 @@ def _d2_sum(chi, rows, run, out, cols=slice(None)):
 def _d2_character(chi, run, stab, blocks, rhs, parts):
     """Form, factor and solve the system of character chi on the representatives run.
 
-    Writes x_chi and M_chi x_chi of every right side into parts[:, :, :, run]
-    and returns (||M_chi||_inf, rcond). M_chi and its LU die on return, so
-    the next character's system is never formed while they are alive.
+    One _lu_solves call writes x_chi and M_chi x_chi of every right side's
+    b_chi into parts[..., run]; returns (||M_chi||_inf, rcond). M_chi and
+    its LU die on return, so the next character's system is never formed
+    while they are alive.
     """
     k = run.stop - run.start
     mat = np.empty((2, k, 2, k), dtype=complex)  # (row block, p, column block, l)
@@ -593,14 +597,12 @@ def _d2_character(chi, run, stab, blocks, rhs, parts):
         _d2_sum(chi, rows, run, mat[i // 2, :, i % 2], run)
     stabilised = stab[run] > 1
     mat[..., stabilised] /= stab[run][stabilised]
-    mat = mat.reshape(2 * k, 2 * k)
-    factors, m_norm, rcond = _lu_factor(mat)
-    for rows, part in zip(rhs, parts):
-        b = np.empty((2, k), dtype=complex)
-        _d2_sum(chi, rows, run, b.T)
-        b /= 4.0
-        x_chi = _lu_solve(mat, factors, rcond, b.ravel())
-        part[:, :, run] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, k)
+    b = np.empty((len(rhs), 2, k), dtype=complex)
+    for rows, b_s in zip(rhs, b):
+        _d2_sum(chi, rows, run, b_s.T)
+    b /= 4.0
+    solved, m_norm, rcond = _lu_solves(mat.reshape(2 * k, 2 * k), b.reshape(len(rhs), 2 * k))
+    parts[..., run] = np.reshape(solved, (len(rhs), 2, 2, k))
     return m_norm, rcond
 
 
@@ -614,9 +616,10 @@ def _d2_solve(systems):
     character that admits no representative ((chi(R), chi(S)) = (+, -) at
     N = 4) has no system and is skipped. The solution is x[g.l] = sum_chi chi(g)
     x_chi[l], and A x is recombined from the M_chi x_chi the same way. Each
-    M_chi is formed and factored once, solved for the b_chi of every system
-    and released before the next is formed (_d2_character), so besides the
-    carried blocks one system and its LU are alive at a time.
+    M_chi is formed, then factored, solved and applied for the b_chi of
+    every system in one _lu_solves call, and released before the next is
+    formed (_d2_character), so besides the carried blocks one system and
+    its LU are alive at a time.
 
     Bit-identity contract: each sum runs over g = id, R, S, RS from left
     to right, ((Z_id +- Z_R) +- Z_S) +- Z_RS, before any division. Then
@@ -663,10 +666,10 @@ def solve_dense(system, shared=None):
     character of D2, of about N/2 unknowns each (_d2_solve); each is
     factored on its own and the residual is recombined from theirs, so no
     2N x 2N array is formed. Every other system, circulant ones included,
-    takes one full LU. With shared systems (see solve) the D2 split factors
-    each character's system once and solves it for every right side, and a
-    full LU is factored once, each right side taking the getrs calls of a
-    lone solve (_lu_solve). All of it runs on one BLAS thread
+    takes one full LU, with cond 1 / rcond. Either way each matrix is
+    factored once, by one _lu_solves call (getrf, gecon, then getrs and
+    A x per right side), so with shared systems (see solve) every right
+    side takes the calls of a lone solve. All of it runs on one BLAS thread
     (_one_blas_thread), so no bit depends on the BLAS thread count.
     """
     systems = _with_shared(system, shared)
@@ -675,13 +678,8 @@ def solve_dense(system, shared=None):
         if system.d2:
             pairs, cond = _d2_solve(systems)
         else:
-            a = system.matrix
-            factors, _, rcond = _lu_factor(a)
+            pairs, _, rcond = _lu_solves(system.matrix, [other.rhs for other in systems])
             cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
-            pairs = []
-            for other in systems:
-                x = _lu_solve(a, factors, rcond, other.rhs)
-                pairs.append((x, a @ x))
     solutions = tuple(
         DiscreteSolution(
             other, x[:n], x[n:], "dense", cond,

@@ -24,6 +24,7 @@ Time convention exp(+i omega t); outgoing waves are H^(2).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -41,7 +42,8 @@ class Medium:
     """Homogeneous region described by relative permittivity/permeability.
 
     Wavenumber and impedance are relative to the exterior default (1, 1):
-    k = sqrt(eps_r mu_r), Z = sqrt(mu_r / eps_r).
+    k = sqrt(eps_r mu_r), Z = sqrt(mu_r / eps_r). Each field must be one
+    real number, not a bool, a string or an array, positive and finite.
     """
 
     eps_r: float = 1.0
@@ -49,7 +51,10 @@ class Medium:
 
     def __post_init__(self):
         for name in ("eps_r", "mu_r"):
-            if not 0.0 < getattr(self, name) < np.inf:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError("%s must be one real number, got %r" % (name, value))
+            if not 0.0 < value < np.inf:
                 raise ValueError("%s must be positive and finite" % name)
         # the incident field and the layer operators read H_n(k r) unchecked
         # once r is checked, so k must be positive and finite itself

@@ -215,11 +215,19 @@ def as_count(value, name):
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def check_excitation(excitation):
+    """Raise ValueError naming excitation unless it is one line source (an Excitation)."""
+    if not isinstance(excitation, Excitation):
+        raise ValueError("excitation must be a line source, got %r" % (excitation,))
+
+
 def check_placement(curve, aux_inner, aux_outer, excitation):
-    """Raise ValueError unless the surfaces come inner then outer and each
-    surface and the filament lie strictly on their side of curve."""
+    """Raise ValueError unless the surfaces come inner then outer, excitation
+    is one line source, and each surface and the filament lie strictly on
+    their side of curve."""
     if aux_inner.side != "inner" or aux_outer.side != "outer":
         raise ValueError("pass the inner surface first and the outer surface second")
+    check_excitation(excitation)
     aux_inner.validate_against(curve)
     aux_outer.validate_against(curve)
     excitation.validate_against(curve)

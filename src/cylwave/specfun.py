@@ -357,8 +357,10 @@ def sum_orders(run, angles, n_max, block, rel_tol, grow=None):
     BesselOverflowError. Returns the sum and the last order added per
     angle, |t_n| of every order summed (one array for all angles), the
     converged flag per angle and a list of warnings. Raises ValueError
-    naming the angles that are not finite.
+    naming the angles that are not finite, and for no angle at all.
     """
+    if not angles.size:
+        raise ValueError("angles must be a non-empty array of angles")
     finite = np.isfinite(angles)
     if not finite.all():
         raise ValueError("angles must be finite, got %s" % angles[~finite].tolist())

@@ -41,9 +41,8 @@ def _d2_solve(system):
             continue
         pairs = np.ix_(keep, keep)
         mat = np.block([[z[0][pairs], z[1][pairs]], [z[2][pairs], z[3][pairs]]])
-        factors, m_norm, rcond = discrete._lu_factor(mat)
-        x_chi = discrete._lu_solve(mat, factors, rcond, b[:, keep].ravel())
-        part[:, :, keep] = np.stack([x_chi, mat @ x_chi]).reshape(2, 2, keep.size)
+        solved, m_norm, rcond = discrete._lu_solves(mat, [b[:, keep].ravel()])
+        part[:, :, keep] = np.reshape(solved[0], (2, 2, keep.size))
         norms.append(m_norm)
         inv_norms.append(1.0 / (rcond * m_norm) if rcond > 0.0 else np.inf)
     x, applied = np.sum(chars[:, None, None, elem] * parts[..., rep], axis=0)

@@ -103,7 +103,6 @@ def factored_solve(system):
         size = np.max(np.abs(a), axis=1)
         a /= size[:, None]
         b /= size
-        factors, _, rcond = discrete._lu_factor(a)
-        x = discrete._lu_solve(a, factors, rcond, b)
+        [(x, _)], _, rcond = discrete._lu_solves(a, [b])
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     return discrete.DiscreteSolution(system, x[:n_points], x[n_points:], "factored", cond)

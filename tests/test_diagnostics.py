@@ -229,15 +229,19 @@ def test_unknown_method_and_empty_sweep_are_rejected():
 @pytest.mark.parametrize(
     "excitation, n_list, message",
     [
-        ((), [40], "^excitation must be a line source or a non-empty tuple of them$"),
+        ((), [40], "^excitation must be a line source or a non-empty sequence of them$"),
+        ([], [40], "^excitation must be a line source or a non-empty sequence of them$"),
+        ((EXT, 3), [40], "^excitation must be a line source, got 3$"),
         (EXT, 40, "^n_list must be a collection of integers, got 40$"),
         (EXT, None, "^n_list must be a collection of integers, got None$"),
         ((EXT, INT), 40.0, "^n_list must be a collection of integers, got 40.0$"),
     ],
-    ids=["no-excitation", "int-n_list", "None-n_list", "float-n_list"],
+    ids=["no-excitation", "empty-list", "not-an-excitation", "int-n_list", "None-n_list",
+         "float-n_list"],
 )
 def test_a_scan_of_nothing_is_refused_by_name(excitation, n_list, message):
-    # used to: an empty tuple returned (), and an int n_list raised a bare TypeError
+    # used to: an empty tuple returned (), an int n_list raised a bare
+    # TypeError, and [] and (EXT, 3) a bare AttributeError in assembly
     with pytest.raises(ValueError, match=message):
         diagnostics.oscillation_scan("nfm", NARROW, excitation, (M1, M2), n_list)
 
@@ -296,6 +300,32 @@ def test_a_plural_scan_equals_the_scans_of_its_excitations(geometry, n_list, met
     for exc, scan in zip(excitations, scans):
         _same_scan(scan, diagnostics.oscillation_scan(method, geometry, exc, (M1, M2), n_list))
         assert all(sol.system.excitation == exc for sol in scan.solutions.values())
+    # a list is several excitations too, not one (it used to fail in assembly)
+    listed = diagnostics.oscillation_scan(method, geometry, list(excitations), (M1, M2), n_list)
+    assert len(listed) == len(scans)
+    for got, want in zip(listed, scans):
+        _same_scan(got, want)
+
+
+_SINGLE_EXCITATION_ENTRIES = {
+    "assemble_nfm": lambda exc: discrete.assemble_nfm(*WIDE, exc, M1, M2, n_points=16),
+    "assemble_mas": lambda exc: discrete.assemble_mas(*WIDE, exc, M1, M2, n_points=16),
+    "excite": lambda exc: discrete.excite(
+        discrete.assemble_nfm(*WIDE, EXT, M1, M2, n_points=16), exc
+    ),
+    "predict_mas_divergence": lambda exc: diagnostics.predict_mas_divergence(WIDE, exc),
+    "convergence_sweep": lambda exc: diagnostics.convergence_sweep(
+        "nfm", WIDE, exc, (M1, M2), [16]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [[EXT, INT], (EXT,), 3], ids=["list", "tuple", "int"])
+@pytest.mark.parametrize("entry", list(_SINGLE_EXCITATION_ENTRIES))
+def test_an_entry_of_one_excitation_refuses_anything_else_by_name(entry, bad):
+    # used to: a bare AttributeError on validate_against or rho
+    with pytest.raises(ValueError, match="^excitation must be a line source, got "):
+        _SINGLE_EXCITATION_ENTRIES[entry](bad)
 
 
 def test_a_misplaced_excitation_fails_only_its_own_scan(monkeypatch):

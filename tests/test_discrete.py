@@ -737,13 +737,13 @@ def _counts(copies):
 
 def test_a_dense_solve_runs_on_one_blas_thread_and_restores_the_count(openblas, monkeypatch):
     inside = []
-    lu_factor = discrete._lu_factor
+    lu_solves = discrete._lu_solves
 
-    def spy(a):
+    def spy(a, rhs):
         inside.append(_counts(openblas))
-        return lu_factor(a)
+        return lu_solves(a, rhs)
 
-    monkeypatch.setattr(discrete, "_lu_factor", spy)
+    monkeypatch.setattr(discrete, "_lu_solves", spy)
     for n_points in (40, 41):  # the D2 split, then a full LU
         discrete.solve_dense(discrete.assemble_nfm(ELLIPSE, *ELL_MILD, ELL_EXT, M1, M2, n_points=n_points))
         assert _counts(openblas) == [2, 2]
@@ -760,17 +760,17 @@ def test_overlapping_solves_in_two_threads_keep_serial_bits_and_restore_the_coun
     serial = [discrete.solve_dense(system).vector.tobytes() for system in systems]
     meet = threading.Barrier(2, timeout=60)
     inside = []
-    lu_factor = discrete._lu_factor
+    lu_solves = discrete._lu_solves
 
-    def meeting(a):
+    def meeting(a, rhs):
         meet.wait()  # both threads are inside a solve here
         inside.append(_counts(openblas))
-        return lu_factor(a)
+        return lu_solves(a, rhs)
 
-    monkeypatch.setattr(discrete, "_lu_factor", meeting)
+    monkeypatch.setattr(discrete, "_lu_solves", meeting)
 
     def solve_all(order):
-        # the two orders make five _lu_factor calls each, so every wait meets a partner
+        # the two orders make five _lu_solves calls each, so every wait meets a partner
         return {i: discrete.solve_dense(systems[i]).vector.tobytes() for i in order}
 
     with ThreadPoolExecutor(2) as pool:
@@ -888,6 +888,12 @@ def test_shared_systems_must_carry_the_same_blocks():
     # equal blocks evaluated twice are not shared ones
     with pytest.raises(ValueError, match="blocks of the first"):
         discrete.solve(_nfm(EXT, 16), shared=(_nfm(INT, 16),))
+    # used to: a bare TypeError (not iterable) and AttributeError (no blocks)
+    system = _nfm(EXT, 16)
+    with pytest.raises(ValueError, match="^shared must be a collection of systems, got BlockSystem$"):
+        discrete.solve(system, shared=system)
+    with pytest.raises(ValueError, match="^shared must hold systems, got int$"):
+        discrete.solve(system, shared=[3])
 
 
 # -- q-sum oracles ------------------------------------------------------------

@@ -44,6 +44,19 @@ def test_medium_rejects_non_finite_values_naming_the_field(bad):
         Medium(4.2, bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.True_, "4.2", np.array([4.2]), 4.2 + 0j],
+    ids=["bool", "np-bool", "str", "array", "complex"],
+)
+def test_medium_rejects_anything_but_one_real_number_naming_the_field(bad):
+    # used to: a bool read as 1.0, a string or an array raised a bare TypeError
+    with pytest.raises(ValueError, match="^eps_r must be one real number, got "):
+        Medium(bad, 1.0)
+    with pytest.raises(ValueError, match="^mu_r must be one real number, got "):
+        Medium(4.2, bad)
+
+
 @pytest.mark.parametrize("eps_r, mu_r", [(1e-200, 1e-200), (1e200, 1e200), (1e-200, 1e200)])
 def test_medium_rejects_a_wavenumber_or_impedance_out_of_range(eps_r, mu_r):
     # each value is in range, but k = sqrt(eps_r mu_r) or Z = sqrt(mu_r /
@@ -314,9 +327,14 @@ _NO_ANGLES = np.array([])
         lambda: exact.exact_ring(EXT, 2, 1.0, _NO_ANGLES, RHO_CYL, M1, M2),
         lambda: exact.exact_ring(INT, 1, 3.0, _NO_ANGLES, RHO_CYL, M1, M2),
         lambda: exact.exact_ring(INT, 2, 1.5, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: continuous.density_series(EXT, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: continuous.reconstruct_fields_from_densities(EXT, 1.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: continuous.reconstruct_fields_from_densities(INT, 3.0, _NO_ANGLES, RHO_CYL, M1, M2),
+        lambda: specfun.addition_series_h0(1.0, 2.0, _NO_ANGLES),
     ],
     ids=["incident_field", "refuse_filament_points", "reconstruct", "ring_references",
-         "ext_R1", "ext_R2", "int_R1", "int_R2"],
+         "ext_R1", "ext_R2", "int_R1", "int_R2", "density_series", "reconstruct-ext-inside",
+         "reconstruct-int-outside", "addition_series_h0"],
 )
 def test_an_empty_angle_array_is_refused_by_name(call):
     # numpy's max of an empty array would raise its own unnamed error, and

@@ -126,6 +126,22 @@ def test_dense_lapack_work_goes_through_get_lapack_funcs_in_discrete_only():
     assert reads == {"discrete.py": {"get_lapack_funcs"}}
 
 
+def test_one_discrete_function_fetches_the_lapack_routines_of_every_dense_solve():
+    # _lu_solves factors, solves and applies every D2 character's system and
+    # every full LU, so no caller joins a factorisation to its solves itself
+    tree = ast.parse((SRC / "discrete.py").read_text())
+    readers = {
+        node.name: [
+            ast.literal_eval(call.args[0]) for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "get_lapack_funcs"
+        ]
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(getattr(name, "id", None) == "get_lapack_funcs" for name in ast.walk(node))
+    }
+    assert readers == {"_lu_solves": [("getrf", "getrs", "gecon")]}
+
+
 def test_one_module_and_one_evaluator_name_the_bessel_functions():
     # integer-order Bessel values are formed only in specfun's _LOW_ORDER,
     # hankel2_low, bessel_orders and graf_products: no other module imports
